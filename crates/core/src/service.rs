@@ -146,12 +146,6 @@ impl QueryToken {
     pub fn stop_reason(&self) -> Option<StopReason> {
         self.inner.fired.get().copied()
     }
-
-    /// True when `self` and `other` share the same underlying state
-    /// (identity, not value, comparison — used by `ExecOptions` equality).
-    pub fn same_token(&self, other: &QueryToken) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 /// Configuration of the multi-session query service: worker pool sizing,
@@ -251,8 +245,6 @@ mod tests {
         assert!(t.is_cancelled());
         assert_eq!(t.poll(), Some(StopReason::Cancelled));
         assert_eq!(t.poll(), Some(StopReason::Cancelled));
-        assert!(t.same_token(&clone));
-        assert!(!t.same_token(&QueryToken::new()));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Hash aggregation.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -7,6 +8,7 @@ use std::sync::Arc;
 use rqo_storage::{ColumnMeta, ColumnVec, CostTracker, DataType, NullMask, Schema, Value};
 
 use crate::batch::Batch;
+use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::{AggExpr, AggFunc};
 
 /// Running state of one aggregate.
@@ -75,12 +77,8 @@ impl AggState {
     }
 
     /// Folds another partial state for the same aggregate into this one
-    /// (used when merging per-morsel partial aggregations).
-    ///
-    /// For SUM/AVG the merge adds partial float sums, which is exact
-    /// whenever the addends are exactly representable (e.g. integer-valued
-    /// data) and associative-up-to-ulp otherwise; COUNT/MIN/MAX merges are
-    /// always exact.
+    /// (used when merging per-morsel partial aggregations, in morsel
+    /// index order).
     fn merge(&mut self, other: AggState) {
         match (self, other) {
             (AggState::Sum(a), AggState::Sum(b)) => *a += b,
@@ -153,6 +151,16 @@ impl AggState {
 /// identity values).  Charges one hash insert per input row (group lookup
 /// + state update) and one CPU op per output row.
 ///
+/// Aggregate input columns are extracted into typed vectors once, outside
+/// the morsel loop.  Each morsel assigns group ids in a first pass and
+/// then updates each aggregate's states in a tight column-at-a-time loop
+/// (`f64`/`i64` adds with a null-mask check), producing a partial
+/// `group → states` map; the partials are merged **in morsel index
+/// order** via `AggState::merge`.  Morsel boundaries depend only on the
+/// morsel size, so the merge tree — and therefore every float-summation
+/// order — is the same for every thread count, scheduler, and entry
+/// point.  Returns `None` when the query's token fired mid-accumulation.
+///
 /// # Panics
 ///
 /// Panics when a referenced column is missing, or when a non-COUNT
@@ -162,105 +170,21 @@ pub fn hash_aggregate(
     input: Batch,
     group_by: &[String],
     aggregates: &[AggExpr],
-) -> Batch {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    let groups = accumulate(&input.rows, &group_idx, &agg_idx, aggregates);
-    finalize(tracker, input, group_by, aggregates, group_idx, groups)
-}
-
-/// Morsel-parallel [`hash_aggregate`]: each morsel accumulates a partial
-/// `group → states` map; the coordinator merges the partials **in morsel
-/// index order** via [`AggState::merge`], then finalizes exactly as the
-/// serial operator does.
-///
-/// Because morsel boundaries depend only on the morsel size, the merge
-/// tree — and therefore every float-summation order — is identical for
-/// every thread count: 2-thread and 8-thread runs are bit-identical.
-/// Against the *serial* operator, COUNT/MIN/MAX and integer-valued
-/// SUM/AVG are exact; irrational float sums may differ in the last ulp
-/// (row-order vs. morsel-merge-order association).  Returns `None` when
-/// the query's token fired mid-accumulation.
-pub fn hash_aggregate_par(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-    opts: &crate::morsel::ExecOptions,
+    opts: &ExecOptions,
 ) -> Option<Batch> {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    let partials = crate::morsel::run_morsels(opts, input.len(), |morsel| {
-        accumulate(&input.rows[morsel], &group_idx, &agg_idx, aggregates)
-    })?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for partial in partials {
-        for (key, states) in partial {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut existing) => {
-                    for (into, from) in existing.get_mut().iter_mut().zip(states) {
-                        into.merge(from);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(states);
-                }
-            }
-        }
-    }
-    Some(finalize(
-        tracker, input, group_by, aggregates, group_idx, groups,
-    ))
-}
-
-/// Vectorized [`hash_aggregate`]: aggregate input columns are extracted
-/// into typed vectors once, group ids are assigned in a first pass, and
-/// each aggregate then updates its states in a tight column-at-a-time
-/// loop (`f64`/`i64` adds with a null-mask check) instead of per-row
-/// `Value` dispatch.  Updates hit each `AggState` in row order — the
-/// same float-addition sequence as the row path — so results are
-/// bit-identical, including `AVG` of empty groups and the scalar
-/// identity row.
-pub fn hash_aggregate_columnar(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-) -> Batch {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
+    let group_idx: Vec<usize> = group_by
+        .iter()
+        .map(|g| input.schema.expect_index(g))
+        .collect();
+    let agg_idx: Vec<Option<usize>> = aggregates
+        .iter()
+        .map(|a| a.column.as_ref().map(|c| input.schema.expect_index(c)))
+        .collect();
     tracker.charge_hash_builds(input.len() as u64);
     let agg_cols = columnarize_agg_inputs(&input, &agg_idx);
     let int_group = int_group_ordinal(&input, &group_idx);
-    let groups = accumulate_columnar(
-        &input.rows,
-        0..input.len(),
-        &group_idx,
-        int_group,
-        &agg_cols,
-        aggregates,
-    );
-    finalize(tracker, input, group_by, aggregates, group_idx, groups)
-}
-
-/// Morsel-parallel [`hash_aggregate_columnar`], bit-identical to
-/// [`hash_aggregate_par`]: same morsel boundaries, same per-state update
-/// order within a morsel, same morsel-index-order merge.  Returns `None`
-/// when the query's token fired.
-pub fn hash_aggregate_columnar_par(
-    tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-    opts: &crate::morsel::ExecOptions,
-) -> Option<Batch> {
-    let (group_idx, agg_idx) = resolve_indices(&input, group_by, aggregates);
-    tracker.charge_hash_builds(input.len() as u64);
-    // Columnarize once, outside the morsel loop; morsels index the shared
-    // vectors by absolute row id.
-    let agg_cols = columnarize_agg_inputs(&input, &agg_idx);
-    let int_group = int_group_ordinal(&input, &group_idx);
-    let partials = crate::morsel::run_morsels(opts, input.len(), |morsel| {
-        accumulate_columnar(
+    let partials = run_morsels(opts, input.len(), |morsel| {
+        accumulate(
             &input.rows,
             morsel,
             &group_idx,
@@ -273,12 +197,12 @@ pub fn hash_aggregate_columnar_par(
     for partial in partials {
         for (key, states) in partial {
             match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut existing) => {
+                Entry::Occupied(mut existing) => {
                     for (into, from) in existing.get_mut().iter_mut().zip(states) {
                         into.merge(from);
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     slot.insert(states);
                 }
             }
@@ -362,12 +286,12 @@ fn columnarize_agg_inputs(input: &Batch, agg_idx: &[Option<usize>]) -> Vec<Optio
         .collect()
 }
 
-/// Columnar counterpart of [`accumulate`] for the absolute row range
-/// `range`: pass 1 assigns group ids (a primitive-keyed map when the
-/// single group column is declared `Int`, otherwise keys cloned
-/// row-major exactly like the row path); pass 2 runs one typed loop per
-/// aggregate.
-fn accumulate_columnar(
+/// Accumulates one morsel — the absolute row range `range` — into a
+/// partial `group → states` map: pass 1 assigns group ids (a
+/// primitive-keyed map when the single group column is declared `Int`,
+/// otherwise `Vec<Value>` keys cloned row-major); pass 2 runs one typed
+/// loop per aggregate, in row order.
+fn accumulate(
     rows: &[Vec<Value>],
     range: Range<usize>,
     group_idx: &[usize],
@@ -386,10 +310,9 @@ fn accumulate_columnar(
     if let Some(g) = int_group {
         // Single declared-Int group column: group on `Option<i64>` read
         // straight out of the rows — no transpose, no one-element
-        // `Vec<Value>` alloc + hash per row.  NULL keys map to `None`,
-        // matching the row path's storage equality (NULL groups with
-        // NULL); the `Value` keys the caller's merge/finalize see are
-        // reconstructed below and hash identically to the row path's.
+        // `Vec<Value>` alloc + hash per row.  NULL keys map to `None`
+        // (storage equality: NULL groups with NULL); the `Value` keys the
+        // caller's merge/finalize see are reconstructed below.
         // A declared-Int column can still hold an off-type value (an
         // aggregate output feeding a re-aggregation): bail out and let
         // the generic path redo the morsel.
@@ -438,10 +361,9 @@ fn null_at(nulls: Option<&NullMask>, i: usize) -> bool {
 
 /// Updates aggregate `j`'s state for every row, in row order.  `SUM`,
 /// `AVG`, and `COUNT` over numeric columns run typed loops; everything
-/// else goes through [`AggState::update`] with the materialized value —
-/// same semantics (including MIN/MAX keeping the input's native type and
-/// panics on non-numeric SUM inputs), just without the per-row group
-/// lookup.
+/// else goes through [`AggState::update`] with the materialized value
+/// (MIN/MAX keep the input's native type; SUM over a non-numeric input
+/// panics there).
 fn update_states(
     states: &mut [Vec<AggState>],
     gids: &[u32],
@@ -506,57 +428,19 @@ fn update_states(
         }
         (_, Some(col)) => {
             // MIN/MAX (any type), SUM/AVG over Mixed or non-numeric
-            // columns: materialize the value and use the row-path update.
+            // columns: materialize the value and update per row.
             for (k, &g) in gids.iter().enumerate() {
                 let v = col.value(start + k);
                 states[g as usize][j].update(Some(&v));
             }
         }
         (_, None) => {
-            // Non-COUNT aggregate without a column: panics in update,
-            // exactly like the row path.
+            // Non-COUNT aggregate without a column: panics in update.
             for &g in gids {
                 states[g as usize][j].update(None);
             }
         }
     }
-}
-
-/// Resolves grouping and aggregate-input column ordinals.
-fn resolve_indices(
-    input: &Batch,
-    group_by: &[String],
-    aggregates: &[AggExpr],
-) -> (Vec<usize>, Vec<Option<usize>>) {
-    let group_idx = group_by
-        .iter()
-        .map(|g| input.schema.expect_index(g))
-        .collect();
-    let agg_idx = aggregates
-        .iter()
-        .map(|a| a.column.as_ref().map(|c| input.schema.expect_index(c)))
-        .collect();
-    (group_idx, agg_idx)
-}
-
-/// Accumulates aggregate states over a slice of rows, in row order.
-fn accumulate(
-    rows: &[Vec<Value>],
-    group_idx: &[usize],
-    agg_idx: &[Option<usize>],
-    aggregates: &[AggExpr],
-) -> HashMap<Vec<Value>, Vec<AggState>> {
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-        let states = groups
-            .entry(key)
-            .or_insert_with(|| aggregates.iter().map(|a| AggState::new(a.func)).collect());
-        for (state, idx) in states.iter_mut().zip(agg_idx) {
-            state.update(idx.map(|i| &row[i]));
-        }
-    }
-    groups
 }
 
 /// Builds the output schema and the deterministically ordered result rows.
@@ -640,7 +524,9 @@ mod tests {
                 AggExpr::min("x", "lo"),
                 AggExpr::max("x", "hi"),
             ],
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         let row = &out.rows[0];
         assert_eq!(row[0], Value::Float(80.0));
@@ -659,7 +545,9 @@ mod tests {
             input(),
             &["g".to_string()],
             &[AggExpr::sum("x", "total"), AggExpr::count_star("n")],
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema.names(), vec!["g", "total", "n"]);
         assert_eq!(
@@ -686,7 +574,9 @@ mod tests {
                 AggExpr::avg("x", "a"),
                 AggExpr::min("x", "lo"),
             ],
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows[0][0], Value::Float(0.0));
         assert_eq!(out.rows[0][1], Value::Int(0));
@@ -706,15 +596,16 @@ mod tests {
             empty,
             &["g".to_string()],
             &[AggExpr::sum("x", "s")],
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(out.len(), 0);
     }
 
     #[test]
-    fn parallel_aggregate_matches_serial() {
-        use crate::morsel::ExecOptions;
-        // Integer-valued floats: partial-sum merges are exact, so the
-        // parallel result must be bit-identical to serial.
+    fn integer_valued_sums_are_exact_at_every_morsel_size() {
+        // Integer-valued floats: partial-sum merges are exact, so any
+        // morsel size and thread count reproduces the one-morsel result.
         let rows: Vec<Vec<Value>> = (0..500)
             .map(|i| vec![Value::Int(i % 7), Value::Float((i * 3 % 100) as f64)])
             .collect();
@@ -731,49 +622,36 @@ mod tests {
         ];
         for group_by in [vec![], vec!["g".to_string()]] {
             let mut ts = CostTracker::new();
-            let serial = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs);
+            let whole =
+                hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &ExecOptions::serial())
+                    .unwrap();
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let par = hash_aggregate_par(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, serial.rows, "threads={threads}");
+                let par = hash_aggregate(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
+                assert_eq!(par.rows, whole.rows, "threads={threads}");
                 assert_eq!(tp, ts, "threads={threads}");
             }
         }
     }
 
     #[test]
-    fn parallel_aggregate_empty_input_identity_row() {
-        use crate::morsel::ExecOptions;
-        let empty = Batch::empty(Schema::from_pairs(&[("x", DataType::Float)]));
-        let mut tracker = CostTracker::new();
-        let out = hash_aggregate_par(
-            &mut tracker,
-            empty,
-            &[],
-            &[AggExpr::sum("x", "s"), AggExpr::count_star("n")],
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
-    }
-
-    #[test]
-    fn columnar_aggregate_is_bit_identical_to_row_aggregate() {
-        use crate::morsel::ExecOptions;
+    fn irrational_sums_are_bit_identical_at_every_thread_count() {
         // NULL-heavy float column plus an Int column so MIN/MAX keep the
         // native type and SUM widens; irrational values so float addition
         // order matters and bit-identity is a real claim.
-        let rows: Vec<Vec<Value>> = (0..500)
-            .map(|i| {
-                let x = if i % 5 == 0 {
-                    Value::Null
-                } else {
-                    Value::Float((i as f64).sqrt())
-                };
-                vec![Value::Int(i % 7), x, Value::Int(i % 11)]
+        let xs: Vec<Option<f64>> = (0..500)
+            .map(|i| (i % 5 != 0).then(|| (i as f64).sqrt()))
+            .collect();
+        let rows: Vec<Vec<Value>> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                vec![
+                    Value::Int(i as i64 % 7),
+                    x.map_or(Value::Null, Value::Float),
+                    Value::Int(i as i64 % 11),
+                ]
             })
             .collect();
         let b = Batch::new(
@@ -796,40 +674,42 @@ mod tests {
             AggExpr::min("y", "lo"),
             AggExpr::max("x", "hi"),
         ];
+        // The scalar SUM is the morsel partials added in index order.
+        let expect_sum = xs.chunks(64).fold(0.0, |acc, chunk| {
+            acc + chunk.iter().flatten().fold(0.0, |s, x| s + x)
+        });
         for group_by in [vec![], vec!["g".to_string()]] {
+            let one = ExecOptions::serial().with_morsel_size(64);
             let mut ts = CostTracker::new();
-            let serial = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs);
-            let mut tc = CostTracker::new();
-            let columnar = hash_aggregate_columnar(&mut tc, b.clone(), &group_by, &aggs);
-            assert_eq!(columnar.rows, serial.rows);
-            assert_eq!(tc, ts);
+            let whole = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &one).unwrap();
+            if group_by.is_empty() {
+                assert_eq!(whole.rows[0][0].as_f64().to_bits(), expect_sum.to_bits());
+            }
             // MIN over the Int column keeps its native type.
-            let lo_idx = columnar.schema.expect_index("lo");
-            assert!(matches!(columnar.rows[0][lo_idx], Value::Int(_)));
-            for threads in [1, 2, 8] {
+            let lo_idx = whole.schema.expect_index("lo");
+            assert!(matches!(whole.rows[0][lo_idx], Value::Int(_)));
+            for threads in [2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let par = hash_aggregate_columnar_par(&mut tp, b.clone(), &group_by, &aggs, &opts)
-                    .unwrap();
-                let mut tr = CostTracker::new();
-                let row_par =
-                    hash_aggregate_par(&mut tr, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, row_par.rows, "threads={threads}");
-                assert_eq!(tp, tr, "threads={threads}");
+                let par = hash_aggregate(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
+                assert_eq!(par.rows, whole.rows, "threads={threads}");
+                assert_eq!(tp, ts, "threads={threads}");
             }
         }
     }
 
     #[test]
-    fn columnar_aggregate_empty_input_identity_row() {
+    fn empty_input_identity_row_at_many_threads() {
         let empty = Batch::empty(Schema::from_pairs(&[("x", DataType::Float)]));
         let mut tracker = CostTracker::new();
-        let out = hash_aggregate_columnar(
+        let out = hash_aggregate(
             &mut tracker,
             empty,
             &[],
             &[AggExpr::sum("x", "s"), AggExpr::count_star("n")],
-        );
+            &ExecOptions::with_threads(4),
+        )
+        .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows[0][0], Value::Float(0.0));
         assert_eq!(out.rows[0][1], Value::Int(0));
@@ -854,7 +734,9 @@ mod tests {
                 },
                 AggExpr::count_star("n"),
             ],
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(out.rows[0][0], Value::Int(2));
         assert_eq!(out.rows[0][1], Value::Int(3));
     }

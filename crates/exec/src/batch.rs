@@ -40,9 +40,8 @@ impl Batch {
 
     /// Concatenates per-morsel row chunks, in order, into one batch.
     ///
-    /// Parallel operators produce one chunk per morsel; recombining them
-    /// in morsel index order reproduces the serial operator's row order
-    /// exactly.
+    /// Operators produce one chunk per morsel; recombining them in morsel
+    /// index order gives the same row order at every thread count.
     pub fn from_parts(schema: Schema, parts: Vec<Vec<Vec<Value>>>) -> Self {
         let total = parts.iter().map(Vec::len).sum();
         let mut rows = Vec::with_capacity(total);

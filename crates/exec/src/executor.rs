@@ -6,23 +6,14 @@ use rqo_core::StopReason;
 use rqo_storage::{Catalog, CostParams, CostTracker};
 
 use crate::adaptive::{GuardTrip, RowGuard};
-use crate::agg::{
-    hash_aggregate, hash_aggregate_columnar, hash_aggregate_columnar_par, hash_aggregate_par,
-};
+use crate::agg::hash_aggregate;
 use crate::batch::Batch;
-use crate::join::{
-    hash_join, hash_join_columnar, hash_join_columnar_par, hash_join_par, indexed_nl_join,
-    indexed_nl_join_par, merge_join, star_semijoin,
-};
+use crate::join::{hash_join, indexed_nl_join, merge_join, star_semijoin};
 use crate::kernels::{filter_batch, project_batch};
 use crate::metrics::OpMetrics;
-use crate::morsel::{run_morsels, ExecOptions};
+use crate::morsel::ExecOptions;
 use crate::plan::PhysicalPlan;
-use crate::scan::{
-    index_intersection_counted, index_seek_counted, partitioned_scan, partitioned_scan_columnar,
-    partitioned_scan_columnar_par, partitioned_scan_par, seq_scan, seq_scan_columnar,
-    seq_scan_columnar_par, seq_scan_par, surviving_spans,
-};
+use crate::scan::{index_intersection, index_seek, partitioned_scan, seq_scan, surviving_spans};
 
 /// Why the interpreter unwound before producing the root's result:
 /// either a cardinality guard tripped (adaptive re-planning takes over)
@@ -38,8 +29,8 @@ pub(crate) enum Interrupt {
 /// the full simulated cost of producing it.
 ///
 /// Execution is deterministic: the same plan over the same catalog always
-/// returns the same rows and the same cost.  Equivalent to
-/// [`execute_with`] under [`ExecOptions::default`] (serial).
+/// returns the same rows and the same cost.  This is [`execute_with`]
+/// under [`ExecOptions::default`] (one thread).
 pub fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -50,19 +41,12 @@ pub fn execute(
 
 /// Executes a physical plan with explicit execution options.
 ///
-/// With `opts.threads > 1` the scan, fetch, hash-join, hash-aggregate,
-/// filter, and project operators run morsel-parallel (merge join and the
-/// star semijoin stay serial — they are sort- and intersection-bound).
-/// The returned [`CostTracker`] is the deterministic merge of per-morsel
-/// trackers and is **bit-identical for every thread count**: simulated
-/// cost models the plan's work, not the host's parallelism.
-///
-/// Sequential scans, filters, projections, hash joins, and hash
-/// aggregates run on **vectorized columnar kernels** by default
-/// (see [`crate::columnar`] and [`crate::kernels`]); setting
-/// `opts.row_fallback` routes them through the original row-at-a-time
-/// code instead.  The two paths are bit-identical — rows, order, costs,
-/// metrics, and guard trips — pinned by the equivalence suites.
+/// Every operator splits its work into morsels (see [`crate::morsel`]);
+/// `opts` only decides who runs them — the calling thread, `threads`
+/// scoped workers, or an attached scheduler.  Rows, row order, the
+/// returned [`CostTracker`], and the metrics tree are **bit-identical
+/// for every thread count and scheduler**: simulated cost models the
+/// plan's work, not the host's parallelism.
 pub fn execute_with(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -178,33 +162,16 @@ fn run(
     if let Some(reason) = opts.check_stop() {
         return Err(Interrupt::Stopped(reason));
     }
-    // A token forces the morselized code paths even at one thread, so
-    // cancellation is checked per morsel rather than per operator.  The
-    // morselized operators are bit-identical to the serial ones (pinned
-    // by the parallel_equivalence suite), so this changes no result.
-    let parallel = opts.is_parallel() || opts.token.is_some();
     // An operator that came back empty-handed was stopped by the token.
     let stopped = || Interrupt::Stopped(opts.stop_reason().unwrap_or(StopReason::Cancelled));
     // Each arm yields the output batch plus the metric ingredients that
     // are only visible here: rows consumed, morsel count (computed from
-    // sizes, identical serial or parallel), peak hash entries, children.
+    // sizes), peak hash entries, children.
     let (batch, rows_in, morsels, peak_hash_entries, children) = match plan {
         PhysicalPlan::SeqScan { table, predicate } => {
             let n = catalog.table(table).expect("table exists").num_rows();
-            let batch = match (opts.row_fallback, parallel) {
-                (false, false) => {
-                    seq_scan_columnar(catalog, params, tracker, table, predicate.as_ref())
-                }
-                (false, true) => {
-                    seq_scan_columnar_par(catalog, params, tracker, table, predicate.as_ref(), opts)
-                        .ok_or_else(stopped)?
-                }
-                (true, false) => seq_scan(catalog, params, tracker, table, predicate.as_ref()),
-                (true, true) => {
-                    seq_scan_par(catalog, params, tracker, table, predicate.as_ref(), opts)
-                        .ok_or_else(stopped)?
-                }
-            };
+            let batch = seq_scan(catalog, params, tracker, table, predicate.as_ref(), opts)
+                .ok_or_else(stopped)?;
             (batch, n as u64, opts.morsel_count(n), 0, vec![])
         }
         PhysicalPlan::PartitionedScan {
@@ -220,44 +187,16 @@ fn run(
                 .iter()
                 .map(|s| s.len())
                 .sum();
-            let batch = match (opts.row_fallback, parallel) {
-                (false, false) => partitioned_scan_columnar(
-                    catalog,
-                    params,
-                    tracker,
-                    table,
-                    predicate.as_ref(),
-                    partitions,
-                ),
-                (false, true) => partitioned_scan_columnar_par(
-                    catalog,
-                    params,
-                    tracker,
-                    table,
-                    predicate.as_ref(),
-                    partitions,
-                    opts,
-                )
-                .ok_or_else(stopped)?,
-                (true, false) => partitioned_scan(
-                    catalog,
-                    params,
-                    tracker,
-                    table,
-                    predicate.as_ref(),
-                    partitions,
-                ),
-                (true, true) => partitioned_scan_par(
-                    catalog,
-                    params,
-                    tracker,
-                    table,
-                    predicate.as_ref(),
-                    partitions,
-                    opts,
-                )
-                .ok_or_else(stopped)?,
-            };
+            let batch = partitioned_scan(
+                catalog,
+                params,
+                tracker,
+                table,
+                predicate.as_ref(),
+                partitions,
+                opts,
+            )
+            .ok_or_else(stopped)?;
             (batch, n as u64, opts.morsel_count(n), 0, vec![])
         }
         PhysicalPlan::IndexSeek {
@@ -265,14 +204,14 @@ fn run(
             range,
             residual,
         } => {
-            let (batch, fetched) = index_seek_counted(
+            let (batch, fetched) = index_seek(
                 catalog,
                 params,
                 tracker,
                 table,
                 range,
                 residual.as_ref(),
-                parallel.then_some(opts),
+                opts,
             )
             .ok_or_else(stopped)?;
             (batch, fetched as u64, opts.morsel_count(fetched), 0, vec![])
@@ -282,14 +221,14 @@ fn run(
             ranges,
             residual,
         } => {
-            let (batch, fetched) = index_intersection_counted(
+            let (batch, fetched) = index_intersection(
                 catalog,
                 params,
                 tracker,
                 table,
                 ranges,
                 residual.as_ref(),
-                parallel.then_some(opts),
+                opts,
             )
             .ok_or_else(stopped)?;
             (batch, fetched as u64, opts.morsel_count(fetched), 0, vec![])
@@ -299,26 +238,7 @@ fn run(
             let n = batch.len();
             let bound = predicate.bind(&batch.schema).expect("filter binds");
             tracker.charge_cpu_ops(n as u64);
-            let out = if !opts.row_fallback {
-                filter_batch(batch, &bound, parallel.then_some(opts)).ok_or_else(stopped)?
-            } else if parallel {
-                let parts = run_morsels(opts, batch.rows.len(), |morsel| -> Vec<_> {
-                    batch.rows[morsel]
-                        .iter()
-                        .filter(|row| rqo_expr::eval_bool(&bound, row))
-                        .cloned()
-                        .collect()
-                })
-                .ok_or_else(stopped)?;
-                Batch::from_parts(batch.schema, parts)
-            } else {
-                let rows = batch
-                    .rows
-                    .into_iter()
-                    .filter(|row| rqo_expr::eval_bool(&bound, row))
-                    .collect();
-                Batch::new(batch.schema, rows)
-            };
+            let out = filter_batch(batch, &bound, opts).ok_or_else(stopped)?;
             (out, n as u64, opts.morsel_count(n), 0, vec![child])
         }
         PhysicalPlan::Project { input, columns } => {
@@ -330,26 +250,7 @@ fn run(
                 .collect();
             tracker.charge_cpu_ops(n as u64);
             let schema = batch.schema.project(&ordinals);
-            let out = if !opts.row_fallback {
-                project_batch(batch, &ordinals, schema, parallel.then_some(opts))
-                    .ok_or_else(stopped)?
-            } else if parallel {
-                let parts = run_morsels(opts, batch.rows.len(), |morsel| -> Vec<_> {
-                    batch.rows[morsel]
-                        .iter()
-                        .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
-                        .collect()
-                })
-                .ok_or_else(stopped)?;
-                Batch::from_parts(schema, parts)
-            } else {
-                let rows = batch
-                    .rows
-                    .into_iter()
-                    .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
-                    .collect();
-                Batch::new(schema, rows)
-            };
+            let out = project_batch(batch, &ordinals, schema, opts).ok_or_else(stopped)?;
             (out, n as u64, opts.morsel_count(n), 0, vec![child])
         }
         PhysicalPlan::HashJoin {
@@ -361,15 +262,7 @@ fn run(
             let (b, mb) = run(build, env, tracker, counter)?;
             let (p, mp) = run(probe, env, tracker, counter)?;
             let (build_len, probe_len) = (b.len(), p.len());
-            let out = match (opts.row_fallback, parallel) {
-                (false, false) => hash_join_columnar(tracker, b, p, build_key, probe_key),
-                (false, true) => hash_join_columnar_par(tracker, b, p, build_key, probe_key, opts)
-                    .ok_or_else(stopped)?,
-                (true, false) => hash_join(tracker, b, p, build_key, probe_key),
-                (true, true) => {
-                    hash_join_par(tracker, b, p, build_key, probe_key, opts).ok_or_else(stopped)?
-                }
-            };
+            let out = hash_join(tracker, b, p, build_key, probe_key, opts).ok_or_else(stopped)?;
             (
                 out,
                 (build_len + probe_len) as u64,
@@ -387,7 +280,7 @@ fn run(
             let (l, ml) = run(left, env, tracker, counter)?;
             let (r, mr) = run(right, env, tracker, counter)?;
             let rows_in = (l.len() + r.len()) as u64;
-            let out = merge_join(tracker, l, r, left_key, right_key);
+            let out = merge_join(tracker, l, r, left_key, right_key, opts).ok_or_else(stopped)?;
             (out, rows_in, 0, 0, vec![ml, mr])
         }
         PhysicalPlan::IndexedNlJoin {
@@ -398,29 +291,17 @@ fn run(
         } => {
             let (o, mo) = run(outer, env, tracker, counter)?;
             let outer_len = o.len();
-            let out = if parallel {
-                indexed_nl_join_par(
-                    catalog,
-                    params,
-                    tracker,
-                    o,
-                    inner_table,
-                    inner_index_column,
-                    outer_key,
-                    opts,
-                )
-                .ok_or_else(stopped)?
-            } else {
-                indexed_nl_join(
-                    catalog,
-                    params,
-                    tracker,
-                    o,
-                    inner_table,
-                    inner_index_column,
-                    outer_key,
-                )
-            };
+            let out = indexed_nl_join(
+                catalog,
+                params,
+                tracker,
+                o,
+                inner_table,
+                inner_index_column,
+                outer_key,
+                opts,
+            )
+            .ok_or_else(stopped)?;
             (
                 out,
                 outer_len as u64,
@@ -430,7 +311,8 @@ fn run(
             )
         }
         PhysicalPlan::StarSemiJoin { fact_table, legs } => {
-            let out = star_semijoin(catalog, params, tracker, fact_table, legs);
+            let out = star_semijoin(catalog, params, tracker, fact_table, legs, opts)
+                .ok_or_else(stopped)?;
             let rows_in = out.len() as u64;
             (out, rows_in, 0, 0, vec![])
         }
@@ -441,16 +323,8 @@ fn run(
         } => {
             let (batch, child) = run(input, env, tracker, counter)?;
             let n = batch.len();
-            let out = match (opts.row_fallback, parallel) {
-                (false, false) => hash_aggregate_columnar(tracker, batch, group_by, aggregates),
-                (false, true) => {
-                    hash_aggregate_columnar_par(tracker, batch, group_by, aggregates, opts)
-                        .ok_or_else(stopped)?
-                }
-                (true, false) => hash_aggregate(tracker, batch, group_by, aggregates),
-                (true, true) => hash_aggregate_par(tracker, batch, group_by, aggregates, opts)
-                    .ok_or_else(stopped)?,
-            };
+            let out =
+                hash_aggregate(tracker, batch, group_by, aggregates, opts).ok_or_else(stopped)?;
             // Groups resident in the hash table; the scalar aggregate over
             // empty input synthesizes its identity row without one.
             let peak = if n == 0 && group_by.is_empty() {
@@ -673,10 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_default_is_bit_identical_to_row_fallback() {
+    fn metrics_rows_and_cost_identical_across_thread_counts() {
         let cat = catalog();
         let params = CostParams::default();
-        // Scan+filter+project+join+aggregate, all five columnar kernels.
+        // Scan+filter+project+join+aggregate, all five kernels.
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(PhysicalPlan::Project {
                 input: Box::new(PhysicalPlan::Filter {
@@ -699,20 +573,14 @@ mod tests {
             group_by: vec!["o_cust".into()],
             aggregates: vec![AggExpr::sum("i_price", "total"), AggExpr::count_star("n")],
         };
-        let row_opts = ExecOptions::serial()
-            .with_morsel_size(16)
-            .with_row_fallback(true);
-        let (row, row_cost, row_metrics) = execute_analyze(&plan, &cat, &params, &row_opts);
+        let base_opts = ExecOptions::serial().with_morsel_size(16);
+        let (base, base_cost, base_metrics) = execute_analyze(&plan, &cat, &params, &base_opts);
         for threads in [1, 2, 8] {
-            for fallback in [false, true] {
-                let opts = ExecOptions::with_threads(threads)
-                    .with_morsel_size(16)
-                    .with_row_fallback(fallback);
-                let (b, c, m) = execute_analyze(&plan, &cat, &params, &opts);
-                assert_eq!(b.rows, row.rows, "threads={threads} fallback={fallback}");
-                assert_eq!(c, row_cost, "threads={threads} fallback={fallback}");
-                assert_eq!(m, row_metrics, "threads={threads} fallback={fallback}");
-            }
+            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
+            let (b, c, m) = execute_analyze(&plan, &cat, &params, &opts);
+            assert_eq!(b.rows, base.rows, "threads={threads}");
+            assert_eq!(c, base_cost, "threads={threads}");
+            assert_eq!(m, base_metrics, "threads={threads}");
         }
     }
 

@@ -10,7 +10,7 @@ use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, NullMask, Rid, Va
 use crate::batch::Batch;
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
-use crate::scan::{fetch_rows, intersect_sorted, rids_for_range};
+use crate::scan::{fetch_rows, fetch_rows_par, intersect_sorted, rids_for_range, seq_scan};
 
 /// Joins two batches' schemas, qualifying colliding names with the given
 /// prefixes.
@@ -18,149 +18,43 @@ fn join_schemas(left: &Batch, right: &Batch) -> rqo_storage::Schema {
     left.schema.join(&right.schema, "l", "r")
 }
 
+/// `left ++ right` as one output row.
+fn concat_rows(left: &[Value], right: &[Value]) -> Vec<Value> {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
+}
+
 /// Hash join: builds on `build`, probes with `probe`.
 ///
 /// Charges one hash insert per build row, one probe per probe row, and one
-/// CPU op per output row.  Output rows are `build ++ probe` columns.
+/// CPU op per output row.  Output rows are `build ++ probe` columns, in
+/// probe order and, within one probe row, build order.
+///
+/// Both key columns are extracted into typed vectors once and, when the
+/// two sides are the same type family, the table is *primitive-keyed*
+/// (`i64`, `f64` bits, `Arc<str>`, `bool`) — no per-row `Value` clone or
+/// enum dispatch on the hot path.  Key semantics are `Value`'s storage
+/// equality:
+///
+/// - NULL keys map to `None` and join with each other, matching
+///   `Value::total_cmp`'s NULL-equals-NULL;
+/// - float keys use `f64::to_bits`, the equivalence `Value` gets from its
+///   `total_cmp`-based `Eq` and `to_bits`-based `Hash`;
+/// - mismatched type families (e.g. an `Int` build key probed by a
+///   `Date`, where `Value`'s tag-prefixed `Hash` never finds the bucket
+///   even though `Eq` would coerce) and `Mixed` columns key the table on
+///   the `Value`s themselves.
+///
+/// Returns `None` when the query's token fired during either phase.
 pub fn hash_join(
     tracker: &mut CostTracker,
     build: Batch,
     probe: Batch,
     build_key: &str,
     probe_key: &str,
-) -> Batch {
-    let schema = join_schemas(&build, &probe);
-    let bk = build.schema.expect_index(build_key);
-    let pk = probe.schema.expect_index(probe_key);
-
-    tracker.charge_hash_builds(build.len() as u64);
-    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.rows.iter().enumerate() {
-        table.entry(row[bk].clone()).or_default().push(i);
-    }
-
-    tracker.charge_hash_probes(probe.len() as u64);
-    let mut out = Vec::new();
-    for prow in &probe.rows {
-        if let Some(matches) = table.get(&prow[pk]) {
-            for &bi in matches {
-                let mut row = build.rows[bi].clone();
-                row.extend(prow.iter().cloned());
-                out.push(row);
-            }
-        }
-    }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Batch::new(schema, out)
-}
-
-/// Morsel-parallel [`hash_join`]: both the build and probe phases are
-/// partitioned into morsels.
-///
-/// Build morsels produce local `key → row indices` maps that the
-/// coordinator merges **in morsel index order**; because morsel `i` only
-/// holds indices smaller than morsel `i+1`'s, every key's index list
-/// comes out ascending — exactly the serial build order.  Probe morsels
-/// emit their matches independently and are concatenated in morsel order,
-/// reproducing the serial output row order.  All three charges
-/// (`hash_builds`, `hash_probes`, `cpu_ops`) are totals over input/output
-/// sizes, so the merged tracker is bit-identical to serial.  Returns
-/// `None` when the query's token fired during either phase.
-pub fn hash_join_par(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
     opts: &ExecOptions,
-) -> Option<Batch> {
-    let schema = join_schemas(&build, &probe);
-    let bk = build.schema.expect_index(build_key);
-    let pk = probe.schema.expect_index(probe_key);
-
-    tracker.charge_hash_builds(build.len() as u64);
-    let partials = run_morsels(opts, build.len(), |morsel| {
-        let mut local: HashMap<Value, Vec<usize>> = HashMap::new();
-        for i in morsel {
-            local.entry(build.rows[i][bk].clone()).or_default().push(i);
-        }
-        local
-    })?;
-    let mut table: HashMap<Value, Vec<usize>> = HashMap::with_capacity(build.len());
-    for partial in partials {
-        for (key, mut indices) in partial {
-            table.entry(key).or_default().append(&mut indices);
-        }
-    }
-
-    tracker.charge_hash_probes(probe.len() as u64);
-    let parts = run_morsels(opts, probe.len(), |morsel| {
-        let mut out = Vec::new();
-        for prow in &probe.rows[morsel] {
-            if let Some(matches) = table.get(&prow[pk]) {
-                for &bi in matches {
-                    let mut row = build.rows[bi].clone();
-                    row.extend(prow.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        out
-    })?;
-    let out: Vec<Vec<Value>> = parts.into_iter().flatten().collect();
-    tracker.charge_cpu_ops(out.len() as u64);
-    Some(Batch::new(schema, out))
-}
-
-/// Vectorized [`hash_join`]: extracts both key columns into typed
-/// vectors once and, when the two sides are the same type family, builds
-/// and probes a *primitive-keyed* hash table (`i64`, `f64` bits,
-/// `Arc<str>`, `bool`) instead of hashing `Value`s — no per-row `Value`
-/// clone or enum dispatch on the hot path.
-///
-/// Key semantics replicate the row path exactly:
-///
-/// - NULL keys map to `None`, matching `Value::total_cmp`'s
-///   NULL-equals-NULL storage equality that the row path's
-///   `HashMap<Value, _>` uses;
-/// - float keys use `f64::to_bits`, the same equivalence the row path
-///   gets from `Value`'s `total_cmp`-based `Eq` and `to_bits`-based
-///   `Hash`;
-/// - mismatched type families (e.g. an `Int` build key probed by a
-///   `Date`, where `Value`'s tag-prefixed `Hash` never finds the
-///   bucket even though `Eq` would coerce) and `Mixed` columns fall back
-///   to the row implementation wholesale, bug-for-bug.
-pub fn hash_join_columnar(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-) -> Batch {
-    hash_join_columnar_inner(tracker, build, probe, build_key, probe_key, None)
-        .expect("serial hash join has no token to interrupt it")
-}
-
-/// Morsel-parallel [`hash_join_columnar`], bit-identical to
-/// [`hash_join_par`].  Returns `None` when the query's token fired.
-pub fn hash_join_columnar_par(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    hash_join_columnar_inner(tracker, build, probe, build_key, probe_key, Some(opts))
-}
-
-fn hash_join_columnar_inner(
-    tracker: &mut CostTracker,
-    build: Batch,
-    probe: Batch,
-    build_key: &str,
-    probe_key: &str,
-    opts: Option<&ExecOptions>,
 ) -> Option<Batch> {
     let bk = build.schema.expect_index(build_key);
     let pk = probe.schema.expect_index(probe_key);
@@ -183,7 +77,7 @@ fn hash_join_columnar_inner(
             },
         ) => {
             let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_typed(
+            join_keyed(
                 tracker,
                 &build,
                 &probe,
@@ -202,10 +96,9 @@ fn hash_join_columnar_inner(
                 nulls: pn,
             },
         ) => {
-            // total_cmp equality ⟺ identical bit patterns, so the bits are
-            // the exact key equivalence the row path uses.
+            // total_cmp equality ⟺ identical bit patterns.
             let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_typed(
+            join_keyed(
                 tracker,
                 &build,
                 &probe,
@@ -225,7 +118,7 @@ fn hash_join_columnar_inner(
             },
         ) => {
             let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_typed(
+            join_keyed(
                 tracker,
                 &build,
                 &probe,
@@ -245,7 +138,7 @@ fn hash_join_columnar_inner(
             },
         ) => {
             let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_typed(
+            join_keyed(
                 tracker,
                 &build,
                 &probe,
@@ -269,7 +162,7 @@ fn hash_join_columnar_inner(
             // Keys are the dictionary strings themselves (`Arc<str>`
             // hashes/compares by content); cloning one is a refcount bump.
             let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_typed(
+            join_keyed(
                 tracker,
                 &build,
                 &probe,
@@ -278,25 +171,36 @@ fn hash_join_columnar_inner(
                 opts,
             )
         }
-        _ => match opts {
-            None => Some(hash_join(tracker, build, probe, build_key, probe_key)),
-            Some(o) => hash_join_par(tracker, build, probe, build_key, probe_key, o),
-        },
+        // Cross-family or `Mixed`: `Value`'s own `Eq`/`Hash` decide
+        // (`Value::Null` is an ordinary key there).
+        _ => join_keyed(
+            tracker,
+            &build,
+            &probe,
+            |i| Some(build.rows[i][bk].clone()),
+            |i| Some(probe.rows[i][pk].clone()),
+            opts,
+        ),
     }
 }
 
-/// Shared build/probe skeleton over primitive keys.  `None` keys are NULL
-/// and join with each other, mirroring `Value::Null`'s storage equality.
-/// Structure (build in row order, probe in row order, morsel-index-order
-/// merges, identical charges) matches [`hash_join`]/[`hash_join_par`]
-/// line for line, so rows, row order, and costs are bit-identical.
-fn join_typed<K, FB, FP>(
+/// The build/probe skeleton over any key type.  `None` keys are NULL and
+/// join with each other.
+///
+/// Build morsels produce local `key → row indices` maps that are merged
+/// **in morsel index order**; because morsel `i` only holds indices
+/// smaller than morsel `i+1`'s, every key's index list comes out
+/// ascending.  Probe morsels emit their matches independently and are
+/// concatenated in morsel order.  All three charges are totals over
+/// input/output sizes, so rows, row order, and costs are the same for
+/// every thread count and morsel size.
+fn join_keyed<K, FB, FP>(
     tracker: &mut CostTracker,
     build: &Batch,
     probe: &Batch,
     bkey: FB,
     pkey: FP,
-    opts: Option<&ExecOptions>,
+    opts: &ExecOptions,
 ) -> Option<Batch>
 where
     K: Hash + Eq + Send + Sync,
@@ -306,66 +210,54 @@ where
     let schema = join_schemas(build, probe);
 
     tracker.charge_hash_builds(build.len() as u64);
-    let mut table: HashMap<Option<K>, Vec<usize>> = HashMap::with_capacity(build.len());
-    match opts {
-        None => {
-            for i in 0..build.len() {
-                table.entry(bkey(i)).or_default().push(i);
-            }
+    let partials = run_morsels(opts, build.len(), |morsel| {
+        let mut local: HashMap<Option<K>, Vec<usize>> = HashMap::new();
+        for i in morsel {
+            local.entry(bkey(i)).or_default().push(i);
         }
-        Some(o) => {
-            let partials = run_morsels(o, build.len(), |morsel| {
-                let mut local: HashMap<Option<K>, Vec<usize>> = HashMap::new();
-                for i in morsel {
-                    local.entry(bkey(i)).or_default().push(i);
-                }
-                local
-            })?;
-            for partial in partials {
-                for (key, mut indices) in partial {
-                    table.entry(key).or_default().append(&mut indices);
-                }
-            }
+        local
+    })?;
+    let mut table: HashMap<Option<K>, Vec<usize>> = HashMap::with_capacity(build.len());
+    for partial in partials {
+        for (key, mut indices) in partial {
+            table.entry(key).or_default().append(&mut indices);
         }
     }
 
     tracker.charge_hash_probes(probe.len() as u64);
-    let emit = |range: std::ops::Range<usize>| -> Vec<Vec<Value>> {
+    let parts = run_morsels(opts, probe.len(), |morsel| {
         let mut out = Vec::new();
-        for i in range {
+        for i in morsel {
             if let Some(matches) = table.get(&pkey(i)) {
-                let prow = &probe.rows[i];
                 for &bi in matches {
-                    let mut row = build.rows[bi].clone();
-                    row.extend(prow.iter().cloned());
-                    out.push(row);
+                    out.push(concat_rows(&build.rows[bi], &probe.rows[i]));
                 }
             }
         }
         out
-    };
-    let out: Vec<Vec<Value>> = match opts {
-        None => emit(0..probe.len()),
-        Some(o) => run_morsels(o, probe.len(), emit)?
-            .into_iter()
-            .flatten()
-            .collect(),
-    };
+    })?;
+    let out = Batch::from_parts(schema, parts);
     tracker.charge_cpu_ops(out.len() as u64);
-    Some(Batch::new(schema, out))
+    Some(out)
 }
 
 /// Merge join on equality keys.  Inputs not already sorted on their key
 /// are sorted here, charging `n·log₂(n)` CPU ops each (an in-memory sort;
 /// the experiments' merge joins consume clustered scans, which arrive
 /// sorted and pay nothing).
+///
+/// The sort and the merge are one ordered pass on the calling thread that
+/// yields matching `(left, right)` index pairs; materializing the output
+/// rows from those pairs is morselized.  Returns `None` when the query's
+/// token fired mid-materialization.
 pub fn merge_join(
     tracker: &mut CostTracker,
     mut left: Batch,
     mut right: Batch,
     left_key: &str,
     right_key: &str,
-) -> Batch {
+    opts: &ExecOptions,
+) -> Option<Batch> {
     let schema = join_schemas(&left, &right);
     let lk = left.schema.expect_index(left_key);
     let rk = right.schema.expect_index(right_key);
@@ -383,7 +275,7 @@ pub fn merge_join(
     }
 
     tracker.charge_cpu_ops((left.len() + right.len()) as u64);
-    let mut out = Vec::new();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
         match left.rows[i][lk].total_cmp(&right.rows[j][rk]) {
@@ -391,27 +283,29 @@ pub fn merge_join(
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 // Emit the cross product of the equal-key runs.
-                let key = left.rows[i][lk].clone();
+                let key = &left.rows[i][lk];
                 let i_end = (i..left.len())
-                    .find(|&x| left.rows[x][lk] != key)
+                    .find(|&x| left.rows[x][lk] != *key)
                     .unwrap_or(left.len());
                 let j_end = (j..right.len())
-                    .find(|&x| right.rows[x][rk] != key)
+                    .find(|&x| right.rows[x][rk] != *key)
                     .unwrap_or(right.len());
                 for li in i..i_end {
-                    for rj in j..j_end {
-                        let mut row = left.rows[li].clone();
-                        row.extend(right.rows[rj].iter().cloned());
-                        out.push(row);
-                    }
+                    pairs.extend((j..j_end).map(|rj| (li, rj)));
                 }
                 i = i_end;
                 j = j_end;
             }
         }
     }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Batch::new(schema, out)
+    tracker.charge_cpu_ops(pairs.len() as u64);
+    let parts = run_morsels(opts, pairs.len(), |morsel| -> Vec<Vec<Value>> {
+        pairs[morsel]
+            .iter()
+            .map(|&(li, rj)| concat_rows(&left.rows[li], &right.rows[rj]))
+            .collect()
+    })?;
+    Some(Batch::from_parts(schema, parts))
 }
 
 /// Indexed nested-loops join: for each outer row, probe the inner table's
@@ -422,50 +316,16 @@ pub fn merge_join(
 /// random I/O per matched (scattered) inner row — the access pattern that
 /// makes this plan unbeatable for a handful of outer rows and hopeless for
 /// thousands (Experiment 2's low-selectivity regime).
-pub fn indexed_nl_join(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    outer: Batch,
-    inner_table: &str,
-    inner_index_column: &str,
-    outer_key: &str,
-) -> Batch {
-    let inner = catalog.table(inner_table).expect("inner table exists");
-    let index = catalog
-        .secondary_index(inner_table, inner_index_column)
-        .unwrap_or_else(|| panic!("no secondary index on {inner_table}.{inner_index_column}"));
-    let ok = outer.schema.expect_index(outer_key);
-    let schema = outer.schema.join(inner.schema(), "l", "r");
-
-    let mut out = Vec::new();
-    for orow in &outer.rows {
-        tracker.charge_random_ios(1); // descend to the leaf for this key
-        let matches = index.lookup_eq(&orow[ok]);
-        tracker.charge_cpu_ops(matches.len() as u64);
-        let rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
-        let rows = fetch_rows(inner, params, tracker, rids);
-        for irow in rows {
-            let mut row = orow.clone();
-            row.extend(irow);
-            out.push(row);
-        }
-    }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Batch::new(schema, out)
-}
-
-/// Morsel-parallel [`indexed_nl_join`]: outer rows are morselized; each
-/// worker probes the (read-only) index and fetches inner rows, charging a
-/// morsel-local tracker.
 ///
-/// Every outer row's charges (descend, per-match CPU, per-call
-/// [`fetch_rows`]) are independent of the other rows, so summing the
-/// morsel trackers — all-integer counters — reproduces the serial totals
-/// exactly, and concatenating morsel outputs in index order reproduces
-/// the serial row order.  Returns `None` when the query's token fired.
+/// Outer rows are morselized; each morsel probes the (read-only) index
+/// and fetches inner rows, charging a morsel-local tracker.  Every outer
+/// row's charges (descend, per-match CPU, per-call `fetch_rows`) are
+/// independent of the other rows, so summing the morsel trackers —
+/// all-integer counters — gives the same totals for every morsel size,
+/// and concatenating morsel outputs in index order keeps outer order.
+/// Returns `None` when the query's token fired.
 #[allow(clippy::too_many_arguments)]
-pub fn indexed_nl_join_par(
+pub fn indexed_nl_join(
     catalog: &Catalog,
     params: &CostParams,
     tracker: &mut CostTracker,
@@ -490,11 +350,8 @@ pub fn indexed_nl_join_par(
             let matches = index.lookup_eq(&orow[ok]);
             local.charge_cpu_ops(matches.len() as u64);
             let rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
-            let rows = fetch_rows(inner, params, &mut local, rids);
-            for irow in rows {
-                let mut row = orow.clone();
-                row.extend(irow);
-                out.push(row);
+            for irow in fetch_rows(inner, params, &mut local, rids) {
+                out.push(concat_rows(orow, &irow));
             }
         }
         (out, local)
@@ -520,40 +377,36 @@ pub fn indexed_nl_join_par(
 /// baseline cannot.
 ///
 /// Output schema/rows: the fact table only (the dimensions act as
-/// filters).
+/// filters).  Returns `None` when the query's token fired during a
+/// dimension scan or the fact fetch.
 pub fn star_semijoin(
     catalog: &Catalog,
     params: &CostParams,
     tracker: &mut CostTracker,
     fact_table: &str,
     legs: &[SemiJoinLeg],
-) -> Batch {
+    opts: &ExecOptions,
+) -> Option<Batch> {
     assert!(!legs.is_empty(), "star semijoin needs at least one leg");
     let fact = catalog.table(fact_table).expect("fact table exists");
 
     let mut leg_rids: Vec<Vec<Rid>> = Vec::with_capacity(legs.len());
     for leg in legs {
         // Filter the dimension with a (cheap, fully charged) scan.
-        let dim = catalog.table(&leg.dim_table).expect("dim exists");
-        tracker.charge_seq_pages(params.data_pages(dim.num_rows(), dim.row_width_bytes()));
-        tracker.charge_cpu_ops(dim.num_rows() as u64);
-        let pred = leg
-            .dim_predicate
-            .bind(dim.schema())
-            .expect("dim predicate binds");
-        let key_col = dim.schema().expect_index(&leg.dim_key);
-        let mut keys: Vec<Value> = Vec::new();
-        for rid in 0..dim.num_rows() as Rid {
-            let row = dim.row(rid);
-            if rqo_expr::eval_bool(&pred, &row) {
-                keys.push(row[key_col].clone());
-            }
-        }
+        let dim = seq_scan(
+            catalog,
+            params,
+            tracker,
+            &leg.dim_table,
+            Some(&leg.dim_predicate),
+            opts,
+        )?;
+        let key_col = dim.schema.expect_index(&leg.dim_key);
 
         // Probe the fact FK index once per selected key.
         let mut rids: Vec<Rid> = Vec::new();
-        for key in &keys {
-            let range = crate::plan::IndexRange::eq(&leg.fact_fk, key.clone());
+        for row in &dim.rows {
+            let range = crate::plan::IndexRange::eq(&leg.fact_fk, row[key_col].clone());
             rids.extend(rids_for_range(catalog, params, tracker, fact_table, &range));
         }
         rids.sort_unstable();
@@ -572,8 +425,8 @@ pub fn star_semijoin(
         }
     }
 
-    let rows = fetch_rows(fact, params, tracker, acc);
-    Batch::new(fact.schema().clone(), rows)
+    let rows = fetch_rows_par(fact, params, tracker, acc, opts)?;
+    Some(Batch::new(fact.schema().clone(), rows))
 }
 
 #[cfg(test)]
@@ -601,7 +454,22 @@ mod tests {
         let mut tracker = CostTracker::new();
         let left = batch("a", &[1, 2, 2, 3], &[10, 20, 21, 30]);
         let right = batch("b", &[2, 3, 3, 4], &[200, 300, 301, 400]);
-        let out = hash_join(&mut tracker, left, right, "a_key", "b_key");
+        let out = hash_join(
+            &mut tracker,
+            left,
+            right,
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        // Probe order, then build order within a key.
+        let vals: Vec<(i64, i64)> = out
+            .rows
+            .iter()
+            .map(|r| (r[1].as_int(), r[3].as_int()))
+            .collect();
+        assert_eq!(vals, vec![(20, 200), (21, 200), (30, 300), (30, 301)]);
         // Matches: a=2 (2 rows) × b=2 (1 row) + a=3 (1) × b=3 (2) = 4 rows.
         assert_eq!(out.len(), 4);
         assert_eq!(out.schema.len(), 4);
@@ -615,8 +483,16 @@ mod tests {
         let mut t2 = CostTracker::new();
         let l = batch("a", &[5, 1, 3, 3, 9], &[0, 1, 2, 3, 4]);
         let r = batch("b", &[3, 3, 5, 7], &[30, 31, 50, 70]);
-        let h = hash_join(&mut t1, l.clone(), r.clone(), "a_key", "b_key");
-        let m = merge_join(&mut t2, l, r, "a_key", "b_key");
+        let h = hash_join(
+            &mut t1,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        let m = merge_join(&mut t2, l, r, "a_key", "b_key", &ExecOptions::serial()).unwrap();
         assert_eq!(h.len(), m.len());
         // Same multiset of (key, lval, rval) triples.
         let canon = |b: &Batch| {
@@ -642,10 +518,20 @@ mod tests {
             sorted_r.clone(),
             "a_key",
             "b_key",
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         let unsorted_l = batch("a", &[3, 1, 2], &[0, 0, 0]);
         let mut t_unsorted = CostTracker::new();
-        merge_join(&mut t_unsorted, unsorted_l, sorted_r, "a_key", "b_key");
+        merge_join(
+            &mut t_unsorted,
+            unsorted_l,
+            sorted_r,
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert!(t_unsorted.cpu_ops > t_sorted.cpu_ops);
     }
 
@@ -654,11 +540,18 @@ mod tests {
         let mut tracker = CostTracker::new();
         let l = batch("a", &[], &[]);
         let r = batch("b", &[1], &[10]);
-        assert_eq!(
-            hash_join(&mut tracker, l.clone(), r.clone(), "a_key", "b_key").len(),
-            0
-        );
-        assert_eq!(hash_join(&mut tracker, r, l, "b_key", "a_key").len(), 0);
+        for (b, p, bk, pk) in [(&l, &r, "a_key", "b_key"), (&r, &l, "b_key", "a_key")] {
+            let out = hash_join(
+                &mut tracker,
+                b.clone(),
+                p.clone(),
+                bk,
+                pk,
+                &ExecOptions::serial(),
+            )
+            .unwrap();
+            assert_eq!(out.len(), 0);
+        }
     }
 
     fn indexed_catalog() -> Catalog {
@@ -683,7 +576,17 @@ mod tests {
         let params = CostParams::default();
         let mut tracker = CostTracker::new();
         let outer = batch("o", &[0, 5, 99], &[1, 2, 3]);
-        let out = indexed_nl_join(&cat, &params, &mut tracker, outer, "inner", "k", "o_key");
+        let out = indexed_nl_join(
+            &cat,
+            &params,
+            &mut tracker,
+            outer,
+            "inner",
+            "k",
+            "o_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         // Keys 0 and 5 have 4 inner rows each; 99 has none.
         assert_eq!(out.len(), 8);
         assert!(tracker.random_ios >= 3, "at least one descend per probe");
@@ -705,7 +608,9 @@ mod tests {
             "inner",
             "k",
             "o_key",
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         indexed_nl_join(
             &cat,
             &params,
@@ -714,12 +619,28 @@ mod tests {
             "inner",
             "k",
             "o_key",
-        );
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert!(large.random_ios > 5 * small.random_ios);
     }
 
+    /// Nested-loops reference: probe-major order, build order within a
+    /// key, storage equality on the key (NULL matches NULL).
+    fn nested_loops(build: &Batch, probe: &Batch) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        for prow in &probe.rows {
+            for brow in &build.rows {
+                if brow[0] == prow[0] {
+                    out.push(concat_rows(brow, prow));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn parallel_hash_join_is_bit_identical_to_serial() {
+    fn hash_join_matches_nested_loops_at_every_thread_count() {
         // 200 build rows with repeated keys, 300 probe rows.
         let bkeys: Vec<i64> = (0..200).map(|i| i % 17).collect();
         let bvals: Vec<i64> = (0..200).collect();
@@ -727,77 +648,62 @@ mod tests {
         let pvals: Vec<i64> = (0..300).collect();
         let l = batch("a", &bkeys, &bvals);
         let r = batch("b", &pkeys, &pvals);
+        let expect = nested_loops(&l, &r);
         let mut ts = CostTracker::new();
-        let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
+        let whole = hash_join(
+            &mut ts,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        assert_eq!(whole.rows, expect);
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
-            let par =
-                hash_join_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
+            let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            assert_eq!(par.rows, expect, "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
     }
 
     #[test]
-    fn parallel_indexed_nl_join_is_bit_identical_to_serial() {
+    fn indexed_nl_join_is_bit_identical_at_every_thread_count() {
         let cat = indexed_catalog();
         let params = CostParams::default();
         let okeys: Vec<i64> = (0..60).map(|i| i % 30).collect();
         let ovals: Vec<i64> = (0..60).collect();
         let outer = batch("o", &okeys, &ovals);
-        let mut ts = CostTracker::new();
-        let serial = indexed_nl_join(&cat, &params, &mut ts, outer.clone(), "inner", "k", "o_key");
-        for threads in [1, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(7);
-            let mut tp = CostTracker::new();
-            let par = indexed_nl_join_par(
+        let run = |opts: &ExecOptions| {
+            let mut t = CostTracker::new();
+            let out = indexed_nl_join(
                 &cat,
                 &params,
-                &mut tp,
+                &mut t,
                 outer.clone(),
                 "inner",
                 "k",
                 "o_key",
-                &opts,
+                opts,
             )
             .unwrap();
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
-            assert_eq!(tp, ts, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn columnar_hash_join_is_bit_identical_to_row_join() {
-        let bkeys: Vec<i64> = (0..100).map(|i| i % 13).collect();
-        let bvals: Vec<i64> = (0..100).collect();
-        let pkeys: Vec<i64> = (0..150).map(|i| i % 19).collect();
-        let pvals: Vec<i64> = (0..150).collect();
-        let l = batch("a", &bkeys, &bvals);
-        let r = batch("b", &pkeys, &pvals);
-        let mut ts = CostTracker::new();
-        let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
-        let mut tc = CostTracker::new();
-        let columnar = hash_join_columnar(&mut tc, l.clone(), r.clone(), "a_key", "b_key");
-        assert_eq!(columnar.rows, serial.rows);
-        assert_eq!(tc, ts);
+            (out.rows, t)
+        };
+        let whole = run(&ExecOptions::serial());
         for threads in [1, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut tp = CostTracker::new();
-            let par =
-                hash_join_columnar_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts)
-                    .unwrap();
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
-            assert_eq!(tp, ts, "threads={threads}");
+            let opts = ExecOptions::with_threads(threads).with_morsel_size(7);
+            assert_eq!(run(&opts), whole, "threads={threads}");
         }
     }
 
     #[test]
-    fn columnar_hash_join_typed_and_null_keys() {
+    fn hash_join_typed_and_null_keys() {
         // Str keys, Float keys (incl. -0.0 vs 0.0 distinctness), NULL
         // keys (which join with each other under storage equality), and a
-        // cross-type Int-vs-Float pairing that exercises the row
-        // fallback.
+        // cross-family Int-vs-Float pairing that keys the table on the
+        // `Value`s themselves (disjoint non-NULL keys: only NULL matches).
         let str_batch = |prefix: &str, keys: &[&str]| {
             Batch::new(
                 Schema::from_pairs(&[(&format!("{prefix}_key"), DataType::Str)]),
@@ -835,29 +741,54 @@ mod tests {
                 ),
                 Batch::new(
                     Schema::from_pairs(&[("b_key", DataType::Float)]),
-                    vec![vec![Value::Float(1.0)], vec![Value::Null]],
+                    vec![vec![Value::Float(1.5)], vec![Value::Null]],
                 ),
             ),
         ];
         for (l, r) in cases {
+            let expect = nested_loops(&l, &r);
             let mut ts = CostTracker::new();
-            let serial = hash_join(&mut ts, l.clone(), r.clone(), "a_key", "b_key");
-            let mut tc = CostTracker::new();
-            let columnar = hash_join_columnar(&mut tc, l.clone(), r.clone(), "a_key", "b_key");
-            assert_eq!(columnar.rows, serial.rows);
-            assert_eq!(tc, ts);
+            let whole = hash_join(
+                &mut ts,
+                l.clone(),
+                r.clone(),
+                "a_key",
+                "b_key",
+                &ExecOptions::serial(),
+            )
+            .unwrap();
+            assert_eq!(whole.rows, expect);
             let opts = ExecOptions::with_threads(2).with_morsel_size(2);
             let mut tp = CostTracker::new();
-            let par =
-                hash_join_columnar_par(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts)
-                    .unwrap();
-            // Parallel row path is the ground truth for ordering too.
-            let mut tr = CostTracker::new();
-            let row_par =
-                hash_join_par(&mut tr, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, row_par.rows);
-            assert_eq!(par.rows, serial.rows);
+            let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            assert_eq!(par.rows, expect);
             assert_eq!(tp, ts);
+        }
+    }
+
+    #[test]
+    fn merge_join_is_bit_identical_at_every_thread_count() {
+        let lkeys: Vec<i64> = (0..90).map(|i| i * 7 % 13).collect();
+        let rkeys: Vec<i64> = (0..70).map(|i| i % 11).collect();
+        let l = batch("a", &lkeys, &(0..90).collect::<Vec<i64>>());
+        let r = batch("b", &rkeys, &(0..70).collect::<Vec<i64>>());
+        let mut ts = CostTracker::new();
+        let whole = merge_join(
+            &mut ts,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        assert!(whole.is_sorted_by("a_key"));
+        for threads in [1, 2, 8] {
+            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
+            let mut tp = CostTracker::new();
+            let par = merge_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            assert_eq!(par.rows, whole.rows, "threads={threads}");
+            assert_eq!(tp, ts, "threads={threads}");
         }
     }
 
@@ -921,7 +852,15 @@ mod tests {
                 fact_fk: "f2".into(),
             },
         ];
-        let out = star_semijoin(&cat, &params, &mut tracker, "fact", &legs);
+        let out = star_semijoin(
+            &cat,
+            &params,
+            &mut tracker,
+            "fact",
+            &legs,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         // Truth: i % 10 == 3 and i % 7 == 3 → i ≡ 3 (mod 70) → 15 rows in
         // [0, 1000).
         let expected = (0..1000i64).filter(|i| i % 10 == 3 && i % 7 == 3).count();
@@ -941,7 +880,15 @@ mod tests {
             dim_predicate: Expr::col("d_attr").eq(Expr::lit(0i64)),
             fact_fk: "f1".into(),
         }];
-        let out = star_semijoin(&cat, &params, &mut tracker, "fact", &legs);
+        let out = star_semijoin(
+            &cat,
+            &params,
+            &mut tracker,
+            "fact",
+            &legs,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         // d_attr == 0 selects even keys: f1 even → 500 rows.
         assert_eq!(out.len(), 500);
     }
@@ -952,6 +899,13 @@ mod tests {
         let cat = star_catalog();
         let params = CostParams::default();
         let mut tracker = CostTracker::new();
-        star_semijoin(&cat, &params, &mut tracker, "fact", &[]);
+        star_semijoin(
+            &cat,
+            &params,
+            &mut tracker,
+            "fact",
+            &[],
+            &ExecOptions::serial(),
+        );
     }
 }

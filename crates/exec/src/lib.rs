@@ -21,14 +21,17 @@
 //! executor simple and deterministic; the experiments run at scale factors
 //! where full materialization is comfortably in-memory.
 //!
-//! # Parallel execution
+//! # One path, any number of workers
 //!
-//! [`execute_with`] accepts [`ExecOptions`] and, for `threads > 1`, runs
-//! scans, RID fetches, hash-join build/probe, hash aggregation, filters,
-//! and projections **morsel-parallel** on a pool of scoped worker threads
-//! (see [`morsel`]).  Results and simulated costs are bit-identical to
-//! serial execution by construction — parallelism changes wall-clock
-//! time, never answers or charged cost.
+//! Every operator splits its work into fixed-size **morsels** and
+//! recombines the per-morsel results in morsel index order (see
+//! [`morsel`]); scans, filters, hash joins, and hash aggregation do the
+//! per-morsel work on typed column vectors ([`columnar`], [`kernels`]).
+//! [`ExecOptions`] only decides who runs the morsels: the calling thread
+//! ([`execute`], the default), `threads` scoped workers, or an attached
+//! [`MorselScheduler`].  There is no separate serial or row-at-a-time
+//! implementation, so rows, row order, float sums, simulated costs, and
+//! metrics are bit-identical at every thread count by construction.
 //!
 //! # Cooperative cancellation
 //!
@@ -36,10 +39,7 @@
 //! polls it at every operator entry and every morsel boundary, so a
 //! cancelled or past-deadline query stops within one morsel of work.
 //! [`try_execute_with`] / [`try_execute_analyze`] surface the stop as an
-//! `Err(StopReason)` instead of panicking.  An options value carrying a
-//! token also routes single-threaded execution through the morselized
-//! operator paths (bit-identical to serial by the equivalence suite), so
-//! polls happen per-morsel even at `threads = 1`.
+//! `Err(StopReason)` instead of panicking.
 
 #![warn(missing_docs)]
 
@@ -57,7 +57,6 @@ pub mod scan;
 
 pub use adaptive::{execute_guarded, guard_points, q_error, ExecStatus, GuardTrip, RowGuard};
 pub use batch::Batch;
-pub use columnar::{column_refs, columnarize, gather_rows, SelVec};
 pub use executor::{execute, execute_analyze, execute_with, try_execute_analyze, try_execute_with};
 pub use metrics::OpMetrics;
 pub use morsel::{ExecOptions, MorselScheduler, StopReason};

@@ -15,10 +15,12 @@
 //! thread counts and across schedulers — the property the
 //! `parallel_equivalence` differential suite pins down.
 //!
-//! Three scheduling modes share one entry point, [`run_morsels`]:
+//! Every operator goes through one entry point, [`run_morsels`], which
+//! has three scheduling modes:
 //!
 //! * **Inline** (`threads <= 1`, no scheduler): the calling thread runs
-//!   every morsel, polling the [`QueryToken`] between morsels.
+//!   every morsel, polling the [`QueryToken`] between morsels.  This *is*
+//!   serial execution — there is no separate serial code path.
 //! * **Scoped** (`threads > 1`, no scheduler): per-query scoped workers
 //!   pull from an atomic counter, polling the token before each claim.
 //! * **Pooled** (an external [`MorselScheduler`] is attached): morsels are
@@ -69,16 +71,18 @@ pub trait MorselScheduler: Send + Sync {
 /// Execution knobs threaded through [`crate::execute_with`].
 ///
 /// The default is serial execution (`threads = 1`, no scheduler, no
-/// token), which takes exactly the same code paths as [`crate::execute`]
-/// did before parallelism existed.
+/// token): the same operators, with the calling thread running every
+/// morsel.
 #[derive(Clone)]
 pub struct ExecOptions {
     /// Worker threads for scoped parallel operators.  `0` and `1` both
     /// mean serial execution (unless a [`scheduler`](Self::scheduler) is
     /// attached).
     pub threads: usize,
-    /// Rows per morsel (clamped to at least 1).  Affects only how work is
-    /// chunked; results and costs are identical for every value.
+    /// Rows per morsel (clamped to at least 1).  Rows, row order, and
+    /// costs are identical for every value; float `SUM`/`AVG` partials
+    /// are merged per morsel, so their last ulp can depend on it (never
+    /// on the thread count or scheduler).
     pub morsel_size: usize,
     /// Cooperative cancellation/deadline token, polled at operator entry
     /// and at every morsel boundary.
@@ -86,11 +90,6 @@ pub struct ExecOptions {
     /// External morsel scheduler (the service's shared worker pool).
     /// When present it replaces per-query `thread::scope` entirely.
     pub scheduler: Option<Arc<dyn MorselScheduler>>,
-    /// Forces the pre-vectorization row-at-a-time kernels for scan,
-    /// filter, project, hash join, and hash aggregation.  Results, costs,
-    /// and metrics are bit-identical to the columnar default; the flag
-    /// exists so differential tests can pin that equivalence.
-    pub row_fallback: bool,
 }
 
 impl std::fmt::Debug for ExecOptions {
@@ -100,32 +99,9 @@ impl std::fmt::Debug for ExecOptions {
             .field("morsel_size", &self.morsel_size)
             .field("token", &self.token.is_some())
             .field("scheduler", &self.scheduler.is_some())
-            .field("row_fallback", &self.row_fallback)
             .finish()
     }
 }
-
-impl PartialEq for ExecOptions {
-    fn eq(&self, other: &Self) -> bool {
-        let tokens_match = match (&self.token, &other.token) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.same_token(b),
-            _ => false,
-        };
-        let schedulers_match = match (&self.scheduler, &other.scheduler) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        self.threads == other.threads
-            && self.morsel_size == other.morsel_size
-            && tokens_match
-            && schedulers_match
-            && self.row_fallback == other.row_fallback
-    }
-}
-
-impl Eq for ExecOptions {}
 
 impl Default for ExecOptions {
     fn default() -> Self {
@@ -134,7 +110,6 @@ impl Default for ExecOptions {
             morsel_size: DEFAULT_MORSEL_SIZE,
             token: None,
             scheduler: None,
-            row_fallback: false,
         }
     }
 }
@@ -172,19 +147,6 @@ impl ExecOptions {
         self
     }
 
-    /// Forces the row-at-a-time reference kernels (see
-    /// [`row_fallback`](Self::row_fallback)).
-    pub fn with_row_fallback(mut self, row_fallback: bool) -> Self {
-        self.row_fallback = row_fallback;
-        self
-    }
-
-    /// True when parallel operator variants should run (scoped workers or
-    /// an external pool).
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1 || self.scheduler.is_some()
-    }
-
     /// Polls the token (if any): `Some(reason)` means the query must stop.
     pub fn check_stop(&self) -> Option<StopReason> {
         self.token.as_ref().and_then(QueryToken::poll)
@@ -200,8 +162,6 @@ impl ExecOptions {
     /// Number of morsels an input of `n` rows splits into under these
     /// options — the same arithmetic [`run_morsels`] uses, so the count
     /// depends only on sizes, never on the thread count or scheduling.
-    /// `EXPLAIN ANALYZE` reports this for serial execution too (the count
-    /// the morsel scheduler *would* use).
     pub fn morsel_count(&self, n: usize) -> u64 {
         n.div_ceil(self.morsel_size.max(1)) as u64
     }
@@ -316,10 +276,8 @@ mod tests {
     fn defaults_are_serial() {
         let o = ExecOptions::default();
         assert_eq!(o.threads, 1);
-        assert!(!o.is_parallel());
-        assert!(ExecOptions::with_threads(2).is_parallel());
-        assert!(!ExecOptions::with_threads(0).is_parallel());
-        assert_eq!(ExecOptions::serial(), ExecOptions::default());
+        assert!(o.token.is_none() && o.scheduler.is_none());
+        assert_eq!(ExecOptions::serial().threads, 1);
         assert_eq!(
             ExecOptions::with_threads(4).with_morsel_size(7).morsel_size,
             7
@@ -401,16 +359,5 @@ mod tests {
         let plain = run_morsels(&opts(4, 5), 57, |r| r.sum::<usize>()).unwrap();
         let tokened = run_morsels(&o, 57, |r| r.sum::<usize>()).unwrap();
         assert_eq!(plain, tokened);
-    }
-
-    #[test]
-    fn exec_options_equality_is_token_identity() {
-        let token = QueryToken::new();
-        let a = ExecOptions::serial().with_token(token.clone());
-        let b = ExecOptions::serial().with_token(token);
-        let c = ExecOptions::serial().with_token(QueryToken::new());
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, ExecOptions::serial());
     }
 }

@@ -1,5 +1,5 @@
-//! Access-path operators: sequential scan, index seek, index
-//! intersection.
+//! Access-path operators: sequential scan, partition-wise scan, index
+//! seek, index intersection.
 
 use std::ops::Range;
 
@@ -17,132 +17,33 @@ const BTREE_DESCEND_IOS: u64 = 1;
 
 /// Sequential scan with an optional pushed-down predicate.
 ///
-/// Charges one sequential page read per data page plus one CPU op per row
-/// (the predicate/projection work).
+/// The predicate runs over the table's typed column vectors (zero-copy
+/// [`ColumnRef`] views), producing a selection vector that is gathered
+/// into rows column-at-a-time.  Charges one sequential page read per
+/// data page plus one CPU op per row (the predicate/projection work).
+/// Returns `None` when the query's token fired mid-scan.
 pub fn seq_scan(
     catalog: &Catalog,
     params: &CostParams,
     tracker: &mut CostTracker,
     table: &str,
     predicate: Option<&Expr>,
-) -> Batch {
-    let t = catalog.table(table).expect("table exists");
-    tracker.charge_seq_pages(params.data_pages(t.num_rows(), t.row_width_bytes()));
-    tracker.charge_cpu_ops(t.num_rows() as u64);
-    let bound = predicate.map(|p| p.bind(t.schema()).expect("predicate binds"));
-    let mut rows = Vec::new();
-    for rid in 0..t.num_rows() as Rid {
-        let row = t.row(rid);
-        if bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, &row)) {
-            rows.push(row);
-        }
-    }
-    Batch::new(t.schema().clone(), rows)
+    opts: &ExecOptions,
+) -> Option<Batch> {
+    let whole = 0..catalog.table(table).expect("table exists").num_rows();
+    let spans = std::slice::from_ref(&whole);
+    scan_spans(catalog, params, tracker, table, predicate, spans, opts)
 }
 
-/// Morsel-parallel [`seq_scan`].
+/// Partition-wise sequential scan over the surviving partitions of a
+/// partitioned table.
 ///
-/// The page and CPU charges are selectivity- and thread-independent, so
-/// they are charged centrally before the workers start; the morsels only
-/// evaluate the predicate and materialize qualifying rows.  Concatenating
-/// morsel outputs in index order reproduces the serial row order, making
-/// this bit-identical to [`seq_scan`] for every `threads`/`morsel_size`.
+/// Each surviving partition is a contiguous RID span of the canonical
+/// concatenated table; adjacent surviving spans are merged and each
+/// merged run charges its own sequential data pages, plus one CPU op per
+/// surviving row — so a scan listing *every* partition charges exactly
+/// what [`seq_scan`] charges, and pruning shows up as fewer page reads.
 /// Returns `None` when the query's token fired mid-scan.
-pub fn seq_scan_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    let t = catalog.table(table).expect("table exists");
-    tracker.charge_seq_pages(params.data_pages(t.num_rows(), t.row_width_bytes()));
-    tracker.charge_cpu_ops(t.num_rows() as u64);
-    let bound = predicate.map(|p| p.bind(t.schema()).expect("predicate binds"));
-    let parts = run_morsels(opts, t.num_rows(), |morsel| {
-        let mut rows = Vec::new();
-        for rid in morsel {
-            let row = t.row(rid as Rid);
-            if bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, &row)) {
-                rows.push(row);
-            }
-        }
-        rows
-    })?;
-    Some(Batch::from_parts(t.schema().clone(), parts))
-}
-
-/// Vectorized [`seq_scan`]: the predicate runs over the table's typed
-/// column vectors (zero-copy [`ColumnRef`] views), producing a selection
-/// vector that is gathered into rows column-at-a-time.  Charges, row
-/// order, and values are bit-identical to [`seq_scan`].
-pub fn seq_scan_columnar(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-) -> Batch {
-    seq_scan_columnar_inner(catalog, params, tracker, table, predicate, None)
-        .expect("serial scan has no token to interrupt it")
-}
-
-/// Morsel-parallel [`seq_scan_columnar`], bit-identical to
-/// [`seq_scan_par`].  Returns `None` when the query's token fired.
-pub fn seq_scan_columnar_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    seq_scan_columnar_inner(catalog, params, tracker, table, predicate, Some(opts))
-}
-
-fn seq_scan_columnar_inner(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    opts: Option<&ExecOptions>,
-) -> Option<Batch> {
-    let t = catalog.table(table).expect("table exists");
-    tracker.charge_seq_pages(params.data_pages(t.num_rows(), t.row_width_bytes()));
-    tracker.charge_cpu_ops(t.num_rows() as u64);
-    let bound = predicate.map(|p| p.bind(t.schema()).expect("predicate binds"));
-    let refs: Vec<ColumnRef<'_>> = t.column_refs();
-    // Storage→exec boundary invariant (always on, O(columns)): the
-    // table's column count must match its schema or every ordinal-based
-    // kernel below would misread columns.
-    assert_eq!(
-        refs.len(),
-        t.schema().len(),
-        "table {table} column count diverges from its schema"
-    );
-    let cols: Vec<Option<ColumnRef<'_>>> = refs.iter().copied().map(Some).collect();
-    let n = t.num_rows();
-    let scan_morsel = |morsel: std::ops::Range<usize>| -> Vec<Vec<Value>> {
-        let sel = match &bound {
-            Some(p) => SelVec::new(select(p, &cols, Candidates::Range(morsel.clone())), n),
-            None => SelVec::new((morsel.start as u32..morsel.end as u32).collect(), n),
-        };
-        gather_rows(&refs, &sel)
-    };
-    match opts {
-        None => Some(Batch::new(t.schema().clone(), scan_morsel(0..n))),
-        Some(o) => {
-            let parts = run_morsels(o, n, scan_morsel)?;
-            Some(Batch::from_parts(t.schema().clone(), parts))
-        }
-    }
-}
-
-/// Partition-wise sequential scan: row-at-a-time serial variant.
-///
-/// See [`partitioned_scan_columnar`] for the cost/determinism contract.
 pub fn partitioned_scan(
     catalog: &Catalog,
     params: &CostParams,
@@ -150,85 +51,10 @@ pub fn partitioned_scan(
     table: &str,
     predicate: Option<&Expr>,
     partitions: &[usize],
-) -> Batch {
-    partitioned_scan_inner(
-        catalog, params, tracker, table, predicate, partitions, None, false,
-    )
-    .expect("serial scan has no token to interrupt it")
-}
-
-/// Morsel-parallel row-at-a-time [`partitioned_scan`].  Returns `None`
-/// when the query's token fired mid-scan.
-pub fn partitioned_scan_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    partitions: &[usize],
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    partitioned_scan_inner(
-        catalog,
-        params,
-        tracker,
-        table,
-        predicate,
-        partitions,
-        Some(opts),
-        false,
-    )
-}
-
-/// Vectorized partition-wise sequential scan over the surviving
-/// partitions of a partitioned table.
-///
-/// Each surviving partition is a contiguous RID span of the canonical
-/// concatenated table.  Charges are computed centrally (selectivity- and
-/// thread-independent): adjacent surviving spans are merged and each
-/// merged run charges its own sequential data pages, plus one CPU op per
-/// surviving row — so a scan listing *every* partition charges exactly
-/// what [`seq_scan_columnar`] charges, and pruning shows up as fewer page
-/// reads.  Morsels are carved from the virtual concatenation of the
-/// surviving spans: boundaries depend only on `morsel_size` and the
-/// surviving row count, never on thread count, which keeps rows, order,
-/// and metrics bit-identical at any parallelism (and bit-identical to the
-/// single-blob scan when nothing is pruned).
-pub fn partitioned_scan_columnar(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    partitions: &[usize],
-) -> Batch {
-    partitioned_scan_inner(
-        catalog, params, tracker, table, predicate, partitions, None, true,
-    )
-    .expect("serial scan has no token to interrupt it")
-}
-
-/// Morsel-parallel [`partitioned_scan_columnar`].  Returns `None` when
-/// the query's token fired mid-scan.
-pub fn partitioned_scan_columnar_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    partitions: &[usize],
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    partitioned_scan_inner(
-        catalog,
-        params,
-        tracker,
-        table,
-        predicate,
-        partitions,
-        Some(opts),
-        true,
-    )
+    let spans = surviving_spans(catalog, table, partitions);
+    scan_spans(catalog, params, tracker, table, predicate, &spans, opts)
 }
 
 /// The surviving RID spans of a partitioned table, ascending and with
@@ -262,27 +88,36 @@ pub fn surviving_spans(catalog: &Catalog, table: &str, partitions: &[usize]) -> 
     spans
 }
 
-#[allow(clippy::too_many_arguments)]
-fn partitioned_scan_inner(
+/// The one scan body: filters the ascending, disjoint RID `spans` of
+/// `table` and materializes the survivors in table order.
+///
+/// Charges are selectivity- and thread-independent, so they are made
+/// centrally before any morsel runs.  Morsels are carved from the virtual
+/// concatenation of the spans: boundaries depend only on `morsel_size`
+/// and the spanned row count, which keeps rows, order, and metrics
+/// bit-identical at any parallelism — and a partitioned scan with nothing
+/// pruned bit-identical to the single-span [`seq_scan`].
+fn scan_spans(
     catalog: &Catalog,
     params: &CostParams,
     tracker: &mut CostTracker,
     table: &str,
     predicate: Option<&Expr>,
-    partitions: &[usize],
-    opts: Option<&ExecOptions>,
-    columnar: bool,
+    spans: &[Range<usize>],
+    opts: &ExecOptions,
 ) -> Option<Batch> {
     let t = catalog.table(table).expect("table exists");
-    let spans = surviving_spans(catalog, table, partitions);
     let total: usize = spans.iter().map(Range::len).sum();
-    for s in &spans {
+    for s in spans {
         tracker.charge_seq_pages(params.data_pages(s.len(), t.row_width_bytes()));
     }
     tracker.charge_cpu_ops(total as u64);
 
     let bound = predicate.map(|p| p.bind(t.schema()).expect("predicate binds"));
     let refs: Vec<ColumnRef<'_>> = t.column_refs();
+    // Storage→exec boundary invariant (always on, O(columns)): the
+    // table's column count must match its schema or every ordinal-based
+    // kernel below would misread columns.
     assert_eq!(
         refs.len(),
         t.schema().len(),
@@ -291,50 +126,26 @@ fn partitioned_scan_inner(
     let cols: Vec<Option<ColumnRef<'_>>> = refs.iter().copied().map(Some).collect();
     let n = t.num_rows();
 
-    // Translates a morsel of the virtual concatenation of surviving spans
-    // into actual RID sub-ranges (at most one per span).
-    let to_actual = |vmorsel: Range<usize>| -> Vec<Range<usize>> {
-        let mut out = Vec::new();
+    let parts = run_morsels(opts, total, |vmorsel| {
+        // Translate the virtual morsel into actual RID sub-ranges (at
+        // most one per span) and select within each.
+        let mut ids: Vec<u32> = Vec::new();
         let mut voff = 0usize;
-        for s in &spans {
-            let vstart = voff;
-            let vend = voff + s.len();
-            let lo = vmorsel.start.max(vstart);
-            let hi = vmorsel.end.min(vend);
+        for s in spans {
+            let lo = vmorsel.start.max(voff);
+            let hi = vmorsel.end.min(voff + s.len());
             if lo < hi {
-                out.push(s.start + (lo - vstart)..s.start + (hi - vstart));
-            }
-            voff = vend;
-        }
-        out
-    };
-    let scan_morsel = |vmorsel: Range<usize>| -> Vec<Vec<Value>> {
-        let mut rows = Vec::new();
-        for actual in to_actual(vmorsel) {
-            if columnar {
-                let sel = match &bound {
-                    Some(p) => SelVec::new(select(p, &cols, Candidates::Range(actual.clone())), n),
-                    None => SelVec::new((actual.start as u32..actual.end as u32).collect(), n),
-                };
-                rows.extend(gather_rows(&refs, &sel));
-            } else {
-                for rid in actual {
-                    let row = t.row(rid as Rid);
-                    if bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, &row)) {
-                        rows.push(row);
-                    }
+                let actual = s.start + (lo - voff)..s.start + (hi - voff);
+                match &bound {
+                    Some(p) => ids.extend(select(p, &cols, Candidates::Range(actual))),
+                    None => ids.extend(actual.start as u32..actual.end as u32),
                 }
             }
+            voff += s.len();
         }
-        rows
-    };
-    match opts {
-        None => Some(Batch::new(t.schema().clone(), scan_morsel(0..total))),
-        Some(o) => {
-            let parts = run_morsels(o, total, scan_morsel)?;
-            Some(Batch::from_parts(t.schema().clone(), parts))
-        }
-    }
+        gather_rows(&refs, &SelVec::new(ids, n))
+    })?;
+    Some(Batch::from_parts(t.schema().clone(), parts))
 }
 
 /// Resolves one index range to its RID list, charging the index descend
@@ -356,39 +167,47 @@ pub(crate) fn rids_for_range(
     entries.iter().map(|(_, rid)| *rid).collect()
 }
 
-/// Fetches base-table rows by RID, charging one random I/O per *distinct
-/// page* touched (RIDs are sorted first, so densely clustered qualifying
-/// rows coalesce while scattered rows — the common case at low
-/// selectivity — pay one seek each, matching the paper's cost model).
-pub(crate) fn fetch_rows(
+/// Sorts and deduplicates a RID list and charges its fetch: one random
+/// I/O per *distinct page* touched (densely clustered qualifying rows
+/// coalesce while scattered rows — the common case at low selectivity —
+/// pay one seek each, matching the paper's cost model) plus one CPU op
+/// per row.
+fn charge_fetch(
     table: &Table,
     params: &CostParams,
     tracker: &mut CostTracker,
-    mut rids: Vec<Rid>,
-) -> Vec<Vec<Value>> {
+    rids: &mut Vec<Rid>,
+) {
     rids.sort_unstable();
     rids.dedup();
-    tracker.charge_random_ios(distinct_pages(table, params, &rids));
-    tracker.charge_cpu_ops(rids.len() as u64);
-    rids.into_iter().map(|rid| table.row(rid)).collect()
-}
-
-/// Number of distinct data pages touched by an ascending RID list.
-fn distinct_pages(table: &Table, params: &CostParams, sorted_rids: &[Rid]) -> u64 {
     let rows_per_page = (params.page_bytes / table.row_width_bytes()).max(1) as u64;
     let mut pages = 0u64;
     let mut last_page = u64::MAX;
-    for &rid in sorted_rids {
+    for &rid in rids.iter() {
         let page = rid as u64 / rows_per_page;
         if page != last_page {
             pages += 1;
             last_page = page;
         }
     }
-    pages
+    tracker.charge_random_ios(pages);
+    tracker.charge_cpu_ops(rids.len() as u64);
 }
 
-/// Morsel-parallel [`fetch_rows`].
+/// Fetches base-table rows by RID on the calling thread — the per-outer-
+/// row fetch of the indexed nested-loops join, which already runs inside
+/// a morsel.  Charges as [`charge_fetch`].
+pub(crate) fn fetch_rows(
+    table: &Table,
+    params: &CostParams,
+    tracker: &mut CostTracker,
+    mut rids: Vec<Rid>,
+) -> Vec<Vec<Value>> {
+    charge_fetch(table, params, tracker, &mut rids);
+    rids.into_iter().map(|rid| table.row(rid)).collect()
+}
+
+/// Morselized [`fetch_rows`] for operator-level RID lists.
 ///
 /// The random-I/O charge coalesces RIDs that share a page, which is a
 /// property of the *whole* sorted RID list — splitting the list and
@@ -402,10 +221,7 @@ pub(crate) fn fetch_rows_par(
     mut rids: Vec<Rid>,
     opts: &ExecOptions,
 ) -> Option<Vec<Vec<Value>>> {
-    rids.sort_unstable();
-    rids.dedup();
-    tracker.charge_random_ios(distinct_pages(table, params, &rids));
-    tracker.charge_cpu_ops(rids.len() as u64);
+    charge_fetch(table, params, tracker, &mut rids);
     let parts = run_morsels(opts, rids.len(), |morsel| -> Vec<Vec<Value>> {
         rids[morsel].iter().map(|&rid| table.row(rid)).collect()
     })?;
@@ -416,7 +232,34 @@ pub(crate) fn fetch_rows_par(
     Some(rows)
 }
 
-/// Index seek: one range, fetch, residual filter.
+/// Fetches `rids` and applies the optional residual filter — the shared
+/// tail of [`index_seek`] and [`index_intersection`].  Returns the batch
+/// plus the number of rows fetched before the residual (the deduplicated
+/// RID count), which `EXPLAIN ANALYZE` reports as the operator's
+/// `rows_in` and uses to size its morsel count.
+fn fetch_and_filter(
+    table: &Table,
+    params: &CostParams,
+    tracker: &mut CostTracker,
+    rids: Vec<Rid>,
+    residual: Option<&Expr>,
+    opts: &ExecOptions,
+) -> Option<(Batch, usize)> {
+    let mut rows = fetch_rows_par(table, params, tracker, rids, opts)?;
+    let fetched = rows.len();
+    if let Some(p) = residual {
+        let bound = p.bind(table.schema()).expect("residual binds");
+        tracker.charge_cpu_ops(rows.len() as u64);
+        rows.retain(|row| rqo_expr::eval_bool(&bound, row));
+    }
+    Some((Batch::new(table.schema().clone(), rows), fetched))
+}
+
+/// Index seek: one range, fetch, residual filter.  The index descend and
+/// leaf scan are one B-tree traversal on the calling thread; the row
+/// fetch is morselized.  Returns the batch plus the number of rows
+/// fetched before the residual filter, or `None` when the query's token
+/// fired mid-fetch.
 pub fn index_seek(
     catalog: &Catalog,
     params: &CostParams,
@@ -424,55 +267,11 @@ pub fn index_seek(
     table: &str,
     range: &IndexRange,
     residual: Option<&Expr>,
-) -> Batch {
-    index_seek_counted(catalog, params, tracker, table, range, residual, None)
-        .expect("serial index seek has no token to interrupt it")
-        .0
-}
-
-/// Morsel-parallel [`index_seek`]: the index descend and leaf scan stay
-/// serial (they are one B-tree traversal), the row fetch is morselized.
-/// Returns `None` when the query's token fired mid-fetch.
-pub fn index_seek_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    range: &IndexRange,
-    residual: Option<&Expr>,
     opts: &ExecOptions,
-) -> Option<Batch> {
-    index_seek_counted(catalog, params, tracker, table, range, residual, Some(opts))
-        .map(|(batch, _)| batch)
-}
-
-/// [`index_seek`] plus the number of rows fetched before the residual
-/// filter (the deduplicated RID count), which `EXPLAIN ANALYZE` reports
-/// as the operator's `rows_in` and uses to size its morsel count.
-/// `None` means the token fired (impossible when `opts` is `None`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn index_seek_counted(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    range: &IndexRange,
-    residual: Option<&Expr>,
-    opts: Option<&ExecOptions>,
 ) -> Option<(Batch, usize)> {
     let t = catalog.table(table).expect("table exists");
     let rids = rids_for_range(catalog, params, tracker, table, range);
-    let mut rows = match opts {
-        Some(o) => fetch_rows_par(t, params, tracker, rids, o)?,
-        None => fetch_rows(t, params, tracker, rids),
-    };
-    let fetched = rows.len();
-    if let Some(p) = residual {
-        let bound = p.bind(t.schema()).expect("residual binds");
-        tracker.charge_cpu_ops(rows.len() as u64);
-        rows.retain(|row| rqo_expr::eval_bool(&bound, row));
-    }
-    Some((Batch::new(t.schema().clone(), rows), fetched))
+    fetch_and_filter(t, params, tracker, rids, residual, opts)
 }
 
 /// Index intersection (the paper's risky plan): resolve each range's RID
@@ -482,12 +281,17 @@ pub(crate) fn index_seek_counted(
 /// The fixed cost (index leaf scans, sized by the constant marginal
 /// selectivities) does not depend on the predicates' joint selectivity;
 /// the variable cost is one random I/O per qualifying row — the
-/// `f₂ + v₂·x` line of the paper's analytical model.
+/// `f₂ + v₂·x` line of the paper's analytical model.  The leaf scans and
+/// RID-list intersection run on the calling thread (cheap, order-
+/// sensitive); the surviving-row fetch is morselized.  Returns the batch
+/// plus the number of rows fetched before the residual filter, or `None`
+/// when the query's token fired.
 ///
 /// # Panics
 ///
 /// Panics when fewer than two ranges are supplied (use
 /// [`index_seek`] instead).
+#[allow(clippy::too_many_arguments)]
 pub fn index_intersection(
     catalog: &Catalog,
     params: &CostParams,
@@ -495,49 +299,7 @@ pub fn index_intersection(
     table: &str,
     ranges: &[IndexRange],
     residual: Option<&Expr>,
-) -> Batch {
-    index_intersection_counted(catalog, params, tracker, table, ranges, residual, None)
-        .expect("serial index intersection has no token to interrupt it")
-        .0
-}
-
-/// Morsel-parallel [`index_intersection`]: the leaf scans and RID-list
-/// intersection stay serial (cheap, order-sensitive), the surviving-row
-/// fetch is morselized.  Returns `None` when the query's token fired.
-#[allow(clippy::too_many_arguments)]
-pub fn index_intersection_par(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    ranges: &[IndexRange],
-    residual: Option<&Expr>,
     opts: &ExecOptions,
-) -> Option<Batch> {
-    index_intersection_counted(
-        catalog,
-        params,
-        tracker,
-        table,
-        ranges,
-        residual,
-        Some(opts),
-    )
-    .map(|(batch, _)| batch)
-}
-
-/// [`index_intersection`] plus the number of rows fetched after the RID
-/// intersection but before the residual filter, for `EXPLAIN ANALYZE`.
-/// `None` means the token fired (impossible when `opts` is `None`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn index_intersection_counted(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    ranges: &[IndexRange],
-    residual: Option<&Expr>,
-    opts: Option<&ExecOptions>,
 ) -> Option<(Batch, usize)> {
     assert!(
         ranges.len() >= 2,
@@ -565,18 +327,7 @@ pub(crate) fn index_intersection_counted(
             break;
         }
     }
-
-    let mut rows = match opts {
-        Some(o) => fetch_rows_par(t, params, tracker, acc, o)?,
-        None => fetch_rows(t, params, tracker, acc),
-    };
-    let fetched = rows.len();
-    if let Some(p) = residual {
-        let bound = p.bind(t.schema()).expect("residual binds");
-        tracker.charge_cpu_ops(rows.len() as u64);
-        rows.retain(|row| rqo_expr::eval_bool(&bound, row));
-    }
-    Some((Batch::new(t.schema().clone(), rows), fetched))
+    fetch_and_filter(t, params, tracker, acc, residual, opts)
 }
 
 /// Intersection of two ascending RID lists.
@@ -625,7 +376,15 @@ mod tests {
         let params = CostParams::default();
         let mut tracker = CostTracker::new();
         let pred = Expr::col("x").lt(Expr::lit(100i64));
-        let batch = seq_scan(&cat, &params, &mut tracker, "t", Some(&pred));
+        let batch = seq_scan(
+            &cat,
+            &params,
+            &mut tracker,
+            "t",
+            Some(&pred),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(batch.len(), 100);
         assert_eq!(tracker.cpu_ops, 1000);
         let expected_pages = params.data_pages(1000, cat.table("t").unwrap().row_width_bytes());
@@ -633,7 +392,7 @@ mod tests {
         assert_eq!(tracker.random_ios, 0);
         // Unfiltered scan returns everything.
         let mut t2 = CostTracker::new();
-        let all = seq_scan(&cat, &params, &mut t2, "t", None);
+        let all = seq_scan(&cat, &params, &mut t2, "t", None, &ExecOptions::serial()).unwrap();
         assert_eq!(all.len(), 1000);
     }
 
@@ -645,8 +404,24 @@ mod tests {
         let wide = Expr::col("x").lt(Expr::lit(999i64));
         let mut ta = CostTracker::new();
         let mut tb = CostTracker::new();
-        seq_scan(&cat, &params, &mut ta, "t", Some(&narrow));
-        seq_scan(&cat, &params, &mut tb, "t", Some(&wide));
+        seq_scan(
+            &cat,
+            &params,
+            &mut ta,
+            "t",
+            Some(&narrow),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        seq_scan(
+            &cat,
+            &params,
+            &mut tb,
+            "t",
+            Some(&wide),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(ta, tb);
     }
 
@@ -682,32 +457,17 @@ mod tests {
         let all = [0usize, 1, 2, 3];
         let pred = Expr::col("y").eq(Expr::lit(3i64));
         for pred in [None, Some(&pred)] {
-            // Serial, both row and columnar paths.
             let mut ts = CostTracker::new();
-            let reference = seq_scan(&single, &params, &mut ts, "t", pred);
-            let mut tp = CostTracker::new();
-            let rows = partitioned_scan(&parted, &params, &mut tp, "t", pred, &all);
-            assert_eq!(rows.rows, reference.rows);
-            assert_eq!(tp, ts);
-            let mut tc = CostTracker::new();
-            let cols = partitioned_scan_columnar(&parted, &params, &mut tc, "t", pred, &all);
-            assert_eq!(cols.rows, reference.rows);
-            assert_eq!(tc, ts);
-            // Parallel at several thread counts: same rows, same charges.
+            let reference =
+                seq_scan(&single, &params, &mut ts, "t", pred, &ExecOptions::serial()).unwrap();
+            // Same rows, same charges at every thread count.
             for threads in [1usize, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
-                let mut t1 = CostTracker::new();
-                let b1 = partitioned_scan_par(&parted, &params, &mut t1, "t", pred, &all, &opts)
-                    .unwrap();
-                assert_eq!(b1.rows, reference.rows, "row par threads={threads}");
-                assert_eq!(t1, ts, "row par threads={threads}");
-                let mut t2 = CostTracker::new();
-                let b2 = partitioned_scan_columnar_par(
-                    &parted, &params, &mut t2, "t", pred, &all, &opts,
-                )
-                .unwrap();
-                assert_eq!(b2.rows, reference.rows, "columnar par threads={threads}");
-                assert_eq!(t2, ts, "columnar par threads={threads}");
+                let mut tp = CostTracker::new();
+                let b =
+                    partitioned_scan(&parted, &params, &mut tp, "t", pred, &all, &opts).unwrap();
+                assert_eq!(b.rows, reference.rows, "threads={threads}");
+                assert_eq!(tp, ts, "threads={threads}");
             }
         }
     }
@@ -720,8 +480,16 @@ mod tests {
         let pred = Expr::col("x").between(Expr::lit(250i64), Expr::lit(499i64));
         // Only partition 1 can match: pages and CPU charged for 250 rows.
         let mut tracker = CostTracker::new();
-        let batch =
-            partitioned_scan_columnar(&parted, &params, &mut tracker, "t", Some(&pred), &[1]);
+        let batch = partitioned_scan(
+            &parted,
+            &params,
+            &mut tracker,
+            "t",
+            Some(&pred),
+            &[1],
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(batch.len(), 250);
         assert_eq!(tracker.cpu_ops, 250);
         assert_eq!(tracker.seq_pages, params.data_pages(250, w));
@@ -738,11 +506,29 @@ mod tests {
         // Partitions 1 and 2 are adjacent: one merged 500-row page run,
         // not two 250-row runs (which could round up to more pages).
         let mut tracker = CostTracker::new();
-        partitioned_scan_columnar(&parted, &params, &mut tracker, "t", None, &[1, 2]);
+        partitioned_scan(
+            &parted,
+            &params,
+            &mut tracker,
+            "t",
+            None,
+            &[1, 2],
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(tracker.seq_pages, params.data_pages(500, w));
         // Non-adjacent survivors charge per run.
         let mut gap = CostTracker::new();
-        partitioned_scan_columnar(&parted, &params, &mut gap, "t", None, &[0, 2]);
+        partitioned_scan(
+            &parted,
+            &params,
+            &mut gap,
+            "t",
+            None,
+            &[0, 2],
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(
             gap.seq_pages,
             params.data_pages(250, w) + params.data_pages(250, w)
@@ -755,8 +541,18 @@ mod tests {
         let params = CostParams::default();
         let mut tracker = CostTracker::new();
         let range = IndexRange::between("x", Value::Int(100), Value::Int(199));
-        let batch = index_seek(&cat, &params, &mut tracker, "t", &range, None);
+        let (batch, fetched) = index_seek(
+            &cat,
+            &params,
+            &mut tracker,
+            "t",
+            &range,
+            None,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(batch.len(), 100);
+        assert_eq!(fetched, 100);
         assert!(tracker.random_ios > 0);
         // No full-table page reads: leaf pages only.
         assert!(tracker.seq_pages < params.data_pages(1000, 24));
@@ -769,8 +565,33 @@ mod tests {
         let mut tracker = CostTracker::new();
         let range = IndexRange::between("x", Value::Int(0), Value::Int(99));
         let residual = Expr::col("y").eq(Expr::lit(3i64));
-        let batch = index_seek(&cat, &params, &mut tracker, "t", &range, Some(&residual));
+        let (batch, fetched) = index_seek(
+            &cat,
+            &params,
+            &mut tracker,
+            "t",
+            &range,
+            Some(&residual),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(batch.len(), 10); // x in 0..100 with x % 10 == 3
+        assert_eq!(fetched, 100); // counted before the residual
+    }
+
+    fn intersect(cat: &Catalog, tracker: &mut CostTracker, ranges: &[IndexRange]) -> Batch {
+        let params = CostParams::default();
+        index_intersection(
+            cat,
+            &params,
+            tracker,
+            "t",
+            ranges,
+            None,
+            &ExecOptions::serial(),
+        )
+        .unwrap()
+        .0
     }
 
     #[test]
@@ -782,7 +603,7 @@ mod tests {
             IndexRange::between("x", Value::Int(0), Value::Int(499)),
             IndexRange::eq("y", Value::Int(7)),
         ];
-        let batch = index_intersection(&cat, &params, &mut tracker, "t", &ranges, None);
+        let batch = intersect(&cat, &mut tracker, &ranges);
         // x in 0..500 and x % 10 == 7: 50 rows.
         assert_eq!(batch.len(), 50);
 
@@ -791,39 +612,40 @@ mod tests {
             .between(Expr::lit(0i64), Expr::lit(499i64))
             .and(Expr::col("y").eq(Expr::lit(7i64)));
         let mut t2 = CostTracker::new();
-        let scan = seq_scan(&cat, &params, &mut t2, "t", Some(&pred));
+        let scan = seq_scan(
+            &cat,
+            &params,
+            &mut t2,
+            "t",
+            Some(&pred),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(scan.len(), batch.len());
     }
 
     #[test]
     fn intersection_fetch_cost_scales_with_result() {
         let cat = catalog();
-        let params = CostParams::default();
         // Small result.
         let mut small = CostTracker::new();
-        index_intersection(
+        intersect(
             &cat,
-            &params,
             &mut small,
-            "t",
             &[
                 IndexRange::between("x", Value::Int(0), Value::Int(49)),
                 IndexRange::eq("y", Value::Int(7)),
             ],
-            None,
         );
         // Larger result, same marginal index work for y.
         let mut large = CostTracker::new();
-        index_intersection(
+        intersect(
             &cat,
-            &params,
             &mut large,
-            "t",
             &[
                 IndexRange::between("x", Value::Int(0), Value::Int(999)),
                 IndexRange::eq("y", Value::Int(7)),
             ],
-            None,
         );
         assert!(large.random_ios > small.random_ios);
     }
@@ -831,19 +653,15 @@ mod tests {
     #[test]
     fn empty_intersection_short_circuits() {
         let cat = catalog();
-        let params = CostParams::default();
         let mut tracker = CostTracker::new();
-        let batch = index_intersection(
+        let batch = intersect(
             &cat,
-            &params,
             &mut tracker,
-            "t",
             &[
                 IndexRange::between("x", Value::Int(0), Value::Int(9)),
                 IndexRange::eq("y", Value::Int(7)),
                 IndexRange::between("x", Value::Int(500), Value::Int(599)),
             ],
-            None,
         );
         assert_eq!(batch.len(), 0);
     }
@@ -852,16 +670,8 @@ mod tests {
     #[should_panic(expected = "at least two ranges")]
     fn intersection_needs_two_ranges() {
         let cat = catalog();
-        let params = CostParams::default();
         let mut tracker = CostTracker::new();
-        index_intersection(
-            &cat,
-            &params,
-            &mut tracker,
-            "t",
-            &[IndexRange::eq("y", Value::Int(1))],
-            None,
-        );
+        intersect(&cat, &mut tracker, &[IndexRange::eq("y", Value::Int(1))]);
     }
 
     #[test]
@@ -873,48 +683,57 @@ mod tests {
     }
 
     #[test]
-    fn parallel_variants_are_bit_identical_to_serial() {
+    fn index_paths_are_bit_identical_at_every_thread_count() {
         let cat = catalog();
         let params = CostParams::default();
-        let pred = Expr::col("y").eq(Expr::lit(3i64));
-        let mut ts = CostTracker::new();
-        let serial = seq_scan(&cat, &params, &mut ts, "t", Some(&pred));
-        for threads in [1, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
-            let mut tp = CostTracker::new();
-            let par = seq_scan_par(&cat, &params, &mut tp, "t", Some(&pred), &opts).unwrap();
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
-            assert_eq!(tp, ts, "threads={threads}");
-        }
-
         let range = IndexRange::between("x", Value::Int(100), Value::Int(499));
         let residual = Expr::col("y").eq(Expr::lit(7i64));
-        let mut ts = CostTracker::new();
-        let serial = index_seek(&cat, &params, &mut ts, "t", &range, Some(&residual));
-        let mut tp = CostTracker::new();
-        let opts = ExecOptions::with_threads(4).with_morsel_size(10);
-        let par =
-            index_seek_par(&cat, &params, &mut tp, "t", &range, Some(&residual), &opts).unwrap();
-        assert_eq!(par.rows, serial.rows);
-        assert_eq!(tp, ts);
-
         let ranges = vec![
             IndexRange::between("x", Value::Int(0), Value::Int(499)),
             IndexRange::eq("y", Value::Int(7)),
         ];
         let mut ts = CostTracker::new();
-        let serial = index_intersection(&cat, &params, &mut ts, "t", &ranges, None);
-        let mut tp = CostTracker::new();
-        let par =
-            index_intersection_par(&cat, &params, &mut tp, "t", &ranges, None, &opts).unwrap();
-        assert_eq!(par.rows, serial.rows);
-        assert_eq!(tp, ts);
+        let seek = index_seek(
+            &cat,
+            &params,
+            &mut ts,
+            "t",
+            &range,
+            Some(&residual),
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        let mut ti = CostTracker::new();
+        let sect = index_intersection(
+            &cat,
+            &params,
+            &mut ti,
+            "t",
+            &ranges,
+            None,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        for threads in [1, 2, 8] {
+            let opts = ExecOptions::with_threads(threads).with_morsel_size(10);
+            let mut tp = CostTracker::new();
+            let par =
+                index_seek(&cat, &params, &mut tp, "t", &range, Some(&residual), &opts).unwrap();
+            assert_eq!(par.0.rows, seek.0.rows, "threads={threads}");
+            assert_eq!((par.1, tp), (seek.1, ts), "threads={threads}");
+            let mut tp = CostTracker::new();
+            let par =
+                index_intersection(&cat, &params, &mut tp, "t", &ranges, None, &opts).unwrap();
+            assert_eq!(par.0.rows, sect.0.rows, "threads={threads}");
+            assert_eq!((par.1, tp), (sect.1, ti), "threads={threads}");
+        }
     }
 
     #[test]
-    fn columnar_scan_is_bit_identical_to_row_scan() {
+    fn seq_scan_matches_row_at_a_time_reference() {
         let cat = catalog();
         let params = CostParams::default();
+        let t = cat.table("t").unwrap();
         let preds: Vec<Option<Expr>> = vec![
             None,
             Some(Expr::col("y").eq(Expr::lit(3i64))),
@@ -922,18 +741,27 @@ mod tests {
             Some(Expr::col("x").lt(Expr::lit(0i64))), // none selected
         ];
         for pred in &preds {
+            let bound = pred.as_ref().map(|p| p.bind(t.schema()).unwrap());
+            let reference: Vec<Vec<Value>> = (0..t.num_rows() as Rid)
+                .map(|rid| t.row(rid))
+                .filter(|row| bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, row)))
+                .collect();
             let mut ts = CostTracker::new();
-            let serial = seq_scan(&cat, &params, &mut ts, "t", pred.as_ref());
-            let mut tc = CostTracker::new();
-            let columnar = seq_scan_columnar(&cat, &params, &mut tc, "t", pred.as_ref());
-            assert_eq!(columnar.rows, serial.rows, "pred={pred:?}");
-            assert_eq!(tc, ts, "pred={pred:?}");
+            let whole = seq_scan(
+                &cat,
+                &params,
+                &mut ts,
+                "t",
+                pred.as_ref(),
+                &ExecOptions::serial(),
+            )
+            .unwrap();
+            assert_eq!(whole.rows, reference, "pred={pred:?}");
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let par = seq_scan_columnar_par(&cat, &params, &mut tp, "t", pred.as_ref(), &opts)
-                    .unwrap();
-                assert_eq!(par.rows, serial.rows, "pred={pred:?} threads={threads}");
+                let par = seq_scan(&cat, &params, &mut tp, "t", pred.as_ref(), &opts).unwrap();
+                assert_eq!(par.rows, reference, "pred={pred:?} threads={threads}");
                 assert_eq!(tp, ts, "pred={pred:?} threads={threads}");
             }
         }

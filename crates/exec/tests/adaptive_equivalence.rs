@@ -68,13 +68,13 @@ fn inject_misestimate(handle: &RobustDb, family: usize, offset: i64, window: i64
     }
 }
 
-fn fresh_db(seed: u64, threads: usize, row_fallback: bool) -> RobustDb {
+fn fresh_db(seed: u64, threads: usize) -> RobustDb {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.002,
         seed,
     });
     RobustDb::with_options(data.into_catalog(), CostParams::default(), 300, seed ^ 0xA5)
-        .with_exec_options(ExecOptions::with_threads(threads).with_row_fallback(row_fallback))
+        .with_exec_options(ExecOptions::with_threads(threads))
 }
 
 proptest! {
@@ -93,27 +93,25 @@ proptest! {
         let query = build_query(family, offset, window);
 
         // Static reference: fresh database, same planted misestimate.
-        let static_db = fresh_db(seed, 1, false);
+        let static_db = fresh_db(seed, 1);
         inject_misestimate(&static_db, family, offset, window, sel);
         let static_run = static_db.run(&query);
 
-        // Adaptive at each thread count — plus a row-fallback arm, which
-        // must agree with the default columnar kernels down to every
-        // guard trip — each on its own fresh database (run_adaptive
-        // feeds truth back into its handle's store, which must not leak
-        // between arms).
+        // Adaptive at each thread count, each on its own fresh database
+        // (run_adaptive feeds truth back into its handle's store, which
+        // must not leak between arms).
         type Baseline = (usize, f64, Vec<(usize, u64)>);
         let mut baseline: Option<Baseline> = None;
-        for (threads, row_fallback) in [(1usize, false), (2, false), (8, false), (1, true), (8, true)] {
-            let handle = fresh_db(seed, threads, row_fallback);
+        for threads in [1usize, 2, 8] {
+            let handle = fresh_db(seed, threads);
             inject_misestimate(&handle, family, offset, window, sel);
             let adaptive = handle.run_adaptive(&query);
 
             prop_assert_eq!(
                 &adaptive.outcome.rows,
                 &static_run.rows,
-                "rows diverged: threads={} row_fallback={} family={} sel={}",
-                threads, row_fallback, family, sel
+                "rows diverged: threads={} family={} sel={}",
+                threads, family, sel
             );
             prop_assert_eq!(&adaptive.outcome.columns, &static_run.columns);
 
@@ -133,18 +131,18 @@ proptest! {
                 Some((replans, cost, base_trips)) => {
                     prop_assert_eq!(
                         adaptive.replans(), *replans,
-                        "re-plan count diverged at threads={} row_fallback={}",
-                        threads, row_fallback
+                        "re-plan count diverged at threads={}",
+                        threads
                     );
                     prop_assert_eq!(
                         adaptive.outcome.simulated_seconds, *cost,
-                        "tracked cost diverged at threads={} row_fallback={}",
-                        threads, row_fallback
+                        "tracked cost diverged at threads={}",
+                        threads
                     );
                     prop_assert_eq!(
                         &trips, base_trips,
-                        "guard-trigger points diverged at threads={} row_fallback={}",
-                        threads, row_fallback
+                        "guard-trigger points diverged at threads={}",
+                        threads
                     );
                 }
             }
@@ -161,11 +159,11 @@ proptest! {
         window in 0i64..300,
     ) {
         let query = build_query(family, offset, window);
-        let static_db = fresh_db(seed, 2, false);
+        let static_db = fresh_db(seed, 2);
         inject_misestimate(&static_db, family, offset, window, 0.9);
         let static_run = static_db.run(&query);
 
-        let handle = fresh_db(seed, 2, false).with_adaptive_policy(AdaptivePolicy::disabled());
+        let handle = fresh_db(seed, 2).with_adaptive_policy(AdaptivePolicy::disabled());
         inject_misestimate(&handle, family, offset, window, 0.9);
         let adaptive = handle.run_adaptive(&query);
         prop_assert_eq!(adaptive.replans(), 0);

@@ -1,18 +1,33 @@
 //! Differential kernel-oracle harness: every vectorized columnar kernel
 //! is checked against a naive row-at-a-time reference implementation
-//! written independently in this file, and against the executor's
-//! row-fallback path, on arbitrary (NULL-heavy) inputs.
+//! written independently in this file, on arbitrary (NULL-heavy) inputs,
+//! at 1, 2, and 8 threads; the executor as a whole is checked against the
+//! *composition* of those references over `Table::row`.
 //!
-//! "Identical" here means *bit*-identical: same rows, same row order,
-//! same simulated cost, same `OpMetrics` — not just the same multiset.
+//! "Identical" here means *bit*-identical: same rows, same row order —
+//! not just the same multiset — plus the same simulated cost and
+//! `OpMetrics` at every thread count.
 //! Edge cases (empty batches, all-selected, none-selected predicates)
 //! get dedicated deterministic tests below the property block.
 
 use proptest::prelude::*;
+use rqo_exec::agg::hash_aggregate;
+use rqo_exec::join::hash_join;
 use rqo_exec::kernels::{filter_batch, project_batch};
 use rqo_exec::{execute_analyze, AggExpr, AggFunc, Batch, ExecOptions, PhysicalPlan};
 use rqo_expr::Expr;
-use rqo_storage::{Catalog, CostParams, CostTracker, DataType, Schema, TableBuilder, Value};
+use rqo_storage::{
+    Catalog, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder, Rid,
+    Schema, Value,
+};
+
+/// Morsel size of every kernel run below.
+const MORSEL: usize = 16;
+
+/// One thread (inline morsel loop), then scoped workers.
+fn thread_opts() -> [ExecOptions; 3] {
+    [1usize, 2, 8].map(|t| ExecOptions::with_threads(t).with_morsel_size(MORSEL))
+}
 
 /// NULL-heavy three-column batch: `a Int`, `b Float`, `c Str`.
 /// Nullability is derived from the generated values themselves so the
@@ -89,8 +104,7 @@ fn oracle_project(batch: &Batch, ordinals: &[usize]) -> Vec<Vec<Value>> {
 
 /// Nested-loops hash-join oracle: for each probe row in order, emit
 /// `build ++ probe` for every matching build row in build order.  Key
-/// equality is the storage equality the row path's `HashMap<Value, _>`
-/// uses — NULL keys match NULL keys.
+/// equality is `Value`'s storage equality — NULL keys match NULL keys.
 fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
     for prow in &probe.rows {
@@ -105,10 +119,32 @@ fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Va
     out
 }
 
-/// Row-at-a-time aggregation oracle: accumulators updated in row order
-/// (same float-addition sequence as the serial engine), groups emitted
-/// sorted by key — the engine's deterministic output order.
-fn oracle_aggregate(batch: &Batch, group: usize, aggs: &[AggExpr]) -> Vec<Vec<Value>> {
+/// Scan oracle: `Table::row` per RID — of the whole table, or of the
+/// listed partitions' spans in order — then `eval_bool` per row.
+fn oracle_scan(cat: &Catalog, table: &str, parts: Option<&[usize]>, pred: Option<&Expr>) -> Batch {
+    let t = cat.table(table).unwrap();
+    let rids: Vec<usize> = match parts {
+        None => (0..t.num_rows()).collect(),
+        Some(parts) => {
+            let layout = cat.partitioning(table).unwrap();
+            parts.iter().flat_map(|&p| layout.span(p)).collect()
+        }
+    };
+    let bound = pred.map(|p| p.bind(t.schema()).unwrap());
+    let rows = rids
+        .into_iter()
+        .map(|rid| t.row(rid as Rid))
+        .filter(|row| bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, row)))
+        .collect();
+    Batch::new(t.schema().clone(), rows)
+}
+
+/// Row-at-a-time, morsel-aware aggregation oracle over the six-aggregate
+/// menu (`a` = column 0, `b` = column 1): accumulators are updated in row
+/// order within each `morsel_size` chunk and the per-chunk partials are
+/// merged in chunk order — the engine's float-addition sequence — with
+/// groups emitted sorted by key, the engine's deterministic output order.
+fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<Value>> {
     struct Acc {
         key: Value,
         sum_b: f64,
@@ -119,50 +155,64 @@ fn oracle_aggregate(batch: &Batch, group: usize, aggs: &[AggExpr]) -> Vec<Vec<Va
         min_a: Option<Value>,
         max_b: Option<Value>,
     }
+    fn slot<'a>(accs: &'a mut Vec<Acc>, key: &Value) -> &'a mut Acc {
+        if let Some(i) = accs.iter().position(|a| &a.key == key) {
+            return &mut accs[i];
+        }
+        accs.push(Acc {
+            key: key.clone(),
+            sum_b: 0.0,
+            n_star: 0,
+            n_a: 0,
+            avg_sum: 0.0,
+            avg_n: 0,
+            min_a: None,
+            max_b: None,
+        });
+        accs.last_mut().unwrap()
+    }
+    fn keep_if(cur: &mut Option<Value>, v: &Value, wins: std::cmp::Ordering) {
+        if cur.as_ref().is_none_or(|c| v.total_cmp(c) == wins) {
+            *cur = Some(v.clone());
+        }
+    }
+    use std::cmp::Ordering::{Greater, Less};
     let mut accs: Vec<Acc> = Vec::new();
-    for row in &batch.rows {
-        let key = &row[group];
-        let acc = match accs.iter_mut().find(|a| &a.key == key) {
-            Some(a) => a,
-            None => {
-                accs.push(Acc {
-                    key: key.clone(),
-                    sum_b: 0.0,
-                    n_star: 0,
-                    n_a: 0,
-                    avg_sum: 0.0,
-                    avg_n: 0,
-                    min_a: None,
-                    max_b: None,
-                });
-                accs.last_mut().unwrap()
+    for chunk in batch.rows.chunks(morsel_size) {
+        let mut partial: Vec<Acc> = Vec::new();
+        for row in chunk {
+            let acc = slot(&mut partial, &row[group]);
+            acc.n_star += 1;
+            if !row[0].is_null() {
+                acc.n_a += 1;
+                keep_if(&mut acc.min_a, &row[0], Less);
             }
-        };
-        acc.n_star += 1;
-        if !row[0].is_null() {
-            acc.n_a += 1;
-            if acc
-                .min_a
-                .as_ref()
-                .is_none_or(|c| row[0].total_cmp(c) == std::cmp::Ordering::Less)
-            {
-                acc.min_a = Some(row[0].clone());
+            if !row[1].is_null() {
+                acc.sum_b += row[1].as_f64();
+                acc.avg_sum += row[1].as_f64();
+                acc.avg_n += 1;
+                keep_if(&mut acc.max_b, &row[1], Greater);
             }
         }
-        if !row[1].is_null() {
-            acc.sum_b += row[1].as_f64();
-            acc.avg_sum += row[1].as_f64();
-            acc.avg_n += 1;
-            if acc
-                .max_b
-                .as_ref()
-                .is_none_or(|c| row[1].total_cmp(c) == std::cmp::Ordering::Greater)
-            {
-                acc.max_b = Some(row[1].clone());
+        for p in partial {
+            match accs.iter_mut().find(|a| a.key == p.key) {
+                None => accs.push(p),
+                Some(acc) => {
+                    acc.sum_b += p.sum_b;
+                    acc.n_star += p.n_star;
+                    acc.n_a += p.n_a;
+                    acc.avg_sum += p.avg_sum;
+                    acc.avg_n += p.avg_n;
+                    if let Some(v) = &p.min_a {
+                        keep_if(&mut acc.min_a, v, Less);
+                    }
+                    if let Some(v) = &p.max_b {
+                        keep_if(&mut acc.max_b, v, Greater);
+                    }
+                }
             }
         }
     }
-    assert_eq!(aggs.len(), 6, "oracle hard-codes the six-aggregate menu");
     let mut rows: Vec<Vec<Value>> = accs
         .into_iter()
         .map(|a| {
@@ -185,19 +235,20 @@ fn oracle_aggregate(batch: &Batch, group: usize, aggs: &[AggExpr]) -> Vec<Vec<Va
     rows
 }
 
-/// The six-aggregate menu matching [`oracle_aggregate`]'s output layout.
-fn agg_menu() -> Vec<AggExpr> {
+/// The six-aggregate menu matching [`oracle_aggregate`]'s output layout,
+/// over the columns named `a` (column 0) and `b` (column 1).
+fn agg_menu(a: &str, b: &str) -> Vec<AggExpr> {
     vec![
-        AggExpr::sum("b", "s"),
+        AggExpr::sum(b, "s"),
         AggExpr::count_star("n"),
         AggExpr {
             func: AggFunc::Count,
-            column: Some("a".into()),
+            column: Some(a.into()),
             alias: "na".into(),
         },
-        AggExpr::avg("b", "m"),
-        AggExpr::min("a", "lo"),
-        AggExpr::max("b", "hi"),
+        AggExpr::avg(b, "m"),
+        AggExpr::min(a, "lo"),
+        AggExpr::max(b, "hi"),
     ]
 }
 
@@ -205,7 +256,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The vectorized filter kernel reproduces the row oracle exactly —
-    /// rows, order — serially and at every thread count.
+    /// rows, order — at every thread count.
     #[test]
     fn filter_kernel_matches_oracle(
         rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
@@ -215,17 +266,14 @@ proptest! {
         let batch = make_batch(&rows);
         let bound = predicate(which, cut).bind(&batch.schema).unwrap();
         let expect = oracle_filter(&batch, &bound);
-        let serial = filter_batch(batch.clone(), &bound, None).unwrap();
-        prop_assert_eq!(&serial.rows, &expect);
-        for threads in [2usize, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let par = filter_batch(batch.clone(), &bound, Some(&opts)).unwrap();
-            prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
+        for opts in thread_opts() {
+            let out = filter_batch(batch.clone(), &bound, &opts).unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
         }
     }
 
-    /// The column-at-a-time projection kernel reproduces the row oracle,
-    /// including duplicated and reordered output columns.
+    /// The projection kernel reproduces the row oracle, including
+    /// duplicated and reordered output columns.
     #[test]
     fn project_kernel_matches_oracle(
         rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
@@ -242,18 +290,15 @@ proptest! {
         };
         let schema = batch.schema.project(&ordinals);
         let expect = oracle_project(&batch, &ordinals);
-        let serial = project_batch(batch.clone(), &ordinals, schema.clone(), None).unwrap();
-        prop_assert_eq!(&serial.rows, &expect);
-        for threads in [2usize, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let par = project_batch(batch.clone(), &ordinals, schema.clone(), Some(&opts)).unwrap();
-            prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
+        for opts in thread_opts() {
+            let out = project_batch(batch.clone(), &ordinals, schema.clone(), &opts).unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
         }
     }
 
     /// The typed-key hash-join kernel reproduces the nested-loops oracle
     /// (probe-major order, build order within a key, NULL keys matching
-    /// NULL keys) and charges identically to the row join.
+    /// NULL keys) with the same charges at every thread count.
     #[test]
     fn join_kernel_matches_oracle(
         build in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
@@ -262,118 +307,115 @@ proptest! {
         let b = make_batch(&build);
         let p = make_batch(&probe);
         let expect = oracle_join(&b, &p, 0, 0);
-
-        let mut t_row = CostTracker::new();
-        let row = rqo_exec::join::hash_join(&mut t_row, b.clone(), p.clone(), "a", "a");
-        prop_assert_eq!(&row.rows, &expect);
-
-        let mut t_col = CostTracker::new();
-        let col = rqo_exec::join::hash_join_columnar(&mut t_col, b.clone(), p.clone(), "a", "a");
-        prop_assert_eq!(&col.rows, &expect);
-        prop_assert_eq!(t_col, t_row);
-
-        for threads in [2usize, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut t_par = CostTracker::new();
-            let par = rqo_exec::join::hash_join_columnar_par(
-                &mut t_par, b.clone(), p.clone(), "a", "a", &opts,
-            )
-            .unwrap();
-            prop_assert_eq!(&par.rows, &expect, "threads={}", threads);
-            prop_assert_eq!(t_par, t_row, "threads={}", threads);
+        let mut base_cost: Option<CostTracker> = None;
+        for opts in thread_opts() {
+            let mut t = CostTracker::new();
+            let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", &opts).unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(t.hash_builds, b.len() as u64);
+            prop_assert_eq!(t.hash_probes, p.len() as u64);
+            prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
         }
     }
 
-    /// The columnar aggregation kernel reproduces the row-order oracle
+    /// The aggregation kernel reproduces the morsel-aware row oracle
     /// bit-for-bit (float sums accumulate in the same sequence) over
-    /// NULL-heavy inputs, and the morsel-parallel variant matches the
-    /// row engine's morsel-parallel variant at the same granularity.
+    /// NULL-heavy inputs at every thread count.
     #[test]
     fn agg_kernel_matches_oracle(
         rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
     ) {
         let batch = make_batch(&rows);
-        let aggs = agg_menu();
-        let expect = oracle_aggregate(&batch, 2, &aggs);
-
-        let mut t_col = CostTracker::new();
-        let col = rqo_exec::agg::hash_aggregate_columnar(
-            &mut t_col, batch.clone(), &["c".to_string()], &aggs,
-        );
-        prop_assert_eq!(&col.rows, &expect);
-
-        let mut t_row = CostTracker::new();
-        let row = rqo_exec::agg::hash_aggregate(
-            &mut t_row, batch.clone(), &["c".to_string()], &aggs,
-        );
-        prop_assert_eq!(&row.rows, &expect);
-        prop_assert_eq!(t_col, t_row);
-
-        // Parallel merges float partials morsel-order, so compare the
-        // columnar-parallel engine against the row-parallel engine.
-        for threads in [2usize, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let mut t_rp = CostTracker::new();
-            let row_par = rqo_exec::agg::hash_aggregate_par(
-                &mut t_rp, batch.clone(), &["c".to_string()], &aggs, &opts,
-            )
-            .unwrap();
-            let mut t_cp = CostTracker::new();
-            let col_par = rqo_exec::agg::hash_aggregate_columnar_par(
-                &mut t_cp, batch.clone(), &["c".to_string()], &aggs, &opts,
-            )
-            .unwrap();
-            prop_assert_eq!(&col_par.rows, &row_par.rows, "threads={}", threads);
-            prop_assert_eq!(t_cp, t_rp, "threads={}", threads);
+        let aggs = agg_menu("a", "b");
+        let expect = oracle_aggregate(&batch, 2, MORSEL);
+        let mut base_cost: Option<CostTracker> = None;
+        for opts in thread_opts() {
+            let mut t = CostTracker::new();
+            let out =
+                hash_aggregate(&mut t, batch.clone(), &["c".to_string()], &aggs, &opts).unwrap();
+            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(t.hash_builds, batch.len() as u64);
+            prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
         }
     }
 
-    /// Executor-level differential: the default columnar path and the
-    /// row-fallback path produce bit-identical rows, costs, AND
-    /// `OpMetrics` trees for a scan→join→filter→project→aggregate plan.
+    /// Executor-level differential: a scan→join→filter→project→aggregate
+    /// plan — one flat `SeqScan` leaf, one pruned `PartitionedScan` leaf —
+    /// returns exactly the composition of the row oracles over
+    /// `Table::row`, with identical costs AND `OpMetrics` trees at every
+    /// thread count.
     #[test]
-    fn executor_paths_bit_identical(
+    fn executor_matches_composed_oracles(
         rows in prop::collection::vec((-10i64..10, -50i64..50), 1..80),
         cut in -40i64..40,
     ) {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
-        let mut tb = TableBuilder::new("t", schema, rows.len());
+        let spec = PartitionSpec::Range {
+            column: "v".into(),
+            bounds: vec![Value::Int(-25), Value::Int(0), Value::Int(25)],
+        };
+        let mut tb = PartitionedTableBuilder::new("t", schema, spec);
         for &(k, v) in &rows {
             tb.push_row(&[Value::Int(k), Value::Int(v)]);
         }
+        let (table, layout) = tb.finish();
         let mut cat = Catalog::new();
-        cat.add_table(tb.finish()).unwrap();
+        cat.add_partitioned_table(table, layout).unwrap();
         let params = CostParams::default();
+
+        let build_pred = Expr::col("v").ge(Expr::lit(cut));
+        let filter_pred = Expr::col("r.v").lt(Expr::lit(cut + 40));
+        let survivors = vec![0usize, 2, 3];
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(PhysicalPlan::Project {
                 input: Box::new(PhysicalPlan::Filter {
                     input: Box::new(PhysicalPlan::HashJoin {
                         build: Box::new(PhysicalPlan::SeqScan {
                             table: "t".into(),
-                            predicate: Some(Expr::col("v").ge(Expr::lit(cut))),
+                            predicate: Some(build_pred.clone()),
                         }),
-                        probe: Box::new(PhysicalPlan::SeqScan {
+                        probe: Box::new(PhysicalPlan::PartitionedScan {
                             table: "t".into(),
                             predicate: None,
+                            partitions: survivors.clone(),
+                            total_partitions: 4,
                         }),
                         build_key: "k".into(),
                         probe_key: "k".into(),
                     }),
-                    predicate: Expr::col("r.v").lt(Expr::lit(cut + 40)),
+                    predicate: filter_pred.clone(),
                 }),
                 columns: vec!["l.k".into(), "r.v".into()],
             }),
             group_by: vec!["l.k".into()],
-            aggregates: vec![AggExpr::sum("r.v", "s"), AggExpr::count_star("n")],
+            aggregates: agg_menu("l.k", "r.v"),
         };
-        let base_opts = ExecOptions::serial().with_morsel_size(16).with_row_fallback(true);
-        let (rb, rc, rm) = execute_analyze(&plan, &cat, &params, &base_opts);
-        for threads in [1usize, 2, 8] {
-            let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
-            let (cb, cc, cm) = execute_analyze(&plan, &cat, &params, &opts);
-            prop_assert_eq!(&cb.rows, &rb.rows, "threads={}", threads);
-            prop_assert_eq!(cc, rc, "threads={}", threads);
-            prop_assert_eq!(&cm, &rm, "threads={}", threads);
+
+        let build = oracle_scan(&cat, "t", None, Some(&build_pred));
+        let probe = oracle_scan(&cat, "t", Some(&survivors), None);
+        let joined = Batch::new(
+            build.schema.join(&probe.schema, "l", "r"),
+            oracle_join(&build, &probe, 0, 0),
+        );
+        let bound = filter_pred.bind(&joined.schema).unwrap();
+        let filtered = Batch::new(joined.schema.clone(), oracle_filter(&joined, &bound));
+        let ordinals = [
+            filtered.schema.expect_index("l.k"),
+            filtered.schema.expect_index("r.v"),
+        ];
+        let projected = Batch::new(
+            filtered.schema.project(&ordinals),
+            oracle_project(&filtered, &ordinals),
+        );
+        let expect = oracle_aggregate(&projected, 0, MORSEL);
+
+        let mut base = None;
+        for opts in thread_opts() {
+            let (batch, cost, metrics) = execute_analyze(&plan, &cat, &params, &opts);
+            prop_assert_eq!(&batch.rows, &expect, "threads={}", opts.threads);
+            let (base_cost, base_metrics) = base.get_or_insert((cost, metrics.clone()));
+            prop_assert_eq!(cost, *base_cost, "threads={}", opts.threads);
+            prop_assert_eq!(&metrics, &*base_metrics, "threads={}", opts.threads);
         }
     }
 }
@@ -382,29 +424,37 @@ proptest! {
 #[test]
 fn kernels_on_empty_batch() {
     let empty = make_batch(&[]);
+    let opts = ExecOptions::default();
     let bound = predicate(0, 0).bind(&empty.schema).unwrap();
-    assert!(filter_batch(empty.clone(), &bound, None)
+    assert!(filter_batch(empty.clone(), &bound, &opts)
         .unwrap()
         .rows
         .is_empty());
 
     let ordinals = [2usize, 0];
     let schema = empty.schema.project(&ordinals);
-    let projected = project_batch(empty.clone(), &ordinals, schema, None).unwrap();
+    let projected = project_batch(empty.clone(), &ordinals, schema, &opts).unwrap();
     assert!(projected.rows.is_empty());
     assert_eq!(projected.schema.names(), vec!["c", "a"]);
 
     let mut t = CostTracker::new();
-    let joined = rqo_exec::join::hash_join_columnar(&mut t, empty.clone(), empty.clone(), "a", "a");
+    let joined = hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", &opts).unwrap();
     assert!(joined.rows.is_empty());
 
     // Scalar aggregate over empty input still yields its identity row.
     let mut t = CostTracker::new();
-    let aggd = rqo_exec::agg::hash_aggregate_columnar(&mut t, empty.clone(), &[], &agg_menu());
-    let mut t2 = CostTracker::new();
-    let row = rqo_exec::agg::hash_aggregate(&mut t2, empty, &[], &agg_menu());
-    assert_eq!(aggd.rows, row.rows);
-    assert_eq!(aggd.len(), 1);
+    let aggd = hash_aggregate(&mut t, empty, &[], &agg_menu("a", "b"), &opts).unwrap();
+    assert_eq!(
+        aggd.rows,
+        vec![vec![
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]]
+    );
 }
 
 /// All-selected and none-selected filters are exact (and exactly empty).
@@ -417,7 +467,7 @@ fn filter_kernel_all_and_none_selected() {
         .or(Expr::col("a").ge(Expr::lit(i64::MIN)))
         .bind(&batch.schema)
         .unwrap();
-    let out = filter_batch(batch.clone(), &all, None).unwrap();
+    let out = filter_batch(batch.clone(), &all, &ExecOptions::default()).unwrap();
     assert_eq!(out.rows, batch.rows);
 
     let none = Expr::col("b")
@@ -425,10 +475,10 @@ fn filter_kernel_all_and_none_selected() {
         .bind(&batch.schema)
         .unwrap();
     for opts in [
-        None,
-        Some(ExecOptions::with_threads(4).with_morsel_size(16)),
+        ExecOptions::default(),
+        ExecOptions::with_threads(4).with_morsel_size(16),
     ] {
-        let out = filter_batch(batch.clone(), &none, opts.as_ref()).unwrap();
+        let out = filter_batch(batch.clone(), &none, &opts).unwrap();
         assert!(out.rows.is_empty());
     }
 }

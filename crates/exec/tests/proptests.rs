@@ -3,7 +3,7 @@
 //! and aggregation must agree with direct computation.
 
 use proptest::prelude::*;
-use rqo_exec::{AggExpr, Batch, IndexRange, PhysicalPlan};
+use rqo_exec::{AggExpr, Batch, ExecOptions, IndexRange, PhysicalPlan};
 use rqo_expr::Expr;
 use rqo_storage::{Catalog, CostParams, DataType, Schema, TableBuilder, Value};
 
@@ -112,12 +112,14 @@ proptest! {
         let lb = mk_batch("l", &left);
         let rb = mk_batch("r", &right);
 
+        let serial = ExecOptions::default();
         let mut t1 = rqo_storage::CostTracker::new();
-        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk");
+        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk", &serial)
+            .unwrap();
         prop_assert_eq!(canon(&hashed), expected.clone());
 
         let mut t2 = rqo_storage::CostTracker::new();
-        let merged = rqo_exec::join::merge_join(&mut t2, lb, rb, "lk", "rk");
+        let merged = rqo_exec::join::merge_join(&mut t2, lb, rb, "lk", "rk", &serial).unwrap();
         prop_assert_eq!(canon(&merged), expected);
     }
 
@@ -136,8 +138,9 @@ proptest! {
         );
         let mut tracker = rqo_storage::CostTracker::new();
         let joined = rqo_exec::join::indexed_nl_join(
-            &cat, &params, &mut tracker, outer, "t", "k", "ok",
-        );
+            &cat, &params, &mut tracker, outer, "t", "k", "ok", &ExecOptions::default(),
+        )
+        .unwrap();
         let mut expected: Vec<String> = Vec::new();
         for &ok in &outer_keys {
             for &(k, v) in &inner {
@@ -172,7 +175,9 @@ proptest! {
                 AggExpr::min("x", "lo"),
                 AggExpr::max("x", "hi"),
             ],
-        );
+            &ExecOptions::default(),
+        )
+        .unwrap();
         use std::collections::BTreeMap;
         let mut expected: BTreeMap<i64, (f64, i64, i64, i64)> = BTreeMap::new();
         for &(g, x) in &rows {

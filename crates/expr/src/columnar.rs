@@ -45,8 +45,8 @@ pub enum Candidates<'a> {
 ///
 /// `cols` is indexed by column ordinal (full batch arity); every ordinal
 /// the bound expression references must be `Some`.  `None` entries are
-/// legal only for unreferenced columns — they materialize as NULL in the
-/// row-fallback path and are never read by a bound predicate.
+/// legal only for unreferenced columns, which a bound predicate never
+/// reads.
 ///
 /// # Panics
 ///

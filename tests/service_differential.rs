@@ -176,3 +176,56 @@ fn stopped_queries_release_their_slots() {
     // completed run's plan.
     assert_eq!(service.engine().cache_stats().entries, 1);
 }
+
+/// Float `SUM`/`AVG` over irrational inputs spanning several morsels are
+/// bit-identical at every entry point: the bare executor serially, at
+/// 1/2/8 threads, with a token at one thread, the `RobustDb` facade, and
+/// a service `Session` on the shared pool.
+#[test]
+fn float_aggregates_bit_identical_at_every_entry_point() {
+    use robust_qo::exec::{execute, execute_with, try_execute_with};
+    use robust_qo::storage::{DataType, Schema, TableBuilder};
+
+    const ROWS: i64 = 20_000; // five default-sized morsels
+    let mut b = TableBuilder::new(
+        "m",
+        Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
+        ROWS as usize,
+    );
+    for i in 0..ROWS {
+        let x = 1.0 / (i + 3) as f64 + (i as f64).sqrt();
+        b.push_row(&[Value::Int(i % 7), Value::Float(x)]);
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_table(b.finish()).unwrap();
+    let db = RobustDb::with_options(catalog, CostParams::default(), 500, SEED);
+    let query = Query::over(&["m"])
+        .group(&["g"])
+        .aggregate(AggExpr::sum("x", "s"))
+        .aggregate(AggExpr::avg("x", "a"));
+
+    let bits = |rows: &[Vec<Value>]| -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.as_f64().to_bits()).collect())
+            .collect()
+    };
+    let plan = db.optimize(&query).plan.clone();
+    let (catalog, params) = (db.catalog(), CostParams::default());
+    let (serial, _) = execute(&plan, &catalog, &params);
+    assert_eq!(serial.len(), 7);
+    let expect = bits(&serial.rows);
+
+    for threads in [1, 2, 8] {
+        let opts = ExecOptions::with_threads(threads);
+        let (out, _) = execute_with(&plan, &catalog, &params, &opts);
+        assert_eq!(bits(&out.rows), expect, "execute_with threads={threads}");
+    }
+    let tokened = ExecOptions::with_threads(1).with_token(QueryToken::new());
+    let (out, _) = try_execute_with(&plan, &catalog, &params, &tokened).unwrap();
+    assert_eq!(bits(&out.rows), expect, "token at one thread");
+
+    assert_eq!(bits(&db.run(&query).rows), expect, "RobustDb::run");
+    let service = db.into_service(ServiceConfig::default().with_workers(2));
+    let outcome = service.session().run(&query).unwrap();
+    assert_eq!(bits(&outcome.rows), expect, "Session::run");
+}

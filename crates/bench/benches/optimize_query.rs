@@ -10,7 +10,7 @@ use rqo_core::{
 };
 use rqo_datagen::{workload, TpchConfig, TpchData};
 use rqo_exec::AggExpr;
-use rqo_optimizer::{detect_sorted_columns, Optimizer, Query};
+use rqo_optimizer::{Optimizer, Query};
 use rqo_stats::SynopsisRepository;
 use rqo_storage::CostParams;
 
@@ -22,7 +22,6 @@ fn bench_optimize(c: &mut Criterion) {
         })
         .into_catalog(),
     );
-    let sorted = detect_sorted_columns(&catalog);
     let repo = Arc::new(SynopsisRepository::build_all(&catalog, 500, 3));
     let robust: Arc<dyn CardinalityEstimator> = Arc::new(RobustEstimator::new(
         repo,
@@ -38,12 +37,7 @@ fn bench_optimize(c: &mut Criterion) {
         .aggregate(AggExpr::count_star("n"));
 
     for (est_name, est) in [("robust", &robust), ("histogram", &hist)] {
-        let opt = Optimizer::with_metadata(
-            Arc::clone(&catalog),
-            CostParams::default(),
-            Arc::clone(est),
-            sorted.clone(),
-        );
+        let opt = Optimizer::new(Arc::clone(&catalog), CostParams::default(), Arc::clone(est));
         let mut group = c.benchmark_group(format!("optimize_{est_name}"));
         group.bench_function("single_table", |b| {
             b.iter(|| std::hint::black_box(opt.optimize(&single).estimated_cost_ms))

@@ -19,14 +19,13 @@ use rqo_core::{
 };
 use rqo_datagen::workload;
 use rqo_math::RunningStats;
-use rqo_optimizer::{detect_sorted_columns, Optimizer};
+use rqo_optimizer::Optimizer;
 use rqo_stats::SynopsisRepository;
 use rqo_storage::CostParams;
 
 fn main() {
     let cfg = RunConfig::from_args();
     let catalog = tpch_catalog(&cfg);
-    let sorted = detect_sorted_columns(&catalog);
     let params = CostParams::default();
     let queries = exp1_queries(&catalog);
 
@@ -71,12 +70,7 @@ fn main() {
                 cfg.seed.wrapping_add(r as u64 * 104729),
             ));
             let est = RobustEstimator::new(repo, *config);
-            let opt = Optimizer::with_metadata(
-                Arc::clone(&catalog),
-                params,
-                Arc::new(est),
-                sorted.clone(),
-            );
+            let opt = Optimizer::new(Arc::clone(&catalog), params, Arc::new(est));
             for (qi, (_, q)) in queries.iter().enumerate() {
                 let planned = opt.optimize(q);
                 let key = (qi, planned.plan.explain());

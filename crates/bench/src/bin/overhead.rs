@@ -15,14 +15,13 @@ use rqo_bench::scenarios::{exp1_queries, exp2_queries, tpch_catalog};
 use rqo_core::{
     CardinalityEstimator, ConfidenceThreshold, EstimatorConfig, HistogramEstimator, RobustEstimator,
 };
-use rqo_optimizer::{detect_sorted_columns, Optimizer};
+use rqo_optimizer::Optimizer;
 use rqo_stats::SynopsisRepository;
 use rqo_storage::CostParams;
 
 fn main() {
     let cfg = RunConfig::from_args();
     let catalog = tpch_catalog(&cfg);
-    let sorted = detect_sorted_columns(&catalog);
 
     let repo = Arc::new(SynopsisRepository::build_all(
         &catalog,
@@ -49,12 +48,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut times = Vec::new();
     for (label, est) in [("robust-sampling", &robust), ("histogram-avi", &hist)] {
-        let opt = Optimizer::with_metadata(
-            Arc::clone(&catalog),
-            CostParams::default(),
-            Arc::clone(est),
-            sorted.clone(),
-        );
+        let opt = Optimizer::new(Arc::clone(&catalog), CostParams::default(), Arc::clone(est));
         // Warm up (first pass populates caches and page maps).
         for (_, q) in &queries {
             let _ = opt.optimize(q);

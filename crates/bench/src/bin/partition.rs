@@ -121,7 +121,7 @@ fn measure(plan: &PhysicalPlan, cat: &Catalog, params: &CostParams, iters: usize
     let mut rows = 0usize;
     for _ in 0..iters {
         let (batch, _) = execute(plan, cat, params);
-        rows = std::hint::black_box(batch.rows.len());
+        rows = std::hint::black_box(batch.len());
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
     let (_, cost) = execute(plan, cat, params);

@@ -8,7 +8,7 @@ use rqo_core::{
     CardinalityEstimator, ConfidenceThreshold, EstimatorConfig, HistogramEstimator, RobustEstimator,
 };
 use rqo_math::RunningStats;
-use rqo_optimizer::{detect_sorted_columns, Optimizer, Query};
+use rqo_optimizer::{Optimizer, Query};
 use rqo_stats::SynopsisRepository;
 use rqo_storage::{Catalog, CostParams};
 
@@ -143,7 +143,6 @@ pub fn run_scenario(
     queries: &[(f64, Query)],
     cfg: &RunConfig,
 ) -> ScenarioResult {
-    let sorted_columns = detect_sorted_columns(catalog);
     let exec_opts = rqo_exec::ExecOptions::with_threads(cfg.threads);
     let mut exec_cache: HashMap<(usize, String), f64> = HashMap::new();
     let mut run_plan = |qi: usize, plan: &rqo_exec::PhysicalPlan| -> f64 {
@@ -183,12 +182,7 @@ pub fn run_scenario(
                 Arc::clone(&repo),
                 EstimatorConfig::with_threshold(ConfidenceThreshold::new(t)),
             );
-            let opt = Optimizer::with_metadata(
-                Arc::clone(catalog),
-                *params,
-                Arc::new(est),
-                sorted_columns.clone(),
-            );
+            let opt = Optimizer::new(Arc::clone(catalog), *params, Arc::new(est));
             for (qi, (_, query)) in queries.iter().enumerate() {
                 let planned = opt.optimize(query);
                 let secs = run_plan(qi, &planned.plan);
@@ -208,8 +202,7 @@ pub fn run_scenario(
         labels.push(label.clone());
         let est: Arc<dyn CardinalityEstimator> =
             Arc::new(HistogramEstimator::build_default(catalog));
-        let opt =
-            Optimizer::with_metadata(Arc::clone(catalog), *params, est, sorted_columns.clone());
+        let opt = Optimizer::new(Arc::clone(catalog), *params, est);
         for (qi, (_, query)) in queries.iter().enumerate() {
             let planned = opt.optimize(query);
             let secs = run_plan(qi, &planned.plan);

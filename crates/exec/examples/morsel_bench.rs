@@ -76,7 +76,11 @@ fn main() {
             }
             let mean = start.elapsed().as_secs_f64() / f64::from(REPS);
             let (batch, cost) = out.unwrap();
-            assert_eq!(batch.rows, base_batch.rows, "rows diverged at {t} threads");
+            assert_eq!(
+                batch.to_rows(),
+                base_batch.to_rows(),
+                "rows diverged at {t} threads"
+            );
             assert_eq!(cost, base_cost, "cost diverged at {t} threads");
             let (_, _, metrics) = execute_analyze(plan, &cat, &params, &opts);
             assert_eq!(metrics, base_metrics, "metrics diverged at {t} threads");

@@ -3,7 +3,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use rqo_storage::{ColumnMeta, ColumnVec, CostTracker, DataType, NullMask, Schema, Value};
 
@@ -151,10 +150,10 @@ impl AggState {
 /// identity values).  Charges one hash insert per input row (group lookup
 /// + state update) and one CPU op per output row.
 ///
-/// Aggregate input columns are extracted into typed vectors once, outside
-/// the morsel loop.  Each morsel assigns group ids in a first pass and
-/// then updates each aggregate's states in a tight column-at-a-time loop
-/// (`f64`/`i64` adds with a null-mask check), producing a partial
+/// Group and aggregate input columns are read in place.  Each morsel
+/// assigns group ids in a first pass and then updates each aggregate's
+/// states in a tight column-at-a-time loop (`f64`/`i64` adds with a
+/// null-mask check), producing a partial
 /// `group → states` map; the partials are merged **in morsel index
 /// order** via `AggState::merge`.  Morsel boundaries depend only on the
 /// morsel size, so the merge tree — and therefore every float-summation
@@ -181,17 +180,11 @@ pub fn hash_aggregate(
         .map(|a| a.column.as_ref().map(|c| input.schema.expect_index(c)))
         .collect();
     tracker.charge_hash_builds(input.len() as u64);
-    let agg_cols = columnarize_agg_inputs(&input, &agg_idx);
-    let int_group = int_group_ordinal(&input, &group_idx);
+    let cols = input.columns();
+    let group_cols: Vec<&ColumnVec> = group_idx.iter().map(|&g| &*cols[g]).collect();
+    let agg_cols: Vec<Option<&ColumnVec>> = agg_idx.iter().map(|i| i.map(|i| &*cols[i])).collect();
     let partials = run_morsels(opts, input.len(), |morsel| {
-        accumulate(
-            &input.rows,
-            morsel,
-            &group_idx,
-            int_group,
-            &agg_cols,
-            aggregates,
-        )
+        accumulate(morsel, &group_cols, &agg_cols, aggregates)
     })?;
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     for partial in partials {
@@ -255,48 +248,15 @@ impl std::hash::Hasher for IntKeyHasher {
 
 type IntKeyMap<V> = HashMap<Option<i64>, V, std::hash::BuildHasherDefault<IntKeyHasher>>;
 
-/// The ordinal of the single declared-`Int` group-by column, when the
-/// primitive-keyed grouping fast path applies; multi-column, non-`Int`,
-/// or empty group keys stay on the generic row-major path.
-fn int_group_ordinal(input: &Batch, group_idx: &[usize]) -> Option<usize> {
-    match group_idx {
-        &[g] if input.schema.column(g).data_type == DataType::Int => Some(g),
-        _ => None,
-    }
-}
-
-/// Extracts each aggregate's input column (if any) into a typed vector,
-/// transposing each distinct ordinal once and sharing it (`Arc`) when
-/// several aggregates read the same column (e.g. `SUM`/`AVG`/`MIN`/`MAX`
-/// over one measure).
-fn columnarize_agg_inputs(input: &Batch, agg_idx: &[Option<usize>]) -> Vec<Option<Arc<ColumnVec>>> {
-    let mut by_ordinal: HashMap<usize, Arc<ColumnVec>> = HashMap::new();
-    for i in agg_idx.iter().flatten() {
-        by_ordinal.entry(*i).or_insert_with(|| {
-            Arc::new(ColumnVec::from_rows(
-                &input.rows,
-                *i,
-                input.schema.column(*i).data_type,
-            ))
-        });
-    }
-    agg_idx
-        .iter()
-        .map(|idx| idx.map(|i| Arc::clone(&by_ordinal[&i])))
-        .collect()
-}
-
 /// Accumulates one morsel — the absolute row range `range` — into a
 /// partial `group → states` map: pass 1 assigns group ids (a
-/// primitive-keyed map when the single group column is declared `Int`,
-/// otherwise `Vec<Value>` keys cloned row-major); pass 2 runs one typed
-/// loop per aggregate, in row order.
+/// primitive-keyed map when the single group column is an `Int` vector,
+/// otherwise `Vec<Value>` keys read off the group columns); pass 2 runs
+/// one typed loop per aggregate, in row order.
 fn accumulate(
-    rows: &[Vec<Value>],
     range: Range<usize>,
-    group_idx: &[usize],
-    int_group: Option<usize>,
-    agg_cols: &[Option<Arc<ColumnVec>>],
+    group_cols: &[&ColumnVec],
+    agg_cols: &[Option<&ColumnVec>],
     aggregates: &[AggExpr],
 ) -> HashMap<Vec<Value>, Vec<AggState>> {
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
@@ -306,48 +266,30 @@ fn accumulate(
         states.push(aggregates.iter().map(|a| AggState::new(a.func)).collect());
         states.len() - 1
     };
-    let mut typed_ok = false;
-    if let Some(g) = int_group {
-        // Single declared-Int group column: group on `Option<i64>` read
-        // straight out of the rows — no transpose, no one-element
-        // `Vec<Value>` alloc + hash per row.  NULL keys map to `None`
-        // (storage equality: NULL groups with NULL); the `Value` keys the
-        // caller's merge/finalize see are reconstructed below.
-        // A declared-Int column can still hold an off-type value (an
-        // aggregate output feeding a re-aggregation): bail out and let
-        // the generic path redo the morsel.
+    if let [ColumnVec::Int { values, nulls }] = group_cols {
+        // Single Int group column: group on `Option<i64>` read straight
+        // out of the vector — no one-element `Vec<Value>` alloc + hash
+        // per row.  NULL keys map to `None` (storage equality: NULL
+        // groups with NULL); the `Value` keys the caller's merge/finalize
+        // see are reconstructed below.
         let mut typed: IntKeyMap<usize> = IntKeyMap::default();
-        typed_ok = true;
         for i in range.clone() {
-            let key = match &rows[i][g] {
-                Value::Int(v) => Some(*v),
-                Value::Null => None,
-                _ => {
-                    typed_ok = false;
-                    break;
-                }
-            };
+            let key = (!null_at(nulls.as_ref(), i)).then(|| values[i]);
             let gid = *typed.entry(key).or_insert_with(|| new_group(&mut states));
             gids.push(gid as u32);
         }
-        if typed_ok {
-            for (key, gid) in typed {
-                index.insert(vec![key.map_or(Value::Null, Value::Int)], gid);
-            }
-        } else {
-            states.clear();
-            gids.clear();
+        for (key, gid) in typed {
+            index.insert(vec![key.map_or(Value::Null, Value::Int)], gid);
         }
-    }
-    if !typed_ok {
+    } else {
         for i in range.clone() {
-            let key: Vec<Value> = group_idx.iter().map(|&g| rows[i][g].clone()).collect();
+            let key: Vec<Value> = group_cols.iter().map(|c| c.value(i)).collect();
             let gid = *index.entry(key).or_insert_with(|| new_group(&mut states));
             gids.push(gid as u32);
         }
     }
     for (j, (agg, col)) in aggregates.iter().zip(agg_cols).enumerate() {
-        update_states(&mut states, &gids, range.start, j, agg.func, col.as_deref());
+        update_states(&mut states, &gids, range.start, j, agg.func, *col);
     }
     index
         .into_iter()
@@ -490,7 +432,7 @@ fn finalize(
         std::cmp::Ordering::Equal
     });
     tracker.charge_cpu_ops(rows.len() as u64);
-    Batch::new(schema, rows)
+    Batch::from_rows(schema, rows)
 }
 
 #[cfg(test)]
@@ -498,7 +440,7 @@ mod tests {
     use super::*;
 
     fn input() -> Batch {
-        Batch::new(
+        Batch::from_rows(
             Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
             vec![
                 vec![Value::Int(1), Value::Float(10.0)],
@@ -528,7 +470,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1);
-        let row = &out.rows[0];
+        let row = &out.to_rows()[0];
         assert_eq!(row[0], Value::Float(80.0));
         assert_eq!(row[1], Value::Int(5));
         assert_eq!(row[2], Value::Float(16.0));
@@ -551,11 +493,11 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema.names(), vec!["g", "total", "n"]);
         assert_eq!(
-            out.rows[0],
+            out.to_rows()[0],
             vec![Value::Int(1), Value::Float(60.0), Value::Int(3)]
         );
         assert_eq!(
-            out.rows[1],
+            out.to_rows()[1],
             vec![Value::Int(2), Value::Float(20.0), Value::Int(2)]
         );
     }
@@ -577,11 +519,15 @@ mod tests {
             &ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
-        assert_eq!(out.rows[0][2], Value::Null);
-        assert_eq!(out.rows[0][3], Value::Null);
+        assert_eq!(
+            out.to_rows(),
+            vec![vec![
+                Value::Float(0.0),
+                Value::Int(0),
+                Value::Null,
+                Value::Null
+            ]]
+        );
     }
 
     #[test]
@@ -609,7 +555,7 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..500)
             .map(|i| vec![Value::Int(i % 7), Value::Float((i * 3 % 100) as f64)])
             .collect();
-        let b = Batch::new(
+        let b = Batch::from_rows(
             Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
             rows,
         );
@@ -629,7 +575,7 @@ mod tests {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
                 let par = hash_aggregate(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, whole.rows, "threads={threads}");
+                assert_eq!(par.to_rows(), whole.to_rows(), "threads={threads}");
                 assert_eq!(tp, ts, "threads={threads}");
             }
         }
@@ -654,7 +600,7 @@ mod tests {
                 ]
             })
             .collect();
-        let b = Batch::new(
+        let b = Batch::from_rows(
             Schema::from_pairs(&[
                 ("g", DataType::Int),
                 ("x", DataType::Float),
@@ -683,16 +629,19 @@ mod tests {
             let mut ts = CostTracker::new();
             let whole = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &one).unwrap();
             if group_by.is_empty() {
-                assert_eq!(whole.rows[0][0].as_f64().to_bits(), expect_sum.to_bits());
+                assert_eq!(
+                    whole.to_rows()[0][0].as_f64().to_bits(),
+                    expect_sum.to_bits()
+                );
             }
             // MIN over the Int column keeps its native type.
             let lo_idx = whole.schema.expect_index("lo");
-            assert!(matches!(whole.rows[0][lo_idx], Value::Int(_)));
+            assert!(matches!(whole.to_rows()[0][lo_idx], Value::Int(_)));
             for threads in [2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
                 let par = hash_aggregate(&mut tp, b.clone(), &group_by, &aggs, &opts).unwrap();
-                assert_eq!(par.rows, whole.rows, "threads={threads}");
+                assert_eq!(par.to_rows(), whole.to_rows(), "threads={threads}");
                 assert_eq!(tp, ts, "threads={threads}");
             }
         }
@@ -711,14 +660,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out.rows[0][0], Value::Float(0.0));
-        assert_eq!(out.rows[0][1], Value::Int(0));
+        assert_eq!(out.to_rows()[0][0], Value::Float(0.0));
+        assert_eq!(out.to_rows()[0][1], Value::Int(0));
     }
 
     #[test]
     fn count_column_skips_nulls() {
         let mut tracker = CostTracker::new();
-        let b = Batch::new(
+        let b = Batch::from_rows(
             Schema::from_pairs(&[("x", DataType::Int)]),
             vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(3)]],
         );
@@ -737,7 +686,7 @@ mod tests {
             &ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(out.rows[0][0], Value::Int(2));
-        assert_eq!(out.rows[0][1], Value::Int(3));
+        assert_eq!(out.to_rows()[0][0], Value::Int(2));
+        assert_eq!(out.to_rows()[0][1], Value::Int(3));
     }
 }

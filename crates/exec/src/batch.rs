@@ -1,64 +1,127 @@
 //! Materialized intermediate results.
 
-use rqo_storage::{Schema, Value};
+use std::sync::Arc;
 
-/// A fully materialized operator result: a schema plus row-major values.
+use rqo_storage::{ColumnVec, Schema, Value};
+
+/// A fully materialized operator result: a schema plus one shared
+/// [`ColumnVec`] per schema column.
+///
+/// The one invariant: every column holds exactly [`Batch::len`] rows —
+/// there is no selection vector or other deferred state on a batch, so
+/// any consumer may index any column by row id.  Columns are behind
+/// `Arc`s: a projection, a served `Materialized` slot, or a predicate-free
+/// scan hands columns on without copying them.  Rows exist only at the
+/// edge ([`Batch::to_rows`]).
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// Column layout of the rows.
+    /// Column layout.
     pub schema: Schema,
-    /// Row-major data.
-    pub rows: Vec<Vec<Value>>,
+    columns: Vec<Arc<ColumnVec>>,
 }
 
 impl Batch {
-    /// Creates a batch.
+    /// Creates a batch from its columns.
     ///
     /// # Panics
     ///
-    /// Panics when any row's arity differs from the schema.  The check is
-    /// always on (not `debug_assert!`): it is one `usize` compare per row,
-    /// and it guards the storage→exec boundary — a malformed row here would
-    /// otherwise make every downstream columnar kernel silently misread
-    /// columns.
-    pub fn new(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
+    /// Panics when the column count differs from the schema's or the
+    /// columns differ in length.  The check is always on (not
+    /// `debug_assert!`): it is O(columns), and it guards the storage→exec
+    /// boundary — a short column here would otherwise make every
+    /// ordinal-based kernel downstream misread rows.
+    pub fn new(schema: Schema, columns: Vec<Arc<ColumnVec>>) -> Self {
+        assert_eq!(
+            columns.len(),
+            schema.len(),
+            "column count diverges from the batch schema"
+        );
+        assert!(
+            columns.windows(2).all(|w| w[0].len() == w[1].len()),
+            "batch columns differ in length"
+        );
+        Self { schema, columns }
+    }
+
+    /// Transposes row-major values into a batch (tests and aggregate
+    /// finalisation; operators exchange columns).
+    ///
+    /// # Panics
+    ///
+    /// Panics when any row's arity differs from the schema.
+    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
         assert!(
             rows.iter().all(|r| r.len() == schema.len()),
             "row arity mismatch: batch schema has {} columns",
             schema.len()
         );
-        Self { schema, rows }
+        let columns = (0..schema.len())
+            .map(|ord| {
+                let dt = schema.column(ord).data_type;
+                Arc::new(ColumnVec::from_rows(&rows, ord, dt))
+            })
+            .collect();
+        Self { schema, columns }
     }
 
     /// An empty batch with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Self {
-            schema,
-            rows: Vec::new(),
+        Self::from_rows(schema, Vec::new())
+    }
+
+    /// The rows, materialized — what a result consumer (the service's
+    /// `QueryOutcome`, the wire frames, a test) reads.
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = (0..self.len())
+            .map(|_| Vec::with_capacity(self.columns.len()))
+            .collect();
+        for col in &self.columns {
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.push(col.value(i));
+            }
+        }
+        rows
+    }
+
+    /// The columns, in schema order.
+    pub fn columns(&self) -> &[Arc<ColumnVec>] {
+        &self.columns
+    }
+
+    /// The rows `ids` of this batch, in that order (repeats allowed): one
+    /// typed gather per column.
+    pub fn take(&self, ids: &[u32]) -> Batch {
+        let columns = self.columns.iter().map(|c| Arc::new(c.take(ids))).collect();
+        Batch {
+            schema: self.schema.clone(),
+            columns,
         }
     }
 
-    /// Concatenates per-morsel row chunks, in order, into one batch.
-    ///
-    /// Operators produce one chunk per morsel; recombining them in morsel
-    /// index order gives the same row order at every thread count.
-    pub fn from_parts(schema: Schema, parts: Vec<Vec<Vec<Value>>>) -> Self {
-        let total = parts.iter().map(Vec::len).sum();
-        let mut rows = Vec::with_capacity(total);
-        for part in parts {
-            rows.extend(part);
+    /// This batch without the columns whose name `keep` rejects (the
+    /// kept ones are shared, not copied).  The first column stays when
+    /// nothing else would: a batch's row count lives in its columns.
+    pub fn retain_columns(self, keep: impl Fn(&str) -> bool) -> Batch {
+        let mut ordinals: Vec<usize> = (0..self.columns.len())
+            .filter(|&i| keep(&self.schema.column(i).name))
+            .collect();
+        if ordinals.is_empty() && !self.columns.is_empty() {
+            ordinals.push(0);
         }
-        Self::new(schema, rows)
+        Batch {
+            schema: self.schema.project(&ordinals),
+            columns: ordinals.iter().map(|&i| self.columns[i].clone()).collect(),
+        }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// The values in one column, cloned out.
@@ -67,16 +130,15 @@ impl Batch {
     ///
     /// Panics when the column does not exist.
     pub fn column_values(&self, name: &str) -> Vec<Value> {
-        let idx = self.schema.expect_index(name);
-        self.rows.iter().map(|r| r[idx].clone()).collect()
+        let col = &self.columns[self.schema.expect_index(name)];
+        (0..col.len()).map(|i| col.value(i)).collect()
     }
 
     /// True when the rows are non-decreasing in the named column.
     pub fn is_sorted_by(&self, name: &str) -> bool {
-        let idx = self.schema.expect_index(name);
-        self.rows
+        self.column_values(name)
             .windows(2)
-            .all(|w| w[0][idx].total_cmp(&w[1][idx]) != std::cmp::Ordering::Greater)
+            .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater)
     }
 }
 
@@ -86,7 +148,7 @@ mod tests {
     use rqo_storage::DataType;
 
     fn batch() -> Batch {
-        Batch::new(
+        Batch::from_rows(
             Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
             vec![
                 vec![Value::Int(1), Value::Int(9)],
@@ -108,16 +170,20 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_concatenates_in_order() {
+    fn rows_roundtrip_and_take_gathers_in_id_order() {
         let b = batch();
-        let parts = vec![
-            vec![b.rows[0].clone()],
-            Vec::new(),
-            vec![b.rows[1].clone(), b.rows[2].clone()],
-        ];
-        let joined = Batch::from_parts(b.schema.clone(), parts);
-        assert_eq!(joined.rows, b.rows);
-        assert!(Batch::from_parts(b.schema.clone(), Vec::new()).is_empty());
+        let rows = b.to_rows();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(
+            Batch::from_rows(b.schema.clone(), rows.clone()).to_rows(),
+            rows
+        );
+        let picked = b.take(&[2, 0, 2]);
+        assert_eq!(
+            picked.to_rows(),
+            vec![rows[2].clone(), rows[0].clone(), rows[2].clone()]
+        );
+        assert!(b.take(&[]).is_empty());
     }
 
     #[test]
@@ -125,19 +191,18 @@ mod tests {
     fn new_rejects_short_rows_in_all_builds() {
         // Regression: this used to be debug-only, so a release build would
         // silently accept the malformed row and misread columns downstream.
-        Batch::new(
+        Batch::from_rows(
             Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
             vec![vec![Value::Int(1)]],
         );
     }
 
     #[test]
-    #[should_panic(expected = "row arity mismatch")]
-    fn from_parts_rejects_malformed_chunks() {
-        Batch::from_parts(
-            Schema::from_pairs(&[("a", DataType::Int)]),
-            vec![vec![vec![Value::Int(1), Value::Int(2)]]],
-        );
+    #[should_panic(expected = "differ in length")]
+    fn new_rejects_ragged_columns() {
+        let b = batch();
+        let short = Arc::new(b.columns()[1].take(&[0]));
+        Batch::new(b.schema.clone(), vec![Arc::clone(&b.columns()[0]), short]);
     }
 
     #[test]

@@ -1,15 +1,9 @@
-//! Columnar batch views and selection vectors.
+//! Selection vectors.
 //!
-//! The executor's unit of exchange stays the row-major [`crate::Batch`]
-//! (pipeline breakers, the service, golden tests, and adaptive grafts all
-//! consume rows), but *inside* the hot operators data is transposed into
-//! typed [`ColumnVec`]s once per batch and processed with selection
-//! vectors.  This module holds the shared plumbing: [`SelVec`] (a checked
-//! ascending row-id list), [`columnarize`] (row-major → typed columns for
-//! exactly the ordinals a kernel touches), and [`gather_rows`] (the
-//! row-materialization boundary, column-at-a-time).
-
-use rqo_storage::{ColumnRef, ColumnVec, Schema, Value};
+//! Batches carry typed columns end to end (see [`crate::Batch`]); a
+//! filtering operator evaluates its predicate into a [`SelVec`] — a
+//! checked, ascending row-id list — and gathers the survivors with one
+//! typed `take` per column.
 
 /// A selection vector: strictly ascending row ids below a bound.
 ///
@@ -78,52 +72,9 @@ impl SelVec {
     }
 }
 
-/// Transposes the columns named by `ords` out of row-major `rows` into
-/// typed vectors, returning a full-arity `Vec` with `Some` exactly at
-/// those ordinals — the shape [`rqo_expr::columnar::select`] consumes.
-pub fn columnarize(rows: &[Vec<Value>], schema: &Schema, ords: &[usize]) -> Vec<Option<ColumnVec>> {
-    let mut out: Vec<Option<ColumnVec>> = (0..schema.len()).map(|_| None).collect();
-    for &ord in ords {
-        if out[ord].is_none() {
-            out[ord] = Some(ColumnVec::from_rows(
-                rows,
-                ord,
-                schema.column(ord).data_type,
-            ));
-        }
-    }
-    out
-}
-
-/// Borrowed views of a columnarized batch, `None` where not transposed.
-pub fn column_refs(cols: &[Option<ColumnVec>]) -> Vec<Option<ColumnRef<'_>>> {
-    cols.iter()
-        .map(|c| c.as_ref().map(ColumnVec::as_column_ref))
-        .collect()
-}
-
-/// Materializes the selected rows from typed columns, column-at-a-time —
-/// the row-materialization boundary.  Row order follows the selection
-/// vector, and each row's values come out in column order, exactly like
-/// row-at-a-time materialization.
-pub fn gather_rows(cols: &[ColumnRef<'_>], sel: &SelVec) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = sel
-        .ids()
-        .iter()
-        .map(|_| Vec::with_capacity(cols.len()))
-        .collect();
-    for col in cols {
-        for (row, &i) in rows.iter_mut().zip(sel.ids()) {
-            row.push(col.value(i as usize));
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_storage::DataType;
 
     #[test]
     fn sel_vec_invariants() {
@@ -152,38 +103,5 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn sel_vec_rejects_out_of_bounds_ids() {
         SelVec::new(vec![0, 7], 7);
-    }
-
-    #[test]
-    fn columnarize_and_gather_roundtrip() {
-        let schema = Schema::from_pairs(&[
-            ("a", DataType::Int),
-            ("b", DataType::Str),
-            ("c", DataType::Float),
-        ]);
-        let rows = vec![
-            vec![Value::Int(1), Value::str("x"), Value::Float(0.5)],
-            vec![Value::Null, Value::str("y"), Value::Float(1.5)],
-            vec![Value::Int(3), Value::str("x"), Value::Null],
-        ];
-        let cols = columnarize(&rows, &schema, &[0, 1, 2]);
-        let refs: Vec<ColumnRef<'_>> = cols
-            .iter()
-            .map(|c| c.as_ref().unwrap().as_column_ref())
-            .collect();
-        let sel = SelVec::new(vec![0, 2], rows.len());
-        let got = gather_rows(&refs, &sel);
-        assert_eq!(got, vec![rows[0].clone(), rows[2].clone()]);
-        let all = gather_rows(&refs, &SelVec::all(rows.len()));
-        assert_eq!(all, rows);
-    }
-
-    #[test]
-    fn columnarize_only_requested_ordinals() {
-        let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]);
-        let rows = vec![vec![Value::Int(1), Value::Int(2)]];
-        let cols = columnarize(&rows, &schema, &[1]);
-        assert!(cols[0].is_none());
-        assert!(cols[1].is_some());
     }
 }

@@ -142,20 +142,48 @@ pub(crate) fn run_guarded(
         guards,
         slots,
     };
-    run(plan, &env, tracker, &mut 0)
+    run(plan, &env, tracker, &mut 0, None)
 }
 
+/// The columns a node's input has to carry: the ones the node's own
+/// consumer reads (`needed`; `None` = all of them) plus the ones the node
+/// reads itself.  A join renames a column both sides have to `l.x` /
+/// `r.x` (`Schema::join`), so a qualified name also asks for the plain
+/// one: keeping `x` on both sides keeps the clash, and with it the name.
+fn input_columns(needed: Option<&[String]>, own: &[&str]) -> Option<Vec<String>> {
+    let mut columns: Vec<String> = own.iter().map(|c| c.to_string()).collect();
+    for name in needed? {
+        if let Some(plain) = name.strip_prefix("l.").or_else(|| name.strip_prefix("r.")) {
+            columns.push(plain.to_string());
+        }
+        columns.push(name.clone());
+    }
+    Some(columns)
+}
+
+/// Runs `plan` and returns its output restricted to the columns in
+/// `needed` (`None` = all).  An operator gathers every column of its
+/// input, so dropping the unread ones here — an `Arc` drop — is what
+/// keeps a join under an aggregate from building columns nobody reads.
 fn run(
     plan: &PhysicalPlan,
     env: &Env<'_>,
     tracker: &mut CostTracker,
     counter: &mut usize,
+    needed: Option<&[String]>,
 ) -> Result<(Batch, OpMetrics), Interrupt> {
     let my_idx = *counter;
     *counter += 1;
     let start = Instant::now();
     let before = *tracker;
     let (catalog, params, opts) = (env.catalog, env.params, env.opts);
+    // A tripped guard hands its batch to a *different* plan, which may
+    // read other columns: guarded executions keep everything.
+    let exactly = |own: Vec<&str>| -> Option<Vec<String>> {
+        env.guards
+            .is_empty()
+            .then(|| own.iter().map(|c| c.to_string()).collect())
+    };
     // Cooperative cancellation at operator entry: together with the
     // per-morsel polls inside `run_morsels`, a fired token unwinds the
     // whole tree within one morsel of work.
@@ -234,7 +262,8 @@ fn run(
             (batch, fetched as u64, opts.morsel_count(fetched), 0, vec![])
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let (batch, child) = run(input, env, tracker, counter)?;
+            let reads = input_columns(needed, &predicate.referenced_columns());
+            let (batch, child) = run(input, env, tracker, counter, reads.as_deref())?;
             let n = batch.len();
             let bound = predicate.bind(&batch.schema).expect("filter binds");
             tracker.charge_cpu_ops(n as u64);
@@ -242,7 +271,8 @@ fn run(
             (out, n as u64, opts.morsel_count(n), 0, vec![child])
         }
         PhysicalPlan::Project { input, columns } => {
-            let (batch, child) = run(input, env, tracker, counter)?;
+            let reads = exactly(columns.iter().map(String::as_str).collect());
+            let (batch, child) = run(input, env, tracker, counter, reads.as_deref())?;
             let n = batch.len();
             let ordinals: Vec<usize> = columns
                 .iter()
@@ -259,8 +289,9 @@ fn run(
             build_key,
             probe_key,
         } => {
-            let (b, mb) = run(build, env, tracker, counter)?;
-            let (p, mp) = run(probe, env, tracker, counter)?;
+            let reads = input_columns(needed, &[build_key, probe_key]);
+            let (b, mb) = run(build, env, tracker, counter, reads.as_deref())?;
+            let (p, mp) = run(probe, env, tracker, counter, reads.as_deref())?;
             let (build_len, probe_len) = (b.len(), p.len());
             let out = hash_join(tracker, b, p, build_key, probe_key, opts).ok_or_else(stopped)?;
             (
@@ -277,8 +308,9 @@ fn run(
             left_key,
             right_key,
         } => {
-            let (l, ml) = run(left, env, tracker, counter)?;
-            let (r, mr) = run(right, env, tracker, counter)?;
+            let reads = input_columns(needed, &[left_key, right_key]);
+            let (l, ml) = run(left, env, tracker, counter, reads.as_deref())?;
+            let (r, mr) = run(right, env, tracker, counter, reads.as_deref())?;
             let rows_in = (l.len() + r.len()) as u64;
             let out = merge_join(tracker, l, r, left_key, right_key, opts).ok_or_else(stopped)?;
             (out, rows_in, 0, 0, vec![ml, mr])
@@ -289,7 +321,8 @@ fn run(
             inner_index_column,
             outer_key,
         } => {
-            let (o, mo) = run(outer, env, tracker, counter)?;
+            let reads = input_columns(needed, &[outer_key]);
+            let (o, mo) = run(outer, env, tracker, counter, reads.as_deref())?;
             let outer_len = o.len();
             let out = indexed_nl_join(
                 catalog,
@@ -321,7 +354,14 @@ fn run(
             group_by,
             aggregates,
         } => {
-            let (batch, child) = run(input, env, tracker, counter)?;
+            let reads = exactly(
+                group_by
+                    .iter()
+                    .chain(aggregates.iter().filter_map(|a| a.column.as_ref()))
+                    .map(String::as_str)
+                    .collect(),
+            );
+            let (batch, child) = run(input, env, tracker, counter, reads.as_deref())?;
             let n = batch.len();
             let out =
                 hash_aggregate(tracker, batch, group_by, aggregates, opts).ok_or_else(stopped)?;
@@ -336,8 +376,9 @@ fn run(
         }
         PhysicalPlan::Materialized { slot, .. } => {
             // The work that produced this batch was charged when it
-            // originally ran (before the re-plan); serving it again from
-            // memory is free, so the adaptive total never double-counts.
+            // originally ran (before the re-plan); serving it again is a
+            // clone of shared columns and free, so the adaptive total
+            // never double-counts.
             let batch = env
                 .slots
                 .get(*slot)
@@ -346,6 +387,10 @@ fn run(
             let n = batch.len();
             (batch, n as u64, opts.morsel_count(n), 0, vec![])
         }
+    };
+    let batch = match needed {
+        Some(names) => batch.retain_columns(|name| names.iter().any(|n| n == name)),
+        None => batch,
     };
     let metrics = OpMetrics {
         label: plan.node_label(),
@@ -443,9 +488,81 @@ mod tests {
             .flat_map(|o| [2 * o, 2 * o + 1])
             .map(|i| i as f64)
             .sum();
-        assert_eq!(batch.rows[0][0], Value::Float(expected));
-        assert_eq!(batch.rows[0][1], Value::Int(20));
+        assert_eq!(batch.to_rows()[0][0], Value::Float(expected));
+        assert_eq!(batch.to_rows()[0][1], Value::Int(20));
         assert!(cost.seconds(&params) > 0.0);
+    }
+
+    /// Only the columns a consumer reads reach it, and the result is the
+    /// one the unpruned operators give — also where both join inputs
+    /// carry the same names and the output is qualified `l.` / `r.`.
+    #[test]
+    fn unread_columns_are_dropped_below_their_last_reader() {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("v", DataType::Float),
+            ("pad", DataType::Str),
+        ]);
+        let mut cat = Catalog::new();
+        for (name, rows) in [("a", 40i64), ("b", 90)] {
+            let mut t = TableBuilder::new(name, schema.clone(), rows as usize);
+            for i in 0..rows {
+                t.push_row(&[
+                    Value::Int(i % 7),
+                    Value::Float(i as f64 + 0.5),
+                    Value::from(format!("{name}{i}").as_str()),
+                ]);
+            }
+            cat.add_table(t.finish()).unwrap();
+        }
+        let scan = |table: &str| PhysicalPlan::SeqScan {
+            table: table.into(),
+            predicate: None,
+        };
+        let join = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::HashJoin {
+                build: Box::new(scan("a")),
+                probe: Box::new(scan("b")),
+                build_key: "k".into(),
+                probe_key: "k".into(),
+            }),
+            predicate: Expr::col("l.v").lt(Expr::lit(30.0)),
+        };
+        let params = CostParams::default();
+        let opts = ExecOptions::default();
+        let env = Env {
+            catalog: &cat,
+            params: &params,
+            opts: &opts,
+            guards: &[],
+            slots: &[],
+        };
+        let mut tracker = CostTracker::new();
+        let reads = ["r.v".to_string()];
+        let Ok((pruned, _)) = run(&join, &env, &mut tracker, &mut 0, Some(&reads)) else {
+            panic!("nothing stops this run");
+        };
+        assert_eq!(pruned.schema.names(), vec!["r.v"]);
+        let (full, full_cost) = execute(&join, &cat, &params);
+        assert_eq!(tracker, full_cost, "cost does not depend on the columns");
+        assert_eq!(pruned.column_values("r.v"), full.column_values("r.v"));
+
+        let aggregates = vec![AggExpr::sum("r.v", "s"), AggExpr::count_star("n")];
+        let plan = PhysicalPlan::HashAggregate {
+            input: Box::new(join),
+            group_by: vec!["l.k".into()],
+            aggregates: aggregates.clone(),
+        };
+        let (got, _) = execute(&plan, &cat, &params);
+        let want = hash_aggregate(
+            &mut CostTracker::new(),
+            full,
+            &["l.k".to_string()],
+            &aggregates,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(got.to_rows(), want.to_rows());
     }
 
     #[test]
@@ -504,7 +621,7 @@ mod tests {
         };
         let (b1, c1) = execute(&plan, &cat, &params);
         let (b2, c2) = execute(&plan, &cat, &params);
-        assert_eq!(b1.rows, b2.rows);
+        assert_eq!(b1.to_rows(), b2.to_rows());
         assert_eq!(c1, c2);
         assert_eq!(b1.len(), 20);
     }
@@ -541,7 +658,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let opts = crate::morsel::ExecOptions::with_threads(threads).with_morsel_size(16);
             let (par, par_cost) = execute_with(&plan, &cat, &params, &opts);
-            assert_eq!(par.rows, serial.rows, "threads={threads}");
+            assert_eq!(par.to_rows(), serial.to_rows(), "threads={threads}");
             assert_eq!(par_cost, serial_cost, "threads={threads}");
         }
     }
@@ -578,7 +695,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let (b, c, m) = execute_analyze(&plan, &cat, &params, &opts);
-            assert_eq!(b.rows, base.rows, "threads={threads}");
+            assert_eq!(b.to_rows(), base.to_rows(), "threads={threads}");
             assert_eq!(c, base_cost, "threads={threads}");
             assert_eq!(m, base_metrics, "threads={threads}");
         }
@@ -606,7 +723,7 @@ mod tests {
         };
         let (batch, _) = execute(&plan, &cat, &params);
         assert_eq!(batch.len(), 5);
-        for row in &batch.rows {
+        for row in &batch.to_rows() {
             assert_eq!(row[1], Value::Int(20)); // 10 orders × 2 items
         }
     }

@@ -1,29 +1,36 @@
 //! Join operators: hash join, merge join, indexed nested loops, and the
 //! star semijoin strategy.
+//!
+//! Every join first decides *which* rows pair up — as two parallel index
+//! lists, one per side — and only then builds its output, with one typed
+//! `take` per input column.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, NullMask, Rid, Value};
+use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, NullMask, Rid, Schema, Value};
 
 use crate::batch::Batch;
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
-use crate::scan::{fetch_rows, fetch_rows_par, intersect_sorted, rids_for_range, seq_scan};
+use crate::scan::{charge_fetch, fetch_rows, intersect_sorted, rids_for_range, seq_scan};
 
-/// Joins two batches' schemas, qualifying colliding names with the given
-/// prefixes.
-fn join_schemas(left: &Batch, right: &Batch) -> rqo_storage::Schema {
-    left.schema.join(&right.schema, "l", "r")
-}
-
-/// `left ++ right` as one output row.
-fn concat_rows(left: &[Value], right: &[Value]) -> Vec<Value> {
-    let mut row = Vec::with_capacity(left.len() + right.len());
-    row.extend_from_slice(left);
-    row.extend_from_slice(right);
-    row
+/// The join output for matched index pairs: row `k` is `left`'s row
+/// `pairs[k].0` followed by `right`'s row `pairs[k].1`.
+fn take_pairs(
+    schema: Schema,
+    left: &[Arc<ColumnVec>],
+    right: &[Arc<ColumnVec>],
+    pairs: &[(u32, u32)],
+) -> Batch {
+    let (lids, rids): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+    let columns = left
+        .iter()
+        .map(|c| Arc::new(c.take(&lids)))
+        .chain(right.iter().map(|c| Arc::new(c.take(&rids))))
+        .collect();
+    Batch::new(schema, columns)
 }
 
 /// Hash join: builds on `build`, probes with `probe`.
@@ -32,11 +39,10 @@ fn concat_rows(left: &[Value], right: &[Value]) -> Vec<Value> {
 /// CPU op per output row.  Output rows are `build ++ probe` columns, in
 /// probe order and, within one probe row, build order.
 ///
-/// Both key columns are extracted into typed vectors once and, when the
-/// two sides are the same type family, the table is *primitive-keyed*
-/// (`i64`, `f64` bits, `Arc<str>`, `bool`) — no per-row `Value` clone or
-/// enum dispatch on the hot path.  Key semantics are `Value`'s storage
-/// equality:
+/// When the two key columns are the same type family the table is
+/// *primitive-keyed* (`i64`, `f64` bits, `Arc<str>`, `bool`) straight off
+/// the typed vectors — no per-row `Value` clone or enum dispatch on the
+/// hot path.  Key semantics are `Value`'s storage equality:
 ///
 /// - NULL keys map to `None` and join with each other, matching
 ///   `Value::total_cmp`'s NULL-equals-NULL;
@@ -56,16 +62,14 @@ pub fn hash_join(
     probe_key: &str,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let bk = build.schema.expect_index(build_key);
-    let pk = probe.schema.expect_index(probe_key);
-    let bcol = ColumnVec::from_rows(&build.rows, bk, build.schema.column(bk).data_type);
-    let pcol = ColumnVec::from_rows(&probe.rows, pk, probe.schema.column(pk).data_type);
+    let bcol = &*build.columns()[build.schema.expect_index(build_key)];
+    let pcol = &*probe.columns()[probe.schema.expect_index(probe_key)];
 
     fn key_null(nulls: &Option<NullMask>) -> impl Fn(usize) -> bool + Sync + '_ {
         move |i| nulls.as_ref().is_some_and(|m| m.is_null(i))
     }
 
-    match (&bcol, &pcol) {
+    match (bcol, pcol) {
         (
             ColumnVec::Int {
                 values: bv,
@@ -177,8 +181,8 @@ pub fn hash_join(
             tracker,
             &build,
             &probe,
-            |i| Some(build.rows[i][bk].clone()),
-            |i| Some(probe.rows[i][pk].clone()),
+            |i| Some(bcol.value(i)),
+            |i| Some(pcol.value(i)),
             opts,
         ),
     }
@@ -190,10 +194,10 @@ pub fn hash_join(
 /// Build morsels produce local `key → row indices` maps that are merged
 /// **in morsel index order**; because morsel `i` only holds indices
 /// smaller than morsel `i+1`'s, every key's index list comes out
-/// ascending.  Probe morsels emit their matches independently and are
-/// concatenated in morsel order.  All three charges are totals over
-/// input/output sizes, so rows, row order, and costs are the same for
-/// every thread count and morsel size.
+/// ascending.  Probe morsels emit their `(build, probe)` index pairs
+/// independently and are concatenated in morsel order.  All three charges
+/// are totals over input/output sizes, so rows, row order, and costs are
+/// the same for every thread count and morsel size.
 fn join_keyed<K, FB, FP>(
     tracker: &mut CostTracker,
     build: &Batch,
@@ -207,17 +211,15 @@ where
     FB: Fn(usize) -> Option<K> + Sync,
     FP: Fn(usize) -> Option<K> + Sync,
 {
-    let schema = join_schemas(build, probe);
-
     tracker.charge_hash_builds(build.len() as u64);
     let partials = run_morsels(opts, build.len(), |morsel| {
-        let mut local: HashMap<Option<K>, Vec<usize>> = HashMap::new();
+        let mut local: HashMap<Option<K>, Vec<u32>> = HashMap::new();
         for i in morsel {
-            local.entry(bkey(i)).or_default().push(i);
+            local.entry(bkey(i)).or_default().push(i as u32);
         }
         local
     })?;
-    let mut table: HashMap<Option<K>, Vec<usize>> = HashMap::with_capacity(build.len());
+    let mut table: HashMap<Option<K>, Vec<u32>> = HashMap::with_capacity(build.len());
     for partial in partials {
         for (key, mut indices) in partial {
             table.entry(key).or_default().append(&mut indices);
@@ -226,72 +228,74 @@ where
 
     tracker.charge_hash_probes(probe.len() as u64);
     let parts = run_morsels(opts, probe.len(), |morsel| {
-        let mut out = Vec::new();
+        let mut out: Vec<(u32, u32)> = Vec::new();
         for i in morsel {
             if let Some(matches) = table.get(&pkey(i)) {
-                for &bi in matches {
-                    out.push(concat_rows(&build.rows[bi], &probe.rows[i]));
-                }
+                out.extend(matches.iter().map(|&bi| (bi, i as u32)));
             }
         }
         out
     })?;
-    let out = Batch::from_parts(schema, parts);
-    tracker.charge_cpu_ops(out.len() as u64);
-    Some(out)
+    let pairs = parts.concat();
+    tracker.charge_cpu_ops(pairs.len() as u64);
+    let schema = build.schema.join(&probe.schema, "l", "r");
+    Some(take_pairs(schema, build.columns(), probe.columns(), &pairs))
+}
+
+/// One merge-join input's keys in key order, and the row each came
+/// from.  Keys not already sorted are sorted here (stably), charging
+/// `n·log₂(n)` CPU ops.
+fn sorted_keys(tracker: &mut CostTracker, mut keys: Vec<Value>) -> (Vec<Value>, Vec<u32>) {
+    let n = keys.len();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    let sorted = keys
+        .windows(2)
+        .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater);
+    if !sorted {
+        tracker.charge_cpu_ops(n as u64 * (n.max(2) as f64).log2().ceil() as u64);
+        order.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
+        keys = order.iter().map(|&i| keys[i as usize].clone()).collect();
+    }
+    (keys, order)
 }
 
 /// Merge join on equality keys.  Inputs not already sorted on their key
-/// are sorted here, charging `n·log₂(n)` CPU ops each (an in-memory sort;
-/// the experiments' merge joins consume clustered scans, which arrive
-/// sorted and pay nothing).
+/// are sorted first (an in-memory sort; the experiments' merge joins
+/// consume clustered scans, which arrive sorted and pay nothing).
 ///
-/// The sort and the merge are one ordered pass on the calling thread that
-/// yields matching `(left, right)` index pairs; materializing the output
-/// rows from those pairs is morselized.  Returns `None` when the query's
-/// token fired mid-materialization.
+/// The sort and the merge are one ordered pass on the calling thread over
+/// the two key columns that yields matching `(left, right)` index pairs;
+/// the output is then gathered from those pairs.  Returns `None` when the
+/// query's token has fired.
 pub fn merge_join(
     tracker: &mut CostTracker,
-    mut left: Batch,
-    mut right: Batch,
+    left: Batch,
+    right: Batch,
     left_key: &str,
     right_key: &str,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let schema = join_schemas(&left, &right);
-    let lk = left.schema.expect_index(left_key);
-    let rk = right.schema.expect_index(right_key);
-
-    for (batch, key) in [(&mut left, lk), (&mut right, rk)] {
-        let sorted = batch
-            .rows
-            .windows(2)
-            .all(|w| w[0][key].total_cmp(&w[1][key]) != std::cmp::Ordering::Greater);
-        if !sorted {
-            let n = batch.rows.len() as u64;
-            tracker.charge_cpu_ops(n * (n.max(2) as f64).log2().ceil() as u64);
-            batch.rows.sort_by(|a, b| a[key].total_cmp(&b[key]));
-        }
-    }
+    let (lkeys, lorder) = sorted_keys(tracker, left.column_values(left_key));
+    let (rkeys, rorder) = sorted_keys(tracker, right.column_values(right_key));
 
     tracker.charge_cpu_ops((left.len() + right.len()) as u64);
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
-        match left.rows[i][lk].total_cmp(&right.rows[j][rk]) {
+    while i < lkeys.len() && j < rkeys.len() {
+        match lkeys[i].total_cmp(&rkeys[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 // Emit the cross product of the equal-key runs.
-                let key = &left.rows[i][lk];
-                let i_end = (i..left.len())
-                    .find(|&x| left.rows[x][lk] != *key)
-                    .unwrap_or(left.len());
-                let j_end = (j..right.len())
-                    .find(|&x| right.rows[x][rk] != *key)
-                    .unwrap_or(right.len());
-                for li in i..i_end {
-                    pairs.extend((j..j_end).map(|rj| (li, rj)));
+                let key = &lkeys[i];
+                let i_end = (i..lkeys.len())
+                    .find(|&x| lkeys[x] != *key)
+                    .unwrap_or(lkeys.len());
+                let j_end = (j..rkeys.len())
+                    .find(|&x| rkeys[x] != *key)
+                    .unwrap_or(rkeys.len());
+                for &l in &lorder[i..i_end] {
+                    pairs.extend(rorder[j..j_end].iter().map(|&r| (l, r)));
                 }
                 i = i_end;
                 j = j_end;
@@ -299,13 +303,11 @@ pub fn merge_join(
         }
     }
     tracker.charge_cpu_ops(pairs.len() as u64);
-    let parts = run_morsels(opts, pairs.len(), |morsel| -> Vec<Vec<Value>> {
-        pairs[morsel]
-            .iter()
-            .map(|&(li, rj)| concat_rows(&left.rows[li], &right.rows[rj]))
-            .collect()
-    })?;
-    Some(Batch::from_parts(schema, parts))
+    if opts.check_stop().is_some() {
+        return None;
+    }
+    let schema = left.schema.join(&right.schema, "l", "r");
+    Some(take_pairs(schema, left.columns(), right.columns(), &pairs))
 }
 
 /// Indexed nested-loops join: for each outer row, probe the inner table's
@@ -318,12 +320,12 @@ pub fn merge_join(
 /// thousands (Experiment 2's low-selectivity regime).
 ///
 /// Outer rows are morselized; each morsel probes the (read-only) index
-/// and fetches inner rows, charging a morsel-local tracker.  Every outer
-/// row's charges (descend, per-match CPU, per-call `fetch_rows`) are
-/// independent of the other rows, so summing the morsel trackers —
-/// all-integer counters — gives the same totals for every morsel size,
-/// and concatenating morsel outputs in index order keeps outer order.
-/// Returns `None` when the query's token fired.
+/// and emits `(outer row, inner RID)` pairs, charging a morsel-local
+/// tracker.  Every outer row's charges (descend, per-match CPU, its own
+/// `charge_fetch`) are independent of the other rows, so summing the
+/// morsel trackers — all-integer counters — gives the same totals for
+/// every morsel size, and concatenating morsel outputs in index order
+/// keeps outer order.  Returns `None` when the query's token fired.
 #[allow(clippy::too_many_arguments)]
 pub fn indexed_nl_join(
     catalog: &Catalog,
@@ -339,30 +341,29 @@ pub fn indexed_nl_join(
     let index = catalog
         .secondary_index(inner_table, inner_index_column)
         .unwrap_or_else(|| panic!("no secondary index on {inner_table}.{inner_index_column}"));
-    let ok = outer.schema.expect_index(outer_key);
-    let schema = outer.schema.join(inner.schema(), "l", "r");
+    let keys = &outer.columns()[outer.schema.expect_index(outer_key)];
 
-    let parts = run_morsels(opts, outer.rows.len(), |morsel| {
+    let parts = run_morsels(opts, outer.len(), |morsel| {
         let mut local = CostTracker::new();
-        let mut out = Vec::new();
-        for orow in &outer.rows[morsel] {
+        let mut out: Vec<(u32, Rid)> = Vec::new();
+        for o in morsel {
             local.charge_random_ios(1); // descend to the leaf for this key
-            let matches = index.lookup_eq(&orow[ok]);
+            let matches = index.lookup_eq(&keys.value(o));
             local.charge_cpu_ops(matches.len() as u64);
-            let rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
-            for irow in fetch_rows(inner, params, &mut local, rids) {
-                out.push(concat_rows(orow, &irow));
-            }
+            let mut rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
+            charge_fetch(inner, params, &mut local, &mut rids);
+            out.extend(rids.into_iter().map(|rid| (o as u32, rid)));
         }
         (out, local)
     })?;
-    let mut out = Vec::new();
-    for (rows, local) in parts {
+    let mut pairs = Vec::new();
+    for (out, local) in parts {
         tracker.absorb(&local);
-        out.extend(rows);
+        pairs.extend(out);
     }
-    tracker.charge_cpu_ops(out.len() as u64);
-    Some(Batch::new(schema, out))
+    tracker.charge_cpu_ops(pairs.len() as u64);
+    let schema = outer.schema.join(inner.schema(), "l", "r");
+    Some(take_pairs(schema, outer.columns(), inner.columns(), &pairs))
 }
 
 /// Star semijoin (Experiment 3's index strategy): for each leg, filter the
@@ -378,7 +379,7 @@ pub fn indexed_nl_join(
 ///
 /// Output schema/rows: the fact table only (the dimensions act as
 /// filters).  Returns `None` when the query's token fired during a
-/// dimension scan or the fact fetch.
+/// dimension scan or before the fact fetch.
 pub fn star_semijoin(
     catalog: &Catalog,
     params: &CostParams,
@@ -401,12 +402,11 @@ pub fn star_semijoin(
             Some(&leg.dim_predicate),
             opts,
         )?;
-        let key_col = dim.schema.expect_index(&leg.dim_key);
 
         // Probe the fact FK index once per selected key.
         let mut rids: Vec<Rid> = Vec::new();
-        for row in &dim.rows {
-            let range = crate::plan::IndexRange::eq(&leg.fact_fk, row[key_col].clone());
+        for key in dim.column_values(&leg.dim_key) {
+            let range = crate::plan::IndexRange::eq(&leg.fact_fk, key);
             rids.extend(rids_for_range(catalog, params, tracker, fact_table, &range));
         }
         rids.sort_unstable();
@@ -425,19 +425,21 @@ pub fn star_semijoin(
         }
     }
 
-    let rows = fetch_rows_par(fact, params, tracker, acc, opts)?;
-    Some(Batch::new(fact.schema().clone(), rows))
+    if opts.check_stop().is_some() {
+        return None;
+    }
+    Some(fetch_rows(fact, params, tracker, acc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rqo_expr::Expr;
-    use rqo_storage::{DataType, Schema, TableBuilder};
+    use rqo_storage::{DataType, TableBuilder};
 
     fn batch(name_prefix: &str, keys: &[i64], payload: &[i64]) -> Batch {
         assert_eq!(keys.len(), payload.len());
-        Batch::new(
+        Batch::from_rows(
             Schema::from_pairs(&[
                 (&format!("{name_prefix}_key"), DataType::Int),
                 (&format!("{name_prefix}_val"), DataType::Int),
@@ -465,7 +467,7 @@ mod tests {
         .unwrap();
         // Probe order, then build order within a key.
         let vals: Vec<(i64, i64)> = out
-            .rows
+            .to_rows()
             .iter()
             .map(|r| (r[1].as_int(), r[3].as_int()))
             .collect();
@@ -497,7 +499,7 @@ mod tests {
         // Same multiset of (key, lval, rval) triples.
         let canon = |b: &Batch| {
             let mut v: Vec<String> = b
-                .rows
+                .to_rows()
                 .iter()
                 .map(|r| format!("{}|{}|{}", r[0], r[1], r[3]))
                 .collect();
@@ -629,10 +631,10 @@ mod tests {
     /// key, storage equality on the key (NULL matches NULL).
     fn nested_loops(build: &Batch, probe: &Batch) -> Vec<Vec<Value>> {
         let mut out = Vec::new();
-        for prow in &probe.rows {
-            for brow in &build.rows {
+        for prow in &probe.to_rows() {
+            for brow in &build.to_rows() {
                 if brow[0] == prow[0] {
-                    out.push(concat_rows(brow, prow));
+                    out.push([brow.as_slice(), prow.as_slice()].concat());
                 }
             }
         }
@@ -659,12 +661,12 @@ mod tests {
             &ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(whole.rows, expect);
+        assert_eq!(whole.to_rows(), expect);
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
             let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, expect, "threads={threads}");
+            assert_eq!(par.to_rows(), expect, "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
     }
@@ -689,7 +691,7 @@ mod tests {
                 opts,
             )
             .unwrap();
-            (out.rows, t)
+            (out.to_rows(), t)
         };
         let whole = run(&ExecOptions::serial());
         for threads in [1, 2, 8] {
@@ -705,7 +707,7 @@ mod tests {
         // cross-family Int-vs-Float pairing that keys the table on the
         // `Value`s themselves (disjoint non-NULL keys: only NULL matches).
         let str_batch = |prefix: &str, keys: &[&str]| {
-            Batch::new(
+            Batch::from_rows(
                 Schema::from_pairs(&[(&format!("{prefix}_key"), DataType::Str)]),
                 keys.iter().map(|&k| vec![Value::str(k)]).collect(),
             )
@@ -716,7 +718,7 @@ mod tests {
                 str_batch("b", &["x", "z", "w", "x"]),
             ),
             (
-                Batch::new(
+                Batch::from_rows(
                     Schema::from_pairs(&[("a_key", DataType::Float)]),
                     vec![
                         vec![Value::Float(0.0)],
@@ -725,7 +727,7 @@ mod tests {
                         vec![Value::Null],
                     ],
                 ),
-                Batch::new(
+                Batch::from_rows(
                     Schema::from_pairs(&[("b_key", DataType::Float)]),
                     vec![
                         vec![Value::Float(0.0)],
@@ -735,11 +737,11 @@ mod tests {
                 ),
             ),
             (
-                Batch::new(
+                Batch::from_rows(
                     Schema::from_pairs(&[("a_key", DataType::Int)]),
                     vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(2)]],
                 ),
-                Batch::new(
+                Batch::from_rows(
                     Schema::from_pairs(&[("b_key", DataType::Float)]),
                     vec![vec![Value::Float(1.5)], vec![Value::Null]],
                 ),
@@ -757,11 +759,11 @@ mod tests {
                 &ExecOptions::serial(),
             )
             .unwrap();
-            assert_eq!(whole.rows, expect);
+            assert_eq!(whole.to_rows(), expect);
             let opts = ExecOptions::with_threads(2).with_morsel_size(2);
             let mut tp = CostTracker::new();
             let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, expect);
+            assert_eq!(par.to_rows(), expect);
             assert_eq!(tp, ts);
         }
     }
@@ -787,7 +789,7 @@ mod tests {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
             let par = merge_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.rows, whole.rows, "threads={threads}");
+            assert_eq!(par.to_rows(), whole.to_rows(), "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
     }

@@ -21,12 +21,24 @@
 //! executor simple and deterministic; the experiments run at scale factors
 //! where full materialization is comfortably in-memory.
 //!
+//! # One column type, table to result
+//!
+//! A [`Batch`] is a schema plus one shared [`rqo_storage::ColumnVec`] per
+//! column — the very type tables store and the expression kernels read —
+//! so vectors flow between operators untransposed.  An operator decides
+//! *which* rows survive or pair up as index lists (a [`columnar::SelVec`]
+//! from the `select` kernel, `(left, right)` pairs from a join) and then
+//! builds its output with one typed `take` per column; a projection, a
+//! served `Materialized` slot and an unfiltered scan share their source's
+//! columns outright.  Rows exist only at the edge: [`Batch::to_rows`]
+//! for whoever consumes the result, [`Batch::from_rows`] for tests and
+//! aggregate finalisation.
+//!
 //! # One path, any number of workers
 //!
 //! Every operator splits its work into fixed-size **morsels** and
 //! recombines the per-morsel results in morsel index order (see
-//! [`morsel`]); scans, filters, hash joins, and hash aggregation do the
-//! per-morsel work on typed column vectors ([`columnar`], [`kernels`]).
+//! [`morsel`]).
 //! [`ExecOptions`] only decides who runs the morsels: the calling thread
 //! ([`execute`], the default), `threads` scoped workers, or an attached
 //! [`MorselScheduler`].  There is no separate serial or row-at-a-time

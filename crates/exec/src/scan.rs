@@ -5,10 +5,10 @@ use std::ops::Range;
 
 use rqo_expr::columnar::{select, Candidates};
 use rqo_expr::Expr;
-use rqo_storage::{Catalog, ColumnRef, CostParams, CostTracker, Rid, Table, Value};
+use rqo_storage::{Catalog, CostParams, CostTracker, Rid, Table};
 
 use crate::batch::Batch;
-use crate::columnar::{gather_rows, SelVec};
+use crate::columnar::SelVec;
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::IndexRange;
 
@@ -17,11 +17,12 @@ const BTREE_DESCEND_IOS: u64 = 1;
 
 /// Sequential scan with an optional pushed-down predicate.
 ///
-/// The predicate runs over the table's typed column vectors (zero-copy
-/// [`ColumnRef`] views), producing a selection vector that is gathered
-/// into rows column-at-a-time.  Charges one sequential page read per
-/// data page plus one CPU op per row (the predicate/projection work).
-/// Returns `None` when the query's token fired mid-scan.
+/// The predicate runs over the table's stored columns, producing a
+/// selection vector that one `take` per column gathers; without a
+/// predicate the batch *is* the table's columns (shared, not copied).
+/// Charges one sequential page read per data page plus one CPU op per
+/// row (the predicate/projection work).  Returns `None` when the query's
+/// token fired mid-scan.
 pub fn seq_scan(
     catalog: &Catalog,
     params: &CostParams,
@@ -113,18 +114,20 @@ fn scan_spans(
     }
     tracker.charge_cpu_ops(total as u64);
 
-    let bound = predicate.map(|p| p.bind(t.schema()).expect("predicate binds"));
-    let refs: Vec<ColumnRef<'_>> = t.column_refs();
-    // Storage→exec boundary invariant (always on, O(columns)): the
-    // table's column count must match its schema or every ordinal-based
-    // kernel below would misread columns.
-    assert_eq!(
-        refs.len(),
-        t.schema().len(),
-        "table {table} column count diverges from its schema"
-    );
-    let cols: Vec<Option<ColumnRef<'_>>> = refs.iter().copied().map(Some).collect();
     let n = t.num_rows();
+    let Some(predicate) = predicate else {
+        // Nothing to evaluate: a full scan shares the stored columns, a
+        // pruned one gathers its spans.
+        if total == n {
+            return Some(whole(t));
+        }
+        let ids: Vec<u32> = spans
+            .iter()
+            .flat_map(|s| s.start as u32..s.end as u32)
+            .collect();
+        return Some(whole(t).take(SelVec::new(ids, n).ids()));
+    };
+    let bound = predicate.bind(t.schema()).expect("predicate binds");
 
     let parts = run_morsels(opts, total, |vmorsel| {
         // Translate the virtual morsel into actual RID sub-ranges (at
@@ -136,16 +139,18 @@ fn scan_spans(
             let hi = vmorsel.end.min(voff + s.len());
             if lo < hi {
                 let actual = s.start + (lo - voff)..s.start + (hi - voff);
-                match &bound {
-                    Some(p) => ids.extend(select(p, &cols, Candidates::Range(actual))),
-                    None => ids.extend(actual.start as u32..actual.end as u32),
-                }
+                ids.extend(select(&bound, t.columns(), Candidates::Range(actual)));
             }
             voff += s.len();
         }
-        gather_rows(&refs, &SelVec::new(ids, n))
+        ids
     })?;
-    Some(Batch::from_parts(t.schema().clone(), parts))
+    Some(whole(t).take(SelVec::new(parts.concat(), n).ids()))
+}
+
+/// Every row of `table` as a batch sharing the stored columns.
+fn whole(table: &Table) -> Batch {
+    Batch::new(table.schema().clone(), table.columns().to_vec())
 }
 
 /// Resolves one index range to its RID list, charging the index descend
@@ -172,7 +177,11 @@ pub(crate) fn rids_for_range(
 /// coalesce while scattered rows — the common case at low selectivity —
 /// pay one seek each, matching the paper's cost model) plus one CPU op
 /// per row.
-fn charge_fetch(
+///
+/// The page coalescing is a property of the *whole* sorted list, so every
+/// caller charges one list in one call (the indexed nested-loops join:
+/// one call per outer row's matches).
+pub(crate) fn charge_fetch(
     table: &Table,
     params: &CostParams,
     tracker: &mut CostTracker,
@@ -194,65 +203,45 @@ fn charge_fetch(
     tracker.charge_cpu_ops(rids.len() as u64);
 }
 
-/// Fetches base-table rows by RID on the calling thread — the per-outer-
-/// row fetch of the indexed nested-loops join, which already runs inside
-/// a morsel.  Charges as [`charge_fetch`].
+/// Charges the fetch of `rids` (see [`charge_fetch`]) and gathers those
+/// base-table rows, in RID order.
 pub(crate) fn fetch_rows(
     table: &Table,
     params: &CostParams,
     tracker: &mut CostTracker,
     mut rids: Vec<Rid>,
-) -> Vec<Vec<Value>> {
+) -> Batch {
     charge_fetch(table, params, tracker, &mut rids);
-    rids.into_iter().map(|rid| table.row(rid)).collect()
+    whole(table).take(SelVec::new(rids, table.num_rows()).ids())
 }
 
-/// Morselized [`fetch_rows`] for operator-level RID lists.
-///
-/// The random-I/O charge coalesces RIDs that share a page, which is a
-/// property of the *whole* sorted RID list — splitting the list and
-/// charging per morsel would double-count pages straddling a morsel
-/// boundary.  So the charge is computed centrally over the full list and
-/// only the row materialization is farmed out to morsels.
-pub(crate) fn fetch_rows_par(
-    table: &Table,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    mut rids: Vec<Rid>,
-    opts: &ExecOptions,
-) -> Option<Vec<Vec<Value>>> {
-    charge_fetch(table, params, tracker, &mut rids);
-    let parts = run_morsels(opts, rids.len(), |morsel| -> Vec<Vec<Value>> {
-        rids[morsel].iter().map(|&rid| table.row(rid)).collect()
-    })?;
-    let mut rows = Vec::with_capacity(rids.len());
-    for part in parts {
-        rows.extend(part);
-    }
-    Some(rows)
-}
-
-/// Fetches `rids` and applies the optional residual filter — the shared
-/// tail of [`index_seek`] and [`index_intersection`].  Returns the batch
-/// plus the number of rows fetched before the residual (the deduplicated
-/// RID count), which `EXPLAIN ANALYZE` reports as the operator's
-/// `rows_in` and uses to size its morsel count.
+/// Charges the fetch of `rids`, applies the optional residual filter to
+/// the fetched RIDs (the same `select` kernel a scan runs, morsel by
+/// morsel over the RID list) and gathers the survivors — the shared tail
+/// of [`index_seek`] and [`index_intersection`].  Returns the batch plus
+/// the number of rows fetched before the residual (the deduplicated RID
+/// count), which `EXPLAIN ANALYZE` reports as the operator's `rows_in`
+/// and uses to size its morsel count.
 fn fetch_and_filter(
     table: &Table,
     params: &CostParams,
     tracker: &mut CostTracker,
-    rids: Vec<Rid>,
+    mut rids: Vec<Rid>,
     residual: Option<&Expr>,
     opts: &ExecOptions,
 ) -> Option<(Batch, usize)> {
-    let mut rows = fetch_rows_par(table, params, tracker, rids, opts)?;
-    let fetched = rows.len();
+    charge_fetch(table, params, tracker, &mut rids);
+    let fetched = rids.len();
     if let Some(p) = residual {
         let bound = p.bind(table.schema()).expect("residual binds");
-        tracker.charge_cpu_ops(rows.len() as u64);
-        rows.retain(|row| rqo_expr::eval_bool(&bound, row));
+        tracker.charge_cpu_ops(fetched as u64);
+        let parts = run_morsels(opts, fetched, |morsel| {
+            select(&bound, table.columns(), Candidates::List(&rids[morsel]))
+        })?;
+        rids = parts.concat();
     }
-    Some((Batch::new(table.schema().clone(), rows), fetched))
+    let batch = whole(table).take(SelVec::new(rids, table.num_rows()).ids());
+    Some((batch, fetched))
 }
 
 /// Index seek: one range, fetch, residual filter.  The index descend and
@@ -351,7 +340,7 @@ pub(crate) fn intersect_sorted(a: &[Rid], b: &[Rid]) -> Vec<Rid> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_storage::{DataType, Schema, TableBuilder};
+    use rqo_storage::{DataType, Schema, TableBuilder, Value};
 
     /// 1000 rows: x = i, y = i % 10.
     fn catalog() -> Catalog {
@@ -466,7 +455,7 @@ mod tests {
                 let mut tp = CostTracker::new();
                 let b =
                     partitioned_scan(&parted, &params, &mut tp, "t", pred, &all, &opts).unwrap();
-                assert_eq!(b.rows, reference.rows, "threads={threads}");
+                assert_eq!(b.to_rows(), reference.to_rows(), "threads={threads}");
                 assert_eq!(tp, ts, "threads={threads}");
             }
         }
@@ -494,8 +483,8 @@ mod tests {
         assert_eq!(tracker.cpu_ops, 250);
         assert_eq!(tracker.seq_pages, params.data_pages(250, w));
         // Rows come back in table order.
-        assert_eq!(batch.rows[0][0], Value::Int(250));
-        assert_eq!(batch.rows[249][0], Value::Int(499));
+        assert_eq!(batch.to_rows()[0][0], Value::Int(250));
+        assert_eq!(batch.to_rows()[249][0], Value::Int(499));
     }
 
     #[test]
@@ -719,12 +708,12 @@ mod tests {
             let mut tp = CostTracker::new();
             let par =
                 index_seek(&cat, &params, &mut tp, "t", &range, Some(&residual), &opts).unwrap();
-            assert_eq!(par.0.rows, seek.0.rows, "threads={threads}");
+            assert_eq!(par.0.to_rows(), seek.0.to_rows(), "threads={threads}");
             assert_eq!((par.1, tp), (seek.1, ts), "threads={threads}");
             let mut tp = CostTracker::new();
             let par =
                 index_intersection(&cat, &params, &mut tp, "t", &ranges, None, &opts).unwrap();
-            assert_eq!(par.0.rows, sect.0.rows, "threads={threads}");
+            assert_eq!(par.0.to_rows(), sect.0.to_rows(), "threads={threads}");
             assert_eq!((par.1, tp), (sect.1, ti), "threads={threads}");
         }
     }
@@ -756,12 +745,12 @@ mod tests {
                 &ExecOptions::serial(),
             )
             .unwrap();
-            assert_eq!(whole.rows, reference, "pred={pred:?}");
+            assert_eq!(whole.to_rows(), reference, "pred={pred:?}");
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
                 let par = seq_scan(&cat, &params, &mut tp, "t", pred.as_ref(), &opts).unwrap();
-                assert_eq!(par.rows, reference, "pred={pred:?} threads={threads}");
+                assert_eq!(par.to_rows(), reference, "pred={pred:?} threads={threads}");
                 assert_eq!(tp, ts, "pred={pred:?} threads={threads}");
             }
         }

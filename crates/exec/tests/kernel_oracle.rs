@@ -14,12 +14,16 @@ use proptest::prelude::*;
 use rqo_exec::agg::hash_aggregate;
 use rqo_exec::join::hash_join;
 use rqo_exec::kernels::{filter_batch, project_batch};
-use rqo_exec::{execute_analyze, AggExpr, AggFunc, Batch, ExecOptions, PhysicalPlan};
+use rqo_exec::{
+    execute_analyze, execute_guarded, AggExpr, AggFunc, Batch, ExecOptions, ExecStatus,
+    PhysicalPlan,
+};
 use rqo_expr::Expr;
 use rqo_storage::{
     Catalog, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder, Rid,
-    Schema, Value,
+    Schema, TableBuilder, Value,
 };
+use std::sync::Arc;
 
 /// Morsel size of every kernel run below.
 const MORSEL: usize = 16;
@@ -61,7 +65,7 @@ fn make_batch(rows: &[(i64, i64, u8)]) -> Batch {
             ]
         })
         .collect();
-    Batch::new(schema, rows)
+    Batch::from_rows(schema, rows)
 }
 
 /// The predicate menu exercised against the filter kernel: typed Int and
@@ -86,7 +90,7 @@ fn predicate(which: usize, cut: i64) -> Expr {
 /// Row-at-a-time filter oracle: `eval_bool` per row, order preserved.
 fn oracle_filter(batch: &Batch, bound: &Expr) -> Vec<Vec<Value>> {
     batch
-        .rows
+        .to_rows()
         .iter()
         .filter(|row| rqo_expr::eval_bool(bound, row))
         .cloned()
@@ -96,7 +100,7 @@ fn oracle_filter(batch: &Batch, bound: &Expr) -> Vec<Vec<Value>> {
 /// Row-at-a-time projection oracle.
 fn oracle_project(batch: &Batch, ordinals: &[usize]) -> Vec<Vec<Value>> {
     batch
-        .rows
+        .to_rows()
         .iter()
         .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
         .collect()
@@ -107,8 +111,8 @@ fn oracle_project(batch: &Batch, ordinals: &[usize]) -> Vec<Vec<Value>> {
 /// equality is `Value`'s storage equality — NULL keys match NULL keys.
 fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Value>> {
     let mut out = Vec::new();
-    for prow in &probe.rows {
-        for brow in &build.rows {
+    for prow in &probe.to_rows() {
+        for brow in &build.to_rows() {
             if brow[bk] == prow[pk] {
                 let mut row = brow.clone();
                 row.extend(prow.iter().cloned());
@@ -136,7 +140,7 @@ fn oracle_scan(cat: &Catalog, table: &str, parts: Option<&[usize]>, pred: Option
         .map(|rid| t.row(rid as Rid))
         .filter(|row| bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, row)))
         .collect();
-    Batch::new(t.schema().clone(), rows)
+    Batch::from_rows(t.schema().clone(), rows)
 }
 
 /// Row-at-a-time, morsel-aware aggregation oracle over the six-aggregate
@@ -178,7 +182,7 @@ fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<
     }
     use std::cmp::Ordering::{Greater, Less};
     let mut accs: Vec<Acc> = Vec::new();
-    for chunk in batch.rows.chunks(morsel_size) {
+    for chunk in batch.to_rows().chunks(morsel_size) {
         let mut partial: Vec<Acc> = Vec::new();
         for row in chunk {
             let acc = slot(&mut partial, &row[group]);
@@ -268,7 +272,7 @@ proptest! {
         let expect = oracle_filter(&batch, &bound);
         for opts in thread_opts() {
             let out = filter_batch(batch.clone(), &bound, &opts).unwrap();
-            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
         }
     }
 
@@ -292,7 +296,7 @@ proptest! {
         let expect = oracle_project(&batch, &ordinals);
         for opts in thread_opts() {
             let out = project_batch(batch.clone(), &ordinals, schema.clone(), &opts).unwrap();
-            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
         }
     }
 
@@ -311,7 +315,7 @@ proptest! {
         for opts in thread_opts() {
             let mut t = CostTracker::new();
             let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", &opts).unwrap();
-            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
             prop_assert_eq!(t.hash_builds, b.len() as u64);
             prop_assert_eq!(t.hash_probes, p.len() as u64);
             prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
@@ -333,7 +337,7 @@ proptest! {
             let mut t = CostTracker::new();
             let out =
                 hash_aggregate(&mut t, batch.clone(), &["c".to_string()], &aggs, &opts).unwrap();
-            prop_assert_eq!(&out.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
             prop_assert_eq!(t.hash_builds, batch.len() as u64);
             prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
         }
@@ -393,17 +397,17 @@ proptest! {
 
         let build = oracle_scan(&cat, "t", None, Some(&build_pred));
         let probe = oracle_scan(&cat, "t", Some(&survivors), None);
-        let joined = Batch::new(
+        let joined = Batch::from_rows(
             build.schema.join(&probe.schema, "l", "r"),
             oracle_join(&build, &probe, 0, 0),
         );
         let bound = filter_pred.bind(&joined.schema).unwrap();
-        let filtered = Batch::new(joined.schema.clone(), oracle_filter(&joined, &bound));
+        let filtered = Batch::from_rows(joined.schema.clone(), oracle_filter(&joined, &bound));
         let ordinals = [
             filtered.schema.expect_index("l.k"),
             filtered.schema.expect_index("r.v"),
         ];
-        let projected = Batch::new(
+        let projected = Batch::from_rows(
             filtered.schema.project(&ordinals),
             oracle_project(&filtered, &ordinals),
         );
@@ -412,7 +416,7 @@ proptest! {
         let mut base = None;
         for opts in thread_opts() {
             let (batch, cost, metrics) = execute_analyze(&plan, &cat, &params, &opts);
-            prop_assert_eq!(&batch.rows, &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&batch.to_rows(), &expect, "threads={}", opts.threads);
             let (base_cost, base_metrics) = base.get_or_insert((cost, metrics.clone()));
             prop_assert_eq!(cost, *base_cost, "threads={}", opts.threads);
             prop_assert_eq!(&metrics, &*base_metrics, "threads={}", opts.threads);
@@ -428,24 +432,24 @@ fn kernels_on_empty_batch() {
     let bound = predicate(0, 0).bind(&empty.schema).unwrap();
     assert!(filter_batch(empty.clone(), &bound, &opts)
         .unwrap()
-        .rows
+        .to_rows()
         .is_empty());
 
     let ordinals = [2usize, 0];
     let schema = empty.schema.project(&ordinals);
     let projected = project_batch(empty.clone(), &ordinals, schema, &opts).unwrap();
-    assert!(projected.rows.is_empty());
+    assert!(projected.to_rows().is_empty());
     assert_eq!(projected.schema.names(), vec!["c", "a"]);
 
     let mut t = CostTracker::new();
     let joined = hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", &opts).unwrap();
-    assert!(joined.rows.is_empty());
+    assert!(joined.to_rows().is_empty());
 
     // Scalar aggregate over empty input still yields its identity row.
     let mut t = CostTracker::new();
     let aggd = hash_aggregate(&mut t, empty, &[], &agg_menu("a", "b"), &opts).unwrap();
     assert_eq!(
-        aggd.rows,
+        aggd.to_rows(),
         vec![vec![
             Value::Float(0.0),
             Value::Int(0),
@@ -468,7 +472,7 @@ fn filter_kernel_all_and_none_selected() {
         .bind(&batch.schema)
         .unwrap();
     let out = filter_batch(batch.clone(), &all, &ExecOptions::default()).unwrap();
-    assert_eq!(out.rows, batch.rows);
+    assert_eq!(out.to_rows(), batch.to_rows());
 
     let none = Expr::col("b")
         .gt(Expr::lit(1e18))
@@ -479,6 +483,90 @@ fn filter_kernel_all_and_none_selected() {
         ExecOptions::with_threads(4).with_morsel_size(16),
     ] {
         let out = filter_batch(batch.clone(), &none, &opts).unwrap();
-        assert!(out.rows.is_empty());
+        assert!(out.to_rows().is_empty());
+    }
+}
+
+/// Zero-copy is part of the contract, not an accident of the
+/// implementation: a projection, a served `Materialized` slot, and a
+/// predicate-free full scan hand on the very columns they were given.
+#[test]
+fn columns_flow_between_operators_uncopied() {
+    let mut b = TableBuilder::new(
+        "t",
+        Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]),
+        50,
+    );
+    for i in 0..50i64 {
+        b.push_row(&[
+            Value::Int(i),
+            Value::str(if i % 2 == 0 { "x" } else { "y" }),
+        ]);
+    }
+    let mut cat = Catalog::new();
+    cat.add_table(b.finish()).unwrap();
+    let params = CostParams::default();
+    let opts = ExecOptions::default().with_morsel_size(MORSEL);
+    let stored = cat.table("t").unwrap().columns().to_vec();
+    let scan = PhysicalPlan::SeqScan {
+        table: "t".into(),
+        predicate: None,
+    };
+
+    // A predicate-free full SeqScan shares the table's storage...
+    let (scanned, _, _) = execute_analyze(&scan, &cat, &params, &opts);
+    for (out, src) in scanned.columns().iter().zip(&stored) {
+        assert!(Arc::ptr_eq(out, src), "scan output is the stored column");
+    }
+
+    // ...a Project output column is its input column...
+    let project = PhysicalPlan::Project {
+        input: Box::new(scan),
+        columns: vec!["s".into()],
+    };
+    let (projected, _, _) = execute_analyze(&project, &cat, &params, &opts);
+    assert!(Arc::ptr_eq(&projected.columns()[0], &stored[1]));
+
+    // ...and a Materialized leaf serves its slot's columns as they are.
+    let slot = make_batch(&(0..40).map(|i| (i, i + 1, i as u8)).collect::<Vec<_>>());
+    let leaf = PhysicalPlan::Materialized {
+        slot: 0,
+        tables: vec!["t".into()],
+        predicates: vec![],
+    };
+    let mut tracker = CostTracker::new();
+    let status = execute_guarded(
+        &leaf,
+        &cat,
+        &params,
+        &opts,
+        &[],
+        std::slice::from_ref(&slot),
+        &mut tracker,
+    );
+    let ExecStatus::Complete { batch: served, .. } = status else {
+        panic!("an unguarded Materialized leaf completes");
+    };
+    for (out, src) in served.columns().iter().zip(slot.columns()) {
+        assert!(Arc::ptr_eq(out, src), "served slot shares its columns");
+    }
+    assert_eq!(tracker, CostTracker::new(), "serving a slot is free");
+
+    // A filtered scan, by contrast, gathers fresh vectors — but a `Str`
+    // gather still shares the dictionary rather than touching strings.
+    let filtered = PhysicalPlan::SeqScan {
+        table: "t".into(),
+        predicate: Some(Expr::col("k").lt(Expr::lit(10i64))),
+    };
+    let (some, _, _) = execute_analyze(&filtered, &cat, &params, &opts);
+    assert_eq!(some.len(), 10);
+    match (&*some.columns()[1], &*stored[1]) {
+        (
+            rqo_storage::ColumnVec::Str { dict: out, .. },
+            rqo_storage::ColumnVec::Str { dict: src, .. },
+        ) => {
+            assert!(Arc::ptr_eq(out, src));
+        }
+        other => panic!("expected Str columns, got {other:?}"),
     }
 }

@@ -53,8 +53,8 @@ fn assert_equivalent_to(
         let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
         let (par, par_cost, metrics) = execute_analyze(plan, cat, &params, &opts);
         prop_assert_eq!(
-            &par.rows,
-            &serial.rows,
+            &par.to_rows(),
+            &serial.to_rows(),
             "rows diverged: threads={} morsel={} plan_nodes={}",
             threads,
             morsel,

@@ -153,7 +153,11 @@ fn assert_bit_identical(
     let part_plan = partitioned_twin(flat_plan, &[0, 1, 2, 3]);
     let (flat_rows, flat_cost) = execute(flat_plan, flat_cat, &params);
     let (part_rows, part_cost) = execute(&part_plan, part_cat, &params);
-    prop_assert_eq!(&part_rows.rows, &flat_rows.rows, "serial rows diverged");
+    prop_assert_eq!(
+        &part_rows.to_rows(),
+        &flat_rows.to_rows(),
+        "serial rows diverged"
+    );
     prop_assert_eq!(part_cost, flat_cost, "serial cost diverged");
     for threads in [1usize, 2, 8] {
         let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
@@ -161,8 +165,8 @@ fn assert_bit_identical(
         let (p_batch, p_cost, mut p_metrics) =
             execute_analyze(&part_plan, part_cat, &params, &opts);
         prop_assert_eq!(
-            &p_batch.rows,
-            &f_batch.rows,
+            &p_batch.to_rows(),
+            &f_batch.to_rows(),
             "rows diverged: threads={} morsel={}",
             threads,
             morsel
@@ -260,7 +264,8 @@ fn pruned_scan_matches_full_scan_rows_and_charges_less() {
     let (flat_rows, flat_cost) = execute(&flat_plan, &flat, &params);
     let (pruned_rows, pruned_cost) = execute(&pruned_plan, &parted, &params);
     assert_eq!(
-        pruned_rows.rows, flat_rows.rows,
+        pruned_rows.to_rows(),
+        flat_rows.to_rows(),
         "pruning changed the result"
     );
     assert!(
@@ -283,12 +288,13 @@ fn pruned_scan_matches_full_scan_rows_and_charges_less() {
             rows_out_preorder(&normalized),
             rows_out_preorder(&f_metrics)
         );
-        assert_eq!(batch.rows, f_batch.rows);
+        assert_eq!(batch.to_rows(), f_batch.to_rows());
         match &baseline {
-            None => baseline = Some((batch.rows, cost, metrics)),
+            None => baseline = Some((batch.to_rows(), cost, metrics)),
             Some((rows, c, m)) => {
                 assert_eq!(
-                    &batch.rows, rows,
+                    &batch.to_rows(),
+                    rows,
                     "pruned rows diverged at {threads} threads"
                 );
                 assert_eq!(&cost, c, "pruned cost diverged at {threads} threads");
@@ -339,7 +345,7 @@ fn guard_trips_identically_on_both_layouts() {
         assert_eq!(p_trip.node, f_trip.node);
         assert_eq!(p_trip.actual_rows, f_trip.actual_rows);
         assert_eq!(p_trip.q_error, f_trip.q_error);
-        assert_eq!(p_trip.batch.rows, f_trip.batch.rows);
+        assert_eq!(p_trip.batch.to_rows(), f_trip.batch.to_rows());
         assert_eq!(p_tracker, f_tracker, "cost up to the trip must match");
         let mut f_metrics = f_trip.metrics;
         let mut p_metrics = p_trip.metrics;

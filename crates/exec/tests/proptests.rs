@@ -25,7 +25,7 @@ fn catalog(rows: &[(i64, i64)]) -> Catalog {
 /// comparison.
 fn canon(batch: &Batch) -> Vec<String> {
     let mut rows: Vec<String> = batch
-        .rows
+        .to_rows()
         .iter()
         .map(|r| {
             r.iter()
@@ -99,7 +99,7 @@ proptest! {
         expected.sort();
 
         let mk_batch = |name: &str, data: &[(i64, i64)]| {
-            Batch::new(
+            Batch::from_rows(
                 Schema::from_pairs(&[
                     (&format!("{name}k"), DataType::Int),
                     (&format!("{name}v"), DataType::Int),
@@ -132,7 +132,7 @@ proptest! {
     ) {
         let cat = catalog(&inner);
         let params = CostParams::default();
-        let outer = Batch::new(
+        let outer = Batch::from_rows(
             Schema::from_pairs(&[("ok", DataType::Int)]),
             outer_keys.iter().map(|&k| vec![Value::Int(k)]).collect(),
         );
@@ -158,7 +158,7 @@ proptest! {
     fn aggregation_agrees_with_reference(
         rows in prop::collection::vec((-5i64..5, -100i64..100), 0..120),
     ) {
-        let input = Batch::new(
+        let input = Batch::from_rows(
             Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Int)]),
             rows.iter()
                 .map(|&(g, x)| vec![Value::Int(g), Value::Int(x)])
@@ -188,7 +188,7 @@ proptest! {
             e.3 = e.3.max(x);
         }
         prop_assert_eq!(out.len(), expected.len());
-        for row in &out.rows {
+        for row in &out.to_rows() {
             let g = row[0].as_int();
             let (s, n, lo, hi) = expected[&g];
             prop_assert_eq!(row[1].as_f64(), s);

@@ -1,7 +1,8 @@
 //! Vectorized predicate evaluation over typed columns.
 //!
 //! [`select`] evaluates a bound predicate against a set of
-//! [`ColumnRef`]s and returns the *selection vector* of qualifying row
+//! [`ColumnVec`]s — a table's stored columns or a batch's, the same type
+//! either way — and returns the *selection vector* of qualifying row
 //! ids (ascending), instead of materializing filtered rows.  The common
 //! predicate shapes — conjunctions, `column <op> constant` comparisons,
 //! `BETWEEN`, `LIKE`, `IN` — run as tight per-column loops the compiler
@@ -23,8 +24,9 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
-use rqo_storage::{ColumnRef, NullMask, Value};
+use rqo_storage::{ColumnVec, NullMask, Value};
 
 use crate::eval::eval_bool;
 use crate::like::like_match;
@@ -43,25 +45,18 @@ pub enum Candidates<'a> {
 /// Evaluates `expr` over `cols` and returns the selection vector of
 /// candidate ids for which the predicate is true.
 ///
-/// `cols` is indexed by column ordinal (full batch arity); every ordinal
-/// the bound expression references must be `Some`.  `None` entries are
-/// legal only for unreferenced columns, which a bound predicate never
-/// reads.
+/// `cols` is indexed by column ordinal (full batch arity).
 ///
 /// # Panics
 ///
 /// Panics exactly where the row evaluator would: unbound `Col` nodes,
 /// type errors (`LIKE` on an integer, comparisons between incomparable
 /// types), out-of-range ordinals.
-pub fn select(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: Candidates<'_>) -> Vec<u32> {
-    debug_assert!(
-        refs_columnarized(expr, cols),
-        "predicate references a column that was not columnarized"
-    );
+pub fn select(expr: &Expr, cols: &[Arc<ColumnVec>], cand: Candidates<'_>) -> Vec<u32> {
     select_inner(expr, cols, &cand)
 }
 
-fn select_inner(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'_>) -> Vec<u32> {
+fn select_inner(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) -> Vec<u32> {
     match expr {
         // AND short-circuits left-to-right: evaluate the right conjunct
         // only on the left conjunct's survivors.  Identical to the row
@@ -85,16 +80,14 @@ fn select_inner(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'
                 _ => None,
             };
             if let Some((ord, op, lit_expr)) = normalized {
-                if let Some(col) = &cols[ord] {
-                    let lit = lit_expr.eval(&[]);
-                    if lit.is_null() {
-                        // NULL comparand: the comparison is NULL for
-                        // every row, which WHERE treats as false.
-                        return Vec::new();
-                    }
-                    if let Some(out) = cmp_select(col, op, &lit, cand) {
-                        return out;
-                    }
+                let lit = lit_expr.eval(&[]);
+                if lit.is_null() {
+                    // NULL comparand: the comparison is NULL for
+                    // every row, which WHERE treats as false.
+                    return Vec::new();
+                }
+                if let Some(out) = cmp_select(&cols[ord], op, &lit, cand) {
+                    return out;
                 }
             }
             select_fallback(expr, cols, cand)
@@ -102,19 +95,18 @@ fn select_inner(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'
         Expr::Between { expr: v, lo, hi } => {
             if let Expr::ColIdx(ord, _) = v.as_ref() {
                 if column_free(lo) && column_free(hi) {
-                    if let Some(col) = &cols[*ord] {
-                        let (lo, hi) = (lo.eval(&[]), hi.eval(&[]));
-                        if lo.is_null() || hi.is_null() {
-                            return Vec::new();
-                        }
-                        // BETWEEN is (v >= lo) AND (v <= hi) on non-NULL
-                        // rows; compose the two typed comparisons.
-                        if let Some(ge) = cmp_select(col, BinaryOp::Ge, &lo, cand) {
-                            if let Some(out) =
-                                cmp_select(col, BinaryOp::Le, &hi, &Candidates::List(&ge))
-                            {
-                                return out;
-                            }
+                    let col = &cols[*ord];
+                    let (lo, hi) = (lo.eval(&[]), hi.eval(&[]));
+                    if lo.is_null() || hi.is_null() {
+                        return Vec::new();
+                    }
+                    // BETWEEN is (v >= lo) AND (v <= hi) on non-NULL
+                    // rows; compose the two typed comparisons.
+                    if let Some(ge) = cmp_select(col, BinaryOp::Ge, &lo, cand) {
+                        if let Some(out) =
+                            cmp_select(col, BinaryOp::Le, &hi, &Candidates::List(&ge))
+                        {
+                            return out;
                         }
                     }
                 }
@@ -123,27 +115,25 @@ fn select_inner(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'
         }
         Expr::Like { expr: v, pattern } => {
             if let Expr::ColIdx(ord, _) = v.as_ref() {
-                if let Some(ColumnRef::Str { codes, dict, nulls }) = &cols[*ord] {
+                if let ColumnVec::Str { codes, dict, nulls } = &*cols[*ord] {
                     // Match the pattern once per distinct dictionary
                     // entry, then the per-row loop is a table lookup.
                     let pass: Vec<bool> = dict.iter().map(|d| like_match(pattern, d)).collect();
-                    return select_where(cand, |i| !null_at(*nulls, i) && pass[codes[i] as usize]);
+                    return select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize]);
                 }
             }
             select_fallback(expr, cols, cand)
         }
         Expr::InList { expr: v, list } => {
             if let Expr::ColIdx(ord, _) = v.as_ref() {
-                if let Some(col) = &cols[*ord] {
-                    let col = *col;
-                    return select_where(cand, |i| {
-                        if col.is_null(i) {
-                            return false; // NULL IN (...) is unknown
-                        }
-                        let v = col.value(i);
-                        list.iter().any(|c| c == &v)
-                    });
-                }
+                let col = &cols[*ord];
+                return select_where(cand, |i| {
+                    if col.is_null(i) {
+                        return false; // NULL IN (...) is unknown
+                    }
+                    let v = col.value(i);
+                    list.iter().any(|c| c == &v)
+                });
             }
             select_fallback(expr, cols, cand)
         }
@@ -156,69 +146,69 @@ fn select_inner(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'
 /// outside `Value::total_cmp`'s coercion table so the caller falls back
 /// to the row evaluator (which panics on them, as documented).
 fn cmp_select(
-    col: &ColumnRef<'_>,
+    col: &ColumnVec,
     op: BinaryOp,
     lit: &Value,
     cand: &Candidates<'_>,
 ) -> Option<Vec<u32>> {
     Some(match (col, lit) {
-        (ColumnRef::Int { values, nulls }, Value::Int(b)) => {
+        (ColumnVec::Int { values, nulls }, Value::Int(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
             })
         }
-        (ColumnRef::Int { values, nulls }, Value::Float(b)) => {
+        (ColumnVec::Int { values, nulls }, Value::Float(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, (values[i] as f64).total_cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, (values[i] as f64).total_cmp(&b))
             })
         }
-        (ColumnRef::Int { values, nulls }, Value::Date(b)) => {
+        (ColumnVec::Int { values, nulls }, Value::Date(b)) => {
             let b = *b as i64;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
             })
         }
-        (ColumnRef::Float { values, nulls }, Value::Float(b)) => {
+        (ColumnVec::Float { values, nulls }, Value::Float(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].total_cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].total_cmp(&b))
             })
         }
-        (ColumnRef::Float { values, nulls }, Value::Int(b)) => {
+        (ColumnVec::Float { values, nulls }, Value::Int(b)) => {
             let b = *b as f64;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].total_cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].total_cmp(&b))
             })
         }
-        (ColumnRef::Date { values, nulls }, Value::Date(b)) => {
+        (ColumnVec::Date { values, nulls }, Value::Date(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
             })
         }
-        (ColumnRef::Date { values, nulls }, Value::Int(b)) => {
+        (ColumnVec::Date { values, nulls }, Value::Int(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, (values[i] as i64).cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, (values[i] as i64).cmp(&b))
             })
         }
-        (ColumnRef::Bool { values, nulls }, Value::Bool(b)) => {
+        (ColumnVec::Bool { values, nulls }, Value::Bool(b)) => {
             let b = *b;
             select_where(cand, |i| {
-                !null_at(*nulls, i) && ord_ok(op, values[i].cmp(&b))
+                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
             })
         }
-        (ColumnRef::Str { codes, dict, nulls }, Value::Str(s)) => {
+        (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) => {
             // Compare once per distinct dictionary entry.
             let pass: Vec<bool> = dict
                 .iter()
                 .map(|d| ord_ok(op, d.as_ref().cmp(s.as_ref())))
                 .collect();
-            select_where(cand, |i| !null_at(*nulls, i) && pass[codes[i] as usize])
+            select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize])
         }
-        (ColumnRef::Mixed(values), lit) => select_where(cand, |i| {
+        (ColumnVec::Mixed(values), lit) => select_where(cand, |i| {
             let v = &values[i];
             !v.is_null() && ord_ok(op, v.total_cmp(lit))
         }),
@@ -229,14 +219,13 @@ fn cmp_select(
 /// Row-at-a-time fallback for predicate shapes without a typed kernel:
 /// materializes the referenced columns into a scratch row and runs the
 /// ordinary evaluator, so semantics (including panics) match exactly.
-fn select_fallback(expr: &Expr, cols: &[Option<ColumnRef<'_>>], cand: &Candidates<'_>) -> Vec<u32> {
+fn select_fallback(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) -> Vec<u32> {
+    let mut ords = Vec::new();
+    referenced_ordinals(expr, &mut ords);
     let mut row: Vec<Value> = vec![Value::Null; cols.len()];
     select_where(cand, |i| {
-        for (slot, c) in row.iter_mut().zip(cols) {
-            *slot = match c {
-                Some(r) => r.value(i),
-                None => Value::Null,
-            };
+        for &ord in &ords {
+            row[ord] = cols[ord].value(i);
         }
         eval_bool(expr, &row)
     })
@@ -277,8 +266,8 @@ fn ord_ok(op: BinaryOp, ord: Ordering) -> bool {
     }
 }
 
-fn null_at(nulls: Option<&NullMask>, i: usize) -> bool {
-    nulls.is_some_and(|m| m.is_null(i))
+fn null_at(nulls: &Option<NullMask>, i: usize) -> bool {
+    nulls.as_ref().is_some_and(|m| m.is_null(i))
 }
 
 /// True when the expression references no columns (safe to evaluate
@@ -294,29 +283,31 @@ fn column_free(e: &Expr) -> bool {
     }
 }
 
-/// Debug-only contract check: every referenced ordinal has a column.
-fn refs_columnarized(e: &Expr, cols: &[Option<ColumnRef<'_>>]) -> bool {
+/// The bound column ordinals `e` reads (unbound `Col` nodes are left for
+/// the evaluator to reject with its own message).
+fn referenced_ordinals(e: &Expr, out: &mut Vec<usize>) {
     match e {
-        Expr::Col(_) => true, // unbound: eval will panic with its own message
-        Expr::ColIdx(i, _) => cols.get(*i).is_some_and(Option::is_some),
-        Expr::Lit(_) => true,
+        Expr::ColIdx(i, _) if !out.contains(i) => out.push(*i),
+        Expr::ColIdx(..) | Expr::Col(_) | Expr::Lit(_) => {}
         Expr::Binary { left, right, .. } => {
-            refs_columnarized(left, cols) && refs_columnarized(right, cols)
+            referenced_ordinals(left, out);
+            referenced_ordinals(right, out);
         }
-        Expr::Unary { expr, .. } => refs_columnarized(expr, cols),
         Expr::Between { expr, lo, hi } => {
-            refs_columnarized(expr, cols)
-                && refs_columnarized(lo, cols)
-                && refs_columnarized(hi, cols)
+            referenced_ordinals(expr, out);
+            referenced_ordinals(lo, out);
+            referenced_ordinals(hi, out);
         }
-        Expr::Like { expr, .. } | Expr::InList { expr, .. } => refs_columnarized(expr, cols),
+        Expr::Unary { expr, .. } | Expr::Like { expr, .. } | Expr::InList { expr, .. } => {
+            referenced_ordinals(expr, out)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_storage::{parse_date, ColumnVec, DataType, Schema};
+    use rqo_storage::{parse_date, DataType, Schema};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -360,12 +351,10 @@ mod tests {
         let schema = schema();
         let rows = rows();
         let bound = pred.bind(&schema).unwrap();
-        let vecs: Vec<ColumnVec> = (0..schema.len())
-            .map(|i| ColumnVec::from_rows(&rows, i, schema.column(i).data_type))
+        let cols: Vec<Arc<ColumnVec>> = (0..schema.len())
+            .map(|i| Arc::new(ColumnVec::from_rows(&rows, i, schema.column(i).data_type)))
             .collect();
-        let refs: Vec<Option<ColumnRef<'_>>> =
-            vecs.iter().map(|v| Some(v.as_column_ref())).collect();
-        let got = select(&bound, &refs, Candidates::Range(0..rows.len()));
+        let got = select(&bound, &cols, Candidates::Range(0..rows.len()));
         let want: Vec<u32> = rows
             .iter()
             .enumerate()
@@ -421,13 +410,11 @@ mod tests {
         let schema = schema();
         let rows = rows();
         let bound = Expr::col("a").ge(Expr::lit(1i64)).bind(&schema).unwrap();
-        let vecs: Vec<ColumnVec> = (0..schema.len())
-            .map(|i| ColumnVec::from_rows(&rows, i, schema.column(i).data_type))
+        let cols: Vec<Arc<ColumnVec>> = (0..schema.len())
+            .map(|i| Arc::new(ColumnVec::from_rows(&rows, i, schema.column(i).data_type)))
             .collect();
-        let refs: Vec<Option<ColumnRef<'_>>> =
-            vecs.iter().map(|v| Some(v.as_column_ref())).collect();
         let cand = [0u32, 3u32];
-        let got = select(&bound, &refs, Candidates::List(&cand));
+        let got = select(&bound, &cols, Candidates::List(&cand));
         assert_eq!(got, vec![0, 3]);
     }
 }

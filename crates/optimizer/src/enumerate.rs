@@ -29,7 +29,7 @@ pub struct Candidate {
 }
 
 /// Shared planning state: catalog, cost model, the cardinality-estimation
-/// module, physical-order metadata, and a selectivity cache (the estimator
+/// module, and a selectivity cache (the estimator
 /// is consulted once per distinct subexpression, as in the paper's
 /// description of optimizer/estimator traffic).
 pub struct PlanContext<'a> {
@@ -39,8 +39,6 @@ pub struct PlanContext<'a> {
     pub model: CostModel<'a>,
     /// The pluggable cardinality-estimation module.
     pub estimator: &'a dyn CardinalityEstimator,
-    /// `(table, column)` pairs whose storage order is non-decreasing.
-    pub sorted_columns: &'a std::collections::HashSet<(String, String)>,
     cache: RefCell<HashMap<String, f64>>,
 }
 
@@ -50,13 +48,11 @@ impl<'a> PlanContext<'a> {
         catalog: &'a Catalog,
         model: CostModel<'a>,
         estimator: &'a dyn CardinalityEstimator,
-        sorted_columns: &'a std::collections::HashSet<(String, String)>,
     ) -> Self {
         Self {
             catalog,
             model,
             estimator,
-            sorted_columns,
             cache: RefCell::new(HashMap::new()),
         }
     }
@@ -87,14 +83,8 @@ impl<'a> PlanContext<'a> {
     /// clustering key: the first schema column that is globally sorted).
     pub fn clustered_column(&self, table: &str) -> Option<String> {
         let t = self.catalog.table(table).ok()?;
-        t.schema()
-            .columns()
-            .iter()
-            .map(|c| c.name.clone())
-            .find(|c| {
-                self.sorted_columns
-                    .contains(&(table.to_string(), c.clone()))
-            })
+        let col = (0..t.schema().len()).find(|&c| t.is_sorted(c))?;
+        Some(t.schema().column(col).name.clone())
     }
 
     /// Number of estimator invocations so far (for overhead reporting).

@@ -41,7 +41,7 @@ pub mod selection;
 pub use analyze::{annotate_plan, NodeAnnotation, NodeAnnotations};
 pub use cache::{CacheStats, PlanCache, PlanFingerprint, DEFAULT_DRIFT_BOUND};
 pub use cost::CostModel;
-pub use planner::{detect_sorted_columns, Optimizer, PlannedQuery};
+pub use planner::{Optimizer, PlannedQuery};
 pub use prune::pruned_partitions;
 pub use query::Query;
 pub use replan::MaterializedFragment;

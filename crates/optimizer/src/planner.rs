@@ -1,11 +1,10 @@
 //! The optimizer facade.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rqo_core::{CardinalityEstimator, PlanSelection};
 use rqo_exec::PhysicalPlan;
-use rqo_storage::{Catalog, CostParams, DataType};
+use rqo_storage::{Catalog, CostParams};
 
 use crate::analyze::{annotate_plan, estimates_only, NodeAnnotations};
 use crate::cost::CostModel;
@@ -59,36 +58,22 @@ pub struct Optimizer {
     catalog: Arc<Catalog>,
     params: CostParams,
     estimator: Arc<dyn CardinalityEstimator>,
-    sorted_columns: HashSet<(String, String)>,
 }
 
 impl Optimizer {
-    /// Creates an optimizer.  Physical-order metadata (which columns each
-    /// table is stored sorted by) is detected here, once.
+    /// Creates an optimizer.  Construction is free: physical-order
+    /// metadata (which columns each table is stored sorted by) was
+    /// recorded when the tables were frozen
+    /// ([`rqo_storage::Table::is_sorted`]).
     pub fn new(
         catalog: Arc<Catalog>,
         params: CostParams,
         estimator: Arc<dyn CardinalityEstimator>,
     ) -> Self {
-        let sorted_columns = detect_sorted_columns(&catalog);
-        Self::with_metadata(catalog, params, estimator, sorted_columns)
-    }
-
-    /// Creates an optimizer with precomputed physical-order metadata
-    /// (from [`detect_sorted_columns`]) — avoids rescanning large tables
-    /// when many optimizers share one catalog, as the experiment sweeps
-    /// do.
-    pub fn with_metadata(
-        catalog: Arc<Catalog>,
-        params: CostParams,
-        estimator: Arc<dyn CardinalityEstimator>,
-        sorted_columns: HashSet<(String, String)>,
-    ) -> Self {
         Self {
             catalog,
             params,
             estimator,
-            sorted_columns,
         }
     }
 
@@ -105,12 +90,6 @@ impl Optimizer {
     /// The active estimation module.
     pub fn estimator(&self) -> &Arc<dyn CardinalityEstimator> {
         &self.estimator
-    }
-
-    /// `(table, column)` pairs stored in non-decreasing order — shared
-    /// with the expected-penalty scorer's plan contexts.
-    pub(crate) fn sorted_columns(&self) -> &HashSet<(String, String)> {
-        &self.sorted_columns
     }
 
     /// Optimizes a query, honouring its per-query confidence-threshold
@@ -147,7 +126,7 @@ impl Optimizer {
         };
 
         let model = CostModel::new(&self.catalog, &self.params);
-        let ctx = PlanContext::new(&self.catalog, model, estimator, &self.sorted_columns);
+        let ctx = PlanContext::new(&self.catalog, model, estimator);
         let best = best_join_plan(&ctx, query);
 
         let (plan, cost_ms) = if query.aggregates.is_empty() {
@@ -183,26 +162,6 @@ impl Optimizer {
             penalty: None,
         }
     }
-}
-
-/// Detects, for every table, which `Int`/`Date` columns are stored in
-/// non-decreasing order (the physical clustering the merge-join costing
-/// exploits).
-pub fn detect_sorted_columns(catalog: &Catalog) -> HashSet<(String, String)> {
-    let mut sorted = HashSet::new();
-    for table in catalog.tables() {
-        for (i, col) in table.schema().columns().iter().enumerate() {
-            let is_sorted = match col.data_type {
-                DataType::Int => table.int_column(i).windows(2).all(|w| w[0] <= w[1]),
-                DataType::Date => table.date_column(i).windows(2).all(|w| w[0] <= w[1]),
-                _ => false,
-            };
-            if is_sorted && table.num_rows() > 1 {
-                sorted.insert((table.name().to_string(), col.name.clone()));
-            }
-        }
-    }
-    sorted
 }
 
 #[cfg(test)]
@@ -300,7 +259,7 @@ mod tests {
         // Execute it and compare against the oracle count.
         let (batch, _) = rqo_exec::execute(&planned.plan, &cat, opt.params());
         assert_eq!(batch.len(), 1);
-        let n = batch.rows[0][0].as_int();
+        let n = batch.to_rows()[0][0].as_int();
         let oracle = OracleEstimator::new(Arc::clone(&cat));
         let pred = workload::exp2_part_predicate(250);
         let req = rqo_core::EstimationRequest::new(
@@ -416,7 +375,7 @@ mod tests {
         );
         let oracle = OracleEstimator::new(Arc::clone(&cat));
         let truth = (oracle.estimate(&req).selectivity * 500_000.0).round() as i64;
-        assert_eq!(batch.rows[0][0].as_int(), truth);
+        assert_eq!(batch.to_rows()[0][0].as_int(), truth);
     }
 
     #[test]
@@ -433,7 +392,7 @@ mod tests {
             let q = star_query(level).aggregate(AggExpr::count_star("n"));
             let planned = opt.optimize(&q);
             let (batch, _) = rqo_exec::execute(&planned.plan, &cat, opt.params());
-            let n = batch.rows[0][batch.schema.expect_index("n")].as_int();
+            let n = batch.to_rows()[0][batch.schema.expect_index("n")].as_int();
             // Compare with brute-force count through the oracle.
             let pred = workload::exp3_dim_predicate(level);
             let req = rqo_core::EstimationRequest::new(
@@ -465,11 +424,14 @@ mod tests {
     #[test]
     fn sorted_column_detection() {
         let cat = tpch_catalog();
-        let sorted = detect_sorted_columns(&cat);
-        assert!(sorted.contains(&("lineitem".into(), "l_orderkey".into())));
-        assert!(sorted.contains(&("orders".into(), "o_orderkey".into())));
-        assert!(sorted.contains(&("part".into(), "p_partkey".into())));
-        assert!(!sorted.contains(&("lineitem".into(), "l_partkey".into())));
+        let sorted = |table: &str, column: &str| {
+            let t = cat.table(table).unwrap();
+            t.is_sorted(t.schema().expect_index(column))
+        };
+        assert!(sorted("lineitem", "l_orderkey"));
+        assert!(sorted("orders", "o_orderkey"));
+        assert!(sorted("part", "p_partkey"));
+        assert!(!sorted("lineitem", "l_partkey"));
     }
 
     #[test]
@@ -489,7 +451,7 @@ mod tests {
         assert!(batch.schema.index_of("l_partkey").is_some());
         assert!(batch.schema.index_of("o_totalprice").is_some());
         let ok = batch.schema.expect_index("o_orderkey");
-        for row in &batch.rows {
+        for row in &batch.to_rows() {
             assert!(row[ok].as_int() <= 5);
         }
     }
@@ -513,7 +475,7 @@ mod tests {
         assert_eq!(planned.shape(), "agg(seqscan)");
         let (batch, _) = rqo_exec::execute(&planned.plan, &cat, opt.params());
         assert_eq!(
-            batch.rows[0][0].as_int(),
+            batch.to_rows()[0][0].as_int(),
             cat.table("part").unwrap().num_rows() as i64
         );
     }
@@ -539,7 +501,7 @@ mod tests {
         );
         assert_eq!(batch.schema.names(), vec!["p_brand", "n", "rev"]);
         // Group counts sum to the ungrouped count.
-        let total: i64 = batch.rows.iter().map(|r| r[1].as_int()).sum();
+        let total: i64 = batch.to_rows().iter().map(|r| r[1].as_int()).sum();
         let q_total = Query::over(&["lineitem", "part"])
             .filter(
                 "part",
@@ -548,7 +510,7 @@ mod tests {
             .aggregate(AggExpr::count_star("n"));
         let planned_total = opt.optimize(&q_total);
         let (b2, _) = rqo_exec::execute(&planned_total.plan, &cat, opt.params());
-        assert_eq!(total, b2.rows[0][0].as_int());
+        assert_eq!(total, b2.to_rows()[0][0].as_int());
     }
 
     #[test]

@@ -492,7 +492,7 @@ fn generate_candidates(opt: &Optimizer, query: &Query, calls: &mut usize) -> Vec
             .as_deref()
             .unwrap_or_else(|| opt.estimator().as_ref());
         let model = CostModel::new(opt.catalog(), opt.params());
-        let ctx = PlanContext::new(opt.catalog(), model, est, opt.sorted_columns());
+        let ctx = PlanContext::new(opt.catalog(), model, est);
         let best = best_join_plan(&ctx, query);
         *calls += ctx.estimator_calls();
         let plan = wrap_aggregate(query, best.plan);
@@ -555,7 +555,7 @@ fn sensitive_predicates(
                 ConfidenceThreshold::new(probe),
             );
             let model = CostModel::new(opt.catalog(), opt.params());
-            let ctx = PlanContext::new(opt.catalog(), model, &pinned, opt.sorted_columns());
+            let ctx = PlanContext::new(opt.catalog(), model, &pinned);
             argmins[slot] = argmin_cost(&ctx, query, candidates);
             *calls += ctx.estimator_calls();
         }
@@ -600,7 +600,7 @@ pub(crate) fn optimize_expected_penalty(opt: &Optimizer, query: &Query) -> Plann
     for (j, &(node, _)) in grid.iter().enumerate() {
         let pinned = PinnedEstimator::new(opt.estimator().as_ref(), &sensitive, node);
         let model = CostModel::new(opt.catalog(), opt.params());
-        let ctx = PlanContext::new(opt.catalog(), model, &pinned, opt.sorted_columns());
+        let ctx = PlanContext::new(opt.catalog(), model, &pinned);
         for (i, plan) in candidates.iter().enumerate() {
             costs[i][j] = price(&ctx, query, plan).cost_ms;
         }
@@ -618,7 +618,7 @@ pub(crate) fn optimize_expected_penalty(opt: &Optimizer, query: &Query) -> Plann
         .as_deref()
         .unwrap_or_else(|| opt.estimator().as_ref());
     let model = CostModel::new(opt.catalog(), opt.params());
-    let ctx = PlanContext::new(opt.catalog(), model, est, opt.sorted_columns());
+    let ctx = PlanContext::new(opt.catalog(), model, est);
     let priced = price(&ctx, query, &candidates[chosen]);
     calls += ctx.estimator_calls();
     let node_annotations = annotate_plan(opt.catalog(), est, query, &candidates[chosen]);

@@ -557,11 +557,10 @@ impl Engine {
     }
 
     fn outcome(&self, planned: &PlannedQuery, batch: Batch, seconds: f64) -> QueryOutcome {
-        let Batch { schema, rows } = batch;
         QueryOutcome {
             plan: planned.plan.clone(),
-            columns: schema.names().iter().map(|s| s.to_string()).collect(),
-            rows,
+            columns: batch.schema.names().iter().map(|s| s.to_string()).collect(),
+            rows: batch.to_rows(),
             simulated_seconds: seconds,
             estimated_seconds: planned.estimated_cost_ms / 1000.0,
         }

@@ -256,3 +256,57 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
         "no-op batches invalidate nothing: {still}"
     );
 }
+
+/// A batch repeating a primary key is rejected atomically, in-process as
+/// over the wire: typed error, nothing published, nothing invalidated,
+/// and the engine takes the next valid batch.
+#[test]
+fn duplicate_key_batch_is_rejected_atomically() {
+    let engine = one_shot();
+    let opts = ExecOptions::with_threads(1);
+    let q_u = Query::over(&["u"]).aggregate(AggExpr::count_star("n"));
+    engine.run_opts(&q_u, &opts).expect("warm u");
+    let warm = engine.cache_stats();
+    let catalog_before = engine.catalog();
+
+    // `u.k` is unique (the FK target): key 3 is stored, key 17 is new —
+    // but it rides in the same batch, so it must not stick.
+    let err = engine
+        .insert_rows(
+            "u",
+            &[
+                vec![Value::Int(17), Value::Int(0)],
+                vec![Value::Int(3), Value::Int(0)],
+            ],
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        rqo_storage::StorageError::DuplicateKey {
+            table: "u".into(),
+            column: "k".into(),
+            key: 3
+        }
+    );
+    assert!(
+        std::sync::Arc::ptr_eq(&engine.catalog(), &catalog_before),
+        "no catalog version was published"
+    );
+    assert!(engine.sketches_for("u").is_none(), "no statistics either");
+    let out = engine.run_opts(&q_u, &opts).expect("run u after reject");
+    assert_eq!(out.rows[0][0], Value::Int(17));
+    let after = engine.cache_stats();
+    assert_eq!(
+        (after.hits - warm.hits, after.misses - warm.misses),
+        (1, 0),
+        "a rejected batch invalidates nothing: {after}"
+    );
+
+    // The write lock is healthy and key 17 is still free.
+    let summary = engine
+        .insert_rows("u", &[vec![Value::Int(17), Value::Int(0)]])
+        .expect("valid batch after a rejected one");
+    assert_eq!(summary.table_rows, 18);
+    let out = engine.run_opts(&q_u, &opts).expect("run u after insert");
+    assert_eq!(out.rows[0][0], Value::Int(18));
+}

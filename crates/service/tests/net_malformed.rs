@@ -240,6 +240,60 @@ fn bad_insert_batches_are_typed_errors_not_panics() {
     );
 }
 
+/// A wire `Insert` repeating a primary key used to reach an `assert!`
+/// inside the unique-index rebuild — under the catalog write lock, after
+/// the table had already been swapped — and came back as
+/// `ErrorCode::Internal` via `catch_unwind` with the lock poisoned.  It
+/// is an ordinary rejected batch now.
+#[test]
+fn duplicate_primary_key_insert_is_bad_query_and_changes_nothing() {
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let part = std::sync::Arc::clone(server.service().engine().catalog().table("part").unwrap());
+    let before = part.num_rows();
+    let key = part.schema().expect_index("p_partkey");
+    let fresh_key = part.int_column(key).iter().max().unwrap() + 1;
+    let with_key = |k: i64| {
+        let mut row = part.row(0);
+        row[key] = Value::Int(k);
+        row
+    };
+
+    // One stored key again, behind a row that is fine on its own: the
+    // whole batch must go.
+    let stored_key = part.int_column(key)[3];
+    match client.insert("part", vec![with_key(fresh_key), with_key(stored_key)]) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadQuery, "{message}");
+            assert!(message.contains("duplicate key"), "{message}");
+        }
+        other => panic!("expected one typed BadQuery, got {other:?}"),
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.panicked, 0, "no panic behind the wire: {stats}");
+    assert!(stats.slots_balanced(), "slot leak: {stats}");
+    let reply = client.run(&count_query()).expect("connection survives");
+    assert_eq!(
+        reply.rows[0][0],
+        Value::Int(before as i64),
+        "row count unchanged"
+    );
+
+    // The next valid Insert on the same connection goes through — the
+    // write lock was never poisoned and `fresh_key` did not stick.
+    let (inserted, table_rows) = client
+        .insert("part", vec![with_key(fresh_key)])
+        .expect("valid insert after a rejected one");
+    assert_eq!((inserted, table_rows), (1, before as u64 + 1));
+    let reply = client.run(&count_query()).expect("query after insert");
+    assert_eq!(reply.rows[0][0], Value::Int(before as i64 + 1));
+
+    let net = server.stats();
+    assert_eq!((net.inserts_ok, net.inserts_err), (1, 1), "{net}");
+    assert_eq!(net.protocol_errors, 0);
+    assert_eq!(server.service().stats().panicked, 0);
+}
+
 #[test]
 fn connection_limit_turns_excess_clients_away() {
     let data = TpchData::generate(&TpchConfig {

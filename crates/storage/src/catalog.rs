@@ -138,9 +138,11 @@ impl Catalog {
     /// Declares a foreign key and builds the unique index on the referenced
     /// side if it does not already exist.
     ///
-    /// Returns an error when either endpoint is missing or when the edge
+    /// Returns an error when either endpoint is missing, when the edge
     /// would create a cycle in the FK graph (the paper assumes acyclic join
-    /// graphs; synopsis construction would not terminate otherwise).
+    /// graphs; synopsis construction would not terminate otherwise), or —
+    /// [`StorageError::DuplicateKey`] — when the referenced column is not
+    /// unique.
     pub fn add_foreign_key(
         &mut self,
         from_table: &str,
@@ -235,6 +237,10 @@ impl Catalog {
     }
 
     /// Builds (or returns the cached) unique index on a key column.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::DuplicateKey`] when the column holds a key twice.
     pub fn ensure_unique_index(
         &mut self,
         table: &str,
@@ -251,7 +257,7 @@ impl Catalog {
                 column: column.to_string(),
             });
         }
-        let idx = Arc::new(UniqueIndex::build(&t, column));
+        let idx = Arc::new(UniqueIndex::build(&t, column)?);
         self.unique.insert(key, Arc::clone(&idx));
         Ok(idx)
     }
@@ -275,10 +281,17 @@ impl Catalog {
     /// rebuilt eagerly — dropping them instead would silently change
     /// access-path selection relative to a one-shot-built catalog.
     ///
-    /// Ingest trusts the caller on *referential* integrity (FK edges
-    /// and key uniqueness are validated at registration, not per
-    /// batch); rows themselves are validated for arity/type/NULL and
-    /// the batch is rejected atomically on the first bad row.
+    /// The batch is atomic: the successor table, layout and every
+    /// successor index are built first, and only when all of them exist
+    /// is anything published.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::SchemaMismatch`] for a row failing
+    /// arity/type/NULL validation and [`StorageError::DuplicateKey`] for
+    /// a batch repeating a key of a unique-indexed column; either way
+    /// the catalog is untouched.  Foreign-key targets are not checked
+    /// per batch (FK edges are validated at registration).
     pub fn append_rows(
         &mut self,
         name: &str,
@@ -286,26 +299,36 @@ impl Catalog {
     ) -> Result<Vec<usize>, StorageError> {
         let id = self.table_id(name)?;
         let table = &self.tables[id.0];
-        let (new_table, assignments) = match self.partitions.get(name) {
+        let (new_table, new_layout, assignments) = match self.partitions.get(name) {
             Some(layout) => {
                 let (t, new_layout, assignments) = layout.append(table, rows)?;
-                self.partitions
-                    .insert(name.to_string(), Arc::new(new_layout));
-                (t, assignments)
+                (t, Some(new_layout), assignments)
             }
-            None => (table.appended(rows)?, vec![0; rows.len()]),
+            None => (table.appended(rows)?, None, vec![0; rows.len()]),
         };
+        let on_table = |key: &&(String, String)| key.0 == name;
+        let unique = self
+            .unique
+            .keys()
+            .filter(on_table)
+            .map(|key| Ok((key.clone(), UniqueIndex::build(&new_table, &key.1)?)))
+            .collect::<Result<Vec<_>, StorageError>>()?;
+        let secondary: Vec<_> = self
+            .secondary
+            .keys()
+            .filter(on_table)
+            .map(|key| (key.clone(), SecondaryIndex::build(&new_table, &key.1)))
+            .collect();
+
         self.tables[id.0] = Arc::new(new_table);
-        let table = Arc::clone(&self.tables[id.0]);
-        for (key, idx) in self.secondary.iter_mut() {
-            if key.0 == name {
-                *idx = Arc::new(SecondaryIndex::build(&table, &key.1));
-            }
+        if let Some(layout) = new_layout {
+            self.partitions.insert(name.to_string(), Arc::new(layout));
         }
-        for (key, idx) in self.unique.iter_mut() {
-            if key.0 == name {
-                *idx = Arc::new(UniqueIndex::build(&table, &key.1));
-            }
+        for (key, idx) in unique {
+            self.unique.insert(key, Arc::new(idx));
+        }
+        for (key, idx) in secondary {
+            self.secondary.insert(key, Arc::new(idx));
         }
         Ok(assignments)
     }
@@ -474,6 +497,61 @@ mod tests {
             Err(StorageError::UnknownTable(_))
         ));
         assert_eq!(cat.table("child").unwrap().num_rows(), 5);
+    }
+
+    #[test]
+    fn append_rows_rejects_a_duplicate_key_atomically() {
+        let mut cat = catalog_with_fk();
+        cat.ensure_secondary_index("parent", "pk").unwrap();
+        let before = Arc::clone(cat.table("parent").unwrap());
+        let index_before = Arc::clone(cat.unique_index("parent", "pk").unwrap());
+        // Repeats stored key 2 — and, in the same batch, brings a fresh
+        // key that must not stick either.
+        let err = cat
+            .append_rows("parent", &[vec![Value::Int(4)], vec![Value::Int(2)]])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::DuplicateKey {
+                table: "parent".into(),
+                column: "pk".into(),
+                key: 2
+            }
+        );
+        // Nothing was published: same table Arc, same indexes.
+        assert!(Arc::ptr_eq(cat.table("parent").unwrap(), &before));
+        assert!(Arc::ptr_eq(
+            cat.unique_index("parent", "pk").unwrap(),
+            &index_before
+        ));
+        assert_eq!(
+            cat.secondary_index("parent", "pk").unwrap().num_entries(),
+            3
+        );
+        // A duplicate *within* the batch is caught the same way...
+        assert!(matches!(
+            cat.append_rows("parent", &[vec![Value::Int(9)], vec![Value::Int(9)]]),
+            Err(StorageError::DuplicateKey { key: 9, .. })
+        ));
+        // ...and the catalog still takes a valid batch afterwards.
+        cat.append_rows("parent", &[vec![Value::Int(4)]]).unwrap();
+        assert_eq!(cat.unique_index("parent", "pk").unwrap().get(4), Some(3));
+    }
+
+    #[test]
+    fn non_unique_key_is_an_error_not_a_panic() {
+        let mut cat = Catalog::new();
+        cat.add_table(make_table("p", &[1, 1], None)).unwrap();
+        cat.add_table(make_table("c", &[1], Some(&[1]))).unwrap();
+        assert!(matches!(
+            cat.ensure_unique_index("p", "pk"),
+            Err(StorageError::DuplicateKey { key: 1, .. })
+        ));
+        assert!(matches!(
+            cat.add_foreign_key("c", "fk", "p", "pk"),
+            Err(StorageError::DuplicateKey { .. })
+        ));
+        assert!(cat.foreign_keys().is_empty(), "the edge was not recorded");
     }
 
     #[test]

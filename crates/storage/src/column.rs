@@ -1,16 +1,16 @@
-//! Typed columnar vectors for vectorized execution.
+//! The one column type.
 //!
-//! Storage keeps table data in typed vectors ([`crate::table::ColumnData`]);
-//! this module adds the *execution-side* columnar types: an owned
-//! [`ColumnVec`] (which, unlike stored columns, can carry NULLs and —
-//! via the [`ColumnVec::Mixed`] escape hatch — heterogeneous intermediate
-//! values such as a MIN/MAX output column mixing native `Int` and `Float`
-//! payloads), a borrowed [`ColumnRef`] view unifying stored and
-//! intermediate columns, and a compact [`NullMask`] bitmap.
-//!
-//! Vectorized kernels operate on `ColumnRef`s with *selection vectors*
-//! (ascending row-id lists) instead of materializing filtered rows;
-//! `Value`s are only reconstructed at row-materialization boundaries.
+//! A [`ColumnVec`] is a typed vector with an optional [`NullMask`]; it is
+//! what a [`crate::Table`] stores, what the executor's batches carry
+//! between operators, and what the expression kernels read.  Strings are
+//! dictionary-encoded and the dictionary sits behind an `Arc`, so
+//! [`ColumnVec::take`] — the gather every filter, fetch, and join ends
+//! with — copies codes and never touches a string.  Stored columns hold
+//! no NULLs; intermediates may, and an aggregate output whose values do
+//! not all match the declared type (MIN/MAX keep their input's native
+//! type under a `Float` schema) demotes to [`ColumnVec::Mixed`], which
+//! keeps every `Value` verbatim.  `Value`s are only rebuilt at the edge
+//! ([`ColumnVec::value`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,6 +33,17 @@ impl NullMask {
         Self {
             bits: vec![0u64; len.div_ceil(64)],
             len,
+        }
+    }
+
+    /// Appends one row.
+    pub fn push(&mut self, null: bool) {
+        if self.len.is_multiple_of(64) {
+            self.bits.push(0);
+        }
+        self.len += 1;
+        if null {
+            self.set_null(self.len - 1);
         }
     }
 
@@ -74,21 +85,25 @@ impl NullMask {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// The mask of rows `ids`, or `None` when none of them is NULL.
+    fn take(&self, ids: &[u32]) -> Option<NullMask> {
+        let mut out = NullMask::all_valid(ids.len());
+        for (k, &i) in ids.iter().enumerate() {
+            if self.is_null(i as usize) {
+                out.set_null(k);
+            }
+        }
+        out.any_null().then_some(out)
+    }
 }
 
 /// True when `nulls` marks row `i` NULL (no mask means all-valid).
-pub(crate) fn null_at(nulls: Option<&NullMask>, i: usize) -> bool {
-    nulls.is_some_and(|m| m.is_null(i))
+fn null_at(nulls: &Option<NullMask>, i: usize) -> bool {
+    nulls.as_ref().is_some_and(|m| m.is_null(i))
 }
 
-/// An owned, typed column of intermediate results.
-///
-/// One vector per column, with an optional null bitmap; string columns
-/// are dictionary-encoded like stored columns.  Columns whose values do
-/// not all match the declared type (possible only for aggregate outputs,
-/// whose schema declares `Float` while MIN/MAX keep the input's native
-/// type) fall back to [`ColumnVec::Mixed`], which preserves each `Value`
-/// exactly.
+/// A typed column: one vector of payloads plus an optional null bitmap.
 #[derive(Debug, Clone)]
 pub enum ColumnVec {
     /// 64-bit integers.
@@ -117,8 +132,8 @@ pub enum ColumnVec {
         /// Per-row codes indexing into `dict` (arbitrary at NULL
         /// positions).
         codes: Vec<u32>,
-        /// Distinct values.
-        dict: Vec<Arc<str>>,
+        /// Distinct values, shared by every column gathered from this one.
+        dict: Arc<Vec<Arc<str>>>,
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
@@ -134,6 +149,33 @@ pub enum ColumnVec {
 }
 
 impl ColumnVec {
+    /// An empty column of the given type with room for `cap` rows.
+    pub(crate) fn with_capacity(dt: DataType, cap: usize) -> ColumnVec {
+        match dt {
+            DataType::Int => ColumnVec::Int {
+                values: Vec::with_capacity(cap),
+                nulls: None,
+            },
+            DataType::Float => ColumnVec::Float {
+                values: Vec::with_capacity(cap),
+                nulls: None,
+            },
+            DataType::Date => ColumnVec::Date {
+                values: Vec::with_capacity(cap),
+                nulls: None,
+            },
+            DataType::Str => ColumnVec::Str {
+                codes: Vec::with_capacity(cap),
+                dict: Arc::default(),
+                nulls: None,
+            },
+            DataType::Bool => ColumnVec::Bool {
+                values: Vec::with_capacity(cap),
+                nulls: None,
+            },
+        }
+    }
+
     /// Extracts column `ord` of row-major `rows` into a typed vector.
     ///
     /// Values must be the declared type or NULL; anything else (legal
@@ -144,97 +186,11 @@ impl ColumnVec {
     ///
     /// Panics when any row is shorter than `ord + 1`.
     pub fn from_rows(rows: &[Vec<Value>], ord: usize, dt: DataType) -> ColumnVec {
-        // Single optimistic pass: build the typed vector directly and bail
-        // to `Mixed` on the first off-type value (a pre-scan for
-        // homogeneity would read every row twice, doubling the transpose
-        // cost on the — overwhelmingly common — homogeneous case).
-        let mixed = || ColumnVec::Mixed(rows.iter().map(|r| r[ord].clone()).collect());
-        let mut nulls: Option<NullMask> = None;
-        let mark_null = |nulls: &mut Option<NullMask>, i: usize| {
-            nulls
-                .get_or_insert_with(|| NullMask::all_valid(rows.len()))
-                .set_null(i);
-        };
-        match dt {
-            DataType::Int => {
-                let mut values = Vec::with_capacity(rows.len());
-                for (i, r) in rows.iter().enumerate() {
-                    match &r[ord] {
-                        Value::Int(v) => values.push(*v),
-                        Value::Null => {
-                            mark_null(&mut nulls, i);
-                            values.push(0);
-                        }
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVec::Int { values, nulls }
-            }
-            DataType::Float => {
-                let mut values = Vec::with_capacity(rows.len());
-                for (i, r) in rows.iter().enumerate() {
-                    match &r[ord] {
-                        Value::Float(v) => values.push(*v),
-                        Value::Null => {
-                            mark_null(&mut nulls, i);
-                            values.push(0.0);
-                        }
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVec::Float { values, nulls }
-            }
-            DataType::Date => {
-                let mut values = Vec::with_capacity(rows.len());
-                for (i, r) in rows.iter().enumerate() {
-                    match &r[ord] {
-                        Value::Date(v) => values.push(*v),
-                        Value::Null => {
-                            mark_null(&mut nulls, i);
-                            values.push(0);
-                        }
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVec::Date { values, nulls }
-            }
-            DataType::Str => {
-                let mut codes = Vec::with_capacity(rows.len());
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut lookup: HashMap<Arc<str>, u32> = HashMap::new();
-                for (i, r) in rows.iter().enumerate() {
-                    match &r[ord] {
-                        Value::Str(s) => {
-                            let code = *lookup.entry(Arc::clone(s)).or_insert_with(|| {
-                                dict.push(Arc::clone(s));
-                                (dict.len() - 1) as u32
-                            });
-                            codes.push(code);
-                        }
-                        Value::Null => {
-                            mark_null(&mut nulls, i);
-                            codes.push(0);
-                        }
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVec::Str { codes, dict, nulls }
-            }
-            DataType::Bool => {
-                let mut values = Vec::with_capacity(rows.len());
-                for (i, r) in rows.iter().enumerate() {
-                    match &r[ord] {
-                        Value::Bool(v) => values.push(*v),
-                        Value::Null => {
-                            mark_null(&mut nulls, i);
-                            values.push(false);
-                        }
-                        _ => return mixed(),
-                    }
-                }
-                ColumnVec::Bool { values, nulls }
-            }
+        let mut b = ColumnBuilder::new(ColumnVec::with_capacity(dt, rows.len()));
+        for r in rows {
+            b.push(&r[ord]);
         }
+        b.finish()
     }
 
     /// Number of rows.
@@ -256,121 +212,13 @@ impl ColumnVec {
 
     /// True when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
-        self.as_column_ref().is_null(i)
-    }
-
-    /// Materializes the `Value` at row `i` (NULL positions yield
-    /// `Value::Null`; strings are refcount clones).
-    pub fn value(&self, i: usize) -> Value {
-        self.as_column_ref().value(i)
-    }
-
-    /// A borrowed view of this column.
-    pub fn as_column_ref(&self) -> ColumnRef<'_> {
         match self {
-            ColumnVec::Int { values, nulls } => ColumnRef::Int {
-                values,
-                nulls: nulls.as_ref(),
-            },
-            ColumnVec::Float { values, nulls } => ColumnRef::Float {
-                values,
-                nulls: nulls.as_ref(),
-            },
-            ColumnVec::Date { values, nulls } => ColumnRef::Date {
-                values,
-                nulls: nulls.as_ref(),
-            },
-            ColumnVec::Str { codes, dict, nulls } => ColumnRef::Str {
-                codes,
-                dict,
-                nulls: nulls.as_ref(),
-            },
-            ColumnVec::Bool { values, nulls } => ColumnRef::Bool {
-                values,
-                nulls: nulls.as_ref(),
-            },
-            ColumnVec::Mixed(values) => ColumnRef::Mixed(values),
-        }
-    }
-}
-
-/// A borrowed, typed view of one column — either a stored table column
-/// (zero-copy via [`crate::table::ColumnData::as_column_ref`], never
-/// NULL) or an intermediate [`ColumnVec`].
-///
-/// Vectorized kernels match on the variant once per column and then run
-/// tight loops over the typed slice; [`ColumnRef::value`] is the row
-/// materialization boundary.
-#[derive(Debug, Clone, Copy)]
-pub enum ColumnRef<'a> {
-    /// 64-bit integers.
-    Int {
-        /// Per-row payloads.
-        values: &'a [i64],
-        /// Null bitmap; `None` means no NULLs.
-        nulls: Option<&'a NullMask>,
-    },
-    /// 64-bit floats.
-    Float {
-        /// Per-row payloads.
-        values: &'a [f64],
-        /// Null bitmap; `None` means no NULLs.
-        nulls: Option<&'a NullMask>,
-    },
-    /// Dates as days since epoch.
-    Date {
-        /// Per-row payloads.
-        values: &'a [i32],
-        /// Null bitmap; `None` means no NULLs.
-        nulls: Option<&'a NullMask>,
-    },
-    /// Dictionary-encoded strings.
-    Str {
-        /// Per-row codes indexing into `dict`.
-        codes: &'a [u32],
-        /// Distinct values.
-        dict: &'a [Arc<str>],
-        /// Null bitmap; `None` means no NULLs.
-        nulls: Option<&'a NullMask>,
-    },
-    /// Booleans.
-    Bool {
-        /// Per-row payloads.
-        values: &'a [bool],
-        /// Null bitmap; `None` means no NULLs.
-        nulls: Option<&'a NullMask>,
-    },
-    /// Heterogeneous values, verbatim.
-    Mixed(&'a [Value]),
-}
-
-impl ColumnRef<'_> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnRef::Int { values, .. } => values.len(),
-            ColumnRef::Float { values, .. } => values.len(),
-            ColumnRef::Date { values, .. } => values.len(),
-            ColumnRef::Str { codes, .. } => codes.len(),
-            ColumnRef::Bool { values, .. } => values.len(),
-            ColumnRef::Mixed(values) => values.len(),
-        }
-    }
-
-    /// True when the column holds zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when row `i` is NULL.
-    pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColumnRef::Int { nulls, .. }
-            | ColumnRef::Float { nulls, .. }
-            | ColumnRef::Date { nulls, .. }
-            | ColumnRef::Str { nulls, .. }
-            | ColumnRef::Bool { nulls, .. } => null_at(*nulls, i),
-            ColumnRef::Mixed(values) => values[i].is_null(),
+            ColumnVec::Int { nulls, .. }
+            | ColumnVec::Float { nulls, .. }
+            | ColumnVec::Date { nulls, .. }
+            | ColumnVec::Str { nulls, .. }
+            | ColumnVec::Bool { nulls, .. } => null_at(nulls, i),
+            ColumnVec::Mixed(values) => values[i].is_null(),
         }
     }
 
@@ -381,44 +229,150 @@ impl ColumnRef<'_> {
     ///
     /// Panics when `i` is out of range.
     pub fn value(&self, i: usize) -> Value {
+        // One dispatch per call: this sits under every index build and
+        // every row leaving the engine.
+        let or_null = |nulls: &Option<NullMask>, v: Value| {
+            if null_at(nulls, i) {
+                Value::Null
+            } else {
+                v
+            }
+        };
         match self {
-            ColumnRef::Int { values, nulls } => {
-                if null_at(*nulls, i) {
-                    Value::Null
-                } else {
-                    Value::Int(values[i])
-                }
+            ColumnVec::Int { values, nulls } => or_null(nulls, Value::Int(values[i])),
+            ColumnVec::Float { values, nulls } => or_null(nulls, Value::Float(values[i])),
+            ColumnVec::Date { values, nulls } => or_null(nulls, Value::Date(values[i])),
+            ColumnVec::Bool { values, nulls } => or_null(nulls, Value::Bool(values[i])),
+            ColumnVec::Str { codes, dict, nulls } if !null_at(nulls, i) => {
+                Value::Str(Arc::clone(&dict[codes[i] as usize]))
             }
-            ColumnRef::Float { values, nulls } => {
-                if null_at(*nulls, i) {
-                    Value::Null
-                } else {
-                    Value::Float(values[i])
-                }
-            }
-            ColumnRef::Date { values, nulls } => {
-                if null_at(*nulls, i) {
-                    Value::Null
-                } else {
-                    Value::Date(values[i])
-                }
-            }
-            ColumnRef::Str { codes, dict, nulls } => {
-                if null_at(*nulls, i) {
-                    Value::Null
-                } else {
-                    Value::Str(Arc::clone(&dict[codes[i] as usize]))
-                }
-            }
-            ColumnRef::Bool { values, nulls } => {
-                if null_at(*nulls, i) {
-                    Value::Null
-                } else {
-                    Value::Bool(values[i])
-                }
-            }
-            ColumnRef::Mixed(values) => values[i].clone(),
+            ColumnVec::Str { .. } => Value::Null,
+            ColumnVec::Mixed(values) => values[i].clone(),
         }
+    }
+
+    /// Gathers rows `ids` (any order, repeats allowed) into a new column
+    /// of the same type.  A `Str` column's output shares its dictionary.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an id is out of range.
+    pub fn take(&self, ids: &[u32]) -> ColumnVec {
+        fn pick<T: Copy>(values: &[T], ids: &[u32]) -> Vec<T> {
+            ids.iter().map(|&i| values[i as usize]).collect()
+        }
+        let mask = |nulls: &Option<NullMask>| nulls.as_ref().and_then(|m| m.take(ids));
+        match self {
+            ColumnVec::Int { values, nulls } => ColumnVec::Int {
+                values: pick(values, ids),
+                nulls: mask(nulls),
+            },
+            ColumnVec::Float { values, nulls } => ColumnVec::Float {
+                values: pick(values, ids),
+                nulls: mask(nulls),
+            },
+            ColumnVec::Date { values, nulls } => ColumnVec::Date {
+                values: pick(values, ids),
+                nulls: mask(nulls),
+            },
+            ColumnVec::Str { codes, dict, nulls } => ColumnVec::Str {
+                codes: pick(codes, ids),
+                dict: Arc::clone(dict),
+                nulls: mask(nulls),
+            },
+            ColumnVec::Bool { values, nulls } => ColumnVec::Bool {
+                values: pick(values, ids),
+                nulls: mask(nulls),
+            },
+            ColumnVec::Mixed(values) => {
+                ColumnVec::Mixed(ids.iter().map(|&i| values[i as usize].clone()).collect())
+            }
+        }
+    }
+}
+
+/// Appends `Value`s to a [`ColumnVec`] — the one routine behind
+/// [`ColumnVec::from_rows`], [`crate::TableBuilder`], and
+/// [`crate::Table::appended`].  String codes are assigned through a hash
+/// map, so building stays linear in high-cardinality columns.
+#[derive(Debug)]
+pub(crate) struct ColumnBuilder {
+    col: ColumnVec,
+    codes: HashMap<Arc<str>, u32>,
+}
+
+impl ColumnBuilder {
+    /// Continues `col` (an empty [`ColumnVec::with_capacity`] column, or
+    /// an existing one to extend).
+    pub(crate) fn new(col: ColumnVec) -> Self {
+        let codes = match &col {
+            ColumnVec::Str { dict, .. } => dict
+                .iter()
+                .enumerate()
+                .map(|(code, s)| (Arc::clone(s), code as u32))
+                .collect(),
+            _ => HashMap::new(),
+        };
+        Self { col, codes }
+    }
+
+    /// Rows so far.
+    pub(crate) fn len(&self) -> usize {
+        self.col.len()
+    }
+
+    /// Appends one value: the column's type or NULL; the first value of
+    /// any other type demotes the column to [`ColumnVec::Mixed`].
+    pub(crate) fn push(&mut self, v: &Value) {
+        let row = self.col.len();
+        let nulls = match (&mut self.col, v) {
+            (ColumnVec::Mixed(values), v) => return values.push(v.clone()),
+            (ColumnVec::Int { values, nulls }, Value::Int(_) | Value::Null) => {
+                values.push(if let Value::Int(x) = v { *x } else { 0 });
+                nulls
+            }
+            (ColumnVec::Float { values, nulls }, Value::Float(_) | Value::Null) => {
+                values.push(if let Value::Float(x) = v { *x } else { 0.0 });
+                nulls
+            }
+            (ColumnVec::Date { values, nulls }, Value::Date(_) | Value::Null) => {
+                values.push(if let Value::Date(x) = v { *x } else { 0 });
+                nulls
+            }
+            (ColumnVec::Bool { values, nulls }, Value::Bool(_) | Value::Null) => {
+                values.push(matches!(v, Value::Bool(true)));
+                nulls
+            }
+            (ColumnVec::Str { codes, dict, nulls }, Value::Str(_) | Value::Null) => {
+                codes.push(match v {
+                    Value::Str(s) => *self.codes.entry(Arc::clone(s)).or_insert_with(|| {
+                        let dict = Arc::make_mut(dict);
+                        dict.push(Arc::clone(s));
+                        (dict.len() - 1) as u32
+                    }),
+                    _ => 0,
+                });
+                nulls
+            }
+            (col, v) => {
+                let mut values: Vec<Value> = (0..row).map(|i| col.value(i)).collect();
+                values.push(v.clone());
+                *col = ColumnVec::Mixed(values);
+                return;
+            }
+        };
+        if v.is_null() {
+            nulls
+                .get_or_insert_with(|| NullMask::all_valid(row))
+                .push(true);
+        } else if let Some(mask) = nulls {
+            mask.push(false);
+        }
+    }
+
+    /// The finished column.
+    pub(crate) fn finish(self) -> ColumnVec {
+        self.col
     }
 }
 

@@ -23,8 +23,19 @@ pub enum StorageError {
     DuplicateTable(String),
     /// A row being appended does not match the schema.
     SchemaMismatch(String),
-    /// A foreign key references a missing table/column or a non-unique key.
+    /// A foreign key references a missing table/column or would create a
+    /// cycle.
     InvalidForeignKey(String),
+    /// A column that must be unique (a primary key behind a unique index)
+    /// holds the same key twice.
+    DuplicateKey {
+        /// Table holding the key column.
+        table: String,
+        /// The unique column.
+        column: String,
+        /// The repeated key.
+        key: i64,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -37,6 +48,12 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateTable(t) => write!(f, "table {t:?} already exists"),
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             StorageError::InvalidForeignKey(msg) => write!(f, "invalid foreign key: {msg}"),
+            StorageError::DuplicateKey { table, column, key } => {
+                write!(
+                    f,
+                    "duplicate key {key} in unique column {table:?}.{column:?}"
+                )
+            }
         }
     }
 }
@@ -64,5 +81,14 @@ mod tests {
         assert!(StorageError::DuplicateTable("x".into())
             .to_string()
             .contains("already exists"));
+        assert_eq!(
+            StorageError::DuplicateKey {
+                table: "t".into(),
+                column: "pk".into(),
+                key: 7
+            }
+            .to_string(),
+            "duplicate key 7 in unique column \"t\".\"pk\""
+        );
     }
 }

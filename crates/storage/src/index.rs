@@ -13,6 +13,7 @@
 use std::collections::HashMap;
 use std::ops::Bound;
 
+use crate::error::StorageError;
 use crate::table::{Rid, Table};
 use crate::value::Value;
 
@@ -99,30 +100,36 @@ pub struct UniqueIndex {
 }
 
 impl UniqueIndex {
-    /// Builds the index over `table[column]`, which must be an `Int` column
-    /// with no duplicate values.
+    /// Builds the index over `table[column]`, which must be an `Int`
+    /// column.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::DuplicateKey`] when a key occurs twice — reachable
+    /// from a wire `Insert` that repeats a primary key, so it is an
+    /// error, not a panic.
     ///
     /// # Panics
     ///
-    /// Panics when the column is missing, non-integer, or contains
-    /// duplicates.
-    pub fn build(table: &Table, column: &str) -> Self {
+    /// Panics when the column is missing or non-integer.
+    pub fn build(table: &Table, column: &str) -> Result<Self, StorageError> {
         let col = table.schema().expect_index(column);
         let keys = table.int_column(col);
         let mut map = HashMap::with_capacity(keys.len());
-        for (rid, &k) in keys.iter().enumerate() {
-            let prev = map.insert(k, rid as Rid);
-            assert!(
-                prev.is_none(),
-                "duplicate key {k} in unique index {}.{column}",
-                table.name()
-            );
+        for (rid, &key) in keys.iter().enumerate() {
+            if map.insert(key, rid as Rid).is_some() {
+                return Err(StorageError::DuplicateKey {
+                    table: table.name().to_string(),
+                    column: column.to_string(),
+                    key,
+                });
+            }
         }
-        Self {
+        Ok(Self {
             table: table.name().to_string(),
             column: column.to_string(),
             map,
-        }
+        })
     }
 
     /// Name of the indexed table.
@@ -243,7 +250,7 @@ mod tests {
     #[test]
     fn unique_index_lookup() {
         let t = table();
-        let idx = UniqueIndex::build(&t, "pk");
+        let idx = UniqueIndex::build(&t, "pk").unwrap();
         assert_eq!(idx.len(), 7);
         assert!(!idx.is_empty());
         assert_eq!(idx.get(13), Some(3));
@@ -251,9 +258,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate key")]
     fn unique_index_rejects_duplicates() {
         let t = table();
-        UniqueIndex::build(&t, "v");
+        assert_eq!(
+            UniqueIndex::build(&t, "v").unwrap_err(),
+            StorageError::DuplicateKey {
+                table: "t".into(),
+                column: "v".into(),
+                key: 5
+            }
+        );
     }
 }

@@ -25,7 +25,7 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Catalog, ForeignKey, TableId};
-pub use column::{ColumnRef, ColumnVec, NullMask};
+pub use column::{ColumnVec, NullMask};
 pub use cost::{CostParams, CostTracker};
 pub use error::StorageError;
 pub use index::{SecondaryIndex, UniqueIndex};

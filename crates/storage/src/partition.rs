@@ -24,7 +24,7 @@ use std::ops::Range;
 
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{check_row, Table, TableBuilder};
+use crate::table::{Table, TableBuilder};
 use crate::value::Value;
 
 /// How a table's rows are assigned to partitions.
@@ -218,73 +218,77 @@ impl Partitioning {
         table: &Table,
         rows: &[Vec<Value>],
     ) -> Result<(Table, Partitioning, Vec<usize>), StorageError> {
-        for row in rows {
-            check_row(table.schema(), row).map_err(StorageError::SchemaMismatch)?;
-        }
+        let arrival = table.appended(rows)?;
         let key = table.schema().expect_index(self.spec.column());
-        let parts = self.partition_count();
-        let mut routed: Vec<Vec<&Vec<Value>>> = vec![Vec::new(); parts];
-        let mut assignments = Vec::with_capacity(rows.len());
         let mut min_max = self.min_max.clone();
-        for row in rows {
-            let k = &row[key];
-            let p = self.spec.route(k);
-            if !k.is_null() {
-                min_max[p] = Some(match min_max[p].take() {
-                    None => (k.clone(), k.clone()),
-                    Some((lo, hi)) => (
-                        if k.total_cmp(&lo).is_lt() {
-                            k.clone()
-                        } else {
-                            lo
-                        },
-                        if k.total_cmp(&hi).is_gt() {
-                            k.clone()
-                        } else {
-                            hi
-                        },
-                    ),
-                });
-            }
-            routed[p].push(row);
-            assignments.push(p);
-        }
-        let mut builder = TableBuilder::new(
-            table.name().to_string(),
-            table.schema().clone(),
-            table.num_rows() + rows.len(),
-        );
-        let mut spans = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for (p, extra) in routed.iter().enumerate() {
-            let old = &self.spans[p];
-            for rid in old.clone() {
-                builder.push_row(&table.row(rid as crate::table::Rid));
-            }
-            for row in extra {
-                builder.push_row(row);
-            }
-            let len = old.len() + extra.len();
-            spans.push(start..start + len);
-            start += len;
-        }
-        let new_table = builder.finish();
+        let assignments: Vec<usize> = rows
+            .iter()
+            .map(|row| route(&self.spec, &mut min_max, &row[key]))
+            .collect();
+        let (new_table, spans) = regroup(&arrival, &self.spans, &assignments);
         let layout = Partitioning::new(self.spec.clone(), spans, min_max);
         Ok((new_table, layout, assignments))
     }
 }
 
-/// Routes rows into per-partition buffers and concatenates them, in
-/// partition order, into one canonical [`Table`] plus its [`Partitioning`]
-/// metadata.
+/// The one routing routine: the partition `key` routes to, with that
+/// partition's min/max widened to cover it (NULL keys widen nothing).
+fn route(spec: &PartitionSpec, min_max: &mut [Option<(Value, Value)>], key: &Value) -> usize {
+    let p = spec.route(key);
+    if !key.is_null() {
+        min_max[p] = Some(match min_max[p].take() {
+            None => (key.clone(), key.clone()),
+            Some((lo, hi)) => (
+                if key.total_cmp(&lo).is_lt() {
+                    key.clone()
+                } else {
+                    lo
+                },
+                if key.total_cmp(&hi).is_gt() {
+                    key.clone()
+                } else {
+                    hi
+                },
+            ),
+        });
+    }
+    p
+}
+
+/// Regroups `table` — already-partitioned rows at `old` spans followed by
+/// `assignments.len()` newly routed rows in arrival order — into the
+/// canonical concatenation, with one gather per column: partition `p`
+/// keeps its old rows, then takes its new ones in arrival order.
+fn regroup(
+    table: &Table,
+    old: &[Range<usize>],
+    assignments: &[usize],
+) -> (Table, Vec<Range<usize>>) {
+    let arrived_from = table.num_rows() - assignments.len();
+    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); old.len()];
+    for (j, &p) in assignments.iter().enumerate() {
+        routed[p].push((arrived_from + j) as u32);
+    }
+    let mut ids: Vec<u32> = Vec::with_capacity(table.num_rows());
+    let mut spans = Vec::with_capacity(old.len());
+    for (span, extra) in old.iter().zip(&routed) {
+        let start = ids.len();
+        ids.extend(span.start as u32..span.end as u32);
+        ids.extend(extra);
+        spans.push(start..ids.len());
+    }
+    (table.take(&ids), spans)
+}
+
+/// Routes rows to partitions as they arrive and, on
+/// [`finish`](Self::finish), concatenates the partitions, in partition
+/// order, into one canonical [`Table`] plus its [`Partitioning`] metadata.
 pub struct PartitionedTableBuilder {
-    name: String,
-    schema: Schema,
+    rows: TableBuilder,
     spec: PartitionSpec,
     key: usize,
-    buffers: Vec<Vec<Vec<Value>>>,
+    assignments: Vec<usize>,
     min_max: Vec<Option<(Value, Value)>>,
-    rows: usize,
 }
 
 impl PartitionedTableBuilder {
@@ -307,15 +311,13 @@ impl PartitionedTableBuilder {
                 );
             }
         }
-        let parts = spec.partition_count();
+        let min_max = vec![None; spec.partition_count()];
         Self {
-            name: name.into(),
-            schema,
+            rows: TableBuilder::new(name, schema, 0),
             spec,
             key,
-            buffers: vec![Vec::new(); parts],
-            min_max: vec![None; parts],
-            rows: 0,
+            assignments: Vec::new(),
+            min_max,
         }
     }
 
@@ -323,57 +325,29 @@ impl PartitionedTableBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on arity mismatch (same contract as
-    /// [`TableBuilder::push_row`]).
+    /// Panics when the arity or any value type does not match the schema,
+    /// or a value is NULL (same contract as [`TableBuilder::push_row`]).
     pub fn push_row(&mut self, values: &[Value]) {
-        assert_eq!(values.len(), self.schema.len(), "row arity mismatch");
-        let k = &values[self.key];
-        let p = self.spec.route(k);
-        if !k.is_null() {
-            self.min_max[p] = Some(match self.min_max[p].take() {
-                None => (k.clone(), k.clone()),
-                Some((lo, hi)) => (
-                    if k.total_cmp(&lo).is_lt() {
-                        k.clone()
-                    } else {
-                        lo
-                    },
-                    if k.total_cmp(&hi).is_gt() {
-                        k.clone()
-                    } else {
-                        hi
-                    },
-                ),
-            });
-        }
-        self.buffers[p].push(values.to_vec());
-        self.rows += 1;
+        self.rows.push_row(values);
+        let p = route(&self.spec, &mut self.min_max, &values[self.key]);
+        self.assignments.push(p);
     }
 
     /// Rows routed so far.
     pub fn len(&self) -> usize {
-        self.rows
+        self.assignments.len()
     }
 
     /// True when no rows have been routed.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.assignments.is_empty()
     }
 
     /// Concatenates the partitions into the canonical table and returns it
     /// with the partition layout.
     pub fn finish(self) -> (Table, Partitioning) {
-        let mut builder = TableBuilder::new(self.name, self.schema, self.rows);
-        let mut spans = Vec::with_capacity(self.buffers.len());
-        let mut start = 0usize;
-        for rows in &self.buffers {
-            for row in rows {
-                builder.push_row(row);
-            }
-            spans.push(start..start + rows.len());
-            start += rows.len();
-        }
-        let table = builder.finish();
+        let none_yet = vec![0..0; self.spec.partition_count()];
+        let (table, spans) = regroup(&self.rows.finish(), &none_yet, &self.assignments);
         (table, Partitioning::new(self.spec, spans, self.min_max))
     }
 }
@@ -534,6 +508,18 @@ mod tests {
         assert!(matches!(err, Err(StorageError::SchemaMismatch(_))));
         let err = p.append(&t, &[vec![Value::str("x"), Value::Float(0.0)]]);
         assert!(matches!(err, Err(StorageError::SchemaMismatch(_))));
+    }
+
+    #[test]
+    #[should_panic(expected = "type mismatch")]
+    fn push_row_rejects_a_wrong_typed_value_at_once() {
+        // Used to be caught only inside `finish`, far from the bad row.
+        let spec = PartitionSpec::Hash {
+            column: "k".into(),
+            partitions: 2,
+        };
+        let mut b = PartitionedTableBuilder::new("t", schema(), spec);
+        b.push_row(&[Value::Int(1), Value::str("not a float")]);
     }
 
     #[test]

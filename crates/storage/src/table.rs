@@ -1,13 +1,16 @@
 //! Columnar tables.
 //!
-//! Tables are append-only and columnar: each column is a typed vector, and a
-//! row identifier ([`Rid`]) is simply the row's ordinal position.  The
-//! experiments never store SQL NULLs (the TPC-H-like and star-schema data
-//! are fully populated), so stored columns reject `Value::Null`; NULL exists
-//! only as an expression-evaluation result.
+//! Tables are append-only and columnar: each column is a shared
+//! [`ColumnVec`] — the same type the executor's batches carry, so a scan
+//! hands its columns on without copying — and a row identifier ([`Rid`])
+//! is simply the row's ordinal position.  The experiments never store SQL
+//! NULLs (the TPC-H-like and star-schema data are fully populated), so
+//! stored columns reject `Value::Null`; NULL exists only as an
+//! expression-evaluation result.
 
 use std::sync::Arc;
 
+use crate::column::{ColumnBuilder, ColumnVec};
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -20,145 +23,42 @@ use crate::value::{DataType, Value};
 /// for scattered qualifying rows.
 pub type Rid = u32;
 
-/// Typed column storage.
-#[derive(Debug, Clone)]
-pub enum ColumnData {
-    /// 64-bit integers.
-    Int(Vec<i64>),
-    /// 64-bit floats.
-    Float(Vec<f64>),
-    /// Dates as days since epoch.
-    Date(Vec<i32>),
-    /// Dictionary-encoded strings: per-row code indexing into `dict`.
-    Str {
-        /// Row codes.
-        codes: Vec<u32>,
-        /// Distinct values; `codes[i]` indexes here.
-        dict: Vec<Arc<str>>,
-    },
-    /// Booleans.
-    Bool(Vec<bool>),
-}
-
-impl ColumnData {
-    fn with_capacity(dt: DataType, cap: usize) -> Self {
-        match dt {
-            DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
-            DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
-            DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
-            DataType::Str => ColumnData::Str {
-                codes: Vec::with_capacity(cap),
-                dict: Vec::new(),
-            },
-            DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Date(v) => v.len(),
-            ColumnData::Str { codes, .. } => codes.len(),
-            ColumnData::Bool(v) => v.len(),
-        }
-    }
-
-    fn push(&mut self, v: &Value) {
-        match (self, v) {
-            (ColumnData::Int(col), Value::Int(x)) => col.push(*x),
-            (ColumnData::Float(col), Value::Float(x)) => col.push(*x),
-            (ColumnData::Float(col), Value::Int(x)) => col.push(*x as f64),
-            (ColumnData::Date(col), Value::Date(x)) => col.push(*x),
-            (ColumnData::Str { codes, dict }, Value::Str(s)) => {
-                // Linear dictionary scan: our generators produce low-
-                // cardinality string columns (brands, containers), so this
-                // stays cheap; high-cardinality strings would warrant a map.
-                let code = match dict.iter().position(|d| d.as_ref() == s.as_ref()) {
-                    Some(i) => i as u32,
-                    None => {
-                        dict.push(Arc::clone(s));
-                        (dict.len() - 1) as u32
-                    }
-                };
-                codes.push(code);
-            }
-            (ColumnData::Bool(col), Value::Bool(x)) => col.push(*x),
-            (col, v) => panic!("type mismatch: column {:?} <- value {v:?}", col.type_name()),
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            ColumnData::Int(_) => "Int",
-            ColumnData::Float(_) => "Float",
-            ColumnData::Date(_) => "Date",
-            ColumnData::Str { .. } => "Str",
-            ColumnData::Bool(_) => "Bool",
-        }
-    }
-
-    /// Value at a row (cheap: strings are refcount clones).
-    fn value(&self, rid: usize) -> Value {
-        match self {
-            ColumnData::Int(v) => Value::Int(v[rid]),
-            ColumnData::Float(v) => Value::Float(v[rid]),
-            ColumnData::Date(v) => Value::Date(v[rid]),
-            ColumnData::Str { codes, dict } => Value::Str(Arc::clone(&dict[codes[rid] as usize])),
-            ColumnData::Bool(v) => Value::Bool(v[rid]),
-        }
-    }
-
-    /// Zero-copy typed view for vectorized kernels.  Stored columns never
-    /// hold NULL, so the view carries no null mask.
-    pub fn as_column_ref(&self) -> crate::column::ColumnRef<'_> {
-        use crate::column::ColumnRef;
-        match self {
-            ColumnData::Int(v) => ColumnRef::Int {
-                values: v,
-                nulls: None,
-            },
-            ColumnData::Float(v) => ColumnRef::Float {
-                values: v,
-                nulls: None,
-            },
-            ColumnData::Date(v) => ColumnRef::Date {
-                values: v,
-                nulls: None,
-            },
-            ColumnData::Str { codes, dict } => ColumnRef::Str {
-                codes,
-                dict,
-                nulls: None,
-            },
-            ColumnData::Bool(v) => ColumnRef::Bool {
-                values: v,
-                nulls: None,
-            },
-        }
-    }
-
-    /// Bytes per value, used by the page model.
-    fn value_width(&self) -> usize {
-        match self {
-            ColumnData::Int(_) | ColumnData::Float(_) => 8,
-            ColumnData::Date(_) => 4,
-            ColumnData::Str { .. } => 16, // average payload assumption
-            ColumnData::Bool(_) => 1,
-        }
-    }
-}
-
 /// An immutable columnar table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnVec>>,
+    /// Per column: stored in non-decreasing order (see [`Table::is_sorted`]).
+    sorted: Vec<bool>,
     num_rows: usize,
 }
 
 impl Table {
+    /// Freezes finished columns into a table, recording which of them are
+    /// stored in non-decreasing order.
+    fn freeze(name: String, schema: Schema, columns: Vec<ColumnVec>) -> Table {
+        let num_rows = columns.first().map_or(0, ColumnVec::len);
+        let sorted = columns
+            .iter()
+            .map(|c| {
+                num_rows > 1
+                    && match c {
+                        ColumnVec::Int { values, .. } => values.windows(2).all(|w| w[0] <= w[1]),
+                        ColumnVec::Date { values, .. } => values.windows(2).all(|w| w[0] <= w[1]),
+                        _ => false,
+                    }
+            })
+            .collect();
+        Table {
+            name,
+            schema,
+            columns: columns.into_iter().map(Arc::new).collect(),
+            sorted,
+            num_rows,
+        }
+    }
+
     /// The table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -194,9 +94,12 @@ impl Table {
     ///
     /// Panics when the column is not `Int`.
     pub fn int_column(&self, col: usize) -> &[i64] {
-        match &self.columns[col] {
-            ColumnData::Int(v) => v,
-            c => panic!("column {col} is {} not Int", c.type_name()),
+        match &*self.columns[col] {
+            ColumnVec::Int { values, .. } => values,
+            _ => panic!(
+                "column {col} is {} not Int",
+                self.schema.column(col).data_type
+            ),
         }
     }
 
@@ -206,9 +109,12 @@ impl Table {
     ///
     /// Panics when the column is not `Float`.
     pub fn float_column(&self, col: usize) -> &[f64] {
-        match &self.columns[col] {
-            ColumnData::Float(v) => v,
-            c => panic!("column {col} is {} not Float", c.type_name()),
+        match &*self.columns[col] {
+            ColumnVec::Float { values, .. } => values,
+            _ => panic!(
+                "column {col} is {} not Float",
+                self.schema.column(col).data_type
+            ),
         }
     }
 
@@ -218,9 +124,12 @@ impl Table {
     ///
     /// Panics when the column is not `Date`.
     pub fn date_column(&self, col: usize) -> &[i32] {
-        match &self.columns[col] {
-            ColumnData::Date(v) => v,
-            c => panic!("column {col} is {} not Date", c.type_name()),
+        match &*self.columns[col] {
+            ColumnVec::Date { values, .. } => values,
+            _ => panic!(
+                "column {col} is {} not Date",
+                self.schema.column(col).data_type
+            ),
         }
     }
 
@@ -228,28 +137,33 @@ impl Table {
     /// feeding the page-count model.
     pub fn row_width_bytes(&self) -> usize {
         const ROW_OVERHEAD: usize = 16; // header + slot array share
+        let width = |dt: DataType| match dt {
+            DataType::Int | DataType::Float => 8,
+            DataType::Date => 4,
+            DataType::Str => 16, // average payload assumption
+            DataType::Bool => 1,
+        };
         ROW_OVERHEAD
             + self
-                .columns
+                .schema
+                .columns()
                 .iter()
-                .map(ColumnData::value_width)
+                .map(|c| width(c.data_type))
                 .sum::<usize>()
     }
 
-    /// Raw column storage (used by samplers/statistics that want to scan a
-    /// column without materializing `Value`s).
-    pub fn column_data(&self, col: usize) -> &ColumnData {
-        &self.columns[col]
+    /// The stored columns, in schema order.  Cloning an `Arc` out of this
+    /// slice is how a scan produces a column without copying it.
+    pub fn columns(&self) -> &[Arc<ColumnVec>] {
+        &self.columns
     }
 
-    /// Zero-copy typed view of one column for vectorized kernels.
-    pub fn column_ref(&self, col: usize) -> crate::column::ColumnRef<'_> {
-        self.columns[col].as_column_ref()
-    }
-
-    /// Zero-copy typed views of every column, in schema order.
-    pub fn column_refs(&self) -> Vec<crate::column::ColumnRef<'_>> {
-        self.columns.iter().map(ColumnData::as_column_ref).collect()
+    /// True when column `col` is an `Int`/`Date` column of more than one
+    /// row stored in non-decreasing order — the physical clustering the
+    /// merge-join costing exploits.  Recorded once, when the table was
+    /// frozen.
+    pub fn is_sorted(&self, col: usize) -> bool {
+        self.sorted[col]
     }
 
     /// Returns a new table holding this table's rows followed by
@@ -266,18 +180,25 @@ impl Table {
         for row in rows {
             check_row(&self.schema, row).map_err(StorageError::SchemaMismatch)?;
         }
-        let mut columns = self.columns.clone();
-        for row in rows {
-            for (col, v) in columns.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
-        Ok(Table {
+        let mut b = TableBuilder {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            columns,
-            num_rows: self.num_rows + rows.len(),
-        })
+            columns: self
+                .columns
+                .iter()
+                .map(|c| ColumnBuilder::new(ColumnVec::clone(c)))
+                .collect(),
+        };
+        for row in rows {
+            b.push_checked(row);
+        }
+        Ok(b.finish())
+    }
+
+    /// The table holding rows `ids` of this one, in that order.
+    pub(crate) fn take(&self, ids: &[u32]) -> Table {
+        let columns = self.columns.iter().map(|c| c.take(ids)).collect();
+        Table::freeze(self.name.clone(), self.schema.clone(), columns)
     }
 }
 
@@ -316,7 +237,7 @@ pub(crate) fn check_row(schema: &Schema, row: &[Value]) -> Result<(), String> {
 pub struct TableBuilder {
     name: String,
     schema: Schema,
-    columns: Vec<ColumnData>,
+    columns: Vec<ColumnBuilder>,
 }
 
 impl TableBuilder {
@@ -325,7 +246,7 @@ impl TableBuilder {
         let columns = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::with_capacity(c.data_type, capacity))
+            .map(|c| ColumnBuilder::new(ColumnVec::with_capacity(c.data_type, capacity)))
             .collect();
         Self {
             name: name.into(),
@@ -348,14 +269,23 @@ impl TableBuilder {
         if let Err(msg) = check_row(&self.schema, row) {
             panic!("{msg}");
         }
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v);
+        self.push_checked(row);
+    }
+
+    /// Appends a row that already passed [`check_row`], widening `Int`
+    /// values bound for `Float` columns.
+    fn push_checked(&mut self, row: &[Value]) {
+        for ((col, meta), v) in self.columns.iter_mut().zip(self.schema.columns()).zip(row) {
+            match (meta.data_type, v) {
+                (DataType::Float, Value::Int(x)) => col.push(&Value::Float(*x as f64)),
+                _ => col.push(v),
+            }
         }
     }
 
     /// Current number of rows.
     pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, ColumnBuilder::len)
     }
 
     /// True when no rows have been appended.
@@ -365,13 +295,12 @@ impl TableBuilder {
 
     /// Freezes into an immutable table.
     pub fn finish(self) -> Table {
-        let num_rows = self.columns.first().map_or(0, ColumnData::len);
-        Table {
-            name: self.name,
-            schema: self.schema,
-            columns: self.columns,
-            num_rows,
-        }
+        let columns = self
+            .columns
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        Table::freeze(self.name, self.schema, columns)
     }
 }
 
@@ -427,8 +356,8 @@ mod tests {
     #[test]
     fn string_dictionary_is_shared() {
         let t = sample_table();
-        match t.column_data(3) {
-            ColumnData::Str { codes, dict } => {
+        match &*t.columns()[3] {
+            ColumnVec::Str { codes, dict, .. } => {
                 assert_eq!(dict.len(), 2);
                 assert_eq!(codes, &[0, 0, 1]);
             }
@@ -479,7 +408,7 @@ mod tests {
     #[test]
     fn wrong_type_is_reported_against_its_column() {
         // Regression: a wrong-typed Value used to slip past push_row and
-        // only panic deep inside ColumnData::push with no column name.
+        // only panic deep inside the column push with no column name.
         let schema = Schema::from_pairs(&[("id", DataType::Int), ("price", DataType::Float)]);
         let mut b = TableBuilder::new("t", schema, 1);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -513,10 +442,14 @@ mod tests {
         assert_eq!(t2.value(3, 0), Value::Int(4));
         assert_eq!(t2.value(3, 1), Value::Float(5.0));
         // Dictionary code reuse: the appended brand shares the dict entry.
-        match t2.column_data(3) {
-            ColumnData::Str { codes, dict } => {
+        match (&*t2.columns()[3], &*t.columns()[3]) {
+            (ColumnVec::Str { codes, dict, .. }, ColumnVec::Str { dict: old_dict, .. }) => {
                 assert_eq!(dict.len(), 2);
                 assert_eq!(codes, &[0, 0, 1, 0]);
+                assert!(
+                    Arc::ptr_eq(dict, old_dict),
+                    "no new string: the successor shares the dictionary"
+                );
             }
             _ => panic!("expected Str column"),
         }
@@ -564,6 +497,34 @@ mod tests {
             t.appended(&[nul]),
             Err(StorageError::SchemaMismatch(m)) if m.contains("NULL")
         ));
+    }
+
+    #[test]
+    fn sortedness_is_recorded_when_the_table_freezes() {
+        let t = sample_table();
+        // id and ship ascend; price is Float, brand Str, flag Bool.
+        let flags: Vec<bool> = (0..5).map(|c| t.is_sorted(c)).collect();
+        assert_eq!(flags, vec![true, false, true, false, false]);
+        let row = |id: i64, ship: &str| {
+            vec![
+                Value::Int(id),
+                Value::Float(0.0),
+                parse_date(ship),
+                Value::str("B#1"),
+                Value::Bool(true),
+            ]
+        };
+        // An append keeps a flag only while the order still holds.
+        let t2 = t.appended(&[row(3, "1997-01-01")]).unwrap();
+        assert!(t2.is_sorted(0), "ties are non-decreasing");
+        assert!(!t2.is_sorted(2));
+        assert!(t.is_sorted(2), "original untouched");
+        // A gather re-derives the flags from the gathered order.
+        let rev = t.take(&[2, 1, 0]);
+        assert!(!rev.is_sorted(0));
+        assert_eq!(rev.row(0), t.row(2));
+        // A single row is never "sorted" (nothing to exploit).
+        assert!(!t.take(&[0]).is_sorted(0));
     }
 
     #[test]

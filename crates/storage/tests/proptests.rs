@@ -1,13 +1,79 @@
 //! Property-based tests of the storage layer: index lookups against naive
-//! filtering, date arithmetic, and value ordering laws.
+//! filtering, date arithmetic, value ordering laws, and the column type's
+//! round trip and gather.
 
 use std::ops::Bound;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rqo_storage::{
-    civil_from_days, days_from_civil, DataType, Schema, SecondaryIndex, Table, TableBuilder,
-    UniqueIndex, Value,
+    civil_from_days, days_from_civil, ColumnVec, DataType, Schema, SecondaryIndex, Table,
+    TableBuilder, UniqueIndex, Value,
 };
+
+const TYPES: [DataType; 5] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Date,
+    DataType::Str,
+    DataType::Bool,
+];
+
+/// One cell of a column declared `dt`, decoded from raw generator output:
+/// mostly on-type values built straight from `payload`'s bits (so floats
+/// cover NaN payloads, infinities and both zeros; strings both repeat and
+/// stay distinct), some NULLs, and — when `off_type` — an occasional value
+/// of another type, which must demote the column to `Mixed`.
+fn cell(dt: DataType, off_type: bool, kind: u8, payload: u64) -> Value {
+    let on_type = |dt: DataType| match dt {
+        DataType::Int => Value::Int(payload as i64),
+        DataType::Float => Value::Float(match kind {
+            2 => -0.0,
+            3 => 0.0,
+            _ => f64::from_bits(payload),
+        }),
+        DataType::Date => Value::Date(payload as i32),
+        DataType::Str if kind.is_multiple_of(2) => Value::str(format!("rep{}", payload % 4)),
+        DataType::Str => Value::str(format!("distinct{payload}")),
+        DataType::Bool => Value::Bool(payload.is_multiple_of(2)),
+    };
+    match kind {
+        0 => Value::Null,
+        1 if off_type => {
+            let other = TYPES[(payload % 5) as usize];
+            on_type(if other == dt {
+                TYPES[(payload % 5 + 1) as usize % 5]
+            } else {
+                other
+            })
+        }
+        _ => on_type(dt),
+    }
+}
+
+/// A `Value`'s exact identity: variant tag plus payload bits.  (`Value`'s
+/// own `==` is storage equality — `Int(1) == Float(1.0)` — and too weak
+/// to pin a bit-for-bit round trip.)
+fn bits(v: &Value) -> (u8, u64, Option<Arc<str>>) {
+    match v {
+        Value::Null => (0, 0, None),
+        Value::Int(x) => (1, *x as u64, None),
+        Value::Float(x) => (2, x.to_bits(), None),
+        Value::Date(x) => (3, *x as u64, None),
+        Value::Str(s) => (4, 0, Some(Arc::clone(s))),
+        Value::Bool(b) => (5, *b as u64, None),
+    }
+}
+
+fn column(dt: usize, off_type: bool, cells: &[(u8, u64)]) -> (Vec<Vec<Value>>, ColumnVec) {
+    let dt = TYPES[dt];
+    let rows: Vec<Vec<Value>> = cells
+        .iter()
+        .map(|&(kind, payload)| vec![cell(dt, off_type, kind, payload)])
+        .collect();
+    let col = ColumnVec::from_rows(&rows, 0, dt);
+    (rows, col)
+}
 
 fn int_table(values: &[i64]) -> Table {
     let mut b = TableBuilder::new(
@@ -78,11 +144,52 @@ proptest! {
     fn unique_index_finds_every_key(n in 1usize..200, offset in -1000i64..1000) {
         let values: Vec<i64> = (0..n as i64).map(|i| i * 3 + offset).collect();
         let t = int_table(&values);
-        let idx = UniqueIndex::build(&t, "x");
+        let idx = UniqueIndex::build(&t, "x").unwrap();
         for (rid, &v) in values.iter().enumerate() {
             prop_assert_eq!(idx.get(v), Some(rid as u32));
         }
         prop_assert_eq!(idx.get(offset - 1), None);
+    }
+
+    #[test]
+    fn from_rows_round_trips_bit_for_bit(
+        dt in 0usize..5,
+        off_type: bool,
+        cells in prop::collection::vec((0u8..12, any::<u64>()), 0..120),
+    ) {
+        let (rows, col) = column(dt, off_type, &cells);
+        prop_assert_eq!(col.len(), rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(bits(&col.value(i)), bits(&row[0]), "row {}", i);
+            prop_assert_eq!(col.is_null(i), row[0].is_null());
+        }
+        // Only an off-type value demotes; NULLs never do.
+        let demoted = matches!(col, ColumnVec::Mixed(_));
+        let has_off_type = rows.iter().any(|r| !r[0].is_null() && !TYPES[dt].accepts(&r[0]))
+            // `accepts` lets Int into Float columns (storage widens them);
+            // an intermediate column must keep such a value verbatim.
+            || (TYPES[dt] == DataType::Float && rows.iter().any(|r| matches!(r[0], Value::Int(_))));
+        prop_assert_eq!(demoted, has_off_type);
+    }
+
+    #[test]
+    fn take_equals_row_at_a_time_indexing(
+        dt in 0usize..5,
+        off_type: bool,
+        cells in prop::collection::vec((0u8..12, any::<u64>()), 1..120),
+        picks in prop::collection::vec(any::<u32>(), 0..200),
+    ) {
+        let (_, col) = column(dt, off_type, &cells);
+        // Arbitrary ids: unsorted, repeated, any subset.
+        let ids: Vec<u32> = picks.iter().map(|p| p % col.len() as u32).collect();
+        let taken = col.take(&ids);
+        prop_assert_eq!(taken.len(), ids.len());
+        for (k, &i) in ids.iter().enumerate() {
+            prop_assert_eq!(bits(&taken.value(k)), bits(&col.value(i as usize)), "slot {}", k);
+        }
+        if let (ColumnVec::Str { dict: a, .. }, ColumnVec::Str { dict: b, .. }) = (&col, &taken) {
+            prop_assert!(Arc::ptr_eq(a, b), "a gather shares the dictionary");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn any_estimator_plugs_into_the_same_optimizer() {
         let opt = Optimizer::new(Arc::clone(&cat), CostParams::default(), est);
         let planned = opt.optimize(&q);
         let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
-        answers.push((name, batch.rows[0][0].clone()));
+        answers.push((name, batch.to_rows()[0][0].clone()));
     }
     assert_eq!(answers[0].1, answers[1].1);
     assert_eq!(answers[0].1, answers[2].1);
@@ -148,8 +148,8 @@ fn sampling_randomness_never_affects_results() {
         shapes.insert(planned.shape());
         let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
         match &first {
-            None => first = Some(batch.rows[0].clone()),
-            Some(expected) => assert_eq!(&batch.rows[0], expected, "seed {seed}"),
+            None => first = Some(batch.to_rows()[0].clone()),
+            Some(expected) => assert_eq!(&batch.to_rows()[0], expected, "seed {seed}"),
         }
     }
     // With a 100-tuple sample near a crossover the chosen plan genuinely

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use robust_qo::prelude::*;
 use rqo_core::OracleEstimator;
 use rqo_math::RunningStats;
-use rqo_optimizer::detect_sorted_columns;
 
 fn tpch() -> Arc<Catalog> {
     Arc::new(
@@ -50,7 +49,7 @@ fn all_exp1_plans_return_true_counts() {
             let planned = opt.optimize(&q);
             let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
             assert_eq!(
-                batch.rows[0][0].as_int(),
+                batch.to_rows()[0][0].as_int(),
                 truth,
                 "offset {offset} threshold {threshold} plan {}",
                 planned.shape()
@@ -66,7 +65,6 @@ fn all_exp2_plans_agree_across_estimators() {
     let histogram: Arc<dyn CardinalityEstimator> =
         Arc::new(HistogramEstimator::build_default(&cat));
     let robust = robust_optimizer(&cat, 0.8, 2);
-    let sorted = detect_sorted_columns(&cat);
     for window in [60i64, 200, 226, 240] {
         let q = Query::over(&["lineitem", "orders", "part"])
             .filter("part", exp2_part_predicate(window))
@@ -74,19 +72,14 @@ fn all_exp2_plans_agree_across_estimators() {
             .aggregate(AggExpr::sum("l_extendedprice", "rev"));
         let mut answers = Vec::new();
         for est in [&oracle, &histogram] {
-            let opt = Optimizer::with_metadata(
-                Arc::clone(&cat),
-                CostParams::default(),
-                Arc::clone(est),
-                sorted.clone(),
-            );
+            let opt = Optimizer::new(Arc::clone(&cat), CostParams::default(), Arc::clone(est));
             let planned = opt.optimize(&q);
             let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
-            answers.push(batch.rows[0].clone());
+            answers.push(batch.to_rows()[0].clone());
         }
         let planned = robust.optimize(&q);
         let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, robust.params());
-        answers.push(batch.rows[0].clone());
+        answers.push(batch.to_rows()[0].clone());
         assert_eq!(answers[0], answers[1], "window {window}");
         assert_eq!(answers[0], answers[2], "window {window}");
     }
@@ -171,7 +164,7 @@ fn star_scenario_correctness_and_adaptivity() {
         let truth = (oracle.estimate(&req).selectivity
             * cat.table("fact").unwrap().num_rows() as f64)
             .round() as i64;
-        assert_eq!(batch.rows[0][0].as_int(), truth, "level {level}");
+        assert_eq!(batch.to_rows()[0][0].as_int(), truth, "level {level}");
     }
     assert!(
         shapes.len() >= 2,
@@ -198,6 +191,6 @@ fn facade_matches_manual_stack() {
     let opt = robust_optimizer(&cat, 0.8, 1);
     let planned = opt.optimize(&q);
     let (batch, cost) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
-    assert_eq!(outcome.rows, batch.rows);
+    assert_eq!(outcome.rows, batch.to_rows());
     assert!((outcome.simulated_seconds - cost.seconds(opt.params())).abs() < 1e-12);
 }

@@ -24,7 +24,7 @@
 //! fixed threshold's, and strictly better than the worst one.
 
 use robust_qo::estimator::{OracleEstimator, SelectivityEstimate};
-use robust_qo::optimizer::{detect_sorted_columns, enumerate::PlanContext, price_plan, CostModel};
+use robust_qo::optimizer::{enumerate::PlanContext, price_plan, CostModel};
 use robust_qo::prelude::*;
 use std::sync::Arc;
 
@@ -94,7 +94,6 @@ fn penalty_total_regret_beats_every_fixed_threshold() {
     let db = db();
     let opt = db.optimizer();
     let catalog = db.catalog();
-    let sorted = detect_sorted_columns(&catalog);
     let oracle = RecordingOracle {
         inner: OracleEstimator::new(Arc::clone(&catalog)),
         store: Arc::clone(db.feedback()),
@@ -128,7 +127,7 @@ fn penalty_total_regret_beats_every_fixed_threshold() {
         // 2. Observe: price each distinct plan once with the recording
         // oracle, capturing every request's true selectivity.
         let model = CostModel::new(&catalog, opt.params());
-        let ctx = PlanContext::new(&catalog, model, &oracle, &sorted);
+        let ctx = PlanContext::new(&catalog, model, &oracle);
         for plan in &plans {
             price_plan(&ctx, &query, plan);
         }
@@ -137,7 +136,7 @@ fn penalty_total_regret_beats_every_fixed_threshold() {
         // now resolves from the observed feedback.
         let replay_est = db.optimizer();
         let model = CostModel::new(&catalog, opt.params());
-        let ctx = PlanContext::new(&catalog, model, replay_est.estimator().as_ref(), &sorted);
+        let ctx = PlanContext::new(&catalog, model, replay_est.estimator().as_ref());
         let realized: Vec<f64> = plans
             .iter()
             .map(|p| price_plan(&ctx, &query, p).cost_ms)

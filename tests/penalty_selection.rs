@@ -9,7 +9,7 @@
 //! degenerate-posterior short-circuiting, report coherence, and
 //! thread-invariant execution.
 
-use robust_qo::optimizer::{detect_sorted_columns, enumerate::PlanContext, price_plan, CostModel};
+use robust_qo::optimizer::{enumerate::PlanContext, price_plan, CostModel};
 use robust_qo::prelude::*;
 use std::sync::Arc;
 
@@ -46,7 +46,6 @@ fn price_plan_reproduces_quantile_costing_at_every_hint() {
     let db = tpch_db();
     let opt = db.optimizer();
     let catalog = db.catalog();
-    let sorted = detect_sorted_columns(&catalog);
     for query in [scan_query(), join_query()] {
         for t in [0.05, 0.5, 0.8, 0.95] {
             let hint = ConfidenceThreshold::new(t);
@@ -56,7 +55,7 @@ fn price_plan_reproduces_quantile_costing_at_every_hint() {
                 .hinted(hint)
                 .expect("robust estimator honours hints");
             let model = CostModel::new(&catalog, opt.params());
-            let ctx = PlanContext::new(&catalog, model, hinted.as_ref(), &sorted);
+            let ctx = PlanContext::new(&catalog, model, hinted.as_ref());
             let priced = price_plan(&ctx, &query, &planned.plan);
             assert_eq!(
                 priced.cost_ms,

@@ -89,7 +89,7 @@ proptest! {
             .aggregate(AggExpr::count_star("n"));
         let planned = opt.optimize(&q);
         let (batch, cost) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
-        prop_assert_eq!(batch.rows[0][0].as_int(), expected, "plan: {}", planned.shape());
+        prop_assert_eq!(batch.to_rows()[0][0].as_int(), expected, "plan: {}", planned.shape());
         prop_assert!(cost.seconds(opt.params()) >= 0.0);
     }
 
@@ -128,7 +128,7 @@ proptest! {
             .aggregate(AggExpr::count_star("n"));
         let planned = opt.optimize(&q);
         let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
-        prop_assert_eq!(batch.rows[0][0].as_int(), expected, "plan: {}", planned.shape());
+        prop_assert_eq!(batch.to_rows()[0][0].as_int(), expected, "plan: {}", planned.shape());
     }
 
     /// Estimator invariants for arbitrary observations: the estimate is a

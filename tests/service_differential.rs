@@ -213,16 +213,20 @@ fn float_aggregates_bit_identical_at_every_entry_point() {
     let (catalog, params) = (db.catalog(), CostParams::default());
     let (serial, _) = execute(&plan, &catalog, &params);
     assert_eq!(serial.len(), 7);
-    let expect = bits(&serial.rows);
+    let expect = bits(&serial.to_rows());
 
     for threads in [1, 2, 8] {
         let opts = ExecOptions::with_threads(threads);
         let (out, _) = execute_with(&plan, &catalog, &params, &opts);
-        assert_eq!(bits(&out.rows), expect, "execute_with threads={threads}");
+        assert_eq!(
+            bits(&out.to_rows()),
+            expect,
+            "execute_with threads={threads}"
+        );
     }
     let tokened = ExecOptions::with_threads(1).with_token(QueryToken::new());
     let (out, _) = try_execute_with(&plan, &catalog, &params, &tokened).unwrap();
-    assert_eq!(bits(&out.rows), expect, "token at one thread");
+    assert_eq!(bits(&out.to_rows()), expect, "token at one thread");
 
     assert_eq!(bits(&db.run(&query).rows), expect, "RobustDb::run");
     let service = db.into_service(ServiceConfig::default().with_workers(2));

@@ -198,14 +198,29 @@ impl FeedbackStore {
         predicates: &[(&str, &Expr)],
         selectivity: f64,
     ) -> Option<f64> {
-        let key = Self::canonical_key(tables, predicates);
-        let mut obs_tables: Vec<String> = tables.iter().map(|t| t.to_string()).collect();
+        self.record_keyed(
+            &Self::canonical_key(tables, predicates),
+            tables,
+            selectivity,
+        )
+    }
+
+    /// [`record`](Self::record) for a caller that already holds the
+    /// request's [`canonical_key`](Self::canonical_key) (the optimizer
+    /// computes it once per plan node) and the tables it references.
+    pub fn record_keyed<T: AsRef<str>>(
+        &self,
+        key: &str,
+        tables: &[T],
+        selectivity: f64,
+    ) -> Option<f64> {
+        let mut obs_tables: Vec<String> = tables.iter().map(|t| t.as_ref().to_string()).collect();
         obs_tables.sort_unstable();
         obs_tables.dedup();
         self.guard()
             .observations
             .insert(
-                key,
+                key.to_string(),
                 Observation {
                     selectivity: selectivity.clamp(0.0, 1.0),
                     tables: obs_tables,

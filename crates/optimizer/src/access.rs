@@ -18,128 +18,83 @@ use rqo_expr::Expr;
 
 use crate::enumerate::{Candidate, PlanContext};
 use crate::prune::pruned_partitions;
+use crate::query::Query;
 
-/// Generates access-path candidates for one table.
-pub fn access_paths(
-    ctx: &PlanContext<'_>,
-    table: &str,
-    predicate: Option<&Expr>,
-) -> Vec<Candidate> {
-    let rows = ctx.model.table_rows(table);
-    let out_rows = match predicate {
-        Some(p) => rows * ctx.selectivity(&[table], &[(table, p)]),
-        None => rows,
-    };
-    let sorted_by = ctx.clustered_column(table);
+/// Generates access-path candidates for one of `query`'s tables.
+pub fn access_paths(ctx: &PlanContext<'_>, query: &Query, table: &str) -> Vec<Candidate> {
+    let predicate = query.predicate_for(table);
 
     // A partitioned table's full-scan candidate is a partition-wise scan
     // with statically pruned partitions; pruning is conservative, so the
     // output rows are the full scan's and only the cost shrinks.  An
     // unpartitioned table keeps the classic sequential scan.
     let scan = match ctx.catalog.partitioning(table) {
-        Some(layout) => {
-            let partitions = pruned_partitions(layout, predicate);
-            let cost_ms = ctx.model.partitioned_scan_ms(table, &partitions);
-            Candidate {
-                plan: PhysicalPlan::PartitionedScan {
-                    table: table.to_string(),
-                    predicate: predicate.cloned(),
-                    partitions,
-                    total_partitions: layout.partition_count(),
-                },
-                cost_ms,
-                out_rows,
-                sorted_by: sorted_by.clone(),
-            }
-        }
-        None => Candidate {
-            plan: PhysicalPlan::SeqScan {
-                table: table.to_string(),
-                predicate: predicate.cloned(),
-            },
-            cost_ms: ctx.model.seq_scan_ms(table),
-            out_rows,
-            sorted_by: sorted_by.clone(),
+        Some(layout) => PhysicalPlan::PartitionedScan {
+            table: table.to_string(),
+            predicate: predicate.cloned(),
+            partitions: pruned_partitions(layout, predicate),
+            total_partitions: layout.partition_count(),
+        },
+        None => PhysicalPlan::SeqScan {
+            table: table.to_string(),
+            predicate: predicate.cloned(),
         },
     };
-    let mut candidates = vec![scan];
+    let mut plans = vec![scan];
 
-    let Some(predicate) = predicate else {
-        return candidates;
-    };
-
-    // Split the predicate into indexed range conjuncts vs. everything else.
-    let conjuncts = predicate.conjuncts();
-    let mut ranges: Vec<(usize, IndexRange)> = Vec::new();
-    for (i, c) in conjuncts.iter().enumerate() {
-        if let Some((col, lo, hi)) = c.as_column_range() {
-            if ctx.catalog.secondary_index(table, col).is_some() {
-                ranges.push((
-                    i,
-                    IndexRange {
-                        column: col.to_string(),
-                        lo,
-                        hi,
-                    },
-                ));
+    if let Some(predicate) = predicate {
+        // Split the predicate into indexed range conjuncts vs. everything
+        // else.
+        let conjuncts = predicate.conjuncts();
+        let mut ranges: Vec<(usize, IndexRange)> = Vec::new();
+        for (i, c) in conjuncts.iter().enumerate() {
+            if let Some((col, lo, hi)) = c.as_column_range() {
+                if ctx.catalog.secondary_index(table, col).is_some() {
+                    ranges.push((
+                        i,
+                        IndexRange {
+                            column: col.to_string(),
+                            lo,
+                            hi,
+                        },
+                    ));
+                }
             }
         }
-    }
 
-    // Residual for a set of consumed conjunct indexes.
-    let residual = |consumed: &[usize]| -> Option<Expr> {
-        let rest: Vec<Expr> = conjuncts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !consumed.contains(i))
-            .map(|(_, c)| (*c).clone())
-            .collect();
-        Expr::conjunction(rest)
-    };
+        // Residual for a set of consumed conjunct indexes.
+        let residual = |consumed: &[usize]| -> Option<Expr> {
+            let rest: Vec<Expr> = conjuncts
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !consumed.contains(i))
+                .map(|(_, c)| (*c).clone())
+                .collect();
+            Expr::conjunction(rest)
+        };
 
-    // Single-index seeks.
-    for (i, range) in &ranges {
-        let marginal = ctx.selectivity(&[table], &[(table, conjuncts[*i])]);
-        let entries = rows * marginal;
-        candidates.push(Candidate {
-            plan: PhysicalPlan::IndexSeek {
+        // Single-index seeks.
+        for (i, range) in &ranges {
+            plans.push(PhysicalPlan::IndexSeek {
                 table: table.to_string(),
                 range: range.clone(),
                 residual: residual(&[*i]),
-            },
-            cost_ms: ctx.model.index_seek_ms(table, entries),
-            out_rows,
-            sorted_by: sorted_by.clone(),
-        });
-    }
+            });
+        }
 
-    // Index intersection over all indexed ranges.
-    if ranges.len() >= 2 {
-        let entries: Vec<f64> = ranges
-            .iter()
-            .map(|(i, _)| rows * ctx.selectivity(&[table], &[(table, conjuncts[*i])]))
-            .collect();
-        let consumed: Vec<usize> = ranges.iter().map(|(i, _)| *i).collect();
-        // Joint selectivity of the range conjuncts only: the quantity the
-        // confidence threshold acts on.
-        let range_conj =
-            Expr::conjunction(consumed.iter().map(|&i| conjuncts[i].clone()).collect())
-                .expect("at least two ranges");
-        let joint = ctx.selectivity(&[table], &[(table, &range_conj)]);
-        let result_rows = rows * joint;
-        candidates.push(Candidate {
-            plan: PhysicalPlan::IndexIntersection {
+        // Index intersection over all indexed ranges.
+        if ranges.len() >= 2 {
+            let consumed: Vec<usize> = ranges.iter().map(|(i, _)| *i).collect();
+            plans.push(PhysicalPlan::IndexIntersection {
                 table: table.to_string(),
                 ranges: ranges.iter().map(|(_, r)| r.clone()).collect(),
                 residual: residual(&consumed),
-            },
-            cost_ms: ctx
-                .model
-                .index_intersection_ms(table, &entries, result_rows),
-            out_rows,
-            sorted_by,
-        });
+            });
+        }
     }
 
-    candidates
+    plans
+        .into_iter()
+        .map(|plan| Candidate::new(ctx, query, plan, &[]))
+        .collect()
 }

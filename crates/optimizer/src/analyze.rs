@@ -1,39 +1,34 @@
-//! Post-hoc per-node cardinality annotation — the optimizer side of
+//! Per-node cardinality annotation — the optimizer side of
 //! `EXPLAIN ANALYZE`.
 //!
 //! The physical plan type is a pure algebra shared with the executor and
 //! compared structurally all over the test suite, so estimated
-//! cardinalities are not stored inside the plan nodes.  Instead this
-//! module re-derives, for every node of a finished plan, the estimation
-//! request the optimizer would make for that node's subtree — which
-//! tables it covers and which of the query's predicates have been applied
-//! within it — and evaluates the active estimator on it.  The result is a
-//! side vector of [`NodeAnnotation`]s in the plan's **pre-order**
-//! numbering (node before children, children in execution order), the
-//! same numbering as [`rqo_exec::OpMetrics::preorder`], so the executor's
-//! actuals and the optimizer's estimates zip together node for node.
+//! cardinalities are not stored inside the plan nodes.  Instead a
+//! finished plan carries a side vector of [`NodeAnnotation`]s — the
+//! request and row estimate of each node's [`Derivation`], in the plan's
+//! **pre-order** numbering (node before children, children in execution
+//! order), the same numbering as [`rqo_exec::OpMetrics::preorder`], so
+//! the executor's actuals and the optimizer's estimates zip together
+//! node for node.
 //!
 //! Because each annotation records the exact `(tables, predicates)`
-//! request, observed actual selectivities can be fed back into a
-//! [`rqo_core::FeedbackStore`] under keys the estimator will hit when the
-//! same query is optimized again — closing the estimate → execute →
-//! observe → re-estimate loop.
+//! request and its canonical key, observed actual selectivities can be
+//! fed back into a [`rqo_core::FeedbackStore`] under keys the estimator
+//! will hit when the same query is optimized again — closing the
+//! estimate → execute → observe → re-estimate loop.
 
-use rqo_core::{CardinalityEstimator, EstimationRequest};
 use rqo_exec::PhysicalPlan;
 use rqo_expr::Expr;
-use rqo_stats::synopsis::find_root;
-use rqo_storage::Catalog;
 
+use crate::derive::{derive_plan, group_count, Derivation};
+use crate::enumerate::PlanContext;
 use crate::query::Query;
 
-/// The derived estimation context for one plan node, in pre-order.
+/// The estimation context of one plan node, in pre-order.
 #[derive(Debug, Clone)]
 pub struct NodeAnnotation {
-    /// Estimated output rows of the node's subtree under the active
-    /// estimator; `None` when the subtree's estimation request could not
-    /// be reconstructed (hand-built plans whose filters do not correspond
-    /// to query predicates).
+    /// Estimated output rows of the node's subtree under the estimator
+    /// the plan was derived with.
     pub est_rows: f64,
     /// Rows of the FK-root relation of the subtree's tables — the base
     /// the selectivity multiplies; `rows_out / root_rows` is the node's
@@ -45,172 +40,66 @@ pub struct NodeAnnotation {
     /// pairs — exactly the estimator request whose observed selectivity
     /// is worth recording as feedback.
     pub predicates: Vec<(String, Expr)>,
+    /// Canonical key of that request: what feedback is recorded under,
+    /// what the plan cache checks drift against, and what a re-plan
+    /// matches a finished fragment by.
+    pub key: String,
 }
 
-/// A `NodeAnnotation` wrapped in `Option`: `None` marks nodes with no
-/// meaningful cardinality derivation (aggregates estimate group counts
-/// heuristically and get a value-only annotation instead).
+/// A `NodeAnnotation` wrapped in `Option`: `None` marks nodes whose
+/// request could not be reconstructed (hand-built plans whose filters do
+/// not correspond to query predicates, and everything above them).
+/// Aggregates estimate group counts heuristically and get a value-only
+/// annotation (no tables, no key).
 pub type NodeAnnotations = Vec<Option<NodeAnnotation>>;
 
-/// What a subtree covers, threaded up the recursion.
-#[derive(Clone)]
-struct Spec {
-    tables: Vec<String>,
-    predicates: Vec<(String, Expr)>,
-    /// False once something in the subtree could not be mapped back to
-    /// the query (poisons estimates from there up).
-    known: bool,
+/// Annotates every node of `plan` with its derivation under `ctx`, in
+/// pre-order.  `ctx` should hold the same (possibly hinted) estimator
+/// that produced the plan, so the annotations reproduce the
+/// selectivities the optimizer actually used.
+pub fn annotate_plan(ctx: &PlanContext<'_>, query: &Query, plan: &PhysicalPlan) -> NodeAnnotations {
+    annotations(plan, &derive_plan(ctx, query, plan))
 }
 
-/// Annotates every node of `plan` with the estimator's view of its
-/// subtree, in pre-order.  `estimator` should be the same (possibly
-/// hinted) module that produced the plan, so the annotations reproduce
-/// the selectivities the optimizer actually used.
-///
-/// Node numbering comes from [`PhysicalPlan::preorder`] — the one shared
-/// traversal also used by `explain()`, `OpMetrics`, and the executor's
-/// guard points, so all four views of a plan agree on every index.
-pub fn annotate_plan(
-    catalog: &Catalog,
-    estimator: &dyn CardinalityEstimator,
-    query: &Query,
-    plan: &PhysicalPlan,
-) -> NodeAnnotations {
+/// Projects `plan`'s pre-order derivations onto annotations.
+pub(crate) fn annotations(plan: &PhysicalPlan, derived: &[Derivation]) -> NodeAnnotations {
     let nodes = plan.preorder();
-    // In pre-order every child's index is greater than its parent's, so a
-    // reverse-index sweep sees each node's children fully derived.
-    let mut specs: Vec<Option<Spec>> = vec![None; nodes.len()];
-    for i in (0..nodes.len()).rev() {
-        specs[i] = Some(derive_spec(query, &nodes, &specs, i));
-    }
-
     let mut out: NodeAnnotations = vec![None; nodes.len()];
-    for i in (0..nodes.len()).rev() {
-        if let PhysicalPlan::HashAggregate { group_by, .. } = nodes[i].plan {
-            // Mirror the planner's group-count heuristic: one row for a
-            // scalar aggregate, √(input estimate) for a grouped one.  A
-            // value-only annotation — aggregates have no feedback key.
-            let input_est = out[nodes[i].children[0]].as_ref().map(|a| a.est_rows);
-            let est = if group_by.is_empty() {
+    // Reverse pre-order: an aggregate reads its input's annotation.
+    for node in nodes.iter().rev() {
+        let d = &derived[node.index];
+        out[node.index] = if let PhysicalPlan::HashAggregate { group_by, .. } = node.plan {
+            let input = out[node.children[0]].as_ref().map(|a| a.est_rows);
+            // A scalar aggregate yields one row whatever feeds it.
+            let est_rows = if group_by.is_empty() {
                 Some(1.0)
             } else {
-                input_est.map(|e| e.sqrt().max(1.0))
+                input
             };
-            out[i] = est.map(|est_rows| NodeAnnotation {
-                est_rows,
+            est_rows.map(|rows| NodeAnnotation {
+                est_rows: group_count(group_by, rows),
                 root_rows: 0.0,
                 tables: vec![],
                 predicates: vec![],
-            });
+                key: String::new(),
+            })
         } else {
-            out[i] = annotation_for(catalog, estimator, specs[i].as_ref().expect("derived"));
-        }
+            d.known.then(|| NodeAnnotation {
+                // No predicates ⇒ the FK-join cardinality is the root's
+                // rows exactly, whatever the estimator's quantile says.
+                est_rows: if d.predicates.is_empty() {
+                    d.root_rows
+                } else {
+                    d.est_rows
+                },
+                root_rows: d.root_rows,
+                tables: d.tables.clone(),
+                predicates: d.predicates.clone(),
+                key: d.key.clone(),
+            })
+        };
     }
     out
-}
-
-/// Derives one node's estimation spec from its own shape plus its
-/// children's already-derived specs (`specs[child]` is `Some` for every
-/// child because the caller sweeps in reverse pre-order).
-fn derive_spec(
-    query: &Query,
-    nodes: &[rqo_exec::PreorderNode<'_>],
-    specs: &[Option<Spec>],
-    i: usize,
-) -> Spec {
-    let node = &nodes[i];
-    let child = |k: usize| -> Spec {
-        specs[node.children[k]]
-            .clone()
-            .expect("children derived before parents in reverse pre-order")
-    };
-    match node.plan {
-        // Partition pruning is semantically transparent — a pruned scan
-        // returns the same rows as the full scan — so both derive the
-        // same spec.
-        PhysicalPlan::SeqScan { table, predicate }
-        | PhysicalPlan::PartitionedScan {
-            table, predicate, ..
-        } => Spec {
-            tables: vec![table.clone()],
-            predicates: predicate
-                .iter()
-                .map(|p| (table.clone(), p.clone()))
-                .collect(),
-            known: true,
-        },
-        // A seek or intersection implements the table's full query
-        // predicate (range conjuncts via the index, the rest as the
-        // residual), so its output selectivity is the query predicate's —
-        // the same request `access_paths` costs these candidates with.
-        PhysicalPlan::IndexSeek { table, .. } | PhysicalPlan::IndexIntersection { table, .. } => {
-            Spec {
-                tables: vec![table.clone()],
-                predicates: query
-                    .predicate_for(table)
-                    .map(|p| (table.clone(), p.clone()))
-                    .into_iter()
-                    .collect(),
-                known: true,
-            }
-        }
-        PhysicalPlan::Filter { predicate, .. } => {
-            let mut spec = child(0);
-            // Attribute the filter to the covered table whose query
-            // predicate it is (the enumerator only emits such filters:
-            // the INL inner predicate, the star fact predicate).
-            let attributed = spec
-                .tables
-                .iter()
-                .find(|t| query.predicate_for(t) == Some(predicate))
-                .cloned();
-            match attributed {
-                Some(t) => {
-                    let already = spec
-                        .predicates
-                        .iter()
-                        .any(|(pt, pe)| *pt == t && pe == predicate);
-                    if !already {
-                        spec.predicates.push((t, predicate.clone()));
-                    }
-                }
-                None => spec.known = false,
-            }
-            spec
-        }
-        PhysicalPlan::Project { .. } | PhysicalPlan::HashAggregate { .. } => child(0),
-        PhysicalPlan::HashJoin { .. } | PhysicalPlan::MergeJoin { .. } => {
-            merge_specs(child(0), child(1))
-        }
-        // The inner predicate (if any) is applied by a Filter *above* the
-        // join, so only the outer side's predicates count here.
-        PhysicalPlan::IndexedNlJoin { inner_table, .. } => {
-            let mut spec = child(0);
-            spec.tables.push(inner_table.clone());
-            spec
-        }
-        // A materialized intermediate carries the spec of the subtree it
-        // replaced, so re-annotating a grafted plan re-derives the same
-        // requests — and the estimator, primed with the observed feedback
-        // for those keys, now answers with the truth.
-        PhysicalPlan::Materialized {
-            tables, predicates, ..
-        } => Spec {
-            tables: tables.clone(),
-            predicates: predicates.clone(),
-            known: true,
-        },
-        PhysicalPlan::StarSemiJoin { fact_table, legs } => Spec {
-            tables: std::iter::once(fact_table.clone())
-                .chain(legs.iter().map(|l| l.dim_table.clone()))
-                .collect(),
-            predicates: legs
-                .iter()
-                .map(|l| (l.dim_table.clone(), l.dim_predicate.clone()))
-                .collect(),
-            known: true,
-        },
-    }
 }
 
 /// Estimated output rows per node in pre-order (`None` where no estimate
@@ -222,61 +111,13 @@ pub fn estimates_only(annotations: &NodeAnnotations) -> Vec<Option<f64>> {
         .collect()
 }
 
-fn merge_specs(a: Spec, b: Spec) -> Spec {
-    let mut tables = a.tables;
-    tables.extend(b.tables);
-    let mut predicates = a.predicates;
-    predicates.extend(b.predicates);
-    Spec {
-        tables,
-        predicates,
-        known: a.known && b.known,
-    }
-}
-
-/// Evaluates the estimator on a subtree's derived request:
-/// `rows(FK root) × selectivity(tables, applied predicates)` — the same
-/// arithmetic `subset_card` uses while planning.
-fn annotation_for(
-    catalog: &Catalog,
-    estimator: &dyn CardinalityEstimator,
-    spec: &Spec,
-) -> Option<NodeAnnotation> {
-    if !spec.known {
-        return None;
-    }
-    let tables: Vec<&str> = spec.tables.iter().map(String::as_str).collect();
-    let root = find_root(catalog, &tables)?;
-    let root_rows = catalog.table(root).ok()?.num_rows() as f64;
-    let est_rows = if spec.predicates.is_empty() {
-        // No predicates ⇒ the FK-join cardinality is the root's rows
-        // exactly; skip the estimator like the planner does.
-        root_rows
-    } else {
-        let preds: Vec<(&str, &Expr)> = spec
-            .predicates
-            .iter()
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        let request = EstimationRequest::new(tables, preds);
-        let sel = estimator.estimate(&request).selectivity.clamp(0.0, 1.0);
-        root_rows * sel
-    };
-    Some(NodeAnnotation {
-        est_rows,
-        root_rows,
-        tables: spec.tables.clone(),
-        predicates: spec.predicates.clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_core::OracleEstimator;
+    use rqo_core::{CardinalityEstimator, OracleEstimator};
     use rqo_datagen::{workload, TpchConfig, TpchData};
     use rqo_exec::AggExpr;
-    use rqo_storage::CostParams;
+    use rqo_storage::{Catalog, CostParams};
     use std::sync::Arc;
 
     fn tpch() -> Arc<Catalog> {
@@ -302,7 +143,7 @@ mod tests {
             .filter("part", workload::exp2_part_predicate(150))
             .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
         let planned = opt.optimize(&query);
-        let annotations = annotate_plan(&cat, oracle.as_ref(), &query, &planned.plan);
+        let annotations = annotate_plan(&opt.context(oracle.as_ref()), &query, &planned.plan);
         assert_eq!(
             annotations.len(),
             planned.plan.node_count(),
@@ -341,7 +182,7 @@ mod tests {
             .filter("lineitem", workload::exp1_lineitem_predicate(50))
             .aggregate(AggExpr::count_star("n"));
         let planned = opt.optimize(&query);
-        let annotations = annotate_plan(&cat, oracle.as_ref(), &query, &planned.plan);
+        let annotations = annotate_plan(&opt.context(oracle.as_ref()), &query, &planned.plan);
         let root = annotations[0].as_ref().expect("aggregate annotated");
         assert_eq!(root.est_rows, 1.0);
         assert!(root.tables.is_empty(), "no feedback key for aggregates");
@@ -355,6 +196,8 @@ mod tests {
         let cat = tpch();
         let oracle: Arc<dyn CardinalityEstimator> =
             Arc::new(OracleEstimator::new(Arc::clone(&cat)));
+        let opt =
+            crate::Optimizer::new(Arc::clone(&cat), CostParams::default(), Arc::clone(&oracle));
         let query = Query::over(&["part"]);
         let plan = PhysicalPlan::Filter {
             input: Box::new(PhysicalPlan::SeqScan {
@@ -363,7 +206,7 @@ mod tests {
             }),
             predicate: rqo_expr::Expr::col("p_x").lt(rqo_expr::Expr::lit(10i64)),
         };
-        let annotations = annotate_plan(&cat, oracle.as_ref(), &query, &plan);
+        let annotations = annotate_plan(&opt.context(oracle.as_ref()), &query, &plan);
         assert!(annotations[0].is_none(), "unattributable filter");
         assert!(annotations[1].is_some(), "scan below is still annotated");
     }

@@ -286,14 +286,10 @@ impl PlanCache {
             if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
                 continue;
             }
-            let tables: Vec<&str> = ann.tables.iter().map(String::as_str).collect();
-            let predicates: Vec<(&str, &rqo_expr::Expr)> = ann
-                .predicates
-                .iter()
-                .map(|(t, e)| (t.as_str(), e))
-                .collect();
-            let key = rqo_core::FeedbackStore::canonical_key(&tables, &predicates);
-            priced_at.insert(key, (ann.est_rows / ann.root_rows).clamp(0.0, 1.0));
+            priced_at.insert(
+                ann.key.clone(),
+                (ann.est_rows / ann.root_rows).clamp(0.0, 1.0),
+            );
         }
         entry_tables.sort_unstable();
 
@@ -512,6 +508,7 @@ mod tests {
                 root_rows,
                 tables: vec![table.clone()],
                 predicates: vec![(table.clone(), expr.clone())],
+                key: key_of(q),
             })],
             selection: PlanSelection::Quantile,
             penalty: None,

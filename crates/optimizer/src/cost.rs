@@ -82,15 +82,6 @@ impl<'a> CostModel<'a> {
         pages * self.params.seq_page_ms + rows as f64 * self.params.cpu_op_ms
     }
 
-    /// Rows in the surviving partitions of a partitioned table — the
-    /// pruned scan's input cardinality.
-    pub fn partition_rows(&self, table: &str, partitions: &[usize]) -> f64 {
-        rqo_exec::surviving_spans(self.catalog, table, partitions)
-            .iter()
-            .map(|s| s.len() as f64)
-            .sum()
-    }
-
     /// One index-range resolution: B-tree descend + leaf pages + per-entry
     /// CPU.
     pub fn index_range_ms(&self, entries: f64) -> f64 {

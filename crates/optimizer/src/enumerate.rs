@@ -1,37 +1,56 @@
 //! Join enumeration: dynamic programming over connected subsets of the FK
 //! join graph, plus star-semijoin candidates for star-shaped queries.
+//! Every candidate is built as a plan node and costed by
+//! [`derive`](crate::derive::derive) from its inputs' derivations.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use rqo_core::{CardinalityEstimator, EstimationRequest};
+use rqo_core::{CardinalityEstimator, EstimationRequest, FeedbackStore};
 use rqo_exec::{PhysicalPlan, SemiJoinLeg};
 use rqo_expr::Expr;
-use rqo_stats::synopsis::find_root;
 use rqo_storage::Catalog;
 
 use crate::access::access_paths;
 use crate::cost::CostModel;
+use crate::derive::{derive, Derivation};
 use crate::query::Query;
 
-/// A costed plan candidate.
+/// A plan candidate and the derivation it is costed by.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// The physical plan.
     pub plan: PhysicalPlan,
-    /// Estimated cost in simulated milliseconds.
-    pub cost_ms: f64,
-    /// Estimated output rows.
-    pub out_rows: f64,
-    /// Column the output is sorted by, when known (enables sort-free merge
-    /// joins downstream).
-    pub sorted_by: Option<String>,
+    /// Rows, cumulative cost and output order of the plan's root.
+    pub derived: Derivation,
+}
+
+impl Candidate {
+    /// Derives `plan`, whose root's inputs were derived as `inputs`.
+    pub(crate) fn new(
+        ctx: &PlanContext<'_>,
+        query: &Query,
+        plan: PhysicalPlan,
+        inputs: &[&Derivation],
+    ) -> Self {
+        let derived = derive(ctx, query, &plan, inputs);
+        Self { plan, derived }
+    }
+
+    /// This candidate under a filter applying a deferred query predicate.
+    fn filtered(self, ctx: &PlanContext<'_>, query: &Query, predicate: &Expr) -> Self {
+        let plan = PhysicalPlan::Filter {
+            input: Box::new(self.plan),
+            predicate: predicate.clone(),
+        };
+        Self::new(ctx, query, plan, &[&self.derived])
+    }
 }
 
 /// Shared planning state: catalog, cost model, the cardinality-estimation
-/// module, and a selectivity cache (the estimator
-/// is consulted once per distinct subexpression, as in the paper's
-/// description of optimizer/estimator traffic).
+/// module, and a selectivity memo (the estimator is consulted once per
+/// distinct subexpression, as in the paper's description of
+/// optimizer/estimator traffic).
 pub struct PlanContext<'a> {
     /// Catalog (tables, FKs, indexes).
     pub catalog: &'a Catalog,
@@ -57,26 +76,38 @@ impl<'a> PlanContext<'a> {
         }
     }
 
-    /// Estimated selectivity of `predicates` over the FK-join expression
-    /// on `tables`, memoized per distinct subexpression.
-    pub fn selectivity(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> f64 {
-        let mut key_tables: Vec<&str> = tables.to_vec();
-        key_tables.sort_unstable();
-        let mut key_preds: Vec<String> =
-            predicates.iter().map(|(t, e)| format!("{t}:{e}")).collect();
-        key_preds.sort_unstable();
-        let key = format!("{key_tables:?}|{key_preds:?}");
-        if let Some(&v) = self.cache.borrow().get(&key) {
-            return v;
+    /// The canonical key of the request `(tables, predicates)` — the
+    /// feedback store's keying, so memo, feedback and plan cache agree
+    /// on what "the same subexpression" means — and its estimated
+    /// selectivity, memoized per key.  A bare base table needs no
+    /// estimate: its selectivity is 1 by definition.
+    pub fn ask(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> (String, f64) {
+        let key = FeedbackStore::canonical_key(tables, predicates);
+        if predicates.is_empty() && tables.len() == 1 {
+            return (key, 1.0);
         }
-        let request = EstimationRequest::new(tables.to_vec(), predicates.to_vec());
+        if let Some(&v) = self.cache.borrow().get(&key) {
+            return (key, v);
+        }
+        // The estimator sees the request in the key's own order, so the
+        // answer does not depend on which caller happened to ask first.
+        let mut tables = tables.to_vec();
+        tables.sort_unstable();
+        let mut predicates = predicates.to_vec();
+        predicates.sort_by_cached_key(|(t, e)| format!("{t}:{e}"));
         let sel = self
             .estimator
-            .estimate(&request)
+            .estimate(&EstimationRequest::new(tables, predicates))
             .selectivity
             .clamp(0.0, 1.0);
-        self.cache.borrow_mut().insert(key, sel);
-        sel
+        self.cache.borrow_mut().insert(key.clone(), sel);
+        (key, sel)
+    }
+
+    /// Estimated selectivity of `predicates` over the FK-join expression
+    /// on `tables` (see [`ask`](Self::ask)).
+    pub fn selectivity(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> f64 {
+        self.ask(tables, predicates).1
     }
 
     /// The column a table's storage is physically ordered by, if any (the
@@ -112,13 +143,15 @@ struct Edge {
 /// when more than 16 tables are queried (the DP is over bitmasks).
 pub fn best_join_plan(ctx: &PlanContext<'_>, query: &Query) -> Candidate {
     let n = query.tables.len();
-    assert!(n <= 16, "join enumeration supports at most 16 tables");
+    assert!(
+        n <= Query::MAX_TABLES,
+        "join enumeration supports at most 16 tables"
+    );
 
     // Base case: single-table access paths.
     let mut plans: HashMap<u32, Vec<Candidate>> = HashMap::new();
     for (i, table) in query.tables.iter().enumerate() {
-        let cands = access_paths(ctx, table, query.predicate_for(table));
-        plans.insert(1 << i, prune(cands));
+        plans.insert(1 << i, prune(access_paths(ctx, query, table)));
     }
     if n == 1 {
         return best_of(&plans[&1]).clone();
@@ -168,30 +201,11 @@ pub fn best_join_plan(ctx: &PlanContext<'_>, query: &Query) -> Candidate {
         "query tables must form a connected FK join graph"
     );
 
-    // Cardinality of a connected subset.
-    let subset_card = |mask: u32| -> f64 {
-        let tables: Vec<&str> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| query.tables[i].as_str())
-            .collect();
-        let preds: Vec<(&str, &Expr)> = query
-            .predicates
-            .iter()
-            .filter(|(t, _)| tables.contains(&t.as_str()))
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        let root =
-            find_root(ctx.catalog, &tables).expect("connected FK subset has a root relation");
-        ctx.model.table_rows(root) * ctx.selectivity(&tables, &preds)
-    };
-    let mut cards: HashMap<u32, f64> = HashMap::new();
-
     // DP over subsets by population count.
     for mask in 1u32..=full {
         if mask.count_ones() < 2 || !connected(mask) {
             continue;
         }
-        let out_rows = *cards.entry(mask).or_insert_with(|| subset_card(mask));
         let mut cands: Vec<Candidate> = Vec::new();
 
         // Enumerate partitions: a proper nonempty subset of mask
@@ -213,7 +227,7 @@ pub fn best_join_plan(ctx: &PlanContext<'_>, query: &Query) -> Candidate {
                         } else {
                             continue;
                         };
-                        join_candidates(ctx, query, &plans, &mut cands, a_side, b_side, out_rows);
+                        join_candidates(ctx, query, &plans, &mut cands, a_side, b_side);
                     }
                 }
             }
@@ -231,7 +245,6 @@ pub fn best_join_plan(ctx: &PlanContext<'_>, query: &Query) -> Candidate {
 
 /// Generates hash/merge/INL candidates for one (side-a, side-b) split
 /// joined on `a.col_a = b.col_b`, appending to `out`.
-#[allow(clippy::too_many_arguments)]
 fn join_candidates(
     ctx: &PlanContext<'_>,
     query: &Query,
@@ -239,84 +252,57 @@ fn join_candidates(
     out: &mut Vec<Candidate>,
     (a_mask, a_col): (u32, &String),
     (b_mask, b_col): (u32, &String),
-    out_rows: f64,
 ) {
     let (Some(a_cands), Some(b_cands)) = (plans.get(&a_mask), plans.get(&b_mask)) else {
         return;
-    };
-    let n = query.tables.len();
-    let tables_of = |mask: u32| -> Vec<&str> {
-        (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| query.tables[i].as_str())
-            .collect()
     };
 
     for ca in a_cands {
         for cb in b_cands {
             // Hash join, both build orientations.
-            out.push(Candidate {
-                plan: PhysicalPlan::HashJoin {
-                    build: Box::new(ca.plan.clone()),
-                    probe: Box::new(cb.plan.clone()),
-                    build_key: a_col.clone(),
-                    probe_key: b_col.clone(),
-                },
-                cost_ms: ca.cost_ms
-                    + cb.cost_ms
-                    + ctx.model.hash_join_ms(ca.out_rows, cb.out_rows, out_rows),
-                out_rows,
-                sorted_by: cb.sorted_by.clone(),
-            });
-            out.push(Candidate {
-                plan: PhysicalPlan::HashJoin {
-                    build: Box::new(cb.plan.clone()),
-                    probe: Box::new(ca.plan.clone()),
-                    build_key: b_col.clone(),
-                    probe_key: a_col.clone(),
-                },
-                cost_ms: ca.cost_ms
-                    + cb.cost_ms
-                    + ctx.model.hash_join_ms(cb.out_rows, ca.out_rows, out_rows),
-                out_rows,
-                sorted_by: ca.sorted_by.clone(),
-            });
+            for ((build, build_key), (probe, probe_key)) in
+                [((ca, a_col), (cb, b_col)), ((cb, b_col), (ca, a_col))]
+            {
+                let plan = PhysicalPlan::HashJoin {
+                    build: Box::new(build.plan.clone()),
+                    probe: Box::new(probe.plan.clone()),
+                    build_key: build_key.clone(),
+                    probe_key: probe_key.clone(),
+                };
+                out.push(Candidate::new(
+                    ctx,
+                    query,
+                    plan,
+                    &[&build.derived, &probe.derived],
+                ));
+            }
             // Merge join.
-            let a_sorted = ca.sorted_by.as_deref() == Some(a_col.as_str());
-            let b_sorted = cb.sorted_by.as_deref() == Some(b_col.as_str());
-            out.push(Candidate {
-                plan: PhysicalPlan::MergeJoin {
-                    left: Box::new(ca.plan.clone()),
-                    right: Box::new(cb.plan.clone()),
-                    left_key: a_col.clone(),
-                    right_key: b_col.clone(),
-                },
-                cost_ms: ca.cost_ms
-                    + cb.cost_ms
-                    + ctx.model.merge_join_ms(
-                        ca.out_rows,
-                        cb.out_rows,
-                        out_rows,
-                        a_sorted,
-                        b_sorted,
-                    ),
-                out_rows,
-                sorted_by: Some(a_col.clone()),
-            });
+            let plan = PhysicalPlan::MergeJoin {
+                left: Box::new(ca.plan.clone()),
+                right: Box::new(cb.plan.clone()),
+                left_key: a_col.clone(),
+                right_key: b_col.clone(),
+            };
+            out.push(Candidate::new(
+                ctx,
+                query,
+                plan,
+                &[&ca.derived, &cb.derived],
+            ));
         }
     }
 
     // Indexed nested loops, in both orientations: the inner side must be a
     // single base table with a secondary index on its join column; the
     // outer side drives.
-    for ((outer_mask, outer_col, outer_cands), (inner_mask, inner_col)) in [
-        ((a_mask, a_col, a_cands), (b_mask, b_col)),
-        ((b_mask, b_col, b_cands), (a_mask, a_col)),
+    for ((outer_col, outer_cands), (inner_mask, inner_col)) in [
+        ((a_col, a_cands), (b_mask, b_col)),
+        ((b_col, b_cands), (a_mask, a_col)),
     ] {
         if inner_mask.count_ones() != 1 {
             continue;
         }
-        let inner_table = tables_of(inner_mask)[0];
+        let inner_table = &query.tables[inner_mask.trailing_zeros() as usize];
         if ctx
             .catalog
             .secondary_index(inner_table, inner_col)
@@ -324,40 +310,20 @@ fn join_candidates(
         {
             continue;
         }
-        // Rows fetched from the index before the inner residual filter:
-        // the join with the inner table's predicate *removed*.
-        let joint_tables = tables_of(outer_mask | inner_mask);
-        let preds_without_inner: Vec<(&str, &Expr)> = query
-            .predicates
-            .iter()
-            .filter(|(t, _)| t != inner_table && joint_tables.contains(&t.as_str()))
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        let root = find_root(ctx.catalog, &joint_tables).expect("root exists");
-        let fetched =
-            ctx.model.table_rows(root) * ctx.selectivity(&joint_tables, &preds_without_inner);
-        let inner_pred = query.predicate_for(inner_table);
         for ca in outer_cands {
-            let mut plan = PhysicalPlan::IndexedNlJoin {
+            let plan = PhysicalPlan::IndexedNlJoin {
                 outer: Box::new(ca.plan.clone()),
-                inner_table: inner_table.to_string(),
+                inner_table: inner_table.clone(),
                 inner_index_column: inner_col.clone(),
                 outer_key: outer_col.clone(),
             };
-            let mut cost = ca.cost_ms + ctx.model.indexed_nl_join_ms(ca.out_rows, fetched);
-            if let Some(p) = inner_pred {
-                plan = PhysicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: p.clone(),
-                };
-                cost += ctx.model.per_row_ms(fetched);
+            let mut cand = Candidate::new(ctx, query, plan, &[&ca.derived]);
+            // The index fetches by join key alone; the inner table's
+            // own predicate is a residual filter on top.
+            if let Some(p) = query.predicate_for(inner_table) {
+                cand = cand.filtered(ctx, query, p);
             }
-            out.push(Candidate {
-                plan,
-                cost_ms: cost,
-                out_rows,
-                sorted_by: ca.sorted_by.clone(),
-            });
+            out.push(cand);
         }
     }
 }
@@ -397,13 +363,7 @@ fn star_semijoin_candidates(ctx: &PlanContext<'_>, query: &Query) -> Vec<Candida
     }
 
     // Possible legs: filtered dims with an indexed fact FK.
-    struct LegInfo<'q> {
-        dim: &'q str,
-        fk_col: String,
-        key_col: String,
-        pred: &'q Expr,
-    }
-    let mut legs: Vec<LegInfo<'_>> = Vec::new();
+    let mut legs: Vec<SemiJoinLeg> = Vec::new();
     for dim in &query.tables {
         if dim == fact {
             continue;
@@ -419,139 +379,62 @@ fn star_semijoin_candidates(ctx: &PlanContext<'_>, query: &Query) -> Vec<Candida
             continue;
         };
         if ctx.catalog.secondary_index(fact, &fk.from_column).is_some() {
-            legs.push(LegInfo {
-                dim,
-                fk_col: fk.from_column.clone(),
-                key_col: fk.to_column.clone(),
-                pred,
+            legs.push(SemiJoinLeg {
+                dim_table: dim.clone(),
+                dim_key: fk.to_column.clone(),
+                dim_predicate: pred.clone(),
+                fact_fk: fk.from_column.clone(),
             });
         }
     }
-    if legs.is_empty() {
-        return out;
-    }
-
-    let fact_rows = ctx.model.table_rows(fact);
-    let full_tables: Vec<&str> = query.table_refs();
-    let full_preds: Vec<(&str, &Expr)> = query
-        .predicates
-        .iter()
-        .map(|(t, e)| (t.as_str(), e))
-        .collect();
-    let final_rows = fact_rows * ctx.selectivity(&full_tables, &full_preds);
 
     // Every nonempty subset of possible legs.
     for leg_mask in 1u32..(1 << legs.len()) {
-        let chosen: Vec<&LegInfo<'_>> = legs
+        let chosen: Vec<SemiJoinLeg> = legs
             .iter()
             .enumerate()
             .filter(|(i, _)| leg_mask & (1 << i) != 0)
-            .map(|(_, l)| l)
+            .map(|(_, l)| l.clone())
             .collect();
-
-        let mut cost = 0.0;
-        let mut total_entries = 0.0;
-        for leg in &chosen {
-            let dim_rows = ctx.model.table_rows(leg.dim);
-            let keys = dim_rows * ctx.selectivity(&[leg.dim], &[(leg.dim, leg.pred)]);
-            let entries = fact_rows * ctx.selectivity(&[fact, leg.dim], &[(leg.dim, leg.pred)]);
-            total_entries += entries;
-            cost += ctx.model.semijoin_leg_ms(leg.dim, keys, entries);
-        }
-        // Fact rows surviving the chosen legs.
-        let mut covered: Vec<&str> = vec![fact];
-        covered.extend(chosen.iter().map(|l| l.dim));
-        let leg_preds: Vec<(&str, &Expr)> = chosen.iter().map(|l| (l.dim, l.pred)).collect();
-        let matched = fact_rows * ctx.selectivity(&covered, &leg_preds);
-        cost += ctx.model.semijoin_finish_ms(fact, total_entries, matched);
-
-        let mut plan = PhysicalPlan::StarSemiJoin {
+        let hashed: Vec<&String> = query
+            .tables
+            .iter()
+            .filter(|t| *t != fact && !chosen.iter().any(|l| &l.dim_table == *t))
+            .collect();
+        let plan = PhysicalPlan::StarSemiJoin {
             fact_table: fact.clone(),
-            legs: chosen
-                .iter()
-                .map(|l| SemiJoinLeg {
-                    dim_table: l.dim.to_string(),
-                    dim_key: l.key_col.clone(),
-                    dim_predicate: l.pred.clone(),
-                    fact_fk: l.fk_col.clone(),
-                })
-                .collect(),
+            legs: chosen,
         };
-        let mut current_rows = matched;
+        let mut cand = Candidate::new(ctx, query, plan, &[]);
 
         // The StarSemiJoin operator emits *unfiltered* fact rows (the
         // dimensions act purely as key filters), so a local predicate on
         // the fact table itself must be re-applied on top.
         if let Some(fact_pred) = query.predicate_for(fact) {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                predicate: fact_pred.clone(),
-            };
-            cost += ctx.model.per_row_ms(matched);
-            let mut preds = leg_preds.clone();
-            preds.push((fact.as_str(), fact_pred));
-            current_rows = fact_rows * ctx.selectivity(&covered, &preds);
+            cand = cand.filtered(ctx, query, fact_pred);
         }
 
-        // Hash-join the remaining filtered dimensions (hybrid shape).
-        let mut feasible = true;
-        for dim in &query.tables {
-            if dim == fact || chosen.iter().any(|l| l.dim == dim.as_str()) {
-                continue;
-            }
-            let Some(fk) = ctx
+        // Hash-join the remaining dimensions (hybrid shape).
+        for dim in hashed {
+            let fk = ctx
                 .catalog
                 .foreign_keys_from(fact)
                 .find(|fk| &fk.to_table == dim)
-            else {
-                feasible = false;
-                break;
+                .expect("the fact references every other query table");
+            let scan = PhysicalPlan::SeqScan {
+                table: dim.clone(),
+                predicate: query.predicate_for(dim).cloned(),
             };
-            let pred = query.predicate_for(dim);
-            let dim_rows = ctx.model.table_rows(dim);
-            let build_rows = match pred {
-                Some(p) => dim_rows * ctx.selectivity(&[dim], &[(dim.as_str(), p)]),
-                None => dim_rows,
-            };
-            covered.push(dim);
-            let mut preds: Vec<(&str, &Expr)> = leg_preds.clone();
-            if let Some(p) = pred {
-                preds.push((dim, p));
-            }
-            // Include predicates of previously hash-joined dims.
-            let next_rows = fact_rows
-                * ctx.selectivity(
-                    &covered,
-                    &query
-                        .predicates
-                        .iter()
-                        .filter(|(t, _)| covered.contains(&t.as_str()))
-                        .map(|(t, e)| (t.as_str(), e))
-                        .collect::<Vec<_>>(),
-                );
-            cost += ctx.model.seq_scan_ms(dim)
-                + ctx.model.hash_join_ms(build_rows, current_rows, next_rows);
-            plan = PhysicalPlan::HashJoin {
-                build: Box::new(PhysicalPlan::SeqScan {
-                    table: dim.clone(),
-                    predicate: pred.cloned(),
-                }),
-                probe: Box::new(plan),
+            let build = Candidate::new(ctx, query, scan, &[]);
+            let plan = PhysicalPlan::HashJoin {
+                build: Box::new(build.plan),
+                probe: Box::new(cand.plan),
                 build_key: fk.to_column.clone(),
                 probe_key: fk.from_column.clone(),
             };
-            current_rows = next_rows;
+            cand = Candidate::new(ctx, query, plan, &[&build.derived, &cand.derived]);
         }
-        if !feasible {
-            continue;
-        }
-
-        out.push(Candidate {
-            plan,
-            cost_ms: cost,
-            out_rows: final_rows,
-            sorted_by: None,
-        });
+        out.push(cand);
     }
     out
 }
@@ -561,10 +444,10 @@ fn star_semijoin_candidates(ctx: &PlanContext<'_>, query: &Query) -> Vec<Candida
 fn prune(cands: Vec<Candidate>) -> Vec<Candidate> {
     let mut best: HashMap<Option<String>, Candidate> = HashMap::new();
     for c in cands {
-        match best.get(&c.sorted_by) {
-            Some(existing) if existing.cost_ms <= c.cost_ms => {}
+        match best.get(&c.derived.sorted_by) {
+            Some(existing) if existing.derived.cost_ms <= c.derived.cost_ms => {}
             _ => {
-                best.insert(c.sorted_by.clone(), c);
+                best.insert(c.derived.sorted_by.clone(), c);
             }
         }
     }
@@ -580,6 +463,6 @@ fn prune(cands: Vec<Candidate>) -> Vec<Candidate> {
 pub fn best_of(cands: &[Candidate]) -> &Candidate {
     cands
         .iter()
-        .min_by(|a, b| a.cost_ms.total_cmp(&b.cost_ms))
+        .min_by(|a, b| a.derived.cost_ms.total_cmp(&b.derived.cost_ms))
         .expect("at least one candidate")
 }

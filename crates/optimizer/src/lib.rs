@@ -19,7 +19,11 @@
 //!   star-shaped queries, including the hybrid shapes the paper observed
 //!   (Experiment 3).
 //!
-//! Costing mirrors the executor's charging rules exactly, evaluated at the
+//! Every number attached to a plan node — the estimation request it stands
+//! for, its rows, its cost — comes from one per-node derivation
+//! ([`derive`](derive::derive)): the enumerator costs candidates with it,
+//! [`price_plan`] and [`annotate_plan`] read it off a finished plan.  Its
+//! cost formulas are the executor's charging rules evaluated at the
 //! *estimated* cardinalities; with the robust estimator those cardinalities
 //! are posterior quantiles at the configured confidence threshold, so a
 //! single knob moves every plan choice along the
@@ -31,6 +35,7 @@ pub mod access;
 pub mod analyze;
 pub mod cache;
 pub mod cost;
+pub mod derive;
 pub mod enumerate;
 pub mod planner;
 pub mod prune;
@@ -41,10 +46,9 @@ pub mod selection;
 pub use analyze::{annotate_plan, NodeAnnotation, NodeAnnotations};
 pub use cache::{CacheStats, PlanCache, PlanFingerprint, DEFAULT_DRIFT_BOUND};
 pub use cost::CostModel;
+pub use derive::{price_plan, PricedPlan};
 pub use planner::{Optimizer, PlannedQuery};
 pub use prune::pruned_partitions;
 pub use query::Query;
 pub use replan::MaterializedFragment;
-pub use selection::{
-    price_plan, CandidateScore, PenaltyReport, PricedPlan, PENALTY_ANNOTATION_QUANTILE,
-};
+pub use selection::{CandidateScore, PenaltyReport, PENALTY_ANNOTATION_QUANTILE};

@@ -2,12 +2,13 @@
 
 use std::sync::Arc;
 
-use rqo_core::{CardinalityEstimator, PlanSelection};
+use rqo_core::{CardinalityEstimator, ConfidenceThreshold, PlanSelection};
 use rqo_exec::PhysicalPlan;
 use rqo_storage::{Catalog, CostParams};
 
-use crate::analyze::{annotate_plan, estimates_only, NodeAnnotations};
+use crate::analyze::{annotations, estimates_only, NodeAnnotations};
 use crate::cost::CostModel;
+use crate::derive::{derive_plan, PricedPlan};
 use crate::enumerate::{best_join_plan, PlanContext};
 use crate::query::Query;
 use crate::selection::{optimize_expected_penalty, PenaltyReport};
@@ -26,7 +27,8 @@ pub struct PlannedQuery {
     pub estimator_calls: usize,
     /// Per-node estimation context in the plan's pre-order numbering
     /// (see [`crate::analyze`]): the estimated cardinality each operator
-    /// was planned at, plus the `(tables, predicates)` request behind it.
+    /// was planned at, plus the `(tables, predicates)` request behind it
+    /// and its canonical key.
     pub node_annotations: NodeAnnotations,
     /// The plan-selection mode that chose this plan.
     pub selection: PlanSelection,
@@ -45,6 +47,35 @@ impl PlannedQuery {
     /// [`rqo_exec::OpMetrics::annotate`] accepts.
     pub fn node_estimates(&self) -> Vec<Option<f64>> {
         estimates_only(&self.node_annotations)
+    }
+
+    /// A quantile-mode result for `plan`: cost, rows and per-node
+    /// annotations all read off one derivation of the plan under `ctx`.
+    pub(crate) fn derived(ctx: &PlanContext<'_>, query: &Query, plan: PhysicalPlan) -> Self {
+        let derived = derive_plan(ctx, query, &plan);
+        let priced = PricedPlan::of(&plan, &derived);
+        Self {
+            estimated_cost_ms: priced.cost_ms,
+            estimated_rows: priced.join_rows,
+            estimator_calls: ctx.estimator_calls(),
+            node_annotations: annotations(&plan, &derived),
+            plan,
+            selection: PlanSelection::Quantile,
+            penalty: None,
+        }
+    }
+}
+
+/// Adds the query's (plan-invariant) top aggregate to a join plan.
+pub(crate) fn wrap_aggregate(query: &Query, plan: PhysicalPlan) -> PhysicalPlan {
+    if query.aggregates.is_empty() {
+        plan
+    } else {
+        PhysicalPlan::HashAggregate {
+            input: Box::new(plan),
+            group_by: query.group_by.clone(),
+            aggregates: query.aggregates.clone(),
+        }
     }
 }
 
@@ -110,57 +141,34 @@ impl Optimizer {
         }
     }
 
+    /// A planning context over `estimator`.
+    pub(crate) fn context<'a>(
+        &'a self,
+        estimator: &'a dyn CardinalityEstimator,
+    ) -> PlanContext<'a> {
+        let model = CostModel::new(&self.catalog, &self.params);
+        PlanContext::new(&self.catalog, model, estimator)
+    }
+
+    /// Runs `plan` under a context whose estimator honours `hint` (the
+    /// estimator itself when there is no hint, or it has no threshold to
+    /// move).
+    pub(crate) fn with_hinted_context<R>(
+        &self,
+        hint: Option<ConfidenceThreshold>,
+        plan: impl FnOnce(&PlanContext<'_>) -> R,
+    ) -> R {
+        let hinted = hint.and_then(|t| self.estimator.hinted(t));
+        plan(&self.context(hinted.as_deref().unwrap_or(self.estimator.as_ref())))
+    }
+
     /// The paper's scheme: collapse each posterior at the confidence
     /// threshold, then run one enumeration at those point selectivities.
     fn optimize_quantile(&self, query: &Query) -> PlannedQuery {
-        let hinted;
-        let estimator: &dyn CardinalityEstimator = match query.hint {
-            Some(t) => match self.estimator.hinted(t) {
-                Some(h) => {
-                    hinted = h;
-                    hinted.as_ref()
-                }
-                None => self.estimator.as_ref(),
-            },
-            None => self.estimator.as_ref(),
-        };
-
-        let model = CostModel::new(&self.catalog, &self.params);
-        let ctx = PlanContext::new(&self.catalog, model, estimator);
-        let best = best_join_plan(&ctx, query);
-
-        let (plan, cost_ms) = if query.aggregates.is_empty() {
-            (best.plan, best.cost_ms)
-        } else {
-            // Group-count guess for costing the (plan-invariant) top
-            // aggregate; any monotone heuristic works because it is the
-            // same for every candidate.
-            let groups = if query.group_by.is_empty() {
-                1.0
-            } else {
-                best.out_rows.sqrt().max(1.0)
-            };
-            let agg_cost = ctx.model.aggregate_ms(best.out_rows, groups);
-            (
-                PhysicalPlan::HashAggregate {
-                    input: Box::new(best.plan),
-                    group_by: query.group_by.clone(),
-                    aggregates: query.aggregates.clone(),
-                },
-                best.cost_ms + agg_cost,
-            )
-        };
-
-        let node_annotations = annotate_plan(&self.catalog, estimator, query, &plan);
-        PlannedQuery {
-            plan,
-            estimated_cost_ms: cost_ms,
-            estimated_rows: best.out_rows,
-            estimator_calls: ctx.estimator_calls(),
-            node_annotations,
-            selection: PlanSelection::Quantile,
-            penalty: None,
-        }
+        self.with_hinted_context(query.hint, |ctx| {
+            let best = best_join_plan(ctx, query);
+            PlannedQuery::derived(ctx, query, wrap_aggregate(query, best.plan))
+        })
     }
 }
 

@@ -3,6 +3,7 @@
 use rqo_core::{ConfidenceThreshold, PlanSelection};
 use rqo_exec::AggExpr;
 use rqo_expr::Expr;
+use rqo_storage::Catalog;
 
 /// A logical query: a set of tables implicitly joined along declared
 /// foreign keys, per-table selection predicates, and an optional aggregate
@@ -39,6 +40,10 @@ pub struct Query {
 }
 
 impl Query {
+    /// Most tables one query may join (the enumerator's DP is over
+    /// 16-bit subset masks' worth of tables).
+    pub const MAX_TABLES: usize = 16;
+
     /// Starts a query over the given tables.
     pub fn over(tables: &[&str]) -> Self {
         assert!(!tables.is_empty(), "query needs at least one table");
@@ -108,6 +113,91 @@ impl Query {
     pub fn table_refs(&self) -> Vec<&str> {
         self.tables.iter().map(String::as_str).collect()
     }
+
+    /// Checks that the optimizer can plan this query over `catalog` —
+    /// the check for queries that arrive from outside the program, where
+    /// the enumerator's own `assert!`s must never be what rejects them.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason when a table is unknown or listed twice,
+    /// there are more than [`MAX_TABLES`](Self::MAX_TABLES), the tables
+    /// do not form a tree of foreign-key joins, a predicate names an
+    /// unlisted table or does not bind against its table's schema, or a
+    /// group-by / aggregate column exists on no listed table.
+    pub fn validate(&self, catalog: &Catalog) -> Result<(), String> {
+        let n = self.tables.len();
+        if n == 0 || n > Self::MAX_TABLES {
+            return Err(format!(
+                "a query joins 1 to {} tables, not {n}",
+                Self::MAX_TABLES
+            ));
+        }
+        let mut schemas = Vec::with_capacity(n);
+        for (i, name) in self.tables.iter().enumerate() {
+            if self.tables[..i].contains(name) {
+                return Err(format!("table {name:?} is listed twice"));
+            }
+            match catalog.table(name) {
+                Ok(table) => schemas.push(table.schema()),
+                Err(_) => return Err(format!("unknown table {name:?}")),
+            }
+        }
+
+        // The enumerator joins along FK edges between listed tables and
+        // sizes every connected subset from its FK root (`find_root`):
+        // both hold exactly when those edges form a tree hanging off one
+        // table — the paper's acyclic FK-join model.
+        let listed = |t: &String| self.tables.contains(t);
+        let edges: Vec<(&String, &String)> = catalog
+            .foreign_keys()
+            .iter()
+            .map(|fk| (&fk.from_table, &fk.to_table))
+            .filter(|(from, to)| from != to && listed(from) && listed(to))
+            .collect();
+        let reaches_all = |root: &String| {
+            let mut reached = vec![root];
+            let mut next = 0;
+            while next < reached.len() {
+                for &(from, to) in &edges {
+                    if from == reached[next] && !reached.contains(&to) {
+                        reached.push(to);
+                    }
+                }
+                next += 1;
+            }
+            reached.len() == n
+        };
+        if edges.len() != n - 1 || !self.tables.iter().any(reaches_all) {
+            return Err(format!(
+                "tables {:?} are not connected by a tree of foreign-key joins",
+                self.tables
+            ));
+        }
+
+        for (table, predicate) in &self.predicates {
+            let Some(idx) = self.tables.iter().position(|t| t == table) else {
+                return Err(format!("predicate on {table:?}, which is not in the query"));
+            };
+            if let Err(e) = predicate.bind(schemas[idx]) {
+                return Err(format!("predicate on {table:?}: {e}"));
+            }
+        }
+        let column_exists = |col: &str| schemas.iter().any(|s| s.index_of(col).is_some());
+        for col in &self.group_by {
+            if !column_exists(col) {
+                return Err(format!("unknown group-by column {col:?}"));
+            }
+        }
+        for agg in &self.aggregates {
+            if let Some(col) = &agg.column {
+                if !column_exists(col) {
+                    return Err(format!("unknown aggregate column {col:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +223,68 @@ mod tests {
         assert_eq!(q.hint.unwrap().percent(), 95.0);
         assert_eq!(q.selection, Some(PlanSelection::ExpectedPenalty));
         assert_eq!(q.table_refs(), vec!["lineitem", "orders"]);
+    }
+
+    fn tpch() -> Catalog {
+        rqo_datagen::TpchData::generate(&rqo_datagen::TpchConfig {
+            scale_factor: 0.002,
+            seed: 3,
+        })
+        .into_catalog()
+    }
+
+    #[test]
+    fn validate_accepts_what_the_optimizer_plans() {
+        let cat = tpch();
+        for tables in [
+            &["lineitem"][..],
+            &["orders", "lineitem"],
+            &["part", "lineitem", "orders"],
+        ] {
+            let q = Query::over(tables)
+                .filter("lineitem", Expr::col("l_quantity").gt(Expr::lit(5.0)))
+                .group(&["l_partkey"])
+                .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
+            assert_eq!(q.validate(&cat), Ok(()), "{tables:?}");
+        }
+    }
+
+    #[test]
+    fn validate_names_each_rejection() {
+        let cat = tpch();
+        let rejected = |q: Query, needle: &str| {
+            let err = q.validate(&cat).expect_err(needle);
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        };
+        rejected(Query::over(&["nope"]), "unknown table");
+        rejected(Query::over(&["part", "part"]), "listed twice");
+        rejected(
+            Query::over(&["lineitem", "lineitem", "orders"]),
+            "listed twice",
+        );
+        // orders and part share no FK edge: both hang off lineitem.
+        rejected(Query::over(&["orders", "part"]), "foreign-key");
+        let seventeen: Vec<String> = (0..17).map(|i| format!("t{i}")).collect();
+        let refs: Vec<&str> = seventeen.iter().map(String::as_str).collect();
+        rejected(Query::over(&refs), "1 to 16 tables");
+        let mut empty = Query::over(&["part"]);
+        empty.tables.clear();
+        rejected(empty, "1 to 16 tables");
+
+        rejected(
+            Query::over(&["part"]).filter("part", Expr::col("p_nope").lt(Expr::lit(1i64))),
+            "predicate on \"part\"",
+        );
+        let mut stray = Query::over(&["part"]);
+        stray
+            .predicates
+            .push(("orders".into(), Expr::col("o_orderkey").lt(Expr::lit(1i64))));
+        rejected(stray, "not in the query");
+        rejected(Query::over(&["part"]).group(&["p_nope"]), "group-by column");
+        rejected(
+            Query::over(&["part"]).aggregate(AggExpr::sum("l_quantity", "q")),
+            "aggregate column",
+        );
     }
 
     #[test]

@@ -3,18 +3,18 @@
 //!
 //! When a runtime cardinality guard trips at a pipeline breaker, the
 //! adaptive driver (`RobustDb::run_adaptive`) has three things in hand:
-//! the materialized batch, the `(tables, predicates)` spec of the subtree
-//! that produced it (from the tripped node's [`NodeAnnotation`]), and a
-//! feedback store that now records the *observed* selectivities for that
-//! spec.  [`Optimizer::replan_with_materialized`] turns those into a
-//! resumable plan:
+//! the materialized batch, the `(tables, predicates)` request of the
+//! subtree that produced it (from the tripped node's [`NodeAnnotation`]),
+//! and a feedback store that now records the *observed* selectivities
+//! for that request.  [`Optimizer::replan_with_materialized`] turns those
+//! into a resumable plan:
 //!
 //! 1. re-optimize the **full** query — the estimator, primed with the
 //!    fed-back truth, no longer repeats the misestimate, and the search
 //!    is free to restructure everything downstream of the breaker;
-//! 2. find the node of the fresh plan whose derived estimation request
-//!    matches the finished fragment's spec (canonical-key comparison,
-//!    the same keying the feedback store uses);
+//! 2. find the node of the fresh plan whose annotated estimation request
+//!    has the finished fragment's canonical key (the same keying the
+//!    feedback store uses);
 //! 3. graft a [`PhysicalPlan::Materialized`] leaf over that subtree, so
 //!    the finished work is served from memory instead of recomputed.
 //!
@@ -25,24 +25,27 @@
 //! it from scratch — correctness never depends on the graft, only the
 //! cost saving does.
 
-use rqo_core::{CardinalityEstimator, ConfidenceThreshold, FeedbackStore, PlanSelection};
+use rqo_core::PlanSelection;
 use rqo_exec::PhysicalPlan;
 use rqo_expr::Expr;
 
 use crate::analyze::{annotate_plan, NodeAnnotation};
 use crate::planner::{Optimizer, PlannedQuery};
 use crate::query::Query;
-use crate::selection::PENALTY_ANNOTATION_QUANTILE;
+use crate::selection::median;
 
-/// A finished, materialized query fragment: the spec of the subtree whose
-/// output is already in memory, and the slot its batch is bound to at
-/// execution time.
+/// A finished, materialized query fragment: the request of the subtree
+/// whose output is already in memory, and the slot its batch is bound to
+/// at execution time.
 #[derive(Debug, Clone)]
 pub struct MaterializedFragment {
     /// Tables the fragment covers.
     pub tables: Vec<String>,
     /// Query predicates applied within the fragment.
     pub predicates: Vec<(String, Expr)>,
+    /// The request's canonical key — the identity used to find the
+    /// matching subtree in a fresh plan.
+    pub key: String,
     /// Executor slot the fragment's batch is bound to.
     pub slot: usize,
 }
@@ -54,24 +57,10 @@ impl MaterializedFragment {
         Self {
             tables: annotation.tables.clone(),
             predicates: annotation.predicates.clone(),
+            key: annotation.key.clone(),
             slot,
         }
     }
-
-    /// The fragment's canonical estimation-request key — the identity
-    /// used to find the matching subtree in a fresh plan.
-    pub fn key(&self) -> String {
-        spec_key(&self.tables, &self.predicates)
-    }
-}
-
-/// Canonical key of a `(tables, predicates)` spec, identical to the
-/// feedback store's keying so fragment matching and feedback recording
-/// agree on what "the same subtree" means.
-fn spec_key(tables: &[String], predicates: &[(String, Expr)]) -> String {
-    let t: Vec<&str> = tables.iter().map(String::as_str).collect();
-    let p: Vec<(&str, &Expr)> = predicates.iter().map(|(t, e)| (t.as_str(), e)).collect();
-    FeedbackStore::canonical_key(&t, &p)
 }
 
 impl Optimizer {
@@ -80,29 +69,21 @@ impl Optimizer {
     /// query and whether the graft happened.
     ///
     /// The returned plan is always executable; when the flag is `false`
-    /// no subtree of the fresh plan matched the fragment's spec and the
-    /// plan recomputes everything (correct, just not resumed).
+    /// no subtree of the fresh plan matched the fragment's request and
+    /// the plan recomputes everything (correct, just not resumed).
     pub fn replan_with_materialized(
         &self,
         query: &Query,
         fragment: &MaterializedFragment,
     ) -> (PlannedQuery, bool) {
         let mut planned = self.optimize(query);
-        let target_key = fragment.key();
         // First pre-order match = shallowest = the largest finished
-        // subtree the fresh plan can reuse.
-        let target = planned
-            .node_annotations
-            .iter()
-            .enumerate()
-            .find_map(|(idx, ann)| {
-                let ann = ann.as_ref()?;
-                if ann.tables.is_empty() {
-                    // Value-only annotations (aggregates) have no spec.
-                    return None;
-                }
-                (spec_key(&ann.tables, &ann.predicates) == target_key).then_some(idx)
-            });
+        // subtree the fresh plan can reuse.  Value-only annotations
+        // (aggregates) carry no request and never match.
+        let target = planned.node_annotations.iter().position(|ann| {
+            ann.as_ref()
+                .is_some_and(|a| !a.tables.is_empty() && a.key == fragment.key)
+        });
         let Some(idx) = target else {
             return (planned, false);
         };
@@ -120,23 +101,11 @@ impl Optimizer {
         // stay aligned node-for-node.  Penalty-mode plans annotate at
         // the posterior median regardless of any threshold hint.
         let annotation_hint = match query.selection.unwrap_or_default() {
-            PlanSelection::ExpectedPenalty => {
-                Some(ConfidenceThreshold::new(PENALTY_ANNOTATION_QUANTILE))
-            }
+            PlanSelection::ExpectedPenalty => Some(median()),
             PlanSelection::Quantile => query.hint,
         };
-        let hinted;
-        let estimator: &dyn CardinalityEstimator = match annotation_hint {
-            Some(t) => match self.estimator().hinted(t) {
-                Some(h) => {
-                    hinted = h;
-                    hinted.as_ref()
-                }
-                None => self.estimator().as_ref(),
-            },
-            None => self.estimator().as_ref(),
-        };
-        planned.node_annotations = annotate_plan(self.catalog(), estimator, query, &plan);
+        planned.node_annotations =
+            self.with_hinted_context(annotation_hint, |ctx| annotate_plan(ctx, query, &plan));
         planned.plan = plan;
         (planned, true)
     }
@@ -170,11 +139,12 @@ mod tests {
         let query = Query::over(&["lineitem"])
             .filter("lineitem", pred.clone())
             .aggregate(AggExpr::count_star("n"));
-        let fragment = MaterializedFragment {
-            tables: vec!["lineitem".into()],
-            predicates: vec![("lineitem".into(), pred)],
-            slot: 0,
-        };
+        // The scan under the aggregate is the finished fragment.
+        let scan = opt.optimize(&query).node_annotations[1]
+            .clone()
+            .expect("scan annotated");
+        assert_eq!(scan.predicates, vec![("lineitem".to_string(), pred)]);
+        let fragment = MaterializedFragment::from_annotation(&scan, 0);
         let (planned, substituted) = opt.replan_with_materialized(&query, &fragment);
         assert!(substituted);
         assert_eq!(planned.shape(), "agg(mat#0)");
@@ -194,11 +164,10 @@ mod tests {
         let query = Query::over(&["lineitem"])
             .filter("lineitem", workload::exp1_lineitem_predicate(50))
             .aggregate(AggExpr::count_star("n"));
-        let fragment = MaterializedFragment {
-            tables: vec!["orders".into()],
-            predicates: vec![],
-            slot: 0,
-        };
+        let orders = opt.optimize(&Query::over(&["orders"])).node_annotations[0]
+            .clone()
+            .expect("scan annotated");
+        let fragment = MaterializedFragment::from_annotation(&orders, 0);
         let baseline = opt.optimize(&query);
         let (planned, substituted) = opt.replan_with_materialized(&query, &fragment);
         assert!(!substituted);

@@ -27,7 +27,7 @@
 //!   completes.  A query cancelled between re-plans leaves the shared
 //!   feedback store and cache byte-identical to never having started.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use rqo_core::{
     AdaptivePolicy, ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken,
@@ -45,18 +45,11 @@ use rqo_stats::sketch::DEFAULT_PRECISION;
 use rqo_stats::{SynopsisRepository, TableSketches};
 use rqo_storage::{Catalog, CostParams, CostTracker, StorageError, Value};
 
-/// Recovers a read guard from a poisoned lock: the protected value is an
-/// immutable `Arc` snapshot swapped atomically, so a panicking writer
-/// cannot have left it half-updated.
-fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Same recovery for writers.
-fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// One version of the data: a catalog and the statistics drawn from it.
+/// Immutable once published; a query holds one for its whole run.
+struct Snapshot {
+    catalog: Arc<Catalog>,
+    synopses: Arc<SynopsisRepository>,
 }
 
 /// The result of running one query.
@@ -208,14 +201,16 @@ impl AdaptiveOutcome {
 /// optimizer, feedback store, and plan cache.  All execution entry
 /// points take `&self` — one engine serves any number of threads.
 pub struct Engine {
-    /// Snapshot-swapped: queries clone the `Arc` once at entry and run
-    /// against that immutable snapshot; ingest publishes a successor
-    /// under the write lock.  Readers never block behind a running
-    /// query — the lock is held only for the `Arc` clone/swap.
-    catalog: RwLock<Arc<Catalog>>,
+    /// The current data version.  Queries clone the `Arc` once at entry
+    /// and plan and run against that immutable snapshot; writers build a
+    /// successor outside the lock and take it only to swap the `Arc`
+    /// (see [`publish`](Self::publish)), so readers never wait out an
+    /// append or a running query.
+    snapshot: RwLock<Arc<Snapshot>>,
+    /// Serialises ingest: each batch builds on its predecessor's
+    /// snapshot, so concurrent batches compose instead of overwriting.
+    ingest: Mutex<()>,
     params: CostParams,
-    /// Snapshot-swapped alongside the catalog (same discipline).
-    synopses: RwLock<Arc<SynopsisRepository>>,
     threshold: ConfidenceThreshold,
     selection: PlanSelection,
     sample_size: usize,
@@ -256,9 +251,9 @@ impl Engine {
         let catalog = Arc::new(catalog);
         let synopses = Arc::new(SynopsisRepository::build_all(&catalog, sample_size, seed));
         Self {
-            catalog: RwLock::new(catalog),
+            snapshot: RwLock::new(Arc::new(Snapshot { catalog, synopses })),
+            ingest: Mutex::new(()),
             params,
-            synopses: RwLock::new(synopses),
             threshold: RobustnessLevel::Moderate.threshold(),
             selection: PlanSelection::default(),
             sample_size,
@@ -327,13 +322,8 @@ impl Engine {
     pub fn refresh_statistics(&mut self, seed: u64) {
         self.seed = seed;
         let catalog = self.catalog();
-        *write_lock(&self.synopses) = Arc::new(SynopsisRepository::build_all(
-            &catalog,
-            self.sample_size,
-            seed,
-        ));
-        let epoch = self.feedback.advance_epoch();
-        self.plan_cache.invalidate_epochs_before(epoch);
+        let synopses = SynopsisRepository::build_all(&catalog, self.sample_size, seed);
+        self.publish(catalog, synopses, None);
     }
 
     /// Incremental `UPDATE STATISTICS`: re-samples one table — and, for a
@@ -353,12 +343,42 @@ impl Engine {
     /// partition index is out of range, mirroring
     /// [`SynopsisRepository::refresh_table`].
     pub fn refresh_statistics_partial(&mut self, table: &str, partitions: &[usize], seed: u64) {
-        let catalog = self.catalog();
-        let mut synopses = SynopsisRepository::clone(&self.synopses());
-        synopses.refresh_table(&catalog, table, partitions, seed);
-        *write_lock(&self.synopses) = Arc::new(synopses);
-        self.feedback.advance_table_epoch(table);
-        self.plan_cache.invalidate_table(table);
+        let current = self.snapshot();
+        let mut synopses = SynopsisRepository::clone(&current.synopses);
+        synopses.refresh_table(&current.catalog, table, partitions, seed);
+        self.publish(Arc::clone(&current.catalog), synopses, Some(table));
+    }
+
+    /// Publishes a new data version and retires what was planned or
+    /// observed against the old one — every plan and observation
+    /// (`table: None`, a full statistics rebuild) or only those reading
+    /// `table`.  The snapshot is swapped and the feedback epoch advanced
+    /// under one write acquisition, so a query's [`view`](Self::view)
+    /// never pairs one version's data with another's epoch.
+    fn publish(&self, catalog: Arc<Catalog>, synopses: SynopsisRepository, table: Option<&str>) {
+        let successor = Arc::new(Snapshot {
+            catalog,
+            synopses: Arc::new(synopses),
+        });
+        {
+            let mut slot = self
+                .snapshot
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            *slot = successor;
+            match table {
+                Some(table) => self.feedback.advance_table_epoch(table),
+                None => self.feedback.advance_epoch(),
+            };
+        }
+        // Stale plans can no longer be hit (new fingerprints embed the
+        // new epoch); dropping them is housekeeping, done unlocked.
+        match table {
+            Some(table) => self.plan_cache.invalidate_table(table),
+            None => self
+                .plan_cache
+                .invalidate_epochs_before(self.feedback.epoch()),
+        };
     }
 
     /// Appends a batch of rows to one table — the streaming-ingest entry
@@ -369,8 +389,9 @@ impl Engine {
     /// min/max widened, cached indexes rebuilt) and a new statistics
     /// version (per-partition per-column HLL sketches and reservoir
     /// samples updated incrementally — seeded from the stored rows on a
-    /// table's first streamed batch) are swapped in atomically; queries
-    /// already running keep their pre-insert snapshots.
+    /// table's first streamed batch) are built off to the side and
+    /// swapped in as one snapshot; queries already running keep theirs,
+    /// and queries arriving meanwhile do not wait for the build.
     ///
     /// Invalidation is scoped exactly like a partial statistics refresh:
     /// the table's per-table feedback epoch advances and only cached
@@ -387,28 +408,26 @@ impl Engine {
         table: &str,
         rows: &[Vec<Value>],
     ) -> Result<InsertSummary, StorageError> {
-        // Serialize ingest on the catalog write lock for the whole
-        // update so concurrent batches to the same table compose;
-        // queries only ever take the read lock for an Arc clone.
-        let mut catalog_slot = write_lock(&self.catalog);
+        let _writer = self.ingest.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.snapshot();
         if rows.is_empty() {
             // A no-op batch publishes nothing and invalidates nothing.
-            let table_rows = catalog_slot.table(table)?.num_rows();
+            let table_rows = current.catalog.table(table)?.num_rows();
             return Ok(InsertSummary {
                 rows_inserted: 0,
                 table_rows,
                 partitions_touched: Vec::new(),
             });
         }
-        let mut catalog = Catalog::clone(&catalog_slot);
+        // The O(table) rebuild runs outside the readers' lock.
+        let mut catalog = Catalog::clone(&current.catalog);
         let assignments = catalog.append_rows(table, rows)?;
         let table_rows = catalog.table(table)?.num_rows();
 
         // Streaming statistics: seed from the pre-insert snapshot on
         // first contact, then fold in the batch row by row.
-        let old_catalog = Arc::clone(&catalog_slot);
-        let synopses_snapshot = self.synopses();
-        let mut sketches = match synopses_snapshot.sketches_for(table) {
+        let old_catalog = &current.catalog;
+        let mut sketches = match current.synopses.sketches_for(table) {
             Some(ts) => TableSketches::clone(ts),
             None => {
                 let t = old_catalog.table(table).expect("append validated the name");
@@ -425,15 +444,10 @@ impl Engine {
         for (row, &p) in rows.iter().zip(&assignments) {
             sketches.observe(p, row);
         }
-        let mut synopses = SynopsisRepository::clone(&synopses_snapshot);
+        let mut synopses = SynopsisRepository::clone(&current.synopses);
         synopses.publish_sketches(Arc::new(sketches));
 
-        // Publish both snapshots, then invalidate — scoped to `table`.
-        *catalog_slot = Arc::new(catalog);
-        *write_lock(&self.synopses) = Arc::new(synopses);
-        drop(catalog_slot);
-        self.feedback.advance_table_epoch(table);
-        self.plan_cache.invalidate_table(table);
+        self.publish(Arc::new(catalog), synopses, Some(table));
 
         let mut partitions_touched = assignments;
         partitions_touched.sort_unstable();
@@ -459,17 +473,33 @@ impl Engine {
         self.feedback.epoch()
     }
 
+    /// The current data version.  Recovers from poisoning: the slot
+    /// holds an immutable `Arc` swapped whole, so a panicking writer
+    /// cannot have left it half-updated.
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// What one query runs against: the current data version and the
+    /// fingerprint its plan is cached under, taken under one read
+    /// acquisition — [`publish`](Self::publish) advances the epoch while
+    /// holding the write lock, so the two always belong together.
+    fn view(&self, query: &Query) -> (Arc<Snapshot>, PlanFingerprint) {
+        let slot = self.snapshot.read().unwrap_or_else(PoisonError::into_inner);
+        (Arc::clone(&slot), self.fingerprint(query))
+    }
+
     /// The current catalog snapshot.  Owned: the caller keeps one
     /// consistent version even while concurrent ingest publishes
     /// successors.
     pub fn catalog(&self) -> Arc<Catalog> {
-        Arc::clone(&read_lock(&self.catalog))
+        Arc::clone(&self.snapshot().catalog)
     }
 
     /// The current statistics snapshot (same semantics as
     /// [`catalog`](Self::catalog)).
     pub fn synopses(&self) -> Arc<SynopsisRepository> {
-        Arc::clone(&read_lock(&self.synopses))
+        Arc::clone(&self.snapshot().synopses)
     }
 
     /// The cost parameters execution is charged under.
@@ -507,12 +537,23 @@ impl Engine {
     /// adaptive re-plans pass a private fork here so their tentative
     /// observations steer the re-plan without touching shared state.
     pub fn optimizer_with_feedback(&self, feedback: Arc<FeedbackStore>) -> Optimizer {
+        self.optimizer_over(&self.snapshot(), feedback)
+    }
+
+    /// An optimizer over one data version.
+    fn optimizer_over(&self, snapshot: &Snapshot, feedback: Arc<FeedbackStore>) -> Optimizer {
         let est = RobustEstimator::new(
-            self.synopses(),
+            Arc::clone(&snapshot.synopses),
             EstimatorConfig::with_threshold(self.threshold),
         )
         .with_feedback(feedback);
-        Optimizer::new(self.catalog(), self.params, Arc::new(est))
+        Optimizer::new(Arc::clone(&snapshot.catalog), self.params, Arc::new(est))
+    }
+
+    /// Plans `query` fresh against `snapshot` and the shared feedback.
+    fn plan(&self, snapshot: &Snapshot, query: &Query) -> PlannedQuery {
+        self.optimizer_over(snapshot, Arc::clone(&self.feedback))
+            .optimize_with(query, self.selection)
     }
 
     /// The fingerprint under which this engine would cache a query's
@@ -531,12 +572,12 @@ impl Engine {
     /// the memoized plan; a miss plans fresh and caches **immediately**
     /// (no execution is involved, so there is no cancellation window).
     pub fn optimize(&self, query: &Query) -> Arc<PlannedQuery> {
-        let fingerprint = self.fingerprint(query);
+        let (snapshot, fingerprint) = self.view(query);
         if let Some(planned) = self.plan_cache.get(&fingerprint) {
             return planned;
         }
-        let planned = self.optimizer().optimize_with(query, self.selection);
-        self.plan_cache.insert(fingerprint, planned)
+        self.plan_cache
+            .insert(fingerprint, self.plan(&snapshot, query))
     }
 
     /// Per-query executor options: the engine's base options overlaid
@@ -570,15 +611,14 @@ impl Engine {
     /// cache miss the fresh plan is cached only after the execution
     /// completes, so a stopped query never publishes anything.
     pub fn run_opts(&self, query: &Query, opts: &ExecOptions) -> Result<QueryOutcome, StopReason> {
-        let fingerprint = self.fingerprint(query);
+        let (snapshot, fingerprint) = self.view(query);
         let cached = self.plan_cache.get(&fingerprint);
         let planned = match &cached {
             Some(planned) => Arc::clone(planned),
-            None => Arc::new(self.optimizer().optimize_with(query, self.selection)),
+            None => Arc::new(self.plan(&snapshot, query)),
         };
-        let catalog = self.catalog();
         let (batch, cost) =
-            rqo_exec::try_execute_with(&planned.plan, &catalog, &self.params, opts)?;
+            rqo_exec::try_execute_with(&planned.plan, &snapshot.catalog, &self.params, opts)?;
         if cached.is_none() {
             self.plan_cache
                 .insert_shared(fingerprint, Arc::clone(&planned));
@@ -597,38 +637,12 @@ impl Engine {
     }
 
     /// Publishes one observation into the shared feedback store and the
-    /// plan cache's drift check.  Returns whether the node had a
-    /// recordable estimation request.
-    fn record_observation(&self, rows_out: u64, ann: &NodeAnnotation) -> bool {
-        let Some(observed) = Self::observation(ann, rows_out) else {
-            return false;
-        };
-        let tables: Vec<&str> = ann.tables.iter().map(String::as_str).collect();
-        let predicates: Vec<_> = ann
-            .predicates
-            .iter()
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        self.feedback.record(&tables, &predicates, observed);
-        let key = FeedbackStore::canonical_key(&tables, &predicates);
-        self.plan_cache.observe(&key, observed);
-        true
-    }
-
-    /// Records one observation into a *private* store only — no drift
-    /// check, nothing shared.  The adaptive path uses this for its fork.
-    fn record_tentative(store: &FeedbackStore, rows_out: u64, ann: &NodeAnnotation) -> bool {
-        let Some(observed) = Self::observation(ann, rows_out) else {
-            return false;
-        };
-        let tables: Vec<&str> = ann.tables.iter().map(String::as_str).collect();
-        let predicates: Vec<_> = ann
-            .predicates
-            .iter()
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        store.record(&tables, &predicates, observed);
-        true
+    /// plan cache's drift check.
+    fn record_observation(&self, rows_out: u64, ann: &NodeAnnotation) {
+        if let Some(observed) = Self::observation(ann, rows_out) {
+            self.feedback.record_keyed(&ann.key, &ann.tables, observed);
+            self.plan_cache.observe(&ann.key, observed);
+        }
     }
 
     /// Runs a query with **mid-query adaptive re-optimization** under the
@@ -644,11 +658,13 @@ impl Engine {
         let policy = self.adaptive_policy.clone();
         let mut threshold = query.hint.unwrap_or(self.threshold);
         let mut selection = query.selection.unwrap_or(self.selection);
-        let fingerprint = self.fingerprint(query);
+        // One data version for the whole adaptive run: re-plans and
+        // resumed fragments must see the data the tripped plan ran over.
+        let (snapshot, fingerprint) = self.view(query);
         let cached = self.plan_cache.get(&fingerprint);
         let initial = match &cached {
             Some(planned) => Arc::clone(planned),
-            None => Arc::new(self.optimizer().optimize_with(query, self.selection)),
+            None => Arc::new(self.plan(&snapshot, query)),
         };
         let mut planned = Arc::clone(&initial);
         let estimated_seconds = planned.estimated_cost_ms / 1000.0;
@@ -659,9 +675,6 @@ impl Engine {
         // is replayed onto the shared store only on completion.
         let fork = Arc::new(self.feedback.fork());
         let mut pending: Vec<(u64, NodeAnnotation)> = Vec::new();
-        // One catalog snapshot for the whole adaptive run: re-plans and
-        // resumed fragments must see the data the tripped plan ran over.
-        let catalog = self.catalog();
 
         loop {
             // Guards stay armed while the re-plan budget lasts; the final
@@ -684,7 +697,7 @@ impl Engine {
             };
             let status = execute_guarded(
                 &planned.plan,
-                &catalog,
+                &snapshot.catalog,
                 &self.params,
                 opts,
                 &guards,
@@ -730,7 +743,10 @@ impl Engine {
                         .zip(&planned.node_annotations[trip.node..])
                     {
                         let Some(ann) = annotation else { continue };
-                        if Self::record_tentative(&fork, node.rows_out, ann) {
+                        // Into the private fork only — no drift check,
+                        // nothing shared.
+                        if let Some(observed) = Self::observation(ann, node.rows_out) {
+                            fork.record_keyed(&ann.key, &ann.tables, observed);
                             observations += 1;
                             pending.push((node.rows_out, ann.clone()));
                         }
@@ -751,7 +767,7 @@ impl Engine {
                     // its annotation derivation) sees the escalated mode.
                     let replan_query = query.clone().with_hint(threshold).with_selection(selection);
                     let (new_planned, resumed) = self
-                        .optimizer_with_feedback(Arc::clone(&fork))
+                        .optimizer_over(&snapshot, Arc::clone(&fork))
                         .replan_with_materialized(&replan_query, &fragment);
                     events.push(ReplanEvent {
                         node: trip.node,
@@ -786,13 +802,11 @@ impl Engine {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<AnalyzedOutcome, StopReason> {
-        let planned = Arc::new(self.optimizer().optimize_with(query, self.selection));
-        let catalog = self.catalog();
+        let (snapshot, fingerprint) = self.view(query);
+        let planned = Arc::new(self.plan(&snapshot, query));
         let (batch, cost, mut metrics) =
-            rqo_exec::try_execute_analyze(&planned.plan, &catalog, &self.params, opts)?;
-        let planned = self
-            .plan_cache
-            .insert_shared(self.fingerprint(query), planned);
+            rqo_exec::try_execute_analyze(&planned.plan, &snapshot.catalog, &self.params, opts)?;
+        let planned = self.plan_cache.insert_shared(fingerprint, planned);
         metrics.annotate(&planned.node_estimates());
 
         // Record observed selectivities: each annotated node's actual
@@ -820,10 +834,10 @@ impl Engine {
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<AnalyzedOutcome, StopReason> {
-        let planned = self.optimizer().optimize_with(query, self.selection);
-        let catalog = self.catalog();
+        let snapshot = self.snapshot();
+        let planned = self.plan(&snapshot, query);
         let (batch, cost, mut metrics) =
-            rqo_exec::try_execute_analyze(&planned.plan, &catalog, &self.params, opts)?;
+            rqo_exec::try_execute_analyze(&planned.plan, &snapshot.catalog, &self.params, opts)?;
         metrics.annotate(&planned.node_estimates());
         let outcome = self.outcome(&planned, batch, cost.seconds(&self.params));
         Ok(AnalyzedOutcome { outcome, metrics })

@@ -558,8 +558,10 @@ fn handle_run(
     };
 
     // Validate against the catalog before spending an admission slot:
-    // unknown tables/columns are a client error, not a server panic.
-    if let Err(msg) = validate_query(inner, &query) {
+    // a query the optimizer cannot plan (unknown tables/columns, tables
+    // with no FK path between them) is a client error, not a server
+    // panic.
+    if let Err(msg) = query.validate(&inner.service.engine().catalog()) {
         return fail(stream, ErrorCode::BadQuery, msg);
     }
 
@@ -692,44 +694,6 @@ fn handle_insert(
         Ok(Err(e)) => fail(stream, ErrorCode::BadQuery, e.to_string()),
         Err(_) => fail(stream, ErrorCode::Internal, "insert panicked".into()),
     }
-}
-
-/// Checks a decoded query against the catalog: every table exists,
-/// every predicate binds against its table's schema, and every
-/// group-by / aggregate column exists on some listed table.
-fn validate_query(inner: &Arc<NetInner>, query: &Query) -> Result<(), String> {
-    let catalog = inner.service.engine().catalog();
-    let mut schemas = Vec::with_capacity(query.tables.len());
-    for name in &query.tables {
-        match catalog.table(name) {
-            Ok(table) => schemas.push(table.schema()),
-            Err(_) => return Err(format!("unknown table {name:?}")),
-        }
-    }
-    for (table, predicate) in &query.predicates {
-        let idx = query
-            .tables
-            .iter()
-            .position(|t| t == table)
-            .expect("decode enforced predicate tables are listed");
-        if let Err(e) = predicate.bind(schemas[idx]) {
-            return Err(format!("predicate on {table:?}: {e}"));
-        }
-    }
-    let column_exists = |col: &str| schemas.iter().any(|s| s.index_of(col).is_some());
-    for col in &query.group_by {
-        if !column_exists(col) {
-            return Err(format!("unknown group-by column {col:?}"));
-        }
-    }
-    for agg in &query.aggregates {
-        if let Some(col) = &agg.column {
-            if !column_exists(col) {
-                return Err(format!("unknown aggregate column {col:?}"));
-            }
-        }
-    }
-    Ok(())
 }
 
 fn send(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {

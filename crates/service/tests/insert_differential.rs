@@ -15,11 +15,21 @@
 //! cached plans reading it, warm plans for untouched tables keep
 //! hitting, and streaming sketches exist exactly for ingest-touched
 //! tables.
+//!
+//! A last test crosses partition pruning with *concurrent* ingest: while
+//! a writer widens a statically pruned partition, readers in-process and
+//! over TCP must only ever see counts of some prefix of the acknowledged
+//! batches — a partition list pruned against one version of the table
+//! must never run over another.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use rqo_core::ServiceConfig;
 use rqo_exec::{AggExpr, ExecOptions};
 use rqo_expr::Expr;
 use rqo_optimizer::Query;
-use rqo_service::Engine;
+use rqo_service::net::{NetClient, NetServer, NetServerConfig};
+use rqo_service::{Engine, QueryService};
 use rqo_storage::{
     Catalog, CostParams, DataType, PartitionSpec, PartitionedTableBuilder, Schema, TableBuilder,
     Value,
@@ -309,4 +319,118 @@ fn duplicate_key_batch_is_rejected_atomically() {
     assert_eq!(summary.table_rows, 18);
     let out = engine.run_opts(&q_u, &opts).expect("run u after insert");
     assert_eq!(out.rows[0][0], Value::Int(18));
+}
+
+/// Partition pruning × concurrent ingest.  `t` starts with rows
+/// `0..2100`, so partition 2 (`[2000, 3000)`) holds `2000..=2099`; ten
+/// batches of 100 consecutive rows then widen its maximum up to 3099.
+/// Window `m` counts `x BETWEEN 2100 + 100m AND 2999`: partition 2 is
+/// statically pruned for it (by the partition's max) until batch `m`
+/// lands, and after `j` batches it holds `100 · (min(j, 9) − m)` rows.
+///
+/// Each reader notes how many batches were acknowledged before it sent a
+/// query and how many had been started when the reply came back; the
+/// count must be the window's count after some number of batches in
+/// between.  A plan pruned against an older table version run over a
+/// newer one (or the reverse) reads a count from outside that range.
+#[test]
+fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
+    const BASE: i64 = 2100;
+    const BATCHES: usize = 10;
+    const WINDOWS: usize = 9;
+    let window = |m: usize| {
+        Query::over(&["t"])
+            .filter(
+                "t",
+                Expr::col("x").between(Expr::lit(BASE + 100 * m as i64), Expr::lit(2999i64)),
+            )
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let count_after =
+        |m: usize, batches: usize| 100 * batches.min(WINDOWS).saturating_sub(m) as i64;
+
+    let service = QueryService::new(engine_over(catalog_with(BASE)), ServiceConfig::default());
+    let server =
+        NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
+    let service = server.service();
+
+    // Batches the writer has begun / had acknowledged, and queries each
+    // reader has finished (the writer paces itself on the latter, so
+    // every batch lands between queries of both readers).
+    let started = AtomicUsize::new(0);
+    let acked = AtomicUsize::new(0);
+    let finished = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    let done = AtomicBool::new(false);
+    // Set when a thread leaves, normally or by a failed assertion, so
+    // the others stop waiting for it and the failure surfaces.
+    struct SetOnExit<'a>(&'a AtomicBool);
+    impl Drop for SetOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let reader_left = AtomicBool::new(false);
+
+    let read_loop = |reader: usize, run: &mut dyn FnMut(&Query) -> i64| {
+        let _leaving = SetOnExit(&reader_left);
+        let mut m = 0;
+        loop {
+            let last = done.load(Ordering::SeqCst);
+            let lo = acked.load(Ordering::SeqCst);
+            let got = run(&window(m));
+            let hi = started.load(Ordering::SeqCst);
+            assert!(
+                (lo..=hi).any(|j| got == count_after(m, j)),
+                "reader {reader}, window {m}: count {got} matches no prefix of {lo}..={hi} batches"
+            );
+            finished[reader].fetch_add(1, Ordering::SeqCst);
+            m = (m + 1) % WINDOWS;
+            // Once ingest is over, one more full pass over the windows.
+            if last && m == 0 {
+                break;
+            }
+        }
+    };
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let session = service.session();
+            read_loop(0, &mut |q| {
+                session.run(q).expect("in-process query").rows[0][0].as_int()
+            });
+        });
+        scope.spawn(|| {
+            let mut client = NetClient::connect(server.local_addr()).expect("connect");
+            read_loop(1, &mut |q| {
+                client.run(q).expect("wire query").rows[0][0].as_int()
+            });
+        });
+        scope.spawn(|| {
+            let _finishing = SetOnExit(&done);
+            for b in 0..BATCHES {
+                let seen: Vec<usize> = finished.iter().map(|f| f.load(Ordering::SeqCst)).collect();
+                let lo = BASE + 100 * b as i64;
+                let batch: Vec<Vec<Value>> = (lo..lo + 100).map(t_row).collect();
+                started.store(b + 1, Ordering::SeqCst);
+                service.engine().insert_rows("t", &batch).expect("ingest");
+                acked.store(b + 1, Ordering::SeqCst);
+                // Let both readers get a few queries in against this version.
+                for (f, before) in finished.iter().zip(seen) {
+                    while f.load(Ordering::SeqCst) < before + 3
+                        && !reader_left.load(Ordering::SeqCst)
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        });
+    });
+
+    for m in 0..WINDOWS {
+        let got = service.session().run(&window(m)).expect("query").rows[0][0].as_int();
+        assert_eq!(got, count_after(m, BATCHES), "window {m} after ingest");
+    }
+    let stats = service.stats();
+    assert!(stats.slots_balanced(), "{stats}");
+    assert_eq!(stats.panicked, 0, "{stats}");
 }

@@ -14,7 +14,7 @@ use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
-use rqo_service::proto::{write_frame, ErrorCode, Request, Response};
+use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
 use rqo_service::{Engine, QueryService, ServiceConfig};
 use rqo_storage::Value;
 
@@ -183,6 +183,39 @@ fn unknown_tables_and_columns_are_bad_query_not_panic() {
     let stats = server.service().stats();
     assert!(stats.slots_balanced());
     assert_eq!(stats.panicked, 0);
+}
+
+/// Table lists that exist but cannot be planned — no FK path, or a
+/// table listed twice — used to pass validation, take an admission slot
+/// and die on the enumerator's `assert!`s.
+#[test]
+fn unplannable_table_lists_are_bad_query_before_admission() {
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    for tables in [
+        &["orders", "part"][..],
+        &["part", "part"],
+        &["lineitem", "lineitem", "orders"],
+    ] {
+        let query = Query::over(tables).aggregate(AggExpr::count_star("n"));
+        for mode in [RunMode::Run, RunMode::Adaptive] {
+            match client.run_mode(&query, mode, 0) {
+                Err(ClientError::Server { code, .. }) => {
+                    assert_eq!(code, ErrorCode::BadQuery, "{tables:?}")
+                }
+                other => panic!("{tables:?}: expected BadQuery, got {other:?}"),
+            }
+        }
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.admitted, 0, "rejected before admission: {stats}");
+    assert_eq!(stats.panicked, 0, "{stats}");
+
+    // The same connection then runs a valid query.
+    let reply = client.run(&count_query()).expect("connection survives");
+    assert_eq!(reply.rows.len(), 1);
+    assert!(server.service().stats().slots_balanced());
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! distinct grouping-key combinations among qualifying rows.  Following
 //! the paper's sketch, this adapts sample-based distinct-value estimators
 //! to the precomputed synopsis: collect the grouping keys of the sample
-//! tuples that satisfy the predicates, then apply GEE scaled to the
-//! estimated qualifying population.
+//! tuples that satisfy the predicates ([`JoinSynopsis::qualifying`]),
+//! then apply GEE scaled to the estimated qualifying population.
 
 use rqo_expr::Expr;
 use rqo_stats::distinct::gee_estimate;
@@ -46,42 +46,24 @@ pub fn estimate_group_count(
         .map(|c| component.schema().expect_index(c))
         .collect();
 
-    // Bind predicates once per component.
-    let bound: Vec<(&rqo_storage::Table, Expr)> = predicates
-        .iter()
-        .map(|(table, expr)| {
-            let comp = synopsis
-                .component(table)
-                .unwrap_or_else(|| panic!("table {table:?} not covered by synopsis"));
-            (comp, expr.bind(comp.schema()).expect("predicate binds"))
+    // Composite keys: fold the per-column values into one hashable
+    // string key (exact value tuples would also work; a delimited
+    // rendering keeps the GEE input a flat Value).
+    let keys: Vec<Value> = synopsis
+        .qualifying(predicates)
+        .into_iter()
+        .map(|i| match ordinals[..] {
+            [c] => component.value(i, c),
+            _ => {
+                let rendered = ordinals
+                    .iter()
+                    .map(|&c| component.value(i, c).to_string())
+                    .collect::<Vec<_>>()
+                    .join("\u{1f}");
+                Value::str(rendered.as_str())
+            }
         })
         .collect();
-
-    let mut keys: Vec<Value> = Vec::new();
-    let mut row: Vec<Value> = Vec::new();
-    for i in 0..synopsis.sample_size() as u32 {
-        let qualifies = bound.iter().all(|(comp, expr)| {
-            row.clear();
-            row.extend((0..comp.schema().len()).map(|c| comp.value(i, c)));
-            rqo_expr::eval_bool(expr, &row)
-        });
-        if !qualifies {
-            continue;
-        }
-        // Composite keys: fold the per-column values into one hashable
-        // string key (exact value tuples would also work; a delimited
-        // rendering keeps the GEE input a flat Value).
-        if ordinals.len() == 1 {
-            keys.push(component.value(i, ordinals[0]));
-        } else {
-            let rendered = ordinals
-                .iter()
-                .map(|&c| component.value(i, c).to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1f}");
-            keys.push(Value::str(rendered.as_str()));
-        }
-    }
 
     if keys.is_empty() {
         return 0.0;

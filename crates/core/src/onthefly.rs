@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rqo_expr::{select, Candidates};
 use rqo_stats::sampler::sample_with_replacement;
 use rqo_storage::{Catalog, CostTracker};
 
@@ -111,10 +112,8 @@ impl CardinalityEstimator for OnTheFlyEstimator {
                 continue;
             }
             let bound = expr.bind(t.schema()).expect("predicate binds");
-            let k = rids
-                .iter()
-                .filter(|&&rid| rqo_expr::eval_bool(&bound, &t.row(rid)))
-                .count();
+            let sample = t.take(&rids);
+            let k = select(&bound, sample.columns(), Candidates::Range(0..rids.len())).len();
             let posterior =
                 SelectivityPosterior::from_observation(k, rids.len(), self.config.prior);
             selectivity *= self.collapse(&posterior);

@@ -1,15 +1,17 @@
 //! Vectorized predicate evaluation over typed columns.
 //!
 //! [`select`] evaluates a bound predicate against a set of
-//! [`ColumnVec`]s — a table's stored columns or a batch's, the same type
-//! either way — and returns the *selection vector* of qualifying row
-//! ids (ascending), instead of materializing filtered rows.  The common
-//! predicate shapes — conjunctions, `column <op> constant` comparisons,
-//! `BETWEEN`, `LIKE`, `IN` — run as tight per-column loops the compiler
-//! can unroll and auto-vectorize; every other shape falls back to
-//! row-at-a-time [`eval_bool`] over values materialized from the columns,
-//! so the result is *always* identical (including panics on type errors)
-//! to filtering with the row evaluator.
+//! [`ColumnVec`]s — a table's stored columns, a batch's or a statistics
+//! sample's, the same type every way — and returns the *selection
+//! vector* of qualifying row ids (ascending), instead of materializing
+//! filtered rows.  The common predicate shapes — conjunctions,
+//! `column <op> constant` comparisons, `BETWEEN`, `LIKE`, `IN` — run as
+//! tight per-column loops the compiler can unroll and auto-vectorize
+//! (string tests run once per dictionary entry or once per candidate,
+//! whichever is fewer); every other shape falls back to row-at-a-time
+//! [`eval_bool`] over values materialized from the columns, so the result
+//! is *always* identical (including panics on type errors) to filtering
+//! with the row evaluator.
 //!
 //! Equivalence invariants (pinned by `crates/exec/tests/kernel_oracle.rs`):
 //!
@@ -116,10 +118,7 @@ fn select_inner(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) -> 
         Expr::Like { expr: v, pattern } => {
             if let Expr::ColIdx(ord, _) = v.as_ref() {
                 if let ColumnVec::Str { codes, dict, nulls } = &*cols[*ord] {
-                    // Match the pattern once per distinct dictionary
-                    // entry, then the per-row loop is a table lookup.
-                    let pass: Vec<bool> = dict.iter().map(|d| like_match(pattern, d)).collect();
-                    return select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize]);
+                    return str_select(codes, dict, nulls, cand, |s| like_match(pattern, s));
                 }
             }
             select_fallback(expr, cols, cand)
@@ -201,12 +200,7 @@ fn cmp_select(
             })
         }
         (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) => {
-            // Compare once per distinct dictionary entry.
-            let pass: Vec<bool> = dict
-                .iter()
-                .map(|d| ord_ok(op, d.as_ref().cmp(s.as_ref())))
-                .collect();
-            select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize])
+            str_select(codes, dict, nulls, cand, |d| ord_ok(op, d.cmp(s.as_ref())))
         }
         (ColumnVec::Mixed(values), lit) => select_where(cand, |i| {
             let v = &values[i];
@@ -214,6 +208,32 @@ fn cmp_select(
         }),
         _ => return None,
     })
+}
+
+/// A string test over a dictionary-encoded column: `test` runs once per
+/// dictionary entry and the row loop is a table lookup — unless the
+/// dictionary outnumbers the candidates (a gathered sample or a morsel
+/// shares its base table's whole dictionary), where it runs once per
+/// candidate instead.  Either way at most `min(|dict|, |cand|)` calls.
+fn str_select(
+    codes: &[u32],
+    dict: &[Arc<str>],
+    nulls: &Option<NullMask>,
+    cand: &Candidates<'_>,
+    test: impl Fn(&str) -> bool,
+) -> Vec<u32> {
+    let candidates = match cand {
+        Candidates::Range(r) => r.len(),
+        Candidates::List(ids) => ids.len(),
+    };
+    if dict.len() <= candidates {
+        let pass: Vec<bool> = dict.iter().map(|d| test(d)).collect();
+        select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize])
+    } else {
+        select_where(cand, |i| {
+            !null_at(nulls, i) && test(&dict[codes[i] as usize])
+        })
+    }
 }
 
 /// Row-at-a-time fallback for predicate shapes without a typed kernel:
@@ -403,6 +423,57 @@ mod tests {
         // NULL comparand: empty selection (WHERE semantics).
         check(Expr::col("a").eq(Expr::lit(Value::Null)));
         check(Expr::col("a").between(Expr::lit(Value::Null), Expr::lit(3i64)));
+    }
+
+    /// A near-unique `Str` column under few candidates — a morsel, or a
+    /// sample that shares its base table's dictionary — must cost one
+    /// test per candidate, not one per dictionary entry; a small
+    /// dictionary under many candidates the other way round.
+    #[test]
+    fn string_kernels_test_the_smaller_of_dictionary_and_candidates() {
+        use std::cell::Cell;
+        let rows: Vec<Vec<Value>> = (0..1000)
+            .map(|i| vec![Value::str(format!("name-{i:04}").as_str())])
+            .collect();
+        let ColumnVec::Str { codes, dict, nulls } = ColumnVec::from_rows(&rows, 0, DataType::Str)
+        else {
+            panic!("expected a Str column")
+        };
+        let calls = Cell::new(0usize);
+        let ends_in_7 = |s: &str| {
+            calls.set(calls.get() + 1);
+            s.ends_with('7')
+        };
+        let want = |ids: &mut dyn Iterator<Item = u32>| -> Vec<u32> {
+            ids.filter(|i| i % 10 == 7).collect()
+        };
+
+        let few = [3u32, 7, 500, 997];
+        let got = str_select(&codes, &dict, &nulls, &Candidates::List(&few), ends_in_7);
+        assert_eq!(got, want(&mut few.iter().copied()));
+        assert_eq!(calls.replace(0), few.len(), "one test per candidate");
+
+        let got = str_select(&codes, &dict, &nulls, &Candidates::Range(40..60), ends_in_7);
+        assert_eq!(got, want(&mut (40..60)));
+        assert_eq!(calls.replace(0), 20, "one test per morsel row");
+
+        // 25 distinct values over 1000 rows: one test per entry.
+        let brands: Vec<Vec<Value>> = (0..1000)
+            .map(|i| vec![Value::str(format!("Brand#{}", i % 25).as_str())])
+            .collect();
+        let ColumnVec::Str { codes, dict, nulls } = ColumnVec::from_rows(&brands, 0, DataType::Str)
+        else {
+            panic!("expected a Str column")
+        };
+        let got = str_select(
+            &codes,
+            &dict,
+            &nulls,
+            &Candidates::Range(0..1000),
+            ends_in_7,
+        );
+        assert_eq!(got.len(), 80, "Brand#7 and Brand#17");
+        assert_eq!(calls.get(), 25, "one test per dictionary entry");
     }
 
     #[test]

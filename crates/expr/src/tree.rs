@@ -8,7 +8,7 @@
 use std::fmt;
 use std::ops::Bound;
 
-use rqo_storage::{Schema, Value};
+use rqo_storage::{DataType, Schema, Value};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +104,8 @@ pub enum ExprError {
     UnknownColumn(String),
     /// Evaluation was attempted on an unbound column reference.
     Unbound(String),
+    /// An operator is applied to operand types the evaluator panics on.
+    IllTyped(String),
 }
 
 impl fmt::Display for ExprError {
@@ -111,6 +113,7 @@ impl fmt::Display for ExprError {
         match self {
             ExprError::UnknownColumn(c) => write!(f, "unknown column {c:?}"),
             ExprError::Unbound(c) => write!(f, "unbound column reference {c:?}"),
+            ExprError::IllTyped(what) => write!(f, "ill-typed expression: {what}"),
         }
     }
 }
@@ -340,6 +343,96 @@ impl Expr {
         })
     }
 
+    /// The static type of this expression over `schema` (columns resolve
+    /// by name, as in [`Expr::bind`]): `Some(t)` when it evaluates to a
+    /// `t` or NULL, `None` when it is always NULL.
+    ///
+    /// This is the check for expressions that arrive from outside the
+    /// program: it accepts exactly the operand types [`Expr::eval`] has a
+    /// rule for, so an accepted expression cannot reach one of the
+    /// evaluator's type panics.
+    ///
+    /// # Errors
+    ///
+    /// [`ExprError::UnknownColumn`] for a column `schema` lacks,
+    /// [`ExprError::IllTyped`] naming the first operator whose operand
+    /// types the evaluator would panic on.
+    pub fn data_type(&self, schema: &Schema) -> Result<Option<DataType>, ExprError> {
+        use DataType::*;
+        // `Value::total_cmp`'s coercion table; NULL compares with anything.
+        let comparable = |a: Option<DataType>, b: Option<DataType>| match (a, b) {
+            (None, _) | (_, None) => true,
+            (Some(a), Some(b)) => {
+                a == b || matches!((a, b), (Int, Float | Date) | (Float | Date, Int))
+            }
+        };
+        let ill = |what: String| Err(ExprError::IllTyped(what));
+        Ok(match self {
+            Expr::Col(name) | Expr::ColIdx(_, name) => {
+                let idx = schema
+                    .index_of(name)
+                    .ok_or_else(|| ExprError::UnknownColumn(name.clone()))?;
+                Some(schema.column(idx).data_type)
+            }
+            Expr::Lit(v) => v.data_type(),
+            Expr::Binary { op, left, right } => {
+                let (l, r) = (left.data_type(schema)?, right.data_type(schema)?);
+                match op {
+                    BinaryOp::And | BinaryOp::Or => match (l, r) {
+                        (None | Some(Bool), None | Some(Bool)) => Some(Bool),
+                        _ => return ill(format!("{op} over non-boolean {self}")),
+                    },
+                    op if op.is_comparison() => {
+                        if !comparable(l, r) {
+                            return ill(format!("incomparable operands in {self}"));
+                        }
+                        Some(Bool)
+                    }
+                    // Mirrors `eval_binary`'s arithmetic table.
+                    _ => match (l, r) {
+                        (None, _) | (_, None) => None,
+                        (Some(Date), Some(Int)) if matches!(op, BinaryOp::Add | BinaryOp::Sub) => {
+                            Some(Date)
+                        }
+                        (Some(Int), Some(Date)) if *op == BinaryOp::Add => Some(Date),
+                        (Some(Date), Some(Int)) | (Some(Int), Some(Date)) => {
+                            return ill(format!("unsupported date arithmetic {self}"))
+                        }
+                        (Some(Date), Some(Date)) if *op == BinaryOp::Sub => Some(Int),
+                        (Some(Int), Some(Int)) => Some(Int),
+                        (Some(Int | Float | Date), Some(Int | Float | Date)) => Some(Float),
+                        _ => return ill(format!("arithmetic over non-numeric {self}")),
+                    },
+                }
+            }
+            Expr::Unary { op, expr } => match (op, expr.data_type(schema)?) {
+                (UnaryOp::IsNull, _) => Some(Bool),
+                (UnaryOp::Not, t @ (None | Some(Bool))) => t,
+                (UnaryOp::Neg, t @ (None | Some(Int | Float))) => t,
+                (UnaryOp::Not, _) => return ill(format!("NOT over non-boolean {self}")),
+                (UnaryOp::Neg, _) => return ill(format!("negation of non-numeric {self}")),
+            },
+            Expr::Between { expr, lo, hi } => {
+                let v = expr.data_type(schema)?;
+                if !comparable(v, lo.data_type(schema)?) || !comparable(v, hi.data_type(schema)?) {
+                    return ill(format!("incomparable operands in {self}"));
+                }
+                Some(Bool)
+            }
+            Expr::Like { expr, .. } => match expr.data_type(schema)? {
+                None | Some(Str) => Some(Bool),
+                Some(_) => return ill(format!("LIKE over non-string {self}")),
+            },
+            Expr::InList { expr, list } => {
+                let v = expr.data_type(schema)?;
+                if !list.iter().all(|c| comparable(v, c.data_type())) {
+                    return ill(format!("incomparable operands in {self}"));
+                }
+                Some(Bool)
+            }
+        })
+    }
+
     /// Collects the names of all referenced columns (deduplicated, in first
     /// appearance order).
     pub fn referenced_columns(&self) -> Vec<&str> {
@@ -520,6 +613,107 @@ mod tests {
         let e = Expr::col("a").eq(Expr::lit(1i64)).bind(&s1).unwrap();
         let re = e.bind(&s2).unwrap();
         assert!(re.to_string().contains("a#1"));
+    }
+
+    #[test]
+    fn data_type_follows_the_evaluators_rules() {
+        let s = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Float),
+            ("d", DataType::Date),
+            ("s", DataType::Str),
+        ]);
+        let ty = |e: Expr| e.data_type(&s);
+        assert_eq!(
+            ty(Expr::col("a").add(Expr::lit(1i64))),
+            Ok(Some(DataType::Int))
+        );
+        assert_eq!(
+            ty(Expr::col("a").mul(Expr::col("b"))),
+            Ok(Some(DataType::Float))
+        );
+        assert_eq!(
+            ty(Expr::col("d").add(Expr::lit(10i64))),
+            Ok(Some(DataType::Date))
+        );
+        assert_eq!(
+            ty(Expr::col("d").sub(Expr::col("d"))),
+            Ok(Some(DataType::Int))
+        );
+        assert_eq!(
+            ty(Expr::col("a").lt(Expr::lit(2.5))),
+            Ok(Some(DataType::Bool))
+        );
+        assert_eq!(
+            ty(Expr::col("s").like("x%").not()),
+            Ok(Some(DataType::Bool))
+        );
+        assert_eq!(ty(Expr::lit(Value::Null).add(Expr::col("s"))), Ok(None));
+        assert_eq!(
+            ty(Expr::col("s").eq(Expr::lit(Value::Null))),
+            Ok(Some(DataType::Bool))
+        );
+        // A bound reference resolves by its retained name, like `bind`.
+        assert_eq!(ty(Expr::ColIdx(9, "b".into())), Ok(Some(DataType::Float)));
+        assert_eq!(
+            ty(Expr::col("zzz")),
+            Err(ExprError::UnknownColumn("zzz".into()))
+        );
+    }
+
+    /// Every shape `data_type` rejects is one the evaluator panics on.
+    #[test]
+    fn data_type_rejects_what_eval_panics_on() {
+        let s = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Float),
+            ("d", DataType::Date),
+            ("s", DataType::Str),
+        ]);
+        let row = [
+            Value::Int(1),
+            Value::Float(2.0),
+            Value::Date(3),
+            Value::str("x"),
+        ];
+        let neg = |e: Expr| Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(e),
+        };
+        for (e, needle) in [
+            (Expr::col("a").like("1%"), "LIKE"),
+            (
+                Expr::col("a").add(Expr::lit(1i64)).and(Expr::lit(true)),
+                "AND",
+            ),
+            (Expr::lit(false).or(Expr::col("s")), "OR"),
+            (Expr::col("a").not(), "NOT"),
+            (neg(Expr::col("d")), "negation"),
+            (
+                Expr::col("a").eq(Expr::lit(Value::str("1"))),
+                "incomparable",
+            ),
+            (Expr::col("b").lt(Expr::col("d")), "incomparable"),
+            (
+                Expr::col("s").between(Expr::lit(1i64), Expr::lit(2i64)),
+                "incomparable",
+            ),
+            (
+                Expr::col("a").in_list(vec![Value::Int(2), Value::str("x")]),
+                "incomparable",
+            ),
+            (Expr::col("s").add(Expr::lit(1i64)), "arithmetic"),
+            (Expr::col("d").mul(Expr::lit(2i64)), "date arithmetic"),
+            (Expr::lit(2i64).sub(Expr::col("d")), "date arithmetic"),
+        ] {
+            match e.data_type(&s) {
+                Err(ExprError::IllTyped(what)) => assert!(what.contains(needle), "{what}"),
+                other => panic!("{e}: expected IllTyped, got {other:?}"),
+            }
+            let bound = e.bind(&s).unwrap();
+            let outcome = std::panic::catch_unwind(|| bound.eval(&row));
+            assert!(outcome.is_err(), "{e} is rejected but evaluates");
+        }
     }
 
     #[test]

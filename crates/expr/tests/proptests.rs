@@ -1,6 +1,7 @@
 //! Property-based tests of the expression layer: the LIKE matcher against
-//! a naive reference, constant folding against direct evaluation, and
-//! range-recognition against predicate semantics.
+//! a naive reference, constant folding against direct evaluation,
+//! range-recognition against predicate semantics, and the static type
+//! check against the evaluator's panics.
 
 use proptest::prelude::*;
 use rqo_expr::{eval_bool, Expr};
@@ -31,6 +32,105 @@ fn pattern_strategy() -> impl Strategy<Value = String> {
 fn text_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(prop::char::range('a', 'd'), 0..10)
         .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// One column of every type; `typed_schema()` and `typed_row` agree.
+fn typed_schema() -> Schema {
+    Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("d", DataType::Date),
+        ("s", DataType::Str),
+        ("b", DataType::Bool),
+    ])
+}
+
+/// A random expression tree of at most `depth` operator levels over
+/// [`typed_schema`], mostly ill-typed: every operator over every operand.
+fn random_expr(next: &mut impl FnMut(u64) -> u64, depth: u32) -> Expr {
+    let literal = |k: u64| match k {
+        0 => Value::Null,
+        1 => Value::Int(3),
+        2 => Value::Float(1.5),
+        3 => Value::Date(10_000),
+        4 => Value::str("ab"),
+        _ => Value::Bool(true),
+    };
+    if depth == 0 || next(4) == 0 {
+        return match next(2) {
+            0 => Expr::col(["i", "f", "d", "s", "b"][next(5) as usize]),
+            _ => Expr::lit(literal(next(6))),
+        };
+    }
+    let mut sub = || random_expr(next, depth - 1);
+    let (a, b, c) = (sub(), sub(), sub());
+    match next(18) {
+        0 => a.eq(b),
+        1 => a.ne(b),
+        2 => a.lt(b),
+        3 => a.ge(b),
+        4 => a.and(b),
+        5 => a.or(b),
+        6 => a.add(b),
+        7 => a.sub(b),
+        8 => a.mul(b),
+        9 => a.div(b),
+        10 => a.not(),
+        11 => a.is_null(),
+        12 => Expr::Unary {
+            op: rqo_expr::UnaryOp::Neg,
+            expr: Box::new(a),
+        },
+        13 => a.between(b, c),
+        14 => a.like("a%"),
+        15 => a.in_list(vec![literal(next(6)), literal(next(6))]),
+        16 => a.le(b),
+        _ => a.gt(b),
+    }
+}
+
+proptest! {
+    // Only about one random tree in sixteen is a well-typed operator.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// What `data_type` accepts, `eval` has a rule for: over rows with and
+    /// without NULLs an accepted expression never panics and yields its
+    /// declared type (or NULL).  (That each rejected shape does panic is
+    /// pinned shape by shape in `tree.rs`.)
+    #[test]
+    fn accepted_expressions_never_panic_the_evaluator(seed: u64, nulls in 0u8..32) {
+        let mut state = seed | 1;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let schema = typed_schema();
+        let expr = random_expr(&mut next, 3);
+        let mut row = vec![
+            Value::Int(7),
+            Value::Float(2.5),
+            Value::Date(9_000),
+            Value::str("abc"),
+            Value::Bool(false),
+        ];
+        for (c, v) in row.iter_mut().enumerate() {
+            if nulls & (1 << c) != 0 {
+                *v = Value::Null;
+            }
+        }
+        let bound = expr.bind(&schema).unwrap();
+        let outcome = std::panic::catch_unwind(|| bound.eval(&row));
+        match expr.data_type(&schema) {
+            Ok(t) => {
+                let v = outcome.unwrap_or_else(|_| panic!("{expr} typed {t:?} but eval panicked"));
+                prop_assert!(v.is_null() || v.data_type() == t, "{} typed {:?} gave {:?}", expr, t, v);
+            }
+            Err(e) => prop_assert!(
+                matches!(e, rqo_expr::ExprError::IllTyped(_)),
+                "{} -> {:?}", expr, e
+            ),
+        }
+    }
 }
 
 proptest! {

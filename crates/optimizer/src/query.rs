@@ -1,9 +1,9 @@
 //! Logical queries: the paper's SPJ-with-FK-joins model plus aggregation.
 
 use rqo_core::{ConfidenceThreshold, PlanSelection};
-use rqo_exec::AggExpr;
+use rqo_exec::{AggExpr, AggFunc};
 use rqo_expr::Expr;
-use rqo_storage::Catalog;
+use rqo_storage::{Catalog, DataType};
 
 /// A logical query: a set of tables implicitly joined along declared
 /// foreign keys, per-table selection predicates, and an optional aggregate
@@ -114,17 +114,20 @@ impl Query {
         self.tables.iter().map(String::as_str).collect()
     }
 
-    /// Checks that the optimizer can plan this query over `catalog` —
-    /// the check for queries that arrive from outside the program, where
-    /// the enumerator's own `assert!`s must never be what rejects them.
+    /// Checks that the optimizer can plan this query over `catalog` and
+    /// the executor can evaluate it — the check for queries that arrive
+    /// from outside the program, where the enumerator's `assert!`s and the
+    /// evaluator's type panics must never be what rejects them.
     ///
     /// # Errors
     ///
     /// A human-readable reason when a table is unknown or listed twice,
     /// there are more than [`MAX_TABLES`](Self::MAX_TABLES), the tables
     /// do not form a tree of foreign-key joins, a predicate names an
-    /// unlisted table or does not bind against its table's schema, or a
-    /// group-by / aggregate column exists on no listed table.
+    /// unlisted table, does not bind against its table's schema, is
+    /// ill-typed ([`Expr::data_type`]) or is not boolean, a group-by /
+    /// aggregate column exists on no listed table, or `SUM`/`AVG` reads a
+    /// non-numeric column.
     pub fn validate(&self, catalog: &Catalog) -> Result<(), String> {
         let n = self.tables.len();
         if n == 0 || n > Self::MAX_TABLES {
@@ -179,21 +182,41 @@ impl Query {
             let Some(idx) = self.tables.iter().position(|t| t == table) else {
                 return Err(format!("predicate on {table:?}, which is not in the query"));
             };
-            if let Err(e) = predicate.bind(schemas[idx]) {
-                return Err(format!("predicate on {table:?}: {e}"));
+            match predicate.data_type(schemas[idx]) {
+                Ok(None | Some(DataType::Bool)) => {}
+                Ok(Some(t)) => {
+                    return Err(format!("predicate on {table:?} is {t}, not a condition"))
+                }
+                Err(e) => return Err(format!("predicate on {table:?}: {e}")),
             }
         }
-        let column_exists = |col: &str| schemas.iter().any(|s| s.index_of(col).is_some());
+        // Every listed table's column of that name (joined tables may
+        // share one).
+        let column_types = |col: &str| -> Vec<DataType> {
+            schemas
+                .iter()
+                .filter_map(|s| Some(s.column(s.index_of(col)?).data_type))
+                .collect()
+        };
         for col in &self.group_by {
-            if !column_exists(col) {
+            if column_types(col).is_empty() {
                 return Err(format!("unknown group-by column {col:?}"));
             }
         }
         for agg in &self.aggregates {
-            if let Some(col) = &agg.column {
-                if !column_exists(col) {
-                    return Err(format!("unknown aggregate column {col:?}"));
-                }
+            let Some(col) = &agg.column else { continue };
+            let types = column_types(col);
+            if types.is_empty() {
+                return Err(format!("unknown aggregate column {col:?}"));
+            }
+            // SUM and AVG widen through `Value::as_f64`, which has no
+            // rule for these.
+            let summed = matches!(agg.func, AggFunc::Sum | AggFunc::Avg);
+            if summed && (types.contains(&DataType::Str) || types.contains(&DataType::Bool)) {
+                return Err(format!(
+                    "{:?} over non-numeric aggregate column {col:?}",
+                    agg.func
+                ));
             }
         }
         Ok(())
@@ -285,6 +308,48 @@ mod tests {
             Query::over(&["part"]).aggregate(AggExpr::sum("l_quantity", "q")),
             "aggregate column",
         );
+    }
+
+    /// Queries that bind but that the evaluator or an aggregate would
+    /// panic on — each used to pass and die behind `catch_unwind`.
+    #[test]
+    fn validate_rejects_ill_typed_queries() {
+        let cat = tpch();
+        let rejected = |q: Query, needle: &str| {
+            let err = q.validate(&cat).expect_err(needle);
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        };
+        let part = |predicate: Expr| Query::over(&["part"]).filter("part", predicate);
+        rejected(part(Expr::col("p_partkey").like("1%")), "LIKE");
+        rejected(
+            part(Expr::col("p_x").add(Expr::lit(1i64))),
+            "not a condition",
+        );
+        rejected(
+            part(Expr::col("p_x").and(Expr::col("p_y").lt(Expr::lit(3i64)))),
+            "AND",
+        );
+        rejected(
+            part(Expr::col("p_brand").lt(Expr::lit(7i64))),
+            "incomparable",
+        );
+        rejected(
+            Query::over(&["part"]).aggregate(AggExpr::sum("p_brand", "s")),
+            "non-numeric",
+        );
+        rejected(
+            Query::over(&["lineitem", "part"]).aggregate(AggExpr::avg("p_brand", "a")),
+            "non-numeric",
+        );
+        // MIN/MAX/COUNT take any column; a NULL condition is a condition.
+        let fine = Query::over(&["part"])
+            .filter(
+                "part",
+                Expr::col("p_brand").eq(Expr::lit(rqo_storage::Value::Null)),
+            )
+            .aggregate(AggExpr::min("p_brand", "lo"))
+            .aggregate(AggExpr::max("p_brand", "hi"));
+        assert_eq!(fine.validate(&cat), Ok(()));
     }
 
     #[test]

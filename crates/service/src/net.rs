@@ -559,8 +559,9 @@ fn handle_run(
 
     // Validate against the catalog before spending an admission slot:
     // a query the optimizer cannot plan (unknown tables/columns, tables
-    // with no FK path between them) is a client error, not a server
-    // panic.
+    // with no FK path between them) or the executor cannot evaluate (an
+    // ill-typed predicate or aggregate input) is a client error, not a
+    // server panic.
     if let Err(msg) = query.validate(&inner.service.engine().catalog()) {
         return fail(stream, ErrorCode::BadQuery, msg);
     }
@@ -603,10 +604,12 @@ fn handle_run(
     match result {
         Ok(Ok((outcome, replans))) => {
             let total_rows = outcome.rows.len() as u64;
-            for chunk in outcome.rows.chunks(inner.config.batch_rows.max(1)) {
+            let batch_rows = inner.config.batch_rows.max(1);
+            let mut rows = outcome.rows.into_iter().peekable();
+            while rows.peek().is_some() {
                 let batch = Response::Batch {
                     id,
-                    rows: chunk.to_vec(),
+                    rows: rows.by_ref().take(batch_rows).collect(),
                 };
                 if send(stream, &batch).is_err() {
                     return false;

@@ -218,6 +218,59 @@ fn unplannable_table_lists_are_bad_query_before_admission() {
     assert!(server.service().stats().slots_balanced());
 }
 
+/// Queries whose names all resolve but whose types do not — `LIKE` on an
+/// integer, a predicate that is not a condition, `AND` over a number,
+/// `SUM`/`AVG` over a string — used to pass validation, take an admission
+/// slot and die in the evaluator under `catch_unwind`.
+#[test]
+fn ill_typed_queries_are_bad_query_before_admission() {
+    use rqo_expr::Expr;
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    let count = |predicate: Expr| {
+        Query::over(&["lineitem"])
+            .filter("lineitem", predicate)
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let quantity_plus_one = || Expr::col("l_quantity").add(Expr::lit(1i64));
+    let cases = [
+        ("LIKE on Int", count(Expr::col("l_orderkey").like("1%"))),
+        ("non-boolean predicate", count(quantity_plus_one())),
+        (
+            "AND over non-booleans",
+            count(quantity_plus_one().and(Expr::col("l_orderkey").lt(Expr::lit(5i64)))),
+        ),
+        (
+            "SUM over Str",
+            Query::over(&["part"]).aggregate(AggExpr::sum("p_brand", "s")),
+        ),
+        (
+            "AVG over Str",
+            Query::over(&["lineitem", "part"]).aggregate(AggExpr::avg("p_brand", "a")),
+        ),
+    ];
+    for (what, query) in &cases {
+        for mode in [RunMode::Run, RunMode::Adaptive] {
+            match client.run_mode(query, mode, 0) {
+                Err(ClientError::Server { code, .. }) => {
+                    assert_eq!(code, ErrorCode::BadQuery, "{what}")
+                }
+                other => panic!("{what}: expected BadQuery, got {other:?}"),
+            }
+        }
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.admitted, 0, "rejected before admission: {stats}");
+    assert_eq!(stats.panicked, 0, "{stats}");
+    assert_eq!(server.stats().queries_err, 2 * cases.len() as u64);
+
+    // The same connection then runs a valid query.
+    let reply = client.run(&count_query()).expect("connection survives");
+    assert_eq!(reply.rows.len(), 1);
+    assert!(server.service().stats().slots_balanced());
+}
+
 #[test]
 fn bad_insert_batches_are_typed_errors_not_panics() {
     let server = serve();

@@ -9,15 +9,23 @@
 //! the selectivity of any predicate over any subset of the reached tables
 //! can be estimated by directly evaluating the predicate on the synopsis —
 //! one sample, no AVI assumption, no error propagation across subresults.
+//!
+//! Both halves read columns.  A sample *is* [`Table::take`]: the root
+//! component gathers the sampled rids, and each FK hop reads the key
+//! column of the component it leaves as `&[i64]`, looks the keys up in the
+//! target's unique index and gathers those rids — one typed gather per
+//! column, string dictionaries shared with the base table.  Evidence *is*
+//! [`rqo_expr::select`]: the `(k, n)` of [`JoinSynopsis::evaluate`] is the
+//! survivor count of `select` chained over the predicates' component
+//! columns, the same kernels the executor filters base tables with.  No
+//! sample tuple is ever materialised as a row.
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rqo_expr::Expr;
-use rqo_storage::{Catalog, Rid, Table, TableBuilder};
-
-use crate::sampler::sample_with_replacement;
+use rqo_expr::{Candidates, Expr};
+use rqo_storage::{Catalog, Rid, Table};
 
 /// A join synopsis rooted at one relation.
 ///
@@ -43,19 +51,13 @@ impl JoinSynopsis {
     /// table (role-distinct duplicate tables are future work, as in the
     /// paper's single-role join graphs).
     pub fn build(catalog: &Catalog, root: &str, sample_size: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let root_table = catalog.table(root).expect("root table exists");
-        let rids = sample_with_replacement(root_table, sample_size, &mut rng);
-        Self::from_root_rids(catalog, root, &rids)
+        let rows = catalog.table(root).expect("root table exists").num_rows();
+        Self::build_for_partition(catalog, root, 0..rows, sample_size, seed)
     }
 
     /// Builds a synopsis whose root sample is drawn (with replacement)
     /// from one partition's row span only — the unit of incremental
-    /// statistics refresh.  Per-partition synopses for the same root are
-    /// concatenated with [`JoinSynopsis::merge`] into the table-level
-    /// synopsis the estimator consumes; rebuilding one partition's piece
-    /// and re-merging refreshes that partition's contribution without
-    /// touching the others.
+    /// statistics refresh.
     pub fn build_for_partition(
         catalog: &Catalog,
         root: &str,
@@ -63,67 +65,34 @@ impl JoinSynopsis {
         sample_size: usize,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rids: Vec<Rid> = if span.is_empty() {
-            Vec::new()
-        } else {
-            (0..sample_size)
-                .map(|_| rng.gen_range(span.start as Rid..span.end as Rid))
-                .collect()
-        };
-        Self::from_root_rids(catalog, root, &rids)
+        let draws = draw_in_partition(span.len(), sample_size, seed);
+        Self::from_partition_draws(catalog, root, &[span], &[draws])
     }
 
-    /// Concatenates per-partition pieces (in partition order) into one
-    /// synopsis.  Every piece shares the same FK closure — it is derived
-    /// from the catalog's FK graph, not from the sampled rows — so the
-    /// merge is a component-wise row concatenation.  Proportionally
-    /// allocated piece sizes make the result a stratified uniform sample
-    /// of the root.
-    pub fn merge(root: &str, pieces: &[JoinSynopsis]) -> Self {
-        let first = pieces.first().expect("at least one piece to merge");
-        let components = first
-            .components
+    /// The synopsis whose root sample is, partition by partition, the
+    /// rows `draws[p]` picks inside `spans[p]` — a partitioned root's
+    /// table-level synopsis; proportionally allocated draw counts make it
+    /// a stratified uniform sample of the root.  The root component is
+    /// those rids gathered from the root table, and each FK hop reads the
+    /// key column of the component it leaves and gathers the rows those
+    /// keys reference.
+    fn from_partition_draws(
+        catalog: &Catalog,
+        root: &str,
+        spans: &[Range<usize>],
+        draws: &[Vec<Rid>],
+    ) -> Self {
+        let rids: Vec<Rid> = spans
             .iter()
-            .enumerate()
-            .map(|(c, (name, table))| {
-                let total: usize = pieces.iter().map(|p| p.components[c].1.num_rows()).sum();
-                let mut b = TableBuilder::new(name, table.schema().clone(), total);
-                for piece in pieces {
-                    let (pname, ptable) = &piece.components[c];
-                    assert_eq!(pname, name, "pieces share one FK closure");
-                    for i in 0..ptable.num_rows() as u32 {
-                        b.push_row(&ptable.row(i));
-                    }
-                }
-                (name.clone(), b.finish())
-            })
-            .collect::<Vec<_>>();
-        Self {
-            root: root.to_string(),
-            sample_size: components[0].1.num_rows(),
-            components,
-        }
-    }
-
-    /// The FK-closure construction shared by all build paths: joins each
-    /// sampled root row with the full referenced relations.
-    fn from_root_rids(catalog: &Catalog, root: &str, rids: &[Rid]) -> Self {
+            .zip(draws)
+            .flat_map(|(span, offsets)| offsets.iter().map(|o| span.start as Rid + o))
+            .collect();
         let root_table = catalog.table(root).expect("root table exists");
+        let mut components = vec![(root.to_string(), root_table.take(&rids))];
 
-        // Root component.
-        let mut components: Vec<(String, Table)> = Vec::new();
-        let mut b = TableBuilder::new(root, root_table.schema().clone(), rids.len());
-        for &rid in rids {
-            b.push_row(&root_table.row(rid));
-        }
-        components.push((root.to_string(), b.finish()));
-
-        // Breadth-first FK closure.
-        let mut frontier = vec![root.to_string()];
+        let mut frontier = vec![root];
         while let Some(from) = frontier.pop() {
-            let fks: Vec<_> = catalog.foreign_keys_from(&from).cloned().collect();
-            for fk in fks {
+            for fk in catalog.foreign_keys_from(from) {
                 assert!(
                     !components.iter().any(|(name, _)| *name == fk.to_table),
                     "table {} reached by more than one FK path; role-distinct \
@@ -146,20 +115,17 @@ impl JoinSynopsis {
                             fk.to_table, fk.to_column
                         )
                     });
-                let mut b = TableBuilder::new(
-                    &fk.to_table,
-                    target.schema().clone(),
-                    from_component.num_rows(),
-                );
-                for i in 0..from_component.num_rows() as u32 {
-                    let key = from_component.value(i, key_col).as_int();
-                    let target_rid = index.get(key).unwrap_or_else(|| {
-                        panic!("dangling FK: {}.{} = {key}", fk.from_table, fk.from_column)
-                    });
-                    b.push_row(&target.row(target_rid));
-                }
-                components.push((fk.to_table.clone(), b.finish()));
-                frontier.push(fk.to_table.clone());
+                let target_rids: Vec<Rid> = from_component
+                    .int_column(key_col)
+                    .iter()
+                    .map(|&key| {
+                        index.get(key).unwrap_or_else(|| {
+                            panic!("dangling FK: {}.{} = {key}", fk.from_table, fk.from_column)
+                        })
+                    })
+                    .collect();
+                components.push((fk.to_table.clone(), target.take(&target_rids)));
+                frontier.push(&fk.to_table);
             }
         }
 
@@ -211,36 +177,36 @@ impl JoinSynopsis {
     /// Panics when a predicate references a table outside the synopsis or
     /// a column outside that table.
     pub fn evaluate(&self, predicates: &[(&str, &Expr)]) -> (usize, usize) {
-        // Bind each predicate to its component schema once.
-        let bound: Vec<(&Table, Expr)> = predicates
-            .iter()
-            .map(|(table, expr)| {
-                let component = self.component(table).unwrap_or_else(|| {
-                    panic!(
-                        "table {table:?} not covered by synopsis rooted at {:?}",
-                        self.root
-                    )
-                });
-                let b = expr
-                    .bind(component.schema())
-                    .unwrap_or_else(|e| panic!("binding predicate on {table:?}: {e}"));
-                (component, b)
-            })
-            .collect();
+        (self.qualifying(predicates).len(), self.sample_size)
+    }
 
-        let mut k = 0usize;
-        let mut row: Vec<rqo_storage::Value> = Vec::new();
-        for i in 0..self.sample_size as u32 {
-            let all = bound.iter().all(|(component, expr)| {
-                row.clear();
-                row.extend((0..component.schema().len()).map(|c| component.value(i, c)));
-                rqo_expr::eval_bool(expr, &row)
+    /// The sample tuples (ascending) that satisfy every predicate:
+    /// [`rqo_expr::select`] over each predicate's component columns, the
+    /// first over the whole sample and each next one over the previous
+    /// survivors.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`JoinSynopsis::evaluate`].
+    pub fn qualifying(&self, predicates: &[(&str, &Expr)]) -> Vec<u32> {
+        let mut survivors: Option<Vec<u32>> = None;
+        for (table, expr) in predicates {
+            let component = self.component(table).unwrap_or_else(|| {
+                panic!(
+                    "table {table:?} not covered by synopsis rooted at {:?}",
+                    self.root
+                )
             });
-            if all {
-                k += 1;
-            }
+            let bound = expr
+                .bind(component.schema())
+                .unwrap_or_else(|e| panic!("binding predicate on {table:?}: {e}"));
+            let candidates = match &survivors {
+                None => Candidates::Range(0..self.sample_size),
+                Some(ids) => Candidates::List(ids),
+            };
+            survivors = Some(rqo_expr::select(&bound, component.columns(), candidates));
         }
-        (k, self.sample_size)
+        survivors.unwrap_or_else(|| (0..self.sample_size as u32).collect())
     }
 
     /// Approximate stored size in bytes (for the §6.1 storage-parity
@@ -256,17 +222,20 @@ impl JoinSynopsis {
 /// All join synopses for a catalog, one per relation.
 ///
 /// Partitioned roots are sampled **per partition** (stratified, sample
-/// budget allocated proportionally to partition row counts) and the pieces
-/// kept alongside their merged table-level synopsis; the estimator only
-/// ever sees the merged one, but [`SynopsisRepository::refresh_table`] can
-/// rebuild a subset of a root's pieces and re-merge without re-sampling
-/// the rest.
+/// budget allocated proportionally to partition row counts) and each
+/// partition's draws kept alongside the table-level synopsis gathered
+/// from them; the estimator only ever sees that synopsis, but
+/// [`SynopsisRepository::refresh_table`] can re-draw a subset of a root's
+/// partitions and gather again without re-sampling the rest.
 #[derive(Debug, Clone)]
 pub struct SynopsisRepository {
     synopses: Vec<JoinSynopsis>,
-    /// Per-partition pieces for partitioned roots, `(root, pieces)` with
-    /// pieces aligned to the catalog's partition layout.
-    pieces: Vec<(String, Vec<JoinSynopsis>)>,
+    /// Per-partition draws for partitioned roots, `(root, draws)` with
+    /// `draws[p]` the sampled offsets into partition `p`'s span.  Offsets,
+    /// not rids: a partition only grows at its tail, so an offset names
+    /// the same row in every later catalog version, whatever ingest did
+    /// to the spans before it.
+    pieces: Vec<(String, Vec<Vec<Rid>>)>,
     sample_size: usize,
     /// Streaming sketch statistics for tables touched by ingest.  Empty
     /// until the first insert; once a table streams, its distinct
@@ -303,10 +272,47 @@ fn partition_seed(root_seed: u64, p: usize) -> u64 {
     root_seed ^ ((p as u64 + 1) << 16)
 }
 
+/// `sample_size` offsets drawn uniformly with replacement into a
+/// partition of `len` rows (none from an empty one).
+fn draw_in_partition(len: usize, sample_size: usize, seed: u64) -> Vec<Rid> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..sample_size)
+        .map(|_| rng.gen_range(0..len as Rid))
+        .collect()
+}
+
+/// Re-draws partitions `targets` of `root` under `seed` — the sample
+/// budget split across all partitions in proportion to their rows — and
+/// gathers the table-level synopsis from every partition's draws.
+///
+/// # Panics
+///
+/// Panics when a target is out of range for `spans`.
+fn redraw_partitions(
+    catalog: &Catalog,
+    root: &str,
+    spans: &[Range<usize>],
+    draws: &mut [Vec<Rid>],
+    targets: &[usize],
+    sample_size: usize,
+    seed: u64,
+) -> JoinSynopsis {
+    let lens: Vec<usize> = spans.iter().map(Range::len).collect();
+    let quotas = allocate_samples(sample_size, &lens);
+    for &p in targets {
+        assert!(p < spans.len(), "partition {p} out of range for {root:?}");
+        draws[p] = draw_in_partition(lens[p], quotas[p], partition_seed(seed, p));
+    }
+    JoinSynopsis::from_partition_draws(catalog, root, spans, draws)
+}
+
 impl SynopsisRepository {
     /// Builds one synopsis per registered table.  Each synopsis gets a
     /// distinct deterministic sub-seed derived from `seed`; partitioned
-    /// tables are built piece-per-partition and merged.
+    /// tables are drawn partition by partition.
     pub fn build_all(catalog: &Catalog, sample_size: usize, seed: u64) -> Self {
         let mut synopses = Vec::new();
         let mut pieces = Vec::new();
@@ -314,10 +320,19 @@ impl SynopsisRepository {
             let root_seed = seed ^ ((i as u64 + 1) << 32);
             match catalog.partitioning(t.name()) {
                 Some(layout) => {
-                    let root_pieces =
-                        build_pieces(catalog, t.name(), layout.spans(), sample_size, root_seed);
-                    synopses.push(JoinSynopsis::merge(t.name(), &root_pieces));
-                    pieces.push((t.name().to_string(), root_pieces));
+                    let spans = layout.spans();
+                    let mut draws = vec![Vec::new(); spans.len()];
+                    let all: Vec<usize> = (0..spans.len()).collect();
+                    synopses.push(redraw_partitions(
+                        catalog,
+                        t.name(),
+                        spans,
+                        &mut draws,
+                        &all,
+                        sample_size,
+                        root_seed,
+                    ));
+                    pieces.push((t.name().to_string(), draws));
                 }
                 None => {
                     synopses.push(JoinSynopsis::build(
@@ -340,9 +355,9 @@ impl SynopsisRepository {
     /// Rebuilds the statistics of one table — and **only** that table.
     ///
     /// For a partitioned root with a non-empty `partitions` list, only the
-    /// named partitions' pieces are re-sampled (under `seed`) and the
-    /// table-level synopsis re-merged; the other partitions' pieces are
-    /// byte-for-byte untouched.  For an unpartitioned root, or an empty
+    /// named partitions are re-drawn (under `seed`) and the table-level
+    /// synopsis gathered again; the other partitions keep their sample
+    /// rows exactly.  For an unpartitioned root, or an empty
     /// `partitions` list, the whole root synopsis is rebuilt.  Synopses
     /// rooted at *other* tables are never touched: their component rows
     /// for this table are joined through immutable FK edges from their own
@@ -367,8 +382,7 @@ impl SynopsisRepository {
         match catalog.partitioning(root) {
             Some(layout) => {
                 let spans = layout.spans();
-                let quotas = allocate_samples(self.sample_size, &span_lens(spans));
-                let root_pieces = &mut self
+                let draws = &mut self
                     .pieces
                     .iter_mut()
                     .find(|(r, _)| r == root)
@@ -379,17 +393,15 @@ impl SynopsisRepository {
                 } else {
                     partitions.to_vec()
                 };
-                for &p in &targets {
-                    assert!(p < spans.len(), "partition {p} out of range for {root:?}");
-                    root_pieces[p] = JoinSynopsis::build_for_partition(
-                        catalog,
-                        root,
-                        spans[p].clone(),
-                        quotas[p],
-                        partition_seed(seed, p),
-                    );
-                }
-                self.synopses[slot] = JoinSynopsis::merge(root, root_pieces);
+                self.synopses[slot] = redraw_partitions(
+                    catalog,
+                    root,
+                    spans,
+                    draws,
+                    &targets,
+                    self.sample_size,
+                    seed,
+                );
             }
             None => {
                 self.synopses[slot] = JoinSynopsis::build(catalog, root, self.sample_size, seed);
@@ -397,8 +409,9 @@ impl SynopsisRepository {
         }
     }
 
-    /// The per-partition pieces of a partitioned root (testing/inspection).
-    pub fn pieces_for(&self, root: &str) -> Option<&[JoinSynopsis]> {
+    /// The per-partition draws of a partitioned root, as offsets into
+    /// each partition's span (testing/inspection).
+    pub fn pieces_for(&self, root: &str) -> Option<&[Vec<Rid>]> {
         self.pieces
             .iter()
             .find(|(r, _)| r == root)
@@ -461,36 +474,6 @@ impl SynopsisRepository {
         let col = sketches.column_index(column)?;
         Some(sketches.column_distinct(col))
     }
-}
-
-/// Partition span lengths, in partition order.
-fn span_lens(spans: &[Range<usize>]) -> Vec<usize> {
-    spans.iter().map(Range::len).collect()
-}
-
-/// One synopsis piece per partition of `root`, with the sample budget
-/// split proportionally across partitions.
-fn build_pieces(
-    catalog: &Catalog,
-    root: &str,
-    spans: &[Range<usize>],
-    sample_size: usize,
-    root_seed: u64,
-) -> Vec<JoinSynopsis> {
-    let quotas = allocate_samples(sample_size, &span_lens(spans));
-    spans
-        .iter()
-        .enumerate()
-        .map(|(p, span)| {
-            JoinSynopsis::build_for_partition(
-                catalog,
-                root,
-                span.clone(),
-                quotas[p],
-                partition_seed(root_seed, p),
-            )
-        })
-        .collect()
 }
 
 /// Finds the root relation of an FK-join expression: the unique listed
@@ -682,12 +665,8 @@ mod tests {
         let mut cat = Catalog::new();
         cat.add_partitioned_table(table, layout).unwrap();
         for name in ["orders", "lineitem"] {
-            let t = flat.table(name).unwrap();
-            let mut tb = TableBuilder::new(name, t.schema().clone(), t.num_rows());
-            for rid in 0..t.num_rows() as u32 {
-                tb.push_row(&t.row(rid));
-            }
-            cat.add_table(tb.finish()).unwrap();
+            cat.add_table(Table::clone(flat.table(name).unwrap()))
+                .unwrap();
         }
         for fk in flat.foreign_keys() {
             cat.add_foreign_key(&fk.from_table, &fk.from_column, &fk.to_table, &fk.to_column)
@@ -702,22 +681,25 @@ mod tests {
         let repo = SynopsisRepository::build_all(&cat, 200, 11);
         let pieces = repo.pieces_for("part").expect("part is partitioned");
         assert_eq!(pieces.len(), 4);
-        let total: usize = pieces.iter().map(JoinSynopsis::sample_size).sum();
+        let total: usize = pieces.iter().map(Vec::len).sum();
         assert_eq!(total, 200, "proportional allocation sums to the budget");
         let merged = repo.for_root("part").unwrap();
         assert_eq!(merged.sample_size(), 200);
         // Each piece samples only rows inside its span: partition rid
-        // ranges translate to key ranges under range partitioning.
+        // ranges translate to key ranges under range partitioning, and
+        // the merged synopsis holds the pieces in partition order.
         let layout = cat.partitioning("part").unwrap();
         let part = cat.table("part").unwrap();
+        let c = merged.component("part").unwrap();
+        let mut i = 0u32;
         for (p, piece) in pieces.iter().enumerate() {
             let span = layout.span(p);
             let lo = part.value(span.start as u32, 0).as_int();
             let hi = part.value(span.end as u32 - 1, 0).as_int();
-            let c = piece.component("part").unwrap();
-            for i in 0..c.num_rows() as u32 {
+            for _ in piece {
                 let k = c.value(i, 0).as_int();
                 assert!((lo..=hi).contains(&k), "piece {p} leaked key {k}");
+                i += 1;
             }
         }
         // Unpartitioned roots have no pieces.
@@ -728,21 +710,28 @@ mod tests {
     fn partial_refresh_touches_only_named_partitions() {
         let cat = partitioned_tpch_catalog();
         let mut repo = SynopsisRepository::build_all(&cat, 200, 11);
-        let before: Vec<JoinSynopsis> = repo.pieces_for("part").unwrap().to_vec();
+        let before = repo.pieces_for("part").unwrap().to_vec();
+        let merged_before = rows_of(repo.for_root("part").unwrap(), "part");
         let lineitem_before = repo.for_root("lineitem").unwrap().clone();
         repo.refresh_table(&cat, "part", &[1, 3], 999);
         let after = repo.pieces_for("part").unwrap();
-        let rows = |s: &JoinSynopsis| -> Vec<Vec<rqo_storage::Value>> {
-            let c = s.component("part").unwrap();
-            (0..c.num_rows() as u32).map(|i| c.row(i)).collect()
+        let merged_after = rows_of(repo.for_root("part").unwrap(), "part");
+        // Piece `p`'s rows within the merged synopsis.
+        let rows = |merged: &[Vec<rqo_storage::Value>], p: usize| {
+            let start: usize = before[..p].iter().map(Vec::len).sum();
+            merged[start..start + before[p].len()].to_vec()
         };
         // Untouched partitions keep their exact sample rows.
-        assert_eq!(rows(&before[0]), rows(&after[0]));
-        assert_eq!(rows(&before[2]), rows(&after[2]));
+        for p in [0, 2] {
+            assert_eq!(before[p], after[p]);
+            assert_eq!(rows(&merged_before, p), rows(&merged_after, p));
+        }
         // Refreshed partitions were re-sampled under the new seed (same
         // size, same span, different draws).
-        assert_eq!(before[1].sample_size(), after[1].sample_size());
-        assert_ne!(rows(&before[1]), rows(&after[1]));
+        for p in [1, 3] {
+            assert_eq!(before[p].len(), after[p].len());
+            assert_ne!(rows(&merged_before, p), rows(&merged_after, p));
+        }
         // The merged synopsis reflects the refresh and keeps its size.
         assert_eq!(repo.for_root("part").unwrap().sample_size(), 200);
         // Other roots are untouched.

@@ -195,8 +195,15 @@ impl Table {
         Ok(b.finish())
     }
 
-    /// The table holding rows `ids` of this one, in that order.
-    pub(crate) fn take(&self, ids: &[u32]) -> Table {
+    /// The table holding rows `ids` of this one, in that order (any
+    /// order, repeats allowed): one typed gather per column, and a `Str`
+    /// column's output shares its dictionary.  This is how a partition
+    /// append regroups and how a statistics sample is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an id is out of range.
+    pub fn take(&self, ids: &[Rid]) -> Table {
         let columns = self.columns.iter().map(|c| c.take(ids)).collect();
         Table::freeze(self.name.clone(), self.schema.clone(), columns)
     }

@@ -8,9 +8,10 @@
 //!
 //! * **static** — [`RobustDb::run`], committed to the misestimate-driven
 //!   plan for the whole query;
-//! * **adaptive** — [`RobustDb::run_adaptive`], which may pause at a
-//!   pipeline breaker, feed the observed truth back, and re-plan the
-//!   remainder against the materialized intermediate.
+//! * **adaptive** — [`RobustDb::execute`] under [`RunPolicy::Adaptive`],
+//!   which may pause at a pipeline breaker, feed the observed truth
+//!   back, and re-plan the remainder against the materialized
+//!   intermediate.
 //!
 //! The driver self-asserts that the total adaptive simulated cost never
 //! exceeds the static total: re-optimization is risk-bounded, so a cache
@@ -24,7 +25,7 @@
 
 use std::fmt::Write as _;
 
-use robust_qo::RobustDb;
+use robust_qo::{RobustDb, RunPolicy};
 use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
@@ -140,7 +141,7 @@ fn main() {
     let mut rows = Vec::new();
     for sc in scenarios() {
         let static_run = fresh_db(args.scale, &sc.planted).run(&sc.query);
-        let adaptive = fresh_db(args.scale, &sc.planted).run_adaptive(&sc.query);
+        let adaptive = fresh_db(args.scale, &sc.planted).execute(&sc.query, RunPolicy::Adaptive);
         assert_eq!(
             adaptive.outcome.rows, static_run.rows,
             "{}: adaptive answers must match static",

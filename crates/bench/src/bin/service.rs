@@ -178,12 +178,12 @@ fn run_config(
     let cancelled = QueryHandle::new();
     cancelled.cancel();
     assert!(matches!(
-        session.run_with(&queries[0], &cancelled),
+        session.execute(&queries[0], &cancelled, RunPolicy::Run),
         Err(ServiceError::Stopped(StopReason::Cancelled))
     ));
     let expired = QueryHandle::with_deadline(Duration::ZERO);
     assert!(matches!(
-        session.run_with(&queries[0], &expired),
+        session.execute(&queries[0], &expired, RunPolicy::Run),
         Err(ServiceError::Stopped(StopReason::DeadlineExceeded))
     ));
 

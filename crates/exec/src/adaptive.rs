@@ -9,7 +9,7 @@
 //! [`execute_guarded`] stops at that pipeline breaker and returns a
 //! [`GuardTrip`] carrying the materialized batch, the completed subtree's
 //! metrics (for feedback recording), and the cost charged so far (left in
-//! the caller's [`CostTracker`]).  The caller — `RobustDb::run_adaptive`
+//! the caller's [`CostTracker`]).  The caller — the engine's one run loop
 //! — records the observed selectivities, re-optimizes the remainder of
 //! the query at an escalated confidence threshold, grafts a
 //! [`PhysicalPlan::Materialized`] leaf over the finished fragment, and

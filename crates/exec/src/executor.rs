@@ -68,12 +68,11 @@ pub fn try_execute_with(
     params: &CostParams,
     opts: &ExecOptions,
 ) -> Result<(Batch, CostTracker), StopReason> {
-    let (batch, tracker, _) = try_execute_analyze(plan, catalog, params, opts)?;
+    let (batch, tracker, _) = unguarded(plan, catalog, params, opts)?;
     Ok((batch, tracker))
 }
 
-/// [`execute_with`] plus the per-operator [`OpMetrics`] tree — the
-/// `EXPLAIN ANALYZE` entry point.
+/// [`execute_with`] plus the per-operator [`OpMetrics`] tree.
 ///
 /// The metrics tree mirrors the plan tree node for node (same labels as
 /// [`PhysicalPlan::explain`], children in execution order) and every
@@ -88,13 +87,13 @@ pub fn execute_analyze(
     params: &CostParams,
     opts: &ExecOptions,
 ) -> (Batch, CostTracker, OpMetrics) {
-    try_execute_analyze(plan, catalog, params, opts)
-        .expect("query was stopped; use try_execute_analyze with a token")
+    unguarded(plan, catalog, params, opts)
+        .expect("query was stopped; a token-carrying run goes through execute_guarded")
 }
 
-/// Token-aware [`execute_analyze`]: `Err(StopReason)` when the query's
-/// token fires mid-execution.
-pub fn try_execute_analyze(
+/// The interpreter with no guard armed and no slot bound, under a fresh
+/// tracker.
+fn unguarded(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     params: &CostParams,

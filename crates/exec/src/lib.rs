@@ -50,8 +50,8 @@
 //! An [`ExecOptions`] can carry a [`rqo_core::QueryToken`]; the executor
 //! polls it at every operator entry and every morsel boundary, so a
 //! cancelled or past-deadline query stops within one morsel of work.
-//! [`try_execute_with`] / [`try_execute_analyze`] surface the stop as an
-//! `Err(StopReason)` instead of panicking.
+//! [`try_execute_with`] surfaces the stop as an `Err(StopReason)` and
+//! [`execute_guarded`] as [`ExecStatus::Stopped`], instead of panicking.
 
 #![warn(missing_docs)]
 
@@ -69,7 +69,7 @@ pub mod scan;
 
 pub use adaptive::{execute_guarded, guard_points, q_error, ExecStatus, GuardTrip, RowGuard};
 pub use batch::Batch;
-pub use executor::{execute, execute_analyze, execute_with, try_execute_analyze, try_execute_with};
+pub use executor::{execute, execute_analyze, execute_with, try_execute_with};
 pub use metrics::OpMetrics;
 pub use morsel::{ExecOptions, MorselScheduler, StopReason};
 pub use plan::{AggExpr, AggFunc, IndexRange, PhysicalPlan, PreorderNode, SemiJoinLeg};

@@ -15,7 +15,7 @@
 //! thread counts and across schedulers — the property the
 //! `parallel_equivalence` differential suite pins down.
 //!
-//! Every operator goes through one entry point, [`run_morsels`], which
+//! Every operator goes through one entry point, `run_morsels`, which
 //! has three scheduling modes:
 //!
 //! * **Inline** (`threads <= 1`, no scheduler): the calling thread runs
@@ -29,7 +29,7 @@
 //!   runs many queries on one fixed set of threads.
 //!
 //! In every mode a fired token stops the job **within one morsel**: no new
-//! morsel is started after the poll observes the stop, and [`run_morsels`]
+//! morsel is started after the poll observes the stop, and `run_morsels`
 //! returns `None` so the operator tree unwinds without fabricating a
 //! partial result.
 
@@ -160,7 +160,7 @@ impl ExecOptions {
     }
 
     /// Number of morsels an input of `n` rows splits into under these
-    /// options — the same arithmetic [`run_morsels`] uses, so the count
+    /// options — the same arithmetic `run_morsels` uses, so the count
     /// depends only on sizes, never on the thread count or scheduling.
     pub fn morsel_count(&self, n: usize) -> u64 {
         n.div_ceil(self.morsel_size.max(1)) as u64

@@ -3,8 +3,9 @@
 //! For random SPJ workloads over the seeded TPC-H-like generator (whose
 //! correlated ship/receipt dates and clustered part keys are the
 //! deliberately skewed columns the paper's estimator struggles with),
-//! [`RobustDb::run_adaptive`] must return **bit-identical** rows to the
-//! static [`RobustDb::run`] path — at 1, 2, and 8 worker threads — no
+//! [`RobustDb::execute`] under `RunPolicy::Adaptive` must return
+//! **bit-identical** rows to the static [`RobustDb::run`] path — at 1,
+//! 2, and 8 worker threads — no
 //! matter how wrong the planted selectivity is and how many mid-query
 //! re-plans it provokes.  Guard-trigger points, re-plan counts, and the
 //! total tracked cost must also be identical across thread counts: guard
@@ -98,14 +99,14 @@ proptest! {
         let static_run = static_db.run(&query);
 
         // Adaptive at each thread count, each on its own fresh database
-        // (run_adaptive feeds truth back into its handle's store, which
+        // (an adaptive run feeds truth back into its handle's store, which
         // must not leak between arms).
         type Baseline = (usize, f64, Vec<(usize, u64)>);
         let mut baseline: Option<Baseline> = None;
         for threads in [1usize, 2, 8] {
             let handle = fresh_db(seed, threads);
             inject_misestimate(&handle, family, offset, window, sel);
-            let adaptive = handle.run_adaptive(&query);
+            let adaptive = handle.execute(&query, RunPolicy::Adaptive);
 
             prop_assert_eq!(
                 &adaptive.outcome.rows,
@@ -165,13 +166,13 @@ proptest! {
 
         let handle = fresh_db(seed, 2).with_adaptive_policy(AdaptivePolicy::disabled());
         inject_misestimate(&handle, family, offset, window, 0.9);
-        let adaptive = handle.run_adaptive(&query);
+        let adaptive = handle.execute(&query, RunPolicy::Adaptive);
         prop_assert_eq!(adaptive.replans(), 0);
         prop_assert_eq!(&adaptive.outcome.rows, &static_run.rows);
         prop_assert_eq!(adaptive.outcome.simulated_seconds, static_run.simulated_seconds);
         prop_assert_eq!(
-            adaptive.outcome.plan.shape_label(),
-            static_run.plan.shape_label()
+            adaptive.outcome.planned.plan.shape_label(),
+            static_run.planned.plan.shape_label()
         );
     }
 }

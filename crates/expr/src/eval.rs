@@ -14,7 +14,8 @@ impl Expr {
     ///
     /// NULL semantics follow SQL: comparisons and arithmetic involving NULL
     /// yield NULL; `AND`/`OR`/`NOT` use Kleene logic; `IS NULL` never
-    /// returns NULL.
+    /// returns NULL.  Division by zero, integer arithmetic whose result is
+    /// outside `i64` and a date shifted off the `i32` calendar are NULL.
     ///
     /// # Panics
     ///
@@ -40,7 +41,7 @@ impl Expr {
                     },
                     UnaryOp::Neg => match v {
                         Value::Null => Value::Null,
-                        Value::Int(x) => Value::Int(-x),
+                        Value::Int(x) => x.checked_neg().map_or(Value::Null, Value::Int),
                         Value::Float(x) => Value::Float(-x),
                         other => panic!("negation of non-numeric {other:?}"),
                     },
@@ -136,34 +137,39 @@ fn eval_binary(op: BinaryOp, left: Value, right: impl FnOnce() -> Value) -> Valu
             }
             // Integer arithmetic when both sides are Int/Date; float
             // otherwise.  Date + Int yields Date (day arithmetic), matching
-            // the paper's template `'07/01/97' + ?`.
+            // the paper's template `'07/01/97' + ?`.  Integer arithmetic is
+            // checked: a result outside `i64` (or a date off the `i32`
+            // calendar) is NULL, the answer division by zero gives —
+            // operands arrive from the wire, so it must not panic or wrap.
+            let int = |r: Option<i64>| r.map_or(Value::Null, Value::Int);
+            let date = |r: Option<i32>| r.map_or(Value::Null, Value::Date);
             match (&left, &right) {
                 // Date ± days and days + Date are meaningful; `Int − Date`
                 // is not (what would "5 minus July 1st" be?) and panics
                 // rather than silently producing a bogus date.
-                (Value::Date(d), Value::Int(n)) => match op {
-                    Add => Value::Date(d + *n as i32),
-                    Sub => Value::Date(d - *n as i32),
-                    _ => panic!("unsupported date arithmetic {op}"),
-                },
+                (Value::Date(d), Value::Int(n)) => {
+                    let n = i32::try_from(*n).ok();
+                    date(match op {
+                        Add => n.and_then(|n| d.checked_add(n)),
+                        Sub => n.and_then(|n| d.checked_sub(n)),
+                        _ => panic!("unsupported date arithmetic {op}"),
+                    })
+                }
                 (Value::Int(n), Value::Date(d)) => match op {
-                    Add => Value::Date(d + *n as i32),
+                    Add => date(i32::try_from(*n).ok().and_then(|n| d.checked_add(n))),
                     _ => panic!("unsupported arithmetic Int {op} Date"),
                 },
-                (Value::Date(a), Value::Date(b)) if op == Sub => Value::Int((a - b) as i64),
-                (Value::Int(a), Value::Int(b)) => match op {
-                    Add => Value::Int(a + b),
-                    Sub => Value::Int(a - b),
-                    Mul => Value::Int(a * b),
-                    Div => {
-                        if *b == 0 {
-                            Value::Null
-                        } else {
-                            Value::Int(a / b)
-                        }
-                    }
+                (Value::Date(a), Value::Date(b)) if op == Sub => {
+                    Value::Int(i64::from(*a) - i64::from(*b))
+                }
+                (Value::Int(a), Value::Int(b)) => int(match op {
+                    Add => a.checked_add(*b),
+                    Sub => a.checked_sub(*b),
+                    Mul => a.checked_mul(*b),
+                    // `None` for a zero divisor and for `i64::MIN / -1`.
+                    Div => a.checked_div(*b),
                     _ => unreachable!(),
-                },
+                }),
                 _ => {
                     let a = left.as_f64();
                     let b = right.as_f64();
@@ -282,6 +288,11 @@ mod tests {
         );
         assert_eq!(eval(Expr::col("a").div(Expr::lit(0i64))), Value::Null);
         assert_eq!(eval(Expr::col("b").div(Expr::lit(0.0))), Value::Null);
+        // Out of `i64` is NULL too, never a panic or a wrapped value.
+        assert_eq!(eval(Expr::lit(i64::MIN).div(Expr::lit(-1i64))), Value::Null);
+        assert_eq!(eval(Expr::lit(i64::MAX).add(Expr::col("a"))), Value::Null);
+        assert_eq!(eval(Expr::lit(i64::MIN).sub(Expr::col("a"))), Value::Null);
+        assert_eq!(eval(Expr::lit(i64::MAX).mul(Expr::col("a"))), Value::Null);
         assert_eq!(
             eval(Expr::Unary {
                 op: UnaryOp::Neg,
@@ -309,6 +320,15 @@ mod tests {
         assert_eq!(
             eval(Expr::col("d").sub(Expr::lit(parse_date("1997-07-01")))),
             Value::Int(14)
+        );
+        // A date off the `i32` calendar is NULL, not a truncated shift.
+        let far = Expr::lit(1i64 << 32);
+        assert_eq!(eval(Expr::col("d").add(far.clone())), Value::Null);
+        assert_eq!(eval(Expr::col("d").sub(far)), Value::Null);
+        // Date − Date is computed in `i64`: no `i32` pair can overflow it.
+        assert_eq!(
+            eval(Expr::lit(Value::Date(i32::MIN)).sub(Expr::lit(Value::Date(1)))),
+            Value::Int(i64::from(i32::MIN) - 1)
         );
     }
 

@@ -45,21 +45,27 @@ fn typed_schema() -> Schema {
     ])
 }
 
+/// Integer operands come from the edges of the range, where unchecked
+/// arithmetic would overflow (`i64::MIN / -1`, `MAX + 1`, `-MIN`).
+const EDGES: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+
 /// A random expression tree of at most `depth` operator levels over
 /// [`typed_schema`], mostly ill-typed: every operator over every operand.
 fn random_expr(next: &mut impl FnMut(u64) -> u64, depth: u32) -> Expr {
     let literal = |k: u64| match k {
         0 => Value::Null,
-        1 => Value::Int(3),
-        2 => Value::Float(1.5),
-        3 => Value::Date(10_000),
-        4 => Value::str("ab"),
+        1..=5 => Value::Int(EDGES[k as usize - 1]),
+        6 => Value::Float(1.5),
+        7 => Value::Date(10_000),
+        8 => Value::Date(i32::MIN),
+        9 => Value::Date(i32::MAX),
+        10 => Value::str("ab"),
         _ => Value::Bool(true),
     };
     if depth == 0 || next(4) == 0 {
         return match next(2) {
             0 => Expr::col(["i", "f", "d", "s", "b"][next(5) as usize]),
-            _ => Expr::lit(literal(next(6))),
+            _ => Expr::lit(literal(next(12))),
         };
     }
     let mut sub = || random_expr(next, depth - 1);
@@ -83,7 +89,7 @@ fn random_expr(next: &mut impl FnMut(u64) -> u64, depth: u32) -> Expr {
         },
         13 => a.between(b, c),
         14 => a.like("a%"),
-        15 => a.in_list(vec![literal(next(6)), literal(next(6))]),
+        15 => a.in_list(vec![literal(next(12)), literal(next(12))]),
         16 => a.le(b),
         _ => a.gt(b),
     }
@@ -107,7 +113,7 @@ proptest! {
         let schema = typed_schema();
         let expr = random_expr(&mut next, 3);
         let mut row = vec![
-            Value::Int(7),
+            Value::Int(EDGES[next(5) as usize]),
             Value::Float(2.5),
             Value::Date(9_000),
             Value::str("abc"),

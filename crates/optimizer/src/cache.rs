@@ -370,8 +370,9 @@ impl PlanCache {
     /// Drops every cached plan that reads `table` (counted under
     /// `epoch_invalidations`), returning how many were dropped.  Plans
     /// over other tables stay warm — this is the partial-refresh
-    /// counterpart of [`invalidate_epochs_before`]
-    /// (Self::invalidate_epochs_before): a per-table statistics refresh
+    /// counterpart of
+    /// [`invalidate_epochs_before`](Self::invalidate_epochs_before): a
+    /// per-table statistics refresh
     /// makes only the refreshed table's plans stale, and the per-table
     /// epoch inside new fingerprints already keeps them from being hit
     /// again, so the eager drop here is pure housekeeping.

@@ -1,6 +1,6 @@
 //! The optimizer's one pricing walk: what a plan node stands for.
 //!
-//! [`derive`] turns a plan node plus its children's derivations into the
+//! [`derive()`] turns a plan node plus its children's derivations into the
 //! node's own [`Derivation`]: the estimation request its subtree stands
 //! for (tables covered, query predicates applied, canonical key), the
 //! rows that request yields, the cumulative cost of producing them and
@@ -316,7 +316,7 @@ pub fn derive(
     }
 }
 
-/// Folds [`derive`] over a finished plan: one derivation per node, in
+/// Folds [`derive()`] over a finished plan: one derivation per node, in
 /// [`PhysicalPlan::preorder`] numbering (the numbering `explain()`,
 /// `OpMetrics` and the executor's guard points share).
 pub fn derive_plan(ctx: &PlanContext<'_>, query: &Query, plan: &PhysicalPlan) -> Vec<Derivation> {
@@ -372,7 +372,7 @@ impl PricedPlan {
 ///
 /// # Panics
 ///
-/// As [`derive`].
+/// As [`derive()`].
 pub fn price_plan(ctx: &PlanContext<'_>, query: &Query, plan: &PhysicalPlan) -> PricedPlan {
     PricedPlan::of(plan, &derive_plan(ctx, query, plan))
 }

@@ -1,7 +1,7 @@
 //! Join enumeration: dynamic programming over connected subsets of the FK
 //! join graph, plus star-semijoin candidates for star-shaped queries.
 //! Every candidate is built as a plan node and costed by
-//! [`derive`](crate::derive::derive) from its inputs' derivations.
+//! [`derive()`](crate::derive::derive) from its inputs' derivations.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

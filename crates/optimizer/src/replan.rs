@@ -2,7 +2,7 @@
 //! an already-materialized intermediate.
 //!
 //! When a runtime cardinality guard trips at a pipeline breaker, the
-//! adaptive driver (`RobustDb::run_adaptive`) has three things in hand:
+//! adaptive driver (the engine's run loop) has three things in hand:
 //! the materialized batch, the `(tables, predicates)` request of the
 //! subtree that produced it (from the tripped node's [`NodeAnnotation`]),
 //! and a feedback store that now records the *observed* selectivities

@@ -3,29 +3,32 @@
 //!
 //! This is the single-tenant `RobustDb` core, factored out so that one
 //! engine can be shared by many concurrent sessions through
-//! [`QueryService`](crate::QueryService).  Every execution entry point
-//! takes [`ExecOptions`] (carrying the query's token and the shared
-//! worker-pool scheduler) and returns `Result<_, StopReason>`: a
-//! cancelled or past-deadline query surfaces as `Err` instead of a
-//! result.
+//! [`QueryService`](crate::QueryService).  There is one run verb,
+//! [`Engine::execute`]: it takes [`ExecOptions`] (carrying the query's
+//! token and the shared worker-pool scheduler) and a [`RunPolicy`], and
+//! returns `Result<AnalyzedOutcome, StopReason>` — a cancelled or
+//! past-deadline query surfaces as `Err` instead of a result.
 //!
-//! # Cancellation hygiene
+//! # Observing is not publishing
 //!
-//! A stopped query must look — to every shared structure — as if it never
-//! ran:
+//! Every execution *observes*: the interpreter builds the est-vs-actual
+//! [`OpMetrics`] tree for any run, and every [`AnalyzedOutcome`] carries
+//! it.  What a run *publishes* into shared state — the [`PlanCache`], the
+//! [`FeedbackStore`], the cache's drift check — is decided by its
+//! [`RunPolicy`] alone, in one step, after the execution completed.  A
+//! feedback loop is only safe if cancelled, torn and merely observed
+//! executions never feed it, so a stopped query must look — to every
+//! shared structure — as if it never ran:
 //!
-//! * [`run_opts`](Engine::run_opts) plans on a cache miss but publishes
-//!   the plan into the [`PlanCache`] only **after** a successful
-//!   execution;
-//! * [`explain_analyze_opts`](Engine::explain_analyze_opts) publishes the
-//!   fresh plan, the feedback observations, and the drift checks only
-//!   after the run completes;
-//! * [`run_adaptive_opts`](Engine::run_adaptive_opts) records trip
-//!   observations into a private [`FeedbackStore::fork`] (which the
-//!   mid-query re-plans read), and replays them onto the shared store —
-//!   and through the plan cache's drift rule — only when the query
-//!   completes.  A query cancelled between re-plans leaves the shared
-//!   feedback store and cache byte-identical to never having started.
+//! * a cache miss plans fresh but the plan enters the cache only
+//!   **after** a successful execution;
+//! * a guard trip records its observations into a private
+//!   [`FeedbackStore::fork`], taken at the **first trip** (a run that
+//!   never trips never clones the store), which the mid-query re-plans
+//!   read; they are replayed onto the shared store — and through the
+//!   plan cache's drift rule — only when the query completes.  A query
+//!   cancelled between re-plans leaves the shared feedback store and
+//!   cache byte-identical to never having started.
 
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -35,7 +38,7 @@ use rqo_core::{
 };
 use rqo_exec::{
     execute_guarded, guard_points, Batch, ExecOptions, ExecStatus, MorselScheduler, OpMetrics,
-    PhysicalPlan, RowGuard,
+    RowGuard,
 };
 use rqo_optimizer::{
     CacheStats, MaterializedFragment, NodeAnnotation, Optimizer, PlanCache, PlanFingerprint,
@@ -52,32 +55,70 @@ struct Snapshot {
     synopses: Arc<SynopsisRepository>,
 }
 
+/// What one execution may read from and publish into the engine's shared
+/// state.  Every policy runs the same loop ([`Engine::execute`]) and
+/// observes the same est-vs-actual metrics tree; they differ only in
+/// these three decisions:
+///
+/// | policy | plan from | guards | published on completion |
+/// |---|---|---|---|
+/// | `Run` | cache probe, fresh on a miss | never | the fresh plan, on a miss |
+/// | `Adaptive` | cache probe, fresh on a miss | while [`AdaptivePolicy`] allows | + the trips' observations |
+/// | `Analyze` | always fresh | never | the fresh plan + every annotated node's observation |
+/// | `AnalyzeQuiet` | always fresh, no fingerprint taken | never | nothing |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunPolicy {
+    /// A plain run through the plan cache.
+    Run,
+    /// A run with **mid-query adaptive re-optimization**: while the
+    /// engine's [`AdaptivePolicy`] has re-plan budget left, every
+    /// annotated pipeline breaker carries a cardinality guard; a trip
+    /// re-plans the remainder at an escalated threshold and resumes from
+    /// the materialized fragment.  With [`AdaptivePolicy::disabled`] this
+    /// is exactly `Run`.
+    Adaptive,
+    /// `EXPLAIN ANALYZE`: the estimates must reflect the statistics and
+    /// feedback of *this* moment, so the plan is never read from the
+    /// cache; every annotated operator's observed selectivity is fed back.
+    Analyze,
+    /// A **side-effect-free** `EXPLAIN ANALYZE`: bypasses the cache and
+    /// its counters and publishes nothing, so any number of concurrent
+    /// calls for one query return bit-identical plans, rows, metrics and
+    /// tracked costs — the property the service differential tests pin.
+    AnalyzeQuiet,
+}
+
 /// The result of running one query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The plan the optimizer chose.
-    pub plan: PhysicalPlan,
+    /// The plan that ran to completion, with the optimizer's per-node
+    /// annotations (shared with the plan cache, never copied).
+    pub planned: Arc<PlannedQuery>,
     /// Result rows.
     pub rows: Vec<Vec<Value>>,
     /// Output column names.
     pub columns: Vec<String>,
     /// Simulated execution time in seconds under the database's cost
-    /// parameters.
+    /// parameters — the **total** tracked cost, including the partial
+    /// executions before any re-plan.
     pub simulated_seconds: f64,
-    /// The optimizer's own cost estimate, in seconds, for comparison.
+    /// The optimizer's own cost estimate for the first plan, in seconds,
+    /// for comparison.
     pub estimated_seconds: f64,
 }
 
-/// The result of `EXPLAIN ANALYZE`: a [`QueryOutcome`] plus the
-/// per-operator metrics tree, annotated with the optimizer's own
-/// cardinality estimates so every node reports estimate vs. actual and
-/// the q-error between them.
+/// What every execution returns: the [`QueryOutcome`], the per-operator
+/// metrics tree of the completed execution — annotated with the final
+/// plan's cardinality estimates so every node reports estimate vs.
+/// actual and the q-error between them — and the re-plan event log.
 #[derive(Debug, Clone)]
 pub struct AnalyzedOutcome {
     /// The ordinary query result.
     pub outcome: QueryOutcome,
     /// Per-operator metrics, in the same tree shape as the plan.
     pub metrics: OpMetrics,
+    /// One entry per guard trip, in order; empty when no guard was armed.
+    pub events: Vec<ReplanEvent>,
 }
 
 impl AnalyzedOutcome {
@@ -87,6 +128,28 @@ impl AnalyzedOutcome {
     /// the same database and query.
     pub fn render(&self) -> String {
         self.metrics.render()
+    }
+
+    /// Number of mid-query re-plans that occurred.
+    pub fn replans(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Renders the re-plan event log followed by the final plan's
+    /// annotated metrics tree.  Deterministic: identical at every thread
+    /// count for the same database and query.
+    pub fn render_adaptive(&self) -> String {
+        let mut out = String::new();
+        out.push_str(&format!(
+            "adaptive execution: {} re-plan(s)\n",
+            self.replans()
+        ));
+        for (i, event) in self.events.iter().enumerate() {
+            out.push_str(&format!("[{}] {}\n", i + 1, event.render()));
+        }
+        out.push_str("final plan:\n");
+        out.push_str(&self.metrics.render());
+        out
     }
 }
 
@@ -154,46 +217,6 @@ impl ReplanEvent {
             self.old_shape,
             self.new_shape,
         )
-    }
-}
-
-/// The result of adaptive execution: the query outcome, the re-plan
-/// event log, and the metrics tree of the final (completed) execution.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// The ordinary query result.  `plan` is the plan that ran to
-    /// completion; `simulated_seconds` is the **total** tracked cost
-    /// including all partial executions before re-plans, and
-    /// `estimated_seconds` is the first plan's estimate.
-    pub outcome: QueryOutcome,
-    /// One entry per guard trip, in order.
-    pub events: Vec<ReplanEvent>,
-    /// Per-operator metrics of the completed execution, annotated with
-    /// the final plan's estimates.
-    pub metrics: OpMetrics,
-}
-
-impl AdaptiveOutcome {
-    /// Number of mid-query re-plans that occurred.
-    pub fn replans(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Renders the re-plan event log followed by the final plan's
-    /// annotated metrics tree.  Deterministic: identical at every thread
-    /// count for the same database and query.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "adaptive execution: {} re-plan(s)\n",
-            self.replans()
-        ));
-        for (i, event) in self.events.iter().enumerate() {
-            out.push_str(&format!("[{}] {}\n", i + 1, event.render()));
-        }
-        out.push_str("final plan:\n");
-        out.push_str(&self.metrics.render());
-        out
     }
 }
 
@@ -597,90 +620,79 @@ impl Engine {
         opts
     }
 
-    fn outcome(&self, planned: &PlannedQuery, batch: Batch, seconds: f64) -> QueryOutcome {
-        QueryOutcome {
-            plan: planned.plan.clone(),
-            columns: batch.schema.names().iter().map(|s| s.to_string()).collect(),
-            rows: batch.to_rows(),
-            simulated_seconds: seconds,
-            estimated_seconds: planned.estimated_cost_ms / 1000.0,
-        }
+    /// The observed selectivity of every annotated node of a completed
+    /// (sub)tree: its actual output cardinality relative to the root
+    /// relation the planner priced it against, floored at half a tuple —
+    /// a zero-row result is evidence the selectivity is *small*, not that
+    /// it is exactly 0.0.  In pre-order a subtree is a contiguous block
+    /// starting at its root, so a subtree's metrics zip with the
+    /// annotations from its root on.
+    fn observations<'a>(
+        metrics: &OpMetrics,
+        annotations: &'a [Option<NodeAnnotation>],
+    ) -> Vec<(&'a NodeAnnotation, f64)> {
+        let nodes = metrics.preorder();
+        let observed = nodes.iter().zip(annotations).filter_map(|(node, ann)| {
+            let ann = ann.as_ref()?;
+            if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
+                return None;
+            }
+            let selectivity = (node.rows_out as f64).max(0.5) / ann.root_rows;
+            Some((ann, selectivity.clamp(0.0, 1.0)))
+        });
+        observed.collect()
     }
 
-    /// Optimizes (through the plan cache) and executes a query.  On a
-    /// cache miss the fresh plan is cached only after the execution
-    /// completes, so a stopped query never publishes anything.
-    pub fn run_opts(&self, query: &Query, opts: &ExecOptions) -> Result<QueryOutcome, StopReason> {
-        let (snapshot, fingerprint) = self.view(query);
-        let cached = self.plan_cache.get(&fingerprint);
-        let planned = match &cached {
-            Some(planned) => Arc::clone(planned),
-            None => Arc::new(self.plan(&snapshot, query)),
-        };
-        let (batch, cost) =
-            rqo_exec::try_execute_with(&planned.plan, &snapshot.catalog, &self.params, opts)?;
-        if cached.is_none() {
-            self.plan_cache
-                .insert_shared(fingerprint, Arc::clone(&planned));
-        }
-        Ok(self.outcome(&planned, batch, cost.seconds(&self.params)))
-    }
-
-    /// The observed selectivity of one annotated node, floored at half a
-    /// tuple: a zero-row result is evidence the selectivity is *small*,
-    /// not that it is exactly 0.0.
-    fn observation(ann: &NodeAnnotation, rows_out: u64) -> Option<f64> {
-        if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
-            return None;
-        }
-        Some(((rows_out as f64).max(0.5) / ann.root_rows).clamp(0.0, 1.0))
-    }
-
-    /// Publishes one observation into the shared feedback store and the
-    /// plan cache's drift check.
-    fn record_observation(&self, rows_out: u64, ann: &NodeAnnotation) {
-        if let Some(observed) = Self::observation(ann, rows_out) {
-            self.feedback.record_keyed(&ann.key, &ann.tables, observed);
-            self.plan_cache.observe(&ann.key, observed);
-        }
-    }
-
-    /// Runs a query with **mid-query adaptive re-optimization** under the
-    /// engine's [`AdaptivePolicy`].  See the module docs for the
-    /// cancellation hygiene; completed runs behave exactly like the
-    /// single-tenant adaptive path (same trips, same re-plans, same
-    /// published feedback and drift evictions).
-    pub fn run_adaptive_opts(
+    /// The one run verb: plans `query`, executes it against one data
+    /// version, and — only after the execution completed — publishes what
+    /// `policy` allows (see [`RunPolicy`] for the three decisions a policy
+    /// makes, and the module docs for the hygiene they keep).  Completed
+    /// runs are deterministic: same trips, same re-plans, same rows, cost
+    /// and metrics at every thread count.
+    pub fn execute(
         &self,
         query: &Query,
         opts: &ExecOptions,
-    ) -> Result<AdaptiveOutcome, StopReason> {
-        let policy = self.adaptive_policy.clone();
-        let mut threshold = query.hint.unwrap_or(self.threshold);
-        let mut selection = query.selection.unwrap_or(self.selection);
-        // One data version for the whole adaptive run: re-plans and
-        // resumed fragments must see the data the tripped plan ran over.
-        let (snapshot, fingerprint) = self.view(query);
-        let cached = self.plan_cache.get(&fingerprint);
+        policy: RunPolicy,
+    ) -> Result<AnalyzedOutcome, StopReason> {
+        // One data version for the whole run: re-plans and resumed
+        // fragments must see the data the tripped plan ran over.  The
+        // fingerprint is what the run publishes under.
+        let (snapshot, fingerprint) = match policy {
+            RunPolicy::AnalyzeQuiet => (self.snapshot(), None),
+            _ => {
+                let (snapshot, fingerprint) = self.view(query);
+                (snapshot, Some(fingerprint))
+            }
+        };
+        let cached = match (policy, &fingerprint) {
+            (RunPolicy::Run | RunPolicy::Adaptive, Some(fingerprint)) => {
+                self.plan_cache.get(fingerprint)
+            }
+            _ => None,
+        };
         let initial = match &cached {
             Some(planned) => Arc::clone(planned),
             None => Arc::new(self.plan(&snapshot, query)),
         };
+        let adaptive = &self.adaptive_policy;
+        let guarded = policy == RunPolicy::Adaptive && adaptive.is_enabled();
         let mut planned = Arc::clone(&initial);
-        let estimated_seconds = planned.estimated_cost_ms / 1000.0;
+        let mut threshold = query.hint.unwrap_or(self.threshold);
+        let mut selection = query.selection.unwrap_or(self.selection);
         let mut tracker = CostTracker::new();
         let mut events: Vec<ReplanEvent> = Vec::new();
         let mut slots: Vec<Batch> = Vec::new();
-        // Tentative state: the fork steers mid-query re-plans; `pending`
-        // is replayed onto the shared store only on completion.
-        let fork = Arc::new(self.feedback.fork());
-        let mut pending: Vec<(u64, NodeAnnotation)> = Vec::new();
+        // Tentative state: the fork (taken at the first trip) steers
+        // mid-query re-plans; `pending` is replayed onto the shared store
+        // only on completion.
+        let mut fork: Option<Arc<FeedbackStore>> = None;
+        let mut pending: Vec<(NodeAnnotation, f64)> = Vec::new();
 
         loop {
             // Guards stay armed while the re-plan budget lasts; the final
             // permitted execution runs unguarded to completion.
-            let guards: Vec<RowGuard> = if policy.is_enabled() && events.len() < policy.max_replans
-            {
+            let guards: Vec<RowGuard> = if guarded && events.len() < adaptive.max_replans {
                 guard_points(&planned.plan)
                     .into_iter()
                     .filter_map(|idx| {
@@ -688,7 +700,7 @@ impl Engine {
                         (!ann.tables.is_empty()).then_some(RowGuard {
                             node: idx,
                             est_rows: ann.est_rows,
-                            bound: policy.guard_bound,
+                            bound: adaptive.guard_bound,
                         })
                     })
                     .collect()
@@ -706,55 +718,58 @@ impl Engine {
             );
             match status {
                 ExecStatus::Complete { batch, mut metrics } => {
+                    metrics.annotate(&planned.node_estimates());
                     // Publish: the initial plan first (it is what the
                     // fingerprint priced), then the observations — whose
                     // drift checks may immediately evict it, exactly as
                     // if they had been recorded live.
-                    if cached.is_none() {
-                        self.plan_cache
-                            .insert_shared(fingerprint.clone(), Arc::clone(&initial));
+                    if let Some(fingerprint) = fingerprint {
+                        if cached.is_none() {
+                            self.plan_cache
+                                .insert_shared(fingerprint, Arc::clone(&initial));
+                        }
+                        let published = match policy {
+                            RunPolicy::Analyze => {
+                                Self::observations(&metrics, &planned.node_annotations)
+                            }
+                            _ => pending.iter().map(|(ann, o)| (ann, *o)).collect(),
+                        };
+                        for (ann, observed) in published {
+                            self.feedback.record_keyed(&ann.key, &ann.tables, observed);
+                            self.plan_cache.observe(&ann.key, observed);
+                        }
                     }
-                    for (rows_out, ann) in &pending {
-                        self.record_observation(*rows_out, ann);
-                    }
-                    metrics.annotate(&planned.node_estimates());
-                    let seconds = tracker.seconds(&self.params);
-                    let mut outcome = self.outcome(&planned, batch, seconds);
-                    outcome.estimated_seconds = estimated_seconds;
-                    return Ok(AdaptiveOutcome {
+                    let outcome = QueryOutcome {
+                        columns: batch.schema.names().iter().map(|s| s.to_string()).collect(),
+                        rows: batch.to_rows(),
+                        simulated_seconds: tracker.seconds(&self.params),
+                        estimated_seconds: initial.estimated_cost_ms / 1000.0,
+                        planned,
+                    };
+                    return Ok(AnalyzedOutcome {
                         outcome,
-                        events,
                         metrics,
+                        events,
                     });
                 }
                 ExecStatus::Stopped(reason) => return Err(reason),
                 ExecStatus::Tripped(trip) => {
                     // The tripped node's subtree is complete: record its
-                    // observed selectivities into the fork (for the
-                    // re-plan) and queue them for publication.  In
-                    // pre-order a subtree is a contiguous block starting
-                    // at its root, so the subtree's metrics zip with the
-                    // annotations from `trip.node` on.
-                    let mut observations = 0;
-                    for (node, annotation) in trip
-                        .metrics
-                        .preorder()
-                        .iter()
-                        .zip(&planned.node_annotations[trip.node..])
-                    {
-                        let Some(ann) = annotation else { continue };
-                        // Into the private fork only — no drift check,
-                        // nothing shared.
-                        if let Some(observed) = Self::observation(ann, node.rows_out) {
-                            fork.record_keyed(&ann.key, &ann.tables, observed);
-                            observations += 1;
-                            pending.push((node.rows_out, ann.clone()));
-                        }
+                    // observed selectivities into the private fork (for
+                    // the re-plan; no drift check, nothing shared) and
+                    // queue them for publication.
+                    let fork = fork.get_or_insert_with(|| Arc::new(self.feedback.fork()));
+                    let observed =
+                        Self::observations(&trip.metrics, &planned.node_annotations[trip.node..]);
+                    for (ann, observed) in &observed {
+                        fork.record_keyed(&ann.key, &ann.tables, *observed);
+                        pending.push(((*ann).clone(), *observed));
                     }
+                    let observations = observed.len();
                     let before = threshold;
                     let selection_before = selection;
-                    threshold = policy.escalate(threshold, events.len());
-                    selection = policy.escalate_selection(selection, events.len());
+                    threshold = adaptive.escalate(threshold, events.len());
+                    selection = adaptive.escalate_selection(selection, events.len());
                     let ann = planned.node_annotations[trip.node]
                         .as_ref()
                         .expect("guards are only armed on annotated nodes");
@@ -767,7 +782,7 @@ impl Engine {
                     // its annotation derivation) sees the escalated mode.
                     let replan_query = query.clone().with_hint(threshold).with_selection(selection);
                     let (new_planned, resumed) = self
-                        .optimizer_over(&snapshot, Arc::clone(&fork))
+                        .optimizer_over(&snapshot, Arc::clone(fork))
                         .replan_with_materialized(&replan_query, &fragment);
                     events.push(ReplanEvent {
                         node: trip.node,
@@ -793,53 +808,17 @@ impl Engine {
         }
     }
 
-    /// `EXPLAIN ANALYZE`: plans fresh, executes, and — only after the
-    /// run completes — caches the fresh plan, records every annotated
-    /// operator's observed selectivity into the shared feedback store,
-    /// and feeds each observation through the plan cache's drift check.
-    pub fn explain_analyze_opts(
-        &self,
-        query: &Query,
-        opts: &ExecOptions,
-    ) -> Result<AnalyzedOutcome, StopReason> {
-        let (snapshot, fingerprint) = self.view(query);
-        let planned = Arc::new(self.plan(&snapshot, query));
-        let (batch, cost, mut metrics) =
-            rqo_exec::try_execute_analyze(&planned.plan, &snapshot.catalog, &self.params, opts)?;
-        let planned = self.plan_cache.insert_shared(fingerprint, planned);
-        metrics.annotate(&planned.node_estimates());
-
-        // Record observed selectivities: each annotated node's actual
-        // output cardinality, relative to the root relation the planner
-        // priced it against, keyed by the exact (tables, predicates)
-        // request the estimator answered during planning.
-        for (node, annotation) in metrics.preorder().iter().zip(&planned.node_annotations) {
-            let Some(ann) = annotation else { continue };
-            self.record_observation(node.rows_out, ann);
-        }
-
-        let outcome = self.outcome(&planned, batch, cost.seconds(&self.params));
-        Ok(AnalyzedOutcome { outcome, metrics })
+    /// A plain run: [`execute`](Self::execute) under [`RunPolicy::Run`].
+    pub fn run_opts(&self, query: &Query, opts: &ExecOptions) -> Result<QueryOutcome, StopReason> {
+        Ok(self.execute(query, opts, RunPolicy::Run)?.outcome)
     }
 
-    /// A **side-effect-free** `EXPLAIN ANALYZE`: plans fresh (bypassing
-    /// the cache and its counters), executes with metrics, and publishes
-    /// nothing — no cache insert, no feedback, no drift checks.  Because
-    /// planning is deterministic given the engine's current statistics
-    /// and feedback, any number of concurrent `analyze_quiet` calls for
-    /// the same query return bit-identical plans, rows, metrics, and
-    /// tracked costs — the property the service differential tests pin.
+    /// [`execute`](Self::execute) under [`RunPolicy::AnalyzeQuiet`].
     pub fn analyze_quiet(
         &self,
         query: &Query,
         opts: &ExecOptions,
     ) -> Result<AnalyzedOutcome, StopReason> {
-        let snapshot = self.snapshot();
-        let planned = self.plan(&snapshot, query);
-        let (batch, cost, mut metrics) =
-            rqo_exec::try_execute_analyze(&planned.plan, &snapshot.catalog, &self.params, opts)?;
-        metrics.annotate(&planned.node_estimates());
-        let outcome = self.outcome(&planned, batch, cost.seconds(&self.params));
-        Ok(AnalyzedOutcome { outcome, metrics })
+        self.execute(query, opts, RunPolicy::AnalyzeQuiet)
     }
 }

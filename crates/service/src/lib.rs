@@ -5,10 +5,11 @@
 //! crate adds the *multi-session* layer a server needs:
 //!
 //! - **[`Engine`]** owns the shared per-database state (catalog,
-//!   synopses, plan cache, feedback store) and exposes
-//!   cancellation-aware `*_opts` entry points with strict publication
-//!   hygiene: a stopped query never inserts into the plan cache, never
-//!   records feedback observations, and never drift-evicts entries.
+//!   synopses, plan cache, feedback store) and exposes one
+//!   cancellation-aware run verb, [`Engine::execute`], whose
+//!   [`RunPolicy`] alone decides what a completed run publishes; a
+//!   stopped query never inserts into the plan cache, never records
+//!   feedback observations, and never drift-evicts entries.
 //! - **[`WorkerPool`]** is one long-lived pool of morsel workers shared
 //!   by every running query, scheduling round-robin across queries
 //!   (one morsel per pick) so short queries are not starved by long
@@ -32,9 +33,7 @@ pub mod pool;
 pub mod proto;
 pub mod service;
 
-pub use engine::{
-    AdaptiveOutcome, AnalyzedOutcome, Engine, InsertSummary, QueryOutcome, ReplanEvent,
-};
+pub use engine::{AnalyzedOutcome, Engine, InsertSummary, QueryOutcome, ReplanEvent, RunPolicy};
 pub use net::{ClientError, NetClient, NetServer, NetServerConfig, NetStats, QueryReply};
 pub use pool::WorkerPool;
 pub use proto::{ErrorCode, ProtoError, Request, Response, RunMode};

@@ -9,7 +9,7 @@
 //! client ───► acceptor ───► [reader thread] ──mpsc──► [executor thread]
 //!   │           │ (over limit: Error frame,             │ tenant quota
 //!   │           │  close)                               │ validate vs catalog
-//!   │           │                                       │ QueryService::run*
+//!   │           │                                       │ QueryService::execute
 //!   │    EOF / io error                                 ▼
 //!   └──────► reader cancels the in-flight     Batch* · Done | Error
 //!            QueryToken and signals EOF          (written back)
@@ -586,12 +586,8 @@ fn handle_run(
     };
     *in_flight.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle.token().clone());
 
-    let service = &inner.service;
-    let result = catch_unwind(AssertUnwindSafe(|| match mode {
-        RunMode::Run => service.run(&query, &handle).map(|o| (o, 0u64)),
-        RunMode::Adaptive => service
-            .run_adaptive(&query, &handle)
-            .map(|a| (a.outcome, a.events.len() as u64)),
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        inner.service.execute(&query, &handle, mode.into())
     }));
 
     // Clear the in-flight slot; the reader may already have taken it
@@ -602,7 +598,9 @@ fn handle_run(
         .take();
 
     match result {
-        Ok(Ok((outcome, replans))) => {
+        Ok(Ok(ran)) => {
+            let replans = ran.replans() as u64;
+            let outcome = ran.outcome;
             let total_rows = outcome.rows.len() as u64;
             let batch_rows = inner.config.batch_rows.max(1);
             let mut rows = outcome.rows.into_iter().peekable();

@@ -41,6 +41,8 @@ use rqo_expr::{BinaryOp, Expr, UnaryOp};
 use rqo_optimizer::Query;
 use rqo_storage::Value;
 
+use crate::engine::RunPolicy;
+
 /// Hard cap on the length field of a single frame (tag + payload).
 /// Anything larger is rejected before allocation.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
@@ -198,16 +200,22 @@ impl fmt::Display for ErrorCode {
 /// How the server should execute a request's query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunMode {
-    /// Plain execution through the plan cache ([`Session::run_with`]).
-    ///
-    /// [`Session::run_with`]: crate::Session::run_with
+    /// Plain execution through the plan cache ([`RunPolicy::Run`]).
     #[default]
     Run,
-    /// Mid-query adaptive re-optimization
-    /// ([`QueryService::run_adaptive`]).
-    ///
-    /// [`QueryService::run_adaptive`]: crate::QueryService::run_adaptive
+    /// Mid-query adaptive re-optimization ([`RunPolicy::Adaptive`]).
     Adaptive,
+}
+
+/// The wire reaches only the two policies a client may ask for; the
+/// analyze policies stay in-process.
+impl From<RunMode> for RunPolicy {
+    fn from(mode: RunMode) -> Self {
+        match mode {
+            RunMode::Run => RunPolicy::Run,
+            RunMode::Adaptive => RunPolicy::Adaptive,
+        }
+    }
 }
 
 /// A client → server message.

@@ -2,7 +2,7 @@
 //! pool + per-query deadline/cancellation, over one shared [`Engine`].
 //!
 //! ```text
-//! Session ── QueryHandle(token) ──► admission ──► slot ──► Engine::*_opts
+//! Session ── QueryHandle(token) ──► admission ──► slot ──► Engine::execute
 //!                                      │                      │
 //!                                 bounded queue          WorkerPool (shared,
 //!                                 + timeout              round-robin morsels)
@@ -29,7 +29,7 @@ use rqo_core::{QueryToken, ServiceConfig, StopReason};
 use rqo_exec::MorselScheduler;
 use rqo_optimizer::Query;
 
-use crate::engine::{AdaptiveOutcome, AnalyzedOutcome, Engine, QueryOutcome};
+use crate::engine::{AnalyzedOutcome, Engine, QueryOutcome, RunPolicy};
 use crate::pool::WorkerPool;
 
 /// Why the service refused to produce a result for a query.
@@ -347,7 +347,7 @@ impl QueryService {
 
     /// Admits and executes one query-shaped closure, doing the shared
     /// bookkeeping: default deadline, slot accounting, outcome counters.
-    fn execute<T>(
+    fn admitted<T>(
         &self,
         handle: &QueryHandle,
         run: impl FnOnce(&rqo_exec::ExecOptions) -> Result<T, StopReason>,
@@ -392,42 +392,18 @@ impl QueryService {
         }
     }
 
-    /// Runs a query under `handle` through admission, the shared plan
-    /// cache, and the worker pool.
-    pub fn run(&self, query: &Query, handle: &QueryHandle) -> Result<QueryOutcome, ServiceError> {
-        self.execute(handle, |opts| self.inner.engine.run_opts(query, opts))
-    }
-
-    /// `EXPLAIN ANALYZE` under `handle` (publishes feedback on success).
-    pub fn explain_analyze(
+    /// Runs a query under `handle` through admission and the worker
+    /// pool; `policy` decides what the run reads from and publishes into
+    /// the shared plan cache and feedback store (see [`RunPolicy`]).
+    pub fn execute(
         &self,
         query: &Query,
         handle: &QueryHandle,
+        policy: RunPolicy,
     ) -> Result<AnalyzedOutcome, ServiceError> {
-        self.execute(handle, |opts| {
-            self.inner.engine.explain_analyze_opts(query, opts)
+        self.admitted(handle, |opts| {
+            self.inner.engine.execute(query, opts, policy)
         })
-    }
-
-    /// Adaptive execution under `handle`.
-    pub fn run_adaptive(
-        &self,
-        query: &Query,
-        handle: &QueryHandle,
-    ) -> Result<AdaptiveOutcome, ServiceError> {
-        self.execute(handle, |opts| {
-            self.inner.engine.run_adaptive_opts(query, opts)
-        })
-    }
-
-    /// Side-effect-free `EXPLAIN ANALYZE` under `handle` (see
-    /// [`Engine::analyze_quiet`]).
-    pub fn analyze_quiet(
-        &self,
-        query: &Query,
-        handle: &QueryHandle,
-    ) -> Result<AnalyzedOutcome, ServiceError> {
-        self.execute(handle, |opts| self.inner.engine.analyze_quiet(query, opts))
     }
 }
 
@@ -460,37 +436,22 @@ impl Session {
         }
     }
 
-    /// Runs a query with a fresh (never-firing) handle.
-    pub fn run(&self, query: &Query) -> Result<QueryOutcome, ServiceError> {
-        self.service
-            .run(&self.effective(query), &QueryHandle::new())
-    }
-
-    /// Runs a query under an explicit handle (deadline/cancellation).
-    pub fn run_with(
+    /// Runs a query under an explicit handle (deadline/cancellation)
+    /// and [`RunPolicy`].
+    pub fn execute(
         &self,
         query: &Query,
         handle: &QueryHandle,
-    ) -> Result<QueryOutcome, ServiceError> {
-        self.service.run(&self.effective(query), handle)
+        policy: RunPolicy,
+    ) -> Result<AnalyzedOutcome, ServiceError> {
+        self.service.execute(&self.effective(query), handle, policy)
     }
 
-    /// `EXPLAIN ANALYZE` with a fresh handle.
-    pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzedOutcome, ServiceError> {
-        self.service
-            .explain_analyze(&self.effective(query), &QueryHandle::new())
-    }
-
-    /// Adaptive execution with a fresh handle.
-    pub fn run_adaptive(&self, query: &Query) -> Result<AdaptiveOutcome, ServiceError> {
-        self.service
-            .run_adaptive(&self.effective(query), &QueryHandle::new())
-    }
-
-    /// Side-effect-free `EXPLAIN ANALYZE` with a fresh handle.
-    pub fn analyze_quiet(&self, query: &Query) -> Result<AnalyzedOutcome, ServiceError> {
-        self.service
-            .analyze_quiet(&self.effective(query), &QueryHandle::new())
+    /// A plain run with a fresh (never-firing) handle.
+    pub fn run(&self, query: &Query) -> Result<QueryOutcome, ServiceError> {
+        Ok(self
+            .execute(query, &QueryHandle::new(), RunPolicy::Run)?
+            .outcome)
     }
 
     /// The service this session is connected to.
@@ -532,7 +493,9 @@ mod tests {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
         let handle = QueryHandle::new();
         handle.cancel();
-        let err = service.run(&count_query(), &handle).unwrap_err();
+        let err = service
+            .execute(&count_query(), &handle, RunPolicy::Run)
+            .unwrap_err();
         assert_eq!(err, ServiceError::Stopped(StopReason::Cancelled));
         let stats = service.stats();
         assert_eq!((stats.admitted, stats.cancelled), (1, 1));
@@ -545,7 +508,9 @@ mod tests {
     fn elapsed_deadline_reports_deadline_exceeded() {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
         let handle = QueryHandle::with_deadline(Duration::ZERO);
-        let err = service.run(&count_query(), &handle).unwrap_err();
+        let err = service
+            .execute(&count_query(), &handle, RunPolicy::Run)
+            .unwrap_err();
         assert_eq!(err, ServiceError::Stopped(StopReason::DeadlineExceeded));
         assert_eq!(service.stats().deadline_exceeded, 1);
         assert!(service.stats().slots_balanced());
@@ -630,7 +595,7 @@ mod tests {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
         let handle = QueryHandle::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.execute::<()>(&handle, |_| panic!("boom"))
+            service.admitted::<()>(&handle, |_| panic!("boom"))
         }));
         assert!(caught.is_err(), "panic is re-raised to the caller");
         let stats = service.stats();

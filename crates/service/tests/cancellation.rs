@@ -15,7 +15,7 @@ use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
-use rqo_service::Engine;
+use rqo_service::{Engine, RunPolicy};
 
 fn engine() -> Engine {
     let data = TpchData::generate(&TpchConfig {
@@ -40,24 +40,23 @@ fn query(kind: usize, param: i64) -> Query {
     }
 }
 
-/// Runs `q` on `e` through the chosen entry point, reduced to the
-/// comparable core: result rows and tracked cost.
+const POLICIES: [RunPolicy; 4] = [
+    RunPolicy::Run,
+    RunPolicy::Adaptive,
+    RunPolicy::Analyze,
+    RunPolicy::AnalyzeQuiet,
+];
+
+/// Runs `q` on `e` under `policy`, reduced to the comparable core:
+/// result rows and tracked cost.
 fn run(
     e: &Engine,
     q: &Query,
-    method: usize,
+    policy: RunPolicy,
     token: Option<QueryToken>,
 ) -> Result<(Vec<Vec<rqo_storage::Value>>, f64), StopReason> {
-    let opts = e.query_exec_options(token, None);
-    match method {
-        0 => e.run_opts(q, &opts).map(|o| (o.rows, o.simulated_seconds)),
-        1 => e
-            .explain_analyze_opts(q, &opts)
-            .map(|a| (a.outcome.rows, a.outcome.simulated_seconds)),
-        _ => e
-            .run_adaptive_opts(q, &opts)
-            .map(|a| (a.outcome.rows, a.outcome.simulated_seconds)),
-    }
+    e.execute(q, &e.query_exec_options(token, None), policy)
+        .map(|a| (a.outcome.rows, a.outcome.simulated_seconds))
 }
 
 proptest! {
@@ -70,26 +69,26 @@ proptest! {
     #[test]
     fn cancellation_leaves_no_trace(
         kind in 0usize..3,
-        method in 0usize..3,
+        policy in (0usize..4).prop_map(|i| POLICIES[i]),
         param in 0i64..90,
         polls in 0u64..60,
     ) {
         let e = engine();
         let q = query(kind, param);
         let token = QueryToken::cancel_after_polls(polls);
-        let result = run(&e, &q, method, Some(token));
+        let result = run(&e, &q, policy, Some(token));
 
-        // The pristine reference: the same entry point, never cancelled,
+        // The pristine reference: the same policy, never cancelled,
         // on a fresh identical engine.
         let (ref_rows, ref_seconds) =
-            run(&engine(), &q, method, None).expect("no token, cannot stop");
+            run(&engine(), &q, policy, None).expect("no token, cannot stop");
 
         match result {
             Err(reason) => {
                 prop_assert_eq!(reason, StopReason::Cancelled);
                 // No feedback observation was published.
                 prop_assert!(e.feedback().snapshot().is_empty(),
-                    "cancelled {method}/{kind} published feedback: {:?}", e.feedback().snapshot());
+                    "cancelled {policy:?}/{kind} published feedback: {:?}", e.feedback().snapshot());
                 // No plan entered the cache, and nothing was evicted.
                 let cache = e.cache_stats();
                 prop_assert_eq!(cache.entries, 0);
@@ -98,7 +97,7 @@ proptest! {
                 // The engine is as good as untouched: re-running without
                 // the token is bit-identical to the pristine engine.
                 let (rows, seconds) =
-                    run(&e, &q, method, None).expect("no token, cannot stop");
+                    run(&e, &q, policy, None).expect("no token, cannot stop");
                 prop_assert_eq!(rows, ref_rows);
                 prop_assert_eq!(seconds, ref_seconds);
             }

@@ -20,7 +20,7 @@ use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig, QueryReply};
 use rqo_service::proto::RunMode;
-use rqo_service::{Engine, QueryService, ServiceConfig};
+use rqo_service::{Engine, QueryHandle, QueryService, RunPolicy, ServiceConfig};
 use rqo_storage::Value;
 
 fn engine() -> Engine {
@@ -234,7 +234,9 @@ fn adaptive_wire_replay_matches_in_process_order() {
         workload()
             .iter()
             .map(|q| {
-                let a = session.run_adaptive(q).expect("in-process adaptive");
+                let a = session
+                    .execute(q, &QueryHandle::new(), RunPolicy::Adaptive)
+                    .expect("in-process adaptive");
                 Core::of(
                     a.outcome.rows,
                     a.outcome.columns,

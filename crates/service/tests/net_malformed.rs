@@ -271,6 +271,73 @@ fn ill_typed_queries_are_bad_query_before_admission() {
     assert!(server.service().stats().slots_balanced());
 }
 
+/// Integer arithmetic whose result leaves `i64` — `i64::MIN / -1` panics
+/// in every build profile, `+ - *` overflow under debug assertions — is
+/// well-typed, so it passes validation; built from literals alone it
+/// needs no particular data.  It used to die in the evaluator under
+/// `catch_unwind` (`Internal`, `panicked` bumped); it is NULL now, like
+/// division by zero, so the predicate is simply not satisfied.
+#[test]
+fn overflowing_arithmetic_is_null_not_a_panic() {
+    use rqo_expr::Expr;
+    let server = serve();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    let count = |predicate: Expr| {
+        Query::over(&["lineitem"])
+            .filter("lineitem", predicate)
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let zero = || Expr::lit(0i64);
+    let cases = [
+        (
+            "MIN / -1",
+            count(Expr::lit(i64::MIN).div(Expr::lit(-1i64)).gt(zero())),
+        ),
+        (
+            "MAX + 1",
+            count(Expr::lit(i64::MAX).add(Expr::lit(1i64)).gt(zero())),
+        ),
+        (
+            "MIN - column",
+            count(Expr::lit(i64::MIN).sub(Expr::col("l_orderkey")).lt(zero())),
+        ),
+        (
+            "MAX * column",
+            count(
+                Expr::lit(i64::MAX)
+                    .mul(Expr::col("l_orderkey").add(Expr::lit(1i64)))
+                    .gt(zero()),
+            ),
+        ),
+        (
+            "date off the calendar",
+            count(
+                Expr::col("l_shipdate")
+                    .add(Expr::lit(i64::MAX))
+                    .gt(Expr::col("l_shipdate")),
+            ),
+        ),
+    ];
+    for (what, query) in &cases {
+        for mode in [RunMode::Run, RunMode::Adaptive] {
+            let reply = client
+                .run_mode(query, mode, 0)
+                .unwrap_or_else(|e| panic!("{what}: expected Done, got {e}"));
+            assert_eq!(
+                reply.rows,
+                vec![vec![Value::Int(0)]],
+                "{what}: NULL is not true"
+            );
+        }
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.panicked, 0, "no panic behind the wire: {stats}");
+    assert_eq!(stats.completed, 2 * cases.len() as u64, "{stats}");
+    assert!(stats.slots_balanced());
+    assert_eq!(server.stats().queries_ok, 2 * cases.len() as u64);
+}
+
 #[test]
 fn bad_insert_batches_are_typed_errors_not_panics() {
     let server = serve();

@@ -17,7 +17,7 @@ use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
-use rqo_service::Engine;
+use rqo_service::{Engine, RunPolicy};
 use rqo_storage::{Catalog, PartitionSpec, PartitionedTableBuilder, TableBuilder, Value};
 
 /// A small TPC-H catalog with `part` range-partitioned four ways on
@@ -87,14 +87,14 @@ fn partial_refresh_preserves_other_tables_feedback_and_plans() {
 
     // Warm everything: feedback observations and cached plans for a
     // lineitem-only query, a part-only query, and a join reading both.
-    e.explain_analyze_opts(&li, &opts).unwrap();
+    e.execute(&li, &opts, RunPolicy::Analyze).unwrap();
     let lineitem_only = e.feedback().snapshot();
     assert!(
         !lineitem_only.is_empty(),
         "the lineitem query must record feedback for the test to mean anything"
     );
-    e.explain_analyze_opts(&pq, &opts).unwrap();
-    e.explain_analyze_opts(&jq, &opts).unwrap();
+    e.execute(&pq, &opts, RunPolicy::Analyze).unwrap();
+    e.execute(&jq, &opts, RunPolicy::Analyze).unwrap();
     assert!(e.feedback().len() > lineitem_only.len());
 
     let fp_li = e.fingerprint(&li);
@@ -144,8 +144,8 @@ fn partial_refresh_on_unpartitioned_table_is_scoped_too() {
     let opts = e.query_exec_options(None, None);
     let li = lineitem_query();
     let pq = part_query();
-    e.explain_analyze_opts(&li, &opts).unwrap();
-    e.explain_analyze_opts(&pq, &opts).unwrap();
+    e.execute(&li, &opts, RunPolicy::Analyze).unwrap();
+    e.execute(&pq, &opts, RunPolicy::Analyze).unwrap();
     let fp_li = e.fingerprint(&li);
     let fp_part = e.fingerprint(&pq);
 
@@ -164,8 +164,8 @@ fn full_refresh_still_invalidates_globally() {
     let opts = e.query_exec_options(None, None);
     let li = lineitem_query();
     let pq = part_query();
-    e.explain_analyze_opts(&li, &opts).unwrap();
-    e.explain_analyze_opts(&pq, &opts).unwrap();
+    e.execute(&li, &opts, RunPolicy::Analyze).unwrap();
+    e.execute(&pq, &opts, RunPolicy::Analyze).unwrap();
     let fp_li = e.fingerprint(&li);
     let fp_part = e.fingerprint(&pq);
 

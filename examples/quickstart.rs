@@ -25,8 +25,13 @@ fn main() {
         .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
         .aggregate(AggExpr::count_star("matching_rows"));
 
-    let outcome = db.run(&query);
-    println!("chosen plan:\n{}", outcome.plan.explain());
+    //    `execute` is the one run verb; the policy says what the run may
+    //    publish (`Run`: only its plan, into the cache).  Every policy
+    //    returns the plan that ran with estimate vs. actual rows per node;
+    //    `db.run(&query)` is the shorthand for `.outcome` alone.
+    let ran = db.execute(&query, RunPolicy::Run);
+    println!("chosen plan, estimate vs. actual:\n{}", ran.render());
+    let outcome = ran.outcome;
     println!(
         "revenue = {}, matching rows = {}",
         outcome.rows[0][0], outcome.rows[0][1]
@@ -58,7 +63,7 @@ fn main() {
         println!(
             "{level:?} ({}): plan = {}, time = {:.4}s",
             db.threshold(),
-            outcome.plan.shape_label(),
+            outcome.planned.plan.shape_label(),
             outcome.simulated_seconds
         );
         if level == RobustnessLevel::Aggressive {
@@ -72,10 +77,10 @@ fn main() {
     let hinted = query.clone().with_hint(ConfidenceThreshold::new(0.99));
     println!(
         "\naggressive system default: plan = {}",
-        aggressive_db.run(&query).plan.shape_label()
+        aggressive_db.run(&query).planned.plan.shape_label()
     );
     println!(
         "same system, T=99% query hint: plan = {}",
-        aggressive_db.run(&hinted).plan.shape_label()
+        aggressive_db.run(&hinted).planned.plan.shape_label()
     );
 }

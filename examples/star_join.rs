@@ -40,7 +40,7 @@ fn main() {
         println!(
             "{level:>6} {:>11.3}% {:>34} {:>10.3}",
             fraction * 100.0,
-            outcome.plan.shape_label(),
+            outcome.planned.plan.shape_label(),
             outcome.simulated_seconds
         );
     }

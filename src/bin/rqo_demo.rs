@@ -245,19 +245,20 @@ fn main() {
             }
         }
     }
-    let outcome = if args.adaptive {
-        let adaptive = db.run_adaptive(&query);
-        println!("\n{}", adaptive.render());
-        adaptive.outcome
+    let policy = if args.adaptive {
+        RunPolicy::Adaptive
     } else if args.explain_analyze {
-        let analyzed = db.explain_analyze(&query);
-        println!("\nrobust plan (EXPLAIN ANALYZE):\n{}", analyzed.render());
-        analyzed.outcome
+        RunPolicy::Analyze
     } else {
-        let outcome = db.run(&query);
-        println!("\nrobust plan:\n{}", outcome.plan.explain());
-        outcome
+        RunPolicy::Run
     };
+    let ran = db.execute(&query, policy);
+    match policy {
+        RunPolicy::Adaptive => println!("\n{}", ran.render_adaptive()),
+        RunPolicy::Analyze => println!("\nrobust plan (EXPLAIN ANALYZE):\n{}", ran.render()),
+        _ => println!("\nrobust plan:\n{}", ran.outcome.planned.plan.explain()),
+    }
+    let outcome = ran.outcome;
     print!("result: ");
     for (c, v) in outcome.columns.iter().zip(&outcome.rows[0]) {
         print!("{c}={v}  ");

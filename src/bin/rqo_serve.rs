@@ -272,12 +272,12 @@ fn main() {
     let session = service.session();
     let cancelled = QueryHandle::new();
     cancelled.cancel();
-    match session.run_with(&queries[0], &cancelled) {
+    match session.execute(&queries[0], &cancelled, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("\ncancelled demo query: {reason}"),
         other => println!("\ncancelled demo query: unexpected {other:?}"),
     }
     let expired = QueryHandle::with_deadline(Duration::ZERO);
-    match session.run_with(&queries[0], &expired) {
+    match session.execute(&queries[0], &expired, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("expired-deadline demo query: {reason}"),
         other => println!("expired-deadline demo query: unexpected {other:?}"),
     }

@@ -45,7 +45,7 @@
 //!     .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
 //!
 //! let outcome = db.run(&query);
-//! println!("plan:\n{}", outcome.plan.explain());
+//! println!("plan:\n{}", outcome.planned.plan.explain());
 //! println!("revenue = {}, simulated time = {:.3}s",
 //!          outcome.rows[0][0], outcome.simulated_seconds);
 //! ```
@@ -71,9 +71,12 @@
 //! let outcome = session.run(&query).expect("no deadline, no cancellation");
 //! assert_eq!(outcome.rows.len(), 1);
 //!
-//! // A handle makes the query cancellable / deadline-bounded.
+//! // A handle makes the query cancellable / deadline-bounded, and the
+//! // policy says what the run may publish (`Analyze` = EXPLAIN ANALYZE).
 //! let handle = QueryHandle::with_deadline(Duration::from_secs(30));
-//! let _ = session.run_with(&query, &handle);
+//! if let Ok(analyzed) = session.execute(&query, &handle, RunPolicy::Analyze) {
+//!     println!("{}", analyzed.render());
+//! }
 //! println!("{}", service.stats());
 //! ```
 
@@ -90,18 +93,18 @@ pub use rqo_stats as stats;
 pub use rqo_storage as storage;
 
 pub use rqo_service::{
-    AdaptiveOutcome, AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient,
-    NetServer, NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply,
-    QueryService, ReplanEvent, Request, Response, RunMode, ServiceError, ServiceStats, Session,
+    AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient, NetServer,
+    NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply, QueryService,
+    ReplanEvent, Request, Response, RunMode, RunPolicy, ServiceError, ServiceStats, Session,
 };
 
 /// One-stop imports for applications and the examples.
 pub mod prelude {
     pub use crate::{
-        AdaptiveOutcome, AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient,
-        NetServer, NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply,
-        QueryService, ReplanEvent, Request, Response, RobustDb, RunMode, ServiceError,
-        ServiceStats, Session,
+        AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient, NetServer,
+        NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply, QueryService,
+        ReplanEvent, Request, Response, RobustDb, RunMode, RunPolicy, ServiceError, ServiceStats,
+        Session,
     };
     pub use rqo_core::{
         AdaptivePolicy, CardinalityEstimator, ConfidenceThreshold,
@@ -170,11 +173,10 @@ impl RobustDb {
         }
     }
 
-    /// Sets the adaptive re-optimization policy used by
-    /// [`run_adaptive`](Self::run_adaptive): guard bound, threshold
-    /// escalation schedule, and re-plan budget.
-    /// [`AdaptivePolicy::disabled`] makes `run_adaptive` identical to
-    /// [`run`](Self::run).
+    /// Sets the adaptive re-optimization policy used under
+    /// [`RunPolicy::Adaptive`]: guard bound, threshold escalation
+    /// schedule, and re-plan budget.  [`AdaptivePolicy::disabled`] makes
+    /// an adaptive run identical to [`run`](Self::run).
     pub fn with_adaptive_policy(mut self, policy: AdaptivePolicy) -> Self {
         self.engine.set_adaptive_policy(policy);
         self
@@ -219,7 +221,7 @@ impl RobustDb {
     }
 
     /// Sets the plan cache's drift bound: a cached plan is evicted when
-    /// an `EXPLAIN ANALYZE` run observes a selectivity whose q-error
+    /// a run publishes an observed selectivity whose q-error
     /// against the selectivity the plan was priced at exceeds `bound`.
     /// Resets the cache (the bound is part of its construction).
     pub fn with_drift_bound(mut self, bound: f64) -> Self {
@@ -296,9 +298,9 @@ impl RobustDb {
         self.engine.selection()
     }
 
-    /// The execution-feedback store.  Empty until a query is run through
-    /// [`explain_analyze`](Self::explain_analyze), which records each
-    /// annotated operator's observed selectivity; subsequent calls to
+    /// The execution-feedback store.  Empty until a run publishes into it
+    /// ([`RunPolicy::Analyze`] records each annotated operator's observed
+    /// selectivity, [`RunPolicy::Adaptive`] its trips'); subsequent calls to
     /// [`optimizer`](Self::optimizer) (and hence [`run`](Self::run))
     /// replace matching estimates with the observed values.
     pub fn feedback(&self) -> &Arc<FeedbackStore> {
@@ -340,8 +342,30 @@ impl RobustDb {
         self.engine.optimize(query)
     }
 
-    /// Optimizes (through the plan cache) and executes a query,
-    /// returning rows plus the simulated cost.
+    /// Optimizes and executes a query under `policy`, returning rows,
+    /// the simulated cost, the est-vs-actual metrics tree and the
+    /// re-plan event log.  [`RunPolicy`] says what each policy reads from
+    /// and publishes into the plan cache and [`feedback`](Self::feedback):
+    ///
+    /// * `Analyze` is `EXPLAIN ANALYZE`: it plans fresh, and every
+    ///   annotated operator's *observed* selectivity is recorded, so
+    ///   re-optimizing the same (or an overlapping) query afterwards uses
+    ///   the true selectivities in place of sample-based estimates —
+    ///   cached plans priced too far from an observation are evicted, and
+    ///   the next [`run`](Self::run) re-plans with feedback.
+    /// * `Adaptive` arms a runtime cardinality guard on every blocking
+    ///   operator whose output the plan priced.  When a guard trips,
+    ///   execution pauses with the breaker's output materialized, the
+    ///   query is re-optimized at an **escalated** confidence threshold
+    ///   with the completed subtree's true selectivities, and execution
+    ///   resumes with the finished fragment served from memory via a
+    ///   grafted
+    ///   [`PhysicalPlan::Materialized`](rqo_exec::PhysicalPlan::Materialized)
+    ///   leaf.  Result rows are bit-identical to [`run`](Self::run) (for
+    ///   aggregate-topped queries, whose output order is
+    ///   plan-independent); trip points, re-plan counts and the total
+    ///   tracked cost are identical at 1, 2, or 8 threads; re-planned
+    ///   fragments never enter the plan cache.
     ///
     /// # Panics
     ///
@@ -351,74 +375,15 @@ impl RobustDb {
     /// Cancellable execution belongs to the service API
     /// ([`into_service`](Self::into_service)), which returns the stop
     /// reason instead.
+    pub fn execute(&self, query: &Query, policy: RunPolicy) -> AnalyzedOutcome {
+        self.engine
+            .execute(query, self.engine.exec_options(), policy)
+            .expect("single-tenant run has no cancellation source; use the service API")
+    }
+
+    /// A plain run: [`execute`](Self::execute) under [`RunPolicy::Run`].
     pub fn run(&self, query: &Query) -> QueryOutcome {
-        self.engine
-            .run_opts(query, self.engine.exec_options())
-            .expect("single-tenant run has no cancellation source; use the service API")
-    }
-
-    /// Runs a query with **mid-query adaptive re-optimization** under the
-    /// database's [`AdaptivePolicy`].
-    ///
-    /// Execution proceeds like [`run`](Self::run), but every blocking
-    /// operator whose output the plan priced (hash-join builds, aggregate
-    /// inputs, merge-join inputs, nested-loop outers, index
-    /// intersections) carries a runtime cardinality guard.  When the
-    /// q-error between a breaker's actual and estimated cardinality
-    /// exceeds the policy's guard bound, execution pauses with the
-    /// breaker's output materialized; the observed selectivities of the
-    /// completed subtree are recorded into [`feedback`](Self::feedback)
-    /// (and drift-checked against the plan cache, evicting the triggering
-    /// fingerprint when stale); the query is re-optimized at an
-    /// **escalated** confidence threshold with the truth now in the
-    /// feedback store; and execution resumes with the finished fragment
-    /// served from memory via a grafted
-    /// [`PhysicalPlan::Materialized`](rqo_exec::PhysicalPlan::Materialized)
-    /// leaf.
-    ///
-    /// Guarantees:
-    ///
-    /// * **Same answers.**  Result rows are bit-identical to
-    ///   [`run`](Self::run) at every thread count (for aggregate-topped
-    ///   queries, whose output order is plan-independent).
-    /// * **Deterministic adaptivity.**  Guard decisions compare exact
-    ///   materialized cardinalities against plan-time estimates, so trip
-    ///   points, re-plan counts, and the total tracked cost are identical
-    ///   at 1, 2, or 8 threads.
-    /// * **Cache hygiene.**  Re-planned fragments are planned directly —
-    ///   never inserted into the plan cache — while the trip's
-    ///   observations flow through the cache's drift rule, evicting the
-    ///   plan that tripped.
-    ///
-    /// With [`AdaptivePolicy::disabled`] no guards are armed and the
-    /// call is equivalent to [`run`](Self::run) (same plan, same rows,
-    /// same simulated cost).
-    pub fn run_adaptive(&self, query: &Query) -> AdaptiveOutcome {
-        self.engine
-            .run_adaptive_opts(query, self.engine.exec_options())
-            .expect("single-tenant run has no cancellation source; use the service API")
-    }
-
-    /// `EXPLAIN ANALYZE`: optimizes and executes a query, returning the
-    /// result together with a per-operator metrics tree annotated with
-    /// the optimizer's cardinality estimates (estimate vs. actual rows
-    /// and the q-error between them, per node).
-    ///
-    /// As a side effect, every annotated operator's *observed*
-    /// selectivity is recorded in [`feedback`](Self::feedback), so
-    /// re-optimizing the same (or an overlapping) query afterwards uses
-    /// the true selectivities in place of sample-based estimates.
-    ///
-    /// `EXPLAIN ANALYZE` always plans fresh (its estimates must reflect
-    /// the statistics and feedback of *this* moment, not a memo), caches
-    /// the fresh plan, and feeds every observation through the plan
-    /// cache's drift check: cached plans priced at selectivities whose
-    /// q-error against the observation exceeds the drift bound are
-    /// evicted, so the next [`run`](Self::run) re-plans with feedback.
-    pub fn explain_analyze(&self, query: &Query) -> AnalyzedOutcome {
-        self.engine
-            .explain_analyze_opts(query, self.engine.exec_options())
-            .expect("single-tenant run has no cancellation source; use the service API")
+        self.execute(query, RunPolicy::Run).outcome
     }
 }
 

@@ -4,7 +4,7 @@
 //! Each scenario plants a wildly wrong selectivity through the test-only
 //! `FeedbackStore::inject_observation`, so the first plan is provably bad
 //! and at least one runtime cardinality guard must fire.  The rendered
-//! [`AdaptiveOutcome`] — trip points, q-errors, threshold escalation,
+//! [`AnalyzedOutcome`] — trip points, q-errors, threshold escalation,
 //! graft decisions, and the completed plan's estimate-vs-actual tree —
 //! must be byte-identical to the checked-in golden files and identical
 //! across thread counts.
@@ -47,21 +47,21 @@ fn golden_path(label: &str) -> PathBuf {
         .join(format!("{label}.txt"))
 }
 
-/// Runs the scenario adaptively (fresh database per run — `run_adaptive`
+/// Runs the scenario adaptively (fresh database per run — an adaptive run
 /// records feedback), asserts at least one guard fired and that the
 /// rendering is thread-invariant, then compares against (or regenerates)
 /// the golden snapshot.
 fn check(label: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
-    let outcome = make_db().run_adaptive(query);
+    let outcome = make_db().execute(query, RunPolicy::Adaptive);
     assert!(
         outcome.replans() >= 1,
         "{label}: scenario must trip at least one guard"
     );
-    let rendered = outcome.render();
+    let rendered = outcome.render_adaptive();
 
     for threads in [2usize, 8] {
         let db = make_db().with_exec_options(ExecOptions::with_threads(threads));
-        let parallel = db.run_adaptive(query).render();
+        let parallel = db.execute(query, RunPolicy::Adaptive).render_adaptive();
         assert_eq!(
             rendered, parallel,
             "{label}: adaptive rendering diverged at {threads} threads"

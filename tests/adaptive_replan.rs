@@ -11,7 +11,7 @@
 //! materialized part rows.
 //!
 //! Every test constructs fresh, identically-seeded databases per arm:
-//! `run_adaptive` feeds observations back into its database, which would
+//! an adaptive run feeds observations back into its database, which would
 //! otherwise let a later static `run` on the same handle benefit from
 //! the adaptive run's discoveries.
 
@@ -49,14 +49,14 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
     inject(&static_db);
     let static_run = static_db.run(&query());
     assert!(
-        static_run.plan.shape_label().contains("hj"),
+        static_run.planned.plan.shape_label().contains("hj"),
         "misestimate must push the static plan to a scan-based join, got {}",
-        static_run.plan.shape_label()
+        static_run.planned.plan.shape_label()
     );
 
     let adaptive_db = db();
     inject(&adaptive_db);
-    let adaptive = adaptive_db.run_adaptive(&query());
+    let adaptive = adaptive_db.execute(&query(), RunPolicy::Adaptive);
 
     // ≥1 guard fired, and each trip's q-error exceeded the bound.
     let bound = adaptive_db.adaptive_policy().guard_bound;
@@ -113,7 +113,7 @@ fn disabled_policy_observes_zero_replans_and_static_cost() {
 
     let disabled_db = db().with_adaptive_policy(AdaptivePolicy::disabled());
     inject(&disabled_db);
-    let disabled = disabled_db.run_adaptive(&query());
+    let disabled = disabled_db.execute(&query(), RunPolicy::Adaptive);
 
     assert_eq!(disabled.replans(), 0);
     assert_eq!(disabled.outcome.rows, static_run.rows);
@@ -122,8 +122,8 @@ fn disabled_policy_observes_zero_replans_and_static_cost() {
         "disabled guards must reproduce the static plan's exact cost"
     );
     assert_eq!(
-        disabled.outcome.plan.shape_label(),
-        static_run.plan.shape_label()
+        disabled.outcome.planned.plan.shape_label(),
+        static_run.planned.plan.shape_label()
     );
 }
 
@@ -132,13 +132,13 @@ fn trip_points_and_costs_are_thread_invariant() {
     let reference = {
         let handle = db();
         inject(&handle);
-        handle.run_adaptive(&query())
+        handle.execute(&query(), RunPolicy::Adaptive)
     };
     assert!(reference.replans() >= 1);
     for threads in [2usize, 8] {
         let handle = db().with_exec_options(ExecOptions::with_threads(threads));
         inject(&handle);
-        let outcome = handle.run_adaptive(&query());
+        let outcome = handle.execute(&query(), RunPolicy::Adaptive);
         assert_eq!(outcome.outcome.rows, reference.outcome.rows, "t={threads}");
         assert_eq!(outcome.replans(), reference.replans(), "t={threads}");
         assert_eq!(
@@ -157,7 +157,7 @@ fn trip_points_and_costs_are_thread_invariant() {
 fn replanned_fragments_bypass_the_plan_cache() {
     let handle = db();
     inject(&handle);
-    let adaptive = handle.run_adaptive(&query());
+    let adaptive = handle.execute(&query(), RunPolicy::Adaptive);
     assert!(adaptive.replans() >= 1, "scenario requires a trip");
 
     // The initial plan was cached by `optimize`; the trip's observation
@@ -178,9 +178,10 @@ fn replanned_fragments_bypass_the_plan_cache() {
     // the good plan directly — the cross-query payoff of the trip.
     let follow_up = handle.run(&query());
     assert_eq!(
-        follow_up.plan.shape_label(),
+        follow_up.planned.plan.shape_label(),
         adaptive
             .outcome
+            .planned
             .plan
             .shape_label()
             .replace("mat#1", "inl(seqscan,lineitem)"),
@@ -209,7 +210,7 @@ fn second_guard_trip_escalates_to_penalty_selection() {
         .feedback()
         .inject_observation(&["part"], &[("part", &pred)], 0.5);
 
-    let adaptive = handle.run_adaptive(&query);
+    let adaptive = handle.execute(&query, RunPolicy::Adaptive);
     assert!(
         adaptive.replans() >= 2,
         "scenario must trip twice to exercise the escalation ladder"
@@ -266,7 +267,7 @@ fn accurate_estimates_never_trip() {
     let static_db = db();
     let static_run = static_db.run(&wide);
     let adaptive_db = db();
-    let adaptive = adaptive_db.run_adaptive(&wide);
+    let adaptive = adaptive_db.execute(&wide, RunPolicy::Adaptive);
     assert_eq!(adaptive.replans(), 0);
     assert_eq!(adaptive.outcome.rows, static_run.rows);
     assert_eq!(

@@ -54,11 +54,11 @@ fn check(name: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
     for &t in &THRESHOLDS {
         let label = format!("{name}_t{:02}", (t * 100.0).round() as u32);
 
-        // A fresh database per run: `explain_analyze` records feedback,
+        // A fresh database per run: `Analyze` records feedback,
         // and a shared store would let one threshold's observations leak
         // into the next optimization.
         let db = make_db().with_threshold(ConfidenceThreshold::new(t));
-        let rendered = db.explain_analyze(query).render();
+        let rendered = db.execute(query, RunPolicy::Analyze).render();
 
         // Every operator must report an estimate and a q-error — no node
         // may degrade to an unannotated `?` in the paper scenarios.
@@ -72,7 +72,7 @@ fn check(name: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
             let db = make_db()
                 .with_threshold(ConfidenceThreshold::new(t))
                 .with_exec_options(ExecOptions::with_threads(threads));
-            let parallel = db.explain_analyze(query).render();
+            let parallel = db.execute(query, RunPolicy::Analyze).render();
             assert_eq!(
                 rendered, parallel,
                 "{label}: EXPLAIN ANALYZE diverged at {threads} threads"

@@ -47,11 +47,8 @@ fn exp1_feedback_corrects_estimates() {
     let first = db.optimizer().optimize(&query);
     assert!(db.feedback().is_empty());
 
-    let analyzed = db.explain_analyze(&query);
-    assert!(
-        !db.feedback().is_empty(),
-        "explain_analyze records feedback"
-    );
+    let analyzed = db.execute(&query, RunPolicy::Analyze);
+    assert!(!db.feedback().is_empty(), "`Analyze` records feedback");
     let actual_rows: Vec<u64> = analyzed
         .metrics
         .preorder()
@@ -68,13 +65,13 @@ fn exp1_feedback_corrects_estimates() {
     );
 
     // The second plan's estimates equal the observed cardinalities.
-    let re = db.explain_analyze(&query);
+    let re = db.execute(&query, RunPolicy::Analyze);
     assert_estimates_match_actuals(&re.metrics, "exp1 second pass");
 
     // The answer itself is unchanged — feedback moves plans, not results.
     assert_eq!(analyzed.outcome.rows, re.outcome.rows);
     let re_rows: Vec<u64> = re.metrics.preorder().iter().map(|n| n.rows_out).collect();
-    if re.outcome.plan == analyzed.outcome.plan {
+    if re.outcome.planned.plan == analyzed.outcome.planned.plan {
         assert_eq!(actual_rows, re_rows);
     }
 }
@@ -91,14 +88,14 @@ fn exp2_feedback_covers_every_join_combination() {
         .filter("part", exp2_part_predicate(212))
         .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
 
-    let first = db.explain_analyze(&query);
+    let first = db.execute(&query, RunPolicy::Analyze);
     assert!(
         db.feedback().len() >= 3,
         "store has {} entries",
         db.feedback().len()
     );
 
-    let re = db.explain_analyze(&query);
+    let re = db.execute(&query, RunPolicy::Analyze);
     assert_estimates_match_actuals(&re.metrics, "exp2 second pass");
     assert_eq!(first.outcome.rows, re.outcome.rows);
 }

@@ -188,8 +188,8 @@ fn penalty_execution_is_thread_invariant() {
             "t={threads}"
         );
         assert_eq!(
-            outcome.plan.shape_label(),
-            reference.plan.shape_label(),
+            outcome.planned.plan.shape_label(),
+            reference.planned.plan.shape_label(),
             "t={threads}"
         );
     }
@@ -217,7 +217,7 @@ fn selection_mode_threads_through_the_service_stack() {
         .with_selection(PlanSelection::ExpectedPenalty);
     let outcome = session.run(&join_query()).expect("no deadline");
     assert_eq!(
-        outcome.plan.shape_label(),
+        outcome.planned.plan.shape_label(),
         planned.plan.shape_label(),
         "session override must reproduce the penalty-mode plan"
     );

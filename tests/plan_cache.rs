@@ -120,7 +120,7 @@ fn drift_evicts_exactly_the_overlapping_fingerprints() {
     db.run(&bystander);
     assert_eq!(db.cache_stats().entries, 2);
 
-    let analyzed = db.explain_analyze(&drifting);
+    let analyzed = db.execute(&drifting, RunPolicy::Analyze);
     assert!(!analyzed.outcome.rows.is_empty());
     let stats = db.cache_stats();
     assert!(
@@ -139,7 +139,7 @@ fn drift_evicts_exactly_the_overlapping_fingerprints() {
     // The next optimization re-plans with feedback in effect: its
     // estimate now equals the observed cardinality.
     let replanned = db.optimize(&drifting);
-    let re = db.explain_analyze(&drifting);
+    let re = db.execute(&drifting, RunPolicy::Analyze);
     for node in re.metrics.preorder() {
         if let Some(q) = node.q_error() {
             assert!(
@@ -161,7 +161,7 @@ fn refresh_statistics_clears_stale_feedback() {
     let pred = exp1_lineitem_predicate(110);
     let request = EstimationRequest::single("lineitem", &pred);
 
-    db.explain_analyze(&q);
+    db.execute(&q, RunPolicy::Analyze);
     assert!(!db.feedback().is_empty());
     {
         let opt = db.optimizer();
@@ -224,7 +224,7 @@ fn zero_row_observation_does_not_pin_selectivity() {
         .filter("lineitem", empty_pred.clone())
         .aggregate(AggExpr::count_star("n"));
 
-    let analyzed = db.explain_analyze(&q);
+    let analyzed = db.execute(&q, RunPolicy::Analyze);
     assert_eq!(
         analyzed.outcome.rows[0][0].as_int(),
         0,

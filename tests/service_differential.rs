@@ -90,7 +90,7 @@ fn assert_differential(db: RobustDb, queries: &[Query], refs: &[Reference], clie
                 let session = service.session();
                 for (query, reference) in queries.iter().zip(refs) {
                     let analyzed = session
-                        .analyze_quiet(query)
+                        .execute(query, &QueryHandle::new(), RunPolicy::AnalyzeQuiet)
                         .expect("no cancellation source");
                     assert_eq!(analyzed.outcome.rows, reference.rows, "rows diverged");
                     assert_eq!(analyzed.render(), reference.render, "metrics tree diverged");
@@ -151,12 +151,16 @@ fn stopped_queries_release_their_slots() {
     let cancelled = QueryHandle::new();
     cancelled.cancel();
     assert_eq!(
-        session.run_with(&query, &cancelled).unwrap_err(),
+        session
+            .execute(&query, &cancelled, RunPolicy::Run)
+            .unwrap_err(),
         ServiceError::Stopped(StopReason::Cancelled)
     );
     let expired = QueryHandle::with_deadline(std::time::Duration::ZERO);
     assert_eq!(
-        session.run_with(&query, &expired).unwrap_err(),
+        session
+            .execute(&query, &expired, RunPolicy::Run)
+            .unwrap_err(),
         ServiceError::Stopped(StopReason::DeadlineExceeded)
     );
 
@@ -175,6 +179,62 @@ fn stopped_queries_release_their_slots() {
     // A stopped query must publish nothing: the only cache entry is the
     // completed run's plan.
     assert_eq!(service.engine().cache_stats().entries, 1);
+}
+
+/// The four policies are one loop: on fresh identical engines they return
+/// the same rows and the same cost bits, a plain run now carries the very
+/// metrics tree `AnalyzeQuiet` does — and *observing is not publishing*:
+/// only what the policy allows reaches the feedback store and the cache.
+#[test]
+fn four_policies_agree_and_observing_is_not_publishing() {
+    let menu: [(fn() -> RobustDb, Query); 3] = [
+        (tpch_db, exp1_query()),
+        (tpch_db, exp2_query()),
+        (star_db, exp3_query()),
+    ];
+    for (make_db, query) in &menu {
+        let ran = |policy: RunPolicy| {
+            let db = make_db().with_adaptive_policy(AdaptivePolicy::disabled());
+            let analyzed = db.execute(query, policy);
+            (db, analyzed)
+        };
+        let (run_db, run) = ran(RunPolicy::Run);
+        let (adaptive_db, adaptive) = ran(RunPolicy::Adaptive);
+        let (analyze_db, analyze) = ran(RunPolicy::Analyze);
+        let (quiet_db, quiet) = ran(RunPolicy::AnalyzeQuiet);
+
+        for other in [&adaptive, &analyze, &quiet] {
+            assert_eq!(other.outcome.rows, run.outcome.rows);
+            assert_eq!(
+                other.outcome.simulated_seconds.to_bits(),
+                run.outcome.simulated_seconds.to_bits()
+            );
+            assert_eq!(other.replans(), 0);
+        }
+        assert_eq!(
+            run.metrics, quiet.metrics,
+            "a plain run observes the same tree"
+        );
+
+        // Observed, not published: no feedback, no drift eviction.
+        for db in [&run_db, &quiet_db] {
+            assert!(db.feedback().snapshot().is_empty());
+            assert_eq!(db.cache_stats().drift_evictions, 0);
+        }
+        let ran_once = CacheStats {
+            misses: 1,
+            entries: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(run_db.cache_stats(), ran_once);
+        assert_eq!(adaptive_db.cache_stats(), ran_once);
+        assert_eq!(quiet_db.cache_stats(), CacheStats::default());
+        // `Analyze` never probes; its own observations may drift-evict the
+        // plan it just cached, so `entries` is not pinned.
+        let analyzed = analyze_db.cache_stats();
+        assert_eq!((analyzed.hits, analyzed.misses), (0, 0));
+        assert!(!analyze_db.feedback().snapshot().is_empty());
+    }
 }
 
 /// Float `SUM`/`AVG` over irrational inputs spanning several morsels are

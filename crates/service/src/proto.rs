@@ -30,6 +30,14 @@
 //! The round-trip property (`decode(encode(m)) == m`) and the
 //! never-panics property over arbitrary byte soup are pinned by
 //! `tests/proto_roundtrip.rs`.
+//!
+//! # Frame I/O
+//!
+//! [`write_frame`] hands its writer a whole frame in one `write_all`
+//! and refuses a body the peer would have to reject; [`read_frame`]
+//! makes two reads per frame (length, then body), so give it a
+//! `BufReader` over a socket.  How frames are grouped into socket
+//! writes is the sender's business: see [`net`](crate::net).
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -317,7 +325,8 @@ pub enum Response {
 // Frame I/O
 // ---------------------------------------------------------------------
 
-/// Reads one frame body (tag + payload) from `r`.
+/// Reads one frame body (tag + payload) from `r` — the length and the
+/// body in separate reads, so `r` should be buffered.
 ///
 /// Returns `Ok(None)` on a clean EOF **at a frame boundary** (the peer
 /// closed between messages).  EOF inside a header or payload is a
@@ -378,12 +387,44 @@ impl fmt::Display for FrameReadError {
 
 impl std::error::Error for FrameReadError {}
 
-/// Wraps an encoded frame body in its length prefix and writes it.
+/// Wraps an encoded frame body in its length prefix and writes it with
+/// **one** `write_all`: issued as two small writes on a socket, the
+/// body waits out Nagle's algorithm and the peer's delayed ACK (≈ 40 ms)
+/// behind the prefix.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] for a body no peer would accept
+/// (empty, or longer than [`MAX_FRAME_LEN`]); otherwise what `w` returns.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME_LEN as usize);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    if body.is_empty() || body.len() > MAX_FRAME_LEN as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes (1..={MAX_FRAME_LEN})", body.len()),
+        ));
+    }
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
+
+/// Encoded size of `row` inside a [`Response::Batch`] frame, so a sender
+/// can cut a reply into frames by bytes without encoding it twice.
+pub(crate) fn batch_row_len(row: &[Value]) -> usize {
+    let value_len = |v: &Value| match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Date(_) => 5,
+        Value::Str(s) => 5 + s.len(),
+        Value::Bool(_) => 2,
+    };
+    4 + row.iter().map(value_len).sum::<usize>()
+}
+
+/// Bytes of a [`Response::Batch`] frame body that are not rows: tag,
+/// request id, row count.
+pub(crate) const BATCH_HEADER_LEN: usize = 1 + 8 + 4;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -1197,6 +1238,53 @@ mod tests {
             assert_eq!(Request::decode(&body).unwrap(), req);
         }
         assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts `write` calls; accepts everything.
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_and_refuses_unsendable_bodies() {
+        let body = Request::Ping { nonce: 42 }.encode();
+        let mut w = CountingWrite {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, &body).unwrap();
+        assert_eq!(w.writes, 1, "length prefix and body leave together");
+        assert_eq!(w.bytes[..4], (body.len() as u32).to_le_bytes());
+        assert_eq!(w.bytes[4..], body[..]);
+
+        for unsendable in [vec![], vec![0u8; MAX_FRAME_LEN as usize + 1]] {
+            let err = write_frame(&mut w, &unsendable).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(w.writes, 1, "nothing of a refused body is written");
+    }
+
+    #[test]
+    fn batch_row_len_is_the_encoded_size() {
+        let rows = vec![
+            vec![Value::Int(1), Value::Null, Value::Float(2.5)],
+            vec![Value::Date(9000), Value::str("héllo"), Value::Bool(true)],
+            vec![],
+        ];
+        let predicted = BATCH_HEADER_LEN + rows.iter().map(|r| batch_row_len(r)).sum::<usize>();
+        assert_eq!(Response::Batch { id: 3, rows }.encode().len(), predicted);
     }
 
     #[test]

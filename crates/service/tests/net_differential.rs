@@ -19,7 +19,7 @@ use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig, QueryReply};
-use rqo_service::proto::RunMode;
+use rqo_service::proto::{write_frame, Request, Response, RunMode};
 use rqo_service::{Engine, QueryHandle, QueryService, RunPolicy, ServiceConfig};
 use rqo_storage::Value;
 
@@ -154,6 +154,81 @@ fn concurrent_wire_results_match_in_process_sessions() {
         let net = server.stats();
         assert_eq!(net.protocol_errors, 0, "clean run had protocol errors");
         assert_eq!(net.queries_ok, total);
+    }
+}
+
+/// A reply several times the 64 KiB at which the server writes queued
+/// frames out mid-reply (every `lineitem` row, ≈ 300 KiB encoded), read
+/// frame by frame: however `batch_rows` cuts it and wherever the flushes
+/// fall, the frames carry the in-process rows in order, full batches up
+/// to the last, and a `Done` whose count and cost bits are the
+/// in-process ones.
+#[test]
+fn multi_flush_reply_is_identical_at_every_batch_size() {
+    let query = Query::over(&["lineitem"]);
+    let truth = QueryService::new(engine(), ServiceConfig::default())
+        .session()
+        .run(&query)
+        .expect("in-process run");
+
+    let default_rows = NetServerConfig::default().batch_rows;
+    for batch_rows in [1, 7, default_rows] {
+        let service = QueryService::new(engine(), ServiceConfig::default());
+        let config = NetServerConfig::default().with_batch_rows(batch_rows);
+        let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind");
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+        let run = Request::Run {
+            id: 9,
+            mode: RunMode::Run,
+            deadline_ms: 0,
+            query: query.clone(),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &run.encode()).unwrap();
+        client.send_raw(&frame).expect("send run");
+
+        let mut rows = Vec::new();
+        let mut batch_sizes = Vec::new();
+        let mut reply_bytes = 0;
+        let (columns, total_rows, simulated_seconds, replans) = loop {
+            let frame = client.recv().expect("reply frame");
+            reply_bytes += 4 + frame.encode().len();
+            match frame {
+                Response::Batch { id: 9, rows: batch } => {
+                    batch_sizes.push(batch.len());
+                    rows.extend(batch);
+                }
+                Response::Done {
+                    id: 9,
+                    columns,
+                    total_rows,
+                    simulated_seconds,
+                    replans,
+                    ..
+                } => break (columns, total_rows, simulated_seconds, replans),
+                other => panic!("batch_rows {batch_rows}: unexpected frame {other:?}"),
+            }
+        };
+
+        assert!(
+            reply_bytes > 4 * 64 * 1024,
+            "reply spans several flushes: {reply_bytes}"
+        );
+        let (last, full) = batch_sizes.split_last().expect("at least one batch");
+        assert!(
+            full.iter().all(|&n| n == batch_rows) && (1..=batch_rows).contains(last),
+            "batch_rows {batch_rows}: frames of {batch_sizes:?} rows"
+        );
+        assert_eq!(rows, truth.rows, "batch_rows {batch_rows}");
+        assert_eq!(total_rows, truth.rows.len() as u64);
+        assert_eq!(columns, truth.columns);
+        assert_eq!(
+            simulated_seconds.to_bits(),
+            truth.simulated_seconds.to_bits()
+        );
+        assert_eq!(replans, 0);
+        assert_eq!(server.stats().protocol_errors, 0);
     }
 }
 

@@ -19,7 +19,7 @@ use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
-use rqo_service::proto::{write_frame, ErrorCode, Request, RunMode};
+use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
 use rqo_service::{Engine, QueryService, ServiceConfig, ServiceStats};
 
 /// Big enough that the join below runs for seconds in debug mode.
@@ -105,6 +105,52 @@ fn disconnect_mid_query_cancels_via_token_with_no_trace() {
     let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
     let reply = retry.run(&short_query()).expect("server still serves");
     assert_eq!(reply.rows.len(), 1);
+}
+
+/// The other place a client can vanish: not while its query runs but
+/// while the reply is being written.  The reply here (every
+/// `lineitem ⋈ part` row, ≈ 14 MB) is written out in hundreds of
+/// flushes and outgrows what loopback socket buffers absorb; the client
+/// reads its first `Batch` and hangs up.  The executor must come back
+/// from its write with an error — not block on a peer that will never
+/// read — and leave nothing behind.
+#[test]
+fn disconnect_mid_reply_ends_the_connection_and_leaves_nothing() {
+    let server = server_with(NetServerConfig::default().with_tenant_quota(1));
+    let service = server.service().clone();
+
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("acme").expect("hello");
+    let req = Request::Run {
+        id: 1,
+        mode: RunMode::Run,
+        deadline_ms: 0,
+        query: Query::over(&["lineitem", "part"]),
+    };
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &req.encode()).unwrap();
+    client.send_raw(&frame).expect("send run");
+    match client.recv().expect("first frame of the reply") {
+        Response::Batch { id: 1, rows } => assert!(!rows.is_empty()),
+        other => panic!("expected the first Batch, got {other:?}"),
+    }
+    client.stream().shutdown(Shutdown::Both).expect("shutdown");
+    drop(client);
+
+    poll_until("connection drained", || server.stats().active == 0);
+
+    // The query itself had finished before its reply began.
+    let stats = service.stats();
+    assert_eq!((stats.completed, stats.cancelled), (1, 0), "{stats}");
+    assert_quiescent_and_balanced(stats);
+    assert_eq!(server.stats().protocol_errors, 0, "{}", server.stats());
+
+    // The tenant's only quota unit came back with the connection.
+    let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
+    retry.hello("acme").expect("hello");
+    let reply = retry.run(&short_query()).expect("server still serves");
+    assert_eq!(reply.rows.len(), 1);
+    assert_eq!(server.stats().tenant_rejections, 0);
 }
 
 #[test]

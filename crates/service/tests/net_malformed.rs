@@ -447,6 +447,94 @@ fn duplicate_primary_key_insert_is_bad_query_and_changes_nothing() {
     assert_eq!(server.service().stats().panicked, 0);
 }
 
+/// Reply frames are cut by bytes as well as by rows.  Two stored rows
+/// with a ≈ 9 MiB string each fit one `Insert` frame apiece, but as one
+/// 256-row `Batch` they were an 18 MiB frame: over `MAX_FRAME_LEN`, so a
+/// `debug_assert!` panic of the connection thread in debug builds and a
+/// frame the client rejects as `Oversized` in release.  Each now travels
+/// in a frame of its own — and a join row carrying two such strings,
+/// which no frame can hold, is a typed error on a connection that lives
+/// on.
+#[test]
+fn replies_with_huge_strings_are_cut_into_frames_that_fit() {
+    use rqo_expr::Expr;
+    use rqo_storage::{Catalog, DataType, Schema, TableBuilder};
+
+    // note(n_key, n_text) ← tag(t_key, t_note, t_text): strings on both
+    // sides of a foreign key.
+    let mut notes = TableBuilder::new(
+        "note",
+        Schema::from_pairs(&[("n_key", DataType::Int), ("n_text", DataType::Str)]),
+        4,
+    );
+    let mut tags = TableBuilder::new(
+        "tag",
+        Schema::from_pairs(&[
+            ("t_key", DataType::Int),
+            ("t_note", DataType::Int),
+            ("t_text", DataType::Str),
+        ]),
+        4,
+    );
+    for k in 0..4i64 {
+        notes.push_row(&[Value::Int(k), Value::str("short")]);
+        tags.push_row(&[Value::Int(k), Value::Int(k), Value::str("short")]);
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_table(notes.finish()).unwrap();
+    catalog.add_table(tags.finish()).unwrap();
+    catalog
+        .add_foreign_key("tag", "t_note", "note", "n_key")
+        .unwrap();
+    let service = QueryService::new(Engine::new(catalog), ServiceConfig::default());
+    let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    // A connection thread that dies mid-reply leaves the socket open; fail
+    // rather than wait for it.
+    let patience = Some(Duration::from_secs(60));
+    client.stream().set_read_timeout(patience).unwrap();
+
+    let huge = |fill: &str| Value::str(fill.repeat(9 << 20));
+    let big_notes = vec![
+        vec![Value::Int(10), huge("a")],
+        vec![Value::Int(11), huge("b")],
+    ];
+    for row in &big_notes {
+        client
+            .insert("note", vec![row.clone()])
+            .expect("9 MiB fit an Insert frame");
+    }
+    let is_big = Expr::col("n_key").ge(Expr::lit(10i64));
+    let reply = client
+        .run(&Query::over(&["note"]).filter("note", is_big.clone()))
+        .expect("18 MiB of rows arrive as frames that fit");
+    assert_eq!(reply.rows, big_notes);
+
+    // One joined row of 18 MiB: refused by name, mid-reply, and the
+    // connection carries on.
+    client
+        .insert("tag", vec![vec![Value::Int(10), Value::Int(10), huge("c")]])
+        .expect("9 MiB fit an Insert frame");
+    match client.run(&Query::over(&["tag", "note"]).filter("note", is_big)) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal, "{message}");
+            assert!(message.contains("exceeds the frame cap"), "{message}");
+        }
+        other => panic!(
+            "expected a typed error, got {:?}",
+            other.map(|r| r.rows.len())
+        ),
+    }
+    client.ping().expect("connection survives");
+
+    let stats = server.service().stats();
+    assert_eq!(stats.panicked, 0, "{stats}");
+    assert!(stats.slots_balanced(), "{stats}");
+    let net = server.stats();
+    assert_eq!((net.queries_ok, net.queries_err), (1, 1), "{net}");
+    assert_eq!(net.protocol_errors, 0, "{net}");
+}
+
 #[test]
 fn connection_limit_turns_excess_clients_away() {
     let data = TpchData::generate(&TpchConfig {

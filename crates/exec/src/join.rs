@@ -348,9 +348,8 @@ pub fn indexed_nl_join(
         let mut out: Vec<(u32, Rid)> = Vec::new();
         for o in morsel {
             local.charge_random_ios(1); // descend to the leaf for this key
-            let matches = index.lookup_eq(&keys.value(o));
-            local.charge_cpu_ops(matches.len() as u64);
-            let mut rids: Vec<Rid> = matches.iter().map(|(_, rid)| *rid).collect();
+            let mut rids = index.lookup_eq(&keys.value(o)).to_vec();
+            local.charge_cpu_ops(rids.len() as u64);
             charge_fetch(inner, params, &mut local, &mut rids);
             out.extend(rids.into_iter().map(|rid| (o as u32, rid)));
         }

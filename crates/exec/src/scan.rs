@@ -166,10 +166,10 @@ pub(crate) fn rids_for_range(
         .secondary_index(table, &range.column)
         .unwrap_or_else(|| panic!("no secondary index on {table}.{}", range.column));
     tracker.charge_random_ios(BTREE_DESCEND_IOS);
-    let entries = index.range(range.lo.as_ref(), range.hi.as_ref());
-    tracker.charge_seq_pages(params.index_leaf_pages(entries.len()));
-    tracker.charge_cpu_ops(entries.len() as u64);
-    entries.iter().map(|(_, rid)| *rid).collect()
+    let rids = index.range(range.lo.as_ref(), range.hi.as_ref());
+    tracker.charge_seq_pages(params.index_leaf_pages(rids.len()));
+    tracker.charge_cpu_ops(rids.len() as u64);
+    rids.to_vec()
 }
 
 /// Sorts and deduplicates a RID list and charges its fetch: one random

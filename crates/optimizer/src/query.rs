@@ -17,10 +17,11 @@ use rqo_storage::{Catalog, DataType};
 /// Column references in `group_by` and `aggregates` are resolved by bare
 /// name against the join output.  When two joined tables share a column
 /// name (e.g. `d_attr` across several dimension tables), the colliding
-/// columns are disambiguated with `l.`/`r.` prefixes and a bare reference
-/// to them fails at execution; qualified output references are future
-/// work — per-table *predicates* are unaffected, since they bind against
-/// their own table's schema before the join.
+/// columns are disambiguated with `l.`/`r.` prefixes, so a bare reference
+/// to them names no output column and [`Query::validate`] rejects it;
+/// qualified output references are future work — per-table *predicates*
+/// are unaffected, since they bind against their own table's schema
+/// before the join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Tables referenced by the query.
@@ -126,8 +127,9 @@ impl Query {
     /// do not form a tree of foreign-key joins, a predicate names an
     /// unlisted table, does not bind against its table's schema, is
     /// ill-typed ([`Expr::data_type`]) or is not boolean, a group-by /
-    /// aggregate column exists on no listed table, or `SUM`/`AVG` reads a
-    /// non-numeric column.
+    /// aggregate column exists on no listed table or on more than one
+    /// (the join output renames it, see [`Query`]), or `SUM`/`AVG` reads
+    /// a non-numeric column.
     pub fn validate(&self, catalog: &Catalog) -> Result<(), String> {
         let n = self.tables.len();
         if n == 0 || n > Self::MAX_TABLES {
@@ -190,29 +192,32 @@ impl Query {
                 Err(e) => return Err(format!("predicate on {table:?}: {e}")),
             }
         }
-        // Every listed table's column of that name (joined tables may
-        // share one).
-        let column_types = |col: &str| -> Vec<DataType> {
-            schemas
+        // The type of the one listed table's column of that name: a name
+        // two joined tables share is renamed in the join output.
+        let column_type = |col: &str, role: &str| -> Result<DataType, String> {
+            let types: Vec<DataType> = schemas
                 .iter()
                 .filter_map(|s| Some(s.column(s.index_of(col)?).data_type))
-                .collect()
+                .collect();
+            match types[..] {
+                [t] => Ok(t),
+                [] => Err(format!("unknown {role} column {col:?}")),
+                _ => Err(format!(
+                    "{role} column {col:?} is ambiguous: {} listed tables have it",
+                    types.len()
+                )),
+            }
         };
         for col in &self.group_by {
-            if column_types(col).is_empty() {
-                return Err(format!("unknown group-by column {col:?}"));
-            }
+            column_type(col, "group-by")?;
         }
         for agg in &self.aggregates {
             let Some(col) = &agg.column else { continue };
-            let types = column_types(col);
-            if types.is_empty() {
-                return Err(format!("unknown aggregate column {col:?}"));
-            }
+            let t = column_type(col, "aggregate")?;
             // SUM and AVG widen through `Value::as_f64`, which has no
             // rule for these.
             let summed = matches!(agg.func, AggFunc::Sum | AggFunc::Avg);
-            if summed && (types.contains(&DataType::Str) || types.contains(&DataType::Bool)) {
+            if summed && matches!(t, DataType::Str | DataType::Bool) {
                 return Err(format!(
                     "{:?} over non-numeric aggregate column {col:?}",
                     agg.func
@@ -350,6 +355,41 @@ mod tests {
             .aggregate(AggExpr::min("p_brand", "lo"))
             .aggregate(AggExpr::max("p_brand", "hi"));
         assert_eq!(fine.validate(&cat), Ok(()));
+    }
+
+    /// Regression: a bare output column two listed tables share used to
+    /// pass validation and then panic the caller in the executor's
+    /// schema lookup (the join output renames it `l.`/`r.`).
+    #[test]
+    fn validate_rejects_a_bare_column_two_tables_share() {
+        let cat = rqo_datagen::StarData::generate(&rqo_datagen::StarConfig {
+            fact_rows: 200,
+            seed: 5,
+        })
+        .into_catalog();
+        let star = || Query::over(&["fact", "dim1", "dim2"]);
+        let err = star()
+            .group(&["d_attr"])
+            .aggregate(AggExpr::count_star("n"))
+            .validate(&cat)
+            .unwrap_err();
+        assert!(
+            err.contains("group-by column \"d_attr\" is ambiguous"),
+            "{err:?}"
+        );
+        let err = star()
+            .aggregate(AggExpr::max("d_key", "k"))
+            .validate(&cat)
+            .unwrap_err();
+        assert!(
+            err.contains("aggregate column \"d_key\" is ambiguous"),
+            "{err:?}"
+        );
+        // One dimension: the name is unique, and the query is fine.
+        let one = Query::over(&["fact", "dim1"])
+            .group(&["d_attr"])
+            .aggregate(AggExpr::count_star("n"));
+        assert_eq!(one.validate(&cat), Ok(()));
     }
 
     #[test]

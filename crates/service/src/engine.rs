@@ -409,7 +409,7 @@ impl Engine {
     ///
     /// The append is published with **snapshot semantics**: a new
     /// catalog version (rows routed to their partitions, per-partition
-    /// min/max widened, cached indexes rebuilt) and a new statistics
+    /// min/max widened, the batch merged into cached indexes) and a new statistics
     /// version (per-partition per-column HLL sketches and reservoir
     /// samples updated incrementally — seeded from the stored rows on a
     /// table's first streamed batch) are built off to the side and
@@ -442,7 +442,8 @@ impl Engine {
                 partitions_touched: Vec::new(),
             });
         }
-        // The O(table) rebuild runs outside the readers' lock.
+        // The successor (one copy per column and per index) is built
+        // outside the readers' lock.
         let mut catalog = Catalog::clone(&current.catalog);
         let assignments = catalog.append_rows(table, rows)?;
         let table_rows = catalog.table(table)?.num_rows();

@@ -3,8 +3,8 @@
 //! A table grown by [`Engine::insert_rows`] is semantically the *same
 //! relation* as its one-shot twin built from the identical row stream:
 //! the storage layer reproduces the exact per-partition concatenation a
-//! one-shot build would emit, appends rebuild (not drop) cached
-//! indexes, and a statistics refresh over bit-identical catalogs draws
+//! one-shot build would emit, appends merge the batch into (not drop)
+//! cached indexes, and a statistics refresh over bit-identical catalogs draws
 //! bit-identical synopses.  So after ingest plus a same-seed refresh,
 //! query results **and** annotated `EXPLAIN ANALYZE` trees must be
 //! bit-identical between the two engines — at 1, 2, and 8 worker

@@ -271,6 +271,58 @@ fn ill_typed_queries_are_bad_query_before_admission() {
     assert!(server.service().stats().slots_balanced());
 }
 
+/// A bare group-by or aggregate column that two listed tables share
+/// (`d_attr`, `d_key` on every star dimension) names no column of the
+/// join output, which renames it `l.`/`r.`.  It used to pass validation,
+/// take an admission slot and panic in the executor's schema lookup.
+#[test]
+fn shared_bare_output_column_is_bad_query_before_admission() {
+    use rqo_datagen::{StarConfig, StarData};
+    let data = StarData::generate(&StarConfig {
+        fact_rows: 500,
+        seed: 7,
+    });
+    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let server =
+        NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    let star = || Query::over(&["fact", "dim1", "dim2"]);
+    let cases = [
+        (
+            "shared group-by column",
+            star()
+                .group(&["d_attr"])
+                .aggregate(AggExpr::count_star("n")),
+        ),
+        (
+            "shared aggregate column",
+            star().aggregate(AggExpr::max("d_key", "k")),
+        ),
+    ];
+    for (what, query) in &cases {
+        for mode in [RunMode::Run, RunMode::Adaptive] {
+            match client.run_mode(query, mode, 0) {
+                Err(ClientError::Server { code, .. }) => {
+                    assert_eq!(code, ErrorCode::BadQuery, "{what}")
+                }
+                other => panic!("{what}: expected BadQuery, got {other:?}"),
+            }
+        }
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.admitted, 0, "rejected before admission: {stats}");
+    assert_eq!(stats.panicked, 0, "{stats}");
+
+    // The same connection then runs the one-dimension form of the query.
+    let one = Query::over(&["fact", "dim1"])
+        .group(&["d_attr"])
+        .aggregate(AggExpr::count_star("n"));
+    let reply = client.run(&one).expect("connection survives");
+    assert!(!reply.rows.is_empty());
+    assert!(server.service().stats().slots_balanced());
+}
+
 /// Integer arithmetic whose result leaves `i64` — `i64::MIN / -1` panics
 /// in every build profile, `+ - *` overflow under debug assertions — is
 /// well-typed, so it passes validation; built from literals alone it

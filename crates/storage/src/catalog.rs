@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::error::StorageError;
 use crate::index::{SecondaryIndex, UniqueIndex};
 use crate::partition::Partitioning;
-use crate::table::Table;
+use crate::table::{Splice, Table};
 use crate::value::Value;
 
 /// Opaque identifier of a registered table (its registration order).
@@ -275,11 +275,13 @@ impl Catalog {
     /// Tables are immutable, so this replaces the table's `Arc` with an
     /// extended successor (other `Catalog` clones sharing the old `Arc`
     /// keep seeing the pre-insert snapshot).  For partitioned tables
-    /// the canonical concatenation is rebuilt so partitions stay
-    /// contiguous RID spans and per-partition min/max widen to cover
-    /// the new keys.  Cached secondary/unique indexes on the table are
-    /// rebuilt eagerly — dropping them instead would silently change
-    /// access-path selection relative to a one-shot-built catalog.
+    /// the batch is spliced into the canonical concatenation so
+    /// partitions stay contiguous RID spans, and per-partition min/max
+    /// widen to cover the new keys.  Cached secondary/unique indexes on
+    /// the table are carried over eagerly — dropping them instead would
+    /// silently change access-path selection relative to a one-shot-built
+    /// catalog — by merging the batch in, never by rebuilding: each
+    /// successor index equals a build over the successor table.
     ///
     /// The batch is atomic: the successor table, layout and every
     /// successor index are built first, and only when all of them exist
@@ -299,25 +301,28 @@ impl Catalog {
     ) -> Result<Vec<usize>, StorageError> {
         let id = self.table_id(name)?;
         let table = &self.tables[id.0];
-        let (new_table, new_layout, assignments) = match self.partitions.get(name) {
+        let (new_table, new_layout, assignments, splice) = match self.partitions.get(name) {
             Some(layout) => {
                 let (t, new_layout, assignments) = layout.append(table, rows)?;
-                (t, Some(new_layout), assignments)
+                let splice = Splice::new(layout.spans(), new_layout.spans());
+                (t, Some(new_layout), assignments, splice)
             }
-            None => (table.appended(rows)?, None, vec![0; rows.len()]),
+            None => {
+                let splice = Splice::tail(table.num_rows(), rows.len());
+                (table.appended(rows)?, None, vec![0; rows.len()], splice)
+            }
         };
-        let on_table = |key: &&(String, String)| key.0 == name;
         let unique = self
             .unique
-            .keys()
-            .filter(on_table)
-            .map(|key| Ok((key.clone(), UniqueIndex::build(&new_table, &key.1)?)))
+            .iter()
+            .filter(|(key, _)| key.0 == name)
+            .map(|(key, idx)| Ok((key.clone(), idx.appended(&new_table, &splice)?)))
             .collect::<Result<Vec<_>, StorageError>>()?;
         let secondary: Vec<_> = self
             .secondary
-            .keys()
-            .filter(on_table)
-            .map(|key| (key.clone(), SecondaryIndex::build(&new_table, &key.1)))
+            .iter()
+            .filter(|(key, _)| key.0 == name)
+            .map(|(key, idx)| (key.clone(), idx.appended(&new_table, &splice)))
             .collect();
 
         self.tables[id.0] = Arc::new(new_table);
@@ -481,7 +486,7 @@ mod tests {
         );
         assert_eq!(cat.table("child").unwrap().num_rows(), 5);
         assert_eq!(before.num_rows(), 4, "old snapshot Arc still intact");
-        // The cached secondary index was rebuilt over the new table.
+        // The cached secondary index was carried over to the new table.
         let idx = cat.secondary_index("child", "fk").unwrap();
         assert_eq!(idx.num_entries(), 5);
         // The parent pk unique index (built by add_foreign_key) is

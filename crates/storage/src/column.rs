@@ -13,6 +13,7 @@
 //! ([`ColumnVec::value`]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::value::{DataType, Value};
@@ -176,6 +177,25 @@ impl ColumnVec {
         }
     }
 
+    /// An empty column of this one's type with room for `cap` rows.  A
+    /// `Str` column continues this one's dictionary, so a code means the
+    /// same string in both — which is what lets [`ColumnVec::splice`]
+    /// copy codes from either side verbatim.
+    pub(crate) fn continued(&self, cap: usize) -> ColumnVec {
+        match self {
+            ColumnVec::Str { dict, .. } => ColumnVec::Str {
+                codes: Vec::with_capacity(cap),
+                dict: Arc::clone(dict),
+                nulls: None,
+            },
+            ColumnVec::Mixed(_) => ColumnVec::Mixed(Vec::with_capacity(cap)),
+            ColumnVec::Int { .. } => ColumnVec::with_capacity(DataType::Int, cap),
+            ColumnVec::Float { .. } => ColumnVec::with_capacity(DataType::Float, cap),
+            ColumnVec::Date { .. } => ColumnVec::with_capacity(DataType::Date, cap),
+            ColumnVec::Bool { .. } => ColumnVec::with_capacity(DataType::Bool, cap),
+        }
+    }
+
     /// Extracts column `ord` of row-major `rows` into a typed vector.
     ///
     /// Values must be the declared type or NULL; anything else (legal
@@ -213,12 +233,8 @@ impl ColumnVec {
     /// True when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
         match self {
-            ColumnVec::Int { nulls, .. }
-            | ColumnVec::Float { nulls, .. }
-            | ColumnVec::Date { nulls, .. }
-            | ColumnVec::Str { nulls, .. }
-            | ColumnVec::Bool { nulls, .. } => null_at(nulls, i),
             ColumnVec::Mixed(values) => values[i].is_null(),
+            _ => self.null_mask().is_some_and(|m| m.is_null(i)),
         }
     }
 
@@ -229,8 +245,8 @@ impl ColumnVec {
     ///
     /// Panics when `i` is out of range.
     pub fn value(&self, i: usize) -> Value {
-        // One dispatch per call: this sits under every index build and
-        // every row leaving the engine.
+        // One dispatch per call: this sits under every row leaving the
+        // engine.
         let or_null = |nulls: &Option<NullMask>, v: Value| {
             if null_at(nulls, i) {
                 Value::Null
@@ -289,6 +305,99 @@ impl ColumnVec {
             }
         }
     }
+
+    /// Interleaves this column with `tail`, a NULL-free column of the same
+    /// type (stored columns and index keys are both NULL-free): for
+    /// each `(mine, theirs)` run in order, rows `mine` of `self` then rows
+    /// `theirs` of `tail` — one copy into a vector sized for the result.
+    /// This is how an append lays out its successor (one run per
+    /// partition) and how an index merges a batch's sorted run.  A `Str`
+    /// result takes `tail`'s dictionary, which must continue this one's
+    /// ([`ColumnVec::continued`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two columns differ in type, either has a null
+    /// bitmap, or a run is out of range.
+    pub(crate) fn splice(&self, tail: &ColumnVec, runs: &[Run]) -> ColumnVec {
+        assert!(
+            self.null_mask().is_none() && tail.null_mask().is_none(),
+            "only NULL-free (stored) columns are spliced"
+        );
+        let nulls = None;
+        match (self, tail) {
+            (ColumnVec::Int { values: a, .. }, ColumnVec::Int { values: b, .. }) => {
+                ColumnVec::Int {
+                    values: spliced(a, b, runs),
+                    nulls,
+                }
+            }
+            (ColumnVec::Float { values: a, .. }, ColumnVec::Float { values: b, .. }) => {
+                ColumnVec::Float {
+                    values: spliced(a, b, runs),
+                    nulls,
+                }
+            }
+            (ColumnVec::Date { values: a, .. }, ColumnVec::Date { values: b, .. }) => {
+                ColumnVec::Date {
+                    values: spliced(a, b, runs),
+                    nulls,
+                }
+            }
+            (ColumnVec::Bool { values: a, .. }, ColumnVec::Bool { values: b, .. }) => {
+                ColumnVec::Bool {
+                    values: spliced(a, b, runs),
+                    nulls,
+                }
+            }
+            (
+                ColumnVec::Str { codes: a, dict, .. },
+                ColumnVec::Str {
+                    codes: b, dict: db, ..
+                },
+            ) => {
+                debug_assert!(
+                    db.len() >= dict.len() && dict.iter().zip(db.iter()).all(|(x, y)| x == y),
+                    "the tail's dictionary must continue this column's"
+                );
+                ColumnVec::Str {
+                    codes: spliced(a, b, runs),
+                    dict: Arc::clone(db),
+                    nulls,
+                }
+            }
+            (ColumnVec::Mixed(a), ColumnVec::Mixed(b)) => ColumnVec::Mixed(spliced(a, b, runs)),
+            _ => panic!("cannot splice columns of two different types"),
+        }
+    }
+
+    /// The null bitmap, if any (a `Mixed` column keeps NULLs as values).
+    fn null_mask(&self) -> Option<&NullMask> {
+        match self {
+            ColumnVec::Int { nulls, .. }
+            | ColumnVec::Float { nulls, .. }
+            | ColumnVec::Date { nulls, .. }
+            | ColumnVec::Str { nulls, .. }
+            | ColumnVec::Bool { nulls, .. } => nulls.as_ref(),
+            ColumnVec::Mixed(_) => None,
+        }
+    }
+}
+
+/// One run of a splice: a range of the first source, then a range of
+/// the second.
+pub(crate) type Run = (Range<usize>, Range<usize>);
+
+/// The typed core of [`ColumnVec::splice`]: run by run, `a[mine]` then
+/// `b[theirs]`, each a `memcpy` (for `Copy` payloads) into one
+/// exactly-sized vector.
+pub(crate) fn spliced<T: Clone>(a: &[T], b: &[T], runs: &[Run]) -> Vec<T> {
+    let mut out = Vec::with_capacity(runs.iter().map(|(a, b)| a.len() + b.len()).sum());
+    for (mine, theirs) in runs {
+        out.extend_from_slice(&a[mine.clone()]);
+        out.extend_from_slice(&b[theirs.clone()]);
+    }
+    out
 }
 
 /// Appends `Value`s to a [`ColumnVec`] — the one routine behind
@@ -302,8 +411,8 @@ pub(crate) struct ColumnBuilder {
 }
 
 impl ColumnBuilder {
-    /// Continues `col` (an empty [`ColumnVec::with_capacity`] column, or
-    /// an existing one to extend).
+    /// Continues `col`, an empty column from [`ColumnVec::with_capacity`]
+    /// or [`ColumnVec::continued`].
     pub(crate) fn new(col: ColumnVec) -> Self {
         let codes = match &col {
             ColumnVec::Str { dict, .. } => dict

@@ -1,47 +1,92 @@
 //! Secondary (nonclustered) and unique (primary-key) indexes.
 //!
-//! [`SecondaryIndex`] models a B-tree's leaf level as a sorted
-//! `(key, rid)` array.  Range lookups return a contiguous slice of entries,
-//! whose leaf pages the executor charges as sequential reads; fetching the
-//! matching rows from the base table then costs random I/Os — the access
-//! pattern at the heart of the paper's index-intersection-vs-scan example.
+//! [`SecondaryIndex`] models a B-tree's leaf level as two arrays: the
+//! indexed column gathered in key order (a [`ColumnVec`], so an `Int` key
+//! costs 8 bytes and a `Date` 4) and the rid permutation that gathered
+//! it.  Range lookups binary-search the key column and return a
+//! contiguous slice of rids, whose leaf pages the executor charges as
+//! sequential reads; fetching the matching rows from the base table then
+//! costs random I/Os — the access pattern at the heart of the paper's
+//! index-intersection-vs-scan example.  An append never re-sorts: the
+//! batch's own sorted run is merged in, and both arrays are spliced.
 //!
 //! [`UniqueIndex`] maps integer primary keys to RIDs, supporting the
 //! foreign-key joins (indexed nested loops, join-synopsis construction)
 //! that both the optimizer and the statistics layer rely on.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
+use crate::column::{spliced, ColumnVec, Run};
 use crate::error::StorageError;
-use crate::table::{Rid, Table};
+use crate::table::{Rid, Splice, Table};
 use crate::value::Value;
 
-/// A nonclustered index: all `(key, rid)` pairs for one column, sorted by
-/// key (ties broken by RID so results are deterministic).
+/// A nonclustered index over one column: every row's key in
+/// [`Value::total_cmp`] order, ties broken by RID so results are
+/// deterministic, stored as a key column plus the matching rids.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     table: String,
     column: String,
-    entries: Vec<(Value, Rid)>,
+    keys: ColumnVec,
+    rids: Vec<Rid>,
 }
 
 impl SecondaryIndex {
-    /// Builds the index over `table[column]`.
+    /// Builds the index over `table[column]`: one typed argsort.
     ///
     /// # Panics
     ///
     /// Panics when the column does not exist.
     pub fn build(table: &Table, column: &str) -> Self {
-        let col = table.schema().expect_index(column);
-        let mut entries: Vec<(Value, Rid)> = (0..table.num_rows() as Rid)
-            .map(|rid| (table.value(rid, col), rid))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let col = &table.columns()[table.schema().expect_index(column)];
+        let rids = argsort(col, 0..table.num_rows() as Rid);
         Self {
             table: table.name().to_string(),
             column: column.to_string(),
-            entries,
+            keys: col.take(&rids),
+            rids,
+        }
+    }
+
+    /// The index over `successor`, which `splice` laid out from this
+    /// index's table and a batch: the batch's rows sorted on their own,
+    /// then merged into this index by `(key, rid)` — old rids renumbered
+    /// by the splice's monotone shift, which keeps their order — and both
+    /// arrays spliced around them.  Equal to [`SecondaryIndex::build`]
+    /// over `successor`, without sorting it.
+    pub(crate) fn appended(&self, successor: &Table, splice: &Splice) -> Self {
+        let col = &successor.columns()[successor.schema().expect_index(&self.column)];
+        let old: Cow<[Rid]> = match splice.renumbering() {
+            Some(shift) => Cow::Owned(self.rids.iter().map(|&r| shift(r)).collect()),
+            None => Cow::Borrowed(&self.rids),
+        };
+        let run = argsort(col, splice.batch_rids());
+        // Where each run entry goes among the old entries; the run is
+        // sorted, so each search starts where the last one ended.
+        let mut runs: Vec<Run> = Vec::new();
+        let mut from = 0;
+        for (j, &rid) in run.iter().enumerate() {
+            let key = col.value(rid as usize);
+            let lo = from.max(self.bound(&key, false));
+            let hi = self.bound(&key, true).max(lo);
+            let at = lo + old[lo..hi].partition_point(|&r| r < rid);
+            match runs.last_mut() {
+                Some((mine, theirs)) if mine.end == at => theirs.end = j + 1,
+                _ => runs.push((from..at, j..j + 1)),
+            }
+            from = at;
+        }
+        runs.push((from..old.len(), run.len()..run.len()));
+        Self {
+            table: self.table.clone(),
+            column: self.column.clone(),
+            keys: self.keys.splice(&col.take(&run), &runs),
+            rids: spliced(&old, &run, &runs),
         }
     }
 
@@ -57,37 +102,75 @@ impl SecondaryIndex {
 
     /// Total number of leaf entries (= table rows).
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.rids.len()
     }
 
-    /// The contiguous run of entries whose keys fall within the bounds.
+    /// The leaf level's keys, in index order (rid `rids[i]` holds key
+    /// `keys().value(i)`).
+    pub fn keys(&self) -> &ColumnVec {
+        &self.keys
+    }
+
+    /// The rids whose keys fall within the bounds, in index order.
     ///
     /// `Bound::Unbounded` opens the corresponding side of the range.
-    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> &[(Value, Rid)] {
+    pub fn range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> &[Rid] {
         let start = match lo {
             Bound::Unbounded => 0,
-            Bound::Included(v) => self
-                .entries
-                .partition_point(|(k, _)| k.total_cmp(v) == std::cmp::Ordering::Less),
-            Bound::Excluded(v) => self
-                .entries
-                .partition_point(|(k, _)| k.total_cmp(v) != std::cmp::Ordering::Greater),
+            Bound::Included(v) => self.bound(v, false),
+            Bound::Excluded(v) => self.bound(v, true),
         };
         let end = match hi {
-            Bound::Unbounded => self.entries.len(),
-            Bound::Included(v) => self
-                .entries
-                .partition_point(|(k, _)| k.total_cmp(v) != std::cmp::Ordering::Greater),
-            Bound::Excluded(v) => self
-                .entries
-                .partition_point(|(k, _)| k.total_cmp(v) == std::cmp::Ordering::Less),
+            Bound::Unbounded => self.rids.len(),
+            Bound::Included(v) => self.bound(v, true),
+            Bound::Excluded(v) => self.bound(v, false),
         };
-        &self.entries[start.min(end)..end]
+        &self.rids[start.min(end)..end]
     }
 
-    /// All entries with exactly this key.
-    pub fn lookup_eq(&self, key: &Value) -> &[(Value, Rid)] {
+    /// The rids whose key is exactly this one, in rid order.
+    pub fn lookup_eq(&self, key: &Value) -> &[Rid] {
         self.range(Bound::Included(key), Bound::Included(key))
+    }
+
+    /// Position of the first key above `v` (`past_equal`) or at-or-above
+    /// it, comparing by [`Value::total_cmp`] on the typed keys.
+    fn bound(&self, v: &Value, past_equal: bool) -> usize {
+        let before = |o: Ordering| o.is_lt() || (past_equal && o.is_eq());
+        let at = |k: Value| before(k.total_cmp(v));
+        match &self.keys {
+            ColumnVec::Int { values, .. } => values.partition_point(|&k| at(Value::Int(k))),
+            ColumnVec::Float { values, .. } => values.partition_point(|&k| at(Value::Float(k))),
+            ColumnVec::Date { values, .. } => values.partition_point(|&k| at(Value::Date(k))),
+            ColumnVec::Bool { values, .. } => values.partition_point(|&k| at(Value::Bool(k))),
+            ColumnVec::Str { codes, dict, .. } => {
+                codes.partition_point(|&c| at(Value::Str(Arc::clone(&dict[c as usize]))))
+            }
+            ColumnVec::Mixed(values) => values.partition_point(|k| before(k.total_cmp(v))),
+        }
+    }
+}
+
+/// `rids` sorted by `(col[rid], rid)` in [`Value::total_cmp`] order: one
+/// `sort_unstable` of typed `(key, rid)` pairs.  Floats sort by their
+/// `total_cmp` bits, strings by the dictionary strings (not the codes).
+fn argsort(col: &ColumnVec, rids: impl Iterator<Item = Rid>) -> Vec<Rid> {
+    fn by<K: Ord>(rids: impl Iterator<Item = Rid>, key: impl Fn(usize) -> K) -> Vec<Rid> {
+        let mut pairs: Vec<(K, Rid)> = rids.map(|r| (key(r as usize), r)).collect();
+        pairs.sort_unstable();
+        pairs.into_iter().map(|(_, r)| r).collect()
+    }
+    match col {
+        ColumnVec::Int { values, .. } => by(rids, |r| values[r]),
+        // `f64::total_cmp` is the signed comparison of these bits.
+        ColumnVec::Float { values, .. } => by(rids, |r| {
+            let bits = values[r].to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        }),
+        ColumnVec::Date { values, .. } => by(rids, |r| values[r]),
+        ColumnVec::Bool { values, .. } => by(rids, |r| values[r]),
+        ColumnVec::Str { codes, dict, .. } => by(rids, |r| dict[codes[r] as usize].as_ref()),
+        ColumnVec::Mixed(values) => by(rids, |r| values[r].clone()),
     }
 }
 
@@ -128,6 +211,50 @@ impl UniqueIndex {
         Ok(Self {
             table: table.name().to_string(),
             column: column.to_string(),
+            map,
+        })
+    }
+
+    /// The index over `successor` (see [`SecondaryIndex::appended`]):
+    /// this map with its rids renumbered by the splice, plus the batch's
+    /// keys.
+    ///
+    /// # Errors
+    ///
+    /// The [`StorageError::DuplicateKey`] that [`UniqueIndex::build`]
+    /// over `successor` would report: of every repeated key, the one
+    /// whose second occurrence comes first in rid order.
+    pub(crate) fn appended(
+        &self,
+        successor: &Table,
+        splice: &Splice,
+    ) -> Result<Self, StorageError> {
+        let keys = successor.int_column(successor.schema().expect_index(&self.column));
+        let mut map = self.map.clone();
+        if let Some(shift) = splice.renumbering() {
+            map.values_mut().for_each(|r| *r = shift(*r));
+        }
+        // (rid at which a build would trip, key); batch rids ascend.
+        let mut first: Option<(Rid, i64)> = None;
+        for rid in splice.batch_rids() {
+            let key = keys[rid as usize];
+            if let Some(prev) = map.insert(key, rid) {
+                let trip = prev.max(rid);
+                if first.is_none_or(|(at, _)| trip < at) {
+                    first = Some((trip, key));
+                }
+            }
+        }
+        if let Some((_, key)) = first {
+            return Err(StorageError::DuplicateKey {
+                table: self.table.clone(),
+                column: self.column.clone(),
+                key,
+            });
+        }
+        Ok(Self {
+            table: self.table.clone(),
+            column: self.column.clone(),
             map,
         })
     }
@@ -186,9 +313,7 @@ mod tests {
     fn secondary_eq_lookup() {
         let t = table();
         let idx = SecondaryIndex::build(&t, "v");
-        let hits = idx.lookup_eq(&Value::Int(5));
-        let rids: Vec<Rid> = hits.iter().map(|(_, r)| *r).collect();
-        assert_eq!(rids, vec![0, 2, 5]);
+        assert_eq!(idx.lookup_eq(&Value::Int(5)), &[0, 2, 5]);
         assert!(idx.lookup_eq(&Value::Int(100)).is_empty());
         assert_eq!(idx.num_entries(), 7);
         assert_eq!(idx.table(), "t");
@@ -240,11 +365,16 @@ mod tests {
         let keys: Vec<i64> = idx
             .range(Bound::Unbounded, Bound::Unbounded)
             .iter()
-            .map(|(k, _)| k.as_int())
+            .map(|&rid| t.value(rid, 1).as_int())
             .collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
+        // The key column is those keys, gathered.
+        let stored: Vec<i64> = (0..idx.num_entries())
+            .map(|i| idx.keys().value(i).as_int())
+            .collect();
+        assert_eq!(stored, keys);
     }
 
     #[test]

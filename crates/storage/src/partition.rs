@@ -24,7 +24,7 @@ use std::ops::Range;
 
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{Table, TableBuilder};
+use crate::table::{Rid, Splice, Table, TableBuilder};
 use crate::value::Value;
 
 /// How a table's rows are assigned to partitions.
@@ -196,13 +196,14 @@ impl Partitioning {
         partitions.iter().map(|&p| self.spans[p].len()).sum()
     }
 
-    /// Routes `rows` into their partitions and rebuilds the canonical
-    /// concatenated table so every partition remains one contiguous RID
-    /// span: partition `p`'s new span holds its old rows (in order)
-    /// followed by the batch's rows routed to `p` (in batch order) —
-    /// exactly the layout a one-shot [`PartitionedTableBuilder`] build
-    /// over the combined row stream would produce, which is what keeps
-    /// streamed and one-shot tables bit-identical.
+    /// Routes `rows` into their partitions and lays out the successor
+    /// table so every partition remains one contiguous RID span:
+    /// partition `p`'s new span holds its old rows (in order) followed by
+    /// the batch's rows routed to `p` (in batch order) — exactly the
+    /// layout a one-shot [`PartitionedTableBuilder`] build over the
+    /// combined row stream would produce, which is what keeps streamed
+    /// and one-shot tables bit-identical.  Each column is copied once,
+    /// run by run (see [`Table::appended`]).
     ///
     /// Returns the new table, the updated layout (spans re-derived,
     /// per-partition min/max widened by the new keys), and each input
@@ -218,14 +219,15 @@ impl Partitioning {
         table: &Table,
         rows: &[Vec<Value>],
     ) -> Result<(Table, Partitioning, Vec<usize>), StorageError> {
-        let arrival = table.appended(rows)?;
+        let batch = table.batch(rows)?;
         let key = table.schema().expect_index(self.spec.column());
         let mut min_max = self.min_max.clone();
         let assignments: Vec<usize> = rows
             .iter()
             .map(|row| route(&self.spec, &mut min_max, &row[key]))
             .collect();
-        let (new_table, spans) = regroup(&arrival, &self.spans, &assignments);
+        let (order, spans) = place(&self.spans, &assignments);
+        let new_table = table.spliced(&batch.take(&order), &Splice::new(&self.spans, &spans));
         let layout = Partitioning::new(self.spec.clone(), spans, min_max);
         Ok((new_table, layout, assignments))
     }
@@ -255,29 +257,26 @@ fn route(spec: &PartitionSpec, min_max: &mut [Option<(Value, Value)>], key: &Val
     p
 }
 
-/// Regroups `table` — already-partitioned rows at `old` spans followed by
-/// `assignments.len()` newly routed rows in arrival order — into the
-/// canonical concatenation, with one gather per column: partition `p`
-/// keeps its old rows, then takes its new ones in arrival order.
-fn regroup(
-    table: &Table,
-    old: &[Range<usize>],
-    assignments: &[usize],
-) -> (Table, Vec<Range<usize>>) {
-    let arrived_from = table.num_rows() - assignments.len();
-    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); old.len()];
+/// Places newly routed rows after partitions `old`: partition `p` keeps
+/// its old rows, then takes its new ones in arrival order.  Returns the
+/// new rows' indices grouped partition by partition (the order they are
+/// spliced in) and the new spans.
+fn place(old: &[Range<usize>], assignments: &[usize]) -> (Vec<Rid>, Vec<Range<usize>>) {
+    let mut routed: Vec<Vec<Rid>> = vec![Vec::new(); old.len()];
     for (j, &p) in assignments.iter().enumerate() {
-        routed[p].push((arrived_from + j) as u32);
+        routed[p].push(j as Rid);
     }
-    let mut ids: Vec<u32> = Vec::with_capacity(table.num_rows());
-    let mut spans = Vec::with_capacity(old.len());
-    for (span, extra) in old.iter().zip(&routed) {
-        let start = ids.len();
-        ids.extend(span.start as u32..span.end as u32);
-        ids.extend(extra);
-        spans.push(start..ids.len());
-    }
-    (table.take(&ids), spans)
+    let mut next = 0;
+    let spans = old
+        .iter()
+        .zip(&routed)
+        .map(|(span, extra)| {
+            let grown = next..next + span.len() + extra.len();
+            next = grown.end;
+            grown
+        })
+        .collect();
+    (routed.concat(), spans)
 }
 
 /// Routes rows to partitions as they arrive and, on
@@ -346,8 +345,11 @@ impl PartitionedTableBuilder {
     /// Concatenates the partitions into the canonical table and returns it
     /// with the partition layout.
     pub fn finish(self) -> (Table, Partitioning) {
+        // The same placement as an append to an empty table, whose
+        // splice is just the rows in placed order.
         let none_yet = vec![0..0; self.spec.partition_count()];
-        let (table, spans) = regroup(&self.rows.finish(), &none_yet, &self.assignments);
+        let (order, spans) = place(&none_yet, &self.assignments);
+        let table = self.rows.finish().take(&order);
         (table, Partitioning::new(self.spec, spans, self.min_max))
     }
 }

@@ -8,9 +8,10 @@
 //! stored columns reject `Value::Null`; NULL exists only as an
 //! expression-evaluation result.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::column::{ColumnBuilder, ColumnVec};
+use crate::column::{ColumnBuilder, ColumnVec, Run};
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -41,14 +42,7 @@ impl Table {
         let num_rows = columns.first().map_or(0, ColumnVec::len);
         let sorted = columns
             .iter()
-            .map(|c| {
-                num_rows > 1
-                    && match c {
-                        ColumnVec::Int { values, .. } => values.windows(2).all(|w| w[0] <= w[1]),
-                        ColumnVec::Date { values, .. } => values.windows(2).all(|w| w[0] <= w[1]),
-                        _ => false,
-                    }
-            })
+            .map(|c| num_rows > 1 && ascending(c, 0..num_rows))
             .collect();
         Table {
             name,
@@ -177,6 +171,19 @@ impl Table {
     /// value types do not match the schema or a value is NULL; the
     /// batch is rejected atomically (no partial append).
     pub fn appended(&self, rows: &[Vec<Value>]) -> Result<Table, StorageError> {
+        let batch = self.batch(rows)?;
+        Ok(self.spliced(&batch, &Splice::tail(self.num_rows, rows.len())))
+    }
+
+    /// `rows` as a table of their own that continues this one's string
+    /// dictionaries (see [`ColumnVec::continued`]), ready to be spliced
+    /// into a successor.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::SchemaMismatch`] for the first row failing
+    /// arity/type/NULL validation.
+    pub(crate) fn batch(&self, rows: &[Vec<Value>]) -> Result<Table, StorageError> {
         for row in rows {
             check_row(&self.schema, row).map_err(StorageError::SchemaMismatch)?;
         }
@@ -186,7 +193,7 @@ impl Table {
             columns: self
                 .columns
                 .iter()
-                .map(|c| ColumnBuilder::new(ColumnVec::clone(c)))
+                .map(|c| ColumnBuilder::new(c.continued(rows.len())))
                 .collect(),
         };
         for row in rows {
@@ -195,10 +202,46 @@ impl Table {
         Ok(b.finish())
     }
 
+    /// The successor laid out by `splice` from this table's rows and
+    /// `batch`'s (from [`Table::batch`]): each column copied once.  A
+    /// sortedness flag is this table's flag confirmed at the rows around
+    /// every batch run — old rows keep their relative order, so they
+    /// stay sorted among themselves — and is recomputed in full only when
+    /// this table had at most one row (whose flag says nothing).
+    pub(crate) fn spliced(&self, batch: &Table, splice: &Splice) -> Table {
+        let runs = splice.runs();
+        let columns: Vec<ColumnVec> = self
+            .columns
+            .iter()
+            .zip(batch.columns())
+            .map(|(old, new)| old.splice(new, runs))
+            .collect();
+        let num_rows = splice.len();
+        let sorted = columns
+            .iter()
+            .zip(&self.sorted)
+            .map(|(c, &was)| {
+                if self.num_rows <= 1 {
+                    return num_rows > 1 && ascending(c, 0..num_rows);
+                }
+                was && splice
+                    .batch_spans()
+                    .all(|s| ascending(c, s.start.saturating_sub(1)..(s.end + 1).min(num_rows)))
+            })
+            .collect();
+        Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            columns: columns.into_iter().map(Arc::new).collect(),
+            sorted,
+            num_rows,
+        }
+    }
+
     /// The table holding rows `ids` of this one, in that order (any
     /// order, repeats allowed): one typed gather per column, and a `Str`
-    /// column's output shares its dictionary.  This is how a partition
-    /// append regroups and how a statistics sample is drawn.
+    /// column's output shares its dictionary.  This is how a partitioned
+    /// build groups its rows and how a statistics sample is drawn.
     ///
     /// # Panics
     ///
@@ -206,6 +249,102 @@ impl Table {
     pub fn take(&self, ids: &[Rid]) -> Table {
         let columns = self.columns.iter().map(|c| c.take(ids)).collect();
         Table::freeze(self.name.clone(), self.schema.clone(), columns)
+    }
+}
+
+/// True when rows `range` of an `Int`/`Date` column are in
+/// non-decreasing order; never for other types (nothing exploits them).
+fn ascending(col: &ColumnVec, range: Range<usize>) -> bool {
+    match col {
+        ColumnVec::Int { values, .. } => values[range].windows(2).all(|w| w[0] <= w[1]),
+        ColumnVec::Date { values, .. } => values[range].windows(2).all(|w| w[0] <= w[1]),
+        _ => false,
+    }
+}
+
+/// How an append lays out a successor: run by run, a range of the old
+/// table's rows, then a range of the batch's (in batch-table order).  Old
+/// rows keep their relative order, so an unpartitioned append is one run
+/// and a partitioned one is one run per partition — each partition's old
+/// span, then the batch rows routed to it.  Indexes read the same splice
+/// to renumber their old rids and place the batch's.
+#[derive(Debug, Clone)]
+pub(crate) struct Splice {
+    runs: Vec<Run>,
+}
+
+impl Splice {
+    /// The splice growing each span of `old` (contiguous from 0) at its
+    /// end into the matching span of `new`.
+    pub(crate) fn new(old: &[Range<usize>], new: &[Range<usize>]) -> Splice {
+        debug_assert_eq!(old.len(), new.len());
+        let mut next = 0;
+        let runs = old
+            .iter()
+            .zip(new)
+            .map(|(o, n)| {
+                let added = next..next + (n.len() - o.len());
+                next = added.end;
+                (o.clone(), added)
+            })
+            .collect();
+        Splice { runs }
+    }
+
+    /// The unpartitioned splice: every old row, then every batch row.
+    pub(crate) fn tail(old_rows: usize, batch_rows: usize) -> Splice {
+        Splice {
+            runs: vec![(0..old_rows, 0..batch_rows)],
+        }
+    }
+
+    /// The runs, in successor order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Rows of the successor.
+    pub(crate) fn len(&self) -> usize {
+        self.runs.iter().map(|(o, b)| o.len() + b.len()).sum()
+    }
+
+    /// Where each batch run landed in the successor, in order.
+    fn batch_spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut at = 0;
+        self.runs.iter().map(move |(o, b)| {
+            let span = at + o.len()..at + o.len() + b.len();
+            at = span.end;
+            span
+        })
+    }
+
+    /// The successor rid of every batch row, in batch-table order (which
+    /// is successor order).
+    pub(crate) fn batch_rids(&self) -> impl Iterator<Item = Rid> + '_ {
+        self.batch_spans()
+            .flat_map(|s| s.start as Rid..s.end as Rid)
+    }
+
+    /// The renumbering of old rids, or `None` when no old row moves (an
+    /// unpartitioned append, or batch rows only after every old row): a
+    /// row of run `p` moves up by the batch rows of the runs before it —
+    /// a monotone shift, so rid order among old rows is kept.
+    pub(crate) fn renumbering(&self) -> Option<impl Fn(Rid) -> Rid> {
+        let mut before = 0;
+        let mut moves = false;
+        let shifts: Vec<(usize, Rid)> = self
+            .runs
+            .iter()
+            .map(|(o, b)| {
+                moves |= before > 0 && !o.is_empty();
+                let shift = (o.end, before as Rid);
+                before += b.len();
+                shift
+            })
+            .collect();
+        moves.then_some(move |rid: Rid| {
+            rid + shifts[shifts.partition_point(|&(end, _)| end <= rid as usize)].1
+        })
     }
 }
 

@@ -131,14 +131,14 @@ impl AggState {
         }
     }
 
-    fn output_type(func: AggFunc) -> DataType {
+    /// The declared type of the output column, given the input column's
+    /// declared type (`None` for `COUNT(*)`): MIN and MAX keep their
+    /// input's type, SUM and AVG accumulate in `f64`.
+    fn output_type(func: AggFunc, input: Option<DataType>) -> DataType {
         match func {
             AggFunc::Sum | AggFunc::Avg => DataType::Float,
             AggFunc::Count => DataType::Int,
-            // MIN/MAX inherit their input type; reported as Float for the
-            // schema since the engine's numeric Values interconvert.  The
-            // actual Value keeps its native type.
-            AggFunc::Min | AggFunc::Max => DataType::Float,
+            AggFunc::Min | AggFunc::Max => input.expect("MIN/MAX needs a column"),
         }
     }
 }
@@ -202,7 +202,7 @@ pub fn hash_aggregate(
         }
     }
     Some(finalize(
-        tracker, input, group_by, aggregates, group_idx, groups,
+        tracker, input, group_by, aggregates, group_idx, &agg_idx, groups,
     ))
 }
 
@@ -304,8 +304,8 @@ fn null_at(nulls: Option<&NullMask>, i: usize) -> bool {
 /// Updates aggregate `j`'s state for every row, in row order.  `SUM`,
 /// `AVG`, and `COUNT` over numeric columns run typed loops; everything
 /// else goes through [`AggState::update`] with the materialized value
-/// (MIN/MAX keep the input's native type; SUM over a non-numeric input
-/// panics there).
+/// (MIN/MAX keep the input's type; SUM over a non-numeric input panics
+/// there).
 fn update_states(
     states: &mut [Vec<AggState>],
     gids: &[u32],
@@ -369,8 +369,8 @@ fn update_states(
             }
         }
         (_, Some(col)) => {
-            // MIN/MAX (any type), SUM/AVG over Mixed or non-numeric
-            // columns: materialize the value and update per row.
+            // MIN/MAX (any type), SUM/AVG over non-numeric columns:
+            // materialize the value and update per row.
             for (k, &g) in gids.iter().enumerate() {
                 let v = col.value(start + k);
                 states[g as usize][j].update(Some(&v));
@@ -392,6 +392,7 @@ fn finalize(
     group_by: &[String],
     aggregates: &[AggExpr],
     group_idx: Vec<usize>,
+    agg_idx: &[Option<usize>],
     mut groups: HashMap<Vec<Value>, Vec<AggState>>,
 ) -> Batch {
     // Scalar aggregates over empty input still produce one group.
@@ -406,10 +407,11 @@ fn finalize(
         .iter()
         .map(|&i| input.schema.column(i).clone())
         .collect();
-    for a in aggregates {
+    for (a, &i) in aggregates.iter().zip(agg_idx) {
+        let input_type = i.map(|i| input.schema.column(i).data_type);
         columns.push(ColumnMeta::new(
             a.alias.clone(),
-            AggState::output_type(a.func),
+            AggState::output_type(a.func, input_type),
         ));
     }
     let schema = Schema::new(columns);
@@ -634,8 +636,9 @@ mod tests {
                     expect_sum.to_bits()
                 );
             }
-            // MIN over the Int column keeps its native type.
+            // MIN over the Int column keeps its type.
             let lo_idx = whole.schema.expect_index("lo");
+            assert_eq!(whole.schema.column(lo_idx).data_type, DataType::Int);
             assert!(matches!(whole.to_rows()[0][lo_idx], Value::Int(_)));
             for threads in [2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);

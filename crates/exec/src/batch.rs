@@ -48,7 +48,9 @@ impl Batch {
     ///
     /// # Panics
     ///
-    /// Panics when any row's arity differs from the schema.
+    /// Panics when any row's arity differs from the schema, or when a
+    /// value is neither NULL nor of its column's declared type (see
+    /// [`ColumnVec::from_rows`]).
     pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
         assert!(
             rows.iter().all(|r| r.len() == schema.len()),

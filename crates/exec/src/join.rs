@@ -6,10 +6,9 @@
 //! `take` per input column.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
-use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, NullMask, Rid, Schema, Value};
+use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, Rid, Schema, Value};
 
 use crate::batch::Batch;
 use crate::morsel::{run_morsels, ExecOptions};
@@ -33,27 +32,45 @@ fn take_pairs(
     Batch::new(schema, columns)
 }
 
-/// Hash join: builds on `build`, probes with `probe`.
+/// The key column `key` of `batch` as `Option<i64>`s (`None` is NULL).
+///
+/// # Panics
+///
+/// Panics when the column is not `Int`.  Every planned join follows an FK
+/// edge, and [`Catalog::add_foreign_key`] admits only `Int` columns, so
+/// only a hand-built plan gets here with another type.
+fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + Sync + 'a {
+    let ord = batch.schema.expect_index(key);
+    let ColumnVec::Int { values, nulls } = &*batch.columns()[ord] else {
+        panic!(
+            "join key {key:?} is {}, not INT",
+            batch.schema.column(ord).data_type
+        )
+    };
+    move |i| (!nulls.as_ref().is_some_and(|m| m.is_null(i))).then(|| values[i])
+}
+
+/// Hash join: builds on `build`, probes with `probe`.  Keys are `Int`
+/// columns, because every planned join follows an FK edge and
+/// [`Catalog::add_foreign_key`] admits only `Int` columns.  NULL keys join
+/// with each other, matching `Value::total_cmp`'s NULL-equals-NULL.
 ///
 /// Charges one hash insert per build row, one probe per probe row, and one
 /// CPU op per output row.  Output rows are `build ++ probe` columns, in
 /// probe order and, within one probe row, build order.
 ///
-/// When the two key columns are the same type family the table is
-/// *primitive-keyed* (`i64`, `f64` bits, `Arc<str>`, `bool`) straight off
-/// the typed vectors — no per-row `Value` clone or enum dispatch on the
-/// hot path.  Key semantics are `Value`'s storage equality:
+/// Build morsels produce local `key → row indices` maps that are merged
+/// **in morsel index order**; because morsel `i` only holds indices
+/// smaller than morsel `i+1`'s, every key's index list comes out
+/// ascending.  Probe morsels emit their `(build, probe)` index pairs
+/// independently and are concatenated in morsel order.  All three charges
+/// are totals over input/output sizes, so rows, row order, and costs are
+/// the same for every thread count and morsel size.  Returns `None` when
+/// the query's token fired during either phase.
 ///
-/// - NULL keys map to `None` and join with each other, matching
-///   `Value::total_cmp`'s NULL-equals-NULL;
-/// - float keys use `f64::to_bits`, the equivalence `Value` gets from its
-///   `total_cmp`-based `Eq` and `to_bits`-based `Hash`;
-/// - mismatched type families (e.g. an `Int` build key probed by a
-///   `Date`, where `Value`'s tag-prefixed `Hash` never finds the bucket
-///   even though `Eq` would coerce) and `Mixed` columns key the table on
-///   the `Value`s themselves.
+/// # Panics
 ///
-/// Returns `None` when the query's token fired during either phase.
+/// Panics when either key column is not `Int` (a hand-built plan).
 pub fn hash_join(
     tracker: &mut CostTracker,
     build: Batch,
@@ -62,164 +79,16 @@ pub fn hash_join(
     probe_key: &str,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let bcol = &*build.columns()[build.schema.expect_index(build_key)];
-    let pcol = &*probe.columns()[probe.schema.expect_index(probe_key)];
-
-    fn key_null(nulls: &Option<NullMask>) -> impl Fn(usize) -> bool + Sync + '_ {
-        move |i| nulls.as_ref().is_some_and(|m| m.is_null(i))
-    }
-
-    match (bcol, pcol) {
-        (
-            ColumnVec::Int {
-                values: bv,
-                nulls: bn,
-            },
-            ColumnVec::Int {
-                values: pv,
-                nulls: pn,
-            },
-        ) => {
-            let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_keyed(
-                tracker,
-                &build,
-                &probe,
-                |i| (!bnull(i)).then(|| bv[i]),
-                |i| (!pnull(i)).then(|| pv[i]),
-                opts,
-            )
-        }
-        (
-            ColumnVec::Float {
-                values: bv,
-                nulls: bn,
-            },
-            ColumnVec::Float {
-                values: pv,
-                nulls: pn,
-            },
-        ) => {
-            // total_cmp equality ⟺ identical bit patterns.
-            let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_keyed(
-                tracker,
-                &build,
-                &probe,
-                |i| (!bnull(i)).then(|| bv[i].to_bits()),
-                |i| (!pnull(i)).then(|| pv[i].to_bits()),
-                opts,
-            )
-        }
-        (
-            ColumnVec::Date {
-                values: bv,
-                nulls: bn,
-            },
-            ColumnVec::Date {
-                values: pv,
-                nulls: pn,
-            },
-        ) => {
-            let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_keyed(
-                tracker,
-                &build,
-                &probe,
-                |i| (!bnull(i)).then(|| bv[i]),
-                |i| (!pnull(i)).then(|| pv[i]),
-                opts,
-            )
-        }
-        (
-            ColumnVec::Bool {
-                values: bv,
-                nulls: bn,
-            },
-            ColumnVec::Bool {
-                values: pv,
-                nulls: pn,
-            },
-        ) => {
-            let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_keyed(
-                tracker,
-                &build,
-                &probe,
-                |i| (!bnull(i)).then(|| bv[i]),
-                |i| (!pnull(i)).then(|| pv[i]),
-                opts,
-            )
-        }
-        (
-            ColumnVec::Str {
-                codes: bc,
-                dict: bd,
-                nulls: bn,
-            },
-            ColumnVec::Str {
-                codes: pc,
-                dict: pd,
-                nulls: pn,
-            },
-        ) => {
-            // Keys are the dictionary strings themselves (`Arc<str>`
-            // hashes/compares by content); cloning one is a refcount bump.
-            let (bnull, pnull) = (key_null(bn), key_null(pn));
-            join_keyed(
-                tracker,
-                &build,
-                &probe,
-                |i| (!bnull(i)).then(|| Arc::clone(&bd[bc[i] as usize])),
-                |i| (!pnull(i)).then(|| Arc::clone(&pd[pc[i] as usize])),
-                opts,
-            )
-        }
-        // Cross-family or `Mixed`: `Value`'s own `Eq`/`Hash` decide
-        // (`Value::Null` is an ordinary key there).
-        _ => join_keyed(
-            tracker,
-            &build,
-            &probe,
-            |i| Some(bcol.value(i)),
-            |i| Some(pcol.value(i)),
-            opts,
-        ),
-    }
-}
-
-/// The build/probe skeleton over any key type.  `None` keys are NULL and
-/// join with each other.
-///
-/// Build morsels produce local `key → row indices` maps that are merged
-/// **in morsel index order**; because morsel `i` only holds indices
-/// smaller than morsel `i+1`'s, every key's index list comes out
-/// ascending.  Probe morsels emit their `(build, probe)` index pairs
-/// independently and are concatenated in morsel order.  All three charges
-/// are totals over input/output sizes, so rows, row order, and costs are
-/// the same for every thread count and morsel size.
-fn join_keyed<K, FB, FP>(
-    tracker: &mut CostTracker,
-    build: &Batch,
-    probe: &Batch,
-    bkey: FB,
-    pkey: FP,
-    opts: &ExecOptions,
-) -> Option<Batch>
-where
-    K: Hash + Eq + Send + Sync,
-    FB: Fn(usize) -> Option<K> + Sync,
-    FP: Fn(usize) -> Option<K> + Sync,
-{
+    let (bkey, pkey) = (int_key(&build, build_key), int_key(&probe, probe_key));
     tracker.charge_hash_builds(build.len() as u64);
     let partials = run_morsels(opts, build.len(), |morsel| {
-        let mut local: HashMap<Option<K>, Vec<u32>> = HashMap::new();
+        let mut local: HashMap<Option<i64>, Vec<u32>> = HashMap::new();
         for i in morsel {
             local.entry(bkey(i)).or_default().push(i as u32);
         }
         local
     })?;
-    let mut table: HashMap<Option<K>, Vec<u32>> = HashMap::with_capacity(build.len());
+    let mut table: HashMap<Option<i64>, Vec<u32>> = HashMap::with_capacity(build.len());
     for partial in partials {
         for (key, mut indices) in partial {
             table.entry(key).or_default().append(&mut indices);
@@ -242,31 +111,38 @@ where
     Some(take_pairs(schema, build.columns(), probe.columns(), &pairs))
 }
 
-/// One merge-join input's keys in key order, and the row each came
-/// from.  Keys not already sorted are sorted here (stably), charging
-/// `n·log₂(n)` CPU ops.
-fn sorted_keys(tracker: &mut CostTracker, mut keys: Vec<Value>) -> (Vec<Value>, Vec<u32>) {
+/// One merge-join input's `Int` keys in key order (NULL first, as
+/// `Value::total_cmp` orders it), and the row each came from.  Keys not
+/// already sorted are sorted here (stably), charging `n·log₂(n)` CPU ops.
+fn sorted_keys(
+    tracker: &mut CostTracker,
+    batch: &Batch,
+    key: &str,
+) -> (Vec<Option<i64>>, Vec<u32>) {
+    let mut keys: Vec<Option<i64>> = (0..batch.len()).map(int_key(batch, key)).collect();
     let n = keys.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
-    let sorted = keys
-        .windows(2)
-        .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater);
-    if !sorted {
+    if !keys.is_sorted() {
         tracker.charge_cpu_ops(n as u64 * (n.max(2) as f64).log2().ceil() as u64);
-        order.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
-        keys = order.iter().map(|&i| keys[i as usize].clone()).collect();
+        order.sort_by_key(|&i| keys[i as usize]);
+        keys = order.iter().map(|&i| keys[i as usize]).collect();
     }
     (keys, order)
 }
 
-/// Merge join on equality keys.  Inputs not already sorted on their key
-/// are sorted first (an in-memory sort; the experiments' merge joins
-/// consume clustered scans, which arrive sorted and pay nothing).
+/// Merge join on equality of `Int` keys, as [`hash_join`].  Inputs not
+/// already sorted on their key are sorted first (an in-memory sort; the
+/// experiments' merge joins consume clustered scans, which arrive sorted
+/// and pay nothing).
 ///
 /// The sort and the merge are one ordered pass on the calling thread over
 /// the two key columns that yields matching `(left, right)` index pairs;
 /// the output is then gathered from those pairs.  Returns `None` when the
 /// query's token has fired.
+///
+/// # Panics
+///
+/// Panics when either key column is not `Int`.
 pub fn merge_join(
     tracker: &mut CostTracker,
     left: Batch,
@@ -275,24 +151,24 @@ pub fn merge_join(
     right_key: &str,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let (lkeys, lorder) = sorted_keys(tracker, left.column_values(left_key));
-    let (rkeys, rorder) = sorted_keys(tracker, right.column_values(right_key));
+    let (lkeys, lorder) = sorted_keys(tracker, &left, left_key);
+    let (rkeys, rorder) = sorted_keys(tracker, &right, right_key);
 
     tracker.charge_cpu_ops((left.len() + right.len()) as u64);
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
     while i < lkeys.len() && j < rkeys.len() {
-        match lkeys[i].total_cmp(&rkeys[j]) {
+        match lkeys[i].cmp(&rkeys[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 // Emit the cross product of the equal-key runs.
-                let key = &lkeys[i];
+                let key = lkeys[i];
                 let i_end = (i..lkeys.len())
-                    .find(|&x| lkeys[x] != *key)
+                    .find(|&x| lkeys[x] != key)
                     .unwrap_or(lkeys.len());
                 let j_end = (j..rkeys.len())
-                    .find(|&x| rkeys[x] != *key)
+                    .find(|&x| rkeys[x] != key)
                     .unwrap_or(rkeys.len());
                 for &l in &lorder[i..i_end] {
                     pairs.extend(rorder[j..j_end].iter().map(|&r| (l, r)));
@@ -379,6 +255,10 @@ pub fn indexed_nl_join(
 /// Output schema/rows: the fact table only (the dimensions act as
 /// filters).  Returns `None` when the query's token fired during a
 /// dimension scan or before the fact fetch.
+///
+/// # Panics
+///
+/// Panics when `legs` is empty or a leg's dimension key is not `Int`.
 pub fn star_semijoin(
     catalog: &Catalog,
     params: &CostParams,
@@ -403,9 +283,11 @@ pub fn star_semijoin(
         )?;
 
         // Probe the fact FK index once per selected key.
+        let key = int_key(&dim, &leg.dim_key);
         let mut rids: Vec<Rid> = Vec::new();
-        for key in dim.column_values(&leg.dim_key) {
-            let range = crate::plan::IndexRange::eq(&leg.fact_fk, key);
+        for i in 0..dim.len() {
+            let range =
+                crate::plan::IndexRange::eq(&leg.fact_fk, key(i).map_or(Value::Null, Value::Int));
             rids.extend(rids_for_range(catalog, params, tracker, fact_table, &range));
         }
         rids.sort_unstable();
@@ -701,70 +583,57 @@ mod tests {
 
     #[test]
     fn hash_join_typed_and_null_keys() {
-        // Str keys, Float keys (incl. -0.0 vs 0.0 distinctness), NULL
-        // keys (which join with each other under storage equality), and a
-        // cross-family Int-vs-Float pairing that keys the table on the
-        // `Value`s themselves (disjoint non-NULL keys: only NULL matches).
-        let str_batch = |prefix: &str, keys: &[&str]| {
-            Batch::from_rows(
-                Schema::from_pairs(&[(&format!("{prefix}_key"), DataType::Str)]),
-                keys.iter().map(|&k| vec![Value::str(k)]).collect(),
-            )
-        };
-        let cases: Vec<(Batch, Batch)> = vec![
-            (
-                str_batch("a", &["x", "y", "x", "z"]),
-                str_batch("b", &["x", "z", "w", "x"]),
-            ),
-            (
-                Batch::from_rows(
-                    Schema::from_pairs(&[("a_key", DataType::Float)]),
-                    vec![
-                        vec![Value::Float(0.0)],
-                        vec![Value::Float(-0.0)],
-                        vec![Value::Float(2.5)],
-                        vec![Value::Null],
-                    ],
-                ),
-                Batch::from_rows(
-                    Schema::from_pairs(&[("b_key", DataType::Float)]),
-                    vec![
-                        vec![Value::Float(0.0)],
-                        vec![Value::Float(2.5)],
-                        vec![Value::Null],
-                    ],
-                ),
-            ),
-            (
-                Batch::from_rows(
-                    Schema::from_pairs(&[("a_key", DataType::Int)]),
-                    vec![vec![Value::Int(1)], vec![Value::Null], vec![Value::Int(2)]],
-                ),
-                Batch::from_rows(
-                    Schema::from_pairs(&[("b_key", DataType::Float)]),
-                    vec![vec![Value::Float(1.5)], vec![Value::Null]],
-                ),
-            ),
-        ];
-        for (l, r) in cases {
-            let expect = nested_loops(&l, &r);
-            let mut ts = CostTracker::new();
-            let whole = hash_join(
-                &mut ts,
-                l.clone(),
-                r.clone(),
-                "a_key",
-                "b_key",
-                &ExecOptions::serial(),
-            )
-            .unwrap();
-            assert_eq!(whole.to_rows(), expect);
-            let opts = ExecOptions::with_threads(2).with_morsel_size(2);
-            let mut tp = CostTracker::new();
-            let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
-            assert_eq!(par.to_rows(), expect);
-            assert_eq!(tp, ts);
-        }
+        // NULL keys join with each other under storage equality, with the
+        // same rows and charges at 1 and 2 threads.
+        let l = Batch::from_rows(
+            Schema::from_pairs(&[("a_key", DataType::Int)]),
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Null],
+                vec![Value::Int(2)],
+                vec![Value::Null],
+            ],
+        );
+        let r = Batch::from_rows(
+            Schema::from_pairs(&[("b_key", DataType::Int)]),
+            vec![vec![Value::Int(2)], vec![Value::Null], vec![Value::Int(3)]],
+        );
+        let expect = nested_loops(&l, &r);
+        assert_eq!(expect.len(), 3, "one Int match and two NULL matches");
+        let mut ts = CostTracker::new();
+        let whole = hash_join(
+            &mut ts,
+            l.clone(),
+            r.clone(),
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        )
+        .unwrap();
+        assert_eq!(whole.to_rows(), expect);
+        let opts = ExecOptions::with_threads(2).with_morsel_size(2);
+        let mut tp = CostTracker::new();
+        let par = hash_join(&mut tp, l, r, "a_key", "b_key", &opts).unwrap();
+        assert_eq!(par.to_rows(), expect);
+        assert_eq!(tp, ts);
+    }
+
+    #[test]
+    #[should_panic(expected = "join key \"b_key\" is STR, not INT")]
+    fn hash_join_refuses_a_non_int_key() {
+        let l = batch("a", &[1], &[0]);
+        let r = Batch::from_rows(
+            Schema::from_pairs(&[("b_key", DataType::Str)]),
+            vec![vec![Value::str("x")]],
+        );
+        hash_join(
+            &mut CostTracker::new(),
+            l,
+            r,
+            "a_key",
+            "b_key",
+            &ExecOptions::serial(),
+        );
     }
 
     #[test]

@@ -60,15 +60,16 @@ pub struct SemiJoinLeg {
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
-    /// `SUM(col)`
+    /// `SUM(col)`, accumulated in `f64`: the output is `Float` whatever
+    /// the input, so a `SUM` over `Int` is exact only up to 2^53.
     Sum,
     /// `COUNT(*)` (column ignored) or `COUNT(col)`
     Count,
     /// `AVG(col)`
     Avg,
-    /// `MIN(col)`
+    /// `MIN(col)`, of `col`'s declared type
     Min,
-    /// `MAX(col)`
+    /// `MAX(col)`, of `col`'s declared type
     Max,
 }
 
@@ -84,7 +85,8 @@ pub struct AggExpr {
 }
 
 impl AggExpr {
-    /// `SUM(column) AS alias`
+    /// `SUM(column) AS alias`, a `Float` output accumulated in `f64`
+    /// (exact over `Int` only up to 2^53).
     pub fn sum(column: impl Into<String>, alias: impl Into<String>) -> Self {
         Self {
             func: AggFunc::Sum,

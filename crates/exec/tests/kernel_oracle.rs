@@ -20,8 +20,8 @@ use rqo_exec::{
 };
 use rqo_expr::Expr;
 use rqo_storage::{
-    Catalog, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder, Rid,
-    Schema, TableBuilder, Value,
+    Catalog, ColumnVec, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder,
+    Rid, Schema, TableBuilder, Value,
 };
 use std::sync::Arc;
 
@@ -256,8 +256,148 @@ fn agg_menu(a: &str, b: &str) -> Vec<AggExpr> {
     ]
 }
 
+/// The five typed columns of [`typed_batch`], with their types.
+const TYPED: [(&str, DataType); 5] = [
+    ("i", DataType::Int),
+    ("f", DataType::Float),
+    ("d", DataType::Date),
+    ("s", DataType::Str),
+    ("t", DataType::Bool),
+];
+
+/// NULL-heavy batch: an `Int` group key `g` (0–3, 4 is NULL) and one
+/// column of each type.  Column `c` is NULL when bit `c` of `nulls` is
+/// set, and otherwise decoded from `x` rotated by `13·c` (so floats cover
+/// NaNs, infinities and both zeros).
+fn typed_batch(rows: &[(u8, u8, u64)]) -> Batch {
+    let mut pairs = vec![("g", DataType::Int)];
+    pairs.extend(TYPED);
+    let rows = rows
+        .iter()
+        .map(|&(g, nulls, x)| {
+            let key = if g == 4 {
+                Value::Null
+            } else {
+                Value::Int(g.into())
+            };
+            let cells = TYPED.iter().enumerate().map(|(c, &(_, dt))| {
+                let x = x.rotate_left(13 * c as u32);
+                match dt {
+                    _ if nulls >> c & 1 == 1 => Value::Null,
+                    DataType::Int => Value::Int(x as i64 % 50),
+                    DataType::Float => Value::Float(f64::from_bits(x)),
+                    DataType::Date => Value::Date(x as i32),
+                    DataType::Str => Value::str(format!("s{}", x % 7)),
+                    DataType::Bool => Value::Bool(x % 2 == 0),
+                }
+            });
+            std::iter::once(key).chain(cells).collect()
+        })
+        .collect();
+    Batch::from_rows(Schema::from_pairs(&pairs), rows)
+}
+
+/// A `Value`'s identity: variant tag plus payload bits (`Value`'s own
+/// `==` is storage equality, under which `Int(1) == Float(1.0)`).
+fn bits(v: &Value) -> (u8, u64, Option<Arc<str>>) {
+    match v {
+        Value::Null => (0, 0, None),
+        Value::Int(x) => (1, *x as u64, None),
+        Value::Float(x) => (2, x.to_bits(), None),
+        Value::Date(x) => (3, *x as u64, None),
+        Value::Str(s) => (4, 0, Some(Arc::clone(s))),
+        Value::Bool(b) => (5, *b as u64, None),
+    }
+}
+
+/// Row-at-a-time MIN/MAX oracle over [`typed_batch`]: per group (or one
+/// scalar group), MIN then MAX of each typed column by
+/// `Value::total_cmp`, skipping NULLs; groups sorted by key.
+fn oracle_min_max(batch: &Batch, grouped: bool) -> Vec<Vec<Value>> {
+    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+    if !grouped {
+        groups.push((Value::Null, vec![Value::Null; 2 * TYPED.len()]));
+    }
+    for row in batch.to_rows() {
+        let key = if grouped { row[0].clone() } else { Value::Null };
+        let at = match groups.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                groups.push((key, vec![Value::Null; 2 * TYPED.len()]));
+                groups.len() - 1
+            }
+        };
+        let acc = &mut groups[at].1;
+        for (c, v) in row[1..].iter().enumerate() {
+            use std::cmp::Ordering::{Greater, Less};
+            for (slot, wins) in [(2 * c, Less), (2 * c + 1, Greater)] {
+                if !v.is_null() && (acc[slot].is_null() || v.total_cmp(&acc[slot]) == wins) {
+                    acc[slot] = v.clone();
+                }
+            }
+        }
+    }
+    groups.sort_by(|x, y| x.0.total_cmp(&y.0));
+    groups
+        .into_iter()
+        .map(|(key, acc)| {
+            if grouped {
+                [vec![key], acc].concat()
+            } else {
+                acc
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// MIN and MAX keep their input's type: over `Int`, `Float`, `Date`,
+    /// `Str` and `Bool` inputs, grouped and scalar, every output column
+    /// is declared with the input's type and is that typed column, and
+    /// its rows equal the row oracle's bit for bit at every thread count.
+    #[test]
+    fn min_max_outputs_keep_their_input_type(
+        rows in prop::collection::vec((0u8..5, any::<u8>(), any::<u64>()), 0..120),
+    ) {
+        let batch = typed_batch(&rows);
+        let aggs: Vec<AggExpr> = TYPED
+            .iter()
+            .flat_map(|(c, _)| [AggExpr::min(*c, format!("lo_{c}")), AggExpr::max(*c, format!("hi_{c}"))])
+            .collect();
+        for grouped in [false, true] {
+            let group_by = if grouped { vec!["g".to_string()] } else { vec![] };
+            let expect = oracle_min_max(&batch, grouped);
+            let first = usize::from(grouped);
+            for opts in thread_opts() {
+                let mut t = CostTracker::new();
+                let out = hash_aggregate(&mut t, batch.clone(), &group_by, &aggs, &opts).unwrap();
+                for (k, col) in out.columns()[first..].iter().enumerate() {
+                    let dt = TYPED[k / 2].1;
+                    prop_assert_eq!(out.schema.column(first + k).data_type, dt);
+                    let typed = matches!(
+                        (&**col, dt),
+                        (ColumnVec::Int { .. }, DataType::Int)
+                            | (ColumnVec::Float { .. }, DataType::Float)
+                            | (ColumnVec::Date { .. }, DataType::Date)
+                            | (ColumnVec::Str { .. }, DataType::Str)
+                            | (ColumnVec::Bool { .. }, DataType::Bool)
+                    );
+                    prop_assert!(typed, "{} output is a {:?}", dt, col);
+                }
+                let got = out.to_rows();
+                prop_assert_eq!(got.len(), expect.len());
+                for (g, e) in got.iter().zip(&expect) {
+                    prop_assert_eq!(
+                        g.iter().map(bits).collect::<Vec<_>>(),
+                        e.iter().map(bits).collect::<Vec<_>>(),
+                        "threads={}", opts.threads
+                    );
+                }
+            }
+        }
+    }
 
     /// The vectorized filter kernel reproduces the row oracle exactly —
     /// rows, order — at every thread count.

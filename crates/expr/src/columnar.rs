@@ -202,10 +202,6 @@ fn cmp_select(
         (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) => {
             str_select(codes, dict, nulls, cand, |d| ord_ok(op, d.cmp(s.as_ref())))
         }
-        (ColumnVec::Mixed(values), lit) => select_where(cand, |i| {
-            let v = &values[i];
-            !v.is_null() && ord_ok(op, v.total_cmp(lit))
-        }),
         _ => return None,
     })
 }

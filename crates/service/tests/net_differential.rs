@@ -157,6 +157,37 @@ fn concurrent_wire_results_match_in_process_sessions() {
     }
 }
 
+/// MIN and MAX over a `Str` column (grouped, across a join) keep their
+/// input's type end to end: the wire reply equals the in-process one,
+/// and every aggregate cell arrives as a `Str` value.
+#[test]
+fn min_over_str_matches_in_process() {
+    let query = Query::over(&["lineitem", "part"])
+        .group(&["p_size"])
+        .aggregate(AggExpr::min("p_brand", "lo"))
+        .aggregate(AggExpr::max("p_container", "hi"));
+    let truth = QueryService::new(engine(), ServiceConfig::default())
+        .session()
+        .run(&query)
+        .expect("in-process run");
+    assert!(!truth.rows.is_empty(), "the query selects some rows");
+
+    let service = QueryService::new(engine(), ServiceConfig::default());
+    let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let reply = client.run(&query).expect("wire query succeeds");
+    for row in &reply.rows {
+        assert!(
+            row[1..].iter().all(|v| matches!(v, Value::Str(_))),
+            "MIN/MAX over Str reply as Str: {row:?}"
+        );
+    }
+    assert_eq!(
+        Core::from_reply(reply),
+        Core::of(truth.rows, truth.columns, truth.simulated_seconds, 0)
+    );
+}
+
 /// A reply several times the 64 KiB at which the server writes queued
 /// frames out mid-reply (every `lineitem` row, ≈ 300 KiB encoded), read
 /// frame by frame: however `batch_rows` cuts it and wherever the flushes

@@ -2,9 +2,9 @@
 //! connection while a query is executing must cancel it through the
 //! existing [`QueryToken`] path — promptly, with the engine's no-trace
 //! hygiene (no plan-cache insert, no feedback observations), and with
-//! the service counters balancing afterwards.  The same long-query
-//! machinery also pins the per-tenant admission quota, which needs a
-//! genuinely in-flight query to be observable.
+//! the service counters balancing afterwards.  A reply the client never
+//! reads also pins the per-tenant admission quota, which needs a query
+//! held in flight to be observable.
 //!
 //! The long query is a three-way join sized to run for seconds in
 //! debug builds (hundreds of milliseconds in release); the test never
@@ -57,13 +57,14 @@ fn assert_quiescent_and_balanced(stats: ServiceStats) {
 
 #[test]
 fn disconnect_mid_query_cancels_via_token_with_no_trace() {
-    let server = server_with(NetServerConfig::default());
+    let server = server_with(NetServerConfig::default().with_tenant_quota(1));
     let service = server.service().clone();
     let engine = service.engine().clone();
 
     // Fire the query without waiting for its reply, then watch it get
-    // admitted.
+    // admitted.  It holds tenant "acme"'s only quota unit.
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    client.hello("acme").expect("hello");
     let req = Request::Run {
         id: 1,
         mode: RunMode::Run,
@@ -100,11 +101,13 @@ fn disconnect_mid_query_cancels_via_token_with_no_trace() {
         "cancelled query recorded feedback"
     );
 
-    // And the engine is unharmed: the same query completes over a fresh
-    // connection with the right answer.
+    // And the engine is unharmed: the cancelled query gave its tenant's
+    // quota unit back, so "acme" runs a query over a fresh connection.
     let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
+    retry.hello("acme").expect("hello");
     let reply = retry.run(&short_query()).expect("server still serves");
     assert_eq!(reply.rows.len(), 1);
+    assert_eq!(server.stats().tenant_rejections, 0, "{}", server.stats());
 }
 
 /// The other place a client can vanish: not while its query runs but
@@ -160,14 +163,16 @@ fn tenant_quota_bounds_in_flight_queries_per_tenant() {
     let service = server.service().clone();
     let addr = server.local_addr();
 
-    // Tenant "acme" occupies its whole quota with one long query...
+    // Tenant "acme" occupies its whole quota with one query whose
+    // ≈ 14 MB reply it never reads: the connection's handler blocks on
+    // the write and holds the slot however fast the query itself ran...
     let mut first = NetClient::connect(addr).expect("connect first");
     first.hello("acme").expect("hello");
     let req = Request::Run {
         id: 1,
         mode: RunMode::Run,
         deadline_ms: 0,
-        query: long_query(),
+        query: Query::over(&["lineitem", "part"]),
     };
     let mut frame = Vec::new();
     write_frame(&mut frame, &req.encode()).unwrap();
@@ -189,13 +194,22 @@ fn tenant_quota_bounds_in_flight_queries_per_tenant() {
     let reply = other.run(&short_query()).expect("other tenant unaffected");
     assert_eq!(reply.rows.len(), 1);
 
-    // Ending the first query (via disconnect-cancel) releases the
-    // quota slot for the tenant.
+    // Hanging up ends the first connection's handler, which releases the
+    // tenant's slot; retry until it has.
     first.stream().shutdown(Shutdown::Both).expect("shutdown");
     drop(first);
-    poll_until("first query cancelled", || service.stats().cancelled == 1);
-    let reply = second.run(&short_query()).expect("quota slot released");
-    assert_eq!(reply.rows.len(), 1);
+    let mut reply = None;
+    poll_until("quota slot released", || match second.run(&short_query()) {
+        Err(ClientError::Server {
+            code: ErrorCode::TenantQuota,
+            ..
+        }) => false,
+        other => {
+            reply = Some(other.expect("the second acme query runs"));
+            true
+        }
+    });
+    assert_eq!(reply.expect("polled until it ran").rows.len(), 1);
 
     assert_quiescent_and_balanced(service.stats());
 }

@@ -13,7 +13,7 @@ use crate::error::StorageError;
 use crate::index::{SecondaryIndex, UniqueIndex};
 use crate::partition::Partitioning;
 use crate::table::{Splice, Table};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// Opaque identifier of a registered table (its registration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,11 +138,15 @@ impl Catalog {
     /// Declares a foreign key and builds the unique index on the referenced
     /// side if it does not already exist.
     ///
-    /// Returns an error when either endpoint is missing, when the edge
-    /// would create a cycle in the FK graph (the paper assumes acyclic join
-    /// graphs; synopsis construction would not terminate otherwise), or —
-    /// [`StorageError::DuplicateKey`] — when the referenced column is not
-    /// unique.
+    /// Both columns must be `Int`: every join the planner emits follows
+    /// an FK edge, so this is what makes every join key an `i64`.
+    ///
+    /// Returns an error when either endpoint is missing, when either
+    /// column is not `Int` or the edge would create a cycle in the FK graph
+    /// (the paper assumes acyclic join graphs; synopsis construction would
+    /// not terminate otherwise) — both [`StorageError::InvalidForeignKey`]
+    /// — or, [`StorageError::DuplicateKey`], when the referenced column is
+    /// not unique.  A rejected edge leaves the catalog unchanged.
     pub fn add_foreign_key(
         &mut self,
         from_table: &str,
@@ -150,19 +154,25 @@ impl Catalog {
         to_table: &str,
         to_column: &str,
     ) -> Result<(), StorageError> {
-        let from = self.table(from_table)?.clone();
-        if from.schema().index_of(from_column).is_none() {
-            return Err(StorageError::UnknownColumn {
-                table: from_table.to_string(),
-                column: from_column.to_string(),
-            });
-        }
-        let to = self.table(to_table)?.clone();
-        if to.schema().index_of(to_column).is_none() {
-            return Err(StorageError::UnknownColumn {
-                table: to_table.to_string(),
-                column: to_column.to_string(),
-            });
+        let declared = |table: &str, column: &str| {
+            let schema = self.table(table)?.schema();
+            schema
+                .index_of(column)
+                .map(|i| schema.column(i).data_type)
+                .ok_or_else(|| StorageError::UnknownColumn {
+                    table: table.to_string(),
+                    column: column.to_string(),
+                })
+        };
+        let (from_type, to_type) = (
+            declared(from_table, from_column)?,
+            declared(to_table, to_column)?,
+        );
+        if (from_type, to_type) != (DataType::Int, DataType::Int) {
+            return Err(StorageError::InvalidForeignKey(format!(
+                "{from_table}.{from_column} ({from_type}) -> {to_table}.{to_column} \
+                 ({to_type}): join keys must both be INT"
+            )));
         }
         if self.reaches(to_table, from_table) {
             return Err(StorageError::InvalidForeignKey(format!(
@@ -428,6 +438,66 @@ mod tests {
         let mut cat2 = Catalog::new();
         cat2.add_table(make_table("a", &[1], Some(&[1]))).unwrap();
         assert!(cat2.add_foreign_key("a", "fk", "a", "pk").is_err());
+    }
+
+    /// A one-column table `name(col)` holding `values`.
+    fn column_table(name: &str, col: &str, values: &[Value]) -> Table {
+        let dt = values[0].data_type().unwrap();
+        let mut b = TableBuilder::new(name, Schema::from_pairs(&[(col, dt)]), values.len());
+        for v in values {
+            b.push_row(std::slice::from_ref(v));
+        }
+        b.finish()
+    }
+
+    /// Rejects the edge `child.fk -> parent.pk` as `InvalidForeignKey`
+    /// naming both declared types, and leaves the catalog unchanged.
+    fn assert_fk_rejected(child: &[Value], parent: &[Value], types: &str) {
+        let mut cat = Catalog::new();
+        cat.add_table(column_table("child", "fk", child)).unwrap();
+        cat.add_table(column_table("parent", "pk", parent)).unwrap();
+        match cat.add_foreign_key("child", "fk", "parent", "pk") {
+            Err(StorageError::InvalidForeignKey(msg)) => {
+                assert!(msg.contains(types), "{msg:?} names {types:?}")
+            }
+            other => panic!("expected InvalidForeignKey, got {other:?}"),
+        }
+        assert!(cat.foreign_keys().is_empty(), "no edge recorded");
+        assert!(cat.unique_index("parent", "pk").is_none(), "no index built");
+    }
+
+    #[test]
+    fn fk_rejects_a_str_primary_key() {
+        assert_fk_rejected(
+            &[Value::Int(1)],
+            &[Value::str("a"), Value::str("b")],
+            "child.fk (INT) -> parent.pk (STR)",
+        );
+    }
+
+    #[test]
+    fn fk_rejects_a_date_foreign_key_column() {
+        assert_fk_rejected(
+            &[Value::Date(1), Value::Date(2)],
+            &[Value::Int(1), Value::Int(2)],
+            "child.fk (DATE) -> parent.pk (INT)",
+        );
+    }
+
+    #[test]
+    fn fk_accepts_int_to_int() {
+        let mut cat = Catalog::new();
+        cat.add_table(column_table("child", "fk", &[Value::Int(2)]))
+            .unwrap();
+        cat.add_table(column_table(
+            "parent",
+            "pk",
+            &[Value::Int(1), Value::Int(2)],
+        ))
+        .unwrap();
+        cat.add_foreign_key("child", "fk", "parent", "pk").unwrap();
+        assert_eq!(cat.foreign_keys().len(), 1);
+        assert_eq!(cat.unique_index("parent", "pk").unwrap().get(2), Some(1));
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! dictionary-encoded and the dictionary sits behind an `Arc`, so
 //! [`ColumnVec::take`] — the gather every filter, fetch, and join ends
 //! with — copies codes and never touches a string.  Stored columns hold
-//! no NULLs; intermediates may, and an aggregate output whose values do
-//! not all match the declared type (MIN/MAX keep their input's native
-//! type under a `Float` schema) demotes to [`ColumnVec::Mixed`], which
-//! keeps every `Value` verbatim.  `Value`s are only rebuilt at the edge
+//! no NULLs; intermediates may.  Every column holds values of its
+//! declared type (or NULL).  `Value`s are only rebuilt at the edge
 //! ([`ColumnVec::value`]).
 
 use std::collections::HashMap;
@@ -145,8 +143,6 @@ pub enum ColumnVec {
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
-    /// Escape hatch for heterogeneous columns: the values verbatim.
-    Mixed(Vec<Value>),
 }
 
 impl ColumnVec {
@@ -188,7 +184,6 @@ impl ColumnVec {
                 dict: Arc::clone(dict),
                 nulls: None,
             },
-            ColumnVec::Mixed(_) => ColumnVec::Mixed(Vec::with_capacity(cap)),
             ColumnVec::Int { .. } => ColumnVec::with_capacity(DataType::Int, cap),
             ColumnVec::Float { .. } => ColumnVec::with_capacity(DataType::Float, cap),
             ColumnVec::Date { .. } => ColumnVec::with_capacity(DataType::Date, cap),
@@ -198,13 +193,12 @@ impl ColumnVec {
 
     /// Extracts column `ord` of row-major `rows` into a typed vector.
     ///
-    /// Values must be the declared type or NULL; anything else (legal
-    /// only in aggregate output columns) produces a [`ColumnVec::Mixed`]
-    /// column that preserves every `Value` bit-for-bit.
-    ///
     /// # Panics
     ///
-    /// Panics when any row is shorter than `ord + 1`.
+    /// Panics when any row is shorter than `ord + 1`, or when a value is
+    /// neither NULL nor of type `dt` (a programmer error: stored rows are
+    /// checked before they get here, and every operator declares the
+    /// type of what it outputs).
     pub fn from_rows(rows: &[Vec<Value>], ord: usize, dt: DataType) -> ColumnVec {
         let mut b = ColumnBuilder::new(ColumnVec::with_capacity(dt, rows.len()));
         for r in rows {
@@ -221,7 +215,6 @@ impl ColumnVec {
             ColumnVec::Date { values, .. } => values.len(),
             ColumnVec::Str { codes, .. } => codes.len(),
             ColumnVec::Bool { values, .. } => values.len(),
-            ColumnVec::Mixed(values) => values.len(),
         }
     }
 
@@ -232,10 +225,7 @@ impl ColumnVec {
 
     /// True when row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            ColumnVec::Mixed(values) => values[i].is_null(),
-            _ => self.null_mask().is_some_and(|m| m.is_null(i)),
-        }
+        self.null_mask().is_some_and(|m| m.is_null(i))
     }
 
     /// Materializes the `Value` at row `i` (NULL positions yield
@@ -263,7 +253,6 @@ impl ColumnVec {
                 Value::Str(Arc::clone(&dict[codes[i] as usize]))
             }
             ColumnVec::Str { .. } => Value::Null,
-            ColumnVec::Mixed(values) => values[i].clone(),
         }
     }
 
@@ -300,9 +289,6 @@ impl ColumnVec {
                 values: pick(values, ids),
                 nulls: mask(nulls),
             },
-            ColumnVec::Mixed(values) => {
-                ColumnVec::Mixed(ids.iter().map(|&i| values[i as usize].clone()).collect())
-            }
         }
     }
 
@@ -366,12 +352,11 @@ impl ColumnVec {
                     nulls,
                 }
             }
-            (ColumnVec::Mixed(a), ColumnVec::Mixed(b)) => ColumnVec::Mixed(spliced(a, b, runs)),
             _ => panic!("cannot splice columns of two different types"),
         }
     }
 
-    /// The null bitmap, if any (a `Mixed` column keeps NULLs as values).
+    /// The null bitmap, if any.
     fn null_mask(&self) -> Option<&NullMask> {
         match self {
             ColumnVec::Int { nulls, .. }
@@ -379,7 +364,6 @@ impl ColumnVec {
             | ColumnVec::Date { nulls, .. }
             | ColumnVec::Str { nulls, .. }
             | ColumnVec::Bool { nulls, .. } => nulls.as_ref(),
-            ColumnVec::Mixed(_) => None,
         }
     }
 }
@@ -430,12 +414,15 @@ impl ColumnBuilder {
         self.col.len()
     }
 
-    /// Appends one value: the column's type or NULL; the first value of
-    /// any other type demotes the column to [`ColumnVec::Mixed`].
+    /// Appends one value: the column's type or NULL.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value of any other type, naming the column's type and
+    /// the value.
     pub(crate) fn push(&mut self, v: &Value) {
         let row = self.col.len();
         let nulls = match (&mut self.col, v) {
-            (ColumnVec::Mixed(values), v) => return values.push(v.clone()),
             (ColumnVec::Int { values, nulls }, Value::Int(_) | Value::Null) => {
                 values.push(if let Value::Int(x) = v { *x } else { 0 });
                 nulls
@@ -464,10 +451,14 @@ impl ColumnBuilder {
                 nulls
             }
             (col, v) => {
-                let mut values: Vec<Value> = (0..row).map(|i| col.value(i)).collect();
-                values.push(v.clone());
-                *col = ColumnVec::Mixed(values);
-                return;
+                let dt = match col {
+                    ColumnVec::Int { .. } => DataType::Int,
+                    ColumnVec::Float { .. } => DataType::Float,
+                    ColumnVec::Date { .. } => DataType::Date,
+                    ColumnVec::Str { .. } => DataType::Str,
+                    ColumnVec::Bool { .. } => DataType::Bool,
+                };
+                panic!("{dt} column cannot hold {v:?}")
             }
         };
         if v.is_null() {
@@ -536,18 +527,15 @@ mod tests {
 
     #[test]
     fn from_rows_heterogeneous_falls_back_to_mixed() {
-        // A MIN/MAX output column: declared Float, holds a native Int.
-        let rows = vec![vec![Value::Int(7)], vec![Value::Float(2.5)]];
-        let col = ColumnVec::from_rows(&rows, 0, DataType::Float);
-        match &col {
-            ColumnVec::Mixed(values) => {
-                assert_eq!(values[0], Value::Int(7));
-                assert!(matches!(values[0], Value::Int(7)));
-            }
-            other => panic!("expected Mixed, got {other:?}"),
-        }
-        assert_eq!(col.value(0), Value::Int(7));
-        assert!(matches!(col.value(0), Value::Int(7)), "type preserved");
+        // An off-type value is a programmer error, not a demotion: the
+        // column keeps its declared type or the build stops.
+        let rows = vec![vec![Value::Float(2.5)], vec![Value::Int(7)]];
+        let err = std::panic::catch_unwind(|| ColumnVec::from_rows(&rows, 0, DataType::Float))
+            .expect_err("an off-type value panics");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert_eq!(msg, "FLOAT column cannot hold Int(7)");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum StorageError {
     DuplicateTable(String),
     /// A row being appended does not match the schema.
     SchemaMismatch(String),
-    /// A foreign key references a missing table/column or would create a
+    /// A foreign key joins a column that is not `Int`, or would create a
     /// cycle.
     InvalidForeignKey(String),
     /// A column that must be unique (a primary key behind a unique index)

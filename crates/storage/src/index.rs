@@ -146,7 +146,6 @@ impl SecondaryIndex {
             ColumnVec::Str { codes, dict, .. } => {
                 codes.partition_point(|&c| at(Value::Str(Arc::clone(&dict[c as usize]))))
             }
-            ColumnVec::Mixed(values) => values.partition_point(|k| before(k.total_cmp(v))),
         }
     }
 }
@@ -170,7 +169,6 @@ fn argsort(col: &ColumnVec, rids: impl Iterator<Item = Rid>) -> Vec<Rid> {
         ColumnVec::Date { values, .. } => by(rids, |r| values[r]),
         ColumnVec::Bool { values, .. } => by(rids, |r| values[r]),
         ColumnVec::Str { codes, dict, .. } => by(rids, |r| dict[codes[r] as usize].as_ref()),
-        ColumnVec::Mixed(values) => by(rids, |r| values[r].clone()),
     }
 }
 

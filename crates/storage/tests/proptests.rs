@@ -23,7 +23,7 @@ const TYPES: [DataType; 5] = [
 /// mostly on-type values built straight from `payload`'s bits (so floats
 /// cover NaN payloads, infinities and both zeros; strings both repeat and
 /// stay distinct), some NULLs, and — when `off_type` — an occasional value
-/// of another type, which must demote the column to `Mixed`.
+/// of another type, which a column build must refuse.
 fn cell(dt: DataType, off_type: bool, kind: u8, payload: u64) -> Value {
     let on_type = |dt: DataType| match dt {
         DataType::Int => Value::Int(payload as i64),
@@ -65,14 +65,11 @@ fn bits(v: &Value) -> (u8, u64, Option<Arc<str>>) {
     }
 }
 
-fn column(dt: usize, off_type: bool, cells: &[(u8, u64)]) -> (Vec<Vec<Value>>, ColumnVec) {
-    let dt = TYPES[dt];
-    let rows: Vec<Vec<Value>> = cells
+fn column_rows(dt: DataType, off_type: bool, cells: &[(u8, u64)]) -> Vec<Vec<Value>> {
+    cells
         .iter()
         .map(|&(kind, payload)| vec![cell(dt, off_type, kind, payload)])
-        .collect();
-    let col = ColumnVec::from_rows(&rows, 0, dt);
-    (rows, col)
+        .collect()
 }
 
 fn int_table(values: &[i64]) -> Table {
@@ -153,29 +150,37 @@ proptest! {
         off_type: bool,
         cells in prop::collection::vec((0u8..12, any::<u64>()), 0..120),
     ) {
-        let (rows, col) = column(dt, off_type, &cells);
+        let dt = TYPES[dt];
+        let rows = column_rows(dt, off_type, &cells);
+        let built = std::panic::catch_unwind(|| ColumnVec::from_rows(&rows, 0, dt));
+        // Any value of another type — an `Int` bound for a `Float` column
+        // included, since only stored rows widen — panics; NULLs never do.
+        let has_off_type = rows.iter().any(|r| r[0].data_type().is_some_and(|t| t != dt));
+        prop_assert_eq!(built.is_err(), has_off_type);
+        let Ok(col) = built else { return Ok(()) };
+        let typed = matches!(
+            (&col, dt),
+            (ColumnVec::Int { .. }, DataType::Int)
+                | (ColumnVec::Float { .. }, DataType::Float)
+                | (ColumnVec::Date { .. }, DataType::Date)
+                | (ColumnVec::Str { .. }, DataType::Str)
+                | (ColumnVec::Bool { .. }, DataType::Bool)
+        );
+        prop_assert!(typed, "a {} column stays typed: {:?}", dt, col);
         prop_assert_eq!(col.len(), rows.len());
         for (i, row) in rows.iter().enumerate() {
             prop_assert_eq!(bits(&col.value(i)), bits(&row[0]), "row {}", i);
             prop_assert_eq!(col.is_null(i), row[0].is_null());
         }
-        // Only an off-type value demotes; NULLs never do.
-        let demoted = matches!(col, ColumnVec::Mixed(_));
-        let has_off_type = rows.iter().any(|r| !r[0].is_null() && !TYPES[dt].accepts(&r[0]))
-            // `accepts` lets Int into Float columns (storage widens them);
-            // an intermediate column must keep such a value verbatim.
-            || (TYPES[dt] == DataType::Float && rows.iter().any(|r| matches!(r[0], Value::Int(_))));
-        prop_assert_eq!(demoted, has_off_type);
     }
 
     #[test]
     fn take_equals_row_at_a_time_indexing(
         dt in 0usize..5,
-        off_type: bool,
         cells in prop::collection::vec((0u8..12, any::<u64>()), 1..120),
         picks in prop::collection::vec(any::<u32>(), 0..200),
     ) {
-        let (_, col) = column(dt, off_type, &cells);
+        let col = ColumnVec::from_rows(&column_rows(TYPES[dt], false, &cells), 0, TYPES[dt]);
         // Arbitrary ids: unsorted, repeated, any subset.
         let ids: Vec<u32> = picks.iter().map(|p| p % col.len() as u32).collect();
         let taken = col.take(&ids);

@@ -157,3 +157,64 @@ fn sampling_randomness_never_affects_results() {
     // the answer stays fixed.
     assert!(!shapes.is_empty());
 }
+
+/// Lines matching `^\s*pub ` under `crates/<crate>/src`, per library
+/// crate, and the line count of DESIGN.md.  Growth is a decision: a
+/// number above its budget fails until the same change raises the budget.
+/// Falling below is free — lower the budget to keep the ratchet tight.
+const PUB_LINE_BUDGET: [(&str, usize); 9] = [
+    ("core", 162),
+    ("datagen", 40),
+    ("exec", 135),
+    ("expr", 44),
+    ("math", 65),
+    ("optimizer", 160),
+    ("service", 167),
+    ("stats", 99),
+    ("storage", 173),
+];
+const DESIGN_LINE_BUDGET: usize = 901;
+
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn public_surface_and_design_stay_within_budget() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut over = Vec::new();
+    for (krate, budget) in PUB_LINE_BUDGET {
+        let mut files = Vec::new();
+        rust_files(&root.join("crates").join(krate).join("src"), &mut files);
+        let count: usize = files
+            .iter()
+            .map(|f| {
+                std::fs::read_to_string(f)
+                    .expect("read source")
+                    .lines()
+                    .filter(|l| l.trim_start().starts_with("pub "))
+                    .count()
+            })
+            .sum();
+        if count > budget {
+            over.push(format!(
+                "crates/{krate}: {count} pub lines > budget {budget}"
+            ));
+        }
+    }
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let lines = design.lines().count();
+    if lines > DESIGN_LINE_BUDGET {
+        over.push(format!(
+            "DESIGN.md: {lines} lines > budget {DESIGN_LINE_BUDGET}"
+        ));
+    }
+    assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
+}

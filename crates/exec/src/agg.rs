@@ -1,145 +1,304 @@
 //! Hash aggregation.
+//!
+//! Each row's group key becomes a few words and then a dense group id
+//! through the crate's one key table (`keys.rs`, shared with
+//! [`crate::join::hash_join`]); every aggregate keeps its states in one
+//! flat array indexed by group id.  A scalar aggregate is the zero-word
+//! key: every row is group 0.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
 use rqo_storage::{ColumnMeta, ColumnVec, CostTracker, DataType, NullMask, Schema, Value};
 
 use crate::batch::Batch;
+use crate::keys::{KeyColumns, KeyTable};
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::{AggExpr, AggFunc};
 
-/// Running state of one aggregate.
-#[derive(Debug, Clone)]
-enum AggState {
-    Sum(f64),
-    Count(u64),
-    Avg { sum: f64, count: u64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
+/// One aggregate's running states, one per group id.
+enum States {
+    Sum(Vec<f64>),
+    /// `COUNT(*)` or `COUNT(col)`.
+    Count(Vec<u64>),
+    /// Sums and non-NULL counts.
+    Avg(Vec<f64>, Vec<u64>),
+    /// MIN (`Less` wins) or MAX (`Greater` wins): NULL until a non-NULL
+    /// value arrives.
+    Best(Vec<Value>, Ordering),
 }
 
-impl AggState {
+impl States {
     fn new(func: AggFunc) -> Self {
         match func {
-            AggFunc::Sum => AggState::Sum(0.0),
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
+            AggFunc::Sum => States::Sum(Vec::new()),
+            AggFunc::Count => States::Count(Vec::new()),
+            AggFunc::Avg => States::Avg(Vec::new(), Vec::new()),
+            AggFunc::Min => States::Best(Vec::new(), Ordering::Less),
+            AggFunc::Max => States::Best(Vec::new(), Ordering::Greater),
         }
     }
 
-    fn update(&mut self, v: Option<&Value>) {
+    /// Grows to `n` groups, each new one at the identity.
+    fn resize(&mut self, n: usize) {
         match self {
-            AggState::Sum(acc) => {
-                let v = v.expect("SUM needs a column");
-                if !v.is_null() {
-                    *acc += v.as_f64();
-                }
+            States::Sum(s) => s.resize(n, 0.0),
+            States::Count(c) => c.resize(n, 0),
+            States::Avg(s, c) => {
+                s.resize(n, 0.0);
+                c.resize(n, 0);
             }
-            AggState::Count(n) => {
-                // COUNT(*) counts rows; COUNT(col) skips NULLs.
-                if v.is_none() || v.is_some_and(|x| !x.is_null()) {
-                    *n += 1;
-                }
-            }
-            AggState::Avg { sum, count } => {
-                let v = v.expect("AVG needs a column");
-                if !v.is_null() {
-                    *sum += v.as_f64();
-                    *count += 1;
-                }
-            }
-            AggState::Min(cur) => {
-                let v = v.expect("MIN needs a column");
-                if !v.is_null()
-                    && cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Less)
-                {
-                    *cur = Some(v.clone());
-                }
-            }
-            AggState::Max(cur) => {
-                let v = v.expect("MAX needs a column");
-                if !v.is_null()
-                    && cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Greater)
-                {
-                    *cur = Some(v.clone());
-                }
-            }
+            States::Best(b, _) => b.resize(n, Value::Null),
         }
     }
 
-    /// Folds another partial state for the same aggregate into this one
-    /// (used when merging per-morsel partial aggregations, in morsel
-    /// index order).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Sum(a), AggState::Sum(b)) => *a += b,
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Avg { sum, count },
-                AggState::Avg {
-                    sum: other_sum,
-                    count: other_count,
-                },
-            ) => {
-                *sum += other_sum;
-                *count += other_count;
+    /// Folds row `start + k` of `col` (`None` for `COUNT(*)`) into group
+    /// `gids[k]`, in row order: SUM, AVG and COUNT in typed loops, MIN and
+    /// MAX through the materialized value.
+    fn update(&mut self, gids: &[u32], start: usize, col: Option<&ColumnVec>) {
+        let rows = start..start + gids.len();
+        match (self, col) {
+            (States::Count(n), None) => {
+                for &g in gids {
+                    n[g as usize] += 1;
+                }
             }
-            (AggState::Min(cur), AggState::Min(other)) => {
-                if let Some(v) = other {
-                    if cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Less)
-                    {
-                        *cur = Some(v);
+            (States::Count(n), Some(col)) => {
+                for (&g, i) in gids.iter().zip(rows) {
+                    if !col.is_null(i) {
+                        n[g as usize] += 1;
                     }
                 }
             }
-            (AggState::Max(cur), AggState::Max(other)) => {
-                if let Some(v) = other {
-                    if cur
-                        .as_ref()
-                        .is_none_or(|c| v.total_cmp(c) == std::cmp::Ordering::Greater)
-                    {
-                        *cur = Some(v);
-                    }
+            (States::Sum(s), Some(col)) => each_f64(col, rows, |k, x| s[gids[k] as usize] += x),
+            (States::Avg(s, n), Some(col)) => each_f64(col, rows, |k, x| {
+                let g = gids[k] as usize;
+                s[g] += x;
+                n[g] += 1;
+            }),
+            (States::Best(best, wins), Some(col)) => {
+                for (&g, i) in gids.iter().zip(rows) {
+                    keep_best(&mut best[g as usize], col.value(i), *wins);
                 }
             }
-            _ => unreachable!("merging mismatched aggregate states"),
+            (_, None) => panic!("only COUNT aggregates rows without a column"),
         }
     }
 
-    fn finish(self) -> Value {
-        match self {
-            AggState::Sum(acc) => Value::Float(acc),
-            AggState::Count(n) => Value::Int(n as i64),
-            AggState::Avg { sum, count } => {
-                if count == 0 {
-                    Value::Null
+    /// Folds in `later`, the states of a later morsel: its group `l` is
+    /// group `map[l]` here, and a group numbered `fresh` or above is new
+    /// here and takes `later`'s state as is — so a float sum is the morsel
+    /// partials added in morsel order.
+    fn merge(&mut self, later: States, map: &[u32], fresh: usize) {
+        fn fold<T>(
+            into: &mut [T],
+            from: Vec<T>,
+            map: &[u32],
+            fresh: usize,
+            add: impl Fn(&mut T, T),
+        ) {
+            for (x, &g) in from.into_iter().zip(map) {
+                let g = g as usize;
+                if g < fresh {
+                    add(&mut into[g], x);
                 } else {
-                    Value::Float(sum / count as f64)
+                    into[g] = x;
                 }
             }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
+        }
+        let add = |a: &mut f64, b: f64| *a += b;
+        let count = |a: &mut u64, b: u64| *a += b;
+        match (self, later) {
+            (States::Sum(a), States::Sum(b)) => fold(a, b, map, fresh, add),
+            (States::Count(a), States::Count(b)) => fold(a, b, map, fresh, count),
+            (States::Avg(s, n), States::Avg(s2, n2)) => {
+                fold(s, s2, map, fresh, add);
+                fold(n, n2, map, fresh, count);
+            }
+            (States::Best(a, wins), States::Best(b, _)) => {
+                let wins = *wins;
+                fold(a, b, map, fresh, |cur, v| keep_best(cur, v, wins));
+            }
+            _ => unreachable!("merging the states of two different aggregates"),
         }
     }
 
-    /// The declared type of the output column, given the input column's
-    /// declared type (`None` for `COUNT(*)`): MIN and MAX keep their
-    /// input's type, SUM and AVG accumulate in `f64`.
-    fn output_type(func: AggFunc, input: Option<DataType>) -> DataType {
-        match func {
-            AggFunc::Sum | AggFunc::Avg => DataType::Float,
-            AggFunc::Count => DataType::Int,
-            AggFunc::Min | AggFunc::Max => input.expect("MIN/MAX needs a column"),
+    /// The output column: row `r` is group `order[r]`'s result, of type
+    /// `dt`.
+    fn finish(self, order: &[u32], dt: DataType) -> ColumnVec {
+        match self {
+            States::Sum(s) => ColumnVec::Float {
+                values: order.iter().map(|&g| s[g as usize]).collect(),
+                nulls: None,
+            },
+            States::Count(n) => ColumnVec::Int {
+                values: order.iter().map(|&g| n[g as usize] as i64).collect(),
+                nulls: None,
+            },
+            States::Avg(s, n) => {
+                let mut nulls = NullMask::all_valid(order.len());
+                let mut values = Vec::with_capacity(order.len());
+                for (r, &g) in order.iter().enumerate() {
+                    let g = g as usize;
+                    if n[g] == 0 {
+                        nulls.set_null(r);
+                        values.push(0.0);
+                    } else {
+                        values.push(s[g] / n[g] as f64);
+                    }
+                }
+                ColumnVec::Float {
+                    values,
+                    nulls: nulls.any_null().then_some(nulls),
+                }
+            }
+            States::Best(b, _) => {
+                let rows: Vec<Vec<Value>> =
+                    order.iter().map(|&g| vec![b[g as usize].clone()]).collect();
+                ColumnVec::from_rows(&rows, 0, dt)
+            }
         }
+    }
+}
+
+/// Replaces `cur` with `v` when `v` is not NULL and either `cur` is or
+/// `v` compares `wins` against it.
+fn keep_best(cur: &mut Value, v: Value, wins: Ordering) {
+    if !v.is_null() && (cur.is_null() || v.total_cmp(cur) == wins) {
+        *cur = v;
+    }
+}
+
+/// Calls `f(k, x)` for each non-NULL row `rows.start + k` of `col`, its
+/// value widened to `f64` as `Value::as_f64` widens it (which panics on
+/// a non-numeric column).
+fn each_f64(col: &ColumnVec, rows: Range<usize>, mut f: impl FnMut(usize, f64)) {
+    fn each<T: Copy>(
+        values: &[T],
+        nulls: Option<&NullMask>,
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, f64),
+        widen: impl Fn(T) -> f64,
+    ) {
+        for (k, i) in rows.enumerate() {
+            if !nulls.is_some_and(|m| m.is_null(i)) {
+                f(k, widen(values[i]));
+            }
+        }
+    }
+    let nulls = col.null_mask();
+    match col {
+        ColumnVec::Int { values, .. } => each(values, nulls, rows, f, |v| v as f64),
+        ColumnVec::Float { values, .. } => each(values, nulls, rows, f, |v| v),
+        ColumnVec::Date { values, .. } => each(values, nulls, rows, f, f64::from),
+        _ => {
+            for (k, i) in rows.enumerate() {
+                if !col.is_null(i) {
+                    f(k, col.value(i).as_f64());
+                }
+            }
+        }
+    }
+}
+
+/// The declared type of an aggregate's output column, given its input
+/// column's declared type (`None` for `COUNT(*)`): MIN and MAX keep their
+/// input's type, SUM and AVG accumulate in `f64`.
+fn output_type(func: AggFunc, input: Option<DataType>) -> DataType {
+    match func {
+        AggFunc::Sum | AggFunc::Avg => DataType::Float,
+        AggFunc::Count => DataType::Int,
+        AggFunc::Min | AggFunc::Max => input.expect("MIN/MAX needs a column"),
+    }
+}
+
+/// Group ids and every aggregate's states — of one morsel, then, merged,
+/// of the whole input.
+struct Groups {
+    /// Group key → dense group id, in first-seen order.
+    ids: KeyTable,
+    /// Per group: the input row it was first seen in, where its key is
+    /// read back.
+    first: Vec<u32>,
+    /// Per aggregate: one state per group.
+    states: Vec<States>,
+}
+
+impl Groups {
+    fn new(width: usize, aggregates: &[AggExpr]) -> Self {
+        Self {
+            ids: KeyTable::new(width),
+            first: Vec::new(),
+            states: aggregates.iter().map(|a| States::new(a.func)).collect(),
+        }
+    }
+
+    /// The groups of rows `rows`: pass 1 assigns every row its group id,
+    /// pass 2 runs one typed loop per aggregate, in row order.
+    fn accumulate(
+        rows: Range<usize>,
+        keys: &KeyColumns,
+        agg_cols: &[Option<&ColumnVec>],
+        aggregates: &[AggExpr],
+    ) -> Self {
+        let width = keys.width();
+        let words = keys.encode(rows.clone());
+        let mut groups = Groups::new(width, aggregates);
+        let gids: Vec<u32> = rows
+            .clone()
+            .enumerate()
+            .map(|(k, i)| {
+                let id = groups.ids.insert(&words[k * width..(k + 1) * width]);
+                if id as usize == groups.first.len() {
+                    groups.first.push(i as u32);
+                }
+                id
+            })
+            .collect();
+        for (states, col) in groups.states.iter_mut().zip(agg_cols) {
+            states.resize(groups.first.len());
+            states.update(&gids, rows.start, *col);
+        }
+        groups
+    }
+
+    /// Folds in `later`, the groups of a later morsel.
+    fn absorb(&mut self, later: Groups) {
+        let fresh = self.first.len();
+        let map: Vec<u32> = (0..later.ids.len() as u32)
+            .map(|l| {
+                let id = self.ids.insert(later.ids.key(l));
+                if id as usize == self.first.len() {
+                    self.first.push(later.first[l as usize]);
+                }
+                id
+            })
+            .collect();
+        for (states, from) in self.states.iter_mut().zip(later.states) {
+            states.resize(self.first.len());
+            states.merge(from, &map, fresh);
+        }
+    }
+}
+
+/// Orders rows `a` and `b` of `col` as [`Value::total_cmp`] orders their
+/// values — NULL first, strings by string — without building either.
+fn cmp_rows(col: &ColumnVec, a: u32, b: u32) -> Ordering {
+    let (a, b) = (a as usize, b as usize);
+    match (col.is_null(a), col.is_null(b)) {
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+        (false, false) => match col {
+            ColumnVec::Int { values, .. } => values[a].cmp(&values[b]),
+            ColumnVec::Float { values, .. } => values[a].total_cmp(&values[b]),
+            ColumnVec::Date { values, .. } => values[a].cmp(&values[b]),
+            ColumnVec::Bool { values, .. } => values[a].cmp(&values[b]),
+            ColumnVec::Str { codes, dict, .. } => {
+                dict[codes[a] as usize].cmp(&dict[codes[b] as usize])
+            }
+        },
     }
 }
 
@@ -151,14 +310,18 @@ impl AggState {
 /// + state update) and one CPU op per output row.
 ///
 /// Group and aggregate input columns are read in place.  Each morsel
-/// assigns group ids in a first pass and then updates each aggregate's
-/// states in a tight column-at-a-time loop (`f64`/`i64` adds with a
-/// null-mask check), producing a partial
-/// `group → states` map; the partials are merged **in morsel index
-/// order** via `AggState::merge`.  Morsel boundaries depend only on the
-/// morsel size, so the merge tree — and therefore every float-summation
-/// order — is the same for every thread count, scheduler, and entry
-/// point.  Returns `None` when the query's token fired mid-accumulation.
+/// encodes its rows' group keys to fixed-width words, maps them to dense
+/// group ids (hash-then-verify over the contiguous keys, no `Value` and
+/// no allocation per row), and then updates each aggregate's flat state
+/// array in a tight column-at-a-time loop (`f64`/`u64` adds with a
+/// null-mask check).  The morsels' partials are merged into global ids
+/// **in morsel index order**: a group's first partial is taken as is and
+/// later ones are added.  Morsel boundaries depend only on the morsel
+/// size, so every float-summation order is the same for every thread
+/// count, scheduler, and entry point.  Output rows are sorted by group key
+/// in [`Value::total_cmp`] order; the key columns are gathered typed from
+/// each group's first row.  Returns `None` when the query's token fired
+/// mid-accumulation.
 ///
 /// # Panics
 ///
@@ -182,259 +345,66 @@ pub fn hash_aggregate(
     tracker.charge_hash_builds(input.len() as u64);
     let cols = input.columns();
     let group_cols: Vec<&ColumnVec> = group_idx.iter().map(|&g| &*cols[g]).collect();
+    let nullable = group_cols.iter().any(|c| c.null_mask().is_some());
+    let keys = KeyColumns::new(group_cols, nullable);
     let agg_cols: Vec<Option<&ColumnVec>> = agg_idx.iter().map(|i| i.map(|i| &*cols[i])).collect();
-    let partials = run_morsels(opts, input.len(), |morsel| {
-        accumulate(morsel, &group_cols, &agg_cols, aggregates)
-    })?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for partial in partials {
-        for (key, states) in partial {
-            match groups.entry(key) {
-                Entry::Occupied(mut existing) => {
-                    for (into, from) in existing.get_mut().iter_mut().zip(states) {
-                        into.merge(from);
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(states);
-                }
-            }
-        }
+    let mut partials = run_morsels(opts, input.len(), |morsel| {
+        Groups::accumulate(morsel, &keys, &agg_cols, aggregates)
+    })?
+    .into_iter();
+    let mut groups = partials
+        .next()
+        .unwrap_or_else(|| Groups::new(keys.width(), aggregates));
+    for later in partials {
+        groups.absorb(later);
     }
     Some(finalize(
-        tracker, input, group_by, aggregates, group_idx, &agg_idx, groups,
+        tracker, &input, &group_idx, aggregates, &agg_idx, groups,
     ))
 }
 
-/// Deterministic multiply-mix hasher for the typed `Option<i64>`
-/// group-id map: one multiply and a shift per written word, an order of
-/// magnitude cheaper than SipHash on single-integer keys.  Only group-id
-/// *assignment* uses it; the `Vec<Value>`-keyed maps the caller sees are
-/// untouched, and group ids feed a finalize step that sorts output rows,
-/// so hash iteration order never reaches results.
-#[derive(Default)]
-struct IntKeyHasher(u64);
-
-impl std::hash::Hasher for IntKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // Golden-ratio multiply with a high-bit fold (the HashMap keeps
-        // the low bits, so fold the well-mixed high bits down).
-        let mixed = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = mixed ^ (mixed >> 32);
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-type IntKeyMap<V> = HashMap<Option<i64>, V, std::hash::BuildHasherDefault<IntKeyHasher>>;
-
-/// Accumulates one morsel — the absolute row range `range` — into a
-/// partial `group → states` map: pass 1 assigns group ids (a
-/// primitive-keyed map when the single group column is an `Int` vector,
-/// otherwise `Vec<Value>` keys read off the group columns); pass 2 runs
-/// one typed loop per aggregate, in row order.
-fn accumulate(
-    range: Range<usize>,
-    group_cols: &[&ColumnVec],
-    agg_cols: &[Option<&ColumnVec>],
-    aggregates: &[AggExpr],
-) -> HashMap<Vec<Value>, Vec<AggState>> {
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut gids: Vec<u32> = Vec::with_capacity(range.len());
-    let new_group = |states: &mut Vec<Vec<AggState>>| {
-        states.push(aggregates.iter().map(|a| AggState::new(a.func)).collect());
-        states.len() - 1
-    };
-    if let [ColumnVec::Int { values, nulls }] = group_cols {
-        // Single Int group column: group on `Option<i64>` read straight
-        // out of the vector — no one-element `Vec<Value>` alloc + hash
-        // per row.  NULL keys map to `None` (storage equality: NULL
-        // groups with NULL); the `Value` keys the caller's merge/finalize
-        // see are reconstructed below.
-        let mut typed: IntKeyMap<usize> = IntKeyMap::default();
-        for i in range.clone() {
-            let key = (!null_at(nulls.as_ref(), i)).then(|| values[i]);
-            let gid = *typed.entry(key).or_insert_with(|| new_group(&mut states));
-            gids.push(gid as u32);
-        }
-        for (key, gid) in typed {
-            index.insert(vec![key.map_or(Value::Null, Value::Int)], gid);
-        }
-    } else {
-        for i in range.clone() {
-            let key: Vec<Value> = group_cols.iter().map(|c| c.value(i)).collect();
-            let gid = *index.entry(key).or_insert_with(|| new_group(&mut states));
-            gids.push(gid as u32);
-        }
-    }
-    for (j, (agg, col)) in aggregates.iter().zip(agg_cols).enumerate() {
-        update_states(&mut states, &gids, range.start, j, agg.func, *col);
-    }
-    index
-        .into_iter()
-        .map(|(key, gid)| (key, std::mem::take(&mut states[gid])))
-        .collect()
-}
-
-fn null_at(nulls: Option<&NullMask>, i: usize) -> bool {
-    nulls.is_some_and(|m| m.is_null(i))
-}
-
-/// Updates aggregate `j`'s state for every row, in row order.  `SUM`,
-/// `AVG`, and `COUNT` over numeric columns run typed loops; everything
-/// else goes through [`AggState::update`] with the materialized value
-/// (MIN/MAX keep the input's type; SUM over a non-numeric input panics
-/// there).
-fn update_states(
-    states: &mut [Vec<AggState>],
-    gids: &[u32],
-    start: usize,
-    j: usize,
-    func: AggFunc,
-    col: Option<&ColumnVec>,
-) {
-    let add = |state: &mut AggState, v: f64| match state {
-        AggState::Sum(acc) => *acc += v,
-        AggState::Avg { sum, count } => {
-            *sum += v;
-            *count += 1;
-        }
-        _ => unreachable!("typed add on non-SUM/AVG state"),
-    };
-    match (func, col) {
-        (AggFunc::Count, None) => {
-            // COUNT(*): every row counts.
-            for &g in gids {
-                match &mut states[g as usize][j] {
-                    AggState::Count(n) => *n += 1,
-                    _ => unreachable!("COUNT state"),
-                }
-            }
-        }
-        (AggFunc::Count, Some(col)) => {
-            // COUNT(col): skip NULLs.
-            for (k, &g) in gids.iter().enumerate() {
-                if !col.is_null(start + k) {
-                    match &mut states[g as usize][j] {
-                        AggState::Count(n) => *n += 1,
-                        _ => unreachable!("COUNT state"),
-                    }
-                }
-            }
-        }
-        (AggFunc::Sum | AggFunc::Avg, Some(ColumnVec::Int { values, nulls })) => {
-            for (k, &g) in gids.iter().enumerate() {
-                let i = start + k;
-                if !null_at(nulls.as_ref(), i) {
-                    add(&mut states[g as usize][j], values[i] as f64);
-                }
-            }
-        }
-        (AggFunc::Sum | AggFunc::Avg, Some(ColumnVec::Float { values, nulls })) => {
-            for (k, &g) in gids.iter().enumerate() {
-                let i = start + k;
-                if !null_at(nulls.as_ref(), i) {
-                    add(&mut states[g as usize][j], values[i]);
-                }
-            }
-        }
-        (AggFunc::Sum | AggFunc::Avg, Some(ColumnVec::Date { values, nulls })) => {
-            // `Value::as_f64` widens dates like any numeric.
-            for (k, &g) in gids.iter().enumerate() {
-                let i = start + k;
-                if !null_at(nulls.as_ref(), i) {
-                    add(&mut states[g as usize][j], values[i] as f64);
-                }
-            }
-        }
-        (_, Some(col)) => {
-            // MIN/MAX (any type), SUM/AVG over non-numeric columns:
-            // materialize the value and update per row.
-            for (k, &g) in gids.iter().enumerate() {
-                let v = col.value(start + k);
-                states[g as usize][j].update(Some(&v));
-            }
-        }
-        (_, None) => {
-            // Non-COUNT aggregate without a column: panics in update.
-            for &g in gids {
-                states[g as usize][j].update(None);
-            }
-        }
-    }
-}
-
-/// Builds the output schema and the deterministically ordered result rows.
+/// Builds the output schema and columns, groups sorted by key.
 fn finalize(
     tracker: &mut CostTracker,
-    input: Batch,
-    group_by: &[String],
+    input: &Batch,
+    group_idx: &[usize],
     aggregates: &[AggExpr],
-    group_idx: Vec<usize>,
     agg_idx: &[Option<usize>],
-    mut groups: HashMap<Vec<Value>, Vec<AggState>>,
+    groups: Groups,
 ) -> Batch {
+    let cols = input.columns();
+    let first = &groups.first;
+    let mut order: Vec<u32> = (0..first.len() as u32).collect();
+    // Distinct groups never compare equal, so the order is unique.
+    order.sort_unstable_by(|&a, &b| {
+        group_idx
+            .iter()
+            .map(|&c| cmp_rows(&cols[c], first[a as usize], first[b as usize]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    let key_rows: Vec<u32> = order.iter().map(|&g| first[g as usize]).collect();
+    let mut columns: Vec<Arc<ColumnVec>> = group_idx
+        .iter()
+        .map(|&c| Arc::new(cols[c].take(&key_rows)))
+        .collect();
     // Scalar aggregates over empty input still produce one group.
-    if group_by.is_empty() && groups.is_empty() {
-        groups.insert(
-            Vec::new(),
-            aggregates.iter().map(|a| AggState::new(a.func)).collect(),
-        );
+    if group_idx.is_empty() && order.is_empty() {
+        order.push(0);
     }
 
-    let mut columns: Vec<ColumnMeta> = group_idx
+    let mut schema: Vec<ColumnMeta> = group_idx
         .iter()
         .map(|&i| input.schema.column(i).clone())
         .collect();
-    for (a, &i) in aggregates.iter().zip(agg_idx) {
-        let input_type = i.map(|i| input.schema.column(i).data_type);
-        columns.push(ColumnMeta::new(
-            a.alias.clone(),
-            AggState::output_type(a.func, input_type),
-        ));
+    for ((a, &i), mut states) in aggregates.iter().zip(agg_idx).zip(groups.states) {
+        let dt = output_type(a.func, i.map(|i| input.schema.column(i).data_type));
+        states.resize(order.len());
+        columns.push(Arc::new(states.finish(&order, dt)));
+        schema.push(ColumnMeta::new(a.alias.clone(), dt));
     }
-    let schema = Schema::new(columns);
-
-    let mut rows: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(mut key, states)| {
-            key.extend(states.into_iter().map(AggState::finish));
-            key
-        })
-        .collect();
-    // Deterministic output order for tests and reports.
-    rows.sort_by(|a, b| {
-        for i in 0..group_idx.len() {
-            let ord = a[i].total_cmp(&b[i]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    tracker.charge_cpu_ops(rows.len() as u64);
-    Batch::from_rows(schema, rows)
+    tracker.charge_cpu_ops(order.len() as u64);
+    Batch::new(Schema::new(schema), columns)
 }
 
 #[cfg(test)]

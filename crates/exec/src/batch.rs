@@ -43,8 +43,8 @@ impl Batch {
         Self { schema, columns }
     }
 
-    /// Transposes row-major values into a batch (tests and aggregate
-    /// finalisation; operators exchange columns).
+    /// Transposes row-major values into a batch (tests; operators
+    /// exchange columns).
     ///
     /// # Panics
     ///
@@ -125,23 +125,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The values in one column, cloned out.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column does not exist.
-    pub fn column_values(&self, name: &str) -> Vec<Value> {
-        let col = &self.columns[self.schema.expect_index(name)];
-        (0..col.len()).map(|i| col.value(i)).collect()
-    }
-
-    /// True when the rows are non-decreasing in the named column.
-    pub fn is_sorted_by(&self, name: &str) -> bool {
-        self.column_values(name)
-            .windows(2)
-            .all(|w| w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater)
-    }
 }
 
 #[cfg(test)]
@@ -165,10 +148,8 @@ mod tests {
         let b = batch();
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
-        assert_eq!(
-            b.column_values("b"),
-            vec![Value::Int(9), Value::Int(5), Value::Int(7)]
-        );
+        let column_b: Vec<Value> = b.to_rows().iter().map(|r| r[1].clone()).collect();
+        assert_eq!(column_b, vec![Value::Int(9), Value::Int(5), Value::Int(7)]);
     }
 
     #[test]
@@ -209,11 +190,12 @@ mod tests {
 
     #[test]
     fn sortedness() {
+        let sorted = |b: &Batch, c: usize| b.to_rows().is_sorted_by_key(|r| r[c].clone());
         let b = batch();
-        assert!(b.is_sorted_by("a"));
-        assert!(!b.is_sorted_by("b"));
+        assert!(sorted(&b, 0));
+        assert!(!sorted(&b, 1));
         let e = Batch::empty(b.schema.clone());
         assert!(e.is_empty());
-        assert!(e.is_sorted_by("a"));
+        assert!(sorted(&e, 0));
     }
 }

@@ -5,12 +5,12 @@
 //! lists, one per side — and only then builds its output, with one typed
 //! `take` per input column.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, Rid, Schema, Value};
 
 use crate::batch::Batch;
+use crate::keys::{KeyColumns, KeyTable};
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
 use crate::scan::{charge_fetch, fetch_rows, intersect_sorted, rids_for_range, seq_scan};
@@ -32,23 +32,38 @@ fn take_pairs(
     Batch::new(schema, columns)
 }
 
-/// The key column `key` of `batch` as `Option<i64>`s (`None` is NULL).
+/// The key column `key` of `batch`.
 ///
 /// # Panics
 ///
 /// Panics when the column is not `Int`.  Every planned join follows an FK
 /// edge, and [`Catalog::add_foreign_key`] admits only `Int` columns, so
 /// only a hand-built plan gets here with another type.
-fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + Sync + 'a {
+fn int_column<'a>(batch: &'a Batch, key: &str) -> &'a ColumnVec {
     let ord = batch.schema.expect_index(key);
-    let ColumnVec::Int { values, nulls } = &*batch.columns()[ord] else {
-        panic!(
-            "join key {key:?} is {}, not INT",
-            batch.schema.column(ord).data_type
-        )
+    let col = &*batch.columns()[ord];
+    assert!(
+        matches!(col, ColumnVec::Int { .. }),
+        "join key {key:?} is {}, not INT",
+        batch.schema.column(ord).data_type
+    );
+    col
+}
+
+/// The key column `key` of `batch` as `Option<i64>`s (`None` is NULL).
+///
+/// # Panics
+///
+/// As [`int_column`].
+fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + Sync + 'a {
+    let ColumnVec::Int { values, nulls } = int_column(batch, key) else {
+        unreachable!("int_column returns Int columns")
     };
     move |i| (!nulls.as_ref().is_some_and(|m| m.is_null(i))).then(|| values[i])
 }
+
+/// Marks the end of a chain of build rows.
+const END: u32 = u32::MAX;
 
 /// Hash join: builds on `build`, probes with `probe`.  Keys are `Int`
 /// columns, because every planned join follows an FK edge and
@@ -59,14 +74,15 @@ fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + S
 /// CPU op per output row.  Output rows are `build ++ probe` columns, in
 /// probe order and, within one probe row, build order.
 ///
-/// Build morsels produce local `key → row indices` maps that are merged
-/// **in morsel index order**; because morsel `i` only holds indices
-/// smaller than morsel `i+1`'s, every key's index list comes out
-/// ascending.  Probe morsels emit their `(build, probe)` index pairs
-/// independently and are concatenated in morsel order.  All three charges
-/// are totals over input/output sizes, so rows, row order, and costs are
-/// the same for every thread count and morsel size.  Returns `None` when
-/// the query's token fired during either phase.
+/// The build, one pass on the calling thread, gives every build row its
+/// key's dense id in the crate's one key table (`keys.rs`, shared with
+/// [`crate::agg::hash_aggregate`]) and chains the rows of one id through
+/// a `next` array, so each key's rows come out in ascending build order.
+/// Probe morsels look their keys up in the read-only table, walk the
+/// chains, and emit `(build, probe)` index pairs, concatenated in morsel
+/// order.  All three charges are totals over input/output sizes, so rows,
+/// row order, and costs are the same for every thread count and morsel
+/// size.  Returns `None` when the query's token fired during the probe.
 ///
 /// # Panics
 ///
@@ -79,28 +95,40 @@ pub fn hash_join(
     probe_key: &str,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let (bkey, pkey) = (int_key(&build, build_key), int_key(&probe, probe_key));
+    let (bcol, pcol) = (int_column(&build, build_key), int_column(&probe, probe_key));
+    // A NULL on either side widens both sides' keys by the NULL flags.
+    let nullable = bcol.null_mask().is_some() || pcol.null_mask().is_some();
+    let (bkeys, pkeys) = (
+        KeyColumns::new(vec![bcol], nullable),
+        KeyColumns::new(vec![pcol], nullable),
+    );
+    let width = bkeys.width();
     tracker.charge_hash_builds(build.len() as u64);
-    let partials = run_morsels(opts, build.len(), |morsel| {
-        let mut local: HashMap<Option<i64>, Vec<u32>> = HashMap::new();
-        for i in morsel {
-            local.entry(bkey(i)).or_default().push(i as u32);
+    let words = bkeys.encode(0..build.len());
+    let mut table = KeyTable::new(width);
+    // `head[id]` is the first build row of key `id`, `next[row]` the one
+    // after `row`; filled back to front, so every chain ascends.
+    let mut head: Vec<u32> = Vec::new();
+    let mut next: Vec<u32> = vec![END; build.len()];
+    for i in (0..build.len()).rev() {
+        let id = table.insert(&words[i * width..(i + 1) * width]) as usize;
+        if id == head.len() {
+            head.push(END);
         }
-        local
-    })?;
-    let mut table: HashMap<Option<i64>, Vec<u32>> = HashMap::with_capacity(build.len());
-    for partial in partials {
-        for (key, mut indices) in partial {
-            table.entry(key).or_default().append(&mut indices);
-        }
+        next[i] = head[id];
+        head[id] = i as u32;
     }
 
     tracker.charge_hash_probes(probe.len() as u64);
     let parts = run_morsels(opts, probe.len(), |morsel| {
+        let words = pkeys.encode(morsel.clone());
         let mut out: Vec<(u32, u32)> = Vec::new();
-        for i in morsel {
-            if let Some(matches) = table.get(&pkey(i)) {
-                out.extend(matches.iter().map(|&bi| (bi, i as u32)));
+        for (key, i) in words.chunks_exact(width).zip(morsel) {
+            let Some(id) = table.get(key) else { continue };
+            let mut b = head[id as usize];
+            while b != END {
+                out.push((b, i as u32));
+                b = next[b as usize];
             }
         }
         out
@@ -652,7 +680,7 @@ mod tests {
             &ExecOptions::serial(),
         )
         .unwrap();
-        assert!(whole.is_sorted_by("a_key"));
+        assert!(whole.to_rows().is_sorted_by_key(|r| r[0].clone()));
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();

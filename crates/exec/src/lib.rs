@@ -31,8 +31,9 @@
 //! builds its output with one typed `take` per column; a projection, a
 //! served `Materialized` slot and an unfiltered scan share their source's
 //! columns outright.  Rows exist only at the edge: [`Batch::to_rows`]
-//! for whoever consumes the result, [`Batch::from_rows`] for tests and
-//! aggregate finalisation.
+//! for whoever consumes the result, [`Batch::from_rows`] for tests.
+//! Hash join and hash aggregation key their tables on fixed-width words
+//! mapped to dense ids, never on `Value`s.
 //!
 //! # One path, any number of workers
 //!
@@ -62,6 +63,7 @@ pub mod columnar;
 pub mod executor;
 pub mod join;
 pub mod kernels;
+mod keys;
 pub mod metrics;
 pub mod morsel;
 pub mod plan;

@@ -144,13 +144,16 @@ fn oracle_scan(cat: &Catalog, table: &str, parts: Option<&[usize]>, pred: Option
 }
 
 /// Row-at-a-time, morsel-aware aggregation oracle over the six-aggregate
-/// menu (`a` = column 0, `b` = column 1): accumulators are updated in row
-/// order within each `morsel_size` chunk and the per-chunk partials are
-/// merged in chunk order — the engine's float-addition sequence — with
-/// groups emitted sorted by key, the engine's deterministic output order.
-fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<Value>> {
+/// menu (`a` = column 0, `b` = column 1), grouped by the columns `keys`
+/// (none: one scalar group): accumulators are updated in row order within
+/// each `morsel_size` chunk and the per-chunk partials are merged in chunk
+/// order — the engine's float-addition sequence — with groups emitted
+/// sorted by key, column by column, the engine's deterministic output
+/// order.  Keys compare by `Value`'s storage equality (NULL equals NULL,
+/// floats by their bits).
+fn oracle_aggregate(batch: &Batch, keys: &[usize], morsel_size: usize) -> Vec<Vec<Value>> {
     struct Acc {
-        key: Value,
+        key: Vec<Value>,
         sum_b: f64,
         n_star: i64,
         n_a: i64,
@@ -159,12 +162,12 @@ fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<
         min_a: Option<Value>,
         max_b: Option<Value>,
     }
-    fn slot<'a>(accs: &'a mut Vec<Acc>, key: &Value) -> &'a mut Acc {
-        if let Some(i) = accs.iter().position(|a| &a.key == key) {
+    fn slot(accs: &mut Vec<Acc>, key: Vec<Value>) -> &mut Acc {
+        if let Some(i) = accs.iter().position(|a| a.key == key) {
             return &mut accs[i];
         }
         accs.push(Acc {
-            key: key.clone(),
+            key,
             sum_b: 0.0,
             n_star: 0,
             n_a: 0,
@@ -185,7 +188,7 @@ fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<
     for chunk in batch.to_rows().chunks(morsel_size) {
         let mut partial: Vec<Acc> = Vec::new();
         for row in chunk {
-            let acc = slot(&mut partial, &row[group]);
+            let acc = slot(&mut partial, keys.iter().map(|&k| row[k].clone()).collect());
             acc.n_star += 1;
             if !row[0].is_null() {
                 acc.n_a += 1;
@@ -217,11 +220,14 @@ fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<
             }
         }
     }
-    let mut rows: Vec<Vec<Value>> = accs
-        .into_iter()
+    // A scalar aggregate over no rows still has its one (identity) group.
+    if keys.is_empty() && accs.is_empty() {
+        slot(&mut accs, Vec::new());
+    }
+    accs.sort_by(|x, y| x.key.cmp(&y.key));
+    accs.into_iter()
         .map(|a| {
-            vec![
-                a.key,
+            let aggs = [
                 Value::Float(a.sum_b),
                 Value::Int(a.n_star),
                 Value::Int(a.n_a),
@@ -232,18 +238,17 @@ fn oracle_aggregate(batch: &Batch, group: usize, morsel_size: usize) -> Vec<Vec<
                 },
                 a.min_a.unwrap_or(Value::Null),
                 a.max_b.unwrap_or(Value::Null),
-            ]
+            ];
+            a.key.into_iter().chain(aggs).collect()
         })
-        .collect();
-    rows.sort_by(|x, y| x[0].total_cmp(&y[0]));
-    rows
+        .collect()
 }
 
 /// The six-aggregate menu matching [`oracle_aggregate`]'s output layout,
 /// over the columns named `a` (column 0) and `b` (column 1).
 fn agg_menu(a: &str, b: &str) -> Vec<AggExpr> {
     vec![
-        AggExpr::sum(b, "s"),
+        AggExpr::sum(b, "sum"),
         AggExpr::count_star("n"),
         AggExpr {
             func: AggFunc::Count,
@@ -256,6 +261,23 @@ fn agg_menu(a: &str, b: &str) -> Vec<AggExpr> {
     ]
 }
 
+/// The group keys `agg_kernel_matches_oracle` draws, as [`typed_batch`]
+/// column names: none (a scalar aggregate), each column alone, a
+/// two-column composite, and all six columns at once — under which nearly
+/// every row is its own group, so a long draw has well over 64 groups and
+/// every morsel has as many groups as rows.
+const GROUP_KEYS: [&[&str]; 9] = [
+    &[],
+    &["g"],
+    &["i"],
+    &["f"],
+    &["d"],
+    &["s"],
+    &["t"],
+    &["g", "s"],
+    &["g", "i", "f", "d", "s", "t"],
+];
+
 /// The five typed columns of [`typed_batch`], with their types.
 const TYPED: [(&str, DataType); 5] = [
     ("i", DataType::Int),
@@ -265,10 +287,24 @@ const TYPED: [(&str, DataType); 5] = [
     ("t", DataType::Bool),
 ];
 
+/// Floats whose bits differ where their values look alike: both zeros,
+/// both infinities, NaNs of either sign and with a payload.
+const EDGE_FLOATS: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff8_0000_0000_0001),
+    1.5,
+];
+
 /// NULL-heavy batch: an `Int` group key `g` (0–3, 4 is NULL) and one
 /// column of each type.  Column `c` is NULL when bit `c` of `nulls` is
-/// set, and otherwise decoded from `x` rotated by `13·c` (so floats cover
-/// NaNs, infinities and both zeros).
+/// set, and otherwise decoded from `x` rotated by `13·c`; two floats in
+/// three are [`EDGE_FLOATS`], so they repeat and cover NaNs, infinities
+/// and both zeros.
 fn typed_batch(rows: &[(u8, u8, u64)]) -> Batch {
     let mut pairs = vec![("g", DataType::Int)];
     pairs.extend(TYPED);
@@ -285,7 +321,10 @@ fn typed_batch(rows: &[(u8, u8, u64)]) -> Batch {
                 match dt {
                     _ if nulls >> c & 1 == 1 => Value::Null,
                     DataType::Int => Value::Int(x as i64 % 50),
-                    DataType::Float => Value::Float(f64::from_bits(x)),
+                    DataType::Float => Value::Float(match x % 3 {
+                        0 => f64::from_bits(x),
+                        _ => EDGE_FLOATS[(x >> 2) as usize % EDGE_FLOATS.len()],
+                    }),
                     DataType::Date => Value::Date(x as i32),
                     DataType::Str => Value::str(format!("s{}", x % 7)),
                     DataType::Bool => Value::Bool(x % 2 == 0),
@@ -442,12 +481,24 @@ proptest! {
 
     /// The typed-key hash-join kernel reproduces the nested-loops oracle
     /// (probe-major order, build order within a key, NULL keys matching
-    /// NULL keys) with the same charges at every thread count.
+    /// NULL keys) with the same charges at every thread count.  The second
+    /// generator chains long runs: its build side falls on keys 1 and 2
+    /// plus NULLs (`a % 4 == 0`), spans several morsels and outnumbers the
+    /// probe side, so every probe row walks a long list of build rows.
     #[test]
     fn join_kernel_matches_oracle(
-        build in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
-        probe in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
+        sides in prop_oneof![
+            (
+                prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
+                prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
+            ),
+            (
+                prop::collection::vec((prop_oneof![Just(1i64), Just(2), Just(4)], -100i64..100, 0u8..=255), 40..100),
+                prop::collection::vec((0i64..4, -100i64..100, 0u8..=255), 0..40),
+            ),
+        ],
     ) {
+        let (build, probe) = sides;
         let b = make_batch(&build);
         let p = make_batch(&probe);
         let expect = oracle_join(&b, &p, 0, 0);
@@ -464,19 +515,22 @@ proptest! {
 
     /// The aggregation kernel reproduces the morsel-aware row oracle
     /// bit-for-bit (float sums accumulate in the same sequence) over
-    /// NULL-heavy inputs at every thread count.
+    /// NULL-heavy inputs at every thread count, for every key shape in
+    /// [`GROUP_KEYS`].
     #[test]
     fn agg_kernel_matches_oracle(
-        rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
+        rows in prop::collection::vec((0u8..5, any::<u8>(), any::<u64>()), 0..200),
+        key in 0usize..GROUP_KEYS.len(),
     ) {
-        let batch = make_batch(&rows);
-        let aggs = agg_menu("a", "b");
-        let expect = oracle_aggregate(&batch, 2, MORSEL);
+        let batch = typed_batch(&rows);
+        let aggs = agg_menu("g", "i");
+        let group_by: Vec<String> = GROUP_KEYS[key].iter().map(|c| c.to_string()).collect();
+        let ordinals: Vec<usize> = group_by.iter().map(|c| batch.schema.expect_index(c)).collect();
+        let expect = oracle_aggregate(&batch, &ordinals, MORSEL);
         let mut base_cost: Option<CostTracker> = None;
         for opts in thread_opts() {
             let mut t = CostTracker::new();
-            let out =
-                hash_aggregate(&mut t, batch.clone(), &["c".to_string()], &aggs, &opts).unwrap();
+            let out = hash_aggregate(&mut t, batch.clone(), &group_by, &aggs, &opts).unwrap();
             prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
             prop_assert_eq!(t.hash_builds, batch.len() as u64);
             prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
@@ -551,7 +605,7 @@ proptest! {
             filtered.schema.project(&ordinals),
             oracle_project(&filtered, &ordinals),
         );
-        let expect = oracle_aggregate(&projected, 0, MORSEL);
+        let expect = oracle_aggregate(&projected, &[0], MORSEL);
 
         let mut base = None;
         for opts in thread_opts() {

@@ -356,8 +356,8 @@ impl ColumnVec {
         }
     }
 
-    /// The null bitmap, if any.
-    fn null_mask(&self) -> Option<&NullMask> {
+    /// The null bitmap, if any (`None`: the column holds no NULL).
+    pub fn null_mask(&self) -> Option<&NullMask> {
         match self {
             ColumnVec::Int { nulls, .. }
             | ColumnVec::Float { nulls, .. }

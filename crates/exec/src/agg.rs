@@ -149,7 +149,7 @@ impl States {
                     }
                 }
                 ColumnVec::Float {
-                    values,
+                    values: values.into(),
                     nulls: nulls.any_null().then_some(nulls),
                 }
             }

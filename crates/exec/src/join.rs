@@ -59,6 +59,9 @@ fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + S
     let ColumnVec::Int { values, nulls } = int_column(batch, key) else {
         unreachable!("int_column returns Int columns")
     };
+    // The closure keeps the slice itself, so a probe loop indexes plain
+    // memory rather than re-reading the column's buffer view per row.
+    let values: &[i64] = values;
     move |i| (!nulls.as_ref().is_some_and(|m| m.is_null(i))).then(|| values[i])
 }
 
@@ -252,7 +255,7 @@ pub fn indexed_nl_join(
         let mut out: Vec<(u32, Rid)> = Vec::new();
         for o in morsel {
             local.charge_random_ios(1); // descend to the leaf for this key
-            let mut rids = index.lookup_eq(&keys.value(o)).to_vec();
+            let mut rids = index.lookup_eq(&keys.value(o)).concat();
             local.charge_cpu_ops(rids.len() as u64);
             charge_fetch(inner, params, &mut local, &mut rids);
             out.extend(rids.into_iter().map(|rid| (o as u32, rid)));

@@ -153,8 +153,9 @@ fn whole(table: &Table) -> Batch {
     Batch::new(table.schema().clone(), table.columns().to_vec())
 }
 
-/// Resolves one index range to its RID list, charging the index descend
-/// plus sequential leaf-page reads proportional to the entries touched.
+/// Resolves one index range to its RID list (run by run, so not in rid
+/// order), charging the index descend plus sequential leaf-page reads
+/// proportional to the entries touched.
 pub(crate) fn rids_for_range(
     catalog: &Catalog,
     params: &CostParams,
@@ -166,10 +167,10 @@ pub(crate) fn rids_for_range(
         .secondary_index(table, &range.column)
         .unwrap_or_else(|| panic!("no secondary index on {table}.{}", range.column));
     tracker.charge_random_ios(BTREE_DESCEND_IOS);
-    let rids = index.range(range.lo.as_ref(), range.hi.as_ref());
+    let rids = index.range(range.lo.as_ref(), range.hi.as_ref()).concat();
     tracker.charge_seq_pages(params.index_leaf_pages(rids.len()));
     tracker.charge_cpu_ops(rids.len() as u64);
-    rids.to_vec()
+    rids
 }
 
 /// Sorts and deduplicates a RID list and charges its fetch: one random

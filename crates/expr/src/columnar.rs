@@ -151,59 +151,51 @@ fn cmp_select(
     cand: &Candidates<'_>,
 ) -> Option<Vec<u32>> {
     Some(match (col, lit) {
-        (ColumnVec::Int { values, nulls }, Value::Int(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
+        (ColumnVec::Int { values, nulls }, &Value::Int(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
+        }
+        (ColumnVec::Int { values, nulls }, &Value::Float(b)) => {
+            typed_select(values, nulls, cand, |v| {
+                ord_ok(op, (v as f64).total_cmp(&b))
             })
         }
-        (ColumnVec::Int { values, nulls }, Value::Float(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, (values[i] as f64).total_cmp(&b))
+        (ColumnVec::Int { values, nulls }, &Value::Date(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&(b as i64))))
+        }
+        (ColumnVec::Float { values, nulls }, &Value::Float(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, v.total_cmp(&b)))
+        }
+        (ColumnVec::Float { values, nulls }, &Value::Int(b)) => {
+            typed_select(values, nulls, cand, |v| {
+                ord_ok(op, v.total_cmp(&(b as f64)))
             })
         }
-        (ColumnVec::Int { values, nulls }, Value::Date(b)) => {
-            let b = *b as i64;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
-            })
+        (ColumnVec::Date { values, nulls }, &Value::Date(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
         }
-        (ColumnVec::Float { values, nulls }, Value::Float(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].total_cmp(&b))
-            })
+        (ColumnVec::Date { values, nulls }, &Value::Int(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, (v as i64).cmp(&b)))
         }
-        (ColumnVec::Float { values, nulls }, Value::Int(b)) => {
-            let b = *b as f64;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].total_cmp(&b))
-            })
-        }
-        (ColumnVec::Date { values, nulls }, Value::Date(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
-            })
-        }
-        (ColumnVec::Date { values, nulls }, Value::Int(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, (values[i] as i64).cmp(&b))
-            })
-        }
-        (ColumnVec::Bool { values, nulls }, Value::Bool(b)) => {
-            let b = *b;
-            select_where(cand, |i| {
-                !null_at(nulls, i) && ord_ok(op, values[i].cmp(&b))
-            })
+        (ColumnVec::Bool { values, nulls }, &Value::Bool(b)) => {
+            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
         }
         (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) => {
             str_select(codes, dict, nulls, cand, |d| ord_ok(op, d.cmp(s.as_ref())))
         }
         _ => return None,
     })
+}
+
+/// The candidates whose non-NULL value passes `test`.  The payload comes
+/// in as a plain slice, so the loop indexes memory the compiler can see
+/// does not change under it.
+fn typed_select<T: Copy>(
+    values: &[T],
+    nulls: &Option<NullMask>,
+    cand: &Candidates<'_>,
+    test: impl Fn(T) -> bool,
+) -> Vec<u32> {
+    select_where(cand, |i| !null_at(nulls, i) && test(values[i]))
 }
 
 /// A string test over a dictionary-encoded column: `test` runs once per

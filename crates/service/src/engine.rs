@@ -442,8 +442,8 @@ impl Engine {
                 partitions_touched: Vec::new(),
             });
         }
-        // The successor (one copy per column and per index) is built
-        // outside the readers' lock.
+        // The successor (each column extended in place, a sorted run
+        // pushed onto each index) is built outside the readers' lock.
         let mut catalog = Catalog::clone(&current.catalog);
         let assignments = catalog.append_rows(table, rows)?;
         let table_rows = catalog.table(table)?.num_rows();

@@ -269,7 +269,8 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
 
 /// A batch repeating a primary key is rejected atomically, in-process as
 /// over the wire: typed error, nothing published, nothing invalidated,
-/// and the engine takes the next valid batch.
+/// and the engine takes the next valid batch — into the slots the
+/// rejected rows had written, holding exactly the valid rows.
 #[test]
 fn duplicate_key_batch_is_rejected_atomically() {
     let engine = one_shot();
@@ -319,6 +320,42 @@ fn duplicate_key_batch_is_rejected_atomically() {
     assert_eq!(summary.table_rows, 18);
     let out = engine.run_opts(&q_u, &opts).expect("run u after insert");
     assert_eq!(out.rows[0][0], Value::Int(18));
+
+    // `u` now sits in a buffer with spare room, so the next rejected batch
+    // writes its rows into slots 18 and 19 in place before the unique
+    // index turns it down.  Those slots must never surface: the next
+    // valid batch lands at the same rids, bit for bit its own values.
+    let err = engine
+        .insert_rows(
+            "u",
+            &[
+                vec![Value::Int(18), Value::Int(-1)],
+                vec![Value::Int(4), Value::Int(-2)],
+            ],
+        )
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        rqo_storage::StorageError::DuplicateKey { key: 4, .. }
+    ));
+    let valid = [
+        vec![Value::Int(18), Value::Int(7)],
+        vec![Value::Int(19), Value::Int(8)],
+    ];
+    let summary = engine.insert_rows("u", &valid).expect("valid batch");
+    assert_eq!(summary.table_rows, 20);
+    let catalog = engine.catalog();
+    let u = catalog.table("u").unwrap();
+    for (rid, row) in (18..).zip(&valid) {
+        let stored = u.row(rid);
+        assert_eq!(
+            stored.iter().map(Value::as_int).collect::<Vec<_>>(),
+            row.iter().map(Value::as_int).collect::<Vec<_>>(),
+            "rid {rid} holds the valid batch's row"
+        );
+    }
+    let out = engine.run_opts(&q_u, &opts).expect("run u after both");
+    assert_eq!(out.rows[0][0], Value::Int(20));
 }
 
 /// Partition pruning × concurrent ingest.  `t` starts with rows

@@ -113,15 +113,6 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
     }
 
-    /// Looks up a table by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is stale (not produced by this catalog).
-    pub fn table_by_id(&self, id: TableId) -> &Arc<Table> {
-        &self.tables[id.0]
-    }
-
     /// The id for a table name.
     pub fn table_id(&self, name: &str) -> Result<TableId, StorageError> {
         self.by_name
@@ -212,13 +203,6 @@ impl Catalog {
             .filter(move |fk| fk.from_table == table)
     }
 
-    /// FK edges entering the given table.
-    pub fn foreign_keys_to<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(move |fk| fk.to_table == table)
-    }
-
     /// Builds (or returns the cached) nonclustered index on a column.
     pub fn ensure_secondary_index(
         &mut self,
@@ -290,12 +274,16 @@ impl Catalog {
     /// widen to cover the new keys.  Cached secondary/unique indexes on
     /// the table are carried over eagerly — dropping them instead would
     /// silently change access-path selection relative to a one-shot-built
-    /// catalog — by merging the batch in, never by rebuilding: each
-    /// successor index equals a build over the successor table.
+    /// catalog — by adding the batch, never by rebuilding: each
+    /// successor index holds the entries of a build over the successor
+    /// table.
     ///
     /// The batch is atomic: the successor table, layout and every
     /// successor index are built first, and only when all of them exist
-    /// is anything published.
+    /// is anything published.  A rejected batch may already have written
+    /// its rows past the end of the published columns, in place; no
+    /// published table covers those slots, and the next append, finding
+    /// them claimed, copies instead.
     ///
     /// # Errors
     ///
@@ -393,7 +381,7 @@ mod tests {
             Err(StorageError::UnknownTable(_))
         ));
         let id = cat.table_id("child").unwrap();
-        assert_eq!(cat.table_by_id(id).name(), "child");
+        assert_eq!(cat.tables().nth(id.0).unwrap().name(), "child");
         assert_eq!(cat.tables().count(), 2);
     }
 
@@ -414,7 +402,7 @@ mod tests {
         assert_eq!(idx.get(2), Some(1));
         assert_eq!(cat.foreign_keys().len(), 1);
         assert_eq!(cat.foreign_keys_from("child").count(), 1);
-        assert_eq!(cat.foreign_keys_to("parent").count(), 1);
+        assert_eq!(cat.foreign_keys()[0].to_table, "parent");
         assert_eq!(cat.foreign_keys_from("parent").count(), 0);
     }
 

@@ -2,7 +2,11 @@
 //!
 //! A [`ColumnVec`] is a typed vector with an optional [`NullMask`]; it is
 //! what a [`crate::Table`] stores, what the executor's batches carry
-//! between operators, and what the expression kernels read.  Strings are
+//! between operators, and what the expression kernels read.  Its payload
+//! is an [`AppendVec`], which derefs to one contiguous slice, so every
+//! kernel reads a column as `&[T]`; table versions share it, and an
+//! append writes the batch into the newest version's spare capacity
+//! instead of copying the column.  Strings are
 //! dictionary-encoded and the dictionary sits behind an `Arc`, so
 //! [`ColumnVec::take`] — the gather every filter, fetch, and join ends
 //! with — copies codes and never touches a string.  Stored columns hold
@@ -14,6 +18,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
+use crate::buffer::AppendVec;
 use crate::value::{DataType, Value};
 
 /// Compact validity bitmap: bit `i` set means row `i` is NULL.
@@ -108,21 +113,21 @@ pub enum ColumnVec {
     /// 64-bit integers.
     Int {
         /// Per-row payloads (arbitrary at NULL positions).
-        values: Vec<i64>,
+        values: AppendVec<i64>,
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
     /// 64-bit floats.
     Float {
         /// Per-row payloads (arbitrary at NULL positions).
-        values: Vec<f64>,
+        values: AppendVec<f64>,
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
     /// Dates as days since epoch.
     Date {
         /// Per-row payloads (arbitrary at NULL positions).
-        values: Vec<i32>,
+        values: AppendVec<i32>,
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
@@ -130,7 +135,7 @@ pub enum ColumnVec {
     Str {
         /// Per-row codes indexing into `dict` (arbitrary at NULL
         /// positions).
-        codes: Vec<u32>,
+        codes: AppendVec<u32>,
         /// Distinct values, shared by every column gathered from this one.
         dict: Arc<Vec<Arc<str>>>,
         /// Null bitmap; `None` means no NULLs.
@@ -139,58 +144,13 @@ pub enum ColumnVec {
     /// Booleans.
     Bool {
         /// Per-row payloads (arbitrary at NULL positions).
-        values: Vec<bool>,
+        values: AppendVec<bool>,
         /// Null bitmap; `None` means no NULLs.
         nulls: Option<NullMask>,
     },
 }
 
 impl ColumnVec {
-    /// An empty column of the given type with room for `cap` rows.
-    pub(crate) fn with_capacity(dt: DataType, cap: usize) -> ColumnVec {
-        match dt {
-            DataType::Int => ColumnVec::Int {
-                values: Vec::with_capacity(cap),
-                nulls: None,
-            },
-            DataType::Float => ColumnVec::Float {
-                values: Vec::with_capacity(cap),
-                nulls: None,
-            },
-            DataType::Date => ColumnVec::Date {
-                values: Vec::with_capacity(cap),
-                nulls: None,
-            },
-            DataType::Str => ColumnVec::Str {
-                codes: Vec::with_capacity(cap),
-                dict: Arc::default(),
-                nulls: None,
-            },
-            DataType::Bool => ColumnVec::Bool {
-                values: Vec::with_capacity(cap),
-                nulls: None,
-            },
-        }
-    }
-
-    /// An empty column of this one's type with room for `cap` rows.  A
-    /// `Str` column continues this one's dictionary, so a code means the
-    /// same string in both — which is what lets [`ColumnVec::splice`]
-    /// copy codes from either side verbatim.
-    pub(crate) fn continued(&self, cap: usize) -> ColumnVec {
-        match self {
-            ColumnVec::Str { dict, .. } => ColumnVec::Str {
-                codes: Vec::with_capacity(cap),
-                dict: Arc::clone(dict),
-                nulls: None,
-            },
-            ColumnVec::Int { .. } => ColumnVec::with_capacity(DataType::Int, cap),
-            ColumnVec::Float { .. } => ColumnVec::with_capacity(DataType::Float, cap),
-            ColumnVec::Date { .. } => ColumnVec::with_capacity(DataType::Date, cap),
-            ColumnVec::Bool { .. } => ColumnVec::with_capacity(DataType::Bool, cap),
-        }
-    }
-
     /// Extracts column `ord` of row-major `rows` into a typed vector.
     ///
     /// # Panics
@@ -200,7 +160,7 @@ impl ColumnVec {
     /// checked before they get here, and every operator declares the
     /// type of what it outputs).
     pub fn from_rows(rows: &[Vec<Value>], ord: usize, dt: DataType) -> ColumnVec {
-        let mut b = ColumnBuilder::new(ColumnVec::with_capacity(dt, rows.len()));
+        let mut b = ColumnBuilder::new(dt, rows.len());
         for r in rows {
             b.push(&r[ord]);
         }
@@ -263,7 +223,7 @@ impl ColumnVec {
     ///
     /// Panics when an id is out of range.
     pub fn take(&self, ids: &[u32]) -> ColumnVec {
-        fn pick<T: Copy>(values: &[T], ids: &[u32]) -> Vec<T> {
+        fn pick<T: Copy>(values: &[T], ids: &[u32]) -> AppendVec<T> {
             ids.iter().map(|&i| values[i as usize]).collect()
         }
         let mask = |nulls: &Option<NullMask>| nulls.as_ref().and_then(|m| m.take(ids));
@@ -295,11 +255,15 @@ impl ColumnVec {
     /// Interleaves this column with `tail`, a NULL-free column of the same
     /// type (stored columns and index keys are both NULL-free): for
     /// each `(mine, theirs)` run in order, rows `mine` of `self` then rows
-    /// `theirs` of `tail` — one copy into a vector sized for the result.
-    /// This is how an append lays out its successor (one run per
-    /// partition) and how an index merges a batch's sorted run.  A `Str`
+    /// `theirs` of `tail`.  The runs must cover both columns.  This is how
+    /// an append lays out its successor (one run per partition) and how an
+    /// index merges two sorted runs.  When every row of `self` comes
+    /// first — an unpartitioned append, or any splice that puts no old
+    /// row after a new one — the result is `self` extended by `tail`, in
+    /// place when `self` is its buffer's tip (see [`AppendVec`]); any
+    /// other splice is one copy into an exactly-sized vector.  A `Str`
     /// result takes `tail`'s dictionary, which must continue this one's
-    /// ([`ColumnVec::continued`]).
+    /// (as [`crate::Table`]'s batches do).
     ///
     /// # Panics
     ///
@@ -372,46 +336,92 @@ impl ColumnVec {
 /// the second.
 pub(crate) type Run = (Range<usize>, Range<usize>);
 
-/// The typed core of [`ColumnVec::splice`]: run by run, `a[mine]` then
-/// `b[theirs]`, each a `memcpy` (for `Copy` payloads) into one
-/// exactly-sized vector.
-pub(crate) fn spliced<T: Clone>(a: &[T], b: &[T], runs: &[Run]) -> Vec<T> {
-    let mut out = Vec::with_capacity(runs.iter().map(|(a, b)| a.len() + b.len()).sum());
+/// The typed core of [`ColumnVec::splice`]: `a` extended by `b` when no
+/// row of `a` follows a row of `b`, otherwise run by run `a[mine]` then
+/// `b[theirs]`, each a `memcpy`, into one exactly-sized vector.
+pub(crate) fn spliced<T: Copy>(a: &AppendVec<T>, b: &[T], runs: &[Run]) -> AppendVec<T> {
+    debug_assert_eq!(runs.iter().map(|(m, _)| m.len()).sum::<usize>(), a.len());
+    debug_assert_eq!(runs.iter().map(|(_, t)| t.len()).sum::<usize>(), b.len());
+    let tail = runs
+        .iter()
+        .skip_while(|(_, theirs)| theirs.is_empty())
+        .skip(1)
+        .all(|(mine, _)| mine.is_empty());
+    if tail {
+        return a.extended(b);
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
     for (mine, theirs) in runs {
         out.extend_from_slice(&a[mine.clone()]);
         out.extend_from_slice(&b[theirs.clone()]);
     }
-    out
+    out.into()
 }
 
-/// Appends `Value`s to a [`ColumnVec`] — the one routine behind
-/// [`ColumnVec::from_rows`], [`crate::TableBuilder`], and
-/// [`crate::Table::appended`].  String codes are assigned through a hash
-/// map, so building stays linear in high-cardinality columns.
+/// Appends `Value`s to a typed vector and freezes it into a
+/// [`ColumnVec`] — the one routine behind [`ColumnVec::from_rows`],
+/// [`crate::TableBuilder`], and [`crate::Table::appended`].  String codes
+/// are assigned through a hash map, so building stays linear in
+/// high-cardinality columns.
 #[derive(Debug)]
 pub(crate) struct ColumnBuilder {
-    col: ColumnVec,
+    dt: DataType,
+    values: Payload,
+    nulls: Option<NullMask>,
+    len: usize,
+    /// A `Str` column's dictionary, and each of its strings' code.
+    dict: Arc<Vec<Arc<str>>>,
     codes: HashMap<Arc<str>, u32>,
 }
 
+/// What a [`ColumnBuilder`] grows: one vector of its column's type.
+#[derive(Debug)]
+enum Payload {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Date(Vec<i32>),
+    Str(Vec<u32>),
+    Bool(Vec<bool>),
+}
+
 impl ColumnBuilder {
-    /// Continues `col`, an empty column from [`ColumnVec::with_capacity`]
-    /// or [`ColumnVec::continued`].
-    pub(crate) fn new(col: ColumnVec) -> Self {
-        let codes = match &col {
-            ColumnVec::Str { dict, .. } => dict
+    /// An empty column of type `dt` with room for `cap` rows.
+    pub(crate) fn new(dt: DataType, cap: usize) -> Self {
+        let values = match dt {
+            DataType::Int => Payload::Int(Vec::with_capacity(cap)),
+            DataType::Float => Payload::Float(Vec::with_capacity(cap)),
+            DataType::Date => Payload::Date(Vec::with_capacity(cap)),
+            DataType::Str => Payload::Str(Vec::with_capacity(cap)),
+            DataType::Bool => Payload::Bool(Vec::with_capacity(cap)),
+        };
+        Self {
+            dt,
+            values,
+            nulls: None,
+            len: 0,
+            dict: Arc::default(),
+            codes: HashMap::new(),
+        }
+    }
+
+    /// This builder continuing `col`'s dictionary when both are `Str`, so
+    /// a code means the same string in both — which is what lets
+    /// [`ColumnVec::splice`] copy codes from either side verbatim.
+    pub(crate) fn continuing(mut self, col: &ColumnVec) -> Self {
+        if let (Payload::Str(_), ColumnVec::Str { dict, .. }) = (&self.values, col) {
+            self.codes = dict
                 .iter()
                 .enumerate()
                 .map(|(code, s)| (Arc::clone(s), code as u32))
-                .collect(),
-            _ => HashMap::new(),
-        };
-        Self { col, codes }
+                .collect();
+            self.dict = Arc::clone(dict);
+        }
+        self
     }
 
     /// Rows so far.
     pub(crate) fn len(&self) -> usize {
-        self.col.len()
+        self.len
     }
 
     /// Appends one value: the column's type or NULL.
@@ -421,58 +431,68 @@ impl ColumnBuilder {
     /// Panics on a value of any other type, naming the column's type and
     /// the value.
     pub(crate) fn push(&mut self, v: &Value) {
-        let row = self.col.len();
-        let nulls = match (&mut self.col, v) {
-            (ColumnVec::Int { values, nulls }, Value::Int(_) | Value::Null) => {
+        match (&mut self.values, v) {
+            (Payload::Int(values), Value::Int(_) | Value::Null) => {
                 values.push(if let Value::Int(x) = v { *x } else { 0 });
-                nulls
             }
-            (ColumnVec::Float { values, nulls }, Value::Float(_) | Value::Null) => {
+            (Payload::Float(values), Value::Float(_) | Value::Null) => {
                 values.push(if let Value::Float(x) = v { *x } else { 0.0 });
-                nulls
             }
-            (ColumnVec::Date { values, nulls }, Value::Date(_) | Value::Null) => {
+            (Payload::Date(values), Value::Date(_) | Value::Null) => {
                 values.push(if let Value::Date(x) = v { *x } else { 0 });
-                nulls
             }
-            (ColumnVec::Bool { values, nulls }, Value::Bool(_) | Value::Null) => {
+            (Payload::Bool(values), Value::Bool(_) | Value::Null) => {
                 values.push(matches!(v, Value::Bool(true)));
-                nulls
             }
-            (ColumnVec::Str { codes, dict, nulls }, Value::Str(_) | Value::Null) => {
+            (Payload::Str(codes), Value::Str(_) | Value::Null) => {
                 codes.push(match v {
                     Value::Str(s) => *self.codes.entry(Arc::clone(s)).or_insert_with(|| {
-                        let dict = Arc::make_mut(dict);
+                        let dict = Arc::make_mut(&mut self.dict);
                         dict.push(Arc::clone(s));
                         (dict.len() - 1) as u32
                     }),
                     _ => 0,
                 });
-                nulls
             }
-            (col, v) => {
-                let dt = match col {
-                    ColumnVec::Int { .. } => DataType::Int,
-                    ColumnVec::Float { .. } => DataType::Float,
-                    ColumnVec::Date { .. } => DataType::Date,
-                    ColumnVec::Str { .. } => DataType::Str,
-                    ColumnVec::Bool { .. } => DataType::Bool,
-                };
-                panic!("{dt} column cannot hold {v:?}")
-            }
-        };
+            (_, v) => panic!("{} column cannot hold {v:?}", self.dt),
+        }
         if v.is_null() {
-            nulls
-                .get_or_insert_with(|| NullMask::all_valid(row))
+            self.nulls
+                .get_or_insert_with(|| NullMask::all_valid(self.len))
                 .push(true);
-        } else if let Some(mask) = nulls {
+        } else if let Some(mask) = &mut self.nulls {
             mask.push(false);
         }
+        self.len += 1;
     }
 
-    /// The finished column.
+    /// The finished column.  Its payload keeps the vector's allocation,
+    /// spare capacity included.
     pub(crate) fn finish(self) -> ColumnVec {
-        self.col
+        let nulls = self.nulls;
+        match self.values {
+            Payload::Int(v) => ColumnVec::Int {
+                values: v.into(),
+                nulls,
+            },
+            Payload::Float(v) => ColumnVec::Float {
+                values: v.into(),
+                nulls,
+            },
+            Payload::Date(v) => ColumnVec::Date {
+                values: v.into(),
+                nulls,
+            },
+            Payload::Str(v) => ColumnVec::Str {
+                codes: v.into(),
+                dict: self.dict,
+                nulls,
+            },
+            Payload::Bool(v) => ColumnVec::Bool {
+                values: v.into(),
+                nulls,
+            },
+        }
     }
 }
 
@@ -519,7 +539,7 @@ mod tests {
         match strs {
             ColumnVec::Str { codes, dict, .. } => {
                 assert_eq!(dict.len(), 2);
-                assert_eq!(codes, vec![0, 1, 0]);
+                assert_eq!(codes, [0, 1, 0]);
             }
             other => panic!("expected Str column, got {other:?}"),
         }

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+mod buffer;
 pub mod catalog;
 pub mod column;
 pub mod cost;
@@ -24,6 +25,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
+pub use buffer::AppendVec;
 pub use catalog::{Catalog, ForeignKey, TableId};
 pub use column::{ColumnVec, NullMask};
 pub use cost::{CostParams, CostTracker};

@@ -203,7 +203,9 @@ impl Partitioning {
     /// layout a one-shot [`PartitionedTableBuilder`] build over the
     /// combined row stream would produce, which is what keeps streamed
     /// and one-shot tables bit-identical.  Each column is copied once,
-    /// run by run (see [`Table::appended`]).
+    /// run by run — or extended in place when no old row follows a batch
+    /// row, as when a range partition on a growing key takes the whole
+    /// batch (see [`Table::appended`]).
     ///
     /// Returns the new table, the updated layout (spans re-derived,
     /// per-partition min/max widened by the new keys), and each input

@@ -163,7 +163,10 @@ impl Table {
     /// Returns a new table holding this table's rows followed by
     /// `rows`, in order.  The original is untouched — tables are
     /// immutable, so ingest builds a successor and republishes it
-    /// (the engine's snapshot semantics).
+    /// (the engine's snapshot semantics).  When this table is the newest
+    /// version of its columns the batch is written into their spare
+    /// capacity, so the append costs O(batch); the original still reads
+    /// exactly its own rows.
     ///
     /// # Errors
     ///
@@ -176,8 +179,7 @@ impl Table {
     }
 
     /// `rows` as a table of their own that continues this one's string
-    /// dictionaries (see [`ColumnVec::continued`]), ready to be spliced
-    /// into a successor.
+    /// dictionaries, ready to be spliced into a successor.
     ///
     /// # Errors
     ///
@@ -191,9 +193,11 @@ impl Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             columns: self
-                .columns
+                .schema
+                .columns()
                 .iter()
-                .map(|c| ColumnBuilder::new(c.continued(rows.len())))
+                .zip(&self.columns)
+                .map(|(meta, c)| ColumnBuilder::new(meta.data_type, rows.len()).continuing(c))
                 .collect(),
         };
         for row in rows {
@@ -203,7 +207,8 @@ impl Table {
     }
 
     /// The successor laid out by `splice` from this table's rows and
-    /// `batch`'s (from [`Table::batch`]): each column copied once.  A
+    /// `batch`'s (from [`Table::batch`]): each column extended in place or
+    /// copied once (see [`ColumnVec::splice`]).  A
     /// sortedness flag is this table's flag confirmed at the rows around
     /// every batch run — old rows keep their relative order, so they
     /// stay sorted among themselves — and is recomputed in full only when
@@ -392,7 +397,7 @@ impl TableBuilder {
         let columns = schema
             .columns()
             .iter()
-            .map(|c| ColumnBuilder::new(ColumnVec::with_capacity(c.data_type, capacity)))
+            .map(|c| ColumnBuilder::new(c.data_type, capacity))
             .collect();
         Self {
             name: name.into(),

@@ -1,14 +1,18 @@
 //! Appended indexes equal one-shot builds.  `Catalog::append_rows` never
-//! rebuilds an index: it merges the batch's sorted run into each
-//! secondary index and adds the batch's keys to each unique index,
-//! renumbering old rids when a partitioned append moves them.  After every
-//! batch — on flat, hash- and range-partitioned tables, with heavy key
-//! ties, NaN and ±0.0 floats, and strings that grow the dictionary — each
-//! index must equal a build over the successor table, a repeated primary
-//! key must be rejected with the error a build would report and change
-//! nothing, and the successor's sortedness flags must equal a freshly
-//! frozen copy's.
+//! rebuilds an index: it pushes the batch's sorted run onto each
+//! secondary index's stack of runs (merging the newest two while the
+//! older is at most twice the newer) and adds the batch's keys to each
+//! unique index, renumbering old rids when a partitioned append moves
+//! them.  After every batch — on flat, hash- and range-partitioned
+//! tables, with heavy key ties, NaN and ±0.0 floats, and strings that grow
+//! the dictionary — each secondary index's runs must merge into a build's
+//! `(key, rid)` sequence, stay within the logarithmic run bound, and
+//! answer every range and equality lookup with a build's rids; a repeated
+//! primary key must be rejected with the error a build would report and
+//! change nothing; and the successor's sortedness flags must equal a
+//! freshly frozen copy's.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -109,36 +113,106 @@ fn catalog(layout: u8, rows: &[Vec<Value>]) -> Catalog {
     cat
 }
 
-/// A key's exact identity (a float's bits, a string's contents).
-fn bits(v: Value) -> (u64, Option<Arc<str>>) {
-    match v {
-        Value::Int(x) => (x as u64, None),
-        Value::Float(x) => (x.to_bits(), None),
-        Value::Date(x) => (x as u64, None),
-        Value::Str(s) => (0, Some(s)),
-        other => panic!("stored keys are typed, got {other:?}"),
-    }
+/// `(key, rid)` order, keys by [`Value::total_cmp`] (the index order).
+fn entry_cmp(t: &Table, col: usize, a: Rid, b: Rid) -> Ordering {
+    t.value(a, col).total_cmp(&t.value(b, col)).then(a.cmp(&b))
 }
 
-fn all(idx: &SecondaryIndex) -> &[Rid] {
-    idx.range(Bound::Unbounded, Bound::Unbounded)
+/// The k-way merge of sorted rid runs by `(key, rid)`.
+fn merge_runs(t: &Table, col: usize, runs: &[&[Rid]]) -> Vec<Rid> {
+    let mut heads = vec![0; runs.len()];
+    let mut out = Vec::new();
+    while let Some(r) = (0..runs.len())
+        .filter(|&r| heads[r] < runs[r].len())
+        .min_by(|&x, &y| entry_cmp(t, col, runs[x][heads[x]], runs[y][heads[y]]))
+    {
+        out.push(runs[r][heads[r]]);
+        heads[r] += 1;
+    }
+    out
+}
+
+/// The rids of `slices`, in rid order.
+fn rid_set(slices: Vec<&[Rid]>) -> Vec<Rid> {
+    let mut rids = slices.concat();
+    rids.sort_unstable();
+    rids
 }
 
 fn assert_matches_builds(cat: &Catalog) -> Result<(), TestCaseError> {
     let t = cat.table("t").unwrap();
     let n = t.num_rows();
-    for col in INDEXED {
-        let merged = cat.secondary_index("t", col).unwrap();
-        let built = SecondaryIndex::build(t, col);
-        prop_assert_eq!(all(merged), all(&built), "rids of {}", col);
-        prop_assert_eq!(merged.keys().len(), n);
-        for k in 0..n {
+    for name in INDEXED {
+        let col = t.schema().expect_index(name);
+        let merged = cat.secondary_index("t", name).unwrap();
+        let built = SecondaryIndex::build(t, name);
+        prop_assert_eq!(merged.num_entries(), n);
+        // The runs: each sorted, together a build's (key, rid) sequence.
+        let runs = merged.range(Bound::Unbounded, Bound::Unbounded);
+        for run in &runs {
+            prop_assert!(
+                run.windows(2)
+                    .all(|w| entry_cmp(t, col, w[0], w[1]).is_lt()),
+                "a run of {} out of order",
+                name
+            );
+        }
+        let sequence = built.range(Bound::Unbounded, Bound::Unbounded).concat();
+        prop_assert_eq!(
+            merge_runs(t, col, &runs),
+            sequence.clone(),
+            "entries of {}",
+            name
+        );
+        // The logarithmic method's bound: each run holds more than twice
+        // the next, so k runs over N entries, the newest b of them, number
+        // at most ⌈log₂(N/b)⌉ + 1.
+        prop_assert!(runs.iter().all(|r| !r.is_empty()));
+        prop_assert!(
+            runs.windows(2).all(|w| w[0].len() > 2 * w[1].len()),
+            "run sizes of {}: {:?}",
+            name,
+            runs.iter().map(|r| r.len()).collect::<Vec<_>>()
+        );
+        if let Some(newest) = runs.last() {
+            let bound = (n as f64 / newest.len() as f64).log2().ceil() as usize + 1;
+            prop_assert!(runs.len() <= bound, "{} runs > {}", runs.len(), bound);
+        }
+        // Every lookup answers with a build's rids: each stored key as an
+        // equality, and as either end of a range, open or closed.
+        let mut probes: Vec<Value> = Vec::new();
+        for &rid in &sequence {
+            let v = t.value(rid, col);
+            if probes.last().is_none_or(|p| p.total_cmp(&v).is_ne()) {
+                probes.push(v);
+            }
+        }
+        for (p, v) in probes.iter().enumerate() {
+            let next = &probes[(p + 1) % probes.len()];
+            for (lo, hi) in [
+                (Bound::Included(v), Bound::Included(v)),
+                (Bound::Included(v), Bound::Unbounded),
+                (Bound::Excluded(v), Bound::Unbounded),
+                (Bound::Unbounded, Bound::Excluded(v)),
+                (Bound::Unbounded, Bound::Included(v)),
+                (Bound::Included(v), Bound::Excluded(next)),
+                (Bound::Excluded(v), Bound::Included(next)),
+            ] {
+                prop_assert_eq!(
+                    rid_set(merged.range(lo, hi)),
+                    rid_set(built.range(lo, hi)),
+                    "{} in {:?}..{:?}",
+                    name,
+                    lo,
+                    hi
+                );
+            }
             prop_assert_eq!(
-                bits(merged.keys().value(k)),
-                bits(built.keys().value(k)),
-                "key {} of {}",
-                k,
-                col
+                rid_set(merged.lookup_eq(v)),
+                rid_set(built.lookup_eq(v)),
+                "{} = {:?}",
+                name,
+                v
             );
         }
     }

@@ -102,7 +102,7 @@ proptest! {
         let hi_v = Value::Int(hi);
         let lo_bound = if lo_inclusive { Bound::Included(&lo_v) } else { Bound::Excluded(&lo_v) };
         let hi_bound = if hi_inclusive { Bound::Included(&hi_v) } else { Bound::Excluded(&hi_v) };
-        let mut from_index: Vec<u32> = idx.range(lo_bound, hi_bound).to_vec();
+        let mut from_index: Vec<u32> = idx.range(lo_bound, hi_bound).concat();
         from_index.sort_unstable();
         let mut naive: Vec<u32> = values
             .iter()
@@ -122,7 +122,7 @@ proptest! {
     fn index_eq_equals_naive_filter(values in prop::collection::vec(-20i64..20, 0..150), key in -25i64..25) {
         let t = int_table(&values);
         let idx = SecondaryIndex::build(&t, "x");
-        let mut hits: Vec<u32> = idx.lookup_eq(&Value::Int(key)).to_vec();
+        let mut hits: Vec<u32> = idx.lookup_eq(&Value::Int(key)).concat();
         hits.sort_unstable();
         let naive: Vec<u32> = values
             .iter()

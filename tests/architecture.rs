@@ -171,9 +171,9 @@ const PUB_LINE_BUDGET: [(&str, usize); 9] = [
     ("optimizer", 160),
     ("service", 167),
     ("stats", 99),
-    ("storage", 174),
+    ("storage", 173),
 ];
-const DESIGN_LINE_BUDGET: usize = 901;
+const DESIGN_LINE_BUDGET: usize = 900;
 
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read source dir") {

@@ -161,9 +161,9 @@ fn input_columns(needed: Option<&[String]>, own: &[&str]) -> Option<Vec<String>>
 }
 
 /// Runs `plan` and returns its output restricted to the columns in
-/// `needed` (`None` = all).  An operator gathers every column of its
-/// input, so dropping the unread ones here — an `Arc` drop — is what
-/// keeps a join under an aggregate from building columns nobody reads.
+/// `needed` (`None` = all).  A join builds only those columns; any other
+/// operator hands on every column of its input, and the unread ones are
+/// dropped here, an `Arc` drop.
 fn run(
     plan: &PhysicalPlan,
     env: &Env<'_>,
@@ -292,7 +292,8 @@ fn run(
             let (b, mb) = run(build, env, tracker, counter, reads.as_deref())?;
             let (p, mp) = run(probe, env, tracker, counter, reads.as_deref())?;
             let (build_len, probe_len) = (b.len(), p.len());
-            let out = hash_join(tracker, b, p, build_key, probe_key, opts).ok_or_else(stopped)?;
+            let out =
+                hash_join(tracker, b, p, build_key, probe_key, needed, opts).ok_or_else(stopped)?;
             (
                 out,
                 (build_len + probe_len) as u64,
@@ -311,7 +312,8 @@ fn run(
             let (l, ml) = run(left, env, tracker, counter, reads.as_deref())?;
             let (r, mr) = run(right, env, tracker, counter, reads.as_deref())?;
             let rows_in = (l.len() + r.len()) as u64;
-            let out = merge_join(tracker, l, r, left_key, right_key, opts).ok_or_else(stopped)?;
+            let out =
+                merge_join(tracker, l, r, left_key, right_key, needed, opts).ok_or_else(stopped)?;
             (out, rows_in, 0, 0, vec![ml, mr])
         }
         PhysicalPlan::IndexedNlJoin {
@@ -331,6 +333,7 @@ fn run(
                 inner_table,
                 inner_index_column,
                 outer_key,
+                needed,
                 opts,
             )
             .ok_or_else(stopped)?;
@@ -494,7 +497,9 @@ mod tests {
 
     /// Only the columns a consumer reads reach it, and the result is the
     /// one the unpruned operators give — also where both join inputs
-    /// carry the same names and the output is qualified `l.` / `r.`.
+    /// carry the same names and the output is qualified `l.` / `r.`.  A
+    /// join builds only those columns itself, and a guarded run keeps
+    /// every column.
     #[test]
     fn unread_columns_are_dropped_below_their_last_reader() {
         let schema = Schema::from_pairs(&[
@@ -503,7 +508,7 @@ mod tests {
             ("pad", DataType::Str),
         ]);
         let mut cat = Catalog::new();
-        for (name, rows) in [("a", 40i64), ("b", 90)] {
+        for (name, rows) in [("a", 40i64), ("b", 90), ("dim", 7)] {
             let mut t = TableBuilder::new(name, schema.clone(), rows as usize);
             for i in 0..rows {
                 t.push_row(&[
@@ -547,6 +552,67 @@ mod tests {
         let rv = full.schema.expect_index("r.v");
         let full_rv: Vec<Vec<Value>> = full.to_rows().iter().map(|r| vec![r[rv].clone()]).collect();
         assert_eq!(pruned.to_rows(), full_rv);
+
+        // The join's own output, before `run` trims anything, is what the
+        // filter above it reads plus what the filter passes on: the full
+        // join's rows, two of its six columns.
+        let PhysicalPlan::Filter { input: hj, .. } = &join else {
+            unreachable!("the plan above is a filter over a join")
+        };
+        let join_reads = input_columns(Some(&reads), &["l.v"]).unwrap();
+        let (scanned_a, scanned_b) = (
+            execute(&scan("a"), &cat, &params).0,
+            execute(&scan("b"), &cat, &params).0,
+        );
+        let own = hash_join(
+            &mut CostTracker::new(),
+            scanned_a,
+            scanned_b,
+            "k",
+            "k",
+            Some(&join_reads),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(own.schema.names(), vec!["l.v", "r.v"]);
+        let whole = execute(hj, &cat, &params)
+            .0
+            .retain_columns(|n| n.ends_with(".v"));
+        assert_eq!(own.to_rows(), whole.to_rows());
+
+        // An FK-shaped join (each `b` row meets one `dim` row) passes its
+        // probe column through from storage, uncopied.
+        let fk = PhysicalPlan::HashJoin {
+            build: Box::new(scan("dim")),
+            probe: Box::new(scan("b")),
+            build_key: "k".into(),
+            probe_key: "k".into(),
+        };
+        let Ok((fk_out, _)) = run(&fk, &env, &mut CostTracker::new(), &mut 0, Some(&reads)) else {
+            panic!("nothing stops this run");
+        };
+        assert_eq!(fk_out.schema.names(), vec!["r.v"]);
+        let stored_v = &cat.table("b").unwrap().columns()[1];
+        assert!(std::sync::Arc::ptr_eq(&fk_out.columns()[0], stored_v));
+
+        // A guarded run hands a tripped join's batch to another plan, so
+        // the join keeps every column.
+        let guards = [crate::adaptive::RowGuard {
+            node: 1,
+            est_rows: 1e9,
+            bound: 2.0,
+        }];
+        let guarded = Env {
+            guards: &guards,
+            ..env
+        };
+        let Err(Interrupt::Trip(trip)) =
+            run(&join, &guarded, &mut CostTracker::new(), &mut 0, None)
+        else {
+            panic!("the join's guard trips");
+        };
+        assert_eq!(trip.node, 1);
+        assert_eq!(trip.batch.schema.names(), full.schema.names());
 
         let aggregates = vec![AggExpr::sum("r.v", "s"), AggExpr::count_star("n")];
         let plan = PhysicalPlan::HashAggregate {

@@ -1,9 +1,10 @@
 //! Join operators: hash join, merge join, indexed nested loops, and the
 //! star semijoin strategy.
 //!
-//! Every join first decides *which* rows pair up — as two parallel index
-//! lists, one per side — and only then builds its output, with one typed
-//! `take` per input column.
+//! Every join first decides *which* rows pair up — as two id lists, one
+//! per side — and only then builds its output: one typed `take` per
+//! output column its consumer reads, and none for a side that passes
+//! through.
 
 use std::sync::Arc;
 
@@ -15,21 +16,64 @@ use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
 use crate::scan::{charge_fetch, fetch_rows, intersect_sorted, rids_for_range, seq_scan};
 
-/// The join output for matched index pairs: row `k` is `left`'s row
-/// `pairs[k].0` followed by `right`'s row `pairs[k].1`.
-fn take_pairs(
-    schema: Schema,
-    left: &[Arc<ColumnVec>],
-    right: &[Arc<ColumnVec>],
-    pairs: &[(u32, u32)],
-) -> Batch {
-    let (lids, rids): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
-    let columns = left
-        .iter()
-        .map(|c| Arc::new(c.take(&lids)))
-        .chain(right.iter().map(|c| Arc::new(c.take(&rids))))
+/// One join input and, morsel by morsel, the row of it each output row
+/// takes.
+struct Side<'a> {
+    schema: &'a Schema,
+    columns: &'a [Arc<ColumnVec>],
+    ids: Vec<Vec<u32>>,
+}
+
+impl<'a> Side<'a> {
+    fn of(batch: &'a Batch, ids: Vec<Vec<u32>>) -> Self {
+        Self {
+            schema: &batch.schema,
+            columns: batch.columns(),
+            ids,
+        }
+    }
+
+    /// Whether the ids are exactly `0..len`: every input row once, in
+    /// order — a probe side whose every row met exactly one build row.
+    fn passes_through(&self) -> bool {
+        let len = self.columns.first().map_or(0, |c| c.len());
+        self.ids.iter().map(Vec::len).sum::<usize>() == len
+            && self.ids.iter().flatten().copied().eq(0..len as u32)
+    }
+}
+
+/// The join output: row `k` is the `left` row and then the `right` row
+/// at place `k` of their ids, under [`Schema::join`]'s names.  Only the
+/// columns named in `needed` are built (`None`: all); when it names none,
+/// one column stays, as in [`Batch::retain_columns`].  A side that passes
+/// through hands on its input columns uncopied — and the one column kept
+/// for the row count is one of those when it can be.
+fn gather(left: Side<'_>, right: Side<'_>, needed: Option<&[String]>) -> Batch {
+    let schema = left.schema.join(right.schema, "l", "r");
+    let split = left.columns.len();
+    let sides = [left, right];
+    let through = [sides[0].passes_through(), sides[1].passes_through()];
+    let mut keep: Vec<usize> = (0..schema.len())
+        .filter(|&c| needed.is_none_or(|names| names.contains(&schema.column(c).name)))
         .collect();
-    Batch::new(schema, columns)
+    if keep.is_empty() {
+        keep.push(if through[1] && !through[0] { split } else { 0 });
+    }
+    // A side's ids are concatenated once, and only if it is gathered.
+    let mut flat: [Option<Vec<u32>>; 2] = [None, None];
+    let columns = keep
+        .iter()
+        .map(|&c| {
+            let s = usize::from(c >= split);
+            let col = &sides[s].columns[c - s * split];
+            if through[s] {
+                return Arc::clone(col);
+            }
+            let ids = flat[s].get_or_insert_with(|| sides[s].ids.concat());
+            Arc::new(col.take(ids))
+        })
+        .collect();
+    Batch::new(schema.project(&keep), columns)
 }
 
 /// The key column `key` of `batch`.
@@ -82,10 +126,14 @@ const END: u32 = u32::MAX;
 /// [`crate::agg::hash_aggregate`]) and chains the rows of one id through
 /// a `next` array, so each key's rows come out in ascending build order.
 /// Probe morsels look their keys up in the read-only table, walk the
-/// chains, and emit `(build, probe)` index pairs, concatenated in morsel
-/// order.  All three charges are totals over input/output sizes, so rows,
-/// row order, and costs are the same for every thread count and morsel
-/// size.  Returns `None` when the query's token fired during the probe.
+/// chains, and emit a build id and a probe id per output row, kept in
+/// morsel order.  Only the output columns named in `needed` are built
+/// (`None`: all), and when every probe row meets exactly one build row —
+/// an FK probe whose every key is in the build — the probe columns are
+/// the input's, uncopied.  All three charges are totals over input/output
+/// sizes, so rows, row order, and costs are the same for every thread
+/// count, morsel size and `needed`.  Returns `None` when the query's
+/// token fired during the probe.
 ///
 /// # Panics
 ///
@@ -96,6 +144,7 @@ pub fn hash_join(
     probe: Batch,
     build_key: &str,
     probe_key: &str,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let (bcol, pcol) = (int_column(&build, build_key), int_column(&probe, probe_key));
@@ -125,21 +174,26 @@ pub fn hash_join(
     tracker.charge_hash_probes(probe.len() as u64);
     let parts = run_morsels(opts, probe.len(), |morsel| {
         let words = pkeys.encode(morsel.clone());
-        let mut out: Vec<(u32, u32)> = Vec::new();
+        let mut bids: Vec<u32> = Vec::with_capacity(morsel.len());
+        let mut pids: Vec<u32> = Vec::with_capacity(morsel.len());
         for (key, i) in words.chunks_exact(width).zip(morsel) {
             let Some(id) = table.get(key) else { continue };
             let mut b = head[id as usize];
             while b != END {
-                out.push((b, i as u32));
+                bids.push(b);
+                pids.push(i as u32);
                 b = next[b as usize];
             }
         }
-        out
+        (bids, pids)
     })?;
-    let pairs = parts.concat();
-    tracker.charge_cpu_ops(pairs.len() as u64);
-    let schema = build.schema.join(&probe.schema, "l", "r");
-    Some(take_pairs(schema, build.columns(), probe.columns(), &pairs))
+    let (bids, pids): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    tracker.charge_cpu_ops(pids.iter().map(Vec::len).sum::<usize>() as u64);
+    Some(gather(
+        Side::of(&build, bids),
+        Side::of(&probe, pids),
+        needed,
+    ))
 }
 
 /// One merge-join input's `Int` keys in key order (NULL first, as
@@ -167,9 +221,9 @@ fn sorted_keys(
 /// and pay nothing).
 ///
 /// The sort and the merge are one ordered pass on the calling thread over
-/// the two key columns that yields matching `(left, right)` index pairs;
-/// the output is then gathered from those pairs.  Returns `None` when the
-/// query's token has fired.
+/// the two key columns that yields the matching left and right ids; the
+/// columns named in `needed` are then gathered from them, as in
+/// [`hash_join`].  Returns `None` when the query's token has fired.
 ///
 /// # Panics
 ///
@@ -180,13 +234,14 @@ pub fn merge_join(
     right: Batch,
     left_key: &str,
     right_key: &str,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let (lkeys, lorder) = sorted_keys(tracker, &left, left_key);
     let (rkeys, rorder) = sorted_keys(tracker, &right, right_key);
 
     tracker.charge_cpu_ops((left.len() + right.len()) as u64);
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let (mut lids, mut rids): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
     while i < lkeys.len() && j < rkeys.len() {
         match lkeys[i].cmp(&rkeys[j]) {
@@ -202,19 +257,23 @@ pub fn merge_join(
                     .find(|&x| rkeys[x] != key)
                     .unwrap_or(rkeys.len());
                 for &l in &lorder[i..i_end] {
-                    pairs.extend(rorder[j..j_end].iter().map(|&r| (l, r)));
+                    lids.extend(std::iter::repeat_n(l, j_end - j));
+                    rids.extend_from_slice(&rorder[j..j_end]);
                 }
                 i = i_end;
                 j = j_end;
             }
         }
     }
-    tracker.charge_cpu_ops(pairs.len() as u64);
+    tracker.charge_cpu_ops(lids.len() as u64);
     if opts.check_stop().is_some() {
         return None;
     }
-    let schema = left.schema.join(&right.schema, "l", "r");
-    Some(take_pairs(schema, left.columns(), right.columns(), &pairs))
+    Some(gather(
+        Side::of(&left, vec![lids]),
+        Side::of(&right, vec![rids]),
+        needed,
+    ))
 }
 
 /// Indexed nested-loops join: for each outer row, probe the inner table's
@@ -227,12 +286,14 @@ pub fn merge_join(
 /// thousands (Experiment 2's low-selectivity regime).
 ///
 /// Outer rows are morselized; each morsel probes the (read-only) index
-/// and emits `(outer row, inner RID)` pairs, charging a morsel-local
-/// tracker.  Every outer row's charges (descend, per-match CPU, its own
-/// `charge_fetch`) are independent of the other rows, so summing the
-/// morsel trackers — all-integer counters — gives the same totals for
-/// every morsel size, and concatenating morsel outputs in index order
-/// keeps outer order.  Returns `None` when the query's token fired.
+/// and emits an outer row and an inner RID per match, charging a
+/// morsel-local tracker.  Every outer row's charges (descend, per-match
+/// CPU, its own `charge_fetch`) are independent of the other rows, so
+/// summing the morsel trackers — all-integer counters — gives the same
+/// totals for every morsel size, and keeping morsel outputs in index
+/// order keeps outer order.  The columns named in `needed` are then
+/// gathered, as in [`hash_join`].  Returns `None` when the query's token
+/// fired.
 #[allow(clippy::too_many_arguments)]
 pub fn indexed_nl_join(
     catalog: &Catalog,
@@ -242,6 +303,7 @@ pub fn indexed_nl_join(
     inner_table: &str,
     inner_index_column: &str,
     outer_key: &str,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let inner = catalog.table(inner_table).expect("inner table exists");
@@ -252,24 +314,33 @@ pub fn indexed_nl_join(
 
     let parts = run_morsels(opts, outer.len(), |morsel| {
         let mut local = CostTracker::new();
-        let mut out: Vec<(u32, Rid)> = Vec::new();
+        let (mut oids, mut iids): (Vec<u32>, Vec<Rid>) = (Vec::new(), Vec::new());
         for o in morsel {
             local.charge_random_ios(1); // descend to the leaf for this key
             let mut rids = index.lookup_eq(&keys.value(o)).concat();
             local.charge_cpu_ops(rids.len() as u64);
             charge_fetch(inner, params, &mut local, &mut rids);
-            out.extend(rids.into_iter().map(|rid| (o as u32, rid)));
+            oids.extend(std::iter::repeat_n(o as u32, rids.len()));
+            iids.extend(rids);
         }
-        (out, local)
+        (oids, iids, local)
     })?;
-    let mut pairs = Vec::new();
-    for (out, local) in parts {
+    let (mut oids, mut iids) = (
+        Vec::with_capacity(parts.len()),
+        Vec::with_capacity(parts.len()),
+    );
+    for (o, i, local) in parts {
         tracker.absorb(&local);
-        pairs.extend(out);
+        oids.push(o);
+        iids.push(i);
     }
-    tracker.charge_cpu_ops(pairs.len() as u64);
-    let schema = outer.schema.join(inner.schema(), "l", "r");
-    Some(take_pairs(schema, outer.columns(), inner.columns(), &pairs))
+    tracker.charge_cpu_ops(oids.iter().map(Vec::len).sum::<usize>() as u64);
+    let inner = Side {
+        schema: inner.schema(),
+        columns: inner.columns(),
+        ids: iids,
+    };
+    Some(gather(Side::of(&outer, oids), inner, needed))
 }
 
 /// Star semijoin (Experiment 3's index strategy): for each leg, filter the
@@ -374,6 +445,7 @@ mod tests {
             right,
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -403,10 +475,20 @@ mod tests {
             r.clone(),
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
-        let m = merge_join(&mut t2, l, r, "a_key", "b_key", &ExecOptions::serial()).unwrap();
+        let m = merge_join(
+            &mut t2,
+            l,
+            r,
+            "a_key",
+            "b_key",
+            None,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(h.len(), m.len());
         // Same multiset of (key, lval, rval) triples.
         let canon = |b: &Batch| {
@@ -432,6 +514,7 @@ mod tests {
             sorted_r.clone(),
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -443,6 +526,7 @@ mod tests {
             sorted_r,
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -461,6 +545,7 @@ mod tests {
                 p.clone(),
                 bk,
                 pk,
+                None,
                 &ExecOptions::serial(),
             )
             .unwrap();
@@ -498,6 +583,7 @@ mod tests {
             "inner",
             "k",
             "o_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -522,6 +608,7 @@ mod tests {
             "inner",
             "k",
             "o_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -533,6 +620,7 @@ mod tests {
             "inner",
             "k",
             "o_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -570,6 +658,7 @@ mod tests {
             r.clone(),
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -577,7 +666,8 @@ mod tests {
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
-            let par = hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            let par =
+                hash_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", None, &opts).unwrap();
             assert_eq!(par.to_rows(), expect, "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }
@@ -600,6 +690,7 @@ mod tests {
                 "inner",
                 "k",
                 "o_key",
+                None,
                 opts,
             )
             .unwrap();
@@ -638,13 +729,14 @@ mod tests {
             r.clone(),
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
         assert_eq!(whole.to_rows(), expect);
         let opts = ExecOptions::with_threads(2).with_morsel_size(2);
         let mut tp = CostTracker::new();
-        let par = hash_join(&mut tp, l, r, "a_key", "b_key", &opts).unwrap();
+        let par = hash_join(&mut tp, l, r, "a_key", "b_key", None, &opts).unwrap();
         assert_eq!(par.to_rows(), expect);
         assert_eq!(tp, ts);
     }
@@ -663,6 +755,7 @@ mod tests {
             r,
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         );
     }
@@ -680,6 +773,7 @@ mod tests {
             r.clone(),
             "a_key",
             "b_key",
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -687,7 +781,8 @@ mod tests {
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
             let mut tp = CostTracker::new();
-            let par = merge_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", &opts).unwrap();
+            let par =
+                merge_join(&mut tp, l.clone(), r.clone(), "a_key", "b_key", None, &opts).unwrap();
             assert_eq!(par.to_rows(), whole.to_rows(), "threads={threads}");
             assert_eq!(tp, ts, "threads={threads}");
         }

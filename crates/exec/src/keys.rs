@@ -62,7 +62,7 @@ impl KeyTable {
 
     /// The words of key `id`.
     #[inline]
-    pub(crate) fn key(&self, id: u32) -> &[u64] {
+    fn key(&self, id: u32) -> &[u64] {
         let at = id as usize * self.width;
         &self.arena[at..at + self.width]
     }
@@ -121,6 +121,15 @@ impl KeyTable {
         }
         self.slots = slots;
     }
+}
+
+/// Which of `parts` partitions (a power of two) `key` falls in: the top
+/// bits of its hash.  A table picks a slot from the low bits, so one
+/// partition's keys still spread over every slot.
+#[inline]
+pub(crate) fn partition(key: &[u64], parts: usize) -> usize {
+    debug_assert!(parts.is_power_of_two());
+    (hash(key) >> 32 >> (32 - parts.trailing_zeros())) as usize
 }
 
 /// Multiply-fold hash: per word a golden-ratio multiply, then the
@@ -237,6 +246,16 @@ mod tests {
         assert_eq!(t.get(&[]), None);
         assert!((0..5).all(|_| t.insert(&[]) == 0));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn partitions_split_the_keys_and_one_partition_takes_all() {
+        let mut counts = [0; 4];
+        for k in 0..1000u64 {
+            counts[partition(&[k], 4)] += 1;
+        }
+        assert!(counts.iter().all(|&c| c > 150), "{counts:?}");
+        assert!((0..1000u64).all(|k| partition(&[k, 7], 1) == 0));
     }
 
     #[test]

@@ -66,6 +66,10 @@ pub trait MorselScheduler: Send + Sync {
         n_morsels: usize,
         run_one: &(dyn Fn(usize) + Send + Sync),
     ) -> bool;
+
+    /// Dedicated worker threads (not counting the submitters, which also
+    /// run their own jobs' morsels).
+    fn workers(&self) -> usize;
 }
 
 /// Execution knobs threaded through [`crate::execute_with`].

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rqo_exec::agg::hash_aggregate;
-use rqo_exec::join::hash_join;
+use rqo_exec::join::{hash_join, merge_join};
 use rqo_exec::kernels::{filter_batch, project_batch};
 use rqo_exec::{
     execute_analyze, execute_guarded, AggExpr, AggFunc, Batch, ExecOptions, ExecStatus,
@@ -121,6 +121,38 @@ fn oracle_join(build: &Batch, probe: &Batch, bk: usize, pk: usize) -> Vec<Vec<Va
         }
     }
     out
+}
+
+/// The rows of one [`make_batch`] input.
+type Rows = Vec<(i64, i64, u8)>;
+
+/// An FK-shaped join's inputs from `build` payloads and `probe` picks:
+/// build key `4i + 1` for row `i` (unique, and never NULL in
+/// [`make_batch`], which nulls `a % 4 == 0`), and each probe row keyed
+/// by the build row its pick lands on.
+fn fk_sides(build: &[(i64, u8)], probe: &[(usize, i64, u8)]) -> (Rows, Rows) {
+    let key = |i: usize| 4 * i as i64 + 1;
+    (
+        build
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, c))| (key(i), b, c))
+            .collect(),
+        probe
+            .iter()
+            .map(|&(at, b, c)| (key(at % build.len()), b, c))
+            .collect(),
+    )
+}
+
+/// Whether every row of `probe` meets exactly one row of `build` on
+/// column `a`, under storage equality.
+fn one_to_one(build: &Batch, probe: &Batch) -> bool {
+    let keys: Vec<Value> = build.to_rows().into_iter().map(|r| r[0].clone()).collect();
+    probe
+        .to_rows()
+        .iter()
+        .all(|p| keys.iter().filter(|k| **k == p[0]).count() == 1)
 }
 
 /// Scan oracle: `Table::row` per RID — of the whole table, or of the
@@ -485,6 +517,10 @@ proptest! {
     /// generator chains long runs: its build side falls on keys 1 and 2
     /// plus NULLs (`a % 4 == 0`), spans several morsels and outnumbers the
     /// probe side, so every probe row walks a long list of build rows.
+    /// The third is FK-shaped — unique build keys, every probe key among
+    /// them, no NULL key — and there, as wherever every probe row meets
+    /// exactly one build row, each probe column of the output is its
+    /// input column, uncopied.
     #[test]
     fn join_kernel_matches_oracle(
         sides in prop_oneof![
@@ -496,20 +532,79 @@ proptest! {
                 prop::collection::vec((prop_oneof![Just(1i64), Just(2), Just(4)], -100i64..100, 0u8..=255), 40..100),
                 prop::collection::vec((0i64..4, -100i64..100, 0u8..=255), 0..40),
             ),
+            (
+                prop::collection::vec((-100i64..100, 0u8..=255), 1..40),
+                prop::collection::vec((0usize..1000, -100i64..100, 0u8..=255), 0..100),
+            ).prop_map(|(build, probe)| fk_sides(&build, &probe)),
         ],
     ) {
         let (build, probe) = sides;
         let b = make_batch(&build);
         let p = make_batch(&probe);
         let expect = oracle_join(&b, &p, 0, 0);
+        let through = one_to_one(&b, &p);
         let mut base_cost: Option<CostTracker> = None;
         for opts in thread_opts() {
             let mut t = CostTracker::new();
-            let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", &opts).unwrap();
+            let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", None, &opts).unwrap();
             prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
             prop_assert_eq!(t.hash_builds, b.len() as u64);
             prop_assert_eq!(t.hash_probes, p.len() as u64);
             prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
+            if through {
+                for (got, input) in out.columns()[b.schema.len()..].iter().zip(p.columns()) {
+                    prop_assert!(Arc::ptr_eq(got, input), "threads={}", opts.threads);
+                }
+            }
+        }
+    }
+
+    /// A join asked for some of its output columns builds exactly those:
+    /// the full join projected to the names asked for (`l.`/`r.`-qualified
+    /// clashes and plain names alike, and a name it lacks ignored), with
+    /// the same charges; asked for none, it keeps one column and every
+    /// row.
+    #[test]
+    fn join_builds_only_the_columns_asked_for(
+        build in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
+        probe in prop::collection::vec((-6i64..6, -100i64..100, 0u8..=255), 0..60),
+        subset in 0u32..128,
+        merge in any::<bool>(),
+    ) {
+        let b = make_batch(&build);
+        let p0 = make_batch(&probe);
+        // The probe's `c` is `d`: its output name stays plain.
+        let p = Batch::new(
+            Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Float), ("d", DataType::Str)]),
+            p0.columns().to_vec(),
+        );
+        let names = ["l.a", "l.b", "c", "r.a", "r.b", "d", "absent"];
+        let needed: Vec<String> = names
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| subset >> i & 1 == 1)
+            .map(|(_, n)| n.to_string())
+            .collect();
+        for opts in thread_opts() {
+            let join = |needed: Option<&[String]>, t: &mut CostTracker| {
+                if merge {
+                    merge_join(t, b.clone(), p.clone(), "a", "a", needed, &opts).unwrap()
+                } else {
+                    hash_join(t, b.clone(), p.clone(), "a", "a", needed, &opts).unwrap()
+                }
+            };
+            let (mut t_full, mut t_some) = (CostTracker::new(), CostTracker::new());
+            let full = join(None, &mut t_full);
+            let some = join(Some(&needed), &mut t_some);
+            prop_assert_eq!(t_some, t_full, "threads={}", opts.threads);
+            prop_assert_eq!(some.len(), full.len());
+            let asked = full.clone().retain_columns(|n| needed.iter().any(|x| x == n));
+            if needed.iter().any(|n| full.schema.index_of(n).is_some()) {
+                prop_assert_eq!(some.schema.names(), asked.schema.names());
+                prop_assert_eq!(some.to_rows(), asked.to_rows(), "threads={}", opts.threads);
+            } else {
+                prop_assert_eq!(some.schema.len(), 1);
+            }
         }
     }
 
@@ -636,7 +731,7 @@ fn kernels_on_empty_batch() {
     assert_eq!(projected.schema.names(), vec!["c", "a"]);
 
     let mut t = CostTracker::new();
-    let joined = hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", &opts).unwrap();
+    let joined = hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", None, &opts).unwrap();
     assert!(joined.to_rows().is_empty());
 
     // Scalar aggregate over empty input still yields its identity row.
@@ -653,6 +748,111 @@ fn kernels_on_empty_batch() {
             Value::Null,
         ]]
     );
+}
+
+/// A join gathers its probe side as soon as one probe row does not meet
+/// exactly one build row — a probe key the build lacks, a duplicated
+/// build key, a NULL probe key — and passes it through otherwise; the
+/// rows are the oracle's either way.
+#[test]
+fn join_gathers_a_probe_side_that_is_not_one_to_one() {
+    let build: Vec<(i64, u8)> = (0..20).map(|i| (i * 3 % 17, i as u8)).collect();
+    let probe: Vec<(usize, i64, u8)> = (0..50).map(|i| (i * 7, i as i64, i as u8)).collect();
+    let (fk_build, fk_probe) = fk_sides(&build, &probe);
+    let mut miss = fk_probe.clone();
+    miss[30].0 = 2;
+    let mut dup = fk_build.clone();
+    dup.push(fk_build[(fk_probe[10].0 as usize - 1) / 4]);
+    let mut null = fk_probe.clone();
+    null[5].0 = 0;
+    for (case, build, probe, through) in [
+        ("one-to-one", &fk_build, &fk_probe, true),
+        ("probe miss", &fk_build, &miss, false),
+        ("duplicate build key", &dup, &fk_probe, false),
+        ("NULL probe key", &fk_build, &null, false),
+    ] {
+        let (b, p) = (make_batch(build), make_batch(probe));
+        let expect = oracle_join(&b, &p, 0, 0);
+        for opts in thread_opts() {
+            let mut t = CostTracker::new();
+            let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", None, &opts).unwrap();
+            assert_eq!(out.to_rows(), expect, "{case}, threads={}", opts.threads);
+            let shared = out.columns()[b.schema.len()..]
+                .iter()
+                .zip(p.columns())
+                .all(|(got, input)| Arc::ptr_eq(got, input));
+            assert_eq!(shared, through, "{case}, threads={}", opts.threads);
+        }
+    }
+}
+
+/// High-cardinality grouping: more groups than a morsel has rows, each
+/// group spread over many morsels, irrational sums, a NULL key group, and
+/// the key the output sort orders by value (a NULL-free `Int` with
+/// negatives) beside the ones it compares cell by cell (a `Date`, a
+/// nullable `Int`, two columns) — bit for bit against the oracle at
+/// morsel sizes 7 and 64 and 1/2/8 threads (1/2/8 partitions).
+#[test]
+fn agg_kernel_matches_oracle_at_high_cardinality() {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Float),
+        ("k", DataType::Int),
+        ("kn", DataType::Int),
+        ("d", DataType::Date),
+    ]);
+    let rows: Vec<Vec<Value>> = (0..3000i64)
+        .map(|i| {
+            vec![
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 97 - 40)
+                },
+                if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i as f64).sqrt() * std::f64::consts::PI)
+                },
+                // 500 keys, each every 500th row.
+                Value::Int(i * 7919 % 500 - 250),
+                if i % 17 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i * 31 % 450)
+                },
+                Value::Date((i * 13 % 400 - 200) as i32),
+            ]
+        })
+        .collect();
+    let batch = Batch::from_rows(schema, rows);
+    let aggs = agg_menu("a", "b");
+    let as_bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<_>> {
+        rows.iter().map(|r| r.iter().map(bits).collect()).collect()
+    };
+    for keys in [&["k"][..], &["kn"], &["d"], &["k", "d"]] {
+        let group_by: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+        let ordinals: Vec<usize> = keys.iter().map(|k| batch.schema.expect_index(k)).collect();
+        for morsel in [7, 64] {
+            let expect = as_bits(oracle_aggregate(&batch, &ordinals, morsel));
+            assert!(
+                expect.len() > 64,
+                "{keys:?}: more groups than a morsel has rows"
+            );
+            let mut base_cost = None;
+            for threads in [1, 2, 8] {
+                let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
+                let mut t = CostTracker::new();
+                let out = hash_aggregate(&mut t, batch.clone(), &group_by, &aggs, &opts).unwrap();
+                assert_eq!(
+                    as_bits(out.to_rows()),
+                    expect,
+                    "{keys:?}, morsel={morsel}, threads={threads}"
+                );
+                assert_eq!(t, *base_cost.get_or_insert(t), "threads={threads}");
+            }
+        }
+    }
 }
 
 /// All-selected and none-selected filters are exact (and exactly empty).

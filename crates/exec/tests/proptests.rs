@@ -114,12 +114,12 @@ proptest! {
 
         let serial = ExecOptions::default();
         let mut t1 = rqo_storage::CostTracker::new();
-        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk", &serial)
+        let hashed = rqo_exec::join::hash_join(&mut t1, lb.clone(), rb.clone(), "lk", "rk", None, &serial)
             .unwrap();
         prop_assert_eq!(canon(&hashed), expected.clone());
 
         let mut t2 = rqo_storage::CostTracker::new();
-        let merged = rqo_exec::join::merge_join(&mut t2, lb, rb, "lk", "rk", &serial).unwrap();
+        let merged = rqo_exec::join::merge_join(&mut t2, lb, rb, "lk", "rk", None, &serial).unwrap();
         prop_assert_eq!(canon(&merged), expected);
     }
 
@@ -138,7 +138,7 @@ proptest! {
         );
         let mut tracker = rqo_storage::CostTracker::new();
         let joined = rqo_exec::join::indexed_nl_join(
-            &cat, &params, &mut tracker, outer, "t", "k", "ok", &ExecOptions::default(),
+            &cat, &params, &mut tracker, outer, "t", "k", "ok", None, &ExecOptions::default(),
         )
         .unwrap();
         let mut expected: Vec<String> = Vec::new();

@@ -204,11 +204,6 @@ impl WorkerPool {
             workers: handles,
         }
     }
-
-    /// Dedicated worker threads (not counting submitters).
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for WorkerPool {
@@ -320,6 +315,10 @@ impl MorselScheduler for WorkerPool {
             resume_unwind(payload);
         }
         !job.stopped
+    }
+
+    fn workers(&self) -> usize {
+        self.workers.len()
     }
 }
 

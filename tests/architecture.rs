@@ -169,7 +169,7 @@ const PUB_LINE_BUDGET: [(&str, usize); 9] = [
     ("expr", 44),
     ("math", 65),
     ("optimizer", 160),
-    ("service", 167),
+    ("service", 166),
     ("stats", 99),
     ("storage", 173),
 ];

@@ -161,9 +161,9 @@ fn input_columns(needed: Option<&[String]>, own: &[&str]) -> Option<Vec<String>>
 }
 
 /// Runs `plan` and returns its output restricted to the columns in
-/// `needed` (`None` = all).  A join builds only those columns; any other
-/// operator hands on every column of its input, and the unread ones are
-/// dropped here, an `Arc` drop.
+/// `needed` (`None` = all).  A scan or a join builds only those columns;
+/// any other operator hands on every column of its input, and the unread
+/// ones are dropped here, an `Arc` drop.
 fn run(
     plan: &PhysicalPlan,
     env: &Env<'_>,
@@ -197,8 +197,16 @@ fn run(
     let (batch, rows_in, morsels, peak_hash_entries, children) = match plan {
         PhysicalPlan::SeqScan { table, predicate } => {
             let n = catalog.table(table).expect("table exists").num_rows();
-            let batch = seq_scan(catalog, params, tracker, table, predicate.as_ref(), opts)
-                .ok_or_else(stopped)?;
+            let batch = seq_scan(
+                catalog,
+                params,
+                tracker,
+                table,
+                predicate.as_ref(),
+                needed,
+                opts,
+            )
+            .ok_or_else(stopped)?;
             (batch, n as u64, opts.morsel_count(n), 0, vec![])
         }
         PhysicalPlan::PartitionedScan {
@@ -221,6 +229,7 @@ fn run(
                 table,
                 predicate.as_ref(),
                 partitions,
+                needed,
                 opts,
             )
             .ok_or_else(stopped)?;
@@ -238,6 +247,7 @@ fn run(
                 table,
                 range,
                 residual.as_ref(),
+                needed,
                 opts,
             )
             .ok_or_else(stopped)?;
@@ -255,6 +265,7 @@ fn run(
                 table,
                 ranges,
                 residual.as_ref(),
+                needed,
                 opts,
             )
             .ok_or_else(stopped)?;
@@ -428,7 +439,9 @@ mod tests {
     use super::*;
     use crate::plan::{AggExpr, IndexRange};
     use rqo_expr::Expr;
-    use rqo_storage::{DataType, Schema, TableBuilder, Value};
+    use rqo_storage::{
+        DataType, PartitionSpec, PartitionedTableBuilder, Schema, TableBuilder, Value,
+    };
 
     /// orders(o_id, o_cust) and items(i_order, i_price): 50 orders with 2
     /// items each.
@@ -498,8 +511,8 @@ mod tests {
     /// Only the columns a consumer reads reach it, and the result is the
     /// one the unpruned operators give — also where both join inputs
     /// carry the same names and the output is qualified `l.` / `r.`.  A
-    /// join builds only those columns itself, and a guarded run keeps
-    /// every column.
+    /// join or a scan builds only those columns itself, and a guarded run
+    /// keeps every column.
     #[test]
     fn unread_columns_are_dropped_below_their_last_reader() {
         let schema = Schema::from_pairs(&[
@@ -519,6 +532,22 @@ mod tests {
             }
             cat.add_table(t.finish()).unwrap();
         }
+        cat.ensure_secondary_index("b", "k").unwrap();
+        cat.ensure_secondary_index("b", "v").unwrap();
+        let spec = PartitionSpec::Range {
+            column: "k".into(),
+            bounds: vec![Value::Int(3)],
+        };
+        let mut p = PartitionedTableBuilder::new("p", schema.clone(), spec);
+        for i in 0..50i64 {
+            p.push_row(&[
+                Value::Int(i % 7),
+                Value::Float(i as f64 + 0.5),
+                Value::from(format!("p{i}").as_str()),
+            ]);
+        }
+        let (table, layout) = p.finish();
+        cat.add_partitioned_table(table, layout).unwrap();
         let scan = |table: &str| PhysicalPlan::SeqScan {
             table: table.into(),
             predicate: None,
@@ -630,6 +659,124 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got.to_rows(), want.to_rows());
+
+        // A scan builds only what is read above it: under COUNT(*) each
+        // access path's own output keeps one column, under SUM(v) just
+        // `v`, and either way rows and costs are the unpruned run's.
+        let access_paths = [
+            PhysicalPlan::SeqScan {
+                table: "b".into(),
+                predicate: Some(Expr::col("k").lt(Expr::lit(3i64))),
+            },
+            PhysicalPlan::IndexIntersection {
+                table: "b".into(),
+                ranges: vec![
+                    IndexRange::between("k", Value::Int(1), Value::Int(4)),
+                    IndexRange::between("v", Value::Float(10.0), Value::Float(60.0)),
+                ],
+                residual: Some(Expr::col("pad").ne(Expr::lit("b22"))),
+            },
+            PhysicalPlan::PartitionedScan {
+                table: "p".into(),
+                predicate: Some(Expr::col("v").gt(Expr::lit(5.0))),
+                partitions: vec![1],
+                total_partitions: 2,
+            },
+        ];
+        // The scan node's own output, before `run` trims anything.
+        let own = |plan: &PhysicalPlan, tracker: &mut CostTracker, needed: Option<&[String]>| {
+            match plan {
+                PhysicalPlan::SeqScan { table, predicate } => seq_scan(
+                    &cat,
+                    &params,
+                    tracker,
+                    table,
+                    predicate.as_ref(),
+                    needed,
+                    &opts,
+                ),
+                PhysicalPlan::IndexIntersection {
+                    table,
+                    ranges,
+                    residual,
+                } => index_intersection(
+                    &cat,
+                    &params,
+                    tracker,
+                    table,
+                    ranges,
+                    residual.as_ref(),
+                    needed,
+                    &opts,
+                )
+                .map(|(batch, _)| batch),
+                PhysicalPlan::PartitionedScan {
+                    table,
+                    predicate,
+                    partitions,
+                    ..
+                } => partitioned_scan(
+                    &cat,
+                    &params,
+                    tracker,
+                    table,
+                    predicate.as_ref(),
+                    partitions,
+                    needed,
+                    &opts,
+                ),
+                other => unreachable!("not an access path: {other:?}"),
+            }
+            .unwrap()
+        };
+        for access in access_paths {
+            let all = own(&access, &mut CostTracker::new(), None);
+            assert_eq!(all.schema.names(), vec!["k", "v", "pad"]);
+            for (aggregate, reads) in [
+                (AggExpr::count_star("n"), vec![]),
+                (AggExpr::sum("v", "s"), vec!["v".to_string()]),
+            ] {
+                let built = own(&access, &mut CostTracker::new(), Some(&reads));
+                let names = if reads.is_empty() {
+                    vec!["k"]
+                } else {
+                    vec!["v"]
+                };
+                assert_eq!(built.schema.names(), names, "{access:?}");
+                assert_eq!(built.len(), all.len(), "{access:?}");
+
+                let plan = PhysicalPlan::HashAggregate {
+                    input: Box::new(access.clone()),
+                    group_by: vec![],
+                    aggregates: vec![aggregate.clone()],
+                };
+                let (got, got_cost) = execute(&plan, &cat, &params);
+                let mut want_cost = CostTracker::new();
+                let unpruned = own(&access, &mut want_cost, None);
+                let want =
+                    hash_aggregate(&mut want_cost, unpruned, &[], &[aggregate], &opts).unwrap();
+                assert_eq!(got.to_rows(), want.to_rows(), "{access:?}");
+                assert_eq!(got_cost, want_cost, "{access:?}");
+
+                // A guarded run keeps every column of the scan whose
+                // guard trips.
+                let guards = [crate::adaptive::RowGuard {
+                    node: 1,
+                    est_rows: 1e9,
+                    bound: 2.0,
+                }];
+                let guarded = Env {
+                    guards: &guards,
+                    ..env
+                };
+                let Err(Interrupt::Trip(trip)) =
+                    run(&plan, &guarded, &mut CostTracker::new(), &mut 0, None)
+                else {
+                    panic!("the scan's guard trips");
+                };
+                assert_eq!(trip.batch.schema.names(), vec!["k", "v", "pad"]);
+            }
+        }
     }
 
     #[test]

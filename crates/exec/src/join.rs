@@ -14,7 +14,7 @@ use crate::batch::Batch;
 use crate::keys::{KeyColumns, KeyTable};
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
-use crate::scan::{charge_fetch, fetch_rows, intersect_sorted, rids_for_range, seq_scan};
+use crate::scan::{charge_fetch, fetch_rows, intersect_rids, rids_for_range, seq_scan};
 
 /// One join input and, morsel by morsel, the row of it each output row
 /// takes.
@@ -374,13 +374,15 @@ pub fn star_semijoin(
 
     let mut leg_rids: Vec<Vec<Rid>> = Vec::with_capacity(legs.len());
     for leg in legs {
-        // Filter the dimension with a (cheap, fully charged) scan.
+        // Filter the dimension with a (cheap, fully charged) scan that
+        // builds only its key column.
         let dim = seq_scan(
             catalog,
             params,
             tracker,
             &leg.dim_table,
             Some(&leg.dim_predicate),
+            Some(std::slice::from_ref(&leg.dim_key)),
             opts,
         )?;
 
@@ -392,21 +394,15 @@ pub fn star_semijoin(
                 crate::plan::IndexRange::eq(&leg.fact_fk, key(i).map_or(Value::Null, Value::Int));
             rids.extend(rids_for_range(catalog, params, tracker, fact_table, &range));
         }
-        rids.sort_unstable();
         tracker.charge_cpu_ops(rids.len() as u64);
         leg_rids.push(rids);
     }
 
-    // Intersect legs, smallest first.
-    leg_rids.sort_by_key(Vec::len);
-    let mut acc = leg_rids[0].clone();
-    for other in &leg_rids[1..] {
-        tracker.charge_cpu_ops(other.len() as u64);
-        acc = intersect_sorted(&acc, other);
-        if acc.is_empty() {
-            break;
-        }
-    }
+    // Intersect legs, smallest first, charging each later leg's length
+    // until the intersection empties.
+    let acc = intersect_rids(fact.num_rows(), leg_rids, |other| {
+        tracker.charge_cpu_ops(other.len() as u64)
+    });
 
     if opts.check_stop().is_some() {
         return None;
@@ -887,6 +883,68 @@ mod tests {
         .unwrap();
         // d_attr == 0 selects even keys: f1 even → 500 rows.
         assert_eq!(out.len(), 500);
+    }
+
+    /// Legs intersect smallest first, each later leg charging its length
+    /// until the intersection empties: here the middle leg empties it, so
+    /// the largest leg is charged for its probes but never for a step.
+    #[test]
+    fn star_semijoin_stops_charging_where_the_intersection_empties() {
+        let cat = star_catalog();
+        let params = CostParams::default();
+        let leg = |fk: &str, dim: &str, predicate: Expr| SemiJoinLeg {
+            dim_table: dim.into(),
+            dim_key: "d_key".into(),
+            dim_predicate: predicate,
+            fact_fk: fk.into(),
+        };
+        let legs = vec![
+            // f2 even: 571 rows, the largest.
+            leg("f2", "dim2", Expr::col("d_attr").eq(Expr::lit(0i64))),
+            // f1 in {4, 5}: 200 rows, none with f1 = 3.
+            leg(
+                "f1",
+                "dim1",
+                Expr::col("d_key").between(Expr::lit(4i64), Expr::lit(5i64)),
+            ),
+            // f1 = 3: 100 rows, the smallest.
+            leg("f1", "dim1", Expr::col("d_key").eq(Expr::lit(3i64))),
+        ];
+        let mut tracker = CostTracker::new();
+        let opts = ExecOptions::serial();
+        let out = star_semijoin(&cat, &params, &mut tracker, "fact", &legs, &opts).unwrap();
+        assert!(out.is_empty());
+
+        let mut want = CostTracker::new();
+        let mut lens = Vec::new();
+        for leg in &legs {
+            let dim = seq_scan(
+                &cat,
+                &params,
+                &mut want,
+                &leg.dim_table,
+                Some(&leg.dim_predicate),
+                None,
+                &opts,
+            )
+            .unwrap();
+            let mut len = 0;
+            for row in dim.to_rows() {
+                let range = crate::plan::IndexRange::eq(&leg.fact_fk, row[0].clone());
+                len += rids_for_range(&cat, &params, &mut want, "fact", &range).len();
+            }
+            want.charge_cpu_ops(len as u64);
+            lens.push(len);
+        }
+        assert_eq!(lens, vec![571, 200, 100]);
+        want.charge_cpu_ops(200);
+        charge_fetch(
+            cat.table("fact").unwrap(),
+            &params,
+            &mut want,
+            &mut Vec::new(),
+        );
+        assert_eq!(tracker, want);
     }
 
     #[test]

@@ -20,6 +20,8 @@ const BTREE_DESCEND_IOS: u64 = 1;
 /// The predicate runs over the table's stored columns, producing a
 /// selection vector that one `take` per column gathers; without a
 /// predicate the batch *is* the table's columns (shared, not copied).
+/// Either way the batch carries only the columns `needed` names (`None`:
+/// all; none: the first, as [`Batch::retain_columns`] keeps).
 /// Charges one sequential page read per data page plus one CPU op per
 /// row (the predicate/projection work).  Returns `None` when the query's
 /// token fired mid-scan.
@@ -29,11 +31,14 @@ pub fn seq_scan(
     tracker: &mut CostTracker,
     table: &str,
     predicate: Option<&Expr>,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let whole = 0..catalog.table(table).expect("table exists").num_rows();
     let spans = std::slice::from_ref(&whole);
-    scan_spans(catalog, params, tracker, table, predicate, spans, opts)
+    scan_spans(
+        catalog, params, tracker, table, predicate, spans, needed, opts,
+    )
 }
 
 /// Partition-wise sequential scan over the surviving partitions of a
@@ -44,7 +49,9 @@ pub fn seq_scan(
 /// merged run charges its own sequential data pages, plus one CPU op per
 /// surviving row — so a scan listing *every* partition charges exactly
 /// what [`seq_scan`] charges, and pruning shows up as fewer page reads.
+/// Builds only the columns `needed` names, as [`seq_scan`] does.
 /// Returns `None` when the query's token fired mid-scan.
+#[allow(clippy::too_many_arguments)]
 pub fn partitioned_scan(
     catalog: &Catalog,
     params: &CostParams,
@@ -52,10 +59,13 @@ pub fn partitioned_scan(
     table: &str,
     predicate: Option<&Expr>,
     partitions: &[usize],
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let spans = surviving_spans(catalog, table, partitions);
-    scan_spans(catalog, params, tracker, table, predicate, &spans, opts)
+    scan_spans(
+        catalog, params, tracker, table, predicate, &spans, needed, opts,
+    )
 }
 
 /// The surviving RID spans of a partitioned table, ascending and with
@@ -98,6 +108,7 @@ pub fn surviving_spans(catalog: &Catalog, table: &str, partitions: &[usize]) -> 
 /// and the spanned row count, which keeps rows, order, and metrics
 /// bit-identical at any parallelism — and a partitioned scan with nothing
 /// pruned bit-identical to the single-span [`seq_scan`].
+#[allow(clippy::too_many_arguments)]
 fn scan_spans(
     catalog: &Catalog,
     params: &CostParams,
@@ -105,6 +116,7 @@ fn scan_spans(
     table: &str,
     predicate: Option<&Expr>,
     spans: &[Range<usize>],
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
     let t = catalog.table(table).expect("table exists");
@@ -119,13 +131,13 @@ fn scan_spans(
         // Nothing to evaluate: a full scan shares the stored columns, a
         // pruned one gathers its spans.
         if total == n {
-            return Some(whole(t));
+            return Some(whole(t, needed));
         }
         let ids: Vec<u32> = spans
             .iter()
             .flat_map(|s| s.start as u32..s.end as u32)
             .collect();
-        return Some(whole(t).take(SelVec::new(ids, n).ids()));
+        return Some(whole(t, needed).take(SelVec::new(ids, n).ids()));
     };
     let bound = predicate.bind(t.schema()).expect("predicate binds");
 
@@ -145,12 +157,17 @@ fn scan_spans(
         }
         ids
     })?;
-    Some(whole(t).take(SelVec::new(parts.concat(), n).ids()))
+    Some(whole(t, needed).take(SelVec::new(parts.concat(), n).ids()))
 }
 
-/// Every row of `table` as a batch sharing the stored columns.
-fn whole(table: &Table) -> Batch {
-    Batch::new(table.schema().clone(), table.columns().to_vec())
+/// Every row of `table` as a batch sharing the stored columns `needed`
+/// names (`None`: all of them), so a `take` on it gathers only those.
+fn whole(table: &Table, needed: Option<&[String]>) -> Batch {
+    let all = Batch::new(table.schema().clone(), table.columns().to_vec());
+    match needed {
+        Some(names) => all.retain_columns(|name| names.iter().any(|n| n == name)),
+        None => all,
+    }
 }
 
 /// Resolves one index range to its RID list (run by run, so not in rid
@@ -173,7 +190,8 @@ pub(crate) fn rids_for_range(
     rids
 }
 
-/// Sorts and deduplicates a RID list and charges its fetch: one random
+/// Sorts and deduplicates a RID list (already so when it comes from
+/// [`intersect_rids`]) and charges its fetch: one random
 /// I/O per *distinct page* touched (densely clustered qualifying rows
 /// coalesce while scattered rows — the common case at low selectivity —
 /// pay one seek each, matching the paper's cost model) plus one CPU op
@@ -213,22 +231,23 @@ pub(crate) fn fetch_rows(
     mut rids: Vec<Rid>,
 ) -> Batch {
     charge_fetch(table, params, tracker, &mut rids);
-    whole(table).take(SelVec::new(rids, table.num_rows()).ids())
+    whole(table, None).take(SelVec::new(rids, table.num_rows()).ids())
 }
 
 /// Charges the fetch of `rids`, applies the optional residual filter to
 /// the fetched RIDs (the same `select` kernel a scan runs, morsel by
-/// morsel over the RID list) and gathers the survivors — the shared tail
-/// of [`index_seek`] and [`index_intersection`].  Returns the batch plus
-/// the number of rows fetched before the residual (the deduplicated RID
-/// count), which `EXPLAIN ANALYZE` reports as the operator's `rows_in`
-/// and uses to size its morsel count.
+/// morsel over the RID list) and gathers the survivors' `needed` columns
+/// — the shared tail of [`index_seek`] and [`index_intersection`].
+/// Returns the batch plus the number of rows fetched before the residual
+/// (the deduplicated RID count), which `EXPLAIN ANALYZE` reports as the
+/// operator's `rows_in` and uses to size its morsel count.
 fn fetch_and_filter(
     table: &Table,
     params: &CostParams,
     tracker: &mut CostTracker,
     mut rids: Vec<Rid>,
     residual: Option<&Expr>,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<(Batch, usize)> {
     charge_fetch(table, params, tracker, &mut rids);
@@ -241,15 +260,19 @@ fn fetch_and_filter(
         })?;
         rids = parts.concat();
     }
-    let batch = whole(table).take(SelVec::new(rids, table.num_rows()).ids());
+    let batch = whole(table, needed).take(SelVec::new(rids, table.num_rows()).ids());
     Some((batch, fetched))
 }
 
 /// Index seek: one range, fetch, residual filter.  The index descend and
 /// leaf scan are one B-tree traversal on the calling thread; the row
-/// fetch is morselized.  Returns the batch plus the number of rows
-/// fetched before the residual filter, or `None` when the query's token
-/// fired mid-fetch.
+/// fetch is morselized and builds only the columns `needed` names.
+/// Returns the batch plus the number of rows fetched before the residual
+/// filter, or `None` when the query's token fired mid-fetch.
+///
+/// The one list is sorted before its fetch is charged: a table-sized bitmap
+/// would cost O(rows / 64) to read out a handful of rids.
+#[allow(clippy::too_many_arguments)]
 pub fn index_seek(
     catalog: &Catalog,
     params: &CostParams,
@@ -257,11 +280,12 @@ pub fn index_seek(
     table: &str,
     range: &IndexRange,
     residual: Option<&Expr>,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<(Batch, usize)> {
     let t = catalog.table(table).expect("table exists");
     let rids = rids_for_range(catalog, params, tracker, table, range);
-    fetch_and_filter(t, params, tracker, rids, residual, opts)
+    fetch_and_filter(t, params, tracker, rids, residual, needed, opts)
 }
 
 /// Index intersection (the paper's risky plan): resolve each range's RID
@@ -272,10 +296,11 @@ pub fn index_seek(
 /// selectivities) does not depend on the predicates' joint selectivity;
 /// the variable cost is one random I/O per qualifying row — the
 /// `f₂ + v₂·x` line of the paper's analytical model.  The leaf scans and
-/// RID-list intersection run on the calling thread (cheap, order-
-/// sensitive); the surviving-row fetch is morselized.  Returns the batch
-/// plus the number of rows fetched before the residual filter, or `None`
-/// when the query's token fired.
+/// the RID-list intersection (a bitmap AND, no list sorted) run on
+/// the calling thread; the surviving-row fetch is morselized and builds
+/// only the columns `needed` names.  Returns the batch plus the number
+/// of rows fetched before the residual filter, or `None` when the
+/// query's token fired.
 ///
 /// # Panics
 ///
@@ -289,6 +314,7 @@ pub fn index_intersection(
     table: &str,
     ranges: &[IndexRange],
     residual: Option<&Expr>,
+    needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<(Batch, usize)> {
     assert!(
@@ -297,42 +323,60 @@ pub fn index_intersection(
     );
     let t = catalog.table(table).expect("table exists");
 
-    let mut rid_sets: Vec<Vec<Rid>> = ranges
+    let rid_lists: Vec<Vec<Rid>> = ranges
         .iter()
-        .map(|r| {
-            let mut rids = rids_for_range(catalog, params, tracker, table, r);
-            rids.sort_unstable();
-            rids
-        })
+        .map(|r| rids_for_range(catalog, params, tracker, table, r))
         .collect();
-
-    // Intersect starting from the smallest list; charge the merge work.
-    rid_sets.sort_by_key(Vec::len);
-    let merge_work: u64 = rid_sets.iter().map(|s| s.len() as u64).sum();
+    // The merge work, Σ|list|, is charged up front: it does not depend on
+    // where the intersection empties.
+    let merge_work: u64 = rid_lists.iter().map(|s| s.len() as u64).sum();
     tracker.charge_cpu_ops(merge_work);
-    let mut acc = rid_sets[0].clone();
-    for other in &rid_sets[1..] {
-        acc = intersect_sorted(&acc, other);
-        if acc.is_empty() {
-            break;
-        }
-    }
-    fetch_and_filter(t, params, tracker, acc, residual, opts)
+    let acc = intersect_rids(t.num_rows(), rid_lists, |_| {});
+    fetch_and_filter(t, params, tracker, acc, residual, needed, opts)
 }
 
-/// Intersection of two ascending RID lists.
-pub(crate) fn intersect_sorted(a: &[Rid], b: &[Rid]) -> Vec<Rid> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+/// The RIDs (each below `num_rows`) every one of `lists` holds,
+/// ascending and distinct, with no list sorted.
+///
+/// The smallest list's rids are set in a bitmap of one bit per row; each
+/// later list, by ascending length, keeps only the bits it also hits —
+/// `step` sees the list first — and the walk stops as soon as none
+/// survive.  The survivors are then read out word by word.  Each list
+/// costs O(|list| + rows / 64), however its rids are ordered.
+pub(crate) fn intersect_rids(
+    num_rows: usize,
+    mut lists: Vec<Vec<Rid>>,
+    mut step: impl FnMut(&[Rid]),
+) -> Vec<Rid> {
+    lists.sort_by_key(Vec::len);
+    let words = num_rows.div_ceil(64);
+    let set = |bits: &mut [u64], rids: &[Rid]| {
+        for &r in rids {
+            bits[r as usize / 64] |= 1u64 << (r % 64);
+        }
+    };
+    let mut acc = vec![0u64; words];
+    set(&mut acc, &lists[0]);
+    let mut hits = vec![0u64; words];
+    for other in &lists[1..] {
+        step(other);
+        hits.fill(0);
+        set(&mut hits, other);
+        let mut any = 0u64;
+        for (a, h) in acc.iter_mut().zip(&hits) {
+            *a &= h;
+            any |= *a;
+        }
+        if any == 0 {
+            return Vec::new();
+        }
+    }
+    let mut out = Vec::new();
+    for (w, &word) in acc.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push((w * 64) as Rid + bits.trailing_zeros());
+            bits &= bits - 1;
         }
     }
     out
@@ -372,6 +416,7 @@ mod tests {
             &mut tracker,
             "t",
             Some(&pred),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -382,7 +427,16 @@ mod tests {
         assert_eq!(tracker.random_ios, 0);
         // Unfiltered scan returns everything.
         let mut t2 = CostTracker::new();
-        let all = seq_scan(&cat, &params, &mut t2, "t", None, &ExecOptions::serial()).unwrap();
+        let all = seq_scan(
+            &cat,
+            &params,
+            &mut t2,
+            "t",
+            None,
+            None,
+            &ExecOptions::serial(),
+        )
+        .unwrap();
         assert_eq!(all.len(), 1000);
     }
 
@@ -400,6 +454,7 @@ mod tests {
             &mut ta,
             "t",
             Some(&narrow),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -409,6 +464,7 @@ mod tests {
             &mut tb,
             "t",
             Some(&wide),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -448,14 +504,22 @@ mod tests {
         let pred = Expr::col("y").eq(Expr::lit(3i64));
         for pred in [None, Some(&pred)] {
             let mut ts = CostTracker::new();
-            let reference =
-                seq_scan(&single, &params, &mut ts, "t", pred, &ExecOptions::serial()).unwrap();
+            let reference = seq_scan(
+                &single,
+                &params,
+                &mut ts,
+                "t",
+                pred,
+                None,
+                &ExecOptions::serial(),
+            )
+            .unwrap();
             // Same rows, same charges at every thread count.
             for threads in [1usize, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let b =
-                    partitioned_scan(&parted, &params, &mut tp, "t", pred, &all, &opts).unwrap();
+                let b = partitioned_scan(&parted, &params, &mut tp, "t", pred, &all, None, &opts)
+                    .unwrap();
                 assert_eq!(b.to_rows(), reference.to_rows(), "threads={threads}");
                 assert_eq!(tp, ts, "threads={threads}");
             }
@@ -477,6 +541,7 @@ mod tests {
             "t",
             Some(&pred),
             &[1],
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -503,6 +568,7 @@ mod tests {
             "t",
             None,
             &[1, 2],
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -516,6 +582,7 @@ mod tests {
             "t",
             None,
             &[0, 2],
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -537,6 +604,7 @@ mod tests {
             &mut tracker,
             "t",
             &range,
+            None,
             None,
             &ExecOptions::serial(),
         )
@@ -562,6 +630,7 @@ mod tests {
             "t",
             &range,
             Some(&residual),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -577,6 +646,7 @@ mod tests {
             tracker,
             "t",
             ranges,
+            None,
             None,
             &ExecOptions::serial(),
         )
@@ -608,6 +678,7 @@ mod tests {
             &mut t2,
             "t",
             Some(&pred),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -664,12 +735,138 @@ mod tests {
         intersect(&cat, &mut tracker, &[IndexRange::eq("y", Value::Int(1))]);
     }
 
-    #[test]
-    fn intersect_sorted_basics() {
-        assert_eq!(intersect_sorted(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert_eq!(intersect_sorted(&[], &[1, 2]), Vec::<Rid>::new());
-        assert_eq!(intersect_sorted(&[1, 2], &[3, 4]), Vec::<Rid>::new());
-        assert_eq!(intersect_sorted(&[1, 2, 3], &[1, 2, 3]), vec![1, 2, 3]);
+    /// Sort-and-merge intersection of two ascending RID lists: the
+    /// oracle [`intersect_rids`] is checked against.
+    fn intersect_sorted(a: &[Rid], b: &[Rid]) -> Vec<Rid> {
+        let mut out = Vec::with_capacity(a.len().min(b.len()));
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The sort-and-merge intersection of `lists`: each sorted, smallest
+    /// first, stopping once empty.
+    fn merge_oracle(mut lists: Vec<Vec<Rid>>) -> Vec<Rid> {
+        for l in &mut lists {
+            l.sort_unstable();
+        }
+        lists.sort_by_key(Vec::len);
+        let mut acc = lists[0].clone();
+        for other in &lists[1..] {
+            acc = intersect_sorted(&acc, other);
+            if acc.is_empty() {
+                break;
+            }
+        }
+        acc
+    }
+
+    /// `rows` as `t(x, y, z)`, each column indexed.
+    fn xyz_catalog(rows: &[(i64, i64, i64)]) -> Catalog {
+        let schema = Schema::from_pairs(&[
+            ("x", DataType::Int),
+            ("y", DataType::Int),
+            ("z", DataType::Int),
+        ]);
+        let mut b = TableBuilder::new("t", schema, rows.len());
+        for &(x, y, z) in rows {
+            b.push_row(&[Value::Int(x), Value::Int(y), Value::Int(z)]);
+        }
+        let mut cat = Catalog::new();
+        cat.add_table(b.finish()).unwrap();
+        for c in ["x", "y", "z"] {
+            cat.ensure_secondary_index("t", c).unwrap();
+        }
+        cat
+    }
+
+    proptest::proptest! {
+        /// The bitmap AND returns the conjunction's rows and charges what
+        /// sorting and merging the lists charged.  1–300 rows cross the
+        /// bitmap's 64- and 128-row word edges; `lo > hi` gives an empty
+        /// range, two ranges on one column may be disjoint, and
+        /// `repeat_first` makes the last range identical to the first.
+        #[test]
+        fn intersection_is_the_conjunction_at_merge_charges(
+            rows in proptest::collection::vec((0i64..8, 0i64..8, 0i64..8), 1..=300),
+            spec in proptest::collection::vec((0usize..3, -1i64..9, -1i64..9), 2..=3),
+            repeat_first in proptest::arbitrary::any::<bool>(),
+        ) {
+            // Small fixed lists, given out of order: nothing is sorted.
+            let fixed: [(Vec<Rid>, Vec<Rid>, Vec<Rid>); 4] = [
+                (vec![5, 1, 3], vec![7, 2, 5, 3], vec![3, 5]),
+                (vec![], vec![2, 1], vec![]),
+                (vec![2, 1], vec![4, 3], vec![]),
+                (vec![3, 1, 2], vec![1, 2, 3], vec![1, 2, 3]),
+            ];
+            for (a, b, want) in fixed {
+                proptest::prop_assert_eq!(intersect_rids(8, vec![a, b], |_| {}), want);
+            }
+
+            let cat = xyz_catalog(&rows);
+            let params = CostParams::default();
+            let t = cat.table("t").unwrap();
+            let mut ranges: Vec<IndexRange> = spec
+                .iter()
+                .map(|&(c, lo, hi)| {
+                    IndexRange::between(["x", "y", "z"][c], Value::Int(lo), Value::Int(hi))
+                })
+                .collect();
+            if repeat_first {
+                let first = ranges[0].clone();
+                *ranges.last_mut().unwrap() = first;
+            }
+
+            // Reference charges: the same leaf scans, the Σ|list| merge
+            // work, and the fetch of the sort-and-merge result.
+            let mut want = CostTracker::new();
+            let lists: Vec<Vec<Rid>> = ranges
+                .iter()
+                .map(|r| rids_for_range(&cat, &params, &mut want, "t", r))
+                .collect();
+            want.charge_cpu_ops(lists.iter().map(|l| l.len() as u64).sum());
+            let mut merged = merge_oracle(lists.clone());
+            charge_fetch(t, &params, &mut want, &mut merged);
+            proptest::prop_assert_eq!(
+                &intersect_rids(t.num_rows(), lists, |_| {}),
+                &merged
+            );
+
+            let conjunction = ranges
+                .iter()
+                .map(|r| {
+                    let bound = |b: &std::ops::Bound<Value>| match b {
+                        std::ops::Bound::Included(v) => Expr::lit(v.clone()),
+                        other => unreachable!("closed ranges only: {other:?}"),
+                    };
+                    Expr::col(r.column.as_str()).between(bound(&r.lo), bound(&r.hi))
+                })
+                .reduce(Expr::and)
+                .unwrap();
+            let mut ts = CostTracker::new();
+            let serial = ExecOptions::serial();
+            let scan = seq_scan(&cat, &params, &mut ts, "t", Some(&conjunction), None, &serial)
+                .unwrap();
+            for opts in [serial, ExecOptions::with_threads(2).with_morsel_size(16)] {
+                let mut got = CostTracker::new();
+                let (batch, fetched) =
+                    index_intersection(&cat, &params, &mut got, "t", &ranges, None, None, &opts)
+                        .unwrap();
+                proptest::prop_assert_eq!(batch.to_rows(), scan.to_rows());
+                proptest::prop_assert_eq!(fetched, merged.len());
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]
@@ -690,6 +887,7 @@ mod tests {
             "t",
             &range,
             Some(&residual),
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
@@ -701,19 +899,29 @@ mod tests {
             "t",
             &ranges,
             None,
+            None,
             &ExecOptions::serial(),
         )
         .unwrap();
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(10);
             let mut tp = CostTracker::new();
-            let par =
-                index_seek(&cat, &params, &mut tp, "t", &range, Some(&residual), &opts).unwrap();
+            let par = index_seek(
+                &cat,
+                &params,
+                &mut tp,
+                "t",
+                &range,
+                Some(&residual),
+                None,
+                &opts,
+            )
+            .unwrap();
             assert_eq!(par.0.to_rows(), seek.0.to_rows(), "threads={threads}");
             assert_eq!((par.1, tp), (seek.1, ts), "threads={threads}");
             let mut tp = CostTracker::new();
-            let par =
-                index_intersection(&cat, &params, &mut tp, "t", &ranges, None, &opts).unwrap();
+            let par = index_intersection(&cat, &params, &mut tp, "t", &ranges, None, None, &opts)
+                .unwrap();
             assert_eq!(par.0.to_rows(), sect.0.to_rows(), "threads={threads}");
             assert_eq!((par.1, tp), (sect.1, ti), "threads={threads}");
         }
@@ -743,6 +951,7 @@ mod tests {
                 &mut ts,
                 "t",
                 pred.as_ref(),
+                None,
                 &ExecOptions::serial(),
             )
             .unwrap();
@@ -750,7 +959,8 @@ mod tests {
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
-                let par = seq_scan(&cat, &params, &mut tp, "t", pred.as_ref(), &opts).unwrap();
+                let par =
+                    seq_scan(&cat, &params, &mut tp, "t", pred.as_ref(), None, &opts).unwrap();
                 assert_eq!(par.to_rows(), reference, "pred={pred:?} threads={threads}");
                 assert_eq!(tp, ts, "pred={pred:?} threads={threads}");
             }

@@ -70,9 +70,12 @@ fn make_batch(rows: &[(i64, i64, u8)]) -> Batch {
 
 /// The predicate menu exercised against the filter kernel: typed Int and
 /// Float comparisons, string equality, AND composition, BETWEEN, IS
-/// NULL / OR (fallback path), and an always-false comparison.
+/// NULL / OR (fallback path), an always-false comparison, BETWEEN over
+/// Float (±0.0 bounds), Str and coerced Float bounds, BETWEEN with bounds
+/// of two types (fallback path), and `!=`.
 fn predicate(which: usize, cut: i64) -> Expr {
-    match which % 7 {
+    let names = ["a", "blue", "green", "red", "z"];
+    match which % 12 {
         0 => Expr::col("a").ge(Expr::lit(cut)),
         1 => Expr::col("b").lt(Expr::lit(cut as f64 * 0.25)),
         2 => Expr::col("c").eq(Expr::lit("green")),
@@ -83,7 +86,16 @@ fn predicate(which: usize, cut: i64) -> Expr {
         5 => Expr::col("a")
             .is_null()
             .or(Expr::col("b").ge(Expr::lit(cut as f64))),
-        _ => Expr::col("b").gt(Expr::lit(1e18)),
+        6 => Expr::col("b").gt(Expr::lit(1e18)),
+        7 if cut % 2 == 0 => Expr::col("b").between(Expr::lit(-0.0), Expr::lit(cut as f64 * 0.25)),
+        7 => Expr::col("b").between(Expr::lit(cut as f64 * 0.25), Expr::lit(0.0)),
+        8 => Expr::col("c").between(
+            Expr::lit(names[cut.rem_euclid(5) as usize]),
+            Expr::lit(names[(cut / 5).rem_euclid(5) as usize]),
+        ),
+        9 => Expr::col("a").between(Expr::lit(cut as f64 - 0.5), Expr::lit(cut as f64 + 7.5)),
+        10 => Expr::col("a").between(Expr::lit(cut), Expr::lit(cut as f64 + 7.5)),
+        _ => Expr::col("a").ne(Expr::lit(cut)),
     }
 }
 
@@ -475,7 +487,7 @@ proptest! {
     #[test]
     fn filter_kernel_matches_oracle(
         rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
-        which in 0usize..7,
+        which in 0usize..12,
         cut in -30i64..30,
     ) {
         let batch = make_batch(&rows);

@@ -6,7 +6,10 @@
 //! vector* of qualifying row ids (ascending), instead of materializing
 //! filtered rows.  The common predicate shapes — conjunctions,
 //! `column <op> constant` comparisons, `BETWEEN`, `LIKE`, `IN` — run as
-//! tight per-column loops the compiler can unroll and auto-vectorize
+//! tight per-column loops the compiler can unroll and auto-vectorize: a
+//! numeric comparison or `BETWEEN` tests one interval of `i64` keys that
+//! order as `Value::total_cmp` does, and every loop writes each candidate
+//! and advances its cursor by the verdict instead of branching on it
 //! (string tests run once per dictionary entry or once per candidate,
 //! whichever is fewer); every other shape falls back to row-at-a-time
 //! [`eval_bool`] over values materialized from the columns, so the result
@@ -97,19 +100,12 @@ fn select_inner(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) -> 
         Expr::Between { expr: v, lo, hi } => {
             if let Expr::ColIdx(ord, _) = v.as_ref() {
                 if column_free(lo) && column_free(hi) {
-                    let col = &cols[*ord];
                     let (lo, hi) = (lo.eval(&[]), hi.eval(&[]));
                     if lo.is_null() || hi.is_null() {
                         return Vec::new();
                     }
-                    // BETWEEN is (v >= lo) AND (v <= hi) on non-NULL
-                    // rows; compose the two typed comparisons.
-                    if let Some(ge) = cmp_select(col, BinaryOp::Ge, &lo, cand) {
-                        if let Some(out) =
-                            cmp_select(col, BinaryOp::Le, &hi, &Candidates::List(&ge))
-                        {
-                            return out;
-                        }
+                    if let Some(out) = between_select(&cols[*ord], &lo, &hi, cand) {
+                        return out;
                     }
                 }
             }
@@ -150,52 +146,149 @@ fn cmp_select(
     lit: &Value,
     cand: &Candidates<'_>,
 ) -> Option<Vec<u32>> {
+    if let (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) = (col, lit) {
+        let test = |d: &str| ord_ok(op, d.cmp(s.as_ref()));
+        return Some(str_select(codes, dict, nulls, cand, test));
+    }
+    let (pairing, k) = lit_key(col, lit)?;
+    Some(match KeyInterval::of(op, k) {
+        Some(interval) => key_select(col, pairing, interval, cand),
+        None => Vec::new(),
+    })
+}
+
+/// `column BETWEEN lo AND hi` (non-NULL bounds) as one typed loop: the
+/// intersection of `>= lo` and `<= hi`.  Returns `None`, for the row
+/// evaluator, when either bound is outside the coercion table or the two
+/// bounds key the column differently (an `Int` column between an `Int`
+/// and a `Float`).
+fn between_select(
+    col: &ColumnVec,
+    lo: &Value,
+    hi: &Value,
+    cand: &Candidates<'_>,
+) -> Option<Vec<u32>> {
+    if let (ColumnVec::Str { codes, dict, nulls }, Value::Str(lo), Value::Str(hi)) = (col, lo, hi) {
+        let test = |d: &str| lo.as_ref() <= d && d <= hi.as_ref();
+        return Some(str_select(codes, dict, nulls, cand, test));
+    }
+    let ((lo_pairing, lo), (hi_pairing, hi)) = (lit_key(col, lo)?, lit_key(col, hi)?);
+    let interval = KeyInterval {
+        lo,
+        hi,
+        inside: true,
+    };
+    (lo_pairing == hi_pairing).then(|| key_select(col, lo_pairing, interval, cand))
+}
+
+/// How a numeric row value becomes the `i64` key its comparison with a
+/// literal orders by — keys compare exactly as `Value::total_cmp` compares
+/// the values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pairing {
+    /// `Int`, `Date` and `Bool` against a literal compared by value: the
+    /// value itself.
+    Exact,
+    /// Compared as `f64` (a `Float` on either side): `total_cmp`'s own
+    /// bit key of the value as `f64`.
+    Float,
+}
+
+/// The pairing and the key of `lit` against `col`, or `None` outside the
+/// coercion table (and for `Str`, which [`str_select`] serves).
+fn lit_key(col: &ColumnVec, lit: &Value) -> Option<(Pairing, i64)> {
     Some(match (col, lit) {
-        (ColumnVec::Int { values, nulls }, &Value::Int(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
-        }
-        (ColumnVec::Int { values, nulls }, &Value::Float(b)) => {
-            typed_select(values, nulls, cand, |v| {
-                ord_ok(op, (v as f64).total_cmp(&b))
-            })
-        }
-        (ColumnVec::Int { values, nulls }, &Value::Date(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&(b as i64))))
-        }
-        (ColumnVec::Float { values, nulls }, &Value::Float(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, v.total_cmp(&b)))
-        }
-        (ColumnVec::Float { values, nulls }, &Value::Int(b)) => {
-            typed_select(values, nulls, cand, |v| {
-                ord_ok(op, v.total_cmp(&(b as f64)))
-            })
-        }
-        (ColumnVec::Date { values, nulls }, &Value::Date(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
-        }
-        (ColumnVec::Date { values, nulls }, &Value::Int(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, (v as i64).cmp(&b)))
-        }
-        (ColumnVec::Bool { values, nulls }, &Value::Bool(b)) => {
-            typed_select(values, nulls, cand, |v| ord_ok(op, v.cmp(&b)))
-        }
-        (ColumnVec::Str { codes, dict, nulls }, Value::Str(s)) => {
-            str_select(codes, dict, nulls, cand, |d| ord_ok(op, d.cmp(s.as_ref())))
-        }
+        (ColumnVec::Int { .. }, &Value::Int(b)) => (Pairing::Exact, b),
+        (ColumnVec::Int { .. }, &Value::Date(b)) => (Pairing::Exact, b as i64),
+        (ColumnVec::Int { .. }, &Value::Float(b)) => (Pairing::Float, float_key(b)),
+        (ColumnVec::Float { .. }, &Value::Float(b)) => (Pairing::Float, float_key(b)),
+        (ColumnVec::Float { .. }, &Value::Int(b)) => (Pairing::Float, float_key(b as f64)),
+        (ColumnVec::Date { .. }, &Value::Date(b)) => (Pairing::Exact, b as i64),
+        (ColumnVec::Date { .. }, &Value::Int(b)) => (Pairing::Exact, b),
+        (ColumnVec::Bool { .. }, &Value::Bool(b)) => (Pairing::Exact, i64::from(b)),
         _ => return None,
     })
 }
 
+/// The key `f64::total_cmp` orders by: the bits as a signed integer, with
+/// the magnitude bits flipped for negative values.
+fn float_key(f: f64) -> i64 {
+    let bits = f.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+}
+
+/// A closed interval of keys, or — `inside == false` — its complement.
+#[derive(Debug, Clone, Copy)]
+struct KeyInterval {
+    lo: i64,
+    hi: i64,
+    inside: bool,
+}
+
+impl KeyInterval {
+    /// The keys `key <op> k` admits; `None` when there are none (`< MIN`,
+    /// `> MAX`).
+    fn of(op: BinaryOp, k: i64) -> Option<Self> {
+        let (lo, hi, inside) = match op {
+            BinaryOp::Eq => (k, k, true),
+            BinaryOp::Ne => (k, k, false),
+            BinaryOp::Lt => (i64::MIN, k.checked_sub(1)?, true),
+            BinaryOp::Le => (i64::MIN, k, true),
+            BinaryOp::Gt => (k.checked_add(1)?, i64::MAX, true),
+            BinaryOp::Ge => (k, i64::MAX, true),
+            other => panic!("key interval of non-comparison {other:?}"),
+        };
+        Some(Self { lo, hi, inside })
+    }
+
+    #[inline]
+    fn holds(self, key: i64) -> bool {
+        ((self.lo <= key) & (key <= self.hi)) == self.inside
+    }
+}
+
+/// The candidates whose non-NULL key lies in `interval`: one typed loop
+/// per column type and pairing, with no per-row branch.
+fn key_select(
+    col: &ColumnVec,
+    pairing: Pairing,
+    interval: KeyInterval,
+    cand: &Candidates<'_>,
+) -> Vec<u32> {
+    match (col, pairing) {
+        (ColumnVec::Int { values, nulls }, Pairing::Exact) => {
+            typed_select(values, nulls, cand, |v| interval.holds(v))
+        }
+        (ColumnVec::Int { values, nulls }, Pairing::Float) => {
+            typed_select(values, nulls, cand, |v| interval.holds(float_key(v as f64)))
+        }
+        (ColumnVec::Float { values, nulls }, Pairing::Float) => {
+            typed_select(values, nulls, cand, |v| interval.holds(float_key(v)))
+        }
+        (ColumnVec::Date { values, nulls }, Pairing::Exact) => {
+            typed_select(values, nulls, cand, |v| interval.holds(v as i64))
+        }
+        (ColumnVec::Bool { values, nulls }, Pairing::Exact) => {
+            typed_select(values, nulls, cand, |v| interval.holds(i64::from(v)))
+        }
+        _ => unreachable!("lit_key pairs no {pairing:?} key with this column"),
+    }
+}
+
 /// The candidates whose non-NULL value passes `test`.  The payload comes
 /// in as a plain slice, so the loop indexes memory the compiler can see
-/// does not change under it.
+/// does not change under it; the null mask is matched once, outside the
+/// loop, and a NULL slot's arbitrary payload is tested and discarded.
 fn typed_select<T: Copy>(
     values: &[T],
     nulls: &Option<NullMask>,
     cand: &Candidates<'_>,
     test: impl Fn(T) -> bool,
 ) -> Vec<u32> {
-    select_where(cand, |i| !null_at(nulls, i) && test(values[i]))
+    match nulls {
+        None => select_where(cand, |i| test(values[i])),
+        Some(m) => select_where(cand, |i| !m.is_null(i) & test(values[i])),
+    }
 }
 
 /// A string test over a dictionary-encoded column: `test` runs once per
@@ -214,13 +307,14 @@ fn str_select(
         Candidates::Range(r) => r.len(),
         Candidates::List(ids) => ids.len(),
     };
+    // A NULL slot holds code 0, which an all-NULL column's empty
+    // dictionary cannot index: the NULL test goes first.
+    let valid = |i: usize| nulls.as_ref().is_none_or(|m| !m.is_null(i));
     if dict.len() <= candidates {
         let pass: Vec<bool> = dict.iter().map(|d| test(d)).collect();
-        select_where(cand, |i| !null_at(nulls, i) && pass[codes[i] as usize])
+        select_where(cand, |i| valid(i) && pass[codes[i] as usize])
     } else {
-        select_where(cand, |i| {
-            !null_at(nulls, i) && test(&dict[codes[i] as usize])
-        })
+        select_where(cand, |i| valid(i) && test(&dict[codes[i] as usize]))
     }
 }
 
@@ -240,24 +334,26 @@ fn select_fallback(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) 
 }
 
 /// Runs `keep` over the candidates in order, collecting passing ids.
-fn select_where(cand: &Candidates<'_>, mut keep: impl FnMut(usize) -> bool) -> Vec<u32> {
-    let mut out = Vec::new();
+fn select_where(cand: &Candidates<'_>, keep: impl FnMut(usize) -> bool) -> Vec<u32> {
     match cand {
-        Candidates::Range(r) => {
-            for i in r.clone() {
-                if keep(i) {
-                    out.push(i as u32);
-                }
-            }
-        }
-        Candidates::List(ids) => {
-            for &i in *ids {
-                if keep(i as usize) {
-                    out.push(i);
-                }
-            }
-        }
+        Candidates::Range(r) => compact(r.start as u32..r.end as u32, keep),
+        Candidates::List(ids) => compact(ids.iter().copied(), keep),
     }
+}
+
+/// Writes every candidate id and advances the cursor by `keep`'s
+/// verdict, so the loop decides with data, not a branch.
+fn compact(
+    ids: impl ExactSizeIterator<Item = u32>,
+    mut keep: impl FnMut(usize) -> bool,
+) -> Vec<u32> {
+    let mut out = vec![0u32; ids.len()];
+    let mut n = 0;
+    for i in ids {
+        out[n] = i;
+        n += usize::from(keep(i as usize));
+    }
+    out.truncate(n);
     out
 }
 
@@ -272,10 +368,6 @@ fn ord_ok(op: BinaryOp, ord: Ordering) -> bool {
         BinaryOp::Ge => ord != Ordering::Less,
         other => panic!("ord_ok on non-comparison {other:?}"),
     }
-}
-
-fn null_at(nulls: &Option<NullMask>, i: usize) -> bool {
-    nulls.as_ref().is_some_and(|m| m.is_null(i))
 }
 
 /// True when the expression references no columns (safe to evaluate
@@ -356,11 +448,15 @@ mod tests {
     }
 
     fn check(pred: Expr) {
-        let schema = schema();
-        let rows = rows();
-        let bound = pred.bind(&schema).unwrap();
+        check_on(&schema(), &rows(), pred);
+    }
+
+    /// `select` over `rows` equals the row evaluator's filter, and returns
+    /// what it selected.
+    fn check_on(schema: &Schema, rows: &[Vec<Value>], pred: Expr) -> Vec<u32> {
+        let bound = pred.bind(schema).unwrap();
         let cols: Vec<Arc<ColumnVec>> = (0..schema.len())
-            .map(|i| Arc::new(ColumnVec::from_rows(&rows, i, schema.column(i).data_type)))
+            .map(|i| Arc::new(ColumnVec::from_rows(rows, i, schema.column(i).data_type)))
             .collect();
         let got = select(&bound, &cols, Candidates::Range(0..rows.len()));
         let want: Vec<u32> = rows
@@ -370,6 +466,7 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(got, want, "selection mismatch for {bound:?}");
+        got
     }
 
     #[test]
@@ -462,6 +559,110 @@ mod tests {
         );
         assert_eq!(got.len(), 80, "Brand#7 and Brand#17");
         assert_eq!(calls.get(), 25, "one test per dictionary entry");
+    }
+
+    /// NULL `Str` slots hold code 0, which an all-NULL column's empty
+    /// dictionary cannot index: every string kernel selects nothing.
+    #[test]
+    fn all_null_strings_select_nothing() {
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let rows = vec![vec![Value::Null]; 70];
+        let ColumnVec::Str { dict, .. } = ColumnVec::from_rows(&rows, 0, DataType::Str) else {
+            panic!("expected a Str column")
+        };
+        assert!(dict.is_empty());
+        let s = || Expr::col("s");
+        let lit = |v: &str| Expr::lit(Value::str(v));
+        for pred in [
+            s().eq(lit("apple")),
+            s().lt(lit("zzz")),
+            s().between(lit(""), lit("zzz")),
+            s().like("%"),
+        ] {
+            assert!(check_on(&schema, &rows, pred).is_empty());
+        }
+    }
+
+    /// A comparison no key can pass (`< i64::MIN`, `> i64::MAX`) selects
+    /// nothing; the ones at the other end select every non-NULL row.
+    #[test]
+    fn comparisons_past_the_key_range_select_nothing() {
+        let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+        let rows: Vec<Vec<Value>> = [i64::MIN, -1, 0, i64::MAX]
+            .into_iter()
+            .map(|v| vec![Value::Int(v)])
+            .chain([vec![Value::Null]])
+            .collect();
+        let a = || Expr::col("a");
+        assert!(check_on(&schema, &rows, a().lt(Expr::lit(i64::MIN))).is_empty());
+        assert!(check_on(&schema, &rows, a().gt(Expr::lit(i64::MAX))).is_empty());
+        assert_eq!(
+            check_on(&schema, &rows, a().ge(Expr::lit(i64::MIN))).len(),
+            4
+        );
+        assert_eq!(
+            check_on(&schema, &rows, a().le(Expr::lit(i64::MAX))).len(),
+            4
+        );
+        assert_eq!(
+            check_on(&schema, &rows, a().ne(Expr::lit(0i64))),
+            vec![0, 1, 3]
+        );
+    }
+
+    /// BETWEEN keys a `Date` column past its NULLs, a `Float` column by
+    /// `total_cmp` (so -0.0 sorts below 0.0, and NaN above everything), and
+    /// an `Int` column against `Float` bounds as `f64`; bounds of two
+    /// pairings take the row evaluator.
+    #[test]
+    fn between_is_one_key_interval() {
+        let schema = Schema::from_pairs(&[
+            ("d", DataType::Date),
+            ("f", DataType::Float),
+            ("a", DataType::Int),
+        ]);
+        let days = [
+            "1997-07-01",
+            "",
+            "1997-08-15",
+            "1997-09-01",
+            "",
+            "1998-01-01",
+        ];
+        let floats = [-1.5, -0.0, 0.0, f64::NAN, 2.5, f64::NEG_INFINITY];
+        let rows: Vec<Vec<Value>> = days
+            .iter()
+            .zip(floats)
+            .enumerate()
+            .map(|(i, (&day, f))| {
+                let d = if day.is_empty() {
+                    Value::Null
+                } else {
+                    parse_date(day)
+                };
+                vec![d, Value::Float(f), Value::Int(i as i64 - 2)]
+            })
+            .collect();
+        let d = Expr::col("d").between(
+            Expr::lit(parse_date("1997-08-01")),
+            Expr::lit(parse_date("1997-12-31")),
+        );
+        assert_eq!(check_on(&schema, &rows, d), vec![2, 3]);
+        let f = |lo: f64, hi: f64| Expr::col("f").between(Expr::lit(lo), Expr::lit(hi));
+        assert_eq!(check_on(&schema, &rows, f(-0.0, 0.0)), vec![1, 2]);
+        assert_eq!(check_on(&schema, &rows, f(0.0, 0.0)), vec![2]);
+        assert_eq!(check_on(&schema, &rows, f(-0.0, -0.0)), vec![1]);
+        assert_eq!(check_on(&schema, &rows, f(0.0, f64::NAN)), vec![2, 3, 4]);
+        assert_eq!(
+            check_on(&schema, &rows, f(f64::NEG_INFINITY, -0.0)),
+            vec![0, 1, 5]
+        );
+        check_on(&schema, &rows, Expr::col("f").ne(Expr::lit(-0.0)));
+        check_on(&schema, &rows, Expr::col("f").lt(Expr::lit(0i64)));
+        let a = Expr::col("a").between(Expr::lit(-1.5), Expr::lit(1.0));
+        assert_eq!(check_on(&schema, &rows, a), vec![1, 2, 3]);
+        let mixed = Expr::col("a").between(Expr::lit(-1i64), Expr::lit(1.5));
+        assert_eq!(check_on(&schema, &rows, mixed), vec![1, 2, 3]);
     }
 
     #[test]

@@ -328,14 +328,6 @@ impl QueryService {
         self.inner.stats.snapshot()
     }
 
-    /// Instantaneous admission gauge: `(running, waiting)`.  Unlike the
-    /// monotone [`ServiceStats`] counters this is a live sample, meant
-    /// for queue-depth polling by benches and monitors.
-    pub fn admission_depth(&self) -> (usize, usize) {
-        let state = self.inner.admission.lock();
-        (state.running, state.waiting)
-    }
-
     /// Opens a client session.  Sessions share the engine (plan cache,
     /// feedback) and the worker pool; each query gets its own handle.
     pub fn session(&self) -> Session {
@@ -626,8 +618,6 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.queued, 2);
         assert!(stats.peak_queued >= 1, "queue depth was sampled");
-        let (running, waiting) = service.admission_depth();
-        assert_eq!((running, waiting), (1, 0), "gauge sees the held slot");
     }
 
     #[test]

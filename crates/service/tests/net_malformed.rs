@@ -6,10 +6,11 @@
 //! serving valid clients afterwards.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
@@ -618,6 +619,108 @@ fn connection_limit_turns_excess_clients_away() {
             Err(_) => assert!(Instant::now() < deadline, "slot never freed"),
         }
     }
+}
+
+/// Clean traffic, poison frames and forced disconnects against one
+/// server at once.  Eight clients each replay a mixed menu through a
+/// 4-slot service (so queries queue); between rounds every client also
+/// opens a side connection that sends one poison frame, and every other
+/// client fires a three-way join on another connection and hangs up
+/// mid-query.  Every clean reply matches the in-process reference, every
+/// poison frame draws exactly one typed protocol error (and nothing
+/// else counts as one), and the server quiesces with its slots balanced
+/// and no query panicked.
+#[test]
+fn poison_and_disconnects_beside_clean_traffic_leak_nothing() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 3;
+    let data = TpchData::generate(&TpchConfig {
+        scale_factor: 0.001,
+        seed: 7,
+    });
+    let config = ServiceConfig::default()
+        .with_workers(2)
+        .with_max_concurrent(4)
+        .with_queue_capacity(4 * CLIENTS)
+        .with_queue_timeout(Duration::from_secs(60));
+    let service = QueryService::new(Engine::new(data.into_catalog()), config);
+    let server =
+        NetServer::bind(service.clone(), "127.0.0.1:0", NetServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let join = Query::over(&["lineitem", "orders", "part"]).aggregate(AggExpr::count_star("n"));
+    let menu = [
+        count_query(),
+        Query::over(&["lineitem"])
+            .filter("lineitem", exp1_lineitem_predicate(30))
+            .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
+        Query::over(&["lineitem", "orders", "part"])
+            .filter("part", exp2_part_predicate(212))
+            .aggregate(AggExpr::count_star("n")),
+    ];
+    let expected: Vec<Vec<Vec<Value>>> = menu
+        .iter()
+        .map(|q| service.session().run(q).expect("reference run").rows)
+        .collect();
+    let poison = poison_frames();
+
+    std::thread::scope(|scope| {
+        for client_id in 0..CLIENTS {
+            let (menu, expected, poison, join) = (&menu, &expected, &poison, &join);
+            scope.spawn(move || {
+                let mut client = NetClient::connect(addr).expect("connect");
+                client.hello(&format!("tenant-{}", client_id % 4)).unwrap();
+                for round in 0..ROUNDS {
+                    for k in 0..menu.len() {
+                        let qi = (client_id + round + k) % menu.len();
+                        let reply = client.run(&menu[qi]).expect("clean client sees no error");
+                        assert_eq!(reply.rows, expected[qi], "client {client_id} query {qi}");
+                    }
+                    if round == 0 {
+                        let frame = &poison[client_id % poison.len()];
+                        let mut attacker = NetClient::connect(addr).expect("connect attacker");
+                        attacker.send_raw(frame).expect("send poison");
+                        match attacker.recv() {
+                            Ok(Response::Error { id, code, .. }) => {
+                                assert_eq!((id, code), (0, ErrorCode::Protocol));
+                            }
+                            other => panic!("client {client_id}: poison got {other:?}"),
+                        }
+                        assert!(attacker.recv().is_err(), "one error, then the close");
+                    }
+                    if round == 1 && client_id % 2 == 0 {
+                        let mut victim = NetClient::connect(addr).expect("connect victim");
+                        let run = Request::Run {
+                            id: 9,
+                            mode: RunMode::Run,
+                            deadline_ms: 0,
+                            query: join.clone(),
+                        };
+                        let mut frame = Vec::new();
+                        write_frame(&mut frame, &run.encode()).unwrap();
+                        victim.send_raw(&frame).expect("send doomed run");
+                        victim.stream().shutdown(Shutdown::Both).expect("hang up");
+                    }
+                }
+            });
+        }
+    });
+
+    // The hung-up joins may still be unwinding: poll to quiescence.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().active > 0 || !service.stats().slots_balanced() {
+        assert!(
+            Instant::now() < deadline,
+            "server never quiesced: {} / {}",
+            service.stats(),
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let net = server.stats();
+    assert_eq!(net.protocol_errors, CLIENTS as u64, "{net}");
+    let stats = service.stats();
+    assert_eq!(stats.panicked, 0, "{stats}");
 }
 
 proptest! {

@@ -169,11 +169,11 @@ const PUB_LINE_BUDGET: [(&str, usize); 9] = [
     ("expr", 44),
     ("math", 65),
     ("optimizer", 160),
-    ("service", 166),
+    ("service", 165),
     ("stats", 99),
     ("storage", 173),
 ];
-const DESIGN_LINE_BUDGET: usize = 900;
+const DESIGN_LINE_BUDGET: usize = 890;
 
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read source dir") {
@@ -217,4 +217,38 @@ fn public_surface_and_design_stay_within_budget() {
         ));
     }
     assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
+}
+
+/// `crates/bench` regenerates the paper's figures and ablations and
+/// nothing else: a deterministic claim is a tier-1 test, and a wall-clock
+/// number is a `benchmark/` metric.  So `crates/bench/src/bin` holds only
+/// `fig*`/`ablation_*` drivers, and no crate declares a `[[bench]]` target.
+#[test]
+fn bench_crate_holds_only_figure_drivers() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut stray = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates/bench/src/bin")).expect("read bin dir") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_string_lossy();
+        if !(name.starts_with("fig") || name.starts_with("ablation_")) {
+            stray.push(format!("crates/bench/src/bin/{name}"));
+        }
+    }
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for dir in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("read crate dir") {
+            manifests.push(entry.expect("dir entry").path().join("Cargo.toml"));
+        }
+    }
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        if text.lines().any(|l| l.trim() == "[[bench]]") {
+            stray.push(format!("{}: [[bench]] target", manifest.display()));
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "not a figure driver:\n{}",
+        stray.join("\n")
+    );
 }

@@ -126,3 +126,18 @@ fn star_template_asks_once_per_distinct_request() {
     }
     check(&opt, &invocations, &exp3, "exp3");
 }
+
+/// §6.1's storage comparison at a fixed scale and seed: the 500-row join
+/// synopses store more than the 250-bucket histograms on every numeric
+/// column, but within the same order of magnitude.
+#[test]
+fn synopses_and_histograms_store_the_same_order_of_bytes() {
+    let catalog = TpchData::generate(&TpchConfig {
+        scale_factor: 0.005,
+        seed: SEED,
+    })
+    .into_catalog();
+    let synopses = SynopsisRepository::build_all(&catalog, 500, SEED).stored_bytes();
+    let histograms = HistogramEstimator::build_default(&catalog).stored_bytes();
+    assert_eq!((synopses, histograms), (160_000, 60_000));
+}

@@ -176,3 +176,96 @@ fn penalty_total_regret_beats_every_fixed_threshold() {
         "penalty mode should realize the hindsight-optimal plan everywhere here: {regret:?}"
     );
 }
+
+/// Five trap scenarios, each a (scale, synopsis seed, cost parameters,
+/// query) tuple tuned so that some fixed threshold picks a *disaster* — a
+/// plan whose simulated cost exceeds 2× the cheapest plan any arm chose —
+/// while posterior integration escapes it:
+///
+/// - dense tail: T=5% bets on an index intersection the true density
+///   punishes;
+/// - empty tail: T=95% pays a full scan where the window is all but empty;
+/// - straddled cap: on a faster-seek device the index ramp crosses the
+///   scan line between the posterior mean and its 80th percentile, so
+///   T=80/95 scan while integration keeps the page-capped index plan;
+/// - hidden moderate window: the synopsis misses every matching part, so
+///   the median collapse picks indexed nested loops whose fetch volume is
+///   2.3× the scan join;
+/// - narrow window: conservative collapses pay the flat hash join at 5×
+///   the cost-capped semijoin.
+///
+/// Disasters per arm are t5=2, t50=1, t80=1, t95=3, penalty=0.  The
+/// penalty arm's simulated cost must not depend on the executor's thread
+/// count.
+#[test]
+fn penalty_records_no_disaster_where_every_fixed_threshold_does() {
+    let fast_seek = CostParams {
+        random_io_ms: 2.0,
+        ..CostParams::default()
+    };
+    let lineitem_window = |offset| {
+        Query::over(&["lineitem"])
+            .filter("lineitem", exp1_lineitem_predicate(offset))
+            .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
+    };
+    let part_window = |window| {
+        Query::over(&["lineitem", "orders", "part"])
+            .filter("part", exp2_part_predicate(window))
+            .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
+    };
+    let default = CostParams::default();
+    let scenarios = [
+        ("dense_tail", 0.005, 42, default, lineitem_window(70)),
+        ("empty_tail", 0.005, 42, default, lineitem_window(115)),
+        ("straddled_cap", 0.005, 5, fast_seek, lineitem_window(115)),
+        ("hidden_moderate_window", 0.01, 6, default, part_window(156)),
+        ("narrow_window", 0.005, 42, default, part_window(212)),
+    ];
+
+    // Arm index 0..4 = fixed thresholds, 4 = penalty.
+    let mut disasters = [0usize; 5];
+    for (name, scale, sample_seed, params, query) in scenarios {
+        let data = TpchData::generate(&TpchConfig {
+            scale_factor: scale,
+            seed: 42,
+        });
+        let db = RobustDb::with_options(data.into_catalog(), params, 500, sample_seed);
+        let opt = db.optimizer();
+        let mut plans: Vec<_> = THRESHOLDS
+            .iter()
+            .map(|&t| {
+                opt.optimize(&query.clone().with_hint(ConfidenceThreshold::new(t)))
+                    .plan
+            })
+            .collect();
+        plans.push(
+            opt.optimize(&query.clone().with_selection(PlanSelection::ExpectedPenalty))
+                .plan,
+        );
+        let seconds = |plan: &PhysicalPlan, threads: usize| {
+            let options = ExecOptions::with_threads(threads);
+            let (_, cost) = robust_qo::exec::execute_with(plan, &db.catalog(), &params, &options);
+            cost.seconds(&params)
+        };
+        let realized: Vec<f64> = plans.iter().map(|p| seconds(p, 1)).collect();
+        let best = realized.iter().cloned().fold(f64::INFINITY, f64::min);
+        for (arm, &cost) in realized.iter().enumerate() {
+            if cost > 2.0 * best {
+                disasters[arm] += 1;
+            }
+        }
+        for threads in [2, 8] {
+            assert_eq!(
+                seconds(&plans[4], threads),
+                realized[4],
+                "{name}: penalty-arm cost differs at {threads} threads"
+            );
+        }
+    }
+
+    assert_eq!(
+        disasters,
+        [2, 1, 1, 3, 0],
+        "disasters per arm [t5, t50, t80, t95, penalty]"
+    );
+}

@@ -29,8 +29,9 @@ pub struct RunConfig {
     pub seed: u64,
     /// Output directory for CSV files.
     pub out_dir: String,
-    /// Executor worker threads (1 = serial).  Parallelism changes
-    /// wall-clock time only; simulated costs are thread-count invariant.
+    /// Executor worker threads: `1` runs morsels inline, `n > 1` on one
+    /// `WorkerPool` of `n` workers shared by the whole sweep.  Parallelism
+    /// changes wall-clock time only; every CSV is thread-count invariant.
     pub threads: usize,
 }
 
@@ -242,15 +243,18 @@ pub fn run_scenario(
     ScenarioResult { points, summary }
 }
 
+/// The most frequent shape; a tie goes to the shape seen first, so the
+/// label never depends on hash order.
 fn dominant(shapes: &[String]) -> String {
     let mut counts: HashMap<&String, usize> = HashMap::new();
     for s in shapes {
         *counts.entry(s).or_insert(0) += 1;
     }
-    counts
-        .into_iter()
-        .max_by_key(|(_, c)| *c)
-        .map(|(s, _)| s.clone())
+    let top = counts.values().copied().max().unwrap_or(0);
+    shapes
+        .iter()
+        .find(|s| counts[s] == top)
+        .cloned()
         .unwrap_or_default()
 }
 
@@ -320,6 +324,18 @@ mod tests {
         assert_eq!(cfg.threads, 8);
         assert_eq!(cfg.repeats, 2);
         assert_eq!(RunConfig::default().threads, 1);
+    }
+
+    #[test]
+    fn dominant_gives_ties_to_the_first_seen_shape() {
+        // Every call builds a fresh `HashMap`, whose iteration order
+        // differs from call to call within one process.
+        let shapes = ["b", "a", "c", "a", "b", "c"].map(String::from);
+        for _ in 0..64 {
+            assert_eq!(dominant(&shapes), "b");
+        }
+        assert_eq!(dominant(&["x".into(), "y".into(), "y".into()]), "y");
+        assert_eq!(dominant(&[]), "");
     }
 
     #[test]

@@ -182,17 +182,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Admission control effectively disabled: every arrival is admitted
-    /// immediately (the configuration the service bench uses as its
-    /// uncontrolled baseline).
-    pub fn unlimited() -> Self {
-        Self {
-            max_concurrent: usize::MAX / 2,
-            queue_capacity: 0,
-            ..Self::default()
-        }
-    }
-
     /// Overrides the worker-thread count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -295,6 +284,5 @@ mod tests {
         assert_eq!(cfg.queue_capacity, 9);
         assert_eq!(cfg.queue_timeout, Duration::from_millis(250));
         assert_eq!(cfg.default_deadline, Some(Duration::from_secs(1)));
-        assert_eq!(ServiceConfig::unlimited().queue_capacity, 0);
     }
 }

@@ -232,18 +232,15 @@ fn output_type(func: AggFunc, input: Option<DataType>) -> DataType {
     }
 }
 
-/// Partitions of a grouped aggregate's keys, one job each: the worker
-/// count rounded up to a power of two (the scheduler's dedicated workers,
-/// else `threads`), so serial execution has one.  Every partition
-/// re-reads every morsel's bucket lists, so partitions beyond the workers
-/// cost more than they spread: with 2 pool workers on a 2-vCPU x86-64
-/// host a 300 k-row, 10 k-group aggregate took ≈ 6.5 ms at 2 partitions
-/// and ≈ 8.1 ms at 4.  The count cannot change a result.
+/// Partitions of a grouped aggregate's keys, one job each: the
+/// scheduler's worker count rounded up to a power of two, so serial
+/// execution has one.  Every partition re-reads every morsel's bucket
+/// lists, so partitions beyond the workers cost more than they spread:
+/// with 2 pool workers on a 2-vCPU x86-64 host a 300 k-row, 10 k-group
+/// aggregate took ≈ 6.5 ms at 2 partitions and ≈ 8.1 ms at 4.  The count
+/// cannot change a result.
 fn partitions(opts: &ExecOptions) -> usize {
-    let workers = opts
-        .scheduler
-        .as_ref()
-        .map_or(opts.threads, |s| s.workers());
+    let workers = opts.scheduler.as_ref().map_or(1, |s| s.workers());
     workers.max(1).next_power_of_two()
 }
 
@@ -560,7 +557,7 @@ mod tests {
                 AggExpr::min("x", "lo"),
                 AggExpr::max("x", "hi"),
             ],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -581,7 +578,7 @@ mod tests {
             input(),
             &["g".to_string()],
             &[AggExpr::sum("x", "total"), AggExpr::count_star("n")],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(out.len(), 2);
@@ -610,7 +607,7 @@ mod tests {
                 AggExpr::avg("x", "a"),
                 AggExpr::min("x", "lo"),
             ],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -636,7 +633,7 @@ mod tests {
             empty,
             &["g".to_string()],
             &[AggExpr::sum("x", "s")],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(out.len(), 0);
@@ -662,9 +659,14 @@ mod tests {
         ];
         for group_by in [vec![], vec!["g".to_string()]] {
             let mut ts = CostTracker::new();
-            let whole =
-                hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &ExecOptions::serial())
-                    .unwrap();
+            let whole = hash_aggregate(
+                &mut ts,
+                b.clone(),
+                &group_by,
+                &aggs,
+                &ExecOptions::default(),
+            )
+            .unwrap();
             for threads in [1, 2, 8] {
                 let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
                 let mut tp = CostTracker::new();
@@ -719,7 +721,7 @@ mod tests {
             acc + chunk.iter().flatten().fold(0.0, |s, x| s + x)
         });
         for group_by in [vec![], vec!["g".to_string()]] {
-            let one = ExecOptions::serial().with_morsel_size(64);
+            let one = ExecOptions::default().with_morsel_size(64);
             let mut ts = CostTracker::new();
             let whole = hash_aggregate(&mut ts, b.clone(), &group_by, &aggs, &one).unwrap();
             if group_by.is_empty() {
@@ -762,7 +764,7 @@ mod tests {
             rows,
         );
         let run = |polls: u64| {
-            let opts = ExecOptions::serial()
+            let opts = ExecOptions::default()
                 .with_morsel_size(64)
                 .with_token(rqo_core::QueryToken::cancel_after_polls(polls));
             let aggs = [AggExpr::sum("x", "s")];
@@ -816,7 +818,7 @@ mod tests {
                 },
                 AggExpr::count_star("n"),
             ],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(out.to_rows()[0][0], Value::Int(2));

@@ -42,11 +42,11 @@ pub fn execute(
 /// Executes a physical plan with explicit execution options.
 ///
 /// Every operator splits its work into morsels (see [`crate::morsel`]);
-/// `opts` only decides who runs them — the calling thread, `threads`
-/// scoped workers, or an attached scheduler.  Rows, row order, the
-/// returned [`CostTracker`], and the metrics tree are **bit-identical
-/// for every thread count and scheduler**: simulated cost models the
-/// plan's work, not the host's parallelism.
+/// `opts` only decides who runs them — the calling thread or an
+/// attached worker pool.  Rows, row order, the returned
+/// [`CostTracker`], and the metrics tree are **bit-identical for every
+/// worker count**: simulated cost models the plan's work, not the
+/// host's parallelism.
 pub fn execute_with(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -904,7 +904,7 @@ mod tests {
             group_by: vec!["o_cust".into()],
             aggregates: vec![AggExpr::sum("i_price", "total"), AggExpr::count_star("n")],
         };
-        let base_opts = ExecOptions::serial().with_morsel_size(16);
+        let base_opts = ExecOptions::default().with_morsel_size(16);
         let (base, base_cost, base_metrics) = execute_analyze(&plan, &cat, &params, &base_opts);
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(16);
@@ -1024,7 +1024,7 @@ mod tests {
             &plan,
             &cat,
             &params,
-            &ExecOptions::serial().with_morsel_size(16),
+            &ExecOptions::default().with_morsel_size(16),
         )
         .2;
         for threads in [2, 8] {

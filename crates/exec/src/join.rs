@@ -442,7 +442,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         // Probe order, then build order within a key.
@@ -472,7 +472,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         let m = merge_join(
@@ -482,7 +482,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(h.len(), m.len());
@@ -511,7 +511,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         let unsorted_l = batch("a", &[3, 1, 2], &[0, 0, 0]);
@@ -523,7 +523,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert!(t_unsorted.cpu_ops > t_sorted.cpu_ops);
@@ -542,7 +542,7 @@ mod tests {
                 bk,
                 pk,
                 None,
-                &ExecOptions::serial(),
+                &ExecOptions::default(),
             )
             .unwrap();
             assert_eq!(out.len(), 0);
@@ -580,7 +580,7 @@ mod tests {
             "k",
             "o_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         // Keys 0 and 5 have 4 inner rows each; 99 has none.
@@ -605,7 +605,7 @@ mod tests {
             "k",
             "o_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         indexed_nl_join(
@@ -617,7 +617,7 @@ mod tests {
             "k",
             "o_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert!(large.random_ios > 5 * small.random_ios);
@@ -655,7 +655,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(whole.to_rows(), expect);
@@ -692,7 +692,7 @@ mod tests {
             .unwrap();
             (out.to_rows(), t)
         };
-        let whole = run(&ExecOptions::serial());
+        let whole = run(&ExecOptions::default());
         for threads in [1, 2, 8] {
             let opts = ExecOptions::with_threads(threads).with_morsel_size(7);
             assert_eq!(run(&opts), whole, "threads={threads}");
@@ -726,7 +726,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(whole.to_rows(), expect);
@@ -752,7 +752,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         );
     }
 
@@ -770,7 +770,7 @@ mod tests {
             "a_key",
             "b_key",
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert!(whole.to_rows().is_sorted_by_key(|r| r[0].clone()));
@@ -850,7 +850,7 @@ mod tests {
             &mut tracker,
             "fact",
             &legs,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         // Truth: i % 10 == 3 and i % 7 == 3 → i ≡ 3 (mod 70) → 15 rows in
@@ -878,7 +878,7 @@ mod tests {
             &mut tracker,
             "fact",
             &legs,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         // d_attr == 0 selects even keys: f1 even → 500 rows.
@@ -911,7 +911,7 @@ mod tests {
             leg("f1", "dim1", Expr::col("d_key").eq(Expr::lit(3i64))),
         ];
         let mut tracker = CostTracker::new();
-        let opts = ExecOptions::serial();
+        let opts = ExecOptions::default();
         let out = star_semijoin(&cat, &params, &mut tracker, "fact", &legs, &opts).unwrap();
         assert!(out.is_empty());
 
@@ -959,7 +959,7 @@ mod tests {
             &mut tracker,
             "fact",
             &[],
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         );
     }
 }

@@ -41,10 +41,12 @@
 //! recombines the per-morsel results in morsel index order (see
 //! [`morsel`]).
 //! [`ExecOptions`] only decides who runs the morsels: the calling thread
-//! ([`execute`], the default), `threads` scoped workers, or an attached
-//! [`MorselScheduler`].  There is no separate serial or row-at-a-time
-//! implementation, so rows, row order, float sums, simulated costs, and
-//! metrics are bit-identical at every thread count by construction.
+//! ([`execute`], the default) or an attached [`WorkerPool`] — the one a
+//! service shares across its queries, or a private one from
+//! [`ExecOptions::with_threads`].  There is no separate serial or
+//! row-at-a-time implementation, so rows, row order, float sums,
+//! simulated costs, and metrics are bit-identical at every worker count
+//! by construction.
 //!
 //! # Cooperative cancellation
 //!
@@ -67,6 +69,7 @@ mod keys;
 pub mod metrics;
 pub mod morsel;
 pub mod plan;
+pub mod pool;
 pub mod scan;
 
 pub use adaptive::{execute_guarded, guard_points, q_error, ExecStatus, GuardTrip, RowGuard};
@@ -75,4 +78,5 @@ pub use executor::{execute, execute_analyze, execute_with, try_execute_with};
 pub use metrics::OpMetrics;
 pub use morsel::{ExecOptions, MorselScheduler, StopReason};
 pub use plan::{AggExpr, AggFunc, IndexRange, PhysicalPlan, PreorderNode, SemiJoinLeg};
+pub use pool::WorkerPool;
 pub use scan::surviving_spans;

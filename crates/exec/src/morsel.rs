@@ -16,29 +16,29 @@
 //! `parallel_equivalence` differential suite pins down.
 //!
 //! Every operator goes through one entry point, `run_morsels`, which
-//! has three scheduling modes:
+//! has two scheduling modes:
 //!
-//! * **Inline** (`threads <= 1`, no scheduler): the calling thread runs
-//!   every morsel, polling the [`QueryToken`] between morsels.  This *is*
-//!   serial execution — there is no separate serial code path.
-//! * **Scoped** (`threads > 1`, no scheduler): per-query scoped workers
-//!   pull from an atomic counter, polling the token before each claim.
-//! * **Pooled** (an external [`MorselScheduler`] is attached): morsels are
-//!   handed to a shared, long-lived worker pool that interleaves them
-//!   with other queries' morsels.  This is how the multi-session service
-//!   runs many queries on one fixed set of threads.
+//! * **Inline** (no scheduler): the calling thread runs every morsel,
+//!   polling the [`QueryToken`] between morsels.  This *is* serial
+//!   execution — there is no separate serial code path.
+//! * **Pooled** (a [`MorselScheduler`] is attached — in practice a
+//!   [`WorkerPool`]): morsels are handed to a long-lived worker pool
+//!   that interleaves them with other queries' morsels.  A service
+//!   shares one pool across every query; [`ExecOptions::with_threads`]
+//!   builds a private one.
 //!
-//! In every mode a fired token stops the job **within one morsel**: no new
+//! In both modes a fired token stops the job **within one morsel**: no new
 //! morsel is started after the poll observes the stop, and `run_morsels`
 //! returns `None` so the operator tree unwinds without fabricating a
 //! partial result.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rqo_core::QueryToken;
 pub use rqo_core::StopReason;
+
+use crate::pool::WorkerPool;
 
 /// Default number of rows per morsel.
 ///
@@ -47,8 +47,8 @@ pub use rqo_core::StopReason;
 /// a scan of a bench-scale table still yields tens of morsels to balance.
 pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 
-/// An external morsel scheduler — typically the shared worker pool of the
-/// multi-session query service.
+/// A morsel scheduler: the interface [`WorkerPool`] implements and the
+/// executor calls.
 ///
 /// The executor calls [`run_job`](Self::run_job) once per parallel
 /// operator stage; the scheduler runs `run_one(i)` exactly once for every
@@ -74,35 +74,28 @@ pub trait MorselScheduler: Send + Sync {
 
 /// Execution knobs threaded through [`crate::execute_with`].
 ///
-/// The default is serial execution (`threads = 1`, no scheduler, no
-/// token): the same operators, with the calling thread running every
-/// morsel.
+/// The default is serial execution (no scheduler, no token): the same
+/// operators, with the calling thread running every morsel.
 #[derive(Clone)]
 pub struct ExecOptions {
-    /// Worker threads for scoped parallel operators.  `0` and `1` both
-    /// mean serial execution (unless a [`scheduler`](Self::scheduler) is
-    /// attached).
-    pub threads: usize,
     /// Rows per morsel (clamped to at least 1).  Rows, row order, and
     /// costs are identical for every value; float `SUM`/`AVG` partials
     /// are merged per morsel, so their last ulp can depend on it (never
-    /// on the thread count or scheduler).
+    /// on the worker count or scheduler).
     pub morsel_size: usize,
     /// Cooperative cancellation/deadline token, polled at operator entry
     /// and at every morsel boundary.
     pub token: Option<QueryToken>,
-    /// External morsel scheduler (the service's shared worker pool).
-    /// When present it replaces per-query `thread::scope` entirely.
+    /// The worker pool that runs the morsels; `None` runs them inline.
     pub scheduler: Option<Arc<dyn MorselScheduler>>,
 }
 
 impl std::fmt::Debug for ExecOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecOptions")
-            .field("threads", &self.threads)
             .field("morsel_size", &self.morsel_size)
             .field("token", &self.token.is_some())
-            .field("scheduler", &self.scheduler.is_some())
+            .field("workers", &self.scheduler.as_ref().map(|s| s.workers()))
             .finish()
     }
 }
@@ -110,7 +103,6 @@ impl std::fmt::Debug for ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         Self {
-            threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
             token: None,
             scheduler: None,
@@ -119,18 +111,15 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Serial execution (the default).
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
-    /// Parallel execution on `threads` scoped workers with the default
-    /// morsel size.
+    /// Serial execution for `threads <= 1`; otherwise a fresh
+    /// [`WorkerPool`] of `threads` workers, used by these options (and
+    /// their clones) alone.
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
+        let options = Self::default();
+        if threads <= 1 {
+            return options;
         }
+        options.with_scheduler(Arc::new(WorkerPool::new(threads)))
     }
 
     /// Overrides the morsel size.
@@ -145,7 +134,7 @@ impl ExecOptions {
         self
     }
 
-    /// Attaches an external morsel scheduler (shared worker pool).
+    /// Attaches a morsel scheduler (a shared worker pool).
     pub fn with_scheduler(mut self, scheduler: Arc<dyn MorselScheduler>) -> Self {
         self.scheduler = Some(scheduler);
         self
@@ -165,7 +154,7 @@ impl ExecOptions {
 
     /// Number of morsels an input of `n` rows splits into under these
     /// options — the same arithmetic `run_morsels` uses, so the count
-    /// depends only on sizes, never on the thread count or scheduling.
+    /// depends only on sizes, never on the worker count or scheduling.
     pub fn morsel_count(&self, n: usize) -> u64 {
         n.div_ceil(self.morsel_size.max(1)) as u64
     }
@@ -187,9 +176,9 @@ where
     let n_morsels = n.div_ceil(size);
     let bounds = |i: usize| i * size..((i + 1) * size).min(n);
 
-    // Pooled: hand the whole job to the shared scheduler.  Result slots
-    // are write-once cells filled by whichever pool thread runs each
-    // morsel; `run_job` returning guarantees no `run_one` is in flight.
+    // Pooled: hand the whole job to the scheduler.  Result slots are
+    // write-once cells filled by whichever pool thread runs each morsel;
+    // `run_job` returning guarantees no `run_one` is in flight.
     if let Some(scheduler) = &opts.scheduler {
         if n_morsels == 0 {
             return Some(Vec::new());
@@ -213,79 +202,33 @@ where
     }
 
     // Inline: the calling thread runs every morsel, polling between them.
-    let workers = opts.threads.min(n_morsels);
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(n_morsels);
-        for i in 0..n_morsels {
-            if opts.check_stop().is_some() {
-                return None;
-            }
-            out.push(work(bounds(i)));
+    let mut out = Vec::with_capacity(n_morsels);
+    for i in 0..n_morsels {
+        if opts.check_stop().is_some() {
+            return None;
         }
-        return Some(out);
+        out.push(work(bounds(i)));
     }
-
-    // Scoped: per-query workers claim from an atomic counter, polling the
-    // token before each claim.  A fired token flips the sticky `stopped`
-    // flag so every worker quits at its next claim.
-    let next = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let slots: Vec<OnceLock<T>> = (0..n_morsels).map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if let Some(token) = &opts.token {
-                    if token.poll().is_some() {
-                        stopped.store(true, Ordering::SeqCst);
-                    }
-                }
-                if stopped.load(Ordering::SeqCst) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_morsels {
-                    break;
-                }
-                let _ = slots[i].set(work(bounds(i)));
-            });
-        }
-    });
-    if stopped.load(Ordering::SeqCst) {
-        return None;
-    }
-    Some(
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("every morsel index was claimed exactly once")
-            })
-            .collect(),
-    )
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn opts(threads: usize, morsel_size: usize) -> ExecOptions {
-        ExecOptions {
-            threads,
-            morsel_size,
-            ..ExecOptions::serial()
-        }
+        ExecOptions::with_threads(threads).with_morsel_size(morsel_size)
     }
 
     #[test]
     fn defaults_are_serial() {
         let o = ExecOptions::default();
-        assert_eq!(o.threads, 1);
         assert!(o.token.is_none() && o.scheduler.is_none());
-        assert_eq!(ExecOptions::serial().threads, 1);
-        assert_eq!(
-            ExecOptions::with_threads(4).with_morsel_size(7).morsel_size,
-            7
-        );
+        assert!(ExecOptions::with_threads(1).scheduler.is_none());
+        let pooled = ExecOptions::with_threads(4).with_morsel_size(7);
+        assert_eq!(pooled.morsel_size, 7);
+        assert_eq!(pooled.scheduler.map(|s| s.workers()), Some(4));
     }
 
     #[test]
@@ -345,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn fired_token_stops_scoped_workers() {
+    fn fired_token_stops_pooled_workers() {
         let ran = AtomicUsize::new(0);
         let token = QueryToken::new();
         token.cancel();

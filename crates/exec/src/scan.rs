@@ -417,7 +417,7 @@ mod tests {
             "t",
             Some(&pred),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(batch.len(), 100);
@@ -434,7 +434,7 @@ mod tests {
             "t",
             None,
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(all.len(), 1000);
@@ -455,7 +455,7 @@ mod tests {
             "t",
             Some(&narrow),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         seq_scan(
@@ -465,7 +465,7 @@ mod tests {
             "t",
             Some(&wide),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(ta, tb);
@@ -511,7 +511,7 @@ mod tests {
                 "t",
                 pred,
                 None,
-                &ExecOptions::serial(),
+                &ExecOptions::default(),
             )
             .unwrap();
             // Same rows, same charges at every thread count.
@@ -542,7 +542,7 @@ mod tests {
             Some(&pred),
             &[1],
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(batch.len(), 250);
@@ -569,7 +569,7 @@ mod tests {
             None,
             &[1, 2],
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(tracker.seq_pages, params.data_pages(500, w));
@@ -583,7 +583,7 @@ mod tests {
             None,
             &[0, 2],
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(
@@ -606,7 +606,7 @@ mod tests {
             &range,
             None,
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(batch.len(), 100);
@@ -631,7 +631,7 @@ mod tests {
             &range,
             Some(&residual),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(batch.len(), 10); // x in 0..100 with x % 10 == 3
@@ -648,7 +648,7 @@ mod tests {
             ranges,
             None,
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap()
         .0
@@ -679,7 +679,7 @@ mod tests {
             "t",
             Some(&pred),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(scan.len(), batch.len());
@@ -854,7 +854,7 @@ mod tests {
                 .reduce(Expr::and)
                 .unwrap();
             let mut ts = CostTracker::new();
-            let serial = ExecOptions::serial();
+            let serial = ExecOptions::default();
             let scan = seq_scan(&cat, &params, &mut ts, "t", Some(&conjunction), None, &serial)
                 .unwrap();
             for opts in [serial, ExecOptions::with_threads(2).with_morsel_size(16)] {
@@ -888,7 +888,7 @@ mod tests {
             &range,
             Some(&residual),
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         let mut ti = CostTracker::new();
@@ -900,7 +900,7 @@ mod tests {
             &ranges,
             None,
             None,
-            &ExecOptions::serial(),
+            &ExecOptions::default(),
         )
         .unwrap();
         for threads in [1, 2, 8] {
@@ -952,7 +952,7 @@ mod tests {
                 "t",
                 pred.as_ref(),
                 None,
-                &ExecOptions::serial(),
+                &ExecOptions::default(),
             )
             .unwrap();
             assert_eq!(whole.to_rows(), reference, "pred={pred:?}");

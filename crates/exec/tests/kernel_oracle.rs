@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// Morsel size of every kernel run below.
 const MORSEL: usize = 16;
 
-/// One thread (inline morsel loop), then scoped workers.
+/// One thread (inline morsel loop), then pools of 2 and 8 workers.
 fn thread_opts() -> [ExecOptions; 3] {
     [1usize, 2, 8].map(|t| ExecOptions::with_threads(t).with_morsel_size(MORSEL))
 }
@@ -475,7 +475,7 @@ proptest! {
                     prop_assert_eq!(
                         g.iter().map(bits).collect::<Vec<_>>(),
                         e.iter().map(bits).collect::<Vec<_>>(),
-                        "threads={}", opts.threads
+                        "{:?}", opts
                     );
                 }
             }
@@ -495,7 +495,7 @@ proptest! {
         let expect = oracle_filter(&batch, &bound);
         for opts in thread_opts() {
             let out = filter_batch(batch.clone(), &bound, &opts).unwrap();
-            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
         }
     }
 
@@ -519,7 +519,7 @@ proptest! {
         let expect = oracle_project(&batch, &ordinals);
         for opts in thread_opts() {
             let out = project_batch(batch.clone(), &ordinals, schema.clone(), &opts).unwrap();
-            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
         }
     }
 
@@ -559,13 +559,13 @@ proptest! {
         for opts in thread_opts() {
             let mut t = CostTracker::new();
             let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", None, &opts).unwrap();
-            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
             prop_assert_eq!(t.hash_builds, b.len() as u64);
             prop_assert_eq!(t.hash_probes, p.len() as u64);
-            prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
+            prop_assert_eq!(t, *base_cost.get_or_insert(t), "{:?}", opts);
             if through {
                 for (got, input) in out.columns()[b.schema.len()..].iter().zip(p.columns()) {
-                    prop_assert!(Arc::ptr_eq(got, input), "threads={}", opts.threads);
+                    prop_assert!(Arc::ptr_eq(got, input), "{:?}", opts);
                 }
             }
         }
@@ -608,12 +608,12 @@ proptest! {
             let (mut t_full, mut t_some) = (CostTracker::new(), CostTracker::new());
             let full = join(None, &mut t_full);
             let some = join(Some(&needed), &mut t_some);
-            prop_assert_eq!(t_some, t_full, "threads={}", opts.threads);
+            prop_assert_eq!(t_some, t_full, "{:?}", opts);
             prop_assert_eq!(some.len(), full.len());
             let asked = full.clone().retain_columns(|n| needed.iter().any(|x| x == n));
             if needed.iter().any(|n| full.schema.index_of(n).is_some()) {
                 prop_assert_eq!(some.schema.names(), asked.schema.names());
-                prop_assert_eq!(some.to_rows(), asked.to_rows(), "threads={}", opts.threads);
+                prop_assert_eq!(some.to_rows(), asked.to_rows(), "{:?}", opts);
             } else {
                 prop_assert_eq!(some.schema.len(), 1);
             }
@@ -638,9 +638,9 @@ proptest! {
         for opts in thread_opts() {
             let mut t = CostTracker::new();
             let out = hash_aggregate(&mut t, batch.clone(), &group_by, &aggs, &opts).unwrap();
-            prop_assert_eq!(&out.to_rows(), &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
             prop_assert_eq!(t.hash_builds, batch.len() as u64);
-            prop_assert_eq!(t, *base_cost.get_or_insert(t), "threads={}", opts.threads);
+            prop_assert_eq!(t, *base_cost.get_or_insert(t), "{:?}", opts);
         }
     }
 
@@ -717,10 +717,10 @@ proptest! {
         let mut base = None;
         for opts in thread_opts() {
             let (batch, cost, metrics) = execute_analyze(&plan, &cat, &params, &opts);
-            prop_assert_eq!(&batch.to_rows(), &expect, "threads={}", opts.threads);
+            prop_assert_eq!(&batch.to_rows(), &expect, "{:?}", opts);
             let (base_cost, base_metrics) = base.get_or_insert((cost, metrics.clone()));
-            prop_assert_eq!(cost, *base_cost, "threads={}", opts.threads);
-            prop_assert_eq!(&metrics, &*base_metrics, "threads={}", opts.threads);
+            prop_assert_eq!(cost, *base_cost, "{:?}", opts);
+            prop_assert_eq!(&metrics, &*base_metrics, "{:?}", opts);
         }
     }
 }
@@ -788,12 +788,12 @@ fn join_gathers_a_probe_side_that_is_not_one_to_one() {
         for opts in thread_opts() {
             let mut t = CostTracker::new();
             let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", None, &opts).unwrap();
-            assert_eq!(out.to_rows(), expect, "{case}, threads={}", opts.threads);
+            assert_eq!(out.to_rows(), expect, "{case}, {:?}", opts);
             let shared = out.columns()[b.schema.len()..]
                 .iter()
                 .zip(p.columns())
                 .all(|(got, input)| Arc::ptr_eq(got, input));
-            assert_eq!(shared, through, "{case}, threads={}", opts.threads);
+            assert_eq!(shared, through, "{case}, {:?}", opts);
         }
     }
 }

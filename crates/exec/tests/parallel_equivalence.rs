@@ -225,7 +225,7 @@ proptest! {
         // Irrational floats: summation order reaches the last ulp, so the
         // serial reference must run at the same morsel size.
         let cat = catalog_with(n, key_mod, |i| 1.0 / (i + 3) as f64 + (i as f64).sqrt());
-        let serial_opts = ExecOptions::serial().with_morsel_size(morsel);
+        let serial_opts = ExecOptions::default().with_morsel_size(morsel);
         let serial = |plan| execute_with(plan, &cat, &CostParams::default(), &serial_opts);
         let group_by = if grouped { vec!["k".to_string()] } else { vec![] };
 

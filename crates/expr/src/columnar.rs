@@ -127,7 +127,7 @@ fn select_inner(expr: &Expr, cols: &[Arc<ColumnVec>], cand: &Candidates<'_>) -> 
                         return false; // NULL IN (...) is unknown
                     }
                     let v = col.value(i);
-                    list.iter().any(|c| c == &v)
+                    list.iter().any(|c| c.total_cmp(&v).is_eq())
                 });
             }
             select_fallback(expr, cols, cand)

@@ -75,7 +75,9 @@ impl Expr {
                 if v.is_null() {
                     return Value::Null;
                 }
-                Value::Bool(list.iter().any(|c| c == &v))
+                // `total_cmp`, not `==`: an incomparable element panics,
+                // as every other comparison of the evaluator does.
+                Value::Bool(list.iter().any(|c| c.total_cmp(&v).is_eq()))
             }
         }
     }

@@ -10,15 +10,14 @@
 //!   [`RunPolicy`] alone decides what a completed run publishes; a
 //!   stopped query never inserts into the plan cache, never records
 //!   feedback observations, and never drift-evicts entries.
-//! - **[`WorkerPool`]** is one long-lived pool of morsel workers shared
-//!   by every running query, scheduling round-robin across queries
-//!   (one morsel per pick) so short queries are not starved by long
-//!   ones.  It replaces the executor's default per-query scoped
-//!   threads when a service is in front.
-//! - **[`QueryService`]** ties them together with admission control
-//!   (bounded concurrency, bounded wait queue with timeout) and
-//!   deadline/cancellation propagation from [`QueryHandle`] tokens
-//!   into every morsel loop, plus [`ServiceStats`] counters.
+//! - **[`QueryService`]** runs every admitted query on one shared
+//!   [`WorkerPool`] (the executor's scheduler, re-exported from
+//!   `rqo_exec`), which schedules round-robin across queries (one
+//!   morsel per pick) so short queries are not starved by long ones.
+//!   It adds admission control (bounded concurrency, bounded wait queue
+//!   with timeout) and deadline/cancellation propagation from each
+//!   client's [`QueryToken`] into every morsel loop, plus
+//!   [`ServiceStats`] counters.
 //!
 //! Single-tenant equivalence is a hard invariant: a query run through
 //! the service returns bit-identical rows, operator metrics, and
@@ -29,14 +28,13 @@
 
 pub mod engine;
 pub mod net;
-pub mod pool;
 pub mod proto;
 pub mod service;
 
 pub use engine::{AnalyzedOutcome, Engine, InsertSummary, QueryOutcome, ReplanEvent, RunPolicy};
 pub use net::{ClientError, NetClient, NetServer, NetServerConfig, NetStats, QueryReply};
-pub use pool::WorkerPool;
 pub use proto::{ErrorCode, ProtoError, Request, Response, RunMode};
-pub use service::{QueryHandle, QueryService, ServiceError, ServiceStats, Session};
+pub use service::{QueryService, ServiceError, ServiceStats, Session};
 
 pub use rqo_core::{QueryToken, ServiceConfig, StopReason};
+pub use rqo_exec::WorkerPool;

@@ -68,7 +68,7 @@ use crate::proto::{
     batch_row_len, read_frame, write_frame, ErrorCode, FrameReadError, ProtoError, Request,
     Response, RunMode, BATCH_HEADER_LEN, DEFAULT_BATCH_ROWS, MAX_FRAME_LEN,
 };
-use crate::service::{QueryHandle, QueryService, ServiceError};
+use crate::service::{QueryService, ServiceError};
 
 /// Configuration for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -618,15 +618,15 @@ fn handle_run(
         }
     };
 
-    let handle = if deadline_ms > 0 {
-        QueryHandle::with_deadline(Duration::from_millis(deadline_ms))
+    let token = if deadline_ms > 0 {
+        QueryToken::with_deadline(Duration::from_millis(deadline_ms))
     } else {
-        QueryHandle::new()
+        QueryToken::new()
     };
-    *in_flight.lock().unwrap_or_else(PoisonError::into_inner) = Some(handle.token().clone());
+    *in_flight.lock().unwrap_or_else(PoisonError::into_inner) = Some(token.clone());
 
     let result = catch_unwind(AssertUnwindSafe(|| {
-        inner.service.execute(&query, &handle, mode.into())
+        inner.service.execute(&query, &token, mode.into())
     }));
 
     // Clear the in-flight slot; the reader may already have taken it

@@ -2,10 +2,10 @@
 //! pool + per-query deadline/cancellation, over one shared [`Engine`].
 //!
 //! ```text
-//! Session ── QueryHandle(token) ──► admission ──► slot ──► Engine::execute
-//!                                      │                      │
-//!                                 bounded queue          WorkerPool (shared,
-//!                                 + timeout              round-robin morsels)
+//! Session ── QueryToken ──► admission ──► slot ──► Engine::execute
+//!                               │                      │
+//!                          bounded queue          WorkerPool (shared,
+//!                          + timeout              round-robin morsels)
 //! ```
 //!
 //! A query first passes the **admission controller**: at most
@@ -15,10 +15,10 @@
 //! immediately.  An admitted query executes on the **shared worker
 //! pool**, which round-robins morsels across all running queries so one
 //! expensive join cannot starve short queries.  Cancellation and
-//! deadlines propagate from the [`QueryHandle`] through every morsel
-//! loop: a fired token stops the query within one morsel, frees its slot
-//! (the guard is drop-based, so even a panic releases it), and — by the
-//! engine's hygiene rules — publishes nothing.
+//! deadlines propagate from the client's [`QueryToken`] through every
+//! morsel loop: a fired token stops the query within one morsel, frees
+//! its slot (the guard is drop-based, so even a panic releases it), and
+//! — by the engine's hygiene rules — publishes nothing.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,11 +26,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use rqo_core::{QueryToken, ServiceConfig, StopReason};
-use rqo_exec::MorselScheduler;
+use rqo_exec::{MorselScheduler, WorkerPool};
 use rqo_optimizer::Query;
 
 use crate::engine::{AnalyzedOutcome, Engine, QueryOutcome, RunPolicy};
-use crate::pool::WorkerPool;
 
 /// Why the service refused to produce a result for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,40 +53,6 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-/// A client's handle on one query: the cancellation/deadline token,
-/// cloneable to other threads so a running (or queued) query can be
-/// cancelled from outside.
-#[derive(Debug, Clone, Default)]
-pub struct QueryHandle {
-    token: QueryToken,
-}
-
-impl QueryHandle {
-    /// A handle with no deadline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A handle whose query must finish within `deadline` from now
-    /// (queue wait included).
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Self {
-            token: QueryToken::with_deadline(deadline),
-        }
-    }
-
-    /// Requests cancellation; takes effect at the query's next morsel
-    /// boundary (or immediately, if it is still queued).
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// The underlying token.
-    pub fn token(&self) -> &QueryToken {
-        &self.token
-    }
-}
 
 /// A point-in-time snapshot of the service's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -329,11 +294,10 @@ impl QueryService {
     }
 
     /// Opens a client session.  Sessions share the engine (plan cache,
-    /// feedback) and the worker pool; each query gets its own handle.
+    /// feedback) and the worker pool; each query gets its own token.
     pub fn session(&self) -> Session {
         Session {
             service: self.clone(),
-            selection: None,
         }
     }
 
@@ -341,10 +305,10 @@ impl QueryService {
     /// bookkeeping: default deadline, slot accounting, outcome counters.
     fn admitted<T>(
         &self,
-        handle: &QueryHandle,
+        token: &QueryToken,
         run: impl FnOnce(&rqo_exec::ExecOptions) -> Result<T, StopReason>,
     ) -> Result<T, ServiceError> {
-        let token = handle.token().clone();
+        let token = token.clone();
         if let Some(deadline) = self.inner.config.default_deadline {
             token.set_default_deadline(deadline);
         }
@@ -384,18 +348,17 @@ impl QueryService {
         }
     }
 
-    /// Runs a query under `handle` through admission and the worker
-    /// pool; `policy` decides what the run reads from and publishes into
-    /// the shared plan cache and feedback store (see [`RunPolicy`]).
+    /// Runs a query under `token` (its client's cancellation and
+    /// deadline handle) through admission and the worker pool; `policy`
+    /// decides what the run reads from and publishes into the shared
+    /// plan cache and feedback store (see [`RunPolicy`]).
     pub fn execute(
         &self,
         query: &Query,
-        handle: &QueryHandle,
+        token: &QueryToken,
         policy: RunPolicy,
     ) -> Result<AnalyzedOutcome, ServiceError> {
-        self.admitted(handle, |opts| {
-            self.inner.engine.execute(query, opts, policy)
-        })
+        self.admitted(token, |opts| self.inner.engine.execute(query, opts, policy))
     }
 }
 
@@ -405,44 +368,24 @@ impl QueryService {
 #[derive(Clone)]
 pub struct Session {
     service: QueryService,
-    /// Session-level plan-selection mode, applied to queries that carry
-    /// no per-query override (`None` = the engine's system-wide mode).
-    selection: Option<rqo_core::PlanSelection>,
 }
 
 impl Session {
-    /// Returns a session whose queries default to `selection` mode.
-    /// Queries carrying their own [`Query::with_selection`] override are
-    /// untouched.
-    pub fn with_selection(mut self, selection: rqo_core::PlanSelection) -> Self {
-        self.selection = Some(selection);
-        self
-    }
-
-    /// The query as this session will submit it: the session selection
-    /// mode is stamped on unless the query already carries one.
-    fn effective<'q>(&self, query: &'q Query) -> std::borrow::Cow<'q, Query> {
-        match (self.selection, query.selection) {
-            (Some(mode), None) => std::borrow::Cow::Owned(query.clone().with_selection(mode)),
-            _ => std::borrow::Cow::Borrowed(query),
-        }
-    }
-
-    /// Runs a query under an explicit handle (deadline/cancellation)
+    /// Runs a query under an explicit token (deadline/cancellation)
     /// and [`RunPolicy`].
     pub fn execute(
         &self,
         query: &Query,
-        handle: &QueryHandle,
+        token: &QueryToken,
         policy: RunPolicy,
     ) -> Result<AnalyzedOutcome, ServiceError> {
-        self.service.execute(&self.effective(query), handle, policy)
+        self.service.execute(query, token, policy)
     }
 
-    /// A plain run with a fresh (never-firing) handle.
+    /// A plain run with a fresh (never-firing) token.
     pub fn run(&self, query: &Query) -> Result<QueryOutcome, ServiceError> {
         Ok(self
-            .execute(query, &QueryHandle::new(), RunPolicy::Run)?
+            .execute(query, &QueryToken::new(), RunPolicy::Run)?
             .outcome)
     }
 
@@ -483,10 +426,10 @@ mod tests {
     #[test]
     fn cancelled_query_reports_stopped_and_frees_slot() {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
-        let handle = QueryHandle::new();
-        handle.cancel();
+        let token = QueryToken::new();
+        token.cancel();
         let err = service
-            .execute(&count_query(), &handle, RunPolicy::Run)
+            .execute(&count_query(), &token, RunPolicy::Run)
             .unwrap_err();
         assert_eq!(err, ServiceError::Stopped(StopReason::Cancelled));
         let stats = service.stats();
@@ -499,9 +442,9 @@ mod tests {
     #[test]
     fn elapsed_deadline_reports_deadline_exceeded() {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
-        let handle = QueryHandle::with_deadline(Duration::ZERO);
+        let token = QueryToken::with_deadline(Duration::ZERO);
         let err = service
-            .execute(&count_query(), &handle, RunPolicy::Run)
+            .execute(&count_query(), &token, RunPolicy::Run)
             .unwrap_err();
         assert_eq!(err, ServiceError::Stopped(StopReason::DeadlineExceeded));
         assert_eq!(service.stats().deadline_exceeded, 1);
@@ -585,9 +528,9 @@ mod tests {
     #[test]
     fn panicking_query_is_counted_and_frees_its_slot() {
         let service = QueryService::new(tiny_engine(), ServiceConfig::default());
-        let handle = QueryHandle::new();
+        let token = QueryToken::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.admitted::<()>(&handle, |_| panic!("boom"))
+            service.admitted::<()>(&token, |_| panic!("boom"))
         }));
         assert!(caught.is_err(), "panic is re-raised to the caller");
         let stats = service.stats();

@@ -20,7 +20,7 @@ use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig, QueryReply};
 use rqo_service::proto::{write_frame, Request, Response, RunMode};
-use rqo_service::{Engine, QueryHandle, QueryService, RunPolicy, ServiceConfig};
+use rqo_service::{Engine, QueryService, QueryToken, RunPolicy, ServiceConfig};
 use rqo_storage::Value;
 
 fn engine() -> Engine {
@@ -341,7 +341,7 @@ fn adaptive_wire_replay_matches_in_process_order() {
             .iter()
             .map(|q| {
                 let a = session
-                    .execute(q, &QueryHandle::new(), RunPolicy::Adaptive)
+                    .execute(q, &QueryToken::new(), RunPolicy::Adaptive)
                     .expect("in-process adaptive");
                 Core::of(
                     a.outcome.rows,

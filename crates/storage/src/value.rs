@@ -175,8 +175,15 @@ impl Value {
     /// Panics on unsupported cross-type comparisons (e.g. `Str` vs `Int`),
     /// which indicate a planner type-checking bug.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
+        self.try_cmp(other)
+            .unwrap_or_else(|| panic!("incomparable values: {self:?} vs {other:?}"))
+    }
+
+    /// [`total_cmp`](Self::total_cmp), with `None` for a pair it has no
+    /// rule for.
+    fn try_cmp(&self, other: &Value) -> Option<Ordering> {
         use Value::*;
-        match (self, other) {
+        Some(match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
@@ -190,8 +197,8 @@ impl Value {
             (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
             (Int(a), Date(b)) => a.cmp(&(*b as i64)),
             (Date(a), Int(b)) => (*a as i64).cmp(b),
-            (a, b) => panic!("incomparable values: {a:?} vs {b:?}"),
-        }
+            _ => return None,
+        })
     }
 }
 
@@ -199,8 +206,8 @@ impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         // NULL == NULL here: this is storage equality (group keys, index
         // keys), not SQL three-valued logic, which lives in the expression
-        // evaluator.
-        self.total_cmp(other) == Ordering::Equal
+        // evaluator.  Values of incomparable variants are simply unequal.
+        self.try_cmp(other) == Some(Ordering::Equal)
     }
 }
 
@@ -428,6 +435,13 @@ mod tests {
         assert!(set.contains(&Value::str("five")));
         assert!(set.contains(&Value::Null));
         assert!(!set.contains(&Value::Int(6)));
+    }
+
+    #[test]
+    fn incomparable_variants_are_unequal() {
+        assert_ne!(Value::Int(5), Value::str("five"));
+        assert_ne!(Value::str("five"), Value::Bool(true));
+        assert_eq!(Value::Int(5), Value::Float(5.0));
     }
 
     #[test]

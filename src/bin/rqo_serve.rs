@@ -270,13 +270,13 @@ fn main() {
     // Deadline/cancellation demo: both must stop cleanly and release
     // their slots (visible in the counters below).
     let session = service.session();
-    let cancelled = QueryHandle::new();
+    let cancelled = QueryToken::new();
     cancelled.cancel();
     match session.execute(&queries[0], &cancelled, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("\ncancelled demo query: {reason}"),
         other => println!("\ncancelled demo query: unexpected {other:?}"),
     }
-    let expired = QueryHandle::with_deadline(Duration::ZERO);
+    let expired = QueryToken::with_deadline(Duration::ZERO);
     match session.execute(&queries[0], &expired, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("expired-deadline demo query: {reason}"),
         other => println!("expired-deadline demo query: unexpected {other:?}"),

@@ -25,9 +25,9 @@
 //! | [`datagen`] | TPC-H-like + star-schema generators with correlation knobs |
 //! | [`stats`] | samplers, join synopses, equi-depth histograms, distinct estimation |
 //! | [`estimator`] | **the paper's contribution**: posteriors, thresholds, robust estimator |
-//! | [`exec`] | physical operators charging the cost model |
+//! | [`exec`] | physical operators charging the cost model, the morsel worker pool |
 //! | [`optimizer`] | access paths, DP join enumeration, star semijoins |
-//! | [`service`] | concurrent query service: shared worker pool, admission control |
+//! | [`service`] | concurrent query service: admission control over one shared pool |
 //!
 //! # Quickstart
 //!
@@ -71,10 +71,10 @@
 //! let outcome = session.run(&query).expect("no deadline, no cancellation");
 //! assert_eq!(outcome.rows.len(), 1);
 //!
-//! // A handle makes the query cancellable / deadline-bounded, and the
+//! // A token makes the query cancellable / deadline-bounded, and the
 //! // policy says what the run may publish (`Analyze` = EXPLAIN ANALYZE).
-//! let handle = QueryHandle::with_deadline(Duration::from_secs(30));
-//! if let Ok(analyzed) = session.execute(&query, &handle, RunPolicy::Analyze) {
+//! let token = QueryToken::with_deadline(Duration::from_secs(30));
+//! if let Ok(analyzed) = session.execute(&query, &token, RunPolicy::Analyze) {
 //!     println!("{}", analyzed.render());
 //! }
 //! println!("{}", service.stats());
@@ -94,17 +94,16 @@ pub use rqo_storage as storage;
 
 pub use rqo_service::{
     AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient, NetServer,
-    NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply, QueryService,
-    ReplanEvent, Request, Response, RunMode, RunPolicy, ServiceError, ServiceStats, Session,
+    NetServerConfig, NetStats, ProtoError, QueryOutcome, QueryReply, QueryService, ReplanEvent,
+    Request, Response, RunMode, RunPolicy, ServiceError, ServiceStats, Session,
 };
 
 /// One-stop imports for applications and the examples.
 pub mod prelude {
     pub use crate::{
         AnalyzedOutcome, ClientError, Engine, ErrorCode, InsertSummary, NetClient, NetServer,
-        NetServerConfig, NetStats, ProtoError, QueryHandle, QueryOutcome, QueryReply, QueryService,
-        ReplanEvent, Request, Response, RobustDb, RunMode, RunPolicy, ServiceError, ServiceStats,
-        Session,
+        NetServerConfig, NetStats, ProtoError, QueryOutcome, QueryReply, QueryService, ReplanEvent,
+        Request, Response, RobustDb, RunMode, RunPolicy, ServiceError, ServiceStats, Session,
     };
     pub use rqo_core::{
         AdaptivePolicy, CardinalityEstimator, ConfidenceThreshold,

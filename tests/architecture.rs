@@ -163,17 +163,17 @@ fn sampling_randomness_never_affects_results() {
 /// number above its budget fails until the same change raises the budget.
 /// Falling below is free — lower the budget to keep the ratchet tight.
 const PUB_LINE_BUDGET: [(&str, usize); 9] = [
-    ("core", 162),
+    ("core", 161),
     ("datagen", 40),
-    ("exec", 133),
+    ("exec", 135),
     ("expr", 44),
     ("math", 65),
     ("optimizer", 160),
-    ("service", 165),
+    ("service", 156),
     ("stats", 99),
     ("storage", 173),
 ];
-const DESIGN_LINE_BUDGET: usize = 890;
+const DESIGN_LINE_BUDGET: usize = 884;
 
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read source dir") {

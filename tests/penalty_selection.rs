@@ -196,7 +196,7 @@ fn penalty_execution_is_thread_invariant() {
 }
 
 /// The selection mode threads through every layer: `RobustDb` builder,
-/// engine accessor, service session override, and per-query override.
+/// engine accessor, and a per-query override, also through a service.
 #[test]
 fn selection_mode_threads_through_the_service_stack() {
     let db = tpch_db().with_selection(PlanSelection::ExpectedPenalty);
@@ -210,15 +210,16 @@ fn selection_mode_threads_through_the_service_stack() {
     assert_eq!(quantile.selection, PlanSelection::Quantile);
     assert!(quantile.penalty.is_none());
 
-    // Session-level override on a service sharing a quantile-mode engine.
+    // A per-query override through a session of a service sharing a
+    // quantile-mode engine.
     let service = tpch_db().into_service(ServiceConfig::default());
-    let session = service
-        .session()
-        .with_selection(PlanSelection::ExpectedPenalty);
-    let outcome = session.run(&join_query()).expect("no deadline");
+    let session = service.session();
+    let outcome = session
+        .run(&join_query().with_selection(PlanSelection::ExpectedPenalty))
+        .expect("no deadline");
     assert_eq!(
         outcome.planned.plan.shape_label(),
         planned.plan.shape_label(),
-        "session override must reproduce the penalty-mode plan"
+        "per-query override through a session must reproduce the penalty-mode plan"
     );
 }

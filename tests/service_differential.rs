@@ -90,7 +90,7 @@ fn assert_differential(db: RobustDb, queries: &[Query], refs: &[Reference], clie
                 let session = service.session();
                 for (query, reference) in queries.iter().zip(refs) {
                     let analyzed = session
-                        .execute(query, &QueryHandle::new(), RunPolicy::AnalyzeQuiet)
+                        .execute(query, &QueryToken::new(), RunPolicy::AnalyzeQuiet)
                         .expect("no cancellation source");
                     assert_eq!(analyzed.outcome.rows, reference.rows, "rows diverged");
                     assert_eq!(analyzed.render(), reference.render, "metrics tree diverged");
@@ -148,7 +148,7 @@ fn stopped_queries_release_their_slots() {
 
     // A pre-cancelled query and an already-expired deadline both stop
     // before producing rows — and both must free their slot.
-    let cancelled = QueryHandle::new();
+    let cancelled = QueryToken::new();
     cancelled.cancel();
     assert_eq!(
         session
@@ -156,7 +156,7 @@ fn stopped_queries_release_their_slots() {
             .unwrap_err(),
         ServiceError::Stopped(StopReason::Cancelled)
     );
-    let expired = QueryHandle::with_deadline(std::time::Duration::ZERO);
+    let expired = QueryToken::with_deadline(std::time::Duration::ZERO);
     assert_eq!(
         session
             .execute(&query, &expired, RunPolicy::Run)

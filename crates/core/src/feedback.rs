@@ -21,7 +21,7 @@
 //! Observations are only valid against the data shape they were measured
 //! on.  The store therefore carries a monotonically increasing
 //! **statistics epoch**: [`FeedbackStore::advance_epoch`] (called by the
-//! `UPDATE STATISTICS` analogue, `RobustDb::refresh_statistics`) drops
+//! `UPDATE STATISTICS` analogue, `Engine::refresh_statistics`) drops
 //! every recorded observation and bumps the counter, so downstream
 //! consumers — the estimator, and any plan cache whose fingerprints embed
 //! the epoch — atomically stop seeing stale selectivities.  Without this,

@@ -3,8 +3,8 @@
 //! For random SPJ workloads over the seeded TPC-H-like generator (whose
 //! correlated ship/receipt dates and clustered part keys are the
 //! deliberately skewed columns the paper's estimator struggles with),
-//! [`RobustDb::execute`] under `RunPolicy::Adaptive` must return
-//! **bit-identical** rows to the static [`RobustDb::run`] path — at 1,
+//! [`Engine::execute`] under `RunPolicy::Adaptive` must return
+//! **bit-identical** rows to the static [`Engine::run`] path — at 1,
 //! 2, and 8 worker threads — no
 //! matter how wrong the planted selectivity is and how many mid-query
 //! re-plans it provokes.  Guard-trigger points, re-plan counts, and the
@@ -52,7 +52,7 @@ fn build_query(family: usize, offset: i64, window: i64) -> Query {
 
 /// The single-table key the misestimate is planted under: the family's
 /// filtered table and its predicate.
-fn inject_misestimate(handle: &RobustDb, family: usize, offset: i64, window: i64, sel: f64) {
+fn inject_misestimate(handle: &Engine, family: usize, offset: i64, window: i64, sel: f64) {
     match family {
         0 => {
             let pred = exp1_lineitem_predicate(offset % 200);
@@ -69,13 +69,12 @@ fn inject_misestimate(handle: &RobustDb, family: usize, offset: i64, window: i64
     }
 }
 
-fn fresh_db(seed: u64, threads: usize) -> RobustDb {
+fn fresh_db(seed: u64) -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.002,
         seed,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 300, seed ^ 0xA5)
-        .with_exec_options(ExecOptions::with_threads(threads))
+    Engine::with_options(data.into_catalog(), CostParams::default(), 300, seed ^ 0xA5)
 }
 
 proptest! {
@@ -94,7 +93,7 @@ proptest! {
         let query = build_query(family, offset, window);
 
         // Static reference: fresh database, same planted misestimate.
-        let static_db = fresh_db(seed, 1);
+        let static_db = fresh_db(seed);
         inject_misestimate(&static_db, family, offset, window, sel);
         let static_run = static_db.run(&query);
 
@@ -104,9 +103,10 @@ proptest! {
         type Baseline = (usize, f64, Vec<(usize, u64)>);
         let mut baseline: Option<Baseline> = None;
         for threads in [1usize, 2, 8] {
-            let handle = fresh_db(seed, threads);
+            let handle = fresh_db(seed);
             inject_misestimate(&handle, family, offset, window, sel);
-            let adaptive = handle.execute(&query, RunPolicy::Adaptive);
+            let opts = ExecOptions::with_threads(threads);
+            let adaptive = handle.execute(&query, &opts, RunPolicy::Adaptive).unwrap();
 
             prop_assert_eq!(
                 &adaptive.outcome.rows,
@@ -160,13 +160,14 @@ proptest! {
         window in 0i64..300,
     ) {
         let query = build_query(family, offset, window);
-        let static_db = fresh_db(seed, 2);
+        let opts = ExecOptions::with_threads(2);
+        let static_db = fresh_db(seed);
         inject_misestimate(&static_db, family, offset, window, 0.9);
-        let static_run = static_db.run(&query);
+        let static_run = static_db.run_opts(&query, &opts).unwrap();
 
-        let handle = fresh_db(seed, 2).with_adaptive_policy(AdaptivePolicy::disabled());
+        let handle = fresh_db(seed).with_adaptive_policy(AdaptivePolicy::disabled());
         inject_misestimate(&handle, family, offset, window, 0.9);
-        let adaptive = handle.execute(&query, RunPolicy::Adaptive);
+        let adaptive = handle.execute(&query, &opts, RunPolicy::Adaptive).unwrap();
         prop_assert_eq!(adaptive.replans(), 0);
         prop_assert_eq!(&adaptive.outcome.rows, &static_run.rows);
         prop_assert_eq!(adaptive.outcome.simulated_seconds, static_run.simulated_seconds);

@@ -1,13 +1,18 @@
-//! The shared query engine: catalog + statistics + optimizer + executor
-//! behind cancellation-aware entry points.
+//! The query engine: catalog + statistics + optimizer + executor behind
+//! one run verb.
 //!
-//! This is the single-tenant `RobustDb` core, factored out so that one
-//! engine can be shared by many concurrent sessions through
-//! [`QueryService`](crate::QueryService).  There is one run verb,
-//! [`Engine::execute`]: it takes [`ExecOptions`] (carrying the query's
-//! token and the shared worker-pool scheduler) and a [`RunPolicy`], and
-//! returns `Result<AnalyzedOutcome, StopReason>` — a cancelled or
-//! past-deadline query surfaces as `Err` instead of a result.
+//! [`Engine`] is the in-process handle: build it, configure it with its
+//! consuming `with_*` builders, and run queries on it directly.  Each run
+//! takes its [`ExecOptions`] — morsel size, the query's [`QueryToken`],
+//! the worker pool — so the engine stores none.  To serve concurrent
+//! clients, [`Engine::into_service`] wraps it in a [`QueryService`],
+//! which shares it across threads and builds every query's options from
+//! its own pool and the client's token.
+//!
+//! There is one run verb, [`Engine::execute`]: it takes the options and a
+//! [`RunPolicy`], and returns `Result<AnalyzedOutcome, StopReason>` — a
+//! cancelled or past-deadline query surfaces as `Err` instead of a
+//! result.  [`Engine::run`] is its plain serial form, which cannot stop.
 //!
 //! # Observing is not publishing
 //!
@@ -34,7 +39,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use rqo_core::{
     AdaptivePolicy, ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken,
-    RobustEstimator, RobustnessLevel, StopReason,
+    RobustEstimator, RobustnessLevel, ServiceConfig, StopReason,
 };
 use rqo_exec::{
     execute_guarded, guard_points, Batch, ExecOptions, ExecStatus, MorselScheduler, OpMetrics,
@@ -47,6 +52,8 @@ use rqo_optimizer::{
 use rqo_stats::sketch::DEFAULT_PRECISION;
 use rqo_stats::{SynopsisRepository, TableSketches};
 use rqo_storage::{Catalog, CostParams, CostTracker, StorageError, Value};
+
+use crate::QueryService;
 
 /// One version of the data: a catalog and the statistics drawn from it.
 /// Immutable once published; a query holds one for its whole run.
@@ -220,9 +227,11 @@ impl ReplanEvent {
     }
 }
 
-/// The shared query engine: catalog, precomputed join synopses, robust
+/// The in-process handle: catalog, precomputed join synopses, robust
 /// optimizer, feedback store, and plan cache.  All execution entry
-/// points take `&self` — one engine serves any number of threads.
+/// points take `&self` — one engine serves any number of threads, and
+/// [`into_service`](Self::into_service) shares it behind admission
+/// control.
 pub struct Engine {
     /// The current data version.  Queries clone the `Arc` once at entry
     /// and plan and run against that immutable snapshot; writers build a
@@ -238,7 +247,6 @@ pub struct Engine {
     selection: PlanSelection,
     sample_size: usize,
     seed: u64,
-    exec_options: ExecOptions,
     feedback: Arc<FeedbackStore>,
     plan_cache: Arc<PlanCache>,
     adaptive_policy: AdaptivePolicy,
@@ -281,16 +289,19 @@ impl Engine {
             selection: PlanSelection::default(),
             sample_size,
             seed,
-            exec_options: ExecOptions::default(),
             feedback: Arc::new(FeedbackStore::new()),
             plan_cache: Arc::new(PlanCache::default()),
             adaptive_policy: AdaptivePolicy::default(),
         }
     }
 
-    /// Sets the adaptive re-optimization policy.
-    pub fn set_adaptive_policy(&mut self, policy: AdaptivePolicy) {
+    /// Sets the adaptive re-optimization policy used under
+    /// [`RunPolicy::Adaptive`]: guard bound, threshold escalation
+    /// schedule, and re-plan budget.  [`AdaptivePolicy::disabled`] makes
+    /// an adaptive run identical to [`run`](Self::run).
+    pub fn with_adaptive_policy(mut self, policy: AdaptivePolicy) -> Self {
         self.adaptive_policy = policy;
+        self
     }
 
     /// The active adaptive re-optimization policy.
@@ -298,31 +309,26 @@ impl Engine {
         &self.adaptive_policy
     }
 
-    /// Sets the base executor options (threads, morsel size).  The
-    /// service layer overlays a token and the shared scheduler per query.
-    pub fn set_exec_options(&mut self, exec_options: ExecOptions) {
-        self.exec_options = exec_options;
-    }
-
-    /// The base executor options.
-    pub fn exec_options(&self) -> &ExecOptions {
-        &self.exec_options
-    }
-
-    /// Sets the system-wide robustness preset.
-    pub fn set_robustness(&mut self, level: RobustnessLevel) {
-        self.threshold = level.threshold();
+    /// Sets the system-wide robustness preset (§6.2.5): conservative,
+    /// moderate, or aggressive.  Individual queries may still override it
+    /// with [`Query::with_hint`].
+    pub fn with_robustness(self, level: RobustnessLevel) -> Self {
+        self.with_threshold(level.threshold())
     }
 
     /// Sets an explicit confidence threshold.
-    pub fn set_threshold(&mut self, threshold: ConfidenceThreshold) {
+    pub fn with_threshold(mut self, threshold: ConfidenceThreshold) -> Self {
         self.threshold = threshold;
+        self
     }
 
-    /// Sets the system-wide plan-selection mode (per-query
-    /// [`Query::with_selection`] overrides still win).
-    pub fn set_selection(&mut self, selection: PlanSelection) {
+    /// Sets the system-wide plan-selection mode: quantile pricing at the
+    /// confidence threshold (the default) or expected-penalty
+    /// minimization over the full selectivity posterior.  Individual
+    /// queries may still override it with [`Query::with_selection`].
+    pub fn with_selection(mut self, selection: PlanSelection) -> Self {
         self.selection = selection;
+        self
     }
 
     /// The active plan-selection mode.
@@ -331,12 +337,23 @@ impl Engine {
     }
 
     /// Replaces the plan cache with an empty one using `bound` as its
-    /// drift bound.  The cache's lifetime counters (hits, misses,
-    /// drift evictions) carry forward — changing a tuning knob should
-    /// not zero the operator's statistics; the dropped entries are
-    /// counted as epoch invalidations.
-    pub fn set_drift_bound(&mut self, bound: f64) {
+    /// drift bound: a cached plan is evicted when a run publishes an
+    /// observed selectivity whose q-error against the selectivity the
+    /// plan was priced at exceeds `bound`.  The cache's lifetime counters
+    /// (hits, misses, drift evictions) carry forward — changing a tuning
+    /// knob should not zero the operator's statistics; the dropped
+    /// entries are counted as epoch invalidations.
+    pub fn with_drift_bound(mut self, bound: f64) -> Self {
         self.plan_cache = Arc::new(self.plan_cache.rebuilt_with_drift_bound(bound));
+        self
+    }
+
+    /// Converts this engine into a concurrent [`QueryService`]: one
+    /// shared worker pool, admission control, and per-query
+    /// deadline/cancellation over the same state (catalog, synopses,
+    /// plan cache, feedback).
+    pub fn into_service(self, config: ServiceConfig) -> QueryService {
+        QueryService::over(Arc::new(self), config)
     }
 
     /// Re-draws the precomputed samples (the `UPDATE STATISTICS`
@@ -604,14 +621,14 @@ impl Engine {
             .insert(fingerprint, self.plan(&snapshot, query))
     }
 
-    /// Per-query executor options: the engine's base options overlaid
-    /// with the query's token and (when pooled) the shared scheduler.
+    /// Per-query executor options: the defaults with the query's token
+    /// and (when pooled) the shared scheduler.
     pub fn query_exec_options(
         &self,
         token: Option<QueryToken>,
         scheduler: Option<Arc<dyn MorselScheduler>>,
     ) -> ExecOptions {
-        let mut opts = self.exec_options.clone();
+        let mut opts = ExecOptions::default();
         if let Some(token) = token {
             opts = opts.with_token(token);
         }
@@ -807,6 +824,15 @@ impl Engine {
                 }
             }
         }
+    }
+
+    /// A plain serial run: [`execute`](Self::execute) under
+    /// [`RunPolicy::Run`] with default options.  No token, so it cannot
+    /// stop; cancellable and pooled runs pass their own options to
+    /// `execute` or go through a [`QueryService`].
+    pub fn run(&self, query: &Query) -> QueryOutcome {
+        self.run_opts(query, &ExecOptions::default())
+            .expect("a run without a token cannot stop")
     }
 
     /// A plain run: [`execute`](Self::execute) under [`RunPolicy::Run`].

@@ -1,11 +1,11 @@
-//! The multi-session query service: admission control + shared worker
-//! pool + per-query deadline/cancellation, over one shared [`Engine`].
+//! The shared query handle: admission control + shared worker pool +
+//! per-query deadline/cancellation, over one shared [`Engine`].
 //!
 //! ```text
-//! Session ── QueryToken ──► admission ──► slot ──► Engine::execute
-//!                               │                      │
-//!                          bounded queue          WorkerPool (shared,
-//!                          + timeout              round-robin morsels)
+//! client ── QueryToken ──► admission ──► slot ──► Engine::execute
+//!                              │                      │
+//!                         bounded queue          WorkerPool (shared,
+//!                         + timeout              round-robin morsels)
 //! ```
 //!
 //! A query first passes the **admission controller**: at most
@@ -19,6 +19,9 @@
 //! morsel loop: a fired token stops the query within one morsel, frees
 //! its slot (the guard is drop-based, so even a panic releases it), and
 //! — by the engine's hygiene rules — publishes nothing.
+//!
+//! [`QueryService`] is cheap to clone, and a clone is a client: every
+//! clone shares the engine, the pool and the counters.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -247,21 +250,16 @@ impl Inner {
 }
 
 /// The concurrent query service.  Cheap to clone (all state is shared);
-/// one instance serves any number of client threads through
-/// [`Session`]s.
+/// one instance — or one clone per client thread — serves any number of
+/// clients.  [`Engine::into_service`] builds one over an owned engine.
 #[derive(Clone)]
 pub struct QueryService {
     inner: Arc<Inner>,
 }
 
 impl QueryService {
-    /// Builds a service over an engine: spawns the shared worker pool
-    /// and installs the admission controller.
-    pub fn new(engine: Engine, config: ServiceConfig) -> Self {
-        Self::over(Arc::new(engine), config)
-    }
-
-    /// Builds a service over an already-shared engine.
+    /// Builds a service over a shared engine: spawns the shared worker
+    /// pool and installs the admission controller.
     pub fn over(engine: Arc<Engine>, config: ServiceConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(config.workers));
         Self {
@@ -293,12 +291,10 @@ impl QueryService {
         self.inner.stats.snapshot()
     }
 
-    /// Opens a client session.  Sessions share the engine (plan cache,
-    /// feedback) and the worker pool; each query gets its own token.
-    pub fn session(&self) -> Session {
-        Session {
-            service: self.clone(),
-        }
+    /// A handle for one more client: a clone sharing the engine (plan
+    /// cache, feedback), the worker pool and the counters.
+    pub fn session(&self) -> QueryService {
+        self.clone()
     }
 
     /// Admits and executes one query-shaped closure, doing the shared
@@ -360,38 +356,12 @@ impl QueryService {
     ) -> Result<AnalyzedOutcome, ServiceError> {
         self.admitted(token, |opts| self.inner.engine.execute(query, opts, policy))
     }
-}
-
-/// One client's connection to the service.  All sessions share the
-/// engine and pool; the session is the natural owner of "one client's
-/// sequence of queries" (e.g. a benchmark client thread).
-#[derive(Clone)]
-pub struct Session {
-    service: QueryService,
-}
-
-impl Session {
-    /// Runs a query under an explicit token (deadline/cancellation)
-    /// and [`RunPolicy`].
-    pub fn execute(
-        &self,
-        query: &Query,
-        token: &QueryToken,
-        policy: RunPolicy,
-    ) -> Result<AnalyzedOutcome, ServiceError> {
-        self.service.execute(query, token, policy)
-    }
 
     /// A plain run with a fresh (never-firing) token.
     pub fn run(&self, query: &Query) -> Result<QueryOutcome, ServiceError> {
         Ok(self
             .execute(query, &QueryToken::new(), RunPolicy::Run)?
             .outcome)
-    }
-
-    /// The service this session is connected to.
-    pub fn service(&self) -> &QueryService {
-        &self.service
     }
 }
 
@@ -414,7 +384,7 @@ mod tests {
 
     #[test]
     fn service_runs_queries_and_counts_completions() {
-        let service = QueryService::new(tiny_engine(), ServiceConfig::default());
+        let service = tiny_engine().into_service(ServiceConfig::default());
         let session = service.session();
         let outcome = session.run(&count_query()).expect("query succeeds");
         assert_eq!(outcome.rows.len(), 1);
@@ -425,7 +395,7 @@ mod tests {
 
     #[test]
     fn cancelled_query_reports_stopped_and_frees_slot() {
-        let service = QueryService::new(tiny_engine(), ServiceConfig::default());
+        let service = tiny_engine().into_service(ServiceConfig::default());
         let token = QueryToken::new();
         token.cancel();
         let err = service
@@ -441,7 +411,7 @@ mod tests {
 
     #[test]
     fn elapsed_deadline_reports_deadline_exceeded() {
-        let service = QueryService::new(tiny_engine(), ServiceConfig::default());
+        let service = tiny_engine().into_service(ServiceConfig::default());
         let token = QueryToken::with_deadline(Duration::ZERO);
         let err = service
             .execute(&count_query(), &token, RunPolicy::Run)
@@ -454,7 +424,7 @@ mod tests {
     #[test]
     fn default_deadline_is_applied_to_plain_handles() {
         let config = ServiceConfig::default().with_default_deadline(Duration::ZERO);
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let err = service.session().run(&count_query()).unwrap_err();
         assert_eq!(err, ServiceError::Stopped(StopReason::DeadlineExceeded));
     }
@@ -465,7 +435,7 @@ mod tests {
         let config = ServiceConfig::default()
             .with_max_concurrent(1)
             .with_queue_capacity(0);
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let slot = service.inner.admit(&QueryToken::new()).expect("first slot");
         let err = service.inner.admit(&QueryToken::new()).unwrap_err();
         assert_eq!(err, ServiceError::QueueFull);
@@ -480,7 +450,7 @@ mod tests {
             .with_max_concurrent(1)
             .with_queue_capacity(4)
             .with_queue_timeout(Duration::from_millis(10));
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let _slot = service.inner.admit(&QueryToken::new()).expect("first slot");
         let err = service.inner.admit(&QueryToken::new()).unwrap_err();
         assert_eq!(err, ServiceError::QueueTimeout);
@@ -494,7 +464,7 @@ mod tests {
             .with_max_concurrent(1)
             .with_queue_capacity(4)
             .with_queue_timeout(Duration::from_secs(30));
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let _slot = service.inner.admit(&QueryToken::new()).expect("first slot");
         let token = QueryToken::cancel_after_polls(1);
         let err = service.inner.admit(&token).unwrap_err();
@@ -507,7 +477,7 @@ mod tests {
         let config = ServiceConfig::default()
             .with_max_concurrent(1)
             .with_queue_capacity(4);
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let slot = service.inner.admit(&QueryToken::new()).expect("first slot");
         std::thread::scope(|scope| {
             let svc = &service;
@@ -527,7 +497,7 @@ mod tests {
 
     #[test]
     fn panicking_query_is_counted_and_frees_its_slot() {
-        let service = QueryService::new(tiny_engine(), ServiceConfig::default());
+        let service = tiny_engine().into_service(ServiceConfig::default());
         let token = QueryToken::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             service.admitted::<()>(&token, |_| panic!("boom"))
@@ -546,7 +516,7 @@ mod tests {
             .with_max_concurrent(1)
             .with_queue_capacity(4)
             .with_queue_timeout(Duration::from_millis(10));
-        let service = QueryService::new(tiny_engine(), config);
+        let service = tiny_engine().into_service(config);
         let _slot = service.inner.admit(&QueryToken::new()).expect("first slot");
         // Two concurrent waiters both time out; the peak must still
         // record that they overlapped in the queue.
@@ -565,7 +535,7 @@ mod tests {
 
     #[test]
     fn sessions_share_the_plan_cache() {
-        let service = QueryService::new(tiny_engine(), ServiceConfig::default());
+        let service = tiny_engine().into_service(ServiceConfig::default());
         let a = service.session();
         let b = service.session();
         let q = count_query();

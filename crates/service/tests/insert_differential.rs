@@ -29,7 +29,7 @@ use rqo_exec::{AggExpr, ExecOptions};
 use rqo_expr::Expr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig};
-use rqo_service::{Engine, QueryService};
+use rqo_service::Engine;
 use rqo_storage::{
     Catalog, CostParams, DataType, PartitionSpec, PartitionedTableBuilder, Schema, TableBuilder,
     Value,
@@ -386,7 +386,7 @@ fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
     let count_after =
         |m: usize, batches: usize| 100 * batches.min(WINDOWS).saturating_sub(m) as i64;
 
-    let service = QueryService::new(engine_over(catalog_with(BASE)), ServiceConfig::default());
+    let service = engine_over(catalog_with(BASE)).into_service(ServiceConfig::default());
     let server =
         NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
     let service = server.service();
@@ -431,9 +431,8 @@ fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
 
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            let session = service.session();
             read_loop(0, &mut |q| {
-                session.run(q).expect("in-process query").rows[0][0].as_int()
+                service.run(q).expect("in-process query").rows[0][0].as_int()
             });
         });
         scope.spawn(|| {
@@ -464,7 +463,7 @@ fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
     });
 
     for m in 0..WINDOWS {
-        let got = service.session().run(&window(m)).expect("query").rows[0][0].as_int();
+        let got = service.run(&window(m)).expect("query").rows[0][0].as_int();
         assert_eq!(got, count_after(m, BATCHES), "window {m} after ingest");
     }
     let stats = service.stats();

@@ -1,6 +1,6 @@
 //! Over-the-wire differential suite: the same query mix run through
 //! N concurrent TCP connections must return results **bit-identical**
-//! to an in-process [`Session`] on an identically-seeded engine — at
+//! to an in-process [`QueryService`] on an identically-seeded engine — at
 //! 1, 4, and 16 connections.  The wire adds framing, batching,
 //! threads, and admission, none of which may perturb a single row,
 //! column name, or simulated cost.
@@ -20,7 +20,7 @@ use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig, QueryReply};
 use rqo_service::proto::{write_frame, Request, Response, RunMode};
-use rqo_service::{Engine, QueryService, QueryToken, RunPolicy, ServiceConfig};
+use rqo_service::{Engine, QueryToken, RunPolicy, ServiceConfig};
 use rqo_storage::Value;
 
 fn engine() -> Engine {
@@ -86,19 +86,18 @@ impl Core {
 fn concurrent_wire_results_match_in_process_sessions() {
     // Ground truth from an in-process session on an identical engine.
     let truth: Vec<Core> = {
-        let service = QueryService::new(engine(), ServiceConfig::default());
-        let session = service.session();
+        let service = engine().into_service(ServiceConfig::default());
         workload()
             .iter()
             .map(|q| {
-                let o = session.run(q).expect("in-process run");
+                let o = service.run(q).expect("in-process run");
                 Core::of(o.rows, o.columns, o.simulated_seconds, 0)
             })
             .collect()
     };
 
     for clients in [1usize, 4, 16] {
-        let service = QueryService::new(engine(), ServiceConfig::default());
+        let service = engine().into_service(ServiceConfig::default());
         let server =
             NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
         let addr = server.local_addr();
@@ -166,13 +165,13 @@ fn min_over_str_matches_in_process() {
         .group(&["p_size"])
         .aggregate(AggExpr::min("p_brand", "lo"))
         .aggregate(AggExpr::max("p_container", "hi"));
-    let truth = QueryService::new(engine(), ServiceConfig::default())
-        .session()
+    let truth = engine()
+        .into_service(ServiceConfig::default())
         .run(&query)
         .expect("in-process run");
     assert!(!truth.rows.is_empty(), "the query selects some rows");
 
-    let service = QueryService::new(engine(), ServiceConfig::default());
+    let service = engine().into_service(ServiceConfig::default());
     let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let reply = client.run(&query).expect("wire query succeeds");
@@ -197,14 +196,14 @@ fn min_over_str_matches_in_process() {
 #[test]
 fn multi_flush_reply_is_identical_at_every_batch_size() {
     let query = Query::over(&["lineitem"]);
-    let truth = QueryService::new(engine(), ServiceConfig::default())
-        .session()
+    let truth = engine()
+        .into_service(ServiceConfig::default())
         .run(&query)
         .expect("in-process run");
 
     let default_rows = NetServerConfig::default().batch_rows;
     for batch_rows in [1, 7, default_rows] {
-        let service = QueryService::new(engine(), ServiceConfig::default());
+        let service = engine().into_service(ServiceConfig::default());
         let config = NetServerConfig::default().with_batch_rows(batch_rows);
         let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind");
         let mut client = NetClient::connect(server.local_addr()).expect("connect");
@@ -295,12 +294,11 @@ fn insert_then_query_over_wire_matches_in_process() {
         .insert_rows("part", &batch)
         .expect("in-process ingest");
     let truth: Vec<Core> = {
-        let service = QueryService::new(truth_engine, ServiceConfig::default());
-        let session = service.session();
+        let service = truth_engine.into_service(ServiceConfig::default());
         workload()
             .iter()
             .map(|q| {
-                let o = session.run(q).expect("in-process run");
+                let o = service.run(q).expect("in-process run");
                 Core::of(o.rows, o.columns, o.simulated_seconds, 0)
             })
             .collect()
@@ -308,7 +306,7 @@ fn insert_then_query_over_wire_matches_in_process() {
 
     // The wire twin: same engine seed, same batch, but ingested through
     // a TCP Insert frame.
-    let service = QueryService::new(engine(), ServiceConfig::default());
+    let service = engine().into_service(ServiceConfig::default());
     let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let (inserted, total) = client.insert("part", batch).expect("wire ingest");
@@ -335,12 +333,11 @@ fn adaptive_wire_replay_matches_in_process_order() {
     // so equivalence is defined over a fixed order: one wire connection
     // replaying exactly the sequence the in-process session ran.
     let truth: Vec<Core> = {
-        let service = QueryService::new(engine(), ServiceConfig::default());
-        let session = service.session();
+        let service = engine().into_service(ServiceConfig::default());
         workload()
             .iter()
             .map(|q| {
-                let a = session
+                let a = service
                     .execute(q, &QueryToken::new(), RunPolicy::Adaptive)
                     .expect("in-process adaptive");
                 Core::of(
@@ -353,7 +350,7 @@ fn adaptive_wire_replay_matches_in_process_order() {
             .collect()
     };
 
-    let service = QueryService::new(engine(), ServiceConfig::default());
+    let service = engine().into_service(ServiceConfig::default());
     let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     for (qi, query) in workload().iter().enumerate() {

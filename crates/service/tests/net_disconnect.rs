@@ -20,7 +20,7 @@ use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
 use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
-use rqo_service::{Engine, QueryService, ServiceConfig, ServiceStats};
+use rqo_service::{Engine, ServiceConfig, ServiceStats};
 
 /// Big enough that the join below runs for seconds in debug mode.
 const SCALE: f64 = 0.02;
@@ -30,7 +30,7 @@ fn server_with(config: NetServerConfig) -> NetServer {
         scale_factor: SCALE,
         seed: 7,
     });
-    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     NetServer::bind(service, "127.0.0.1:0", config).expect("bind loopback")
 }
 

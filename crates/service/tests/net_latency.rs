@@ -17,7 +17,7 @@ use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServer, NetServerConfig};
-use rqo_service::{Engine, QueryService, ServiceConfig};
+use rqo_service::{Engine, ServiceConfig};
 
 const ROUND_TRIPS: usize = 200;
 const BOUND: Duration = Duration::from_secs(2);
@@ -28,7 +28,7 @@ fn sequential_round_trips_do_not_wait_on_delayed_acks() {
         scale_factor: 0.001,
         seed: 7,
     });
-    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 

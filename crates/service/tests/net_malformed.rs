@@ -16,7 +16,7 @@ use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
 use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
 use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
-use rqo_service::{Engine, QueryService, ServiceConfig};
+use rqo_service::{Engine, ServiceConfig};
 use rqo_storage::Value;
 
 fn serve() -> NetServer {
@@ -24,7 +24,7 @@ fn serve() -> NetServer {
         scale_factor: 0.001,
         seed: 7,
     });
-    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback")
 }
 
@@ -283,7 +283,7 @@ fn shared_bare_output_column_is_bad_query_before_admission() {
         fact_rows: 500,
         seed: 7,
     });
-    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     let server =
         NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
@@ -539,7 +539,7 @@ fn replies_with_huge_strings_are_cut_into_frames_that_fit() {
     catalog
         .add_foreign_key("tag", "t_note", "note", "n_key")
         .unwrap();
-    let service = QueryService::new(Engine::new(catalog), ServiceConfig::default());
+    let service = Engine::new(catalog).into_service(ServiceConfig::default());
     let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     // A connection thread that dies mid-reply leaves the socket open; fail
@@ -594,7 +594,7 @@ fn connection_limit_turns_excess_clients_away() {
         scale_factor: 0.001,
         seed: 7,
     });
-    let service = QueryService::new(Engine::new(data.into_catalog()), ServiceConfig::default());
+    let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     let config = NetServerConfig::default().with_max_connections(1);
     let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
@@ -643,7 +643,7 @@ fn poison_and_disconnects_beside_clean_traffic_leak_nothing() {
         .with_max_concurrent(4)
         .with_queue_capacity(4 * CLIENTS)
         .with_queue_timeout(Duration::from_secs(60));
-    let service = QueryService::new(Engine::new(data.into_catalog()), config);
+    let service = Engine::new(data.into_catalog()).into_service(config);
     let server =
         NetServer::bind(service.clone(), "127.0.0.1:0", NetServerConfig::default()).unwrap();
     let addr = server.local_addr();
@@ -660,7 +660,7 @@ fn poison_and_disconnects_beside_clean_traffic_leak_nothing() {
     ];
     let expected: Vec<Vec<Vec<Value>>> = menu
         .iter()
-        .map(|q| service.session().run(q).expect("reference run").rows)
+        .map(|q| service.run(q).expect("reference run").rows)
         .collect();
     let poison = poison_frames();
 

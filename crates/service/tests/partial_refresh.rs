@@ -10,7 +10,7 @@
 //! * warm plan-cache entries for other tables keep hitting;
 //! * plans and observations that *do* read the refreshed table are
 //!   retired, exactly as a full refresh would have retired them;
-//! * `set_drift_bound` carries the cache's lifetime counters forward
+//! * `with_drift_bound` carries the cache's lifetime counters forward
 //!   instead of zeroing the operator's statistics;
 //! * the optimizer prunes a range-partitioned table on its own, and the
 //!   pruned scan is charged for the partitions it reads.
@@ -183,7 +183,7 @@ fn full_refresh_still_invalidates_globally() {
 
 #[test]
 fn set_drift_bound_carries_cache_stats_forward() {
-    let mut e = Engine::new(partitioned_catalog());
+    let e = Engine::new(partitioned_catalog());
     let opts = e.query_exec_options(None, None);
     let li = lineitem_query();
     // One miss (planned + cached after execution), then two hits.
@@ -194,7 +194,7 @@ fn set_drift_bound_carries_cache_stats_forward() {
     assert!(before.hits >= 2);
     assert_eq!(before.entries, 1);
 
-    e.set_drift_bound(2.5);
+    let e = e.with_drift_bound(2.5);
 
     let after = e.cache_stats();
     assert_eq!(after.hits, before.hits, "hits must survive the knob change");

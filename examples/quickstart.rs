@@ -14,7 +14,7 @@ fn main() {
         scale_factor: 0.01,
         seed: 7,
     });
-    let db = RobustDb::new(data.into_catalog());
+    let db = Engine::new(data.into_catalog());
 
     // 2. The paper's running example: two date predicates that are
     //    correlated (receipt follows ship by 1-30 days).  An offset of
@@ -26,10 +26,14 @@ fn main() {
         .aggregate(AggExpr::count_star("matching_rows"));
 
     //    `execute` is the one run verb; the policy says what the run may
-    //    publish (`Run`: only its plan, into the cache).  Every policy
-    //    returns the plan that ran with estimate vs. actual rows per node;
-    //    `db.run(&query)` is the shorthand for `.outcome` alone.
-    let ran = db.execute(&query, RunPolicy::Run);
+    //    publish (`Run`: only its plan, into the cache), and the options
+    //    say how this run executes (default: serial, no token).  Every
+    //    policy returns the plan that ran with estimate vs. actual rows
+    //    per node; `db.run(&query)` is the serial shorthand for
+    //    `.outcome` alone.
+    let ran = db
+        .execute(&query, &ExecOptions::default(), RunPolicy::Run)
+        .expect("no token, so the run cannot stop");
     println!("chosen plan, estimate vs. actual:\n{}", ran.render());
     let outcome = ran.outcome;
     println!(
@@ -51,7 +55,7 @@ fn main() {
         RobustnessLevel::Moderate,
         RobustnessLevel::Conservative,
     ] {
-        let db = RobustDb::new(
+        let db = Engine::new(
             TpchData::generate(&TpchConfig {
                 scale_factor: 0.01,
                 seed: 7,

@@ -21,7 +21,7 @@ fn main() {
         fact_rows: 1_000_000,
         seed: 3,
     });
-    let db = RobustDb::new(data.into_catalog()).with_robustness(RobustnessLevel::Aggressive);
+    let db = Engine::new(data.into_catalog()).with_robustness(RobustnessLevel::Aggressive);
 
     println!(
         "{:>6} {:>12} {:>34} {:>10}",

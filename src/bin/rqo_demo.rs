@@ -169,15 +169,14 @@ fn main() {
     let baseline_opt = Optimizer::new(Arc::clone(&catalog), CostParams::default(), baseline);
     let baseline_plan = baseline_opt.optimize(&query);
 
-    let db = RobustDb::with_options(
+    let db = Engine::with_options(
         Arc::try_unwrap(catalog).unwrap_or_else(|arc| (*arc).clone()),
         CostParams::default(),
         500,
         args.seed,
     )
     .with_threshold(threshold)
-    .with_selection(args.selection)
-    .with_exec_options(ExecOptions::with_threads(args.threads));
+    .with_selection(args.selection);
 
     // Plant a wildly wrong selectivity so the first plan is provably bad
     // — the demo knob for watching runtime cardinality guards fire.
@@ -252,7 +251,12 @@ fn main() {
     } else {
         RunPolicy::Run
     };
-    let ran = db.execute(&query, policy);
+    // One set of executor options for the robust run and the baseline,
+    // dropped with its pool before the repeat phase builds a service.
+    let opts = ExecOptions::with_threads(args.threads);
+    let ran = db
+        .execute(&query, &opts, policy)
+        .expect("no token, so the run cannot stop");
     match policy {
         RunPolicy::Adaptive => println!("\n{}", ran.render_adaptive()),
         RunPolicy::Analyze => println!("\nrobust plan (EXPLAIN ANALYZE):\n{}", ran.render()),
@@ -272,15 +276,16 @@ fn main() {
         &baseline_plan.plan,
         &db.catalog(),
         &CostParams::default(),
-        &ExecOptions::with_threads(args.threads),
+        &opts,
     );
+    drop(opts);
     println!(
         "\nhistogram baseline would pick: {}  ({:.4}s)",
         baseline_plan.shape(),
         baseline_cost.seconds(&CostParams::default())
     );
 
-    // Demonstrate repeated traffic through ONE long-lived session over
+    // Demonstrate repeated traffic through ONE long-lived service over
     // the same engine (same plan cache, same feedback): the first run
     // above seeded the cache, so every repeat is a cache hit, and the
     // service counters show the admission lifecycle alongside the cache
@@ -288,14 +293,13 @@ fn main() {
     if args.repeat > 0 {
         let service =
             db.into_service(ServiceConfig::default().with_workers(args.threads.saturating_sub(1)));
-        let session = service.session();
         let start = std::time::Instant::now();
         for _ in 0..args.repeat {
-            std::hint::black_box(session.run(&query).expect("no cancellation source"));
+            std::hint::black_box(service.run(&query).expect("no cancellation source"));
         }
         let per_query = start.elapsed().as_nanos() as f64 / args.repeat as f64;
         println!(
-            "\nre-ran {}× through one service session ({:.1}µs/query)",
+            "\nre-ran {}× through one service ({:.1}µs/query)",
             args.repeat,
             per_query / 1e3
         );

@@ -2,7 +2,7 @@
 //!
 //! Spins up one [`QueryService`] (shared worker pool + admission control)
 //! over a TPC-H-like catalog and hammers it from N client threads, each
-//! replaying the paper's experiment queries through its own session.
+//! replaying the paper's experiment queries through its own service clone.
 //! Every client checks its rows against a precomputed reference, so the
 //! run doubles as a live concurrency-correctness check; the tail of the
 //! output shows the service counters, including the deadline/cancellation
@@ -135,7 +135,7 @@ fn listen_mode(args: &Args, addr: &str) -> ! {
         scale_factor: args.scale,
         seed: args.seed,
     });
-    let service = RobustDb::new(data.into_catalog()).into_service(
+    let service = Engine::new(data.into_catalog()).into_service(
         ServiceConfig::default()
             .with_workers(args.workers)
             .with_max_concurrent(args.max_concurrent)
@@ -212,7 +212,7 @@ fn main() {
         scale_factor: args.scale,
         seed: args.seed,
     });
-    let service = RobustDb::new(data.into_catalog()).into_service(
+    let service = Engine::new(data.into_catalog()).into_service(
         ServiceConfig::default()
             .with_workers(args.workers)
             .with_max_concurrent(args.max_concurrent)
@@ -223,10 +223,9 @@ fn main() {
 
     // Reference answers, computed once through the service itself while
     // it is otherwise idle.
-    let warm = service.session();
     let expected: Vec<Vec<Vec<Value>>> = queries
         .iter()
-        .map(|q| warm.run(q).expect("reference run").rows)
+        .map(|q| service.run(q).expect("reference run").rows)
         .collect();
 
     println!(
@@ -269,15 +268,14 @@ fn main() {
 
     // Deadline/cancellation demo: both must stop cleanly and release
     // their slots (visible in the counters below).
-    let session = service.session();
     let cancelled = QueryToken::new();
     cancelled.cancel();
-    match session.execute(&queries[0], &cancelled, RunPolicy::Run) {
+    match service.execute(&queries[0], &cancelled, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("\ncancelled demo query: {reason}"),
         other => println!("\ncancelled demo query: unexpected {other:?}"),
     }
     let expired = QueryToken::with_deadline(Duration::ZERO);
-    match session.execute(&queries[0], &expired, RunPolicy::Run) {
+    match service.execute(&queries[0], &expired, RunPolicy::Run) {
         Err(ServiceError::Stopped(reason)) => println!("expired-deadline demo query: {reason}"),
         other => println!("expired-deadline demo query: unexpected {other:?}"),
     }

@@ -25,20 +25,20 @@ use robust_qo::prelude::*;
 
 const SEED: u64 = 42;
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
-fn star_db() -> RobustDb {
+fn star_db() -> Engine {
     let data = StarData::generate(&StarConfig {
         fact_rows: 30_000,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 fn golden_path(label: &str) -> PathBuf {
@@ -51,8 +51,10 @@ fn golden_path(label: &str) -> PathBuf {
 /// records feedback), asserts at least one guard fired and that the
 /// rendering is thread-invariant, then compares against (or regenerates)
 /// the golden snapshot.
-fn check(label: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
-    let outcome = make_db().execute(query, RunPolicy::Adaptive);
+fn check(label: &str, make_db: impl Fn() -> Engine, query: &Query) {
+    let outcome = make_db()
+        .execute(query, &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
     assert!(
         outcome.replans() >= 1,
         "{label}: scenario must trip at least one guard"
@@ -60,8 +62,11 @@ fn check(label: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
     let rendered = outcome.render_adaptive();
 
     for threads in [2usize, 8] {
-        let db = make_db().with_exec_options(ExecOptions::with_threads(threads));
-        let parallel = db.execute(query, RunPolicy::Adaptive).render_adaptive();
+        let opts = ExecOptions::with_threads(threads);
+        let parallel = make_db()
+            .execute(query, &opts, RunPolicy::Adaptive)
+            .unwrap()
+            .render_adaptive();
         assert_eq!(
             rendered, parallel,
             "{label}: adaptive rendering diverged at {threads} threads"

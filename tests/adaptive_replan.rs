@@ -19,12 +19,12 @@ use robust_qo::prelude::*;
 
 /// Deterministic database: TPC-H-like at scale 0.01 (≈60k lineitem,
 /// 1000 part), fixed generator and sampling seeds.
-fn db() -> RobustDb {
+fn db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.01,
         seed: 1234,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, 9)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, 9)
 }
 
 /// The narrow part-predicate query (window 250 ⇒ ~1 qualifying part).
@@ -36,7 +36,7 @@ fn query() -> Query {
 }
 
 /// Plants the wildly wrong selectivity: half the part table matches.
-fn inject(handle: &RobustDb) {
+fn inject(handle: &Engine) {
     let pred = exp2_part_predicate(250);
     handle
         .feedback()
@@ -56,7 +56,9 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
 
     let adaptive_db = db();
     inject(&adaptive_db);
-    let adaptive = adaptive_db.execute(&query(), RunPolicy::Adaptive);
+    let adaptive = adaptive_db
+        .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
 
     // ≥1 guard fired, and each trip's q-error exceeded the bound.
     let bound = adaptive_db.adaptive_policy().guard_bound;
@@ -113,7 +115,9 @@ fn disabled_policy_observes_zero_replans_and_static_cost() {
 
     let disabled_db = db().with_adaptive_policy(AdaptivePolicy::disabled());
     inject(&disabled_db);
-    let disabled = disabled_db.execute(&query(), RunPolicy::Adaptive);
+    let disabled = disabled_db
+        .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
 
     assert_eq!(disabled.replans(), 0);
     assert_eq!(disabled.outcome.rows, static_run.rows);
@@ -132,13 +136,18 @@ fn trip_points_and_costs_are_thread_invariant() {
     let reference = {
         let handle = db();
         inject(&handle);
-        handle.execute(&query(), RunPolicy::Adaptive)
+        handle
+            .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+            .unwrap()
     };
     assert!(reference.replans() >= 1);
     for threads in [2usize, 8] {
-        let handle = db().with_exec_options(ExecOptions::with_threads(threads));
+        let handle = db();
         inject(&handle);
-        let outcome = handle.execute(&query(), RunPolicy::Adaptive);
+        let opts = ExecOptions::with_threads(threads);
+        let outcome = handle
+            .execute(&query(), &opts, RunPolicy::Adaptive)
+            .unwrap();
         assert_eq!(outcome.outcome.rows, reference.outcome.rows, "t={threads}");
         assert_eq!(outcome.replans(), reference.replans(), "t={threads}");
         assert_eq!(
@@ -157,7 +166,9 @@ fn trip_points_and_costs_are_thread_invariant() {
 fn replanned_fragments_bypass_the_plan_cache() {
     let handle = db();
     inject(&handle);
-    let adaptive = handle.execute(&query(), RunPolicy::Adaptive);
+    let adaptive = handle
+        .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
     assert!(adaptive.replans() >= 1, "scenario requires a trip");
 
     // The initial plan was cached by `optimize`; the trip's observation
@@ -201,7 +212,7 @@ fn second_guard_trip_escalates_to_penalty_selection() {
         scale_factor: 0.005,
         seed: 42,
     });
-    let handle = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, 42);
+    let handle = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 42);
     let pred = exp2_part_predicate(212);
     let query = Query::over(&["lineitem", "orders", "part"])
         .filter("part", pred.clone())
@@ -210,7 +221,9 @@ fn second_guard_trip_escalates_to_penalty_selection() {
         .feedback()
         .inject_observation(&["part"], &[("part", &pred)], 0.5);
 
-    let adaptive = handle.execute(&query, RunPolicy::Adaptive);
+    let adaptive = handle
+        .execute(&query, &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
     assert!(
         adaptive.replans() >= 2,
         "scenario must trip twice to exercise the escalation ladder"
@@ -267,7 +280,9 @@ fn accurate_estimates_never_trip() {
     let static_db = db();
     let static_run = static_db.run(&wide);
     let adaptive_db = db();
-    let adaptive = adaptive_db.execute(&wide, RunPolicy::Adaptive);
+    let adaptive = adaptive_db
+        .execute(&wide, &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
     assert_eq!(adaptive.replans(), 0);
     assert_eq!(adaptive.outcome.rows, static_run.rows);
     assert_eq!(
@@ -321,7 +336,7 @@ fn adaptive_total_never_exceeds_static_over_three_misestimates() {
             scale_factor: 0.005,
             seed: 1234,
         });
-        let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, 9);
+        let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 9);
         db.feedback()
             .inject_observation(&[table], &[(table, pred)], *selectivity);
         db
@@ -331,7 +346,9 @@ fn adaptive_total_never_exceeds_static_over_three_misestimates() {
     let mut replans = Vec::new();
     for (i, (query, planted)) in scenarios.iter().enumerate() {
         let static_run = planted_db(planted).run(query);
-        let adaptive = planted_db(planted).execute(query, RunPolicy::Adaptive);
+        let adaptive = planted_db(planted)
+            .execute(query, &ExecOptions::default(), RunPolicy::Adaptive)
+            .unwrap();
         assert_eq!(adaptive.outcome.rows, static_run.rows, "scenario {i}");
         static_total += static_run.simulated_seconds;
         adaptive_total += adaptive.outcome.simulated_seconds;

@@ -169,11 +169,11 @@ const PUB_LINE_BUDGET: [(&str, usize); 9] = [
     ("expr", 44),
     ("math", 65),
     ("optimizer", 160),
-    ("service", 156),
+    ("service", 153),
     ("stats", 99),
     ("storage", 173),
 ];
-const DESIGN_LINE_BUDGET: usize = 884;
+const DESIGN_LINE_BUDGET: usize = 883;
 
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read source dir") {
@@ -217,6 +217,46 @@ fn public_surface_and_design_stay_within_budget() {
         ));
     }
     assert!(over.is_empty(), "over budget:\n{}", over.join("\n"));
+}
+
+/// Two query handles: `Engine` runs queries in process and `QueryService`
+/// serves them.  The two retired handle names live on only as type
+/// aliases for the out-of-workspace `benchmark/` crate, so no `.rs` file
+/// under `src/`, `crates/`, `tests/` or `examples/` names them except on
+/// an alias line (the definitions and the root crate's re-export).  This
+/// file names them to look for them and is not scanned.
+#[test]
+fn retired_handles_live_on_only_as_aliases() {
+    const RETIRED: [&str; 2] = ["RobustDb", "Session"];
+    const ALIAS_LINES: [&str; 3] = [
+        "pub type RobustDb = Engine;",
+        "pub type Session = QueryService;",
+        "pub use rqo_service::Session;",
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "crates", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let this_file = root.join(file!());
+    let mut stray = Vec::new();
+    for file in files.iter().filter(|f| **f != this_file) {
+        let text = std::fs::read_to_string(file).expect("read source");
+        for (i, line) in text.lines().enumerate() {
+            if ALIAS_LINES.contains(&line.trim()) {
+                continue;
+            }
+            let mut words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            if words.any(|w| RETIRED.contains(&w)) {
+                stray.push(format!("{}:{}: {}", file.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        stray.is_empty(),
+        "retired handle named outside its alias line:\n{}",
+        stray.join("\n")
+    );
 }
 
 /// `crates/bench` regenerates the paper's figures and ablations and

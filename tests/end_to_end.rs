@@ -180,7 +180,7 @@ fn facade_matches_manual_stack() {
         scale_factor: 0.005,
         seed: 42,
     });
-    let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, 1)
+    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 1)
         .with_threshold(ConfidenceThreshold::new(0.8));
     let q = Query::over(&["lineitem"])
         .filter("lineitem", exp1_lineitem_predicate(90))

@@ -26,20 +26,20 @@ use robust_qo::prelude::*;
 const THRESHOLDS: [f64; 3] = [0.05, 0.50, 0.95];
 const SEED: u64 = 42;
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
-fn star_db() -> RobustDb {
+fn star_db() -> Engine {
     let data = StarData::generate(&StarConfig {
         fact_rows: 30_000,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 fn golden_path(label: &str) -> PathBuf {
@@ -50,7 +50,7 @@ fn golden_path(label: &str) -> PathBuf {
 
 /// Renders the scenario at each threshold, asserts thread invariance,
 /// and compares against (or regenerates) the golden snapshot.
-fn check(name: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
+fn check(name: &str, make_db: impl Fn() -> Engine, query: &Query) {
     for &t in &THRESHOLDS {
         let label = format!("{name}_t{:02}", (t * 100.0).round() as u32);
 
@@ -58,7 +58,10 @@ fn check(name: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
         // and a shared store would let one threshold's observations leak
         // into the next optimization.
         let db = make_db().with_threshold(ConfidenceThreshold::new(t));
-        let rendered = db.execute(query, RunPolicy::Analyze).render();
+        let rendered = db
+            .execute(query, &ExecOptions::default(), RunPolicy::Analyze)
+            .unwrap()
+            .render();
 
         // Every operator must report an estimate and a q-error — no node
         // may degrade to an unannotated `?` in the paper scenarios.
@@ -69,10 +72,12 @@ fn check(name: &str, make_db: impl Fn() -> RobustDb, query: &Query) {
 
         // Thread invariance: byte-identical rendering at 2 and 8 workers.
         for threads in [2usize, 8] {
-            let db = make_db()
-                .with_threshold(ConfidenceThreshold::new(t))
-                .with_exec_options(ExecOptions::with_threads(threads));
-            let parallel = db.execute(query, RunPolicy::Analyze).render();
+            let db = make_db().with_threshold(ConfidenceThreshold::new(t));
+            let opts = ExecOptions::with_threads(threads);
+            let parallel = db
+                .execute(query, &opts, RunPolicy::Analyze)
+                .unwrap()
+                .render();
             assert_eq!(
                 rendered, parallel,
                 "{label}: EXPLAIN ANALYZE diverged at {threads} threads"

@@ -12,12 +12,12 @@ use robust_qo::prelude::*;
 
 const SEED: u64 = 42;
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 /// Every annotated node in the metrics tree has q-error ≈ 1.
@@ -47,7 +47,9 @@ fn exp1_feedback_corrects_estimates() {
     let first = db.optimizer().optimize(&query);
     assert!(db.feedback().is_empty());
 
-    let analyzed = db.execute(&query, RunPolicy::Analyze);
+    let analyzed = db
+        .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert!(!db.feedback().is_empty(), "`Analyze` records feedback");
     let actual_rows: Vec<u64> = analyzed
         .metrics
@@ -65,7 +67,9 @@ fn exp1_feedback_corrects_estimates() {
     );
 
     // The second plan's estimates equal the observed cardinalities.
-    let re = db.execute(&query, RunPolicy::Analyze);
+    let re = db
+        .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert_estimates_match_actuals(&re.metrics, "exp1 second pass");
 
     // The answer itself is unchanged — feedback moves plans, not results.
@@ -88,14 +92,18 @@ fn exp2_feedback_covers_every_join_combination() {
         .filter("part", exp2_part_predicate(212))
         .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
 
-    let first = db.execute(&query, RunPolicy::Analyze);
+    let first = db
+        .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert!(
         db.feedback().len() >= 3,
         "store has {} entries",
         db.feedback().len()
     );
 
-    let re = db.execute(&query, RunPolicy::Analyze);
+    let re = db
+        .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert_estimates_match_actuals(&re.metrics, "exp2 second pass");
     assert_eq!(first.outcome.rows, re.outcome.rows);
 }

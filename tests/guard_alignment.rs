@@ -94,7 +94,7 @@ fn check(planned: &PlannedQuery, context: &str) {
     );
 }
 
-fn check_suite(mut db: RobustDb, query: &Query, name: &str) {
+fn check_suite(mut db: Engine, query: &Query, name: &str) {
     for &t in &THRESHOLDS {
         db = db.with_threshold(ConfidenceThreshold::new(t));
         let planned = db.optimizer().optimize(query);
@@ -108,7 +108,7 @@ fn golden_tpch_plans_align() {
         scale_factor: 0.005,
         seed: SEED,
     });
-    let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
+    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
 
     let exp1 = Query::over(&["lineitem"])
         .filter("lineitem", exp1_lineitem_predicate(110))
@@ -119,7 +119,7 @@ fn golden_tpch_plans_align() {
         scale_factor: 0.005,
         seed: SEED,
     });
-    let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
+    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
     let exp2 = Query::over(&["lineitem", "orders", "part"])
         .filter("part", exp2_part_predicate(212))
         .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
@@ -132,7 +132,7 @@ fn golden_star_plans_align() {
         fact_rows: 30_000,
         seed: SEED,
     });
-    let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
+    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
     let mut query = Query::over(&["fact", "dim1", "dim2", "dim3"])
         .aggregate(AggExpr::sum("f_measure1", "total"));
     for dim in ["dim1", "dim2", "dim3"] {

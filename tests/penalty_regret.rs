@@ -51,7 +51,7 @@ impl CardinalityEstimator for RecordingOracle {
     }
 }
 
-fn db() -> RobustDb {
+fn db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: 42,
@@ -59,7 +59,7 @@ fn db() -> RobustDb {
     // The paper's 500-tuple synopsis: accurate on wide windows, blind on
     // narrow/empty ones — the mix that separates point-collapsing
     // thresholds from posterior integration.
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, 42)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, 42)
 }
 
 /// Skewed workload: lineitem windows from dense to empty (offset 110 is
@@ -229,7 +229,7 @@ fn penalty_records_no_disaster_where_every_fixed_threshold_does() {
             scale_factor: scale,
             seed: 42,
         });
-        let db = RobustDb::with_options(data.into_catalog(), params, 500, sample_seed);
+        let db = Engine::with_options(data.into_catalog(), params, 500, sample_seed);
         let opt = db.optimizer();
         let mut plans: Vec<_> = THRESHOLDS
             .iter()

@@ -15,12 +15,12 @@ use std::sync::Arc;
 
 const SEED: u64 = 42;
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 /// The narrow-part join from the adaptive scenarios: the predicate's
@@ -180,8 +180,8 @@ fn penalty_execution_is_thread_invariant() {
     for threads in [2usize, 8] {
         let outcome = tpch_db()
             .with_selection(PlanSelection::ExpectedPenalty)
-            .with_exec_options(ExecOptions::with_threads(threads))
-            .run(&join_query());
+            .run_opts(&join_query(), &ExecOptions::with_threads(threads))
+            .unwrap();
         assert_eq!(outcome.rows, reference.rows, "t={threads}");
         assert_eq!(
             outcome.simulated_seconds, reference.simulated_seconds,
@@ -195,7 +195,7 @@ fn penalty_execution_is_thread_invariant() {
     }
 }
 
-/// The selection mode threads through every layer: `RobustDb` builder,
+/// The selection mode threads through every layer: `Engine` builder,
 /// engine accessor, and a per-query override, also through a service.
 #[test]
 fn selection_mode_threads_through_the_service_stack() {

@@ -19,12 +19,12 @@ use robust_qo::prelude::*;
 
 const SEED: u64 = 42;
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 fn exp1_query(offset: i64) -> Query {
@@ -120,7 +120,9 @@ fn drift_evicts_exactly_the_overlapping_fingerprints() {
     db.run(&bystander);
     assert_eq!(db.cache_stats().entries, 2);
 
-    let analyzed = db.execute(&drifting, RunPolicy::Analyze);
+    let analyzed = db
+        .execute(&drifting, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert!(!analyzed.outcome.rows.is_empty());
     let stats = db.cache_stats();
     assert!(
@@ -139,7 +141,9 @@ fn drift_evicts_exactly_the_overlapping_fingerprints() {
     // The next optimization re-plans with feedback in effect: its
     // estimate now equals the observed cardinality.
     let replanned = db.optimize(&drifting);
-    let re = db.execute(&drifting, RunPolicy::Analyze);
+    let re = db
+        .execute(&drifting, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     for node in re.metrics.preorder() {
         if let Some(q) = node.q_error() {
             assert!(
@@ -161,7 +165,8 @@ fn refresh_statistics_clears_stale_feedback() {
     let pred = exp1_lineitem_predicate(110);
     let request = EstimationRequest::single("lineitem", &pred);
 
-    db.execute(&q, RunPolicy::Analyze);
+    db.execute(&q, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert!(!db.feedback().is_empty());
     {
         let opt = db.optimizer();
@@ -224,7 +229,9 @@ fn zero_row_observation_does_not_pin_selectivity() {
         .filter("lineitem", empty_pred.clone())
         .aggregate(AggExpr::count_star("n"));
 
-    let analyzed = db.execute(&q, RunPolicy::Analyze);
+    let analyzed = db
+        .execute(&q, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
     assert_eq!(
         analyzed.outcome.rows[0][0].as_int(),
         0,

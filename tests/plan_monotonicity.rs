@@ -19,14 +19,14 @@ use robust_qo::storage::parse_date;
 const SEED: u64 = 42;
 const TOP: f64 = 0.99;
 
-fn db() -> &'static RobustDb {
-    static DB: OnceLock<RobustDb> = OnceLock::new();
+fn db() -> &'static Engine {
+    static DB: OnceLock<Engine> = OnceLock::new();
     DB.get_or_init(|| {
         let data = TpchData::generate(&TpchConfig {
             scale_factor: 0.005,
             seed: SEED,
         });
-        RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+        Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
     })
 }
 

@@ -14,7 +14,7 @@ const THRESHOLDS: [f64; 4] = [0.05, 0.50, 0.80, 0.95];
 const SEED: u64 = 42;
 
 /// The chosen plan shape at each threshold in [`THRESHOLDS`] order.
-fn shapes(db: RobustDb, query: &Query) -> Vec<String> {
+fn shapes(db: Engine, query: &Query) -> Vec<String> {
     let mut db = db;
     let mut out = Vec::new();
     for &t in &THRESHOLDS {
@@ -24,12 +24,12 @@ fn shapes(db: RobustDb, query: &Query) -> Vec<String> {
     out
 }
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 #[test]
@@ -83,7 +83,7 @@ fn exp3_star_shapes() {
         fact_rows: 30_000,
         seed: SEED,
     });
-    let db = RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
+    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
     let mut query = Query::over(&["fact", "dim1", "dim2", "dim3"])
         .aggregate(AggExpr::sum("f_measure1", "total"));
     for dim in ["dim1", "dim2", "dim3"] {

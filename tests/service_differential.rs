@@ -6,7 +6,7 @@
 //! with 1, 4, or 16 client threads hammering it concurrently — returns
 //! bit-identical result rows, `EXPLAIN ANALYZE` operator-metrics trees,
 //! and tracked simulated costs to the same query on a standalone
-//! [`RobustDb`].  Also pins the admission-control slot lifecycle:
+//! [`Engine`].  Also pins the admission-control slot lifecycle:
 //! cancelled and deadline-exceeded queries release their slots and are
 //! counted, leaving the stats balanced.
 
@@ -15,20 +15,20 @@ use robust_qo::prelude::*;
 const SEED: u64 = 42;
 const CLIENTS: [usize; 3] = [1, 4, 16];
 
-fn tpch_db() -> RobustDb {
+fn tpch_db() -> Engine {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: 0.005,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
-fn star_db() -> RobustDb {
+fn star_db() -> Engine {
     let data = StarData::generate(&StarConfig {
         fact_rows: 30_000,
         seed: SEED,
     });
-    RobustDb::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
+    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
 }
 
 fn exp1_query() -> Query {
@@ -60,10 +60,9 @@ struct Reference {
     seconds: f64,
 }
 
-fn reference(db: &RobustDb, query: &Query) -> Reference {
+fn reference(db: &Engine, query: &Query) -> Reference {
     let analyzed = db
-        .engine()
-        .analyze_quiet(query, db.engine().exec_options())
+        .analyze_quiet(query, &ExecOptions::default())
         .expect("no token, cannot stop");
     let render = analyzed.render();
     Reference {
@@ -76,7 +75,7 @@ fn reference(db: &RobustDb, query: &Query) -> Reference {
 /// Runs every query through the service from `clients` concurrent
 /// threads and asserts each analyzed result is bit-identical to its
 /// reference.
-fn assert_differential(db: RobustDb, queries: &[Query], refs: &[Reference], clients: usize) {
+fn assert_differential(db: Engine, queries: &[Query], refs: &[Reference], clients: usize) {
     let service = db.into_service(
         ServiceConfig::default()
             .with_workers(2)
@@ -187,7 +186,7 @@ fn stopped_queries_release_their_slots() {
 /// only what the policy allows reaches the feedback store and the cache.
 #[test]
 fn four_policies_agree_and_observing_is_not_publishing() {
-    let menu: [(fn() -> RobustDb, Query); 3] = [
+    let menu: [(fn() -> Engine, Query); 3] = [
         (tpch_db, exp1_query()),
         (tpch_db, exp2_query()),
         (star_db, exp3_query()),
@@ -195,7 +194,7 @@ fn four_policies_agree_and_observing_is_not_publishing() {
     for (make_db, query) in &menu {
         let ran = |policy: RunPolicy| {
             let db = make_db().with_adaptive_policy(AdaptivePolicy::disabled());
-            let analyzed = db.execute(query, policy);
+            let analyzed = db.execute(query, &ExecOptions::default(), policy).unwrap();
             (db, analyzed)
         };
         let (run_db, run) = ran(RunPolicy::Run);
@@ -239,8 +238,8 @@ fn four_policies_agree_and_observing_is_not_publishing() {
 
 /// Float `SUM`/`AVG` over irrational inputs spanning several morsels are
 /// bit-identical at every entry point: the bare executor serially, at
-/// 1/2/8 threads, with a token at one thread, the `RobustDb` facade, and
-/// a service `Session` on the shared pool.
+/// 1/2/8 threads, with a token at one thread, the `Engine` handle, and
+/// a `QueryService` on the shared pool.
 #[test]
 fn float_aggregates_bit_identical_at_every_entry_point() {
     use robust_qo::exec::{execute, execute_with, try_execute_with};
@@ -258,7 +257,7 @@ fn float_aggregates_bit_identical_at_every_entry_point() {
     }
     let mut catalog = Catalog::new();
     catalog.add_table(b.finish()).unwrap();
-    let db = RobustDb::with_options(catalog, CostParams::default(), 500, SEED);
+    let db = Engine::with_options(catalog, CostParams::default(), 500, SEED);
     let query = Query::over(&["m"])
         .group(&["g"])
         .aggregate(AggExpr::sum("x", "s"))
@@ -288,8 +287,8 @@ fn float_aggregates_bit_identical_at_every_entry_point() {
     let (out, _) = try_execute_with(&plan, &catalog, &params, &tokened).unwrap();
     assert_eq!(bits(&out.to_rows()), expect, "token at one thread");
 
-    assert_eq!(bits(&db.run(&query).rows), expect, "RobustDb::run");
+    assert_eq!(bits(&db.run(&query).rows), expect, "Engine::run");
     let service = db.into_service(ServiceConfig::default().with_workers(2));
-    let outcome = service.session().run(&query).unwrap();
-    assert_eq!(bits(&outcome.rows), expect, "Session::run");
+    let outcome = service.run(&query).unwrap();
+    assert_eq!(bits(&outcome.rows), expect, "QueryService::run");
 }

@@ -22,7 +22,7 @@ use crate::penalty::PlanSelection;
 
 /// Default guard bound: interrupt when actual rows are 4× off the
 /// estimate in either direction.  Deliberately looser than the plan
-/// cache's default 2× drift bound — a mid-query re-plan costs more than
+/// cache's 2× drift bound — a mid-query re-plan costs more than
 /// a cache eviction, so it takes stronger evidence.
 pub const DEFAULT_GUARD_BOUND: f64 = 4.0;
 

@@ -68,11 +68,6 @@ impl EstimatorConfig {
         }
     }
 
-    /// A config from an administrator preset.
-    pub fn from_level(level: RobustnessLevel) -> Self {
-        Self::with_threshold(level.threshold())
-    }
-
     /// This config with a per-query threshold hint applied.
     pub fn hinted(mut self, threshold: ConfidenceThreshold) -> Self {
         self.strategy = EstimationStrategy::Percentile(threshold);
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn presets_and_hints() {
-        let c = EstimatorConfig::from_level(RobustnessLevel::Conservative);
+        let c = EstimatorConfig::with_threshold(RobustnessLevel::Conservative.threshold());
         assert_eq!(c.threshold().percent(), 95.0);
         let hinted = c.hinted(ConfidenceThreshold::new(0.5));
         assert_eq!(hinted.threshold().percent(), 50.0);

@@ -146,7 +146,7 @@ impl RobustEstimator {
 
     /// This estimator with a different configuration (e.g. a per-query
     /// threshold hint) sharing the same synopses and feedback store.
-    pub fn with_config(&self, config: EstimatorConfig) -> Self {
+    fn with_config(&self, config: EstimatorConfig) -> Self {
         Self {
             repo: Arc::clone(&self.repo),
             config,
@@ -374,92 +374,6 @@ impl CardinalityEstimator for HistogramEstimator {
             posterior: None,
             source: EstimateSource::Histogram,
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Distributional histogram estimator (§3.2's orthogonality claim)
-// ---------------------------------------------------------------------
-
-/// The paper notes (§3.2, last paragraph) that its robust procedure "could
-/// be applied to a probability distribution generated using any
-/// cardinality estimation technique".  This estimator demonstrates that
-/// orthogonality — and its limits: it wraps the histogram/AVI *point*
-/// estimate in a Beta distribution whose weight reflects the histogram
-/// resolution, then collapses it at the confidence threshold like the
-/// sampling path does.
-///
-/// The instructive property (exercised in tests) is that thresholding
-/// cannot rescue a *biased* center: on correlated predicates the AVI
-/// point estimate is simply wrong, and no percentile of a distribution
-/// centered on the wrong value tracks the truth.  Calibrated uncertainty
-/// requires an unbiased evidence source — which is why the paper pairs
-/// the percentile rule with sampling.
-#[derive(Debug, Clone)]
-pub struct DistributionalHistogramEstimator {
-    inner: HistogramEstimator,
-    config: EstimatorConfig,
-    /// Pseudo-observation weight assigned to the histogram estimate.
-    weight: f64,
-}
-
-impl DistributionalHistogramEstimator {
-    /// Wraps a histogram estimator; `weight` is the pseudo-sample size
-    /// expressing how much the histogram estimate is trusted (a
-    /// 250-bucket histogram resolves ≈1/250 of the distribution, so a few
-    /// hundred is a natural choice).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weight` is not positive.
-    pub fn new(inner: HistogramEstimator, config: EstimatorConfig, weight: f64) -> Self {
-        assert!(weight > 0.0, "weight must be positive");
-        Self {
-            inner,
-            config,
-            weight,
-        }
-    }
-
-    fn collapse(&self, posterior: &SelectivityPosterior) -> f64 {
-        match self.config.strategy {
-            EstimationStrategy::Percentile(t) => posterior.at_threshold(t),
-            EstimationStrategy::PosteriorMean | EstimationStrategy::MaximumLikelihood => {
-                posterior.mean()
-            }
-        }
-    }
-}
-
-impl CardinalityEstimator for DistributionalHistogramEstimator {
-    fn name(&self) -> &str {
-        "histogram-distributional"
-    }
-
-    fn estimate(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
-        let point = self.inner.estimate(request).selectivity;
-        // Beta centered at the point estimate, clamped off the boundary so
-        // the shape parameters stay valid.
-        let center = point.clamp(1e-6, 1.0 - 1e-6);
-        let dist =
-            rqo_math::BetaDistribution::new(center * self.weight, (1.0 - center) * self.weight);
-        let posterior = SelectivityPosterior::from_distribution(dist);
-        SelectivityEstimate {
-            selectivity: self.collapse(&posterior),
-            posterior: Some(posterior),
-            source: EstimateSource::Histogram,
-        }
-    }
-
-    fn hinted(
-        &self,
-        threshold: crate::confidence::ConfidenceThreshold,
-    ) -> Option<Box<dyn CardinalityEstimator>> {
-        Some(Box::new(Self {
-            inner: self.inner.clone(),
-            config: self.config.hinted(threshold),
-            weight: self.weight,
-        }))
     }
 }
 
@@ -733,66 +647,6 @@ mod tests {
                 assert_eq!(truth, 0.0);
             }
         }
-    }
-
-    #[test]
-    fn distributional_histogram_responds_to_threshold_but_stays_biased() {
-        let cat = catalog();
-        let base = HistogramEstimator::build_default(&cat);
-        let mk = |t: f64| {
-            DistributionalHistogramEstimator::new(
-                base.clone(),
-                EstimatorConfig::with_threshold(ConfidenceThreshold::new(t)),
-                250.0,
-            )
-        };
-        // The threshold moves the estimate (unlike the plain histogram).
-        let pred = workload::exp2_part_predicate(100);
-        let req = EstimationRequest::single("part", &pred);
-        let lo = mk(0.05).estimate(&req);
-        let hi = mk(0.95).estimate(&req);
-        assert!(lo.selectivity < hi.selectivity);
-        assert!(lo.posterior.is_some());
-
-        // ...but the center is the AVI point estimate, which is *blind to
-        // the correlation*: the estimate (at any threshold) is identical
-        // for the fully-overlapping window and the empty window, although
-        // the truths differ by everything.  Thresholding cannot repair a
-        // biased evidence source.
-        let part = cat.table("part").unwrap();
-        let empty_pred = workload::exp2_part_predicate(240);
-        let empty_req = EstimationRequest::single("part", &empty_pred);
-        let hi_empty = mk(0.95).estimate(&empty_req);
-        // Same ballpark regardless of the window (up to histogram
-        // boundary-interpolation wiggle), although the truths differ by
-        // everything.
-        let ratio = hi.selectivity / hi_empty.selectivity;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "AVI center should be window-invariant: {} vs {}",
-            hi.selectivity,
-            hi_empty.selectivity
-        );
-        let truth_full = workload::true_selectivity(part, &pred);
-        let truth_empty = workload::true_selectivity(part, &empty_pred);
-        assert!(truth_full > 0.002, "truth {truth_full}");
-        assert_eq!(truth_empty, 0.0);
-
-        // Hints work through the trait.
-        let hinted = mk(0.05).hinted(ConfidenceThreshold::new(0.95)).unwrap();
-        assert!((hinted.estimate(&req).selectivity - hi.selectivity).abs() < 1e-12);
-        assert_eq!(mk(0.5).name(), "histogram-distributional");
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be positive")]
-    fn distributional_histogram_rejects_bad_weight() {
-        let cat = catalog();
-        DistributionalHistogramEstimator::new(
-            HistogramEstimator::build_default(&cat),
-            EstimatorConfig::default(),
-            0.0,
-        );
     }
 
     #[test]

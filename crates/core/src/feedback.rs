@@ -292,6 +292,25 @@ mod tests {
         );
     }
 
+    /// Regression: string literals used to render unquoted, so these
+    /// pairs of different predicates shared one key — and one feedback
+    /// observation, and one cached plan.
+    #[test]
+    fn literals_that_render_alike_get_distinct_keys() {
+        use rqo_storage::Value;
+        let key = |e: &Expr| FeedbackStore::canonical_key(&["part"], &[("part", e)]);
+        let brand = || Expr::col("p_brand");
+        let one_string = brand().in_list(vec![Value::str("a, b")]);
+        let two_strings = brand().in_list(vec![Value::str("a"), Value::str("b")]);
+        assert_ne!(key(&one_string), key(&two_strings));
+        let null = brand().eq(Expr::lit(Value::Null));
+        let word = brand().eq(Expr::lit("NULL"));
+        assert_ne!(key(&null), key(&word));
+        let quote = brand().eq(Expr::lit("it's"));
+        let doubled = brand().eq(Expr::lit("it''s"));
+        assert_ne!(key(&quote), key(&doubled));
+    }
+
     #[test]
     fn record_then_lookup_round_trips() {
         let store = FeedbackStore::new();

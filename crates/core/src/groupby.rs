@@ -17,7 +17,7 @@ use rqo_storage::Value;
 /// among the rows of the synopsis' root relation that satisfy
 /// `predicates`, where `root_rows` is the root relation's cardinality.
 ///
-/// Composite keys are handled by treating each combination as one value.
+/// A composite key is its typed tuple of column values.
 /// Returns 0 when no sample tuple qualifies (no evidence of any group).
 ///
 /// Note: the synopsis is drawn *with* replacement (the Bayesian
@@ -46,23 +46,12 @@ pub fn estimate_group_count(
         .map(|c| component.schema().expect_index(c))
         .collect();
 
-    // Composite keys: fold the per-column values into one hashable
-    // string key (exact value tuples would also work; a delimited
-    // rendering keeps the GEE input a flat Value).
-    let keys: Vec<Value> = synopsis
+    // One key per qualifying tuple: the typed tuple of its grouping
+    // values, so distinct combinations never collide.
+    let keys: Vec<Vec<Value>> = synopsis
         .qualifying(predicates)
         .into_iter()
-        .map(|i| match ordinals[..] {
-            [c] => component.value(i, c),
-            _ => {
-                let rendered = ordinals
-                    .iter()
-                    .map(|&c| component.value(i, c).to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1f}");
-                Value::str(rendered.as_str())
-            }
-        })
+        .map(|i| ordinals.iter().map(|&c| component.value(i, c)).collect())
         .collect();
 
     if keys.is_empty() {
@@ -170,6 +159,29 @@ mod tests {
         // (d_attr of dim1) has 10 values; composite with itself stays 10.
         let est = estimate_group_count(&syn, &[], "dim1", &["d_attr", "d_attr"], rows);
         assert!((8.0..12.0).contains(&est), "estimate {est}");
+    }
+
+    /// Regression: composite keys used to be rendered and joined with
+    /// U+001F, so two tuples whose strings shift a separator between
+    /// columns counted as one group.
+    #[test]
+    fn composite_keys_that_render_alike_are_distinct_groups() {
+        use rqo_storage::{Catalog, DataType, Schema, TableBuilder};
+        let schema = Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Str)]);
+        let mut t = TableBuilder::new("t", schema, 400);
+        for i in 0..400 {
+            let (a, b) = if i % 2 == 0 {
+                ("a\u{1f}b", "c")
+            } else {
+                ("a", "b\u{1f}c")
+            };
+            t.push_row(&[Value::str(a), Value::str(b)]);
+        }
+        let mut cat = Catalog::new();
+        cat.add_table(t.finish()).unwrap();
+        let syn = JoinSynopsis::build(&cat, "t", 200, 1);
+        let est = estimate_group_count(&syn, &[], "t", &["a", "b"], 400);
+        assert_eq!(est, 2.0);
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! independent per-table samples with the AVI assumption when no covering
 //! synopsis exists, "magic" constants/distributions when no statistics
 //! exist at all ([`MagicPolicy`]), and sample-based distinct-value
-//! estimation for `GROUP BY`.
+//! estimation for `GROUP BY`.  The estimators it is measured against are
+//! the histogram (AVI) baseline and the exact oracle; §3.2's other
+//! alternatives — on-the-fly sampling and distributions wrapped around
+//! histogram estimates — are the paper's arguments, not code here.
 
 #![warn(missing_docs)]
 
@@ -41,7 +44,6 @@ pub mod estimator;
 pub mod feedback;
 pub mod groupby;
 pub mod magic;
-pub mod onthefly;
 pub mod penalty;
 pub mod posterior;
 pub mod prior;
@@ -51,12 +53,11 @@ pub use adaptive::{AdaptivePolicy, DEFAULT_GUARD_BOUND};
 pub use confidence::{cost_at_threshold, ConfidenceThreshold, RobustnessLevel};
 pub use config::{EstimationStrategy, EstimatorConfig};
 pub use estimator::{
-    CardinalityEstimator, DistributionalHistogramEstimator, EstimateSource, EstimationRequest,
-    HistogramEstimator, OracleEstimator, RobustEstimator, SelectivityEstimate,
+    CardinalityEstimator, EstimateSource, EstimationRequest, HistogramEstimator, OracleEstimator,
+    RobustEstimator, SelectivityEstimate,
 };
 pub use feedback::FeedbackStore;
 pub use magic::MagicPolicy;
-pub use onthefly::OnTheFlyEstimator;
 pub use penalty::{
     expected_penalties, penalty_grid, select_min_penalty, PenaltyScore, PlanSelection,
 };

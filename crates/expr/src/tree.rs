@@ -549,12 +549,27 @@ impl Expr {
     }
 }
 
+/// Writes a literal as SQL would: a string quoted with any `'` inside it
+/// doubled, anything else as its value.  Quoting keeps the rendering
+/// injective — `'NULL'` is not `NULL`, and `IN ('a, b')` is not
+/// `IN ('a', 'b')` — which the plan cache and feedback keys rely on.
+fn write_literal(f: &mut fmt::Formatter<'_>, v: &Value) -> fmt::Result {
+    match v {
+        Value::Str(s) => write_quoted(f, s),
+        v => write!(f, "{v}"),
+    }
+}
+
+fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    write!(f, "'{}'", s.replace('\'', "''"))
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Col(n) => write!(f, "{n}"),
             Expr::ColIdx(i, n) => write!(f, "{n}#{i}"),
-            Expr::Lit(v) => write!(f, "{v}"),
+            Expr::Lit(v) => write_literal(f, v),
             Expr::Binary { op, left, right } => write!(f, "({left} {op} {right})"),
             Expr::Unary { op, expr } => match op {
                 UnaryOp::Not => write!(f, "(NOT {expr})"),
@@ -562,14 +577,18 @@ impl fmt::Display for Expr {
                 UnaryOp::IsNull => write!(f, "({expr} IS NULL)"),
             },
             Expr::Between { expr, lo, hi } => write!(f, "({expr} BETWEEN {lo} AND {hi})"),
-            Expr::Like { expr, pattern } => write!(f, "({expr} LIKE '{pattern}')"),
+            Expr::Like { expr, pattern } => {
+                write!(f, "({expr} LIKE ")?;
+                write_quoted(f, pattern)?;
+                write!(f, ")")
+            }
             Expr::InList { expr, list } => {
                 write!(f, "({expr} IN (")?;
                 for (i, v) in list.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{v}")?;
+                    write_literal(f, v)?;
                 }
                 write!(f, "))")
             }

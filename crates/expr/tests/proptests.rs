@@ -255,3 +255,44 @@ proptest! {
         prop_assert_eq!(rebuilt.conjuncts().len(), 3);
     }
 }
+
+/// A literal whose rendering looks like SQL syntax: NULL, or a string
+/// built from `'`, `,`, space and the word `NULL`.
+fn tricky_literal() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        prop::collection::vec(
+            prop_oneof![Just("'"), Just(","), Just(" "), Just("NULL")],
+            0..4
+        )
+        .prop_map(|tokens| Value::str(tokens.concat())),
+    ]
+}
+
+/// `s = literal` or `s IN (literal, ...)`.
+fn literal_predicate() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        tricky_literal().prop_map(|v| Expr::col("s").eq(Expr::lit(v))),
+        prop::collection::vec(tricky_literal(), 1..4).prop_map(|list| Expr::col("s").in_list(list)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The rendering the plan-cache and feedback keys are built from is
+    /// injective on literals: two predicates that print alike are the
+    /// same predicate.
+    #[test]
+    fn rendering_is_injective_on_literals(
+        preds in prop::collection::vec(literal_predicate(), 16)
+    ) {
+        for a in &preds {
+            for b in &preds {
+                if a.to_string() == b.to_string() {
+                    prop_assert_eq!(a, b);
+                }
+            }
+        }
+    }
+}

@@ -15,11 +15,11 @@
 //!   selectivity of a predicate set.  [`PlanCache::observe`] compares the
 //!   observation against the selectivity each cached plan was *priced*
 //!   at (recorded per estimation-request key at insert time); when the
-//!   q-error `max(est, obs) / min(est, obs)` exceeds the configured
-//!   [`drift bound`](PlanCache::drift_bound), every fingerprint priced
-//!   with that key is evicted, and the next optimization re-plans with
-//!   the feedback in effect.  Entries whose estimates were close enough
-//!   stay — re-planning them would reach the same plan.
+//!   q-error `max(est, obs) / min(est, obs)` exceeds [`DRIFT_BOUND`],
+//!   every fingerprint priced with that key is evicted, and the next
+//!   optimization re-plans with the feedback in effect.  Entries whose
+//!   estimates were close enough stay — re-planning them would reach the
+//!   same plan.
 //! * **Epoch invalidation** — `refresh_statistics` bumps the statistics
 //!   epoch.  Fingerprints embed the epoch, so stale entries can never be
 //!   *hit* again; [`PlanCache::invalidate_epochs_before`] additionally
@@ -33,17 +33,18 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use rqo_core::{ConfidenceThreshold, PlanSelection};
+use rqo_core::{ConfidenceThreshold, FeedbackStore, PlanSelection};
+use rqo_expr::Expr;
 
 use crate::planner::PlannedQuery;
 use crate::query::Query;
 
-/// Default drift bound: a cached plan survives as long as every observed
+/// The drift bound: a cached plan survives as long as every observed
 /// selectivity is within 2× (either direction) of the selectivity the
 /// plan was priced at.  Cost is monotone in cardinality, so small drift
 /// moves cost estimates without usually moving the argmin; a 2× error is
 /// where the paper's cost curves start crossing.
-pub const DEFAULT_DRIFT_BOUND: f64 = 2.0;
+pub const DRIFT_BOUND: f64 = 2.0;
 
 /// Selectivity floor used in q-error comparisons, so an estimate of
 /// exactly zero still yields a finite (and enormous) q-error against any
@@ -95,21 +96,19 @@ impl PlanFingerprint {
     ) -> Self {
         let effective = query.hint.unwrap_or(threshold);
         let selection = query.selection.unwrap_or(default_selection);
-        let mut tables: Vec<&str> = query.tables.iter().map(String::as_str).collect();
-        tables.sort_unstable();
-        // Same rendering as the feedback store's canonical key: sorted
-        // `"table:expr"` strings, so the two canonicalizations agree.
-        let mut preds: Vec<String> = query
+        let tables: Vec<&str> = query.tables.iter().map(String::as_str).collect();
+        let preds: Vec<(&str, &Expr)> = query
             .predicates
             .iter()
-            .map(|(t, e)| format!("{t}:{e}"))
+            .map(|(t, e)| (t.as_str(), e))
             .collect();
-        preds.sort_unstable();
         // Grouping and aggregate order affect the output schema, so they
         // enter the fingerprint in declaration order.
         let canonical = format!(
-            "{tables:?}|{preds:?}|group={:?}|aggs={:?}",
-            query.group_by, query.aggregates
+            "{}|group={:?}|aggs={:?}",
+            FeedbackStore::canonical_key(&tables, &preds),
+            query.group_by,
+            query.aggregates
         );
         Self {
             canonical,
@@ -192,44 +191,16 @@ struct Inner {
 
 /// The shared, thread-safe plan cache.  See the module docs for the
 /// lifecycle; construct one per database handle and share it via `Arc`.
+#[derive(Default)]
 pub struct PlanCache {
     inner: RwLock<Inner>,
-    drift_bound: f64,
     hits: AtomicU64,
     misses: AtomicU64,
     drift_evictions: AtomicU64,
     epoch_invalidations: AtomicU64,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::new(DEFAULT_DRIFT_BOUND)
-    }
-}
-
 impl PlanCache {
-    /// Creates an empty cache that evicts on observed q-error greater
-    /// than `drift_bound` (must be ≥ 1; 1 evicts on any disagreement).
-    pub fn new(drift_bound: f64) -> Self {
-        assert!(
-            drift_bound >= 1.0 && drift_bound.is_finite(),
-            "drift bound {drift_bound} must be a finite q-error ≥ 1"
-        );
-        Self {
-            inner: RwLock::new(Inner::default()),
-            drift_bound,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            drift_evictions: AtomicU64::new(0),
-            epoch_invalidations: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured drift bound (q-error).
-    pub fn drift_bound(&self) -> f64 {
-        self.drift_bound
-    }
-
     fn read(&self) -> RwLockReadGuard<'_, Inner> {
         // Same recovery rationale as the feedback store: each write
         // leaves the maps consistent, so poisoning is survivable.
@@ -319,8 +290,8 @@ impl PlanCache {
 
     /// Reacts to an observed selectivity for one estimation-request key
     /// (canonical [`rqo_core::FeedbackStore`] form): evicts every cached
-    /// plan whose priced-at selectivity for that key q-errs beyond the
-    /// drift bound, and returns the evicted fingerprints.
+    /// plan whose priced-at selectivity for that key q-errs beyond
+    /// [`DRIFT_BOUND`], and returns the evicted fingerprints.
     pub fn observe(&self, key: &str, observed: f64) -> Vec<PlanFingerprint> {
         let mut inner = self.write();
         let Some(holders) = inner.by_key.get(key) else {
@@ -333,7 +304,7 @@ impl PlanCache {
                     .plans
                     .get(fp)
                     .and_then(|e| e.priced_at.get(key))
-                    .is_some_and(|est| q_error(*est, observed) > self.drift_bound)
+                    .is_some_and(|est| q_error(*est, observed) > DRIFT_BOUND)
             })
             .cloned()
             .collect();
@@ -392,31 +363,6 @@ impl PlanCache {
         self.epoch_invalidations
             .fetch_add(stale.len() as u64, Ordering::Relaxed);
         stale.len()
-    }
-
-    /// An empty cache with a different drift bound that **carries this
-    /// cache's lifetime counters forward**.  Entries are dropped — their
-    /// keep/evict decisions were made under the old bound and would be
-    /// wrong under the new one — and counted as epoch invalidations, but
-    /// the hit/miss/eviction history survives, so reconfiguring the bound
-    /// mid-session no longer silently zeroes the cache's observability.
-    pub fn rebuilt_with_drift_bound(&self, drift_bound: f64) -> Self {
-        let fresh = Self::new(drift_bound);
-        fresh
-            .hits
-            .store(self.hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        fresh
-            .misses
-            .store(self.misses.load(Ordering::Relaxed), Ordering::Relaxed);
-        fresh.drift_evictions.store(
-            self.drift_evictions.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        fresh.epoch_invalidations.store(
-            self.epoch_invalidations.load(Ordering::Relaxed) + self.len() as u64,
-            Ordering::Relaxed,
-        );
-        fresh
     }
 
     /// Drops every entry (counted under `epoch_invalidations`).
@@ -677,27 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_with_drift_bound_carries_counters() {
-        let cache = PlanCache::default();
-        let q = query("t", 10);
-        let fp = PlanFingerprint::of(&q, threshold(), 0);
-        assert!(cache.get(&fp).is_none()); // one miss
-        cache.insert(fp.clone(), planned(&q, 10.0, 100.0));
-        cache.get(&fp).expect("hit"); // one hit
-        cache.observe(&key_of(&q), 0.9); // one drift eviction
-        cache.insert(fp.clone(), planned(&q, 10.0, 100.0));
-
-        let rebuilt = cache.rebuilt_with_drift_bound(5.0);
-        assert_eq!(rebuilt.drift_bound(), 5.0);
-        assert!(rebuilt.is_empty(), "entries do not survive a bound change");
-        let stats = rebuilt.stats();
-        // History carried forward; the dropped entry is accounted for.
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.drift_evictions, 1);
-        assert_eq!(stats.epoch_invalidations, 1);
-    }
-
-    #[test]
     fn replacing_an_entry_reindexes_cleanly() {
         let cache = PlanCache::default();
         let q = query("t", 10);
@@ -709,11 +634,5 @@ mod tests {
         // Drift is judged against the *replacement* pricing.
         assert!(cache.observe(&key_of(&q), 0.3).is_empty());
         assert_eq!(cache.observe(&key_of(&q), 0.9), vec![fp]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a finite q-error")]
-    fn rejects_sub_unit_drift_bound() {
-        PlanCache::new(0.5);
     }
 }

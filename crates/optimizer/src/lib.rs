@@ -44,7 +44,7 @@ pub mod replan;
 pub mod selection;
 
 pub use analyze::{annotate_plan, NodeAnnotation, NodeAnnotations};
-pub use cache::{CacheStats, PlanCache, PlanFingerprint, DEFAULT_DRIFT_BOUND};
+pub use cache::{CacheStats, PlanCache, PlanFingerprint, DRIFT_BOUND};
 pub use cost::CostModel;
 pub use derive::{price_plan, PricedPlan};
 pub use planner::{Optimizer, PlannedQuery};

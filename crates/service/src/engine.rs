@@ -336,18 +336,6 @@ impl Engine {
         self.selection
     }
 
-    /// Replaces the plan cache with an empty one using `bound` as its
-    /// drift bound: a cached plan is evicted when a run publishes an
-    /// observed selectivity whose q-error against the selectivity the
-    /// plan was priced at exceeds `bound`.  The cache's lifetime counters
-    /// (hits, misses, drift evictions) carry forward — changing a tuning
-    /// knob should not zero the operator's statistics; the dropped
-    /// entries are counted as epoch invalidations.
-    pub fn with_drift_bound(mut self, bound: f64) -> Self {
-        self.plan_cache = Arc::new(self.plan_cache.rebuilt_with_drift_bound(bound));
-        self
-    }
-
     /// Converts this engine into a concurrent [`QueryService`]: one
     /// shared worker pool, admission control, and per-query
     /// deadline/cancellation over the same state (catalog, synopses,

@@ -10,8 +10,6 @@
 //! * warm plan-cache entries for other tables keep hitting;
 //! * plans and observations that *do* read the refreshed table are
 //!   retired, exactly as a full refresh would have retired them;
-//! * `with_drift_bound` carries the cache's lifetime counters forward
-//!   instead of zeroing the operator's statistics;
 //! * the optimizer prunes a range-partitioned table on its own, and the
 //!   pruned scan is charged for the partitions it reads.
 
@@ -179,38 +177,6 @@ fn full_refresh_still_invalidates_globally() {
     assert_eq!(e.stats_epoch(), 1);
     assert_ne!(e.fingerprint(&li), fp_li);
     assert_ne!(e.fingerprint(&pq), fp_part);
-}
-
-#[test]
-fn set_drift_bound_carries_cache_stats_forward() {
-    let e = Engine::new(partitioned_catalog());
-    let opts = e.query_exec_options(None, None);
-    let li = lineitem_query();
-    // One miss (planned + cached after execution), then two hits.
-    e.run_opts(&li, &opts).unwrap();
-    e.run_opts(&li, &opts).unwrap();
-    e.run_opts(&li, &opts).unwrap();
-    let before = e.cache_stats();
-    assert!(before.hits >= 2);
-    assert_eq!(before.entries, 1);
-
-    let e = e.with_drift_bound(2.5);
-
-    let after = e.cache_stats();
-    assert_eq!(after.hits, before.hits, "hits must survive the knob change");
-    assert_eq!(after.misses, before.misses);
-    assert_eq!(after.drift_evictions, before.drift_evictions);
-    assert_eq!(
-        after.epoch_invalidations,
-        before.epoch_invalidations + before.entries as u64,
-        "dropped entries are accounted, not vanished"
-    );
-    assert_eq!(after.entries, 0);
-
-    // The next run replans (the old entry is gone) and re-warms.
-    e.run_opts(&li, &opts).unwrap();
-    assert_eq!(e.cache_stats().misses, before.misses + 1);
-    assert_eq!(e.cache_stats().entries, 1);
 }
 
 /// `t(x, v)` with ascending `x`, range-partitioned 16 ways.  A thin range

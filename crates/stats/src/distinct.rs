@@ -5,25 +5,23 @@
 //! grouping-key combinations, which the paper proposes to estimate from the
 //! precomputed sample by adapting known estimators (citing Haas, Naughton,
 //! Seshadri & Stokes, VLDB 1995 — via Charikar et al.'s later GEE
-//! formulation).  Two classical estimators are provided:
+//! formulation).  This module provides **GEE** (Guaranteed-Error
+//! Estimator): `√(N/n)·f₁ + Σ_{j≥2} fⱼ`, where `fⱼ` is the number of
+//! values seen exactly `j` times in the sample.  Values seen once get
+//! scaled up — they are evidence of a large unseen population — while
+//! repeated values are counted as-is.
 //!
-//! * **GEE** (Guaranteed-Error Estimator): `√(N/n)·f₁ + Σ_{j≥2} fⱼ`, where
-//!   `fⱼ` is the number of values seen exactly `j` times in the sample.
-//!   Values seen once get scaled up — they are evidence of a large unseen
-//!   population — while repeated values are counted as-is.
-//! * **First-order jackknife**: `d / (1 − (1 − n/N) · f₁/n)` — a
-//!   smooth alternative that also corrects using the singleton count.
-//!
-//! Both expect a *without-replacement* sample (duplicated sample rows would
-//! inflate the `fⱼ` for `j ≥ 2`).
+//! It expects a *without-replacement* sample (duplicated sample rows would
+//! inflate the `fⱼ` for `j ≥ 2`).  A sample value is anything hashable: a
+//! single column's [`Value`](rqo_storage::Value) or a composite key's
+//! whole typed tuple.
 
 use std::collections::HashMap;
-
-use rqo_storage::Value;
+use std::hash::Hash;
 
 /// Frequency-of-frequencies profile of a sample.
-fn frequency_profile(sample: &[Value]) -> (usize, HashMap<u64, u64>) {
-    let mut counts: HashMap<&Value, u64> = HashMap::new();
+fn frequency_profile<T: Hash + Eq>(sample: &[T]) -> (usize, HashMap<u64, u64>) {
+    let mut counts: HashMap<&T, u64> = HashMap::new();
     for v in sample {
         *counts.entry(v).or_insert(0) += 1;
     }
@@ -45,7 +43,7 @@ fn frequency_profile(sample: &[Value]) -> (usize, HashMap<u64, u64>) {
 /// ties at zero).  The estimate is clamped to `[d, population_size]` where
 /// `d` is the number of distinct values seen, since the truth can be
 /// neither smaller than what was observed nor larger than the population.
-pub fn gee_estimate(sample: &[Value], population_size: u64) -> f64 {
+pub fn gee_estimate<T: Hash + Eq>(sample: &[T], population_size: u64) -> f64 {
     if population_size == 0 {
         return 0.0;
     }
@@ -64,38 +62,12 @@ pub fn gee_estimate(sample: &[Value], population_size: u64) -> f64 {
     est.clamp(d as f64, population_size as f64)
 }
 
-/// The first-order jackknife distinct-value estimate.
-///
-/// Floors at 1 for an empty sample from a non-empty population, returns 0
-/// only when the population itself is empty; clamped like
-/// [`gee_estimate`].
-pub fn jackknife_estimate(sample: &[Value], population_size: u64) -> f64 {
-    if population_size == 0 {
-        return 0.0;
-    }
-    if sample.is_empty() {
-        return 1.0;
-    }
-    let n = sample.len() as f64;
-    let big_n = population_size as f64;
-    let (d, fof) = frequency_profile(sample);
-    let f1 = *fof.get(&1).unwrap_or(&0) as f64;
-    let denom = 1.0 - (1.0 - n / big_n) * f1 / n;
-    let est = if denom <= 0.0 {
-        // All singletons in a relatively tiny sample: no information beyond
-        // "at least d, plausibly up to N".
-        big_n
-    } else {
-        d as f64 / denom
-    };
-    est.clamp(d as f64, big_n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use rqo_storage::Value;
 
     fn sample_of(values: &[i64]) -> Vec<Value> {
         values.iter().map(|&v| Value::Int(v)).collect()
@@ -103,28 +75,25 @@ mod tests {
 
     #[test]
     fn empty_population_estimates_zero() {
-        assert_eq!(gee_estimate(&[], 0), 0.0);
-        assert_eq!(jackknife_estimate(&[], 0), 0.0);
+        assert_eq!(gee_estimate::<Value>(&[], 0), 0.0);
         assert_eq!(gee_estimate(&sample_of(&[1]), 0), 0.0);
     }
 
     /// Regression: an empty sample drawn from a *non-empty* table used to
     /// estimate 0.0 distinct values, which made every grouped-aggregate
     /// plan above it price at zero groups.  A non-empty population has at
-    /// least one group, so the estimators must floor at 1.
+    /// least one group, so the estimator must floor at 1.
     #[test]
     fn empty_sample_from_nonempty_population_floors_at_one() {
-        assert_eq!(gee_estimate(&[], 100), 1.0);
-        assert_eq!(jackknife_estimate(&[], 100), 1.0);
-        assert_eq!(gee_estimate(&[], 1), 1.0);
+        assert_eq!(gee_estimate::<Value>(&[], 100), 1.0);
+        assert_eq!(gee_estimate::<Value>(&[], 1), 1.0);
     }
 
     #[test]
     fn all_identical_sample() {
-        // One distinct value seen n times: both estimators say ~1.
+        // One distinct value seen n times: GEE says 1.
         let s = sample_of(&[5; 50]);
         assert_eq!(gee_estimate(&s, 10_000), 1.0);
-        assert_eq!(jackknife_estimate(&s, 10_000), 1.0);
     }
 
     #[test]
@@ -134,16 +103,12 @@ mod tests {
         let s = sample_of(&(0..100).collect::<Vec<i64>>());
         let gee = gee_estimate(&s, 10_000);
         assert!((gee - 1000.0).abs() < 1e-9, "gee = {gee}");
-        // Jackknife degenerates to N when everything is a singleton.
-        let jk = jackknife_estimate(&s, 10_000);
-        assert!(jk > 100.0);
     }
 
     #[test]
     fn estimates_clamped_to_population() {
         let s = sample_of(&(0..100).collect::<Vec<i64>>());
         assert!(gee_estimate(&s, 150) <= 150.0);
-        assert!(jackknife_estimate(&s, 150) <= 150.0);
         // ...and to the observed distinct count from below.
         let s2 = sample_of(&[1, 1, 2, 2, 3, 3]);
         assert!(gee_estimate(&s2, 1000) >= 3.0);
@@ -173,28 +138,5 @@ mod tests {
             (mean - d_true as f64).abs() / (d_true as f64) < 0.05,
             "mean GEE = {mean}"
         );
-    }
-
-    #[test]
-    fn jackknife_on_moderate_skew() {
-        // Zipf-ish: value v has weight 1/(v+1).  Jackknife should land in
-        // the right order of magnitude (distinct estimation under skew is
-        // provably hard; we check sanity, not precision).
-        let mut rng = StdRng::seed_from_u64(9);
-        let weights: Vec<f64> = (0..1000).map(|v| 1.0 / (v as f64 + 1.0)).collect();
-        let total: f64 = weights.iter().sum();
-        let sample: Vec<Value> = (0..800)
-            .map(|_| {
-                let mut u = rng.gen::<f64>() * total;
-                let mut v = 0usize;
-                while u > weights[v] {
-                    u -= weights[v];
-                    v += 1;
-                }
-                Value::Int(v as i64)
-            })
-            .collect();
-        let jk = jackknife_estimate(&sample, 1_000_000);
-        assert!((100.0..1_000_000.0).contains(&jk), "jk = {jk}");
     }
 }

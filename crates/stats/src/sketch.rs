@@ -2,15 +2,13 @@
 //! deterministic reservoir row samples.
 //!
 //! Everything else in this crate is batch-only — distinct counts come
-//! from GEE/jackknife over an offline sample, and absorbing new rows
-//! means a full `refresh_statistics` rebuild.  This module is the
-//! streaming half of the statistics subsystem (ROADMAP item 3): a
-//! dense-register HyperLogLog sketch ([`DistinctSketch`]) that supports
-//! `insert`/`merge`/`estimate` with a compact byte serialization (the
-//! same bytes double as the wire format for shipping statistics between
-//! shards), and a deterministic reservoir sampler ([`RowReservoir`])
-//! that maintains a uniform without-replacement row sample under a
-//! stream of inserts.
+//! from GEE over an offline sample, and absorbing new rows means a full
+//! `refresh_statistics` rebuild.  This module is the streaming half of
+//! the statistics subsystem: a dense-register HyperLogLog sketch
+//! ([`DistinctSketch`]) that supports `insert`/`merge`/`estimate`, and a
+//! deterministic reservoir sampler ([`RowReservoir`]) that maintains a
+//! uniform without-replacement row sample under a stream of inserts.
+//! Sketches live in memory only; no wire frame or file carries them.
 //!
 //! Both structures are *mergeable per partition*: the ingest path keeps
 //! one sketch per (partition, column) and one reservoir per partition,
@@ -27,7 +25,6 @@
 //! explicit-seed splitmix64 stream, so identical insert sequences
 //! produce bit-identical sketches and samples on every machine.
 
-use std::fmt;
 use std::sync::Arc;
 
 use rqo_storage::{partition_hash, Value};
@@ -61,51 +58,6 @@ fn mix64(mut z: u64) -> u64 {
 pub fn value_hash(value: &Value) -> u64 {
     mix64(partition_hash(value))
 }
-
-/// Error decoding a serialized sketch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SketchDecodeError {
-    /// The buffer is shorter than the fixed header.
-    Truncated,
-    /// Unknown format version byte.
-    BadVersion(u8),
-    /// Precision outside [`MIN_PRECISION`]..=[`MAX_PRECISION`].
-    BadPrecision(u8),
-    /// Buffer length does not match `2 + 2^precision`.
-    LengthMismatch {
-        /// Bytes the header promises.
-        expected: usize,
-        /// Bytes actually present.
-        got: usize,
-    },
-    /// A register value exceeds the maximum rank for this precision.
-    BadRegister {
-        /// Register index.
-        index: usize,
-        /// The out-of-range value.
-        value: u8,
-    },
-}
-
-impl fmt::Display for SketchDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SketchDecodeError::Truncated => write!(f, "sketch buffer truncated"),
-            SketchDecodeError::BadVersion(v) => write!(f, "unknown sketch version {v}"),
-            SketchDecodeError::BadPrecision(p) => write!(f, "sketch precision {p} out of range"),
-            SketchDecodeError::LengthMismatch { expected, got } => {
-                write!(f, "sketch length {got} != expected {expected}")
-            }
-            SketchDecodeError::BadRegister { index, value } => {
-                write!(f, "sketch register {index} holds impossible rank {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SketchDecodeError {}
-
-const SKETCH_VERSION: u8 = 1;
 
 /// A mergeable HyperLogLog distinct-count sketch with dense `u8`
 /// registers.
@@ -157,11 +109,6 @@ impl DistinctSketch {
     /// The precision (register-index bits).
     pub fn precision(&self) -> u8 {
         self.precision
-    }
-
-    /// Number of registers (`2^precision`).
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
     }
 
     /// True when no value has ever been inserted (all registers zero).
@@ -242,51 +189,6 @@ impl DistinctSketch {
         } else {
             raw
         }
-    }
-
-    /// Compact byte serialization: `[version, precision, registers...]`.
-    ///
-    /// These bytes are the unit of cross-shard statistics shipping and
-    /// the payload embedded in wire frames; [`DistinctSketch::from_bytes`]
-    /// validates them defensively.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + self.registers.len());
-        out.push(SKETCH_VERSION);
-        out.push(self.precision);
-        out.extend_from_slice(&self.registers);
-        out
-    }
-
-    /// Decodes [`DistinctSketch::to_bytes`] output, rejecting malformed
-    /// buffers (wrong version/precision/length, impossible register
-    /// ranks) instead of panicking — the bytes may arrive off the wire.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SketchDecodeError> {
-        if bytes.len() < 2 {
-            return Err(SketchDecodeError::Truncated);
-        }
-        if bytes[0] != SKETCH_VERSION {
-            return Err(SketchDecodeError::BadVersion(bytes[0]));
-        }
-        let precision = bytes[1];
-        if !(MIN_PRECISION..=MAX_PRECISION).contains(&precision) {
-            return Err(SketchDecodeError::BadPrecision(precision));
-        }
-        let expected = 2 + (1usize << precision);
-        if bytes.len() != expected {
-            return Err(SketchDecodeError::LengthMismatch {
-                expected,
-                got: bytes.len(),
-            });
-        }
-        let max_rank = 64 - precision + 1;
-        let registers = bytes[2..].to_vec();
-        if let Some((index, &value)) = registers.iter().enumerate().find(|&(_, &r)| r > max_rank) {
-            return Err(SketchDecodeError::BadRegister { index, value });
-        }
-        Ok(Self {
-            precision,
-            registers,
-        })
     }
 }
 
@@ -664,41 +566,6 @@ mod tests {
             t
         };
         assert_eq!(s, one, "coercion-equal values must hash identically");
-    }
-
-    #[test]
-    fn serde_roundtrip_and_rejection() {
-        let s = sketch_of(0..12_345);
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), 2 + (1 << DEFAULT_PRECISION));
-        let back = DistinctSketch::from_bytes(&bytes).unwrap();
-        assert_eq!(s, back);
-
-        assert_eq!(
-            DistinctSketch::from_bytes(&[]),
-            Err(SketchDecodeError::Truncated)
-        );
-        assert_eq!(
-            DistinctSketch::from_bytes(&[9, 14]),
-            Err(SketchDecodeError::BadVersion(9))
-        );
-        assert_eq!(
-            DistinctSketch::from_bytes(&[1, 40]),
-            Err(SketchDecodeError::BadPrecision(40))
-        );
-        assert!(matches!(
-            DistinctSketch::from_bytes(&bytes[..100]),
-            Err(SketchDecodeError::LengthMismatch { .. })
-        ));
-        let mut bad = bytes.clone();
-        bad[2] = 64; // max rank at p=14 is 51
-        assert!(matches!(
-            DistinctSketch::from_bytes(&bad),
-            Err(SketchDecodeError::BadRegister {
-                index: 0,
-                value: 64
-            })
-        ));
     }
 
     #[test]

@@ -464,16 +464,6 @@ impl SynopsisRepository {
     ) -> Option<&std::sync::Arc<crate::sketch::TableSketches>> {
         self.sketches.for_table(table)
     }
-
-    /// Distinct-count estimate for `table.column` from the merged
-    /// per-partition streaming sketches, or `None` when the table has
-    /// never streamed (callers fall back to the sample-based GEE /
-    /// jackknife estimators — the oracle path).
-    pub fn distinct_estimate(&self, table: &str, column: &str) -> Option<f64> {
-        let sketches = self.sketches.for_table(table)?;
-        let col = sketches.column_index(column)?;
-        Some(sketches.column_distinct(col))
-    }
 }
 
 /// Finds the root relation of an FK-join expression: the unique listed

@@ -4,9 +4,9 @@
 //! The algebra is what makes sketches *mergeable statistics*: merging
 //! must be commutative and associative, inserting then merging must
 //! equal merging then inserting (so per-partition maintenance order is
-//! irrelevant), and serialization must be lossless — these are the
-//! invariants that let per-partition sketches be combined in any order,
-//! at any time, into one table-level estimate.
+//! irrelevant) — these are the invariants that let per-partition
+//! sketches be combined in any order, at any time, into one table-level
+//! estimate.
 //!
 //! The accuracy contract is the acceptance bound for the streaming
 //! statistics path: at the default precision (p = 14, ~0.8% standard
@@ -16,7 +16,7 @@
 //! go wrong.
 
 use proptest::prelude::*;
-use rqo_stats::sketch::{value_hash, SketchDecodeError, DEFAULT_PRECISION};
+use rqo_stats::sketch::{value_hash, DEFAULT_PRECISION};
 use rqo_stats::DistinctSketch;
 use rqo_storage::Value;
 
@@ -92,25 +92,6 @@ proptest! {
         prop_assert_eq!(full.merged(&full), full.clone());
         let prefix = sketch_of(&values[..cut.min(n)]);
         prop_assert_eq!(full.merged(&prefix), full);
-    }
-
-    /// serialize ∘ deserialize is the identity, at every precision.
-    #[test]
-    fn serde_roundtrip_is_identity(k in 0u64..64, n in 0usize..800,
-                                   p in 4u8..=16) {
-        let mut s = DistinctSketch::with_precision(p);
-        for v in stream(k, n) {
-            s.insert(&v);
-        }
-        let back = DistinctSketch::from_bytes(&s.to_bytes()).expect("own bytes decode");
-        prop_assert_eq!(back, s);
-    }
-
-    /// Decoding is defensive: truncation and corruption come back as
-    /// typed errors, never panics.
-    #[test]
-    fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = DistinctSketch::from_bytes(&bytes);
     }
 
     /// Duplicates never change a sketch: re-inserting any suffix of the
@@ -209,43 +190,4 @@ fn partitioned_union_matches_single_stream() {
     assert_eq!(merged, single, "sharding must be invisible to the union");
     let rel = (merged.estimate() - n as f64).abs() / n as f64;
     assert!(rel <= 0.05, "union error {:.2}%", rel * 100.0);
-}
-
-#[test]
-fn decode_rejects_each_corruption_with_a_typed_error() {
-    let mut s = DistinctSketch::with_precision(10);
-    for v in stream(3, 500) {
-        s.insert(&v);
-    }
-    let bytes = s.to_bytes();
-
-    assert_eq!(
-        DistinctSketch::from_bytes(&[]),
-        Err(SketchDecodeError::Truncated)
-    );
-    let mut bad = bytes.clone();
-    bad[0] = 9;
-    assert_eq!(
-        DistinctSketch::from_bytes(&bad),
-        Err(SketchDecodeError::BadVersion(9))
-    );
-    let mut bad = bytes.clone();
-    bad[1] = 3;
-    assert!(matches!(
-        DistinctSketch::from_bytes(&bad),
-        Err(SketchDecodeError::BadPrecision(3))
-    ));
-    let mut short = bytes.clone();
-    short.truncate(bytes.len() - 1);
-    assert!(matches!(
-        DistinctSketch::from_bytes(&short),
-        Err(SketchDecodeError::LengthMismatch { .. })
-    ));
-    let mut bad = bytes;
-    let last = bad.len() - 1;
-    bad[last] = 255; // rank can never exceed 64 - p + 1
-    assert!(matches!(
-        DistinctSketch::from_bytes(&bad),
-        Err(SketchDecodeError::BadRegister { .. })
-    ));
 }

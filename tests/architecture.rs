@@ -163,17 +163,17 @@ fn sampling_randomness_never_affects_results() {
 /// number above its budget fails until the same change raises the budget.
 /// Falling below is free — lower the budget to keep the ratchet tight.
 const PUB_LINE_BUDGET: [(&str, usize); 9] = [
-    ("core", 161),
+    ("core", 151),
     ("datagen", 40),
     ("exec", 135),
     ("expr", 44),
     ("math", 65),
-    ("optimizer", 160),
-    ("service", 153),
-    ("stats", 99),
+    ("optimizer", 157),
+    ("service", 152),
+    ("stats", 93),
     ("storage", 173),
 ];
-const DESIGN_LINE_BUDGET: usize = 883;
+const DESIGN_LINE_BUDGET: usize = 871;
 
 fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("read source dir") {
@@ -290,5 +290,67 @@ fn bench_crate_holds_only_figure_drivers() {
         stray.is_empty(),
         "not a figure driver:\n{}",
         stray.join("\n")
+    );
+}
+
+/// Every public estimator earns its place: a `pub struct` under
+/// `crates/*/src` that implements `CardinalityEstimator` must be named
+/// in a figure driver, the root crate, an example, the benchmark or a
+/// root integration test.  An estimator reachable only from its own
+/// unit tests is a baseline nothing measures; git history keeps it for
+/// the driver that wants it back.
+#[test]
+fn every_public_estimator_has_a_caller() {
+    fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+        text.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut library = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates dir") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut library);
+        }
+    }
+    let mut public = std::collections::HashSet::new();
+    let mut estimators = std::collections::BTreeSet::new();
+    for file in &library {
+        let text = std::fs::read_to_string(file).expect("read source");
+        for line in text.lines().map(str::trim_start) {
+            if let Some(rest) = line.strip_prefix("pub struct ") {
+                public.extend(identifiers(rest).next().map(str::to_string));
+            }
+            if let Some(rest) = line.strip_prefix("impl CardinalityEstimator for ") {
+                estimators.extend(identifiers(rest).next().map(str::to_string));
+            }
+        }
+    }
+    let mut callers = Vec::new();
+    for dir in [
+        "crates/bench/src",
+        "src",
+        "examples",
+        "benchmark/src",
+        "tests",
+    ] {
+        rust_files(&root.join(dir), &mut callers);
+    }
+    let mut named = std::collections::HashSet::new();
+    for file in &callers {
+        let text = std::fs::read_to_string(file).expect("read source");
+        named.extend(identifiers(&text).map(str::to_string));
+    }
+    let uncalled: Vec<&String> = estimators
+        .iter()
+        .filter(|e| public.contains(*e) && !named.contains(*e))
+        .collect();
+    assert!(
+        !estimators.is_empty(),
+        "found no CardinalityEstimator implementation"
+    );
+    assert!(
+        uncalled.is_empty(),
+        "public estimators with no caller outside their own tests: {uncalled:?}"
     );
 }

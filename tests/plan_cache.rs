@@ -260,3 +260,35 @@ fn zero_row_observation_does_not_pin_selectivity() {
         "feedback must not zero out later cardinality estimates"
     );
 }
+
+/// Regression: a string literal used to render unquoted in the plan
+/// cache's fingerprint, so `IN ('Brand#11, Brand#25')` (one string) and
+/// `IN ('Brand#11', 'Brand#25')` (two) shared a key.  The second query
+/// was served the first one's cached plan and answered 0 rows.
+#[test]
+fn string_literals_that_render_alike_get_their_own_plans() {
+    let catalog = || {
+        TpchData::generate(&TpchConfig {
+            scale_factor: 0.005,
+            seed: 7,
+        })
+        .into_catalog()
+    };
+    let brands = |list: &[&str]| {
+        Query::over(&["part"])
+            .filter(
+                "part",
+                Expr::col("p_brand").in_list(list.iter().map(|&b| Value::str(b)).collect()),
+            )
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let one_string = brands(&["Brand#11, Brand#25"]);
+    let two_strings = brands(&["Brand#11", "Brand#25"]);
+
+    let shared = Engine::new(catalog());
+    assert_eq!(shared.run(&one_string).rows, vec![vec![Value::Int(0)]]);
+    let served = shared.run(&two_strings).rows;
+    let fresh = Engine::new(catalog()).run(&two_strings).rows;
+    assert_ne!(fresh, vec![vec![Value::Int(0)]], "both brands exist");
+    assert_eq!(served, fresh, "served another query's cached plan");
+}

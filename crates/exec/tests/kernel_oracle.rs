@@ -798,6 +798,219 @@ fn join_gathers_a_probe_side_that_is_not_one_to_one() {
     }
 }
 
+/// A two-column batch: key `a` (`None` is NULL; the column has a null
+/// mask only when some key is NULL) and payload `b`, the row's position.
+fn keyed_batch(keys: &[Option<i64>]) -> Batch {
+    Batch::from_rows(
+        Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
+        keys.iter()
+            .enumerate()
+            .map(|(i, k)| vec![k.map_or(Value::Null, Value::Int), Value::Int(i as i64)])
+            .collect(),
+    )
+}
+
+/// The keys of a join's two sides (`None` is NULL).
+type KeySides = (Vec<Option<i64>>, Vec<Option<i64>>);
+
+/// Probe keys around `build`: each key, its neighbours (saturating), the
+/// `i64` extremes, 0 and a NULL-free miss, in an order that mixes them.
+fn keys_around(build: &[i64]) -> Vec<Option<i64>> {
+    let mut keys = vec![i64::MIN, i64::MAX, 0, -1];
+    for &k in build.iter().rev() {
+        keys.extend([k.saturating_add(1), k, k.saturating_sub(1)]);
+    }
+    keys.into_iter().map(Some).collect()
+}
+
+/// The hash join over build key domains of every shape that decides how
+/// it finds a key's build rows: sparse, dense, negative and one-row
+/// domains, spans just inside and just outside the direct-addressing
+/// bound of 2¹⁸ keys (builds this small), spans at both `i64` extremes
+/// and across the whole of `i64`, duplicated build keys, and NULL keys on
+/// either side.  Rows, row order and every charge match the nested-loops
+/// oracle at 1/2/8 threads, and the probe columns pass through uncopied
+/// exactly when every probe row meets one build row.
+#[test]
+fn join_kernel_matches_oracle_over_key_domains() {
+    const BOUND: i64 = 1 << 18;
+    let some = |keys: &[i64]| keys.iter().copied().map(Some).collect::<Vec<_>>();
+    let around = |keys: &[i64]| (some(keys), keys_around(keys));
+    let sparse: Vec<i64> = (0..40).map(|i| i * 997 - 3).collect();
+    let dense: Vec<i64> = (0..300).collect();
+    let fk_probe: Vec<i64> = (0..600).map(|i| i * 7 % 300).collect();
+    let negative: Vec<i64> = (0..30).map(|i| -500 + 3 * i).collect();
+    let cases: Vec<(&str, KeySides)> = vec![
+        ("sparse", around(&sparse)),
+        ("dense", around(&dense)),
+        ("dense, FK-shaped probe", (some(&dense), some(&fk_probe))),
+        ("negative", around(&negative)),
+        ("one row", around(&[42])),
+        (
+            "just inside the bound",
+            around(&[7, 7 + BOUND / 2, 7 + BOUND - 1]),
+        ),
+        (
+            "just outside the bound",
+            around(&[7, 7 + BOUND / 2, 7 + BOUND]),
+        ),
+        (
+            "at i64::MAX",
+            around(&[i64::MAX - 3, i64::MAX, i64::MAX - 1]),
+        ),
+        ("at i64::MIN", around(&[i64::MIN + 2, i64::MIN])),
+        ("i64::MIN..=i64::MAX", around(&[i64::MIN, -1, 0, i64::MAX])),
+        (
+            "duplicate build keys",
+            (some(&[3, 3, 9, 3, 9, 12]), some(&[9, 3, 4, 12, 3, 9, 3])),
+        ),
+        (
+            "NULL build key",
+            (
+                vec![Some(1), None, Some(2), None, Some(2)],
+                some(&[2, 1, 5, 2]),
+            ),
+        ),
+        (
+            "NULL probe key",
+            (
+                some(&[1, 2, 3]),
+                vec![None, Some(2), None, Some(3), Some(0)],
+            ),
+        ),
+        (
+            "NULL keys on both sides",
+            (
+                vec![None, Some(4), None],
+                vec![Some(4), None, Some(5), None],
+            ),
+        ),
+    ];
+    for (case, (build, probe)) in cases {
+        let (b, p) = (keyed_batch(&build), keyed_batch(&probe));
+        let expect = oracle_join(&b, &p, 0, 0);
+        let through = one_to_one(&b, &p);
+        let want = CostTracker {
+            hash_builds: b.len() as u64,
+            hash_probes: p.len() as u64,
+            cpu_ops: expect.len() as u64,
+            ..CostTracker::new()
+        };
+        for opts in thread_opts() {
+            let mut t = CostTracker::new();
+            let out = hash_join(&mut t, b.clone(), p.clone(), "a", "a", None, &opts).unwrap();
+            assert_eq!(out.to_rows(), expect, "{case}, {opts:?}");
+            assert_eq!(t, want, "{case}, {opts:?}");
+            let shared = out.columns()[b.schema.len()..]
+                .iter()
+                .zip(p.columns())
+                .all(|(got, input)| Arc::ptr_eq(got, input));
+            assert_eq!(shared, through, "{case}, {opts:?}");
+        }
+    }
+}
+
+/// Merge-join oracle: every pair of a `left` and a `right` row whose keys
+/// (column 0) are equal under storage equality — NULL matches NULL — as
+/// `left ++ right`, in nested-loops order, then stably sorted by key with
+/// NULL first.  Within a key the left rows keep their input order, and
+/// each meets the right rows in theirs.
+fn oracle_merge_join(left: &Batch, right: &Batch) -> Vec<Vec<Value>> {
+    let mut out = oracle_join(right, left, 0, 0)
+        .into_iter()
+        .map(|row| {
+            let split = right.schema.len();
+            [&row[split..], &row[..split]].concat()
+        })
+        .collect::<Vec<_>>();
+    out.sort_by(|x, y| x[0].total_cmp(&y[0]));
+    out
+}
+
+/// A merge join's charges: `n·⌈log₂ n⌉` CPU ops to sort each side whose
+/// keys are not already in order, one per input row and one per output
+/// row.
+fn merge_join_charges(left: &[Option<i64>], right: &[Option<i64>], out: usize) -> CostTracker {
+    let sort = |keys: &[Option<i64>]| {
+        let n = keys.len() as u64;
+        if keys.is_sorted() {
+            0
+        } else {
+            n * (n.max(2) as f64).log2().ceil() as u64
+        }
+    };
+    CostTracker {
+        cpu_ops: sort(left) + sort(right) + (left.len() + right.len() + out) as u64,
+        ..CostTracker::new()
+    }
+}
+
+/// Keys with NULLs where the tag is 0.
+fn nullable_keys(tagged: Vec<(u8, i64)>) -> Vec<Option<i64>> {
+    tagged
+        .into_iter()
+        .map(|(tag, k)| (tag != 0).then_some(k))
+        .collect()
+}
+
+fn sorted<T: Ord>(mut keys: Vec<T>) -> Vec<T> {
+    keys.sort();
+    keys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The merge join reproduces the key-sorted nested-loops oracle —
+    /// rows, row order, charges — at every thread count, over sorted
+    /// NULL-free inputs (read in place, crossed by galloping), sorted
+    /// inputs with NULLs, unsorted inputs (sorted here, paying
+    /// `n·⌈log₂ n⌉` each), a few keys against hundreds in either order,
+    /// and two equal-size inputs whose keys interleave, some equal.
+    #[test]
+    fn merge_join_matches_oracle(
+        sides in prop_oneof![
+            (
+                prop::collection::vec(-20i64..20, 0..80),
+                prop::collection::vec(-20i64..20, 0..80),
+            ).prop_map(|(l, r)| (sorted(l).into_iter().map(Some).collect(), sorted(r).into_iter().map(Some).collect())),
+            (
+                prop::collection::vec((0u8..5, -8i64..8), 0..60),
+                prop::collection::vec((0u8..5, -8i64..8), 0..60),
+            ).prop_map(|(l, r)| (sorted(nullable_keys(l)), sorted(nullable_keys(r)))),
+            (
+                prop::collection::vec((0u8..5, -8i64..8), 0..60),
+                prop::collection::vec((1u8..5, -8i64..8), 0..60),
+            ).prop_map(|(l, r)| (nullable_keys(l), nullable_keys(r))),
+            (
+                prop::collection::vec(0i64..2000, 0..6),
+                100usize..400,
+                any::<bool>(),
+            ).prop_map(|(few, many, swap)| {
+                let few: Vec<Option<i64>> = sorted(few).into_iter().map(Some).collect();
+                let many: Vec<Option<i64>> = (0..many as i64).map(|i| Some(5 * i)).collect();
+                if swap { (many, few) } else { (few, many) }
+            }),
+            prop::collection::vec(any::<bool>(), 20..120).prop_map(|equal| {
+                let left = (0..equal.len() as i64).map(|i| Some(2 * i)).collect();
+                let right = equal.iter().zip(0i64..).map(|(&eq, i)| Some(2 * i + i64::from(!eq))).collect();
+                (left, right)
+            }),
+        ],
+    ) {
+        let (lkeys, rkeys): KeySides = sides;
+        let (l, r) = (keyed_batch(&lkeys), keyed_batch(&rkeys));
+        let expect = oracle_merge_join(&l, &r);
+        let want = merge_join_charges(&lkeys, &rkeys, expect.len());
+        for opts in thread_opts() {
+            let mut t = CostTracker::new();
+            let out = merge_join(&mut t, l.clone(), r.clone(), "a", "a", None, &opts).unwrap();
+            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
+            prop_assert_eq!(t, want, "{:?}", opts);
+        }
+    }
+}
+
 /// High-cardinality grouping: more groups than a morsel has rows, each
 /// group spread over many morsels, irrational sums, a NULL key group, and
 /// the key the output sort orders by value (a NULL-free `Int` with

@@ -9,8 +9,15 @@
 //! and serves them lock-cheaply (one `RwLock` read acquisition and an
 //! `Arc` clone) to any number of concurrent callers.
 //!
-//! Three events remove entries:
+//! Four events remove entries:
 //!
+//! * **Capacity** — the cache holds at most 4 096 plans.  Inserting
+//!   a new fingerprint into a full cache evicts one entry by CLOCK: a hand
+//!   sweeps the entries in a ring, clearing the bit that
+//!   [`get`](PlanCache::get) sets on each entry it passes, and evicts the
+//!   first entry whose bit is already clear.  A plan that is hit survives
+//!   a sweep of plans that are not, and a stream of never-repeating
+//!   queries keeps the cache's size fixed instead of growing it.
 //! * **Feedback drift** — an `EXPLAIN ANALYZE` run observes the true
 //!   selectivity of a predicate set.  [`PlanCache::observe`] compares the
 //!   observation against the selectivity each cached plan was *priced*
@@ -30,7 +37,7 @@
 //! cache's behaviour is observable rather than inferred.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rqo_core::{ConfidenceThreshold, FeedbackStore, PlanSelection};
@@ -45,6 +52,10 @@ use crate::query::Query;
 /// moves cost estimates without usually moving the argmin; a 2× error is
 /// where the paper's cost curves start crossing.
 pub const DRIFT_BOUND: f64 = 2.0;
+
+/// The most plans the cache holds.  An ad hoc stream whose every query
+/// misses would otherwise leave one entry per query.
+const CAPACITY: usize = 4096;
 
 /// Selectivity floor used in q-error comparisons, so an estimate of
 /// exactly zero still yields a finite (and enormous) q-error against any
@@ -137,6 +148,8 @@ pub struct CacheStats {
     /// Entries dropped by statistics-epoch invalidation (plus explicit
     /// `clear`).
     pub epoch_invalidations: u64,
+    /// Entries evicted to keep the cache within its capacity.
+    pub evictions: u64,
     /// Plans currently cached.
     pub entries: usize,
 }
@@ -157,11 +170,12 @@ impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "hits={} misses={} drift_evictions={} epoch_invalidations={} entries={} (hit rate {:.1}%)",
+            "hits={} misses={} drift_evictions={} epoch_invalidations={} evictions={} entries={} (hit rate {:.1}%)",
             self.hits,
             self.misses,
             self.drift_evictions,
             self.epoch_invalidations,
+            self.evictions,
             self.entries,
             self.hit_rate() * 100.0
         )
@@ -179,6 +193,10 @@ struct CacheEntry {
     /// lists, sorted), so a per-table statistics refresh can evict
     /// exactly the plans whose pricing depended on the refreshed table.
     tables: Vec<String>,
+    /// This entry's place in [`Inner::ring`].
+    slot: usize,
+    /// Set by every hit, cleared by the CLOCK hand as it passes.
+    referenced: AtomicBool,
 }
 
 #[derive(Default)]
@@ -187,6 +205,67 @@ struct Inner {
     /// Reverse index: feedback key → fingerprints priced with it, so an
     /// observation checks only the plans it can actually invalidate.
     by_key: HashMap<String, HashSet<PlanFingerprint>>,
+    /// Every cached fingerprint once, in the order the CLOCK hand visits
+    /// them; `plans[ring[i]].slot == i`.
+    ring: Vec<PlanFingerprint>,
+    /// The ring slot the CLOCK hand looks at next.
+    hand: usize,
+}
+
+impl Inner {
+    /// Removes `fingerprint`'s entry and its reverse-index edges, leaving
+    /// its ring slot to the caller.
+    fn unlink(&mut self, fingerprint: &PlanFingerprint) -> Option<CacheEntry> {
+        let entry = self.plans.remove(fingerprint)?;
+        for key in entry.priced_at.keys() {
+            if let Some(set) = self.by_key.get_mut(key) {
+                set.remove(fingerprint);
+                if set.is_empty() {
+                    self.by_key.remove(key);
+                }
+            }
+        }
+        Some(entry)
+    }
+
+    /// Removes `fingerprint`'s entry, its reverse-index edges and its ring
+    /// slot, into which the last slot's fingerprint moves.
+    fn remove(&mut self, fingerprint: &PlanFingerprint) -> Option<CacheEntry> {
+        let entry = self.unlink(fingerprint)?;
+        self.ring.swap_remove(entry.slot);
+        if let Some(moved) = self.ring.get(entry.slot) {
+            self.plans
+                .get_mut(moved)
+                .expect("every ring slot names a cached plan")
+                .slot = entry.slot;
+        }
+        if self.hand >= self.ring.len() {
+            self.hand = 0;
+        }
+        Some(entry)
+    }
+
+    /// Seats a fingerprint that is not cached in the ring: in a new slot
+    /// below [`CAPACITY`], and otherwise, by CLOCK, in the slot of the
+    /// first entry the hand finds unreferenced — clearing the bit of each
+    /// referenced entry it passes — which it evicts.  Returns the slot and
+    /// the evicted entry.
+    fn seat(&mut self, fingerprint: PlanFingerprint) -> (usize, Option<CacheEntry>) {
+        if self.ring.len() < CAPACITY {
+            self.ring.push(fingerprint);
+            return (self.ring.len() - 1, None);
+        }
+        while self.plans[&self.ring[self.hand]]
+            .referenced
+            .swap(false, Ordering::Relaxed)
+        {
+            self.hand = (self.hand + 1) % self.ring.len();
+        }
+        let slot = self.hand;
+        let victim = std::mem::replace(&mut self.ring[slot], fingerprint);
+        self.hand = (slot + 1) % self.ring.len();
+        (slot, self.unlink(&victim))
+    }
 }
 
 /// The shared, thread-safe plan cache.  See the module docs for the
@@ -198,6 +277,7 @@ pub struct PlanCache {
     misses: AtomicU64,
     drift_evictions: AtomicU64,
     epoch_invalidations: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl PlanCache {
@@ -211,14 +291,14 @@ impl PlanCache {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a fingerprint, counting the hit or miss.  The returned
-    /// plan is shared — callers clone nodes out of it as needed.
+    /// Looks up a fingerprint, counting the hit or miss and marking a
+    /// hit entry referenced for the CLOCK hand.  The returned plan is
+    /// shared — callers clone nodes out of it as needed.
     pub fn get(&self, fingerprint: &PlanFingerprint) -> Option<Arc<PlannedQuery>> {
-        let found = self
-            .read()
-            .plans
-            .get(fingerprint)
-            .map(|e| Arc::clone(&e.planned));
+        let found = self.read().plans.get(fingerprint).map(|e| {
+            e.referenced.store(true, Ordering::Relaxed);
+            Arc::clone(&e.planned)
+        });
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -228,7 +308,8 @@ impl PlanCache {
 
     /// Inserts (or replaces) a plan, recording the selectivity each
     /// annotated estimation request was priced at so later observations
-    /// can be checked for drift.  Returns the shared handle.
+    /// can be checked for drift.  A new fingerprint in a full cache first
+    /// evicts one entry (see the module docs).  Returns the shared handle.
     ///
     /// Two threads that race on the same cold fingerprint both plan and
     /// both insert; planning is deterministic, so the second insert
@@ -267,8 +348,10 @@ impl PlanCache {
         let mut inner = self.write();
         // Replacing an entry must drop its old reverse-index edges first,
         // or keys priced only by the displaced plan would dangle.
-        if let Some(old) = inner.plans.remove(&fingerprint) {
-            unindex(&mut inner, &fingerprint, &old);
+        let replaced = inner.remove(&fingerprint);
+        let (slot, evicted) = inner.seat(fingerprint.clone());
+        if evicted.is_some() {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         for key in priced_at.keys() {
             inner
@@ -283,8 +366,13 @@ impl PlanCache {
                 planned: Arc::clone(&planned),
                 priced_at,
                 tables: entry_tables,
+                slot,
+                referenced: AtomicBool::new(false),
             },
         );
+        // Readers wait on the lock, not on freeing the displaced plans.
+        drop(inner);
+        drop((replaced, evicted));
         planned
     }
 
@@ -309,8 +397,7 @@ impl PlanCache {
             .cloned()
             .collect();
         for fp in &drifted {
-            if let Some(entry) = inner.plans.remove(fp) {
-                unindex(&mut inner, fp, &entry);
+            if inner.remove(fp).is_some() {
                 self.drift_evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -329,9 +416,7 @@ impl PlanCache {
             .cloned()
             .collect();
         for fp in &stale {
-            if let Some(entry) = inner.plans.remove(fp) {
-                unindex(&mut inner, fp, &entry);
-            }
+            inner.remove(fp);
         }
         self.epoch_invalidations
             .fetch_add(stale.len() as u64, Ordering::Relaxed);
@@ -356,9 +441,7 @@ impl PlanCache {
             .map(|(fp, _)| fp.clone())
             .collect();
         for fp in &stale {
-            if let Some(entry) = inner.plans.remove(fp) {
-                unindex(&mut inner, fp, &entry);
-            }
+            inner.remove(fp);
         }
         self.epoch_invalidations
             .fetch_add(stale.len() as u64, Ordering::Relaxed);
@@ -369,8 +452,7 @@ impl PlanCache {
     pub fn clear(&self) {
         let mut inner = self.write();
         let n = inner.plans.len() as u64;
-        inner.plans.clear();
-        inner.by_key.clear();
+        *inner = Inner::default();
         self.epoch_invalidations.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -397,20 +479,8 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             drift_evictions: self.drift_evictions.load(Ordering::Relaxed),
             epoch_invalidations: self.epoch_invalidations.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
-        }
-    }
-}
-
-/// Removes one entry's reverse-index edges (after the entry itself has
-/// been pulled out of `plans`).
-fn unindex(inner: &mut Inner, fingerprint: &PlanFingerprint, entry: &CacheEntry) {
-    for key in entry.priced_at.keys() {
-        if let Some(set) = inner.by_key.get_mut(key) {
-            set.remove(fingerprint);
-            if set.is_empty() {
-                inner.by_key.remove(key);
-            }
         }
     }
 }
@@ -634,5 +704,102 @@ mod tests {
         // Drift is judged against the *replacement* pricing.
         assert!(cache.observe(&key_of(&q), 0.3).is_empty());
         assert_eq!(cache.observe(&key_of(&q), 0.9), vec![fp]);
+    }
+
+    /// Every ring slot names its entry, every entry's priced keys have
+    /// its edge, and every edge names a cached entry priced with its key.
+    fn assert_consistent(cache: &PlanCache) {
+        let inner = cache.read();
+        assert_eq!(inner.ring.len(), inner.plans.len());
+        for (slot, fp) in inner.ring.iter().enumerate() {
+            assert_eq!(inner.plans[fp].slot, slot);
+        }
+        for (fp, entry) in &inner.plans {
+            for key in entry.priced_at.keys() {
+                assert!(inner.by_key[key].contains(fp), "missing edge {key}");
+            }
+        }
+        for (key, holders) in &inner.by_key {
+            assert!(!holders.is_empty(), "empty edge set {key}");
+            for fp in holders {
+                let entry = inner.plans.get(fp).expect("an edge outlived its entry");
+                assert!(entry.priced_at.contains_key(key));
+            }
+        }
+    }
+
+    /// Inserts the `i`-th of a stream of distinct fingerprints; ten
+    /// feedback keys are shared among them.
+    fn insert_nth(cache: &PlanCache, i: usize) -> PlanFingerprint {
+        let q = query("t", (i % 10) as i64);
+        let fp = PlanFingerprint::of(&q, threshold(), i as u64);
+        cache.insert(fp.clone(), planned(&q, 10.0, 100.0));
+        fp
+    }
+
+    #[test]
+    fn capacity_bounds_the_cache() {
+        let cache = PlanCache::default();
+        let extra = 100;
+        for i in 0..CAPACITY + extra {
+            insert_nth(&cache, i);
+            assert!(cache.len() <= CAPACITY);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, CAPACITY);
+        assert_eq!(stats.evictions, extra as u64);
+        assert!(stats.to_string().contains(&format!("evictions={extra}")));
+        assert_consistent(&cache);
+        // Replacing a cached fingerprint evicts nothing.
+        let last = insert_nth(&cache, CAPACITY + extra - 1);
+        assert!(cache.contains(&last));
+        assert_eq!(cache.stats().evictions, extra as u64);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn a_hit_entry_survives_a_cold_sweep() {
+        let cache = PlanCache::default();
+        let hot = query("hot", 1);
+        let hot_fp = PlanFingerprint::of(&hot, threshold(), 0);
+        cache.insert(hot_fp.clone(), planned(&hot, 10.0, 100.0));
+        let first = insert_nth(&cache, 1);
+        // Three sweeps of cold plans, each seen once; the hot plan is hit
+        // several times between two passes of the hand.
+        for i in 2..3 * CAPACITY {
+            if i % 1024 == 0 {
+                assert!(cache.get(&hot_fp).is_some(), "hot plan evicted at {i}");
+            }
+            insert_nth(&cache, i);
+        }
+        assert!(cache.contains(&hot_fp));
+        assert!(!cache.contains(&first), "the oldest cold plan went first");
+        assert_eq!(cache.len(), CAPACITY);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn no_reverse_index_edge_outlives_its_entry() {
+        let cache = PlanCache::default();
+        for i in 0..CAPACITY + 500 {
+            insert_nth(&cache, i);
+        }
+        assert_consistent(&cache);
+        // Drift evicts every plan priced with key 3; the other keys stay.
+        let drifted = cache.observe(&key_of(&query("t", 3)), 0.9);
+        assert!(!drifted.is_empty());
+        assert_consistent(&cache);
+        assert!(!cache.read().by_key.contains_key(&key_of(&query("t", 3))));
+        // Epoch and table invalidation, then refills past the capacity.
+        assert!(cache.invalidate_epochs_before(2000) > 0);
+        assert_consistent(&cache);
+        for i in 10_000..10_000 + CAPACITY {
+            insert_nth(&cache, i);
+        }
+        assert_consistent(&cache);
+        assert_eq!(cache.invalidate_table("t"), CAPACITY);
+        assert!(cache.is_empty());
+        assert!(cache.read().by_key.is_empty());
+        assert_consistent(&cache);
     }
 }

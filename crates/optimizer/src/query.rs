@@ -110,11 +110,6 @@ impl Query {
             .map(|(_, e)| e)
     }
 
-    /// Table names as `&str`s (estimator request shape).
-    pub fn table_refs(&self) -> Vec<&str> {
-        self.tables.iter().map(String::as_str).collect()
-    }
-
     /// Checks that the optimizer can plan this query over `catalog` and
     /// the executor can evaluate it — the check for queries that arrive
     /// from outside the program, where the enumerator's `assert!`s and the
@@ -250,7 +245,6 @@ mod tests {
         assert_eq!(q.group_by, vec!["l_partkey"]);
         assert_eq!(q.hint.unwrap().percent(), 95.0);
         assert_eq!(q.selection, Some(PlanSelection::ExpectedPenalty));
-        assert_eq!(q.table_refs(), vec!["lineitem", "orders"]);
     }
 
     fn tpch() -> Catalog {

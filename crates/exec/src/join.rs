@@ -111,17 +111,12 @@ fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + S
 /// Marks the end of a chain of build rows.
 const END: u32 = u32::MAX;
 
-/// The most chain heads a direct-addressed build allocates is the larger
-/// of this and [`DIRECT_SLOTS_PER_ROW`] per build row.  2¹⁸ `u32` heads
-/// are 1 MiB, which stays in one core's L2.  Measured on a 2-vCPU x86-64
-/// host (2 MiB of L2 per core), a 48-row build probed by 300 k rows took
-/// 1.4 ms over 2¹⁸ direct heads against 2.2 ms through the key table, and
-/// 2.7 ms over 2²⁰ heads against 1.9 ms.
-const DIRECT_MIN_SLOTS: u64 = 1 << 18;
-
-/// See [`DIRECT_MIN_SLOTS`]: a build whose keys fill at least a quarter
-/// of their span addresses them directly whatever the span.
-const DIRECT_SLOTS_PER_ROW: u64 = 4;
+/// The most chain heads a direct-addressed build allocates.  2¹⁸ `u32`
+/// heads are 1 MiB, which stays in one core's L2.  Measured on a 2-vCPU
+/// x86-64 host (2 MiB of L2 per core), a 48-row build probed by 300 k rows
+/// took 1.4 ms over 2¹⁸ direct heads against 2.2 ms through the key table,
+/// and 2.7 ms over 2²⁰ heads against 1.9 ms.
+const DIRECT_SLOTS: u64 = 1 << 18;
 
 /// Where each key's chain of build rows starts.
 enum Heads {
@@ -141,10 +136,9 @@ impl Heads {
     /// `abs_diff`, so no key domain overflows it — and through the key
     /// table of `keys` otherwise.
     fn build(keys: &KeyColumns<'_>, values: &[i64], nullable: bool, next: &mut [u32]) -> Self {
-        let bound = DIRECT_MIN_SLOTS.max(DIRECT_SLOTS_PER_ROW * values.len() as u64);
         let span = (!nullable).then(|| values.iter().min().zip(values.iter().max()));
         match span.flatten().map(|(&min, &max)| (min, max.abs_diff(min))) {
-            Some((min, span)) if span < bound => {
+            Some((min, span)) if span < DIRECT_SLOTS => {
                 let mut head = vec![END; span as usize + 1];
                 for (i, &k) in values.iter().enumerate().rev() {
                     next[i] = std::mem::replace(&mut head[k.abs_diff(min) as usize], i as u32);
@@ -181,17 +175,17 @@ impl Heads {
 /// The build, one pass on the calling thread, chains the rows of each key
 /// through a `next` array, so each key's rows come out in ascending build
 /// order, and records where each chain starts.  When neither key column
-/// has NULLs and the build keys span few values — at most
-/// max(2¹⁸, 4 × build rows) — the chain heads are an array over
-/// `[min, max]` of the build keys, and a probe row costs one subtract, one
+/// has NULLs and the build keys span at most 2¹⁸ values, the chain heads
+/// are an array over `[min, max]` of the build keys: a probe morsel reads
+/// the probe key column in place, and a probe row costs one subtract, one
 /// bounds check and one load.  Otherwise every build row gets its key's
 /// dense id in the crate's one key table (`keys.rs`, shared with
-/// [`crate::agg::hash_aggregate`]) and the heads are indexed by id.
-/// Probe morsels read the probe key column in place (a nullable key is
-/// encoded with its NULL flag first), walk the chains, and emit a build id
-/// and a probe id per output row, kept in morsel order.  Only the output
-/// columns named in `needed` are built (`None`: all), and when every probe
-/// row meets exactly one build row — an FK probe whose every key is in the
+/// [`crate::agg::hash_aggregate`]), the heads are indexed by id, and a
+/// probe morsel encodes its keys and looks them up in the read-only
+/// table.  Probe morsels walk the chains and emit a build id and a probe
+/// id per output row, kept in morsel order.  Only the output columns
+/// named in `needed` are built (`None`: all), and when every probe row
+/// meets exactly one build row — an FK probe whose every key is in the
 /// build — the probe columns are the input's, uncopied.  All three charges
 /// are totals over input/output sizes, so rows, row order, and costs are
 /// the same for every thread count, morsel size, key domain and `needed`.
@@ -233,22 +227,14 @@ pub fn hash_join(
                 b = next[b as usize];
             }
         };
-        let keys = &pvals[morsel.clone()];
         match &heads {
             Heads::Direct { min, head } => {
+                let keys = &pvals[morsel.clone()];
                 for (i, &k) in morsel.zip(keys) {
                     // Below `min` the difference wraps past every slot.
                     let slot = k.wrapping_sub(*min) as u64;
                     if slot < head.len() as u64 {
                         emit(head[slot as usize], i);
-                    }
-                }
-            }
-            Heads::Table { table, head } if !nullable => {
-                for (i, &k) in morsel.zip(keys) {
-                    // The one word `KeyColumns::encode` makes of an `Int`.
-                    if let Some(id) = table.get(&[k as u64]) {
-                        emit(head[id as usize], i);
                     }
                 }
             }
@@ -608,14 +594,6 @@ mod tests {
         assert_eq!(direct_slots(&[i64::MIN, i64::MAX], false), None);
         assert_eq!(direct_slots(&[], false), None);
         assert_eq!(direct_slots(&[1, 2], true), None, "NULLs take the table");
-        // Past 2¹⁶ build rows the bound is four slots per row.
-        let rows = 70_000;
-        let span = |last: i64| -> Vec<i64> { (0..rows as i64 - 1).chain([last]).collect() };
-        assert_eq!(
-            direct_slots(&span(4 * rows as i64 - 1), false),
-            Some(4 * rows)
-        );
-        assert_eq!(direct_slots(&span(4 * rows as i64), false), None);
     }
 
     #[test]

@@ -826,11 +826,11 @@ fn keys_around(build: &[i64]) -> Vec<Option<i64>> {
 /// The hash join over build key domains of every shape that decides how
 /// it finds a key's build rows: sparse, dense, negative and one-row
 /// domains, spans just inside and just outside the direct-addressing
-/// bound of 2¹⁸ keys (builds this small), spans at both `i64` extremes
-/// and across the whole of `i64`, duplicated build keys, and NULL keys on
-/// either side.  Rows, row order and every charge match the nested-loops
-/// oracle at 1/2/8 threads, and the probe columns pass through uncopied
-/// exactly when every probe row meets one build row.
+/// bound of 2¹⁸ keys, spans at both `i64` extremes and across the whole
+/// of `i64`, duplicated build keys, and NULL keys on either side.  Rows,
+/// row order and every charge match the nested-loops oracle at 1/2/8
+/// threads, and the probe columns pass through uncopied exactly when
+/// every probe row meets one build row.
 #[test]
 fn join_kernel_matches_oracle_over_key_domains() {
     const BOUND: i64 = 1 << 18;

@@ -237,7 +237,7 @@ mod tests {
             .group(&["l_partkey"])
             .with_hint(ConfidenceThreshold::new(0.95))
             .with_selection(PlanSelection::ExpectedPenalty);
-        assert_eq!(q.tables.len(), 2);
+        assert_eq!(q.tables, ["lineitem", "orders"]);
         assert_eq!(q.predicates.len(), 2); // lineitem preds merged
         let li = q.predicate_for("lineitem").unwrap();
         assert_eq!(li.conjuncts().len(), 2);

@@ -261,11 +261,6 @@ impl FeedbackStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all recorded observations without advancing the epoch.
-    pub fn clear(&self) {
-        self.guard().observations.clear();
-    }
 }
 
 #[cfg(test)]
@@ -327,9 +322,6 @@ mod tests {
         assert_eq!(store.record(&["t"], &[("t", &p)], 1.5), Some(0.25));
         assert_eq!(store.lookup(&["t"], &[("t", &p)]), Some(1.0));
         assert_eq!(store.len(), 1);
-
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod posterior;
 pub mod prior;
 pub mod service;
 
-pub use adaptive::{AdaptivePolicy, DEFAULT_GUARD_BOUND};
 pub use confidence::{cost_at_threshold, ConfidenceThreshold, RobustnessLevel};
 pub use config::{EstimationStrategy, EstimatorConfig};
 pub use estimator::{

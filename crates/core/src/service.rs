@@ -39,9 +39,8 @@ struct TokenInner {
     /// so a deadline-exceeded query stays deadline-exceeded even after an
     /// explicit cancel.
     fired: OnceLock<StopReason>,
-    /// Set at most once (construction or service admission applying a
-    /// default); checked on every poll.
-    deadline: OnceLock<Instant>,
+    /// Set at construction; checked on every poll.
+    deadline: Option<Instant>,
     /// Deterministic test hook: when set, every [`QueryToken::poll`]
     /// decrements the counter and the token cancels itself when it
     /// reaches zero — "cancel at the k-th morsel/node boundary" without
@@ -70,9 +69,12 @@ impl QueryToken {
     /// A token that fires with [`StopReason::DeadlineExceeded`] once
     /// `deadline` (measured from now) has elapsed.
     pub fn with_deadline(deadline: Duration) -> Self {
-        let token = Self::new();
-        let _ = token.inner.deadline.set(Instant::now() + deadline);
-        token
+        Self {
+            inner: Arc::new(TokenInner {
+                deadline: Some(Instant::now() + deadline),
+                ..TokenInner::default()
+            }),
+        }
     }
 
     /// Deterministic test hook: a token that cancels itself on the
@@ -82,10 +84,8 @@ impl QueryToken {
     pub fn cancel_after_polls(polls: u64) -> Self {
         Self {
             inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                fired: OnceLock::new(),
-                deadline: OnceLock::new(),
                 polls_before_cancel: Some(AtomicI64::new(polls.min(i64::MAX as u64) as i64)),
+                ..TokenInner::default()
             }),
         }
     }
@@ -102,16 +102,9 @@ impl QueryToken {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Applies a deadline if none was set at construction (used by the
-    /// service to apply a configured default).  Returns whether the
-    /// deadline was applied.
-    pub fn set_default_deadline(&self, deadline: Duration) -> bool {
-        self.inner.deadline.set(Instant::now() + deadline).is_ok()
-    }
-
     /// The absolute deadline, if any.
     pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline.get().copied()
+        self.inner.deadline
     }
 
     /// True when [`cancel`](Self::cancel) has been called (does not check
@@ -131,8 +124,8 @@ impl QueryToken {
         if self.inner.cancelled.load(Ordering::SeqCst) {
             return self.stop_reason();
         }
-        if let Some(deadline) = self.inner.deadline.get() {
-            if Instant::now() >= *deadline {
+        if let Some(deadline) = self.inner.deadline {
+            if Instant::now() >= deadline {
                 // Sticky: a passed deadline never un-passes.
                 self.fire(StopReason::DeadlineExceeded);
                 return self.stop_reason();
@@ -148,8 +141,9 @@ impl QueryToken {
     }
 }
 
-/// Configuration of the multi-session query service: worker pool sizing,
-/// admission control, and the default deadline.
+/// Configuration of the multi-session query service: worker pool sizing
+/// and admission control.  Deadlines are per query, on its
+/// [`QueryToken`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Dedicated pool worker threads.  `0` is valid: submitting threads
@@ -164,9 +158,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// How long a queued query waits for a slot before being rejected.
     pub queue_timeout: Duration,
-    /// Deadline applied to queries whose handle does not carry one
-    /// (`None` = no default deadline).
-    pub default_deadline: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -176,7 +167,6 @@ impl Default for ServiceConfig {
             max_concurrent: 4,
             queue_capacity: 16,
             queue_timeout: Duration::from_secs(5),
-            default_deadline: None,
         }
     }
 }
@@ -203,12 +193,6 @@ impl ServiceConfig {
     /// Overrides the queue timeout.
     pub fn with_queue_timeout(mut self, queue_timeout: Duration) -> Self {
         self.queue_timeout = queue_timeout;
-        self
-    }
-
-    /// Sets the default per-query deadline.
-    pub fn with_default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
         self
     }
 }
@@ -247,18 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn default_deadline_applies_only_once() {
-        let t = QueryToken::new();
-        assert!(t.set_default_deadline(Duration::from_secs(3600)));
-        assert!(!t.set_default_deadline(Duration::ZERO));
-        assert_eq!(t.poll(), None, "the losing zero deadline must not fire");
-
-        let explicit = QueryToken::with_deadline(Duration::ZERO);
-        assert!(!explicit.set_default_deadline(Duration::from_secs(3600)));
-        assert_eq!(explicit.poll(), Some(StopReason::DeadlineExceeded));
-    }
-
-    #[test]
     fn cancel_after_polls_counts_exactly() {
         let t = QueryToken::cancel_after_polls(3);
         assert_eq!(t.poll(), None);
@@ -277,12 +249,10 @@ mod tests {
             .with_workers(7)
             .with_max_concurrent(3)
             .with_queue_capacity(9)
-            .with_queue_timeout(Duration::from_millis(250))
-            .with_default_deadline(Duration::from_secs(1));
+            .with_queue_timeout(Duration::from_millis(250));
         assert_eq!(cfg.workers, 7);
         assert_eq!(cfg.max_concurrent, 3);
         assert_eq!(cfg.queue_capacity, 9);
         assert_eq!(cfg.queue_timeout, Duration::from_millis(250));
-        assert_eq!(cfg.default_deadline, Some(Duration::from_secs(1)));
     }
 }

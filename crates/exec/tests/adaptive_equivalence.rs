@@ -150,8 +150,9 @@ proptest! {
         }
     }
 
-    /// The disabled policy is exactly the static path, for every workload
-    /// and misestimate.
+    /// The non-adaptive policy is exactly the static path, for every
+    /// workload and misestimate: `RunPolicy::Run` arms no guard, so even
+    /// a planted misestimate re-plans nothing.
     #[test]
     fn disabled_policy_is_exactly_static(
         seed in 0u64..500,
@@ -165,14 +166,18 @@ proptest! {
         inject_misestimate(&static_db, family, offset, window, 0.9);
         let static_run = static_db.run_opts(&query, &opts).unwrap();
 
-        let handle = fresh_db(seed).with_adaptive_policy(AdaptivePolicy::disabled());
+        let handle = fresh_db(seed);
         inject_misestimate(&handle, family, offset, window, 0.9);
-        let adaptive = handle.execute(&query, &opts, RunPolicy::Adaptive).unwrap();
-        prop_assert_eq!(adaptive.replans(), 0);
-        prop_assert_eq!(&adaptive.outcome.rows, &static_run.rows);
-        prop_assert_eq!(adaptive.outcome.simulated_seconds, static_run.simulated_seconds);
+        let disabled = handle.execute(&query, &opts, RunPolicy::Run).unwrap();
+        prop_assert_eq!(disabled.replans(), 0);
+        prop_assert!(disabled.events.is_empty());
+        prop_assert_eq!(&disabled.outcome.rows, &static_run.rows);
         prop_assert_eq!(
-            adaptive.outcome.planned.plan.shape_label(),
+            disabled.outcome.simulated_seconds.to_bits(),
+            static_run.simulated_seconds.to_bits()
+        );
+        prop_assert_eq!(
+            disabled.outcome.planned.plan.shape_label(),
             static_run.planned.plan.shape_label()
         );
     }

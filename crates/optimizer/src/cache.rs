@@ -21,9 +21,10 @@
 //! * **Feedback drift** — an `EXPLAIN ANALYZE` run observes the true
 //!   selectivity of a predicate set.  [`PlanCache::observe`] compares the
 //!   observation against the selectivity each cached plan was *priced*
-//!   at (recorded per estimation-request key at insert time); when the
-//!   q-error `max(est, obs) / min(est, obs)` exceeds [`DRIFT_BOUND`],
-//!   every fingerprint priced with that key is evicted, and the next
+//!   at (recorded per estimation-request key at insert time, and found
+//!   by a scan of the bounded cache); when the q-error
+//!   `max(est, obs) / min(est, obs)` exceeds [`DRIFT_BOUND`], every
+//!   fingerprint priced with that key is evicted, and the next
 //!   optimization re-plans with the feedback in effect.  Entries whose
 //!   estimates were close enough stay — re-planning them would reach the
 //!   same plan.
@@ -36,7 +37,7 @@
 //! Every event is counted and exposed as a [`CacheStats`] snapshot so the
 //! cache's behaviour is observable rather than inferred.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -186,9 +187,10 @@ impl std::fmt::Display for CacheStats {
 /// the reference point drift is measured against.
 struct CacheEntry {
     planned: Arc<PlannedQuery>,
-    /// Feedback canonical key → estimated selectivity (`est_rows /
-    /// root_rows`) for every annotated node with predicates.
-    priced_at: HashMap<String, f64>,
+    /// Feedback canonical key and estimated selectivity (`est_rows /
+    /// root_rows`) for every annotated node with predicates, one pair
+    /// per key.
+    priced_at: Vec<(String, f64)>,
     /// Every base table the plan reads (union of its annotations' table
     /// lists, sorted), so a per-table statistics refresh can evict
     /// exactly the plans whose pricing depended on the refreshed table.
@@ -202,9 +204,6 @@ struct CacheEntry {
 #[derive(Default)]
 struct Inner {
     plans: HashMap<PlanFingerprint, CacheEntry>,
-    /// Reverse index: feedback key → fingerprints priced with it, so an
-    /// observation checks only the plans it can actually invalidate.
-    by_key: HashMap<String, HashSet<PlanFingerprint>>,
     /// Every cached fingerprint once, in the order the CLOCK hand visits
     /// them; `plans[ring[i]].slot == i`.
     ring: Vec<PlanFingerprint>,
@@ -213,25 +212,10 @@ struct Inner {
 }
 
 impl Inner {
-    /// Removes `fingerprint`'s entry and its reverse-index edges, leaving
-    /// its ring slot to the caller.
-    fn unlink(&mut self, fingerprint: &PlanFingerprint) -> Option<CacheEntry> {
-        let entry = self.plans.remove(fingerprint)?;
-        for key in entry.priced_at.keys() {
-            if let Some(set) = self.by_key.get_mut(key) {
-                set.remove(fingerprint);
-                if set.is_empty() {
-                    self.by_key.remove(key);
-                }
-            }
-        }
-        Some(entry)
-    }
-
-    /// Removes `fingerprint`'s entry, its reverse-index edges and its ring
-    /// slot, into which the last slot's fingerprint moves.
+    /// Removes `fingerprint`'s entry and its ring slot, into which the
+    /// last slot's fingerprint moves.
     fn remove(&mut self, fingerprint: &PlanFingerprint) -> Option<CacheEntry> {
-        let entry = self.unlink(fingerprint)?;
+        let entry = self.plans.remove(fingerprint)?;
         self.ring.swap_remove(entry.slot);
         if let Some(moved) = self.ring.get(entry.slot) {
             self.plans
@@ -264,7 +248,7 @@ impl Inner {
         let slot = self.hand;
         let victim = std::mem::replace(&mut self.ring[slot], fingerprint);
         self.hand = (slot + 1) % self.ring.len();
-        (slot, self.unlink(&victim))
+        (slot, self.plans.remove(&victim))
     }
 }
 
@@ -327,7 +311,7 @@ impl PlanCache {
         fingerprint: PlanFingerprint,
         planned: Arc<PlannedQuery>,
     ) -> Arc<PlannedQuery> {
-        let mut priced_at = HashMap::new();
+        let mut priced_at: Vec<(String, f64)> = Vec::new();
         let mut entry_tables: Vec<String> = Vec::new();
         for ann in planned.node_annotations.iter().flatten() {
             for t in &ann.tables {
@@ -338,27 +322,22 @@ impl PlanCache {
             if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
                 continue;
             }
-            priced_at.insert(
-                ann.key.clone(),
-                (ann.est_rows / ann.root_rows).clamp(0.0, 1.0),
-            );
+            let selectivity = (ann.est_rows / ann.root_rows).clamp(0.0, 1.0);
+            // A key priced twice keeps its last selectivity.
+            match priced_at.iter_mut().find(|(key, _)| *key == ann.key) {
+                Some(pair) => pair.1 = selectivity,
+                None => priced_at.push((ann.key.clone(), selectivity)),
+            }
         }
         entry_tables.sort_unstable();
 
         let mut inner = self.write();
-        // Replacing an entry must drop its old reverse-index edges first,
-        // or keys priced only by the displaced plan would dangle.
+        // A replaced entry gives up its ring slot, so the fingerprint is
+        // seated once.
         let replaced = inner.remove(&fingerprint);
         let (slot, evicted) = inner.seat(fingerprint.clone());
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        for key in priced_at.keys() {
-            inner
-                .by_key
-                .entry(key.clone())
-                .or_default()
-                .insert(fingerprint.clone());
         }
         inner.plans.insert(
             fingerprint,
@@ -379,29 +358,28 @@ impl PlanCache {
     /// Reacts to an observed selectivity for one estimation-request key
     /// (canonical [`rqo_core::FeedbackStore`] form): evicts every cached
     /// plan whose priced-at selectivity for that key q-errs beyond
-    /// [`DRIFT_BOUND`], and returns the evicted fingerprints.
+    /// [`DRIFT_BOUND`], and returns the evicted fingerprints in ring
+    /// order.  The cache is bounded, so a scan of every entry stands in
+    /// for an index by key.
     pub fn observe(&self, key: &str, observed: f64) -> Vec<PlanFingerprint> {
         let mut inner = self.write();
-        let Some(holders) = inner.by_key.get(key) else {
-            return Vec::new();
-        };
-        let drifted: Vec<PlanFingerprint> = holders
+        let mut drifted: Vec<(usize, PlanFingerprint)> = inner
+            .plans
             .iter()
-            .filter(|fp| {
-                inner
-                    .plans
-                    .get(fp)
-                    .and_then(|e| e.priced_at.get(key))
-                    .is_some_and(|est| q_error(*est, observed) > DRIFT_BOUND)
+            .filter(|(_, e)| {
+                e.priced_at
+                    .iter()
+                    .any(|(k, est)| k == key && q_error(*est, observed) > DRIFT_BOUND)
             })
-            .cloned()
+            .map(|(fp, e)| (e.slot, fp.clone()))
             .collect();
-        for fp in &drifted {
-            if inner.remove(fp).is_some() {
-                self.drift_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        drifted.sort_unstable_by_key(|(slot, _)| *slot);
+        for (_, fp) in &drifted {
+            inner.remove(fp);
         }
-        drifted
+        self.drift_evictions
+            .fetch_add(drifted.len() as u64, Ordering::Relaxed);
+        drifted.into_iter().map(|(_, fp)| fp).collect()
     }
 
     /// Eagerly drops every entry fingerprinted against an epoch older
@@ -688,8 +666,9 @@ mod tests {
         assert_eq!(cache.stats().epoch_invalidations, 1);
         // Unknown table: no-op.
         assert_eq!(cache.invalidate_table("nope"), 0);
-        // The dropped plan's reverse-index edges went with it.
+        // The dropped plan is not drift-evicted a second time.
         assert!(cache.observe(&key_of(&qt), 0.9).is_empty());
+        assert_eq!(cache.stats().drift_evictions, 0);
     }
 
     #[test]
@@ -706,25 +685,12 @@ mod tests {
         assert_eq!(cache.observe(&key_of(&q), 0.9), vec![fp]);
     }
 
-    /// Every ring slot names its entry, every entry's priced keys have
-    /// its edge, and every edge names a cached entry priced with its key.
+    /// Every ring slot names its entry, and every entry has one slot.
     fn assert_consistent(cache: &PlanCache) {
         let inner = cache.read();
         assert_eq!(inner.ring.len(), inner.plans.len());
         for (slot, fp) in inner.ring.iter().enumerate() {
             assert_eq!(inner.plans[fp].slot, slot);
-        }
-        for (fp, entry) in &inner.plans {
-            for key in entry.priced_at.keys() {
-                assert!(inner.by_key[key].contains(fp), "missing edge {key}");
-            }
-        }
-        for (key, holders) in &inner.by_key {
-            assert!(!holders.is_empty(), "empty edge set {key}");
-            for fp in holders {
-                let entry = inner.plans.get(fp).expect("an edge outlived its entry");
-                assert!(entry.priced_at.contains_key(key));
-            }
         }
     }
 
@@ -779,17 +745,47 @@ mod tests {
     }
 
     #[test]
-    fn no_reverse_index_edge_outlives_its_entry() {
+    fn no_entry_is_drift_evicted_through_a_key_it_no_longer_holds() {
+        let cache = PlanCache::default();
+        // Replaced: the entry now priced with `u < 2` no longer answers
+        // to `u < 1`.
+        let (old, new) = (query("u", 1), query("u", 2));
+        let fp = PlanFingerprint::of(&old, threshold(), 0);
+        cache.insert(fp.clone(), planned(&old, 10.0, 100.0));
+        cache.insert(fp.clone(), planned(&new, 10.0, 100.0));
+        assert!(cache.observe(&key_of(&old), 0.9).is_empty());
+        assert!(cache.contains(&fp));
+        // Evicted: a stream of cold plans sweeps the replaced entry out.
+        for i in 0..CAPACITY {
+            insert_nth(&cache, i);
+        }
+        assert!(!cache.contains(&fp));
+        assert!(cache.observe(&key_of(&new), 0.9).is_empty());
+        assert_eq!(cache.stats().drift_evictions, 0);
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn observe_evicts_in_ring_order() {
         let cache = PlanCache::default();
         for i in 0..CAPACITY + 500 {
             insert_nth(&cache, i);
         }
+        // Drift evicts every plan priced with key 3, in the order the
+        // CLOCK hand would visit them; the other keys stay.
+        let key = key_of(&query("t", 3));
+        let expected: Vec<PlanFingerprint> = {
+            let inner = cache.read();
+            let holds = |fp: &&PlanFingerprint| inner.plans[*fp].priced_at[0].0 == key;
+            inner.ring.iter().filter(holds).cloned().collect()
+        };
+        // Nothing was hit, so the hand evicted the first 500 inserts.
+        let survivors = (500..CAPACITY + 500).filter(|i| i % 10 == 3).count();
+        assert_eq!(expected.len(), survivors);
+        assert_eq!(cache.observe(&key, 0.9), expected);
+        assert_eq!(cache.len(), CAPACITY - expected.len());
+        assert!(cache.observe(&key, 0.9).is_empty());
         assert_consistent(&cache);
-        // Drift evicts every plan priced with key 3; the other keys stay.
-        let drifted = cache.observe(&key_of(&query("t", 3)), 0.9);
-        assert!(!drifted.is_empty());
-        assert_consistent(&cache);
-        assert!(!cache.read().by_key.contains_key(&key_of(&query("t", 3))));
         // Epoch and table invalidation, then refills past the capacity.
         assert!(cache.invalidate_epochs_before(2000) > 0);
         assert_consistent(&cache);
@@ -799,7 +795,6 @@ mod tests {
         assert_consistent(&cache);
         assert_eq!(cache.invalidate_table("t"), CAPACITY);
         assert!(cache.is_empty());
-        assert!(cache.read().by_key.is_empty());
         assert_consistent(&cache);
     }
 }

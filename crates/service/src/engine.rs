@@ -33,12 +33,17 @@
 //!   read; they are replayed onto the shared store — and through the
 //!   plan cache's drift rule — only when the query completes.  A query
 //!   cancelled between re-plans leaves the shared feedback store and
-//!   cache byte-identical to never having started.
+//!   cache byte-identical to never having started;
+//! * a run whose data version was replaced while it ran (an insert or a
+//!   statistics refresh published meanwhile) publishes nothing: that
+//!   publication retired the epoch its plan is fingerprinted under and
+//!   the observations it measured.
 
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
+use rqo_core::adaptive::{self, GUARD_BOUND, MAX_REPLANS};
 use rqo_core::{
-    AdaptivePolicy, ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken,
+    ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken,
     RobustEstimator, RobustnessLevel, ServiceConfig, StopReason,
 };
 use rqo_exec::{
@@ -70,19 +75,19 @@ struct Snapshot {
 /// | policy | plan from | guards | published on completion |
 /// |---|---|---|---|
 /// | `Run` | cache probe, fresh on a miss | never | the fresh plan, on a miss |
-/// | `Adaptive` | cache probe, fresh on a miss | while [`AdaptivePolicy`] allows | + the trips' observations |
+/// | `Adaptive` | cache probe, fresh on a miss | until [`MAX_REPLANS`] trips | + the trips' observations |
 /// | `Analyze` | always fresh | never | the fresh plan + every annotated node's observation |
 /// | `AnalyzeQuiet` | always fresh, no fingerprint taken | never | nothing |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunPolicy {
     /// A plain run through the plan cache.
     Run,
-    /// A run with **mid-query adaptive re-optimization**: while the
-    /// engine's [`AdaptivePolicy`] has re-plan budget left, every
-    /// annotated pipeline breaker carries a cardinality guard; a trip
-    /// re-plans the remainder at an escalated threshold and resumes from
-    /// the materialized fragment.  With [`AdaptivePolicy::disabled`] this
-    /// is exactly `Run`.
+    /// A run with **mid-query adaptive re-optimization**: until the
+    /// query has re-planned [`MAX_REPLANS`] times, every annotated
+    /// pipeline breaker carries a cardinality guard at [`GUARD_BOUND`]; a
+    /// trip re-plans the remainder up the [`rqo_core::adaptive`] ladder
+    /// and resumes from the materialized fragment.  A run that trips no
+    /// guard is exactly `Run`.
     Adaptive,
     /// `EXPLAIN ANALYZE`: the estimates must reflect the statistics and
     /// feedback of *this* moment, so the plan is never read from the
@@ -249,7 +254,6 @@ pub struct Engine {
     seed: u64,
     feedback: Arc<FeedbackStore>,
     plan_cache: Arc<PlanCache>,
-    adaptive_policy: AdaptivePolicy,
 }
 
 /// What [`Engine::insert_rows`] did, for observability and wire replies.
@@ -291,22 +295,7 @@ impl Engine {
             seed,
             feedback: Arc::new(FeedbackStore::new()),
             plan_cache: Arc::new(PlanCache::default()),
-            adaptive_policy: AdaptivePolicy::default(),
         }
-    }
-
-    /// Sets the adaptive re-optimization policy used under
-    /// [`RunPolicy::Adaptive`]: guard bound, threshold escalation
-    /// schedule, and re-plan budget.  [`AdaptivePolicy::disabled`] makes
-    /// an adaptive run identical to [`run`](Self::run).
-    pub fn with_adaptive_policy(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive_policy = policy;
-        self
-    }
-
-    /// The active adaptive re-optimization policy.
-    pub fn adaptive_policy(&self) -> &AdaptivePolicy {
-        &self.adaptive_policy
     }
 
     /// Sets the system-wide robustness preset (§6.2.5): conservative,
@@ -591,10 +580,13 @@ impl Engine {
     /// statistics refresh retires exactly the fingerprints that read the
     /// refreshed table and leaves every other query's warm entry valid.
     pub fn fingerprint(&self, query: &Query) -> PlanFingerprint {
-        let epoch = self
-            .feedback
-            .epoch_for_tables(query.tables.iter().map(String::as_str));
-        PlanFingerprint::of_with(query, self.threshold, epoch, self.selection)
+        PlanFingerprint::of_with(query, self.threshold, self.epoch_for(query), self.selection)
+    }
+
+    /// The statistics epoch a fingerprint of `query` embeds right now.
+    fn epoch_for(&self, query: &Query) -> u64 {
+        self.feedback
+            .epoch_for_tables(query.tables.iter().map(String::as_str))
     }
 
     /// Optimizes a query through the shared plan cache: a hit returns
@@ -681,8 +673,7 @@ impl Engine {
             Some(planned) => Arc::clone(planned),
             None => Arc::new(self.plan(&snapshot, query)),
         };
-        let adaptive = &self.adaptive_policy;
-        let guarded = policy == RunPolicy::Adaptive && adaptive.is_enabled();
+        let guarded = policy == RunPolicy::Adaptive;
         let mut planned = Arc::clone(&initial);
         let mut threshold = query.hint.unwrap_or(self.threshold);
         let mut selection = query.selection.unwrap_or(self.selection);
@@ -698,7 +689,7 @@ impl Engine {
         loop {
             // Guards stay armed while the re-plan budget lasts; the final
             // permitted execution runs unguarded to completion.
-            let guards: Vec<RowGuard> = if guarded && events.len() < adaptive.max_replans {
+            let guards: Vec<RowGuard> = if guarded && events.len() < MAX_REPLANS {
                 guard_points(&planned.plan)
                     .into_iter()
                     .filter_map(|idx| {
@@ -706,7 +697,7 @@ impl Engine {
                         (!ann.tables.is_empty()).then_some(RowGuard {
                             node: idx,
                             est_rows: ann.est_rows,
-                            bound: adaptive.guard_bound,
+                            bound: GUARD_BOUND,
                         })
                     })
                     .collect()
@@ -728,8 +719,15 @@ impl Engine {
                     // Publish: the initial plan first (it is what the
                     // fingerprint priced), then the observations — whose
                     // drift checks may immediately evict it, exactly as
-                    // if they had been recorded live.
-                    if let Some(fingerprint) = fingerprint {
+                    // if they had been recorded live.  Only into the data
+                    // version the run read: a version published meanwhile
+                    // already retired this plan's epoch and these
+                    // observations.  The read lock keeps a `publish` from
+                    // slipping between the check and the writes.
+                    let version = self.snapshot.read().unwrap_or_else(PoisonError::into_inner);
+                    if let Some(fingerprint) =
+                        fingerprint.filter(|f| f.epoch() == self.epoch_for(query))
+                    {
                         if cached.is_none() {
                             self.plan_cache
                                 .insert_shared(fingerprint, Arc::clone(&initial));
@@ -745,6 +743,7 @@ impl Engine {
                             self.plan_cache.observe(&ann.key, observed);
                         }
                     }
+                    drop(version);
                     let outcome = QueryOutcome {
                         columns: batch.schema.names().iter().map(|s| s.to_string()).collect(),
                         rows: batch.to_rows(),
@@ -774,8 +773,8 @@ impl Engine {
                     let observations = observed.len();
                     let before = threshold;
                     let selection_before = selection;
-                    threshold = adaptive.escalate(threshold, events.len());
-                    selection = adaptive.escalate_selection(selection, events.len());
+                    threshold = adaptive::escalate(threshold, events.len());
+                    selection = adaptive::escalate_selection(selection, events.len());
                     let ann = planned.node_annotations[trip.node]
                         .as_ref()
                         .expect("guards are only armed on annotated nodes");

@@ -305,9 +305,6 @@ impl QueryService {
         run: impl FnOnce(&rqo_exec::ExecOptions) -> Result<T, StopReason>,
     ) -> Result<T, ServiceError> {
         let token = token.clone();
-        if let Some(deadline) = self.inner.config.default_deadline {
-            token.set_default_deadline(deadline);
-        }
         let slot = self.inner.admit(&token)?;
         let scheduler: Arc<dyn MorselScheduler> = Arc::clone(&self.inner.pool) as _;
         let opts = self
@@ -419,14 +416,6 @@ mod tests {
         assert_eq!(err, ServiceError::Stopped(StopReason::DeadlineExceeded));
         assert_eq!(service.stats().deadline_exceeded, 1);
         assert!(service.stats().slots_balanced());
-    }
-
-    #[test]
-    fn default_deadline_is_applied_to_plain_handles() {
-        let config = ServiceConfig::default().with_default_deadline(Duration::ZERO);
-        let service = tiny_engine().into_service(config);
-        let err = service.session().run(&count_query()).unwrap_err();
-        assert_eq!(err, ServiceError::Stopped(StopReason::DeadlineExceeded));
     }
 
     #[test]

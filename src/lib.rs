@@ -121,10 +121,10 @@ pub mod prelude {
         Request, Response, RunMode, RunPolicy, ServiceError, ServiceStats,
     };
     pub use rqo_core::{
-        AdaptivePolicy, CardinalityEstimator, ConfidenceThreshold, EstimateSource,
-        EstimationRequest, EstimatorConfig, FeedbackStore, HistogramEstimator, MagicPolicy,
-        PlanSelection, Prior, QueryToken, RobustEstimator, RobustnessLevel, SelectivityPosterior,
-        ServiceConfig, StopReason,
+        CardinalityEstimator, ConfidenceThreshold, EstimateSource, EstimationRequest,
+        EstimatorConfig, FeedbackStore, HistogramEstimator, MagicPolicy, PlanSelection, Prior,
+        QueryToken, RobustEstimator, RobustnessLevel, SelectivityPosterior, ServiceConfig,
+        StopReason,
     };
     pub use rqo_datagen::workload::{
         exp1_lineitem_predicate, exp2_part_predicate, exp3_dim_predicate, true_selectivity,

@@ -61,7 +61,7 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
         .unwrap();
 
     // ≥1 guard fired, and each trip's q-error exceeded the bound.
-    let bound = adaptive_db.adaptive_policy().guard_bound;
+    let bound = robust_qo::estimator::adaptive::GUARD_BOUND;
     assert!(adaptive.replans() >= 1, "guard must fire");
     for event in &adaptive.events {
         assert!(
@@ -107,28 +107,42 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
     );
 }
 
+/// The non-adaptive policy, `RunPolicy::Run`, arms no guard: under the
+/// same planted misestimate that makes `Adaptive` re-plan, it observes
+/// zero re-plans and pays exactly the static plan's cost.
 #[test]
 fn disabled_policy_observes_zero_replans_and_static_cost() {
     let static_db = db();
     inject(&static_db);
     let static_run = static_db.run(&query());
 
-    let disabled_db = db().with_adaptive_policy(AdaptivePolicy::disabled());
+    let disabled_db = db();
     inject(&disabled_db);
     let disabled = disabled_db
-        .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+        .execute(&query(), &ExecOptions::default(), RunPolicy::Run)
         .unwrap();
 
     assert_eq!(disabled.replans(), 0);
+    assert!(disabled.events.is_empty());
     assert_eq!(disabled.outcome.rows, static_run.rows);
     assert_eq!(
-        disabled.outcome.simulated_seconds, static_run.simulated_seconds,
-        "disabled guards must reproduce the static plan's exact cost"
+        disabled.outcome.simulated_seconds.to_bits(),
+        static_run.simulated_seconds.to_bits(),
+        "the non-adaptive policy must reproduce the static plan's exact cost"
     );
     assert_eq!(
         disabled.outcome.planned.plan.shape_label(),
         static_run.planned.plan.shape_label()
     );
+
+    // The zero is the policy's doing: the same injection trips a guard
+    // under `Adaptive`.
+    let adaptive_db = db();
+    inject(&adaptive_db);
+    let adaptive = adaptive_db
+        .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
+        .unwrap();
+    assert!(adaptive.replans() >= 1);
 }
 
 #[test]
@@ -266,29 +280,44 @@ fn second_guard_trip_escalates_to_penalty_selection() {
     );
 }
 
+/// What makes `Adaptive` safe to turn on: a run that trips no guard is
+/// exactly `Run` — the same plan, rows, cost bits and metrics tree.
 #[test]
 fn accurate_estimates_never_trip() {
-    // No injection, and a wide predicate the sample estimates well: the
-    // adaptive run must not pay any re-plans and must match `run`
-    // exactly.  (A *narrow* predicate can legitimately trip even without
-    // injection — sampling zero of a handful of qualifying rows is
-    // exactly the misestimate the guards exist to catch.)
-    let wide = Query::over(&["lineitem", "part"])
-        .filter("part", Expr::col("p_x").lt(Expr::lit(300i64)))
-        .aggregate(AggExpr::count_star("n"))
-        .aggregate(AggExpr::sum("l_extendedprice", "rev"));
-    let static_db = db();
-    let static_run = static_db.run(&wide);
-    let adaptive_db = db();
-    let adaptive = adaptive_db
-        .execute(&wide, &ExecOptions::default(), RunPolicy::Adaptive)
-        .unwrap();
-    assert_eq!(adaptive.replans(), 0);
-    assert_eq!(adaptive.outcome.rows, static_run.rows);
-    assert_eq!(
-        adaptive.outcome.simulated_seconds,
-        static_run.simulated_seconds
-    );
+    // No injection, and predicates the sample estimates well — a scan, a
+    // two-way and a three-way join: the adaptive run must not pay any
+    // re-plans and must match `run` exactly.  (A *narrow* predicate can
+    // legitimately trip even without injection — sampling zero of a
+    // handful of qualifying rows is exactly the misestimate the guards
+    // exist to catch.)
+    let wide = Expr::col("p_x").lt(Expr::lit(300i64));
+    let queries = [
+        Query::over(&["lineitem"])
+            .filter("lineitem", exp1_lineitem_predicate(110))
+            .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
+        Query::over(&["lineitem", "part"])
+            .filter("part", wide.clone())
+            .aggregate(AggExpr::count_star("n"))
+            .aggregate(AggExpr::sum("l_extendedprice", "rev")),
+        Query::over(&["lineitem", "orders", "part"])
+            .filter("part", wide)
+            .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
+    ];
+    for query in &queries {
+        let opts = ExecOptions::default();
+        let run = db().execute(query, &opts, RunPolicy::Run).unwrap();
+        let adaptive = db().execute(query, &opts, RunPolicy::Adaptive).unwrap();
+        let shape = run.outcome.planned.plan.shape_label();
+        assert_eq!(adaptive.replans(), 0, "{shape} tripped");
+        assert_eq!(adaptive.outcome.planned.plan, run.outcome.planned.plan);
+        assert_eq!(adaptive.outcome.rows, run.outcome.rows, "{shape}");
+        assert_eq!(
+            adaptive.outcome.simulated_seconds.to_bits(),
+            run.outcome.simulated_seconds.to_bits(),
+            "{shape}"
+        );
+        assert_eq!(adaptive.metrics, run.metrics, "{shape}");
+    }
 }
 
 /// Three planted misestimates, each run static and adaptive on fresh,

@@ -292,3 +292,73 @@ fn string_literals_that_render_alike_get_their_own_plans() {
     assert_ne!(fresh, vec![vec![Value::Int(0)]], "both brands exist");
     assert_eq!(served, fresh, "served another query's cached plan");
 }
+
+/// A scheduler that, on its first job, appends one `lineitem` row to the
+/// engine running the query — a data version replaced mid-run — and
+/// then runs every morsel inline.
+struct InsertOnFirstJob {
+    engine: Arc<Engine>,
+    row: Vec<Value>,
+    fired: std::sync::atomic::AtomicBool,
+}
+
+impl robust_qo::exec::MorselScheduler for InsertOnFirstJob {
+    fn run_job(
+        &self,
+        _token: Option<&QueryToken>,
+        n_morsels: usize,
+        run_one: &(dyn Fn(usize) + Send + Sync),
+    ) -> bool {
+        if !self.fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            self.engine
+                .insert_rows("lineitem", std::slice::from_ref(&self.row))
+                .expect("append one lineitem row");
+        }
+        (0..n_morsels).for_each(run_one);
+        true
+    }
+
+    fn workers(&self) -> usize {
+        0
+    }
+}
+
+/// Regression: a run whose data version was replaced while it ran
+/// published into the new version anyway — its plan was cached under
+/// the superseded epoch (a slot nothing can hit) and its observations,
+/// measured on the pre-insert rows, entered the feedback store the
+/// insert had just cleared.  It must publish nothing, and still return
+/// the rows of the version it read.
+#[test]
+fn a_run_over_a_replaced_data_version_publishes_nothing() {
+    let query = exp1_query(110);
+    let expected = tpch_db().run(&query).rows;
+
+    let engine = Arc::new(tpch_db());
+    let row = engine.catalog().table("lineitem").unwrap().row(0);
+    let scheduler = Arc::new(InsertOnFirstJob {
+        engine: Arc::clone(&engine),
+        row,
+        fired: Default::default(),
+    });
+    let opts = ExecOptions::default().with_scheduler(scheduler.clone());
+    let analyzed = engine.execute(&query, &opts, RunPolicy::Analyze).unwrap();
+    assert!(scheduler.fired.load(std::sync::atomic::Ordering::SeqCst));
+    assert_eq!(
+        analyzed.outcome.rows, expected,
+        "the run reads its own version"
+    );
+
+    assert_eq!(engine.plan_cache().len(), 0, "a stale plan holds a slot");
+    assert!(
+        engine.feedback().snapshot().is_empty(),
+        "pre-insert observations published: {:?}",
+        engine.feedback().snapshot()
+    );
+
+    // The same run over the current version publishes as usual.
+    engine
+        .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
+    assert!(!engine.feedback().snapshot().is_empty());
+}

@@ -8,7 +8,6 @@
 //! [`EstimatorConfig::with_threshold`] for the hinted query.
 
 use crate::confidence::{ConfidenceThreshold, RobustnessLevel};
-use crate::magic::MagicPolicy;
 use crate::prior::Prior;
 
 /// How the posterior is collapsed to a single selectivity — the knob for
@@ -45,8 +44,6 @@ pub struct EstimatorConfig {
     pub strategy: EstimationStrategy,
     /// Prior over selectivity (default: Jeffreys).
     pub prior: Prior,
-    /// Fallback when no statistics cover a predicate.
-    pub magic: MagicPolicy,
 }
 
 impl Default for EstimatorConfig {
@@ -54,7 +51,6 @@ impl Default for EstimatorConfig {
         Self {
             strategy: EstimationStrategy::Percentile(RobustnessLevel::Moderate.threshold()),
             prior: Prior::Jeffreys,
-            magic: MagicPolicy::default(),
         }
     }
 }

@@ -74,7 +74,7 @@ pub enum EstimateSource {
     IndependentSamples,
     /// Per-column histograms under the AVI assumption.
     Histogram,
-    /// No statistics at all: magic number/distribution (§3.5 fallback 2).
+    /// No statistics at all: the magic distribution (§3.5 fallback 2).
     Magic,
     /// Brute-force exact evaluation.
     Exact,
@@ -186,7 +186,7 @@ impl RobustEstimator {
                 }
                 _ => {
                     any_magic = true;
-                    selectivity *= self.config.magic.selectivity(self.config.threshold());
+                    selectivity *= crate::magic::selectivity(self.config.threshold());
                 }
             }
         }
@@ -240,10 +240,9 @@ impl CardinalityEstimator for RobustEstimator {
             }
             Some(_) => {
                 // Covered but empty sample (empty root table): no evidence.
-                let posterior = self.config.magic.posterior();
                 SelectivityEstimate {
-                    selectivity: self.config.magic.selectivity(self.config.threshold()),
-                    posterior: Some(posterior),
+                    selectivity: crate::magic::selectivity(self.config.threshold()),
+                    posterior: Some(crate::magic::posterior()),
                     source: EstimateSource::Magic,
                 }
             }
@@ -256,39 +255,24 @@ impl CardinalityEstimator for RobustEstimator {
 // Histogram + AVI baseline
 // ---------------------------------------------------------------------
 
-/// Selinger-style constants for predicate shapes a one-dimensional
-/// histogram cannot evaluate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MagicConstants {
-    /// `col = expr` with a non-literal right side.
-    pub equality: f64,
-    /// Range-shaped predicates on columns without histograms.
-    pub range: f64,
-    /// Everything else (LIKE, arithmetic, OR, ...).
-    pub other: f64,
-}
-
-impl Default for MagicConstants {
-    fn default() -> Self {
-        // The classical System R values.
-        Self {
-            equality: 0.1,
-            range: 1.0 / 3.0,
-            other: 1.0 / 3.0,
-        }
-    }
-}
-
 /// The histogram-based baseline estimator: per-conjunct selectivities from
 /// single-column equi-depth histograms, multiplied under the AVI
 /// assumption.
 #[derive(Debug, Clone)]
 pub struct HistogramEstimator {
     histograms: HashMap<(String, String), Arc<EquiDepthHistogram>>,
-    constants: MagicConstants,
 }
 
 impl HistogramEstimator {
+    // Selinger-style constants (the classical System R values) for
+    // predicate shapes a one-dimensional histogram cannot evaluate.
+    /// `col = expr` with a non-literal right side.
+    const EQUALITY_MAGIC: f64 = 0.1;
+    /// Range-shaped predicates on columns without histograms.
+    const RANGE_MAGIC: f64 = 1.0 / 3.0;
+    /// Everything else (LIKE, arithmetic, OR, ...).
+    const OTHER_MAGIC: f64 = 1.0 / 3.0;
+
     /// Builds histograms (with `buckets` buckets) over every numeric
     /// column of every table in the catalog — the baseline's
     /// `UPDATE STATISTICS`.
@@ -305,10 +289,7 @@ impl HistogramEstimator {
                 }
             }
         }
-        Self {
-            histograms,
-            constants: MagicConstants::default(),
-        }
+        Self { histograms }
     }
 
     /// Builds with the paper's default 250-bucket resolution.
@@ -341,16 +322,16 @@ impl HistogramEstimator {
                 }
                 return h.range_selectivity(lo.as_ref(), hi.as_ref());
             }
-            return self.constants.range;
+            return Self::RANGE_MAGIC;
         }
         // Equality against a non-literal, LIKE, IN, OR, arithmetic...
         match conjunct {
             Expr::Binary {
                 op: rqo_expr::BinaryOp::Eq,
                 ..
-            } => self.constants.equality,
-            Expr::InList { list, .. } => (self.constants.equality * list.len() as f64).min(1.0),
-            _ => self.constants.other,
+            } => Self::EQUALITY_MAGIC,
+            Expr::InList { list, .. } => (Self::EQUALITY_MAGIC * list.len() as f64).min(1.0),
+            _ => Self::OTHER_MAGIC,
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use rqo_expr::Expr;
 use rqo_stats::distinct::gee_estimate;
-use rqo_stats::{JoinSynopsis, TableSketches};
+use rqo_stats::JoinSynopsis;
 use rqo_storage::Value;
 
 /// Estimates the number of distinct values of `group_table.group_columns`
@@ -62,52 +62,6 @@ pub fn estimate_group_count(
     let qualifying_fraction = keys.len() as f64 / synopsis.sample_size() as f64;
     let qualifying_population = (qualifying_fraction * root_rows as f64).max(1.0) as u64;
     gee_estimate(&keys, qualifying_population)
-}
-
-/// Distinct-count estimate for unpredicated grouping keys from merged
-/// streaming sketches, or `None` when the sketch cannot answer (a
-/// column is untracked).
-///
-/// Single columns read the table-level merge of the per-partition HLL
-/// sketches directly.  Composite keys use the product upper bound
-/// (the sketch hashes columns independently), clamped to `root_rows`;
-/// this over-counts correlated keys, which is conservative for the
-/// pipeline-breaker sizing the optimizer uses the number for.
-pub fn sketch_group_count(
-    sketches: &TableSketches,
-    group_columns: &[&str],
-    root_rows: usize,
-) -> Option<f64> {
-    let mut product = 1.0f64;
-    for col in group_columns {
-        let ordinal = sketches.column_index(col)?;
-        product *= sketches.column_distinct(ordinal).max(1.0);
-    }
-    Some(product.min(root_rows as f64).max(1.0))
-}
-
-/// [`estimate_group_count`] with streaming statistics layered in: an
-/// unpredicated GROUP BY over a table with live sketches is answered
-/// from the merged per-partition sketches (they track every ingested
-/// row, not a point-in-time sample); everything else — predicates,
-/// untracked tables — falls back to the sample-based GEE path, which
-/// remains the oracle the sketch estimates are tested against.
-pub fn estimate_group_count_streaming(
-    synopsis: &JoinSynopsis,
-    sketches: Option<&TableSketches>,
-    predicates: &[(&str, &Expr)],
-    group_table: &str,
-    group_columns: &[&str],
-    root_rows: usize,
-) -> f64 {
-    if predicates.is_empty() {
-        if let Some(ts) = sketches.filter(|ts| ts.table() == group_table) {
-            if let Some(est) = sketch_group_count(ts, group_columns, root_rows) {
-                return est;
-            }
-        }
-    }
-    estimate_group_count(synopsis, predicates, group_table, group_columns, root_rows)
 }
 
 #[cfg(test)]
@@ -196,69 +150,6 @@ mod tests {
         let rows = cat.table("part").unwrap().num_rows();
         let est = estimate_group_count(&syn, &[("part", &none)], "part", &["p_brand"], rows);
         assert_eq!(est, 0.0);
-    }
-
-    #[test]
-    fn streaming_sketch_agrees_with_oracle_and_tracks_ingest() {
-        let cat = TpchData::generate(&TpchConfig {
-            scale_factor: 0.02,
-            seed: 31,
-        })
-        .into_catalog();
-        let part = cat.table("part").unwrap();
-        let syn = JoinSynopsis::build(&cat, "part", 500, 1);
-        let rows = part.num_rows();
-        let mut sketches = TableSketches::seeded_from_table(part, None, 14, 500, 9);
-
-        // Oracle agreement on the frozen table: p_brand has 25 distinct
-        // values, both estimators must land near it.
-        let oracle = estimate_group_count(&syn, &[], "part", &["p_brand"], rows);
-        let streamed =
-            estimate_group_count_streaming(&syn, Some(&sketches), &[], "part", &["p_brand"], rows);
-        assert!((20.0..30.0).contains(&oracle), "oracle {oracle}");
-        assert!((23.0..27.0).contains(&streamed), "sketch {streamed}");
-
-        // Stream 50 rows carrying 25 brand-new brands: the sketch sees
-        // them immediately, the offline sample cannot.
-        let brand_col = part.schema().expect_index("p_brand");
-        for i in 0..50i64 {
-            let mut row = part.row(0);
-            row[brand_col] = rqo_storage::Value::str(format!("Brand#NEW{}", i % 25).as_str());
-            sketches.observe(0, &row);
-        }
-        let after = estimate_group_count_streaming(
-            &syn,
-            Some(&sketches),
-            &[],
-            "part",
-            &["p_brand"],
-            rows + 50,
-        );
-        assert!((45.0..55.0).contains(&after), "sketch after ingest {after}");
-        let stale = estimate_group_count(&syn, &[], "part", &["p_brand"], rows + 50);
-        assert!(
-            stale < 35.0,
-            "offline sample cannot see new brands: {stale}"
-        );
-
-        // Predicated queries fall back to the sample-based oracle.
-        let pred = Expr::col("p_x").ge(Expr::lit(0i64));
-        let with_pred = estimate_group_count_streaming(
-            &syn,
-            Some(&sketches),
-            &[("part", &pred)],
-            "part",
-            &["p_brand"],
-            rows,
-        );
-        let oracle_pred =
-            estimate_group_count(&syn, &[("part", &pred)], "part", &["p_brand"], rows);
-        assert_eq!(with_pred, oracle_pred);
-
-        // Composite keys clamp at the root cardinality.
-        let comp = sketch_group_count(&sketches, &["p_partkey", "p_brand"], rows).unwrap();
-        assert!(comp <= rows as f64);
-        assert!(sketch_group_count(&sketches, &["missing"], rows).is_none());
     }
 
     #[test]

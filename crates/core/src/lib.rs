@@ -28,8 +28,8 @@
 //!
 //! The crate also implements the paper's §3.5 extensions: fallback to
 //! independent per-table samples with the AVI assumption when no covering
-//! synopsis exists, "magic" constants/distributions when no statistics
-//! exist at all ([`MagicPolicy`]), and sample-based distinct-value
+//! synopsis exists, a "magic" distribution when no statistics exist at
+//! all ([`magic`]), and sample-based distinct-value
 //! estimation for `GROUP BY`.  The estimators it is measured against are
 //! the histogram (AVI) baseline and the exact oracle; §3.2's other
 //! alternatives — on-the-fly sampling and distributions wrapped around
@@ -56,7 +56,6 @@ pub use estimator::{
     RobustEstimator, SelectivityEstimate,
 };
 pub use feedback::FeedbackStore;
-pub use magic::MagicPolicy;
 pub use penalty::{
     expected_penalties, penalty_grid, select_min_penalty, PenaltyScore, PlanSelection,
 };

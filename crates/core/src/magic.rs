@@ -1,5 +1,4 @@
-//! "Magic number" fallbacks for predicates with no statistics (paper
-//! §3.5).
+//! The "magic" fallback for predicates with no statistics (paper §3.5).
 //!
 //! When neither a sample nor a histogram covers a predicate, classical
 //! systems fall back to hard-wired constants (Selinger et al.'s "magic
@@ -7,74 +6,29 @@
 //! refinement: a **magic distribution** — a Beta prior standing in for the
 //! unknown selectivity — so that the fallback, too, responds to the
 //! confidence threshold: a conservative optimizer assumes an unknown
-//! predicate is *less* selective.
+//! predicate is *less* selective.  The robust estimator uses one such
+//! distribution, Beta(1, 9): mean 1/10 (the classic equality magic
+//! number) and enough spread that the threshold visibly matters.
 
 use rqo_math::BetaDistribution;
 
 use crate::confidence::ConfidenceThreshold;
 use crate::posterior::SelectivityPosterior;
 
-/// Policy for predicates with no usable statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MagicPolicy {
-    /// A fixed selectivity constant, regardless of threshold (the
-    /// classical behaviour).
-    Number(f64),
-    /// A Beta-shaped "magic distribution": the reported selectivity is its
-    /// quantile at the confidence threshold.
-    Distribution {
-        /// First shape parameter.
-        alpha: f64,
-        /// Second shape parameter.
-        beta: f64,
-    },
+/// The magic distribution's shape parameters.
+const ALPHA: f64 = 1.0;
+const BETA: f64 = 9.0;
+
+/// The fallback selectivity at a confidence threshold: the magic
+/// distribution's quantile at `t`.
+pub fn selectivity(t: ConfidenceThreshold) -> f64 {
+    BetaDistribution::new(ALPHA, BETA).quantile(t.value())
 }
 
-impl Default for MagicPolicy {
-    /// A magic distribution with mean 1/10 (the classic equality magic
-    /// number) and enough spread that the threshold visibly matters.
-    fn default() -> Self {
-        MagicPolicy::Distribution {
-            alpha: 1.0,
-            beta: 9.0,
-        }
-    }
-}
-
-impl MagicPolicy {
-    /// The fallback selectivity at a confidence threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a `Number` policy holds a value outside `[0, 1]` or a
-    /// `Distribution` policy holds invalid shapes.
-    pub fn selectivity(&self, t: ConfidenceThreshold) -> f64 {
-        match self {
-            MagicPolicy::Number(s) => {
-                assert!((0.0..=1.0).contains(s), "magic number {s} outside [0,1]");
-                *s
-            }
-            MagicPolicy::Distribution { alpha, beta } => {
-                BetaDistribution::new(*alpha, *beta).quantile(t.value())
-            }
-        }
-    }
-
-    /// The fallback as a posterior, for consumers that propagate
-    /// distributions (`Number` becomes a sharply concentrated Beta around
-    /// the constant).
-    pub fn posterior(&self) -> SelectivityPosterior {
-        let dist = match self {
-            MagicPolicy::Number(s) => {
-                let s = s.clamp(1e-6, 1.0 - 1e-6);
-                // Concentration worth ~10^4 pseudo-observations.
-                let w = 10_000.0;
-                BetaDistribution::new(s * w, (1.0 - s) * w)
-            }
-            MagicPolicy::Distribution { alpha, beta } => BetaDistribution::new(*alpha, *beta),
-        };
-        SelectivityPosterior::from_distribution(dist)
-    }
+/// The fallback as a posterior, for consumers that propagate
+/// distributions.
+pub fn posterior() -> SelectivityPosterior {
+    SelectivityPosterior::from_distribution(BetaDistribution::new(ALPHA, BETA))
 }
 
 #[cfg(test)]
@@ -86,18 +40,10 @@ mod tests {
     }
 
     #[test]
-    fn number_ignores_threshold() {
-        let m = MagicPolicy::Number(0.1);
-        assert_eq!(m.selectivity(t(0.05)), 0.1);
-        assert_eq!(m.selectivity(t(0.95)), 0.1);
-    }
-
-    #[test]
     fn distribution_responds_to_threshold() {
-        let m = MagicPolicy::default();
-        let lo = m.selectivity(t(0.2));
-        let mid = m.selectivity(t(0.5));
-        let hi = m.selectivity(t(0.95));
+        let lo = selectivity(t(0.2));
+        let mid = selectivity(t(0.5));
+        let hi = selectivity(t(0.95));
         assert!(lo < mid && mid < hi, "{lo} {mid} {hi}");
         // Beta(1, 9) quantile at q is 1 - (1-q)^(1/9).
         let expect = |q: f64| 1.0 - (1.0 - q).powf(1.0 / 9.0);
@@ -107,17 +53,8 @@ mod tests {
 
     #[test]
     fn posterior_forms() {
-        let p = MagicPolicy::Number(0.25).posterior();
-        assert!((p.mean() - 0.25).abs() < 1e-6);
-        assert!(p.std_dev() < 0.01, "should be concentrated");
-        let d = MagicPolicy::default().posterior();
+        let d = posterior();
         assert!((d.mean() - 0.1).abs() < 1e-9);
         assert!(d.std_dev() > 0.05, "should stay spread out");
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn rejects_bad_number() {
-        MagicPolicy::Number(1.5).selectivity(t(0.5));
     }
 }

@@ -39,14 +39,6 @@ impl Default for TpchConfig {
 }
 
 impl TpchConfig {
-    /// A config at the given scale factor with the default seed.
-    pub fn at_scale(scale_factor: f64) -> Self {
-        Self {
-            scale_factor,
-            ..Self::default()
-        }
-    }
-
     /// Number of orders at this scale.
     pub fn num_orders(&self) -> usize {
         ((1_500_000.0 * self.scale_factor) as usize).max(1)

@@ -66,11 +66,10 @@ fn main() {
     // --- 3. Magic distributions: the no-statistics fallback also obeys
     //        the threshold.
     println!("\n== magic fallback for a predicate with no statistics ==");
-    let magic = MagicPolicy::default();
     for pct in [20.0, 50.0, 80.0, 95.0] {
         println!(
             "  assumed selectivity at T={pct:>4}%: {:.4}",
-            magic.selectivity(ConfidenceThreshold::from_percent(pct))
+            robust_qo::estimator::magic::selectivity(ConfidenceThreshold::from_percent(pct))
         );
     }
 

@@ -122,9 +122,8 @@ pub mod prelude {
     };
     pub use rqo_core::{
         CardinalityEstimator, ConfidenceThreshold, EstimateSource, EstimationRequest,
-        EstimatorConfig, FeedbackStore, HistogramEstimator, MagicPolicy, PlanSelection, Prior,
-        QueryToken, RobustEstimator, RobustnessLevel, SelectivityPosterior, ServiceConfig,
-        StopReason,
+        EstimatorConfig, FeedbackStore, HistogramEstimator, PlanSelection, Prior, QueryToken,
+        RobustEstimator, RobustnessLevel, SelectivityPosterior, ServiceConfig, StopReason,
     };
     pub use rqo_datagen::workload::{
         exp1_lineitem_predicate, exp2_part_predicate, exp3_dim_predicate, true_selectivity,

@@ -19,13 +19,14 @@
 //! results are exact even when a re-plan changes the order in which the
 //! aggregate consumes its input.
 //!
-//! This test crate dev-depends on the `robust-qo` facade (a dev-only
-//! dependency cycle, which cargo permits) because adaptivity spans the
-//! whole stack: optimizer annotations arm the guards, the executor trips
-//! them, and the facade re-plans.
+//! The suite drives the whole stack because adaptivity spans it:
+//! optimizer annotations arm the guards, the executor trips them, and
+//! the engine re-plans.
 
 use proptest::prelude::*;
 use robust_qo::prelude::*;
+
+use crate::support::{self, QueryRun};
 
 /// Three SPJ families over the TPC-H-like schema, all aggregate-topped
 /// (plan-independent output order).
@@ -37,16 +38,11 @@ fn build_query(family: usize, offset: i64, window: i64) -> Query {
             .aggregate(AggExpr::max("l_extendedprice", "hi"))
     };
     match family {
-        0 => aggs(
-            Query::over(&["lineitem"]).filter("lineitem", exp1_lineitem_predicate(offset % 200)),
-        ),
+        0 => aggs(support::lineitem_window(offset % 200)),
         1 => aggs(
             Query::over(&["lineitem", "part"]).filter("part", exp2_part_predicate(window % 300)),
         ),
-        _ => aggs(
-            Query::over(&["lineitem", "orders", "part"])
-                .filter("part", exp2_part_predicate(window % 300)),
-        ),
+        _ => aggs(support::part_join(window % 300)),
     }
 }
 
@@ -69,12 +65,12 @@ fn inject_misestimate(handle: &Engine, family: usize, offset: i64, window: i64, 
     }
 }
 
-fn fresh_db(seed: u64) -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.002,
-        seed,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 300, seed ^ 0xA5)
+/// A fresh engine over the scale-0.002 catalog generated with `seed`,
+/// with the misestimate planted.
+fn planted_db(seed: u64, family: usize, offset: i64, window: i64, sel: f64) -> Engine {
+    let handle = support::engine(support::tpch(0.002, seed), 300, seed ^ 0xA5);
+    inject_misestimate(&handle, family, offset, window, sel);
+    handle
 }
 
 proptest! {
@@ -93,61 +89,25 @@ proptest! {
         let query = build_query(family, offset, window);
 
         // Static reference: fresh database, same planted misestimate.
-        let static_db = fresh_db(seed);
-        inject_misestimate(&static_db, family, offset, window, sel);
-        let static_run = static_db.run(&query);
+        let static_run = planted_db(seed, family, offset, window, sel).run(&query);
 
-        // Adaptive at each thread count, each on its own fresh database
+        // Adaptive at each worker count, each on its own fresh database
         // (an adaptive run feeds truth back into its handle's store, which
-        // must not leak between arms).
-        type Baseline = (usize, f64, Vec<(usize, u64)>);
-        let mut baseline: Option<Baseline> = None;
-        for threads in [1usize, 2, 8] {
-            let handle = fresh_db(seed);
-            inject_misestimate(&handle, family, offset, window, sel);
-            let opts = ExecOptions::with_threads(threads);
-            let adaptive = handle.execute(&query, &opts, RunPolicy::Adaptive).unwrap();
-
-            prop_assert_eq!(
-                &adaptive.outcome.rows,
-                &static_run.rows,
-                "rows diverged: threads={} family={} sel={}",
-                threads, family, sel
-            );
-            prop_assert_eq!(&adaptive.outcome.columns, &static_run.columns);
-
-            let trips: Vec<(usize, u64)> = adaptive
-                .events
-                .iter()
-                .map(|e| (e.node, e.actual_rows))
-                .collect();
-            match &baseline {
-                None => {
-                    baseline = Some((
-                        adaptive.replans(),
-                        adaptive.outcome.simulated_seconds,
-                        trips,
-                    ));
-                }
-                Some((replans, cost, base_trips)) => {
-                    prop_assert_eq!(
-                        adaptive.replans(), *replans,
-                        "re-plan count diverged at threads={}",
-                        threads
-                    );
-                    prop_assert_eq!(
-                        adaptive.outcome.simulated_seconds, *cost,
-                        "tracked cost diverged at threads={}",
-                        threads
-                    );
-                    prop_assert_eq!(
-                        &trips, base_trips,
-                        "guard-trigger points diverged at threads={}",
-                        threads
-                    );
-                }
-            }
-        }
+        // must not leak between arms): guard-trigger points, re-plan
+        // counts and cost bits identical at every count.
+        let adaptive = support::sweep_query(
+            || planted_db(seed, family, offset, window, sel),
+            &query,
+            RunPolicy::Adaptive,
+        )
+        .map_err(TestCaseError::Fail)?;
+        prop_assert_eq!(
+            &adaptive.outcome.rows,
+            &static_run.rows,
+            "rows diverged: family={} sel={}",
+            family, sel
+        );
+        prop_assert_eq!(&adaptive.outcome.columns, &static_run.columns);
     }
 
     /// The non-adaptive policy is exactly the static path, for every
@@ -162,23 +122,16 @@ proptest! {
     ) {
         let query = build_query(family, offset, window);
         let opts = ExecOptions::with_threads(2);
-        let static_db = fresh_db(seed);
-        inject_misestimate(&static_db, family, offset, window, 0.9);
-        let static_run = static_db.run_opts(&query, &opts).unwrap();
-
-        let handle = fresh_db(seed);
-        inject_misestimate(&handle, family, offset, window, 0.9);
-        let disabled = handle.execute(&query, &opts, RunPolicy::Run).unwrap();
+        let static_run = planted_db(seed, family, offset, window, 0.9)
+            .run_opts(&query, &opts)
+            .unwrap();
+        let disabled = planted_db(seed, family, offset, window, 0.9)
+            .execute(&query, &opts, RunPolicy::Run)
+            .unwrap();
         prop_assert_eq!(disabled.replans(), 0);
         prop_assert!(disabled.events.is_empty());
-        prop_assert_eq!(&disabled.outcome.rows, &static_run.rows);
-        prop_assert_eq!(
-            disabled.outcome.simulated_seconds.to_bits(),
-            static_run.simulated_seconds.to_bits()
-        );
-        prop_assert_eq!(
-            disabled.outcome.planned.plan.shape_label(),
-            static_run.planned.plan.shape_label()
-        );
+        QueryRun::of_outcome(&static_run)
+            .diff(&QueryRun::of_analyzed(&disabled))
+            .map_err(TestCaseError::Fail)?;
     }
 }

@@ -17,14 +17,12 @@
 
 use robust_qo::prelude::*;
 
+use crate::support::{self, QueryRun, SAMPLE};
+
 /// Deterministic database: TPC-H-like at scale 0.01 (≈60k lineitem,
 /// 1000 part), fixed generator and sampling seeds.
 fn db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.01,
-        seed: 1234,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, 9)
+    support::engine(support::tpch(0.01, 1234), SAMPLE, 9)
 }
 
 /// The narrow part-predicate query (window 250 ⇒ ~1 qualifying part).
@@ -35,18 +33,20 @@ fn query() -> Query {
         .aggregate(AggExpr::sum("l_extendedprice", "rev"))
 }
 
-/// Plants the wildly wrong selectivity: half the part table matches.
-fn inject(handle: &Engine) {
+/// [`db`] with the wildly wrong selectivity planted: half the part
+/// table matches.
+fn planted() -> Engine {
+    let handle = db();
     let pred = exp2_part_predicate(250);
     handle
         .feedback()
         .inject_observation(&["part"], &[("part", &pred)], 0.5);
+    handle
 }
 
 #[test]
 fn forced_misestimate_trips_guard_and_beats_static_plan() {
-    let static_db = db();
-    inject(&static_db);
+    let static_db = planted();
     let static_run = static_db.run(&query());
     assert!(
         static_run.planned.plan.shape_label().contains("hj"),
@@ -54,8 +54,7 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
         static_run.planned.plan.shape_label()
     );
 
-    let adaptive_db = db();
-    inject(&adaptive_db);
+    let adaptive_db = planted();
     let adaptive = adaptive_db
         .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
         .unwrap();
@@ -112,74 +111,42 @@ fn forced_misestimate_trips_guard_and_beats_static_plan() {
 /// zero re-plans and pays exactly the static plan's cost.
 #[test]
 fn disabled_policy_observes_zero_replans_and_static_cost() {
-    let static_db = db();
-    inject(&static_db);
+    let static_db = planted();
     let static_run = static_db.run(&query());
 
-    let disabled_db = db();
-    inject(&disabled_db);
+    let disabled_db = planted();
     let disabled = disabled_db
         .execute(&query(), &ExecOptions::default(), RunPolicy::Run)
         .unwrap();
 
     assert_eq!(disabled.replans(), 0);
     assert!(disabled.events.is_empty());
-    assert_eq!(disabled.outcome.rows, static_run.rows);
-    assert_eq!(
-        disabled.outcome.simulated_seconds.to_bits(),
-        static_run.simulated_seconds.to_bits(),
-        "the non-adaptive policy must reproduce the static plan's exact cost"
-    );
-    assert_eq!(
-        disabled.outcome.planned.plan.shape_label(),
-        static_run.planned.plan.shape_label()
+    support::assert_same(
+        QueryRun::of_outcome(&static_run).diff(&QueryRun::of_analyzed(&disabled)),
+        "the non-adaptive policy must reproduce the static run exactly",
     );
 
     // The zero is the policy's doing: the same injection trips a guard
     // under `Adaptive`.
-    let adaptive_db = db();
-    inject(&adaptive_db);
+    let adaptive_db = planted();
     let adaptive = adaptive_db
         .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
         .unwrap();
     assert!(adaptive.replans() >= 1);
 }
 
+/// Trip points (node, actual rows, new shape), re-plan count, rows and
+/// cost bits are identical at every worker count.
 #[test]
 fn trip_points_and_costs_are_thread_invariant() {
-    let reference = {
-        let handle = db();
-        inject(&handle);
-        handle
-            .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
-            .unwrap()
-    };
+    let reference = support::sweep_query(planted, &query(), RunPolicy::Adaptive)
+        .unwrap_or_else(|e| panic!("{e}"));
     assert!(reference.replans() >= 1);
-    for threads in [2usize, 8] {
-        let handle = db();
-        inject(&handle);
-        let opts = ExecOptions::with_threads(threads);
-        let outcome = handle
-            .execute(&query(), &opts, RunPolicy::Adaptive)
-            .unwrap();
-        assert_eq!(outcome.outcome.rows, reference.outcome.rows, "t={threads}");
-        assert_eq!(outcome.replans(), reference.replans(), "t={threads}");
-        assert_eq!(
-            outcome.outcome.simulated_seconds, reference.outcome.simulated_seconds,
-            "t={threads}"
-        );
-        for (a, b) in outcome.events.iter().zip(&reference.events) {
-            assert_eq!(a.node, b.node, "t={threads}");
-            assert_eq!(a.actual_rows, b.actual_rows, "t={threads}");
-            assert_eq!(a.new_shape, b.new_shape, "t={threads}");
-        }
-    }
 }
 
 #[test]
 fn replanned_fragments_bypass_the_plan_cache() {
-    let handle = db();
-    inject(&handle);
+    let handle = planted();
     let adaptive = handle
         .execute(&query(), &ExecOptions::default(), RunPolicy::Adaptive)
         .unwrap();
@@ -222,15 +189,9 @@ fn second_guard_trip_escalates_to_penalty_selection() {
     // escalates to expected-penalty selection — re-planning the
     // remainder by integrating over the posterior instead of collapsing
     // it at an even higher quantile.
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: 42,
-    });
-    let handle = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 42);
+    let handle = support::tpch_db();
     let pred = exp2_part_predicate(212);
-    let query = Query::over(&["lineitem", "orders", "part"])
-        .filter("part", pred.clone())
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
+    let query = support::exp2(212);
     handle
         .feedback()
         .inject_observation(&["part"], &[("part", &pred)], 0.5);
@@ -292,9 +253,7 @@ fn accurate_estimates_never_trip() {
     // exist to catch.)
     let wide = Expr::col("p_x").lt(Expr::lit(300i64));
     let queries = [
-        Query::over(&["lineitem"])
-            .filter("lineitem", exp1_lineitem_predicate(110))
-            .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
+        support::exp1(110),
         Query::over(&["lineitem", "part"])
             .filter("part", wide.clone())
             .aggregate(AggExpr::count_star("n"))
@@ -310,13 +269,10 @@ fn accurate_estimates_never_trip() {
         let shape = run.outcome.planned.plan.shape_label();
         assert_eq!(adaptive.replans(), 0, "{shape} tripped");
         assert_eq!(adaptive.outcome.planned.plan, run.outcome.planned.plan);
-        assert_eq!(adaptive.outcome.rows, run.outcome.rows, "{shape}");
-        assert_eq!(
-            adaptive.outcome.simulated_seconds.to_bits(),
-            run.outcome.simulated_seconds.to_bits(),
-            "{shape}"
+        support::assert_same(
+            QueryRun::of_analyzed(&run).diff(&QueryRun::of_analyzed(&adaptive)),
+            &shape,
         );
-        assert_eq!(adaptive.metrics, run.metrics, "{shape}");
     }
 }
 
@@ -340,12 +296,7 @@ fn adaptive_total_never_exceeds_static_over_three_misestimates() {
     let narrow_part = exp2_part_predicate(250);
     let wide_part = exp2_part_predicate(212);
     let scenarios = [
-        (
-            Query::over(&["lineitem"])
-                .filter("lineitem", exp1.clone())
-                .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
-            ("lineitem", exp1, 0.9),
-        ),
+        (support::exp1(110), ("lineitem", exp1, 0.9)),
         (
             Query::over(&["lineitem", "part"])
                 .filter("part", narrow_part.clone())
@@ -353,19 +304,10 @@ fn adaptive_total_never_exceeds_static_over_three_misestimates() {
                 .aggregate(AggExpr::sum("l_extendedprice", "rev")),
             ("part", narrow_part, 0.5),
         ),
-        (
-            Query::over(&["lineitem", "orders", "part"])
-                .filter("part", wide_part.clone())
-                .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
-            ("part", wide_part, 0.5),
-        ),
+        (support::exp2(212), ("part", wide_part, 0.5)),
     ];
     let planted_db = |(table, pred, selectivity): &(&str, Expr, f64)| {
-        let data = TpchData::generate(&TpchConfig {
-            scale_factor: 0.005,
-            seed: 1234,
-        });
-        let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 9);
+        let db = support::engine(support::tpch(support::SCALE, 1234), SAMPLE, 9);
         db.feedback()
             .inject_observation(&[table], &[(table, pred)], *selectivity);
         db

@@ -9,26 +9,10 @@ use robust_qo::prelude::*;
 use rqo_core::OracleEstimator;
 use rqo_math::RunningStats;
 
-fn tpch() -> Arc<Catalog> {
-    Arc::new(
-        TpchData::generate(&TpchConfig {
-            scale_factor: 0.005,
-            seed: 42,
-        })
-        .into_catalog(),
-    )
-}
+use crate::support::{self, robust_optimizer, SAMPLE, SCALE, SEED};
 
-fn robust_optimizer(cat: &Arc<Catalog>, t: f64, seed: u64) -> Optimizer {
-    let repo = Arc::new(SynopsisRepository::build_all(cat, 500, seed));
-    Optimizer::new(
-        Arc::clone(cat),
-        CostParams::default(),
-        Arc::new(RobustEstimator::new(
-            repo,
-            EstimatorConfig::with_threshold(ConfidenceThreshold::new(t)),
-        )),
-    )
+fn tpch() -> Arc<Catalog> {
+    Arc::new(support::tpch(SCALE, SEED))
 }
 
 /// Every plan the optimizer emits — whatever the estimator said — must
@@ -38,14 +22,12 @@ fn all_exp1_plans_return_true_counts() {
     let cat = tpch();
     let lineitem = cat.table("lineitem").unwrap();
     for threshold in [0.05, 0.5, 0.95] {
-        let opt = robust_optimizer(&cat, threshold, 1);
+        let opt = robust_optimizer(&cat, SAMPLE, 1, threshold);
         for offset in [0i64, 80, 100, 120, 130] {
             let pred = exp1_lineitem_predicate(offset);
             let truth =
                 (true_selectivity(lineitem, &pred) * lineitem.num_rows() as f64).round() as i64;
-            let q = Query::over(&["lineitem"])
-                .filter("lineitem", pred)
-                .aggregate(AggExpr::count_star("n"));
+            let q = support::lineitem_window(offset).aggregate(AggExpr::count_star("n"));
             let planned = opt.optimize(&q);
             let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
             assert_eq!(
@@ -64,10 +46,9 @@ fn all_exp2_plans_agree_across_estimators() {
     let oracle: Arc<dyn CardinalityEstimator> = Arc::new(OracleEstimator::new(Arc::clone(&cat)));
     let histogram: Arc<dyn CardinalityEstimator> =
         Arc::new(HistogramEstimator::build_default(&cat));
-    let robust = robust_optimizer(&cat, 0.8, 2);
+    let robust = robust_optimizer(&cat, SAMPLE, 2, 0.8);
     for window in [60i64, 200, 226, 240] {
-        let q = Query::over(&["lineitem", "orders", "part"])
-            .filter("part", exp2_part_predicate(window))
+        let q = support::part_join(window)
             .aggregate(AggExpr::count_star("n"))
             .aggregate(AggExpr::sum("l_extendedprice", "rev"));
         let mut answers = Vec::new();
@@ -99,10 +80,9 @@ fn variance_ordering_and_histogram_constancy() {
 
     for seed in 0..5u64 {
         for &t in &[0.05, 0.95] {
-            let opt = robust_optimizer(&cat, t, seed);
+            let opt = robust_optimizer(&cat, SAMPLE, seed, t);
             for &offset in &offsets {
-                let q = Query::over(&["lineitem"])
-                    .filter("lineitem", exp1_lineitem_predicate(offset))
+                let q = support::lineitem_window(offset)
                     .aggregate(AggExpr::sum("l_extendedprice", "rev"));
                 let planned = opt.optimize(&q);
                 let (_, cost) = robust_qo::exec::execute(&planned.plan, &cat, &params);
@@ -116,9 +96,7 @@ fn variance_ordering_and_histogram_constancy() {
     let hist: Arc<dyn CardinalityEstimator> = Arc::new(HistogramEstimator::build_default(&cat));
     let opt = Optimizer::new(Arc::clone(&cat), params, hist);
     for &offset in &offsets {
-        let q = Query::over(&["lineitem"])
-            .filter("lineitem", exp1_lineitem_predicate(offset))
-            .aggregate(AggExpr::sum("l_extendedprice", "rev"));
+        let q = support::lineitem_window(offset).aggregate(AggExpr::sum("l_extendedprice", "rev"));
         histogram_shapes.insert(opt.optimize(&q).shape());
     }
 
@@ -137,23 +115,13 @@ fn variance_ordering_and_histogram_constancy() {
 
 #[test]
 fn star_scenario_correctness_and_adaptivity() {
-    let cat = Arc::new(
-        StarData::generate(&StarConfig {
-            fact_rows: 400_000,
-            seed: 9,
-        })
-        .into_catalog(),
-    );
-    let opt = robust_optimizer(&cat, 0.5, 3);
+    let cat = Arc::new(support::star(400_000, 9));
+    let opt = robust_optimizer(&cat, SAMPLE, 3, 0.5);
     let oracle = OracleEstimator::new(Arc::clone(&cat));
     let mut shapes = std::collections::HashSet::new();
     for level in [0i64, 4, 9] {
         let pred = exp3_dim_predicate(level);
-        let mut q =
-            Query::over(&["fact", "dim1", "dim2", "dim3"]).aggregate(AggExpr::count_star("n"));
-        for dim in ["dim1", "dim2", "dim3"] {
-            q = q.filter(dim, exp3_dim_predicate(level));
-        }
+        let q = support::star_join(level).aggregate(AggExpr::count_star("n"));
         let planned = opt.optimize(&q);
         shapes.insert(planned.shape());
         let (batch, _) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
@@ -176,19 +144,13 @@ fn star_scenario_correctness_and_adaptivity() {
 /// hand-wired stack.
 #[test]
 fn facade_matches_manual_stack() {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: 42,
-    });
-    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, 1)
+    let db = support::engine(support::tpch(SCALE, SEED), SAMPLE, 1)
         .with_threshold(ConfidenceThreshold::new(0.8));
-    let q = Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(90))
-        .aggregate(AggExpr::count_star("n"));
+    let q = support::lineitem_window(90).aggregate(AggExpr::count_star("n"));
     let outcome = db.run(&q);
 
     let cat = tpch();
-    let opt = robust_optimizer(&cat, 0.8, 1);
+    let opt = robust_optimizer(&cat, SAMPLE, 1, 0.8);
     let planned = opt.optimize(&q);
     let (batch, cost) = robust_qo::exec::execute(&planned.plan, &cat, opt.params());
     assert_eq!(outcome.rows, batch.to_rows());

@@ -17,8 +17,9 @@
 
 use robust_qo::prelude::*;
 
+use crate::support::{self, star_db, tpch_db};
+
 const THRESHOLDS: [f64; 4] = [0.05, 0.50, 0.80, 0.95];
-const SEED: u64 = 42;
 
 /// Independent oracle: the original recursive traversal with a manual
 /// pre-order counter (a child's index is the counter value at the moment
@@ -104,41 +105,13 @@ fn check_suite(mut db: Engine, query: &Query, name: &str) {
 
 #[test]
 fn golden_tpch_plans_align() {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
-
-    let exp1 = Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(110))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
-    check_suite(db, &exp1, "exp1");
-
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
-    let exp2 = Query::over(&["lineitem", "orders", "part"])
-        .filter("part", exp2_part_predicate(212))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
-    check_suite(db, &exp2, "exp2");
+    check_suite(tpch_db(), &support::exp1(110), "exp1");
+    check_suite(tpch_db(), &support::exp2(212), "exp2");
 }
 
 #[test]
 fn golden_star_plans_align() {
-    let data = StarData::generate(&StarConfig {
-        fact_rows: 30_000,
-        seed: SEED,
-    });
-    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
-    let mut query = Query::over(&["fact", "dim1", "dim2", "dim3"])
-        .aggregate(AggExpr::sum("f_measure1", "total"));
-    for dim in ["dim1", "dim2", "dim3"] {
-        query = query.filter(dim, exp3_dim_predicate(3));
-    }
-    check_suite(db, &query, "exp3");
+    check_suite(star_db(), &support::exp3(3), "exp3");
 }
 
 #[test]

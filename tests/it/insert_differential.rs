@@ -24,16 +24,14 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use rqo_core::ServiceConfig;
 use rqo_exec::{AggExpr, ExecOptions};
 use rqo_expr::Expr;
 use rqo_optimizer::Query;
-use rqo_service::net::{NetClient, NetServer, NetServerConfig};
+use rqo_service::net::{NetClient, NetServerConfig};
 use rqo_service::Engine;
-use rqo_storage::{
-    Catalog, CostParams, DataType, PartitionSpec, PartitionedTableBuilder, Schema, TableBuilder,
-    Value,
-};
+use rqo_storage::{Catalog, DataType, PartitionSpec, PartitionedTableBuilder, Schema, Value};
+
+use crate::support::{self, QueryRun};
 
 const PARTS: i64 = 4;
 const N: i64 = 4_000;
@@ -78,21 +76,18 @@ fn catalog_with(upto: i64) -> Catalog {
 
     // A dimension table keyed by `k` (unique), so `t.k → u.k` is a
     // declarable FK edge and t ⋈ u enters the optimizer's join graph.
-    let mut b = TableBuilder::new(
+    let u = support::table(
         "u",
-        Schema::from_pairs(&[("k", DataType::Int), ("w", DataType::Int)]),
-        17,
+        &[("k", DataType::Int), ("w", DataType::Int)],
+        (0..17i64).map(|i| vec![Value::Int(i), Value::Int(i * 5 % 23)]),
     );
-    for i in 0..17i64 {
-        b.push_row(&[Value::Int(i), Value::Int(i * 5 % 23)]);
-    }
-    cat.add_table(b.finish()).unwrap();
+    cat.add_table(u).unwrap();
     cat.add_foreign_key("t", "k", "u", "k").unwrap();
     cat
 }
 
 fn engine_over(cat: Catalog) -> Engine {
-    Engine::with_options(cat, CostParams::default(), 256, SEED)
+    support::engine(cat, 256, SEED)
 }
 
 /// The one-shot twin: every row present at build time.
@@ -151,33 +146,16 @@ fn streamed_ingest_matches_one_shot_build_bit_for_bit() {
     let one = one_shot();
     let two = streamed();
 
-    for threads in [1usize, 2, 8] {
+    for threads in support::WORKERS {
         let opts = ExecOptions::with_threads(threads);
         for (qi, query) in workload().iter().enumerate() {
             // `analyze_quiet` is side-effect-free, so each comparison is
             // independent of the others and of the thread sweep.
             let a = one.analyze_quiet(query, &opts).expect("one-shot run");
             let b = two.analyze_quiet(query, &opts).expect("streamed run");
-
-            assert_eq!(
-                a.outcome.rows, b.outcome.rows,
-                "rows diverged (query {qi}, {threads} thread(s))"
-            );
-            assert_eq!(a.outcome.columns, b.outcome.columns, "columns (query {qi})");
-            assert_eq!(
-                a.outcome.simulated_seconds.to_bits(),
-                b.outcome.simulated_seconds.to_bits(),
-                "simulated cost diverged (query {qi}, {threads} thread(s))"
-            );
-            assert_eq!(
-                a.outcome.estimated_seconds.to_bits(),
-                b.outcome.estimated_seconds.to_bits(),
-                "estimate diverged (query {qi}, {threads} thread(s))"
-            );
-            assert_eq!(
-                a.render(),
-                b.render(),
-                "EXPLAIN ANALYZE trees diverged (query {qi}, {threads} thread(s))"
+            support::assert_same(
+                QueryRun::of_analyzed(&a).diff(&QueryRun::of_analyzed(&b)),
+                &format!("query {qi}, {threads} thread(s)"),
             );
         }
 
@@ -386,9 +364,7 @@ fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
     let count_after =
         |m: usize, batches: usize| 100 * batches.min(WINDOWS).saturating_sub(m) as i64;
 
-    let service = engine_over(catalog_with(BASE)).into_service(ServiceConfig::default());
-    let server =
-        NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
+    let server = support::serve(engine_over(catalog_with(BASE)), NetServerConfig::default());
     let service = server.service();
 
     // Batches the writer has begun / had acknowledged, and queries each

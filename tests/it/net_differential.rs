@@ -14,92 +14,50 @@
 
 use std::sync::Mutex;
 
-use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
-use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
-use rqo_service::net::{NetClient, NetServer, NetServerConfig, QueryReply};
+use rqo_service::net::{NetClient, NetServerConfig, QueryReply};
 use rqo_service::proto::{write_frame, Request, Response, RunMode};
 use rqo_service::{Engine, QueryToken, RunPolicy, ServiceConfig};
 use rqo_storage::Value;
 
+use crate::support::{self, QueryRun};
+
 fn engine() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.001,
-        seed: 7,
-    });
-    Engine::new(data.into_catalog())
+    support::stock_engine(support::tpch(0.001, 7))
 }
 
 /// The mixed workload: cheap single-table windows plus multi-way joins
 /// with grouping, so scans, joins, and aggregates all cross the wire.
 fn workload() -> Vec<Query> {
     vec![
-        Query::over(&["lineitem"])
-            .filter("lineitem", exp1_lineitem_predicate(30))
-            .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-            .aggregate(AggExpr::count_star("n")),
-        Query::over(&["lineitem"])
-            .filter("lineitem", exp1_lineitem_predicate(110))
-            .aggregate(AggExpr::count_star("n")),
+        support::exp1(30).aggregate(AggExpr::count_star("n")),
+        support::lineitem_window(110).aggregate(AggExpr::count_star("n")),
         Query::over(&["lineitem", "orders"]).aggregate(AggExpr::count_star("n")),
-        Query::over(&["lineitem", "orders", "part"])
-            .filter("part", exp2_part_predicate(150))
-            .aggregate(AggExpr::count_star("n")),
+        support::part_join(150).aggregate(AggExpr::count_star("n")),
         Query::over(&["lineitem", "part"])
-            .filter("part", exp2_part_predicate(212))
+            .filter("part", rqo_datagen::workload::exp2_part_predicate(212))
             .group(&["p_container"])
             .aggregate(AggExpr::count_star("n")),
     ]
 }
 
-/// The comparable core of a reply.
-#[derive(Debug, PartialEq)]
-struct Core {
-    rows: Vec<Vec<Value>>,
-    columns: Vec<String>,
-    /// Simulated cost carried as raw bits so the comparison is exact.
-    simulated: u64,
-    replans: u64,
-}
-
-impl Core {
-    fn of(rows: Vec<Vec<Value>>, columns: Vec<String>, seconds: f64, replans: u64) -> Core {
-        Core {
-            rows,
-            columns,
-            simulated: seconds.to_bits(),
-            replans,
-        }
-    }
-    fn from_reply(reply: QueryReply) -> Core {
-        Core::of(
-            reply.rows,
-            reply.columns,
-            reply.simulated_seconds,
-            reply.replans,
-        )
-    }
+/// The workload run in order through an in-process service over `engine`.
+fn in_process_truth(engine: Engine) -> Vec<QueryRun> {
+    let service = engine.into_service(ServiceConfig::default());
+    workload()
+        .iter()
+        .map(|q| QueryRun::of_outcome(&service.run(q).expect("in-process run")))
+        .collect()
 }
 
 #[test]
 fn concurrent_wire_results_match_in_process_sessions() {
     // Ground truth from an in-process session on an identical engine.
-    let truth: Vec<Core> = {
-        let service = engine().into_service(ServiceConfig::default());
-        workload()
-            .iter()
-            .map(|q| {
-                let o = service.run(q).expect("in-process run");
-                Core::of(o.rows, o.columns, o.simulated_seconds, 0)
-            })
-            .collect()
-    };
+    let truth = in_process_truth(engine());
 
     for clients in [1usize, 4, 16] {
-        let service = engine().into_service(ServiceConfig::default());
-        let server =
-            NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+        let server = support::serve(engine(), NetServerConfig::default());
         let addr = server.local_addr();
         let mismatches: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
@@ -118,12 +76,11 @@ fn concurrent_wire_results_match_in_process_sessions() {
                         let reply = client
                             .run_mode(&queries[qi], RunMode::Run, 0)
                             .expect("wire query succeeds");
-                        let got = Core::from_reply(reply);
-                        if got != truth[qi] {
+                        if let Err(e) = truth[qi].diff(&QueryRun::of_reply(reply)) {
                             mismatches
                                 .lock()
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push(format!("client {client_id} query {qi}: {got:?}"));
+                                .push(format!("client {client_id} query {qi}: {e}"));
                         }
                     }
                 });
@@ -171,8 +128,7 @@ fn min_over_str_matches_in_process() {
         .expect("in-process run");
     assert!(!truth.rows.is_empty(), "the query selects some rows");
 
-    let service = engine().into_service(ServiceConfig::default());
-    let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let server = support::serve(engine(), NetServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let reply = client.run(&query).expect("wire query succeeds");
     for row in &reply.rows {
@@ -181,9 +137,9 @@ fn min_over_str_matches_in_process() {
             "MIN/MAX over Str reply as Str: {row:?}"
         );
     }
-    assert_eq!(
-        Core::from_reply(reply),
-        Core::of(truth.rows, truth.columns, truth.simulated_seconds, 0)
+    support::assert_same(
+        QueryRun::of_outcome(&truth).diff(&QueryRun::of_reply(reply)),
+        "MIN/MAX over Str",
     );
 }
 
@@ -203,9 +159,8 @@ fn multi_flush_reply_is_identical_at_every_batch_size() {
 
     let default_rows = NetServerConfig::default().batch_rows;
     for batch_rows in [1, 7, default_rows] {
-        let service = engine().into_service(ServiceConfig::default());
         let config = NetServerConfig::default().with_batch_rows(batch_rows);
-        let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind");
+        let server = support::serve(engine(), config);
         let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
         let run = Request::Run {
@@ -221,7 +176,7 @@ fn multi_flush_reply_is_identical_at_every_batch_size() {
         let mut rows = Vec::new();
         let mut batch_sizes = Vec::new();
         let mut reply_bytes = 0;
-        let (columns, total_rows, simulated_seconds, replans) = loop {
+        let (reply, total_rows) = loop {
             let frame = client.recv().expect("reply frame");
             reply_bytes += 4 + frame.encode().len();
             match frame {
@@ -234,9 +189,18 @@ fn multi_flush_reply_is_identical_at_every_batch_size() {
                     columns,
                     total_rows,
                     simulated_seconds,
+                    estimated_seconds,
                     replans,
-                    ..
-                } => break (columns, total_rows, simulated_seconds, replans),
+                } => {
+                    let reply = QueryReply {
+                        rows: std::mem::take(&mut rows),
+                        columns,
+                        simulated_seconds,
+                        estimated_seconds,
+                        replans,
+                    };
+                    break (reply, total_rows);
+                }
                 other => panic!("batch_rows {batch_rows}: unexpected frame {other:?}"),
             }
         };
@@ -250,14 +214,11 @@ fn multi_flush_reply_is_identical_at_every_batch_size() {
             full.iter().all(|&n| n == batch_rows) && (1..=batch_rows).contains(last),
             "batch_rows {batch_rows}: frames of {batch_sizes:?} rows"
         );
-        assert_eq!(rows, truth.rows, "batch_rows {batch_rows}");
         assert_eq!(total_rows, truth.rows.len() as u64);
-        assert_eq!(columns, truth.columns);
-        assert_eq!(
-            simulated_seconds.to_bits(),
-            truth.simulated_seconds.to_bits()
+        support::assert_same(
+            QueryRun::of_outcome(&truth).diff(&QueryRun::of_reply(reply)),
+            &format!("batch_rows {batch_rows}"),
         );
-        assert_eq!(replans, 0);
         assert_eq!(server.stats().protocol_errors, 0);
     }
 }
@@ -293,21 +254,11 @@ fn insert_then_query_over_wire_matches_in_process() {
     let truth_summary = truth_engine
         .insert_rows("part", &batch)
         .expect("in-process ingest");
-    let truth: Vec<Core> = {
-        let service = truth_engine.into_service(ServiceConfig::default());
-        workload()
-            .iter()
-            .map(|q| {
-                let o = service.run(q).expect("in-process run");
-                Core::of(o.rows, o.columns, o.simulated_seconds, 0)
-            })
-            .collect()
-    };
+    let truth = in_process_truth(truth_engine);
 
     // The wire twin: same engine seed, same batch, but ingested through
     // a TCP Insert frame.
-    let service = engine().into_service(ServiceConfig::default());
-    let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let server = support::serve(engine(), NetServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     let (inserted, total) = client.insert("part", batch).expect("wire ingest");
     assert_eq!(inserted as usize, truth_summary.rows_inserted);
@@ -315,10 +266,9 @@ fn insert_then_query_over_wire_matches_in_process() {
 
     for (qi, query) in workload().iter().enumerate() {
         let reply = client.run(query).expect("wire query succeeds");
-        assert_eq!(
-            Core::from_reply(reply),
-            truth[qi],
-            "post-ingest divergence at query {qi}"
+        support::assert_same(
+            truth[qi].diff(&QueryRun::of_reply(reply)),
+            &format!("post-ingest divergence at query {qi}"),
         );
     }
     let net = server.stats();
@@ -332,7 +282,7 @@ fn adaptive_wire_replay_matches_in_process_order() {
     // Adaptive runs consume the feedback earlier adaptive runs publish,
     // so equivalence is defined over a fixed order: one wire connection
     // replaying exactly the sequence the in-process session ran.
-    let truth: Vec<Core> = {
+    let truth: Vec<QueryRun> = {
         let service = engine().into_service(ServiceConfig::default());
         workload()
             .iter()
@@ -340,27 +290,20 @@ fn adaptive_wire_replay_matches_in_process_order() {
                 let a = service
                     .execute(q, &QueryToken::new(), RunPolicy::Adaptive)
                     .expect("in-process adaptive");
-                Core::of(
-                    a.outcome.rows,
-                    a.outcome.columns,
-                    a.outcome.simulated_seconds,
-                    a.events.len() as u64,
-                )
+                QueryRun::of_analyzed(&a)
             })
             .collect()
     };
 
-    let service = engine().into_service(ServiceConfig::default());
-    let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let server = support::serve(engine(), NetServerConfig::default());
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
     for (qi, query) in workload().iter().enumerate() {
         let reply = client
             .run_mode(query, RunMode::Adaptive, 0)
             .expect("wire adaptive succeeds");
-        assert_eq!(
-            Core::from_reply(reply),
-            truth[qi],
-            "adaptive divergence at query {qi}"
+        support::assert_same(
+            truth[qi].diff(&QueryRun::of_reply(reply)),
+            &format!("adaptive divergence at query {qi}"),
         );
     }
     let stats = server.service().stats();

@@ -19,76 +19,28 @@
 
 use proptest::prelude::*;
 use rqo_datagen::workload::exp1_lineitem_predicate;
-use rqo_datagen::{TpchConfig, TpchData};
-use rqo_exec::{
-    execute, execute_analyze, execute_with, AggExpr, Batch, ExecOptions, IndexRange, OpMetrics,
-    PhysicalPlan,
-};
+use rqo_exec::{AggExpr, IndexRange, PhysicalPlan};
 use rqo_expr::Expr;
-use rqo_storage::{Catalog, CostParams, CostTracker, DataType, Schema, TableBuilder, Value};
+use rqo_storage::{Catalog, DataType, Value};
 
-/// Runs the plan serially (`execute`, default morsel size) and at 1/2/8
-/// threads with the given morsel size, requiring identical rows,
-/// identical cost totals, and identical per-operator metrics trees
-/// across every combination.
-fn assert_equivalent(
+use crate::support::{self, PlanRun};
+
+/// Runs the plan at 1/2/8 workers with the given morsel size, requiring
+/// rows and cost totals identical to `reference` and metrics trees
+/// identical across every worker count.
+fn sweep(
     cat: &Catalog,
     plan: &PhysicalPlan,
     morsel: usize,
+    reference: &PlanRun,
 ) -> Result<(), TestCaseError> {
-    let serial = execute(plan, cat, &CostParams::default());
-    assert_equivalent_to(cat, plan, morsel, serial)
+    support::sweep_plan(plan, cat, morsel, reference).map_err(TestCaseError::Fail)?;
+    Ok(())
 }
 
-/// [`assert_equivalent`] against an explicit serial reference.
-fn assert_equivalent_to(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    morsel: usize,
-    (serial, serial_cost): (Batch, CostTracker),
-) -> Result<(), TestCaseError> {
-    let params = CostParams::default();
-    let mut baseline: Option<OpMetrics> = None;
-    for threads in [1usize, 2, 8] {
-        let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
-        let (par, par_cost, metrics) = execute_analyze(plan, cat, &params, &opts);
-        prop_assert_eq!(
-            &par.to_rows(),
-            &serial.to_rows(),
-            "rows diverged: threads={} morsel={} plan_nodes={}",
-            threads,
-            morsel,
-            plan.node_count()
-        );
-        prop_assert_eq!(
-            par_cost,
-            serial_cost,
-            "cost diverged: threads={} morsel={} plan_nodes={}",
-            threads,
-            morsel,
-            plan.node_count()
-        );
-        match &baseline {
-            None => baseline = Some(metrics),
-            Some(base) => {
-                prop_assert_eq!(
-                    metrics.render(),
-                    base.render(),
-                    "rendered metrics diverged: threads={} morsel={}",
-                    threads,
-                    morsel
-                );
-                prop_assert_eq!(
-                    &metrics,
-                    base,
-                    "metrics tree diverged: threads={} morsel={}",
-                    threads,
-                    morsel
-                );
-            }
-        }
-    }
-    Ok(())
+/// [`sweep`] against the serial run at the default morsel size.
+fn sweep_serial(cat: &Catalog, plan: &PhysicalPlan, morsel: usize) -> Result<(), TestCaseError> {
+    sweep(cat, plan, morsel, &PlanRun::serial(plan, cat, None))
 }
 
 /// A table `t(k, v, f)` with `n` rows: `k` in a small domain (join/group
@@ -100,24 +52,23 @@ fn base_catalog(n: usize, key_mod: i64) -> Catalog {
 
 /// [`base_catalog`] with an arbitrary `f` column.
 fn catalog_with(n: usize, key_mod: i64, f: impl Fn(i64) -> f64) -> Catalog {
-    let mut b = TableBuilder::new(
+    let t = support::table(
         "t",
-        Schema::from_pairs(&[
+        &[
             ("k", DataType::Int),
             ("v", DataType::Int),
             ("f", DataType::Float),
-        ]),
-        n.max(1),
+        ],
+        (0..n as i64).map(|i| {
+            vec![
+                Value::Int(i % key_mod),
+                Value::Int(i * 3 % 101),
+                Value::Float(f(i)),
+            ]
+        }),
     );
-    for i in 0..n as i64 {
-        b.push_row(&[
-            Value::Int(i % key_mod),
-            Value::Int(i * 3 % 101),
-            Value::Float(f(i)),
-        ]);
-    }
     let mut cat = Catalog::new();
-    cat.add_table(b.finish()).unwrap();
+    cat.add_table(t).unwrap();
     cat.ensure_secondary_index("t", "k").unwrap();
     cat.ensure_secondary_index("t", "v").unwrap();
     cat
@@ -125,15 +76,12 @@ fn catalog_with(n: usize, key_mod: i64, f: impl Fn(i64) -> f64) -> Catalog {
 
 /// Adds an outer table `u(k, w)` whose keys overlap `t.k`'s domain.
 fn with_outer(mut cat: Catalog, m: usize, key_mod: i64) -> Catalog {
-    let mut b = TableBuilder::new(
+    let u = support::table(
         "u",
-        Schema::from_pairs(&[("k", DataType::Int), ("w", DataType::Int)]),
-        m.max(1),
+        &[("k", DataType::Int), ("w", DataType::Int)],
+        (0..m as i64).map(|i| vec![Value::Int(i * 5 % key_mod), Value::Int(i)]),
     );
-    for i in 0..m as i64 {
-        b.push_row(&[Value::Int(i * 5 % key_mod), Value::Int(i)]);
-    }
-    cat.add_table(b.finish()).unwrap();
+    cat.add_table(u).unwrap();
     cat
 }
 
@@ -154,7 +102,7 @@ proptest! {
             table: "t".into(),
             predicate: Some(Expr::col("v").lt(Expr::lit(cut))),
         };
-        assert_equivalent(&cat, &seq, morsel)?;
+        sweep_serial(&cat, &seq, morsel)?;
 
         let seek = PhysicalPlan::IndexSeek {
             table: "t".into(),
@@ -165,7 +113,7 @@ proptest! {
             ),
             residual: Some(Expr::col("v").ge(Expr::lit(res))),
         };
-        assert_equivalent(&cat, &seek, morsel)?;
+        sweep_serial(&cat, &seek, morsel)?;
 
         let sect = PhysicalPlan::IndexIntersection {
             table: "t".into(),
@@ -175,7 +123,7 @@ proptest! {
             ],
             residual: None,
         };
-        assert_equivalent(&cat, &sect, morsel)?;
+        sweep_serial(&cat, &sect, morsel)?;
     }
 
     #[test]
@@ -200,7 +148,7 @@ proptest! {
             build_key: "k".into(),
             probe_key: "k".into(),
         };
-        assert_equivalent(&cat, &hash, morsel)?;
+        sweep_serial(&cat, &hash, morsel)?;
 
         let inl = PhysicalPlan::IndexedNlJoin {
             outer: Box::new(PhysicalPlan::SeqScan {
@@ -211,7 +159,7 @@ proptest! {
             inner_index_column: "k".into(),
             outer_key: "k".into(),
         };
-        assert_equivalent(&cat, &inl, morsel)?;
+        sweep_serial(&cat, &inl, morsel)?;
     }
 
     #[test]
@@ -225,8 +173,7 @@ proptest! {
         // Irrational floats: summation order reaches the last ulp, so the
         // serial reference must run at the same morsel size.
         let cat = catalog_with(n, key_mod, |i| 1.0 / (i + 3) as f64 + (i as f64).sqrt());
-        let serial_opts = ExecOptions::default().with_morsel_size(morsel);
-        let serial = |plan| execute_with(plan, &cat, &CostParams::default(), &serial_opts);
+        let serial = |plan| PlanRun::serial(plan, &cat, Some(morsel));
         let group_by = if grouped { vec!["k".to_string()] } else { vec![] };
 
         let agg = PhysicalPlan::HashAggregate {
@@ -243,7 +190,7 @@ proptest! {
                 AggExpr::max("f", "hi"),
             ],
         };
-        assert_equivalent_to(&cat, &agg, morsel, serial(&agg))?;
+        sweep(&cat, &agg, morsel, &serial(&agg))?;
 
         // Filter → project → aggregate pipeline over the scan.
         let pipeline = PhysicalPlan::HashAggregate {
@@ -260,7 +207,7 @@ proptest! {
             group_by,
             aggregates: vec![AggExpr::sum("f", "s"), AggExpr::count_star("n")],
         };
-        assert_equivalent_to(&cat, &pipeline, morsel, serial(&pipeline))?;
+        sweep(&cat, &pipeline, morsel, &serial(&pipeline))?;
     }
 }
 
@@ -275,11 +222,7 @@ proptest! {
         offset in 0i64..200,
         morsel in 1usize..2048,
     ) {
-        let data = TpchData::generate(&TpchConfig {
-            scale_factor: 0.002,
-            seed,
-        });
-        let cat = data.into_catalog();
+        let cat = support::tpch(0.002, seed);
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(PhysicalPlan::SeqScan {
                 table: "lineitem".into(),
@@ -292,6 +235,6 @@ proptest! {
                 AggExpr::max("l_extendedprice", "hi"),
             ],
         };
-        assert_equivalent(&cat, &plan, morsel)?;
+        sweep_serial(&cat, &plan, morsel)?;
     }
 }

@@ -18,14 +18,15 @@
 
 use proptest::prelude::*;
 use rqo_exec::{
-    execute, execute_analyze, execute_guarded, AggExpr, ExecOptions, ExecStatus, OpMetrics,
-    PhysicalPlan, RowGuard,
+    execute_guarded, AggExpr, ExecOptions, ExecStatus, OpMetrics, PhysicalPlan, RowGuard,
 };
 use rqo_expr::Expr;
 use rqo_storage::{
     Catalog, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder, Schema,
-    TableBuilder, Value,
+    Value,
 };
+
+use crate::support::{self, PlanRun};
 
 const PARTS: usize = 4;
 
@@ -34,11 +35,6 @@ const PARTS: usize = 4;
 /// partition order, so the two layouts hold byte-identical rows), plus an
 /// unpartitioned outer table `u(k, w)` in both.
 fn paired_catalogs(n: usize, key_mod: i64) -> (Catalog, Catalog) {
-    let schema = Schema::from_pairs(&[
-        ("x", DataType::Int),
-        ("k", DataType::Int),
-        ("f", DataType::Float),
-    ]);
     let row = |i: i64| {
         [
             Value::Int(i),
@@ -46,10 +42,12 @@ fn paired_catalogs(n: usize, key_mod: i64) -> (Catalog, Catalog) {
             Value::Float((i * 7 % 50) as f64),
         ]
     };
-    let mut flat_b = TableBuilder::new("t", schema.clone(), n);
-    for i in 0..n as i64 {
-        flat_b.push_row(&row(i));
-    }
+    let columns = [
+        ("x", DataType::Int),
+        ("k", DataType::Int),
+        ("f", DataType::Float),
+    ];
+    let flat_t = support::table("t", &columns, (0..n as i64).map(|i| row(i).to_vec()));
     let bounds: Vec<Value> = (1..PARTS as i64)
         .map(|q| Value::Int(q * n as i64 / PARTS as i64))
         .collect();
@@ -57,25 +55,22 @@ fn paired_catalogs(n: usize, key_mod: i64) -> (Catalog, Catalog) {
         column: "x".into(),
         bounds,
     };
-    let mut part_b = PartitionedTableBuilder::new("t", schema, spec);
+    let mut part_b = PartitionedTableBuilder::new("t", Schema::from_pairs(&columns), spec);
     for i in 0..n as i64 {
         part_b.push_row(&row(i));
     }
     let (table, layout) = part_b.finish();
 
     let outer = |cat: &mut Catalog| {
-        let mut b = TableBuilder::new(
+        let u = support::table(
             "u",
-            Schema::from_pairs(&[("k", DataType::Int), ("w", DataType::Int)]),
-            32,
+            &[("k", DataType::Int), ("w", DataType::Int)],
+            (0..32i64).map(|i| vec![Value::Int(i % key_mod), Value::Int(i)]),
         );
-        for i in 0..32i64 {
-            b.push_row(&[Value::Int(i % key_mod), Value::Int(i)]);
-        }
-        cat.add_table(b.finish()).unwrap();
+        cat.add_table(u).unwrap();
     };
     let mut flat = Catalog::new();
-    flat.add_table(flat_b.finish()).unwrap();
+    flat.add_table(flat_t).unwrap();
     outer(&mut flat);
     let mut parted = Catalog::new();
     parted.add_partitioned_table(table, layout).unwrap();
@@ -134,6 +129,14 @@ fn normalize_labels(m: &mut OpMetrics) {
     }
 }
 
+/// `run` with its metrics labels normalized.
+fn normalized(mut run: PlanRun) -> PlanRun {
+    if let Some(m) = &mut run.metrics {
+        normalize_labels(m);
+    }
+    run
+}
+
 fn rows_out_preorder(m: &OpMetrics) -> Vec<(String, u64)> {
     m.preorder()
         .iter()
@@ -142,45 +145,29 @@ fn rows_out_preorder(m: &OpMetrics) -> Vec<(String, u64)> {
 }
 
 /// Full bit-identity when every partition survives: rows, cost, and
-/// normalized metrics, serial and parallel.
-fn assert_bit_identical(
+/// normalized metrics, serial and at every worker count.
+fn flat_and_partitioned_agree(
     flat_cat: &Catalog,
     part_cat: &Catalog,
     flat_plan: &PhysicalPlan,
     morsel: usize,
 ) -> Result<(), TestCaseError> {
-    let params = CostParams::default();
     let part_plan = partitioned_twin(flat_plan, &[0, 1, 2, 3]);
-    let (flat_rows, flat_cost) = execute(flat_plan, flat_cat, &params);
-    let (part_rows, part_cost) = execute(&part_plan, part_cat, &params);
-    prop_assert_eq!(
-        &part_rows.to_rows(),
-        &flat_rows.to_rows(),
-        "serial rows diverged"
-    );
-    prop_assert_eq!(part_cost, flat_cost, "serial cost diverged");
-    for threads in [1usize, 2, 8] {
-        let opts = ExecOptions::with_threads(threads).with_morsel_size(morsel);
-        let (f_batch, f_cost, mut f_metrics) = execute_analyze(flat_plan, flat_cat, &params, &opts);
-        let (p_batch, p_cost, mut p_metrics) =
-            execute_analyze(&part_plan, part_cat, &params, &opts);
-        prop_assert_eq!(
-            &p_batch.to_rows(),
-            &f_batch.to_rows(),
-            "rows diverged: threads={} morsel={}",
-            threads,
-            morsel
-        );
-        prop_assert_eq!(p_cost, f_cost, "cost diverged: threads={}", threads);
-        normalize_labels(&mut f_metrics);
-        normalize_labels(&mut p_metrics);
-        prop_assert_eq!(
-            &p_metrics,
-            &f_metrics,
-            "metrics diverged: threads={} morsel={}",
-            threads,
-            morsel
-        );
+    let flat_serial = PlanRun::serial(flat_plan, flat_cat, None);
+    let part_serial = PlanRun::serial(&part_plan, part_cat, None);
+    flat_serial
+        .diff(&part_serial)
+        .map_err(|e| TestCaseError::Fail(format!("serial: {e}")))?;
+    let flat = support::sweep_plan(flat_plan, flat_cat, morsel, &flat_serial);
+    let part = support::sweep_plan(&part_plan, part_cat, morsel, &part_serial);
+    for (f, p) in flat
+        .map_err(TestCaseError::Fail)?
+        .into_iter()
+        .zip(part.map_err(TestCaseError::Fail)?)
+    {
+        normalized(f)
+            .diff(&normalized(p))
+            .map_err(|e| TestCaseError::Fail(format!("morsel {morsel}: {e}")))?;
     }
     Ok(())
 }
@@ -240,7 +227,7 @@ proptest! {
         let lo = n as i64 * sel as i64 / 8;
         let hi = n as i64 * (sel as i64 + 3) / 8;
         let plan = plan_pool(kind, lo, hi);
-        assert_bit_identical(&flat, &parted, &plan, morsel)?;
+        flat_and_partitioned_agree(&flat, &parted, &plan, morsel)?;
     }
 }
 
@@ -261,46 +248,31 @@ fn pruned_scan_matches_full_scan_rows_and_charges_less() {
         partitions: vec![0],
         total_partitions: PARTS,
     };
-    let (flat_rows, flat_cost) = execute(&flat_plan, &flat, &params);
-    let (pruned_rows, pruned_cost) = execute(&pruned_plan, &parted, &params);
+    let flat_serial = PlanRun::serial(&flat_plan, &flat, None);
+    let pruned_serial = PlanRun::serial(&pruned_plan, &parted, None);
     assert_eq!(
-        pruned_rows.to_rows(),
-        flat_rows.to_rows(),
+        pruned_serial.rows, flat_serial.rows,
         "pruning changed the result"
     );
+    let seconds = |run: &PlanRun| run.cost.seconds(&params);
     assert!(
-        pruned_cost.seconds(&params) < flat_cost.seconds(&params) / 2.0,
+        seconds(&pruned_serial) < seconds(&flat_serial) / 2.0,
         "reading 1/4 of the table must cost well under half: pruned {:?} vs full {:?}",
-        pruned_cost,
-        flat_cost
+        pruned_serial.cost,
+        flat_serial.cost
     );
-    // Thread-count invariance of the pruned path itself, and per-node
+    // Worker-count invariance of the pruned path itself, and per-node
     // output parity with the flat plan (rows_in legitimately differs:
     // the pruned scan examines fewer rows).
-    let mut baseline: Option<(Vec<Vec<Value>>, CostTracker, OpMetrics)> = None;
-    for threads in [1usize, 2, 8] {
-        let opts = ExecOptions::with_threads(threads).with_morsel_size(32);
-        let (batch, cost, metrics) = execute_analyze(&pruned_plan, &parted, &params, &opts);
-        let (f_batch, _, f_metrics) = execute_analyze(&flat_plan, &flat, &params, &opts);
-        let mut normalized = metrics.clone();
-        normalize_labels(&mut normalized);
+    let pruned = support::sweep_plan(&pruned_plan, &parted, 32, &pruned_serial);
+    let flat_runs = support::sweep_plan(&flat_plan, &flat, 32, &flat_serial);
+    for (p, f) in pruned.unwrap().into_iter().zip(flat_runs.unwrap()) {
+        let (p, f) = (normalized(p), f);
         assert_eq!(
-            rows_out_preorder(&normalized),
-            rows_out_preorder(&f_metrics)
+            rows_out_preorder(p.metrics.as_ref().unwrap()),
+            rows_out_preorder(f.metrics.as_ref().unwrap())
         );
-        assert_eq!(batch.to_rows(), f_batch.to_rows());
-        match &baseline {
-            None => baseline = Some((batch.to_rows(), cost, metrics)),
-            Some((rows, c, m)) => {
-                assert_eq!(
-                    &batch.to_rows(),
-                    rows,
-                    "pruned rows diverged at {threads} threads"
-                );
-                assert_eq!(&cost, c, "pruned cost diverged at {threads} threads");
-                assert_eq!(&metrics, m, "pruned metrics diverged at {threads} threads");
-            }
-        }
+        assert_eq!(p.rows, f.rows);
     }
 }
 
@@ -345,12 +317,17 @@ fn guard_trips_identically_on_both_layouts() {
         assert_eq!(p_trip.node, f_trip.node);
         assert_eq!(p_trip.actual_rows, f_trip.actual_rows);
         assert_eq!(p_trip.q_error, f_trip.q_error);
-        assert_eq!(p_trip.batch.to_rows(), f_trip.batch.to_rows());
-        assert_eq!(p_tracker, f_tracker, "cost up to the trip must match");
-        let mut f_metrics = f_trip.metrics;
-        let mut p_metrics = p_trip.metrics;
-        normalize_labels(&mut f_metrics);
-        normalize_labels(&mut p_metrics);
-        assert_eq!(p_metrics, f_metrics, "completed-subtree metrics must match");
+        // The rows, cost and completed-subtree metrics up to the trip.
+        let trip = |trip: Box<rqo_exec::GuardTrip>, cost| {
+            normalized(PlanRun {
+                rows: trip.batch.to_rows(),
+                cost,
+                metrics: Some(trip.metrics),
+            })
+        };
+        support::assert_same(
+            trip(f_trip, f_tracker).diff(&trip(p_trip, p_tracker)),
+            &format!("guard trip at {threads} workers"),
+        );
     }
 }

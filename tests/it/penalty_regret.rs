@@ -28,7 +28,26 @@ use robust_qo::optimizer::{enumerate::PlanContext, price_plan, CostModel};
 use robust_qo::prelude::*;
 use std::sync::Arc;
 
+use crate::support::{self, PlanRun, SAMPLE, SEED};
+
 const THRESHOLDS: [f64; 4] = [0.05, 0.5, 0.8, 0.95];
+
+/// The plan each arm chooses for `query`: one per fixed threshold in
+/// [`THRESHOLDS`] order, then penalty selection's.
+fn arms(opt: &Optimizer, query: &Query) -> Vec<PhysicalPlan> {
+    let mut plans: Vec<_> = THRESHOLDS
+        .iter()
+        .map(|&t| {
+            opt.optimize(&query.clone().with_hint(ConfidenceThreshold::new(t)))
+                .plan
+        })
+        .collect();
+    plans.push(
+        opt.optimize(&query.clone().with_selection(PlanSelection::ExpectedPenalty))
+            .plan,
+    );
+    plans
+}
 
 /// A recording truth source: answers with the oracle's exact
 /// selectivity and records it into the feedback store, so a later
@@ -51,17 +70,6 @@ impl CardinalityEstimator for RecordingOracle {
     }
 }
 
-fn db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: 42,
-    });
-    // The paper's 500-tuple synopsis: accurate on wide windows, blind on
-    // narrow/empty ones — the mix that separates point-collapsing
-    // thresholds from posterior integration.
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, 42)
-}
-
 /// Skewed workload: lineitem windows from dense to empty (offset 110 is
 /// past the data), and the narrow part-join at several windows.
 fn workload() -> Vec<Query> {
@@ -80,18 +88,17 @@ fn workload() -> Vec<Query> {
     // Wide part windows: the aggressive threshold bets on an indexed
     // nested-loops join that the true density punishes.
     for window in [50, 150] {
-        queries.push(
-            Query::over(&["lineitem", "orders", "part"])
-                .filter("part", exp2_part_predicate(window))
-                .aggregate(AggExpr::sum("l_extendedprice", "revenue")),
-        );
+        queries.push(support::exp2(window));
     }
     queries
 }
 
 #[test]
 fn penalty_total_regret_beats_every_fixed_threshold() {
-    let db = db();
+    // The paper's 500-tuple synopsis: accurate on wide windows, blind on
+    // narrow/empty ones — the mix that separates point-collapsing
+    // thresholds from posterior integration.
+    let db = support::tpch_db();
     let opt = db.optimizer();
     let catalog = db.catalog();
     let oracle = RecordingOracle {
@@ -105,17 +112,7 @@ fn penalty_total_regret_beats_every_fixed_threshold() {
     let chosen: Vec<(Query, Vec<robust_qo::exec::PhysicalPlan>)> = workload()
         .into_iter()
         .map(|query| {
-            let mut plans: Vec<_> = THRESHOLDS
-                .iter()
-                .map(|&t| {
-                    opt.optimize(&query.clone().with_hint(ConfidenceThreshold::new(t)))
-                        .plan
-                })
-                .collect();
-            plans.push(
-                opt.optimize(&query.clone().with_selection(PlanSelection::ExpectedPenalty))
-                    .plan,
-            );
+            let plans = arms(&opt, &query);
             (query, plans)
         })
         .collect();
@@ -203,16 +200,7 @@ fn penalty_records_no_disaster_where_every_fixed_threshold_does() {
         random_io_ms: 2.0,
         ..CostParams::default()
     };
-    let lineitem_window = |offset| {
-        Query::over(&["lineitem"])
-            .filter("lineitem", exp1_lineitem_predicate(offset))
-            .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-    };
-    let part_window = |window| {
-        Query::over(&["lineitem", "orders", "part"])
-            .filter("part", exp2_part_predicate(window))
-            .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-    };
+    let (lineitem_window, part_window) = (support::exp1, support::exp2);
     let default = CostParams::default();
     let scenarios = [
         ("dense_tail", 0.005, 42, default, lineitem_window(70)),
@@ -225,42 +213,27 @@ fn penalty_records_no_disaster_where_every_fixed_threshold_does() {
     // Arm index 0..4 = fixed thresholds, 4 = penalty.
     let mut disasters = [0usize; 5];
     for (name, scale, sample_seed, params, query) in scenarios {
-        let data = TpchData::generate(&TpchConfig {
-            scale_factor: scale,
-            seed: 42,
-        });
-        let db = Engine::with_options(data.into_catalog(), params, 500, sample_seed);
+        let db = support::priced_engine(support::tpch(scale, SEED), params, SAMPLE, sample_seed);
         let opt = db.optimizer();
-        let mut plans: Vec<_> = THRESHOLDS
-            .iter()
-            .map(|&t| {
-                opt.optimize(&query.clone().with_hint(ConfidenceThreshold::new(t)))
-                    .plan
-            })
-            .collect();
-        plans.push(
-            opt.optimize(&query.clone().with_selection(PlanSelection::ExpectedPenalty))
-                .plan,
-        );
-        let seconds = |plan: &PhysicalPlan, threads: usize| {
-            let options = ExecOptions::with_threads(threads);
-            let (_, cost) = robust_qo::exec::execute_with(plan, &db.catalog(), &params, &options);
+        let plans = arms(&opt, &query);
+        let catalog = db.catalog();
+        let seconds = |plan: &PhysicalPlan| {
+            let (_, cost) = robust_qo::exec::execute(plan, &catalog, &params);
             cost.seconds(&params)
         };
-        let realized: Vec<f64> = plans.iter().map(|p| seconds(p, 1)).collect();
+        let realized: Vec<f64> = plans.iter().map(seconds).collect();
         let best = realized.iter().cloned().fold(f64::INFINITY, f64::min);
         for (arm, &cost) in realized.iter().enumerate() {
             if cost > 2.0 * best {
                 disasters[arm] += 1;
             }
         }
-        for threads in [2, 8] {
-            assert_eq!(
-                seconds(&plans[4], threads),
-                realized[4],
-                "{name}: penalty-arm cost differs at {threads} threads"
-            );
-        }
+        // The penalty arm's cost counters are the same at every worker
+        // count (and so, therefore, are its simulated seconds).
+        let morsel = ExecOptions::default().morsel_size;
+        let serial = PlanRun::serial(&plans[4], &catalog, None);
+        support::sweep_plan(&plans[4], &catalog, morsel, &serial)
+            .unwrap_or_else(|e| panic!("{name}: penalty arm: {e}"));
     }
 
     assert_eq!(

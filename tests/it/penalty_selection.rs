@@ -13,29 +13,17 @@ use robust_qo::optimizer::{enumerate::PlanContext, price_plan, CostModel};
 use robust_qo::prelude::*;
 use std::sync::Arc;
 
-const SEED: u64 = 42;
-
-fn tpch_db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
-}
+use crate::support::{self, tpch_db, QueryRun, SCALE, SEED};
 
 /// The narrow-part join from the adaptive scenarios: the predicate's
 /// sample posterior is wide enough that different thresholds pick
 /// different join strategies.
 fn join_query() -> Query {
-    Query::over(&["lineitem", "orders", "part"])
-        .filter("part", exp2_part_predicate(212))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
+    support::exp2(212)
 }
 
 fn scan_query() -> Query {
-    Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(50))
-        .aggregate(AggExpr::count_star("n"))
+    support::lineitem_window(50).aggregate(AggExpr::count_star("n"))
 }
 
 /// `price_plan` must reproduce the quantile optimizer's costing of its
@@ -141,11 +129,7 @@ fn penalty_report_is_coherent() {
 #[test]
 fn degenerate_posteriors_short_circuit_quadrature() {
     // Oracle: exact selectivities, no posterior object.
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    let cat: Arc<Catalog> = Arc::new(data.into_catalog());
+    let cat: Arc<Catalog> = Arc::new(support::tpch(SCALE, SEED));
     let est = robust_qo::estimator::OracleEstimator::new(Arc::clone(&cat));
     let opt = robust_qo::optimizer::Optimizer::new(cat, CostParams::default(), Arc::new(est));
     let planned = opt.optimize(&join_query().with_selection(PlanSelection::ExpectedPenalty));
@@ -174,25 +158,14 @@ fn degenerate_posteriors_short_circuit_quadrature() {
 /// same rows, same simulated cost, same plan shape.
 #[test]
 fn penalty_execution_is_thread_invariant() {
-    let reference = tpch_db()
-        .with_selection(PlanSelection::ExpectedPenalty)
-        .run(&join_query());
-    for threads in [2usize, 8] {
-        let outcome = tpch_db()
-            .with_selection(PlanSelection::ExpectedPenalty)
-            .run_opts(&join_query(), &ExecOptions::with_threads(threads))
-            .unwrap();
-        assert_eq!(outcome.rows, reference.rows, "t={threads}");
-        assert_eq!(
-            outcome.simulated_seconds, reference.simulated_seconds,
-            "t={threads}"
-        );
-        assert_eq!(
-            outcome.planned.plan.shape_label(),
-            reference.planned.plan.shape_label(),
-            "t={threads}"
-        );
-    }
+    let penalty_db = || tpch_db().with_selection(PlanSelection::ExpectedPenalty);
+    let reference = penalty_db().run(&join_query());
+    let swept = support::sweep_query(penalty_db, &join_query(), RunPolicy::Run)
+        .unwrap_or_else(|e| panic!("{e}"));
+    support::assert_same(
+        QueryRun::of_outcome(&reference).diff(&QueryRun::of_analyzed(&swept)),
+        "`run` against the worker sweep",
+    );
 }
 
 /// The selection mode threads through every layer: `Engine` builder,

@@ -17,39 +17,7 @@ use std::sync::Arc;
 
 use robust_qo::prelude::*;
 
-const SEED: u64 = 42;
-
-fn tpch_db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
-}
-
-fn exp1_query(offset: i64) -> Query {
-    Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(offset))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-}
-
-/// Asserts two planned queries are bit-identical: same plan tree, same
-/// cost/cardinality estimate bits.
-fn assert_plans_bit_identical(a: &PlannedQuery, b: &PlannedQuery, context: &str) {
-    assert_eq!(a.plan, b.plan, "{context}: plan trees differ");
-    assert_eq!(
-        a.estimated_cost_ms.to_bits(),
-        b.estimated_cost_ms.to_bits(),
-        "{context}: estimated cost differs"
-    );
-    assert_eq!(
-        a.estimated_rows.to_bits(),
-        b.estimated_rows.to_bits(),
-        "{context}: estimated rows differ"
-    );
-}
-
-use robust_qo::optimizer::PlannedQuery;
+use crate::support::{self, exp1 as exp1_query, tpch_db, SCALE};
 
 #[test]
 fn warm_hits_are_bit_identical_across_thread_counts() {
@@ -68,10 +36,8 @@ fn warm_hits_are_bit_identical_across_thread_counts() {
             for _ in 0..threads {
                 scope.spawn(|| {
                     for (q, reference) in queries.iter().zip(&fresh) {
-                        let cached = db.optimize(q);
-                        assert_plans_bit_identical(
-                            &cached,
-                            reference,
+                        support::assert_same(
+                            support::same_plan(reference, &db.optimize(q)),
                             &format!("{threads} threads"),
                         );
                     }
@@ -267,13 +233,7 @@ fn zero_row_observation_does_not_pin_selectivity() {
 /// was served the first one's cached plan and answered 0 rows.
 #[test]
 fn string_literals_that_render_alike_get_their_own_plans() {
-    let catalog = || {
-        TpchData::generate(&TpchConfig {
-            scale_factor: 0.005,
-            seed: 7,
-        })
-        .into_catalog()
-    };
+    let catalog = || support::tpch(SCALE, 7);
     let brands = |list: &[&str]| {
         Query::over(&["part"])
             .filter(
@@ -285,10 +245,10 @@ fn string_literals_that_render_alike_get_their_own_plans() {
     let one_string = brands(&["Brand#11, Brand#25"]);
     let two_strings = brands(&["Brand#11", "Brand#25"]);
 
-    let shared = Engine::new(catalog());
+    let shared = support::stock_engine(catalog());
     assert_eq!(shared.run(&one_string).rows, vec![vec![Value::Int(0)]]);
     let served = shared.run(&two_strings).rows;
-    let fresh = Engine::new(catalog()).run(&two_strings).rows;
+    let fresh = support::stock_engine(catalog()).run(&two_strings).rows;
     assert_ne!(fresh, vec![vec![Value::Int(0)]], "both brands exist");
     assert_eq!(served, fresh, "served another query's cached plan");
 }

@@ -10,8 +10,9 @@
 
 use robust_qo::prelude::*;
 
+use crate::support::{self, star_db, tpch_db};
+
 const THRESHOLDS: [f64; 4] = [0.05, 0.50, 0.80, 0.95];
-const SEED: u64 = 42;
 
 /// The chosen plan shape at each threshold in [`THRESHOLDS`] order.
 fn shapes(db: Engine, query: &Query) -> Vec<String> {
@@ -24,24 +25,12 @@ fn shapes(db: Engine, query: &Query) -> Vec<String> {
     out
 }
 
-fn tpch_db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
-}
-
 #[test]
 fn exp1_single_table_shapes() {
     // Experiment 1: correlated date predicates on lineitem.  A moderate
     // offset keeps the true selectivity in the contested region between
     // the index plan and the sequential scan.
-    let db = tpch_db();
-    let query = Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(110))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
-    let got = shapes(db, &query);
+    let got = shapes(tpch_db(), &support::exp1(110));
     let printable = got.join(" ");
     // Low thresholds gamble on the index intersection; at T = 95% the
     // optimizer retreats to the selectivity-insensitive sequential scan.
@@ -55,11 +44,7 @@ fn exp1_single_table_shapes() {
 #[test]
 fn exp2_join_shapes() {
     // Experiment 2: lineitem ⋈ orders ⋈ part with a filter on part.
-    let db = tpch_db();
-    let query = Query::over(&["lineitem", "orders", "part"])
-        .filter("part", exp2_part_predicate(212))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"));
-    let got = shapes(db, &query);
+    let got = shapes(tpch_db(), &support::exp2(212));
     let printable = got.join(" ");
     // The optimistic plans drive an indexed nested-loop into lineitem;
     // rising thresholds inflate the join cardinality upper bound until
@@ -79,17 +64,7 @@ fn exp2_join_shapes() {
 #[test]
 fn exp3_star_shapes() {
     // Experiment 3: star join with three filtered dimensions.
-    let data = StarData::generate(&StarConfig {
-        fact_rows: 30_000,
-        seed: SEED,
-    });
-    let db = Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED);
-    let mut query = Query::over(&["fact", "dim1", "dim2", "dim3"])
-        .aggregate(AggExpr::sum("f_measure1", "total"));
-    for dim in ["dim1", "dim2", "dim3"] {
-        query = query.filter(dim, exp3_dim_predicate(3));
-    }
-    let got = shapes(db, &query);
+    let got = shapes(star_db(), &support::exp3(3));
     let printable = got.join(" ");
     // At this fact-table size the left-deep hash-join cascade dominates
     // at every threshold; the pin guards join-enumeration order.

@@ -12,70 +12,23 @@
 
 use robust_qo::prelude::*;
 
-const SEED: u64 = 42;
+use crate::support::{self, exp1, exp2, exp3, star_db, tpch_db, PlanRun, QueryRun, SAMPLE, SEED};
+
 const CLIENTS: [usize; 3] = [1, 4, 16];
 
-fn tpch_db() -> Engine {
-    let data = TpchData::generate(&TpchConfig {
-        scale_factor: 0.005,
-        seed: SEED,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
-}
-
-fn star_db() -> Engine {
-    let data = StarData::generate(&StarConfig {
-        fact_rows: 30_000,
-        seed: SEED,
-    });
-    Engine::with_options(data.into_catalog(), CostParams::default(), 500, SEED)
-}
-
-fn exp1_query() -> Query {
-    Query::over(&["lineitem"])
-        .filter("lineitem", exp1_lineitem_predicate(110))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-}
-
-fn exp2_query() -> Query {
-    Query::over(&["lineitem", "orders", "part"])
-        .filter("part", exp2_part_predicate(212))
-        .aggregate(AggExpr::sum("l_extendedprice", "revenue"))
-}
-
-fn exp3_query() -> Query {
-    let mut query = Query::over(&["fact", "dim1", "dim2", "dim3"])
-        .aggregate(AggExpr::sum("f_measure1", "total"));
-    for dim in ["dim1", "dim2", "dim3"] {
-        query = query.filter(dim, exp3_dim_predicate(3));
-    }
-    query
-}
-
-/// The single-tenant truth for one query: rows, rendered metrics tree,
-/// and tracked cost, via the side-effect-free analyze path.
-struct Reference {
-    rows: Vec<Vec<Value>>,
-    render: String,
-    seconds: f64,
-}
-
-fn reference(db: &Engine, query: &Query) -> Reference {
+/// The single-tenant truth for one query, via the side-effect-free
+/// analyze path.
+fn reference(db: &Engine, query: &Query) -> QueryRun {
     let analyzed = db
         .analyze_quiet(query, &ExecOptions::default())
         .expect("no token, cannot stop");
-    let render = analyzed.render();
-    Reference {
-        rows: analyzed.outcome.rows,
-        render,
-        seconds: analyzed.outcome.simulated_seconds,
-    }
+    QueryRun::of_analyzed(&analyzed)
 }
 
 /// Runs every query through the service from `clients` concurrent
 /// threads and asserts each analyzed result is bit-identical to its
 /// reference.
-fn assert_differential(db: Engine, queries: &[Query], refs: &[Reference], clients: usize) {
+fn serve_from_clients(db: Engine, queries: &[Query], refs: &[QueryRun], clients: usize) {
     let service = db.into_service(
         ServiceConfig::default()
             .with_workers(2)
@@ -91,16 +44,16 @@ fn assert_differential(db: Engine, queries: &[Query], refs: &[Reference], client
                     let analyzed = session
                         .execute(query, &QueryToken::new(), RunPolicy::AnalyzeQuiet)
                         .expect("no cancellation source");
-                    assert_eq!(analyzed.outcome.rows, reference.rows, "rows diverged");
-                    assert_eq!(analyzed.render(), reference.render, "metrics tree diverged");
-                    assert_eq!(
-                        analyzed.outcome.simulated_seconds, reference.seconds,
-                        "tracked cost diverged"
+                    support::assert_same(
+                        reference.diff(&QueryRun::of_analyzed(&analyzed)),
+                        "AnalyzeQuiet through the service",
                     );
-                    // The plain run path must agree on rows and cost too.
+                    // The plain run path must agree too.
                     let outcome = session.run(query).expect("no cancellation source");
-                    assert_eq!(outcome.rows, reference.rows);
-                    assert_eq!(outcome.simulated_seconds, reference.seconds);
+                    support::assert_same(
+                        reference.diff(&QueryRun::of_outcome(&outcome)),
+                        "a plain run through the service",
+                    );
                 }
             });
         }
@@ -114,23 +67,23 @@ fn assert_differential(db: Engine, queries: &[Query], refs: &[Reference], client
 
 #[test]
 fn tpch_service_matches_single_tenant() {
-    let queries = vec![exp1_query(), exp2_query()];
+    let queries = vec![exp1(110), exp2(212)];
     let db = tpch_db();
-    let refs: Vec<Reference> = queries.iter().map(|q| reference(&db, q)).collect();
+    let refs: Vec<QueryRun> = queries.iter().map(|q| reference(&db, q)).collect();
     drop(db);
     for clients in CLIENTS {
-        assert_differential(tpch_db(), &queries, &refs, clients);
+        serve_from_clients(tpch_db(), &queries, &refs, clients);
     }
 }
 
 #[test]
 fn star_service_matches_single_tenant() {
-    let queries = vec![exp3_query()];
+    let queries = vec![exp3(3)];
     let db = star_db();
-    let refs: Vec<Reference> = queries.iter().map(|q| reference(&db, q)).collect();
+    let refs: Vec<QueryRun> = queries.iter().map(|q| reference(&db, q)).collect();
     drop(db);
     for clients in CLIENTS {
-        assert_differential(star_db(), &queries, &refs, clients);
+        serve_from_clients(star_db(), &queries, &refs, clients);
     }
 }
 
@@ -143,7 +96,7 @@ fn stopped_queries_release_their_slots() {
             .with_queue_capacity(4),
     );
     let session = service.session();
-    let query = exp1_query();
+    let query = exp1(110);
 
     // A pre-cancelled query and an already-expired deadline both stop
     // before producing rows — and both must free their slot.
@@ -189,9 +142,9 @@ fn stopped_queries_release_their_slots() {
 #[test]
 fn four_policies_agree_and_observing_is_not_publishing() {
     let menu: [(fn() -> Engine, Query); 3] = [
-        (tpch_db, exp1_query()),
-        (tpch_db, exp2_query()),
-        (star_db, exp3_query()),
+        (tpch_db, exp1(110)),
+        (tpch_db, exp2(212)),
+        (star_db, exp3(3)),
     ];
     // Guard trips per query: the ladder trips only on exp2.
     for ((make_db, query), trips) in menu.iter().zip([0, 2, 0]) {
@@ -206,19 +159,12 @@ fn four_policies_agree_and_observing_is_not_publishing() {
         let (quiet_db, quiet) = ran(RunPolicy::AnalyzeQuiet);
 
         assert_eq!(adaptive.replans(), trips);
+        // A plain run observes the same tree as the others.
         let untripped = if trips == 0 { Some(&adaptive) } else { None };
+        let reference = QueryRun::of_analyzed(&run);
         for other in [&analyze, &quiet].into_iter().chain(untripped) {
-            assert_eq!(other.outcome.rows, run.outcome.rows);
-            assert_eq!(
-                other.outcome.simulated_seconds.to_bits(),
-                run.outcome.simulated_seconds.to_bits()
-            );
-            assert_eq!(other.replans(), 0);
+            support::assert_same(reference.diff(&QueryRun::of_analyzed(other)), "policies");
         }
-        assert_eq!(
-            run.metrics, quiet.metrics,
-            "a plain run observes the same tree"
-        );
 
         // Observed, not published: no feedback, no drift eviction.
         for db in [&run_db, &quiet_db] {
@@ -256,53 +202,44 @@ fn four_policies_agree_and_observing_is_not_publishing() {
 /// a `QueryService` on the shared pool.
 #[test]
 fn float_aggregates_bit_identical_at_every_entry_point() {
-    use robust_qo::exec::{execute, execute_with, try_execute_with};
-    use robust_qo::storage::{DataType, Schema, TableBuilder};
+    use robust_qo::exec::try_execute_with;
 
     const ROWS: i64 = 20_000; // five default-sized morsels
-    let mut b = TableBuilder::new(
+    let m = support::table(
         "m",
-        Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]),
-        ROWS as usize,
+        &[("g", DataType::Int), ("x", DataType::Float)],
+        (0..ROWS).map(|i| {
+            let x = 1.0 / (i + 3) as f64 + (i as f64).sqrt();
+            vec![Value::Int(i % 7), Value::Float(x)]
+        }),
     );
-    for i in 0..ROWS {
-        let x = 1.0 / (i + 3) as f64 + (i as f64).sqrt();
-        b.push_row(&[Value::Int(i % 7), Value::Float(x)]);
-    }
     let mut catalog = Catalog::new();
-    catalog.add_table(b.finish()).unwrap();
-    let db = Engine::with_options(catalog, CostParams::default(), 500, SEED);
+    catalog.add_table(m).unwrap();
+    let db = support::engine(catalog, SAMPLE, SEED);
     let query = Query::over(&["m"])
         .group(&["g"])
         .aggregate(AggExpr::sum("x", "s"))
         .aggregate(AggExpr::avg("x", "a"));
 
-    let bits = |rows: &[Vec<Value>]| -> Vec<Vec<u64>> {
-        rows.iter()
-            .map(|r| r.iter().map(|v| v.as_f64().to_bits()).collect())
-            .collect()
-    };
     let plan = db.optimize(&query).plan.clone();
-    let (catalog, params) = (db.catalog(), CostParams::default());
-    let (serial, _) = execute(&plan, &catalog, &params);
-    assert_eq!(serial.len(), 7);
-    let expect = bits(&serial.to_rows());
+    let catalog = db.catalog();
+    let serial = PlanRun::serial(&plan, &catalog, None);
+    assert_eq!(serial.rows.len(), 7);
+    let morsel = ExecOptions::default().morsel_size;
+    support::sweep_plan(&plan, &catalog, morsel, &serial).unwrap_or_else(|e| panic!("{e}"));
 
-    for threads in [1, 2, 8] {
-        let opts = ExecOptions::with_threads(threads);
-        let (out, _) = execute_with(&plan, &catalog, &params, &opts);
-        assert_eq!(
-            bits(&out.to_rows()),
-            expect,
-            "execute_with threads={threads}"
-        );
-    }
     let tokened = ExecOptions::with_threads(1).with_token(QueryToken::new());
-    let (out, _) = try_execute_with(&plan, &catalog, &params, &tokened).unwrap();
-    assert_eq!(bits(&out.to_rows()), expect, "token at one thread");
+    let (out, cost) = try_execute_with(&plan, &catalog, &CostParams::default(), &tokened).unwrap();
+    let tokened = PlanRun {
+        rows: out.to_rows(),
+        cost,
+        metrics: None,
+    };
+    support::assert_same(serial.diff(&tokened), "token at one thread");
 
-    assert_eq!(bits(&db.run(&query).rows), expect, "Engine::run");
+    // Float values compare bit for bit.
+    assert_eq!(db.run(&query).rows, serial.rows, "Engine::run");
     let service = db.into_service(ServiceConfig::default().with_workers(2));
     let outcome = service.run(&query).unwrap();
-    assert_eq!(bits(&outcome.rows), expect, "QueryService::run");
+    assert_eq!(outcome.rows, serial.rows, "QueryService::run");
 }

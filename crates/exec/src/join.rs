@@ -12,7 +12,7 @@ use std::sync::Arc;
 use rqo_storage::{Catalog, ColumnVec, CostParams, CostTracker, Rid, Schema, Value};
 
 use crate::batch::Batch;
-use crate::keys::{KeyColumns, KeyTable};
+use crate::keys::{dense_domain, KeyColumns, KeyTable};
 use crate::morsel::{run_morsels, ExecOptions};
 use crate::plan::SemiJoinLeg;
 use crate::scan::{charge_fetch, fetch_rows, intersect_rids, rids_for_range, seq_scan};
@@ -111,17 +111,10 @@ fn int_key<'a>(batch: &'a Batch, key: &str) -> impl Fn(usize) -> Option<i64> + S
 /// Marks the end of a chain of build rows.
 const END: u32 = u32::MAX;
 
-/// The most chain heads a direct-addressed build allocates.  2¹⁸ `u32`
-/// heads are 1 MiB, which stays in one core's L2.  Measured on a 2-vCPU
-/// x86-64 host (2 MiB of L2 per core), a 48-row build probed by 300 k rows
-/// took 1.4 ms over 2¹⁸ direct heads against 2.2 ms through the key table,
-/// and 2.7 ms over 2²⁰ heads against 1.9 ms.
-const DIRECT_SLOTS: u64 = 1 << 18;
-
 /// Where each key's chain of build rows starts.
 enum Heads {
-    /// A NULL-free build whose keys span at most the direct-addressing
-    /// bound: key `k`'s chain starts at `head[k − min]` (`END`: no row).
+    /// A build whose keys have a dense domain, with no NULL key on either
+    /// side: key `k`'s chain starts at `head[k − min]` (`END`: no row).
     Direct { min: i64, head: Vec<u32> },
     /// Any other build: the chain of the key with id `id` in `table`
     /// starts at `head[id]`.
@@ -131,21 +124,24 @@ enum Heads {
 impl Heads {
     /// Chains the build rows of each key through `next` (filled back to
     /// front, so every chain ascends) and records where each chain
-    /// starts: directly over `[min, max]` of `values` when neither join
-    /// key is `nullable` and that span is within the bound — measured by
-    /// `abs_diff`, so no key domain overflows it — and through the key
-    /// table of `keys` otherwise.
-    fn build(keys: &KeyColumns<'_>, values: &[i64], nullable: bool, next: &mut [u32]) -> Self {
-        let span = (!nullable).then(|| values.iter().min().zip(values.iter().max()));
-        match span.flatten().map(|(&min, &max)| (min, max.abs_diff(min))) {
-            Some((min, span)) if span < DIRECT_SLOTS => {
-                let mut head = vec![END; span as usize + 1];
+    /// starts: directly over the `(min, slots)` of `direct`, the build
+    /// keys' dense domain when there is one, and through the key table of
+    /// `keys` otherwise.
+    fn build(
+        keys: &KeyColumns<'_>,
+        values: &[i64],
+        direct: Option<(i64, usize)>,
+        next: &mut [u32],
+    ) -> Self {
+        match direct {
+            Some((min, slots)) => {
+                let mut head = vec![END; slots];
                 for (i, &k) in values.iter().enumerate().rev() {
                     next[i] = std::mem::replace(&mut head[k.abs_diff(min) as usize], i as u32);
                 }
                 Heads::Direct { min, head }
             }
-            _ => {
+            None => {
                 let width = keys.width();
                 let words = keys.encode(0..values.len());
                 let mut table = KeyTable::new(width);
@@ -175,18 +171,19 @@ impl Heads {
 /// The build, one pass on the calling thread, chains the rows of each key
 /// through a `next` array, so each key's rows come out in ascending build
 /// order, and records where each chain starts.  When neither key column
-/// has NULLs and the build keys span at most 2¹⁸ values, the chain heads
-/// are an array over `[min, max]` of the build keys: a probe morsel reads
-/// the probe key column in place, and a probe row costs one subtract, one
-/// bounds check and one load.  Otherwise every build row gets its key's
-/// dense id in the crate's one key table (`keys.rs`, shared with
-/// [`crate::agg::hash_aggregate`]), the heads are indexed by id, and a
-/// probe morsel encodes its keys and looks them up in the read-only
-/// table.  Probe morsels walk the chains and emit a build id and a probe
-/// id per output row, kept in morsel order.  Only the output columns
-/// named in `needed` are built (`None`: all), and when every probe row
-/// meets exactly one build row — an FK probe whose every key is in the
-/// build — the probe columns are the input's, uncopied.  All three charges
+/// has NULLs and the build keys have a dense domain (the rule in
+/// `keys.rs`, shared with [`crate::agg::hash_aggregate`]: at most 2¹⁸
+/// values), the chain heads are an array over `[min, max]` of the build
+/// keys: a probe morsel reads the probe key column in place, and a probe
+/// row costs one subtract, one bounds check and one load.  Otherwise
+/// every build row gets its key's dense id in the crate's one key table,
+/// the heads are indexed by id, and a probe morsel encodes its keys and
+/// looks them up in the read-only table.  Probe morsels walk the chains
+/// and emit a build id and a probe id per output row, kept in morsel
+/// order.  Only the output columns named in `needed` are built (`None`:
+/// all), and when every probe row meets exactly one build row — an FK
+/// probe whose every key is in the build — the probe columns are the
+/// input's, uncopied.  All three charges
 /// are totals over input/output sizes, so rows, row order, and costs are
 /// the same for every thread count, morsel size, key domain and `needed`.
 /// Returns `None` when the query's token fired during the probe.
@@ -214,7 +211,9 @@ pub fn hash_join(
     let width = bkeys.width();
     tracker.charge_hash_builds(build.len() as u64);
     let mut next: Vec<u32> = vec![END; build.len()];
-    let heads = Heads::build(&bkeys, bvals, nullable, &mut next);
+    // A NULL probe key must not meet the build key its cell holds.
+    let direct = (!nullable).then(|| dense_domain(bcol)).flatten();
+    let heads = Heads::build(&bkeys, bvals, direct, &mut next);
 
     tracker.charge_hash_probes(probe.len() as u64);
     let parts = run_morsels(opts, probe.len(), |morsel| {
@@ -567,33 +566,6 @@ mod tests {
         assert_eq!(out.schema.len(), 4);
         assert_eq!(tracker.hash_builds, 4);
         assert_eq!(tracker.hash_probes, 4);
-    }
-
-    /// Which chain heads a build of `values` gets: `Some(slots)` of a
-    /// direct-addressed array, `None` for the key table.
-    fn direct_slots(values: &[i64], nullable: bool) -> Option<usize> {
-        let col = ColumnVec::Int {
-            values: values.to_vec().into(),
-            nulls: None,
-        };
-        let keys = KeyColumns::new(vec![&col], nullable);
-        let mut next = vec![END; values.len()];
-        match Heads::build(&keys, values, nullable, &mut next) {
-            Heads::Direct { head, .. } => Some(head.len()),
-            Heads::Table { .. } => None,
-        }
-    }
-
-    #[test]
-    fn direct_addressing_stays_within_its_bound() {
-        let bound = 1i64 << 18;
-        assert_eq!(direct_slots(&[5, 5 + bound - 1], false), Some(1 << 18));
-        assert_eq!(direct_slots(&[5, 5 + bound], false), None);
-        assert_eq!(direct_slots(&[i64::MAX], false), Some(1));
-        assert_eq!(direct_slots(&[i64::MIN, i64::MIN + 3], false), Some(4));
-        assert_eq!(direct_slots(&[i64::MIN, i64::MAX], false), None);
-        assert_eq!(direct_slots(&[], false), None);
-        assert_eq!(direct_slots(&[1, 2], true), None, "NULLs take the table");
     }
 
     #[test]

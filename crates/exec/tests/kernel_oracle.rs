@@ -1080,6 +1080,97 @@ fn agg_kernel_matches_oracle_at_high_cardinality() {
     }
 }
 
+/// The grouped aggregate over one `Int` key, across every key domain that
+/// decides between the direct path (one NULL-free column spanning at most
+/// 2¹⁸ values, a group per `key − min`) and the key table: dense, sparse,
+/// negative, spans of exactly 2¹⁸ − 1 and 2¹⁸, domains at `i64::MIN` and
+/// `i64::MAX` and across both, a NULL key, one group and empty input.
+/// The six aggregates run over a float column salted with
+/// [`EDGE_FLOATS`] and an `Int` column, both with NULLs.  Rows, row order,
+/// float bits (but a NaN sum's payload) and every charge match the
+/// morsel-aware oracle at 1/2/8 workers and morsel sizes 1, 7, 64 and
+/// 4096.
+#[test]
+fn agg_kernel_matches_oracle_over_key_domains() {
+    const BOUND: i64 = 1 << 18;
+    let n = 300i64;
+    let domain = |key: &dyn Fn(i64) -> Option<i64>| (0..n).map(key).collect::<Vec<_>>();
+    let ends = |lo: i64, hi: i64| move |i: i64| Some([lo, lo / 2 + hi / 2, hi][i as usize % 3]);
+    let cases: Vec<(&str, Vec<Option<i64>>)> = vec![
+        ("dense", domain(&|i| Some(i * 7 % 40))),
+        ("sparse", domain(&|i| Some(i * 7 % 40 * 100_003))),
+        ("negative", domain(&|i| Some(-1000 - i * 7 % 40))),
+        ("span 2^18 - 1", domain(&ends(5, 5 + BOUND - 1))),
+        ("span 2^18", domain(&ends(5, 5 + BOUND))),
+        ("at i64::MIN", domain(&|i| Some(i64::MIN + i * 7 % 40))),
+        ("at i64::MAX", domain(&|i| Some(i64::MAX - i * 7 % 40))),
+        ("i64::MIN..=i64::MAX", domain(&ends(i64::MIN, i64::MAX))),
+        (
+            "a NULL key",
+            domain(&|i| (i % 9 != 4).then_some(i * 7 % 40)),
+        ),
+        ("one group", domain(&|_| Some(42))),
+        ("empty input", Vec::new()),
+    ];
+    let opts: Vec<ExecOptions> = [1usize, 2, 8]
+        .iter()
+        .flat_map(|&t| [1, 7, 64, 4096].map(|m| ExecOptions::with_threads(t).with_morsel_size(m)))
+        .collect();
+    // Arithmetic leaves the payload of the NaN it returns unspecified (an
+    // unoptimised build may commute an addition's operands), so a NaN SUM
+    // or AVG (row columns 1 and 4) compares as one NaN.  Every other bit is
+    // pinned, MAX's NaNs included.
+    let as_bits = |rows: Vec<Vec<Value>>| -> Vec<Vec<_>> {
+        let pin = |(c, v): (usize, &Value)| match v {
+            Value::Float(x) if x.is_nan() && (c == 1 || c == 4) => bits(&Value::Float(f64::NAN)),
+            _ => bits(v),
+        };
+        rows.iter()
+            .map(|r| r.iter().enumerate().map(pin).collect())
+            .collect()
+    };
+    let aggs = agg_menu("a", "b");
+    for (case, keys) in cases {
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let a = if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i as i64 % 13 - 6)
+                };
+                let b = match i {
+                    _ if i % 7 == 0 => Value::Null,
+                    _ if i % 23 == 0 => Value::Float(EDGE_FLOATS[i / 23 % EDGE_FLOATS.len()]),
+                    _ => Value::Float((i as f64).sqrt() * std::f64::consts::PI),
+                };
+                vec![a, b, k.map_or(Value::Null, Value::Int)]
+            })
+            .collect();
+        let batch = Batch::from_rows(
+            Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Float),
+                ("k", DataType::Int),
+            ]),
+            rows,
+        );
+        for opts in &opts {
+            let expect = as_bits(oracle_aggregate(&batch, &[2], opts.morsel_size));
+            let want = CostTracker {
+                hash_builds: batch.len() as u64,
+                cpu_ops: expect.len() as u64,
+                ..CostTracker::new()
+            };
+            let mut t = CostTracker::new();
+            let out = hash_aggregate(&mut t, batch.clone(), &["k".into()], &aggs, opts).unwrap();
+            assert_eq!(as_bits(out.to_rows()), expect, "{case}, {opts:?}");
+            assert_eq!(t, want, "{case}, {opts:?}");
+        }
+    }
+}
+
 /// All-selected and none-selected filters are exact (and exactly empty).
 #[test]
 fn filter_kernel_all_and_none_selected() {

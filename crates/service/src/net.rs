@@ -993,3 +993,92 @@ fn unexpected(resp: Response) -> ClientError {
         _ => ClientError::Proto(ProtoError::Invalid("response for a different request")),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::time::Instant;
+
+    use rqo_datagen::{TpchConfig, TpchData};
+    use rqo_exec::AggExpr;
+
+    use super::*;
+    use crate::service::hold;
+    use crate::{Engine, ServiceConfig};
+
+    fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Dropping the TCP connection while a query executes cancels it
+    /// through its [`QueryToken`], with the engine's no-trace hygiene and
+    /// balanced counters.  The service holds the query, slot in hand,
+    /// until its token fires, so the disconnect always lands mid-query.
+    #[test]
+    fn disconnect_mid_query_cancels_via_token_with_no_trace() {
+        let data = TpchData::generate(&TpchConfig {
+            scale_factor: 0.002,
+            seed: 7,
+        });
+        let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
+        let config = NetServerConfig::default().with_tenant_quota(1);
+        let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind loopback");
+        let service = server.service().clone();
+        let engine = service.engine().clone();
+        hold::next(&service);
+
+        // Fire the query without waiting for its reply, then watch it get
+        // admitted.  It holds tenant "acme"'s only quota unit.
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        client.hello("acme").expect("hello");
+        let req = Request::Run {
+            id: 1,
+            mode: RunMode::Run,
+            deadline_ms: 0,
+            query: Query::over(&["lineitem", "orders", "part"]).aggregate(AggExpr::count_star("n")),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &req.encode()).unwrap();
+        client.send_raw(&frame).expect("send run");
+        poll_until("query admitted", || service.stats().admitted == 1);
+
+        // Hard disconnect while the query runs.
+        client.stream().shutdown(Shutdown::Both).expect("shutdown");
+        drop(client);
+
+        // The reader notices EOF and cancels the token, and the query
+        // stops at its next poll.
+        poll_until("cancellation", || service.stats().cancelled == 1);
+        poll_until("connection drained", || server.stats().active == 0);
+
+        let stats = service.stats();
+        assert_eq!(stats.completed, 0, "query must not have finished: {stats}");
+        assert!(stats.slots_balanced(), "execution slot leaked: {stats}");
+        assert_eq!(stats.panicked, 0, "query panicked: {stats}");
+        assert_eq!(server.stats().disconnect_cancels, 1, "{}", server.stats());
+
+        // No-trace hygiene: the cancelled run published nothing.
+        assert_eq!(
+            engine.cache_stats().entries,
+            0,
+            "cancelled query inserted a plan"
+        );
+        assert!(
+            engine.feedback().snapshot().is_empty(),
+            "cancelled query recorded feedback"
+        );
+
+        // And the engine is unharmed: the cancelled query gave its
+        // tenant's quota unit back, so "acme" runs a query over a fresh
+        // connection.
+        let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
+        retry.hello("acme").expect("hello");
+        let short = Query::over(&["part"]).aggregate(AggExpr::count_star("n"));
+        let reply = retry.run(&short).expect("server still serves");
+        assert_eq!(reply.rows.len(), 1);
+        assert_eq!(server.stats().tenant_rejections, 0, "{}", server.stats());
+    }
+}

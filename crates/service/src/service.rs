@@ -316,7 +316,11 @@ impl QueryService {
         // `slots_balanced` would report a leak that is really a crash.
         // The slot itself is drop-freed either way; we count the panic
         // and re-raise it for the caller's own containment.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&opts)));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            hold::wait(self, opts.token.as_ref());
+            run(&opts)
+        }));
         drop(slot);
         let result = match result {
             Ok(r) => r,
@@ -359,6 +363,48 @@ impl QueryService {
         Ok(self
             .execute(query, &QueryToken::new(), RunPolicy::Run)?
             .outcome)
+    }
+}
+
+/// Test hook: a service marked here holds the next query it admits, slot
+/// in hand, until that query's token fires, so a test lands a
+/// cancellation mid-query however fast the build runs the query.
+#[cfg(test)]
+pub(crate) mod hold {
+    use std::sync::{Arc, Mutex, PoisonError};
+    use std::time::Duration;
+
+    use rqo_core::QueryToken;
+
+    use super::QueryService;
+
+    /// The services (by address) whose next admitted query is held.
+    static NEXT: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+    fn id(service: &QueryService) -> usize {
+        Arc::as_ptr(&service.inner) as usize
+    }
+
+    /// Holds the next query `service` admits.
+    pub(crate) fn next(service: &QueryService) {
+        NEXT.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(id(service));
+    }
+
+    /// When `service`'s next query is held, waits until `token` fires.
+    pub(crate) fn wait(service: &QueryService, token: Option<&QueryToken>) {
+        let held = {
+            let mut next = NEXT.lock().unwrap_or_else(PoisonError::into_inner);
+            let at = next.iter().position(|&s| s == id(service));
+            at.map(|at| next.swap_remove(at)).is_some()
+        };
+        if held {
+            let token = token.expect("an admitted query has a token");
+            while !token.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 }
 

@@ -1,16 +1,10 @@
-//! Client-disconnect propagation over a real socket: dropping the TCP
-//! connection while a query is executing must cancel it through the
-//! existing [`QueryToken`] path — promptly, with the engine's no-trace
-//! hygiene (no plan-cache insert, no feedback observations), and with
-//! the service counters balancing afterwards.  A reply the client never
-//! reads also pins the per-tenant admission quota, which needs a query
-//! held in flight to be observable.
-//!
-//! The long query is a three-way join sized to run for seconds in
-//! debug builds (hundreds of milliseconds in release); the test never
-//! sleeps a fixed "long enough" interval before disconnecting — it
-//! polls the service's `admitted` counter so the cancel always lands
-//! mid-execution.
+//! Client-disconnect propagation over a real socket: a client that hangs
+//! up while its reply is being written ends the connection and leaves
+//! nothing behind, and a reply the client never reads pins the
+//! per-tenant admission quota, which needs a query held in flight to be
+//! observable.  A client that hangs up while its query executes is tested
+//! beside the server (`net.rs`), where the service can hold the query
+//! until the disconnect lands.
 
 use std::net::Shutdown;
 use std::time::{Duration, Instant};
@@ -22,7 +16,8 @@ use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
 use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
 use rqo_service::{Engine, ServiceConfig, ServiceStats};
 
-/// Big enough that the join below runs for seconds in debug mode.
+/// Big enough that a `lineitem ⋈ part` reply (≈ 14 MB) outgrows what
+/// loopback socket buffers absorb.
 const SCALE: f64 = 0.02;
 
 fn server_with(config: NetServerConfig) -> NetServer {
@@ -32,10 +27,6 @@ fn server_with(config: NetServerConfig) -> NetServer {
     });
     let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
     NetServer::bind(service, "127.0.0.1:0", config).expect("bind loopback")
-}
-
-fn long_query() -> Query {
-    Query::over(&["lineitem", "orders", "part"]).aggregate(AggExpr::count_star("n"))
 }
 
 fn short_query() -> Query {
@@ -53,61 +44,6 @@ fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
 fn assert_quiescent_and_balanced(stats: ServiceStats) {
     assert!(stats.slots_balanced(), "execution slot leaked: {stats}");
     assert_eq!(stats.panicked, 0, "query panicked: {stats}");
-}
-
-#[test]
-fn disconnect_mid_query_cancels_via_token_with_no_trace() {
-    let server = server_with(NetServerConfig::default().with_tenant_quota(1));
-    let service = server.service().clone();
-    let engine = service.engine().clone();
-
-    // Fire the query without waiting for its reply, then watch it get
-    // admitted.  It holds tenant "acme"'s only quota unit.
-    let mut client = NetClient::connect(server.local_addr()).expect("connect");
-    client.hello("acme").expect("hello");
-    let req = Request::Run {
-        id: 1,
-        mode: RunMode::Run,
-        deadline_ms: 0,
-        query: long_query(),
-    };
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &req.encode()).unwrap();
-    client.send_raw(&frame).expect("send run");
-    poll_until("query admitted", || service.stats().admitted == 1);
-
-    // Hard disconnect while the join is grinding.
-    client.stream().shutdown(Shutdown::Both).expect("shutdown");
-    drop(client);
-
-    // The reader notices EOF, cancels the token, and the query stops at
-    // its next morsel boundary — long before it could complete.
-    poll_until("cancellation", || service.stats().cancelled == 1);
-    poll_until("connection drained", || server.stats().active == 0);
-
-    let stats = service.stats();
-    assert_eq!(stats.completed, 0, "query must not have finished: {stats}");
-    assert_quiescent_and_balanced(stats);
-    assert_eq!(server.stats().disconnect_cancels, 1, "{}", server.stats());
-
-    // No-trace hygiene: the cancelled run published nothing.
-    assert_eq!(
-        engine.cache_stats().entries,
-        0,
-        "cancelled query inserted a plan"
-    );
-    assert!(
-        engine.feedback().snapshot().is_empty(),
-        "cancelled query recorded feedback"
-    );
-
-    // And the engine is unharmed: the cancelled query gave its tenant's
-    // quota unit back, so "acme" runs a query over a fresh connection.
-    let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
-    retry.hello("acme").expect("hello");
-    let reply = retry.run(&short_query()).expect("server still serves");
-    assert_eq!(reply.rows.len(), 1);
-    assert_eq!(server.stats().tenant_rejections, 0, "{}", server.stats());
 }
 
 /// The other place a client can vanish: not while its query runs but

@@ -29,11 +29,11 @@
 //! samples forever (the stale-feedback bug fixed in PR 3).
 //!
 //! The global epoch is the right hammer for a full statistics rebuild,
-//! but a *partial* refresh (one table, or a few partitions of one table)
-//! must not throw away every other table's hard-won observations.  Each
-//! observation therefore remembers which tables it references, and
+//! but an insert into one table (`Engine::insert_rows`) must not throw
+//! away every other table's hard-won observations.  Each observation
+//! therefore remembers which tables it references, and
 //! [`FeedbackStore::advance_table_epoch`] evicts only the observations
-//! touching the refreshed table while bumping that table's own counter.
+//! touching the changed table while bumping that table's own counter.
 //! Consumers that embed an epoch in a fingerprint use
 //! [`FeedbackStore::epoch_for_tables`] — `global + Σ per-table` over the
 //! query's tables — which strictly increases whenever *any* statistics
@@ -68,8 +68,8 @@ pub struct FeedbackStore {
 }
 
 /// One recorded observation: the measured selectivity plus the tables the
-/// request referenced (sorted), so a per-table refresh can evict exactly
-/// the observations that depended on the refreshed table.
+/// request referenced (sorted), so a per-table epoch advance can evict
+/// exactly the observations that depended on the changed table.
 #[derive(Debug, Clone)]
 struct Observation {
     selectivity: f64,
@@ -133,7 +133,7 @@ impl FeedbackStore {
     /// Invalidates **only** the observations referencing `table` and bumps
     /// that table's own epoch counter, returning the new counter value.
     /// Observations over other tables — and the global epoch — are
-    /// untouched, so a partial statistics refresh keeps the rest of the
+    /// untouched, so an insert into one table keeps the rest of the
     /// feedback loop warm.
     pub fn advance_table_epoch(&self, table: &str) -> u64 {
         let mut inner = self.guard();
@@ -147,8 +147,8 @@ impl FeedbackStore {
 
     /// The epoch a consumer should embed for a request over `tables`:
     /// the global epoch plus the per-table epochs of every listed table.
-    /// Strictly increases when any of those tables' statistics are
-    /// refreshed (partially or fully) and is stable otherwise.  Distinct
+    /// Strictly increases when any of those tables changes or the
+    /// statistics are refreshed, and is stable otherwise.  Distinct
     /// table sets may alias to the same number — harmless for fingerprint
     /// use, where the canonical query text already distinguishes them.
     pub fn epoch_for_tables<'a>(&self, tables: impl IntoIterator<Item = &'a str>) -> u64 {

@@ -13,7 +13,7 @@ use crate::kernels::{filter_batch, project_batch};
 use crate::metrics::OpMetrics;
 use crate::morsel::ExecOptions;
 use crate::plan::PhysicalPlan;
-use crate::scan::{index_intersection, index_seek, partitioned_scan, seq_scan, surviving_spans};
+use crate::scan::{index_intersection, index_seek, seq_scan};
 
 /// Why the interpreter unwound before producing the root's result:
 /// either a cardinality guard tripped (adaptive re-planning takes over)
@@ -203,32 +203,6 @@ fn run(
                 tracker,
                 table,
                 predicate.as_ref(),
-                needed,
-                opts,
-            )
-            .ok_or_else(stopped)?;
-            (batch, n as u64, opts.morsel_count(n), 0, vec![])
-        }
-        PhysicalPlan::PartitionedScan {
-            table,
-            predicate,
-            partitions,
-            ..
-        } => {
-            // Rows consumed are only those in surviving partitions: pruned
-            // partitions are never read, so they appear in neither the cost
-            // charges nor the metrics.
-            let n: usize = surviving_spans(catalog, table, partitions)
-                .iter()
-                .map(|s| s.len())
-                .sum();
-            let batch = partitioned_scan(
-                catalog,
-                params,
-                tracker,
-                table,
-                predicate.as_ref(),
-                partitions,
                 needed,
                 opts,
             )
@@ -439,9 +413,7 @@ mod tests {
     use super::*;
     use crate::plan::{AggExpr, IndexRange};
     use rqo_expr::Expr;
-    use rqo_storage::{
-        DataType, PartitionSpec, PartitionedTableBuilder, Schema, TableBuilder, Value,
-    };
+    use rqo_storage::{DataType, Schema, TableBuilder, Value};
 
     /// orders(o_id, o_cust) and items(i_order, i_price): 50 orders with 2
     /// items each.
@@ -534,20 +506,6 @@ mod tests {
         }
         cat.ensure_secondary_index("b", "k").unwrap();
         cat.ensure_secondary_index("b", "v").unwrap();
-        let spec = PartitionSpec::Range {
-            column: "k".into(),
-            bounds: vec![Value::Int(3)],
-        };
-        let mut p = PartitionedTableBuilder::new("p", schema.clone(), spec);
-        for i in 0..50i64 {
-            p.push_row(&[
-                Value::Int(i % 7),
-                Value::Float(i as f64 + 0.5),
-                Value::from(format!("p{i}").as_str()),
-            ]);
-        }
-        let (table, layout) = p.finish();
-        cat.add_partitioned_table(table, layout).unwrap();
         let scan = |table: &str| PhysicalPlan::SeqScan {
             table: table.into(),
             predicate: None,
@@ -676,12 +634,6 @@ mod tests {
                 ],
                 residual: Some(Expr::col("pad").ne(Expr::lit("b22"))),
             },
-            PhysicalPlan::PartitionedScan {
-                table: "p".into(),
-                predicate: Some(Expr::col("v").gt(Expr::lit(5.0))),
-                partitions: vec![1],
-                total_partitions: 2,
-            },
         ];
         // The scan node's own output, before `run` trims anything.
         let own = |plan: &PhysicalPlan, tracker: &mut CostTracker, needed: Option<&[String]>| {
@@ -710,21 +662,6 @@ mod tests {
                     &opts,
                 )
                 .map(|(batch, _)| batch),
-                PhysicalPlan::PartitionedScan {
-                    table,
-                    predicate,
-                    partitions,
-                    ..
-                } => partitioned_scan(
-                    &cat,
-                    &params,
-                    tracker,
-                    table,
-                    predicate.as_ref(),
-                    partitions,
-                    needed,
-                    &opts,
-                ),
                 other => unreachable!("not an access path: {other:?}"),
             }
             .unwrap()

@@ -79,4 +79,3 @@ pub use metrics::OpMetrics;
 pub use morsel::{ExecOptions, MorselScheduler, StopReason};
 pub use plan::{AggExpr, AggFunc, IndexRange, PhysicalPlan, PreorderNode, SemiJoinLeg};
 pub use pool::WorkerPool;
-pub use scan::surviving_spans;

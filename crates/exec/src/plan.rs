@@ -162,22 +162,6 @@ pub enum PhysicalPlan {
         /// Predicate applied during the scan.
         predicate: Option<Expr>,
     },
-    /// Sequential scan of a partitioned table restricted to the surviving
-    /// partitions (partition pruning).  Each partition is a contiguous RID
-    /// span of the canonical concatenated table, so with every partition
-    /// surviving this is bit-identical to [`PhysicalPlan::SeqScan`]: same
-    /// rows in the same order, same morsel boundaries, same cost charges.
-    PartitionedScan {
-        /// Table to scan (must be registered with a partition layout).
-        table: String,
-        /// Predicate applied during the scan.
-        predicate: Option<Expr>,
-        /// Surviving partition indices, ascending.  Partitions not listed
-        /// were proven by the optimizer to contain no matching rows.
-        partitions: Vec<usize>,
-        /// Total partitions of the table (for `EXPLAIN` output).
-        total_partitions: usize,
-    },
     /// Single-index seek: scan one key range's leaf entries, fetch the
     /// rows, apply the residual predicate.
     IndexSeek {
@@ -310,18 +294,6 @@ impl PhysicalPlan {
                 Some(p) => format!("SeqScan {table} filter={p}"),
                 None => format!("SeqScan {table}"),
             },
-            PhysicalPlan::PartitionedScan {
-                table,
-                predicate,
-                partitions,
-                total_partitions,
-            } => {
-                let parts = format!("[{}/{total_partitions} parts]", partitions.len());
-                match predicate {
-                    Some(p) => format!("PartitionedScan {table} {parts} filter={p}"),
-                    None => format!("PartitionedScan {table} {parts}"),
-                }
-            }
             PhysicalPlan::IndexSeek { table, range, .. } => {
                 format!("IndexSeek {table}.{}", range.column)
             }
@@ -376,7 +348,6 @@ impl PhysicalPlan {
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match self {
             PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::PartitionedScan { .. }
             | PhysicalPlan::IndexSeek { .. }
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }
@@ -421,7 +392,6 @@ impl PhysicalPlan {
     fn children_mut(&mut self) -> Vec<&mut PhysicalPlan> {
         match self {
             PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::PartitionedScan { .. }
             | PhysicalPlan::IndexSeek { .. }
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }
@@ -473,11 +443,6 @@ impl PhysicalPlan {
     pub fn shape_label(&self) -> String {
         match self {
             PhysicalPlan::SeqScan { .. } => "seqscan".to_string(),
-            PhysicalPlan::PartitionedScan {
-                partitions,
-                total_partitions,
-                ..
-            } => format!("partscan[{}/{total_partitions}]", partitions.len()),
             PhysicalPlan::IndexSeek { .. } => "ixseek".to_string(),
             PhysicalPlan::IndexIntersection { .. } => "ixsect".to_string(),
             PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
@@ -505,7 +470,6 @@ impl PhysicalPlan {
     pub fn node_count(&self) -> usize {
         1 + match self {
             PhysicalPlan::SeqScan { .. }
-            | PhysicalPlan::PartitionedScan { .. }
             | PhysicalPlan::IndexSeek { .. }
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }

@@ -1,7 +1,5 @@
-//! Access-path operators: sequential scan, partition-wise scan, index
-//! seek, index intersection.
-
-use std::ops::Range;
+//! Access-path operators: sequential scan, index seek, index
+//! intersection.
 
 use rqo_expr::columnar::{select, Candidates};
 use rqo_expr::Expr;
@@ -34,128 +32,20 @@ pub fn seq_scan(
     needed: Option<&[String]>,
     opts: &ExecOptions,
 ) -> Option<Batch> {
-    let whole = 0..catalog.table(table).expect("table exists").num_rows();
-    let spans = std::slice::from_ref(&whole);
-    scan_spans(
-        catalog, params, tracker, table, predicate, spans, needed, opts,
-    )
-}
-
-/// Partition-wise sequential scan over the surviving partitions of a
-/// partitioned table.
-///
-/// Each surviving partition is a contiguous RID span of the canonical
-/// concatenated table; adjacent surviving spans are merged and each
-/// merged run charges its own sequential data pages, plus one CPU op per
-/// surviving row — so a scan listing *every* partition charges exactly
-/// what [`seq_scan`] charges, and pruning shows up as fewer page reads.
-/// Builds only the columns `needed` names, as [`seq_scan`] does.
-/// Returns `None` when the query's token fired mid-scan.
-#[allow(clippy::too_many_arguments)]
-pub fn partitioned_scan(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    partitions: &[usize],
-    needed: Option<&[String]>,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    let spans = surviving_spans(catalog, table, partitions);
-    scan_spans(
-        catalog, params, tracker, table, predicate, &spans, needed, opts,
-    )
-}
-
-/// The surviving RID spans of a partitioned table, ascending and with
-/// adjacent spans merged (empty partitions vanish, so runs of surviving
-/// partitions separated only by empty ones still coalesce).  Shared with
-/// the optimizer's cost model so priced and executed page charges agree.
-///
-/// # Panics
-///
-/// Panics when the table has no partition layout, a partition index is
-/// out of range, or the list is not strictly ascending.
-pub fn surviving_spans(catalog: &Catalog, table: &str, partitions: &[usize]) -> Vec<Range<usize>> {
-    let layout = catalog
-        .partitioning(table)
-        .unwrap_or_else(|| panic!("table {table} has no partition layout"));
-    assert!(
-        partitions.windows(2).all(|w| w[0] < w[1]),
-        "partition list must be strictly ascending"
-    );
-    let mut spans: Vec<Range<usize>> = Vec::new();
-    for &p in partitions {
-        let s = layout.span(p);
-        if s.is_empty() {
-            continue;
-        }
-        match spans.last_mut() {
-            Some(prev) if prev.end == s.start => prev.end = s.end,
-            _ => spans.push(s),
-        }
-    }
-    spans
-}
-
-/// The one scan body: filters the ascending, disjoint RID `spans` of
-/// `table` and materializes the survivors in table order.
-///
-/// Charges are selectivity- and thread-independent, so they are made
-/// centrally before any morsel runs.  Morsels are carved from the virtual
-/// concatenation of the spans: boundaries depend only on `morsel_size`
-/// and the spanned row count, which keeps rows, order, and metrics
-/// bit-identical at any parallelism — and a partitioned scan with nothing
-/// pruned bit-identical to the single-span [`seq_scan`].
-#[allow(clippy::too_many_arguments)]
-fn scan_spans(
-    catalog: &Catalog,
-    params: &CostParams,
-    tracker: &mut CostTracker,
-    table: &str,
-    predicate: Option<&Expr>,
-    spans: &[Range<usize>],
-    needed: Option<&[String]>,
-    opts: &ExecOptions,
-) -> Option<Batch> {
     let t = catalog.table(table).expect("table exists");
-    let total: usize = spans.iter().map(Range::len).sum();
-    for s in spans {
-        tracker.charge_seq_pages(params.data_pages(s.len(), t.row_width_bytes()));
-    }
-    tracker.charge_cpu_ops(total as u64);
-
     let n = t.num_rows();
+    // Charges are selectivity- and thread-independent, so they are made
+    // before any morsel runs; morsel boundaries depend only on
+    // `morsel_size` and `n`, which keeps rows, order, and metrics
+    // bit-identical at any parallelism.
+    tracker.charge_seq_pages(params.data_pages(n, t.row_width_bytes()));
+    tracker.charge_cpu_ops(n as u64);
     let Some(predicate) = predicate else {
-        // Nothing to evaluate: a full scan shares the stored columns, a
-        // pruned one gathers its spans.
-        if total == n {
-            return Some(whole(t, needed));
-        }
-        let ids: Vec<u32> = spans
-            .iter()
-            .flat_map(|s| s.start as u32..s.end as u32)
-            .collect();
-        return Some(whole(t, needed).take(SelVec::new(ids, n).ids()));
+        return Some(whole(t, needed));
     };
     let bound = predicate.bind(t.schema()).expect("predicate binds");
-
-    let parts = run_morsels(opts, total, |vmorsel| {
-        // Translate the virtual morsel into actual RID sub-ranges (at
-        // most one per span) and select within each.
-        let mut ids: Vec<u32> = Vec::new();
-        let mut voff = 0usize;
-        for s in spans {
-            let lo = vmorsel.start.max(voff);
-            let hi = vmorsel.end.min(voff + s.len());
-            if lo < hi {
-                let actual = s.start + (lo - voff)..s.start + (hi - voff);
-                ids.extend(select(&bound, t.columns(), Candidates::Range(actual)));
-            }
-            voff += s.len();
-        }
-        ids
+    let parts = run_morsels(opts, n, |morsel| {
+        select(&bound, t.columns(), Candidates::Range(morsel))
     })?;
     Some(whole(t, needed).take(SelVec::new(parts.concat(), n).ids()))
 }
@@ -469,127 +359,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ta, tb);
-    }
-
-    /// Same 1000 rows as [`catalog`], range-partitioned on `x` at
-    /// 250/500/750 (4 partitions of 250 rows each).  Rows arrive in
-    /// ascending `x` order, so the concatenated table is bit-identical
-    /// to the single-blob one.
-    fn partitioned_catalog() -> Catalog {
-        use rqo_storage::{PartitionSpec, PartitionedTableBuilder};
-        let spec = PartitionSpec::Range {
-            column: "x".into(),
-            bounds: vec![Value::Int(250), Value::Int(500), Value::Int(750)],
-        };
-        let mut b = PartitionedTableBuilder::new(
-            "t",
-            Schema::from_pairs(&[("x", DataType::Int), ("y", DataType::Int)]),
-            spec,
-        );
-        for i in 0..1000i64 {
-            b.push_row(&[Value::Int(i), Value::Int(i % 10)]);
-        }
-        let (table, layout) = b.finish();
-        let mut cat = Catalog::new();
-        cat.add_partitioned_table(table, layout).unwrap();
-        cat
-    }
-
-    #[test]
-    fn partitioned_all_parts_is_bit_identical_to_seq_scan() {
-        let single = catalog();
-        let parted = partitioned_catalog();
-        let params = CostParams::default();
-        let all = [0usize, 1, 2, 3];
-        let pred = Expr::col("y").eq(Expr::lit(3i64));
-        for pred in [None, Some(&pred)] {
-            let mut ts = CostTracker::new();
-            let reference = seq_scan(
-                &single,
-                &params,
-                &mut ts,
-                "t",
-                pred,
-                None,
-                &ExecOptions::default(),
-            )
-            .unwrap();
-            // Same rows, same charges at every thread count.
-            for threads in [1usize, 2, 8] {
-                let opts = ExecOptions::with_threads(threads).with_morsel_size(64);
-                let mut tp = CostTracker::new();
-                let b = partitioned_scan(&parted, &params, &mut tp, "t", pred, &all, None, &opts)
-                    .unwrap();
-                assert_eq!(b.to_rows(), reference.to_rows(), "threads={threads}");
-                assert_eq!(tp, ts, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scan_reads_only_surviving_partitions() {
-        let parted = partitioned_catalog();
-        let params = CostParams::default();
-        let w = parted.table("t").unwrap().row_width_bytes();
-        let pred = Expr::col("x").between(Expr::lit(250i64), Expr::lit(499i64));
-        // Only partition 1 can match: pages and CPU charged for 250 rows.
-        let mut tracker = CostTracker::new();
-        let batch = partitioned_scan(
-            &parted,
-            &params,
-            &mut tracker,
-            "t",
-            Some(&pred),
-            &[1],
-            None,
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(batch.len(), 250);
-        assert_eq!(tracker.cpu_ops, 250);
-        assert_eq!(tracker.seq_pages, params.data_pages(250, w));
-        // Rows come back in table order.
-        assert_eq!(batch.to_rows()[0][0], Value::Int(250));
-        assert_eq!(batch.to_rows()[249][0], Value::Int(499));
-    }
-
-    #[test]
-    fn adjacent_surviving_partitions_merge_into_one_page_run() {
-        let parted = partitioned_catalog();
-        let params = CostParams::default();
-        let w = parted.table("t").unwrap().row_width_bytes();
-        // Partitions 1 and 2 are adjacent: one merged 500-row page run,
-        // not two 250-row runs (which could round up to more pages).
-        let mut tracker = CostTracker::new();
-        partitioned_scan(
-            &parted,
-            &params,
-            &mut tracker,
-            "t",
-            None,
-            &[1, 2],
-            None,
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(tracker.seq_pages, params.data_pages(500, w));
-        // Non-adjacent survivors charge per run.
-        let mut gap = CostTracker::new();
-        partitioned_scan(
-            &parted,
-            &params,
-            &mut gap,
-            "t",
-            None,
-            &[0, 2],
-            None,
-            &ExecOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            gap.seq_pages,
-            params.data_pages(250, w) + params.data_pages(250, w)
-        );
     }
 
     #[test]

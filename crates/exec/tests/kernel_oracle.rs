@@ -20,8 +20,7 @@ use rqo_exec::{
 };
 use rqo_expr::Expr;
 use rqo_storage::{
-    Catalog, ColumnVec, CostParams, CostTracker, DataType, PartitionSpec, PartitionedTableBuilder,
-    Rid, Schema, TableBuilder, Value,
+    Catalog, ColumnVec, CostParams, CostTracker, DataType, Rid, Schema, TableBuilder, Value,
 };
 use std::sync::Arc;
 
@@ -167,21 +166,12 @@ fn one_to_one(build: &Batch, probe: &Batch) -> bool {
         .all(|p| keys.iter().filter(|k| **k == p[0]).count() == 1)
 }
 
-/// Scan oracle: `Table::row` per RID — of the whole table, or of the
-/// listed partitions' spans in order — then `eval_bool` per row.
-fn oracle_scan(cat: &Catalog, table: &str, parts: Option<&[usize]>, pred: Option<&Expr>) -> Batch {
+/// Scan oracle: `Table::row` per RID, then `eval_bool` per row.
+fn oracle_scan(cat: &Catalog, table: &str, pred: Option<&Expr>) -> Batch {
     let t = cat.table(table).unwrap();
-    let rids: Vec<usize> = match parts {
-        None => (0..t.num_rows()).collect(),
-        Some(parts) => {
-            let layout = cat.partitioning(table).unwrap();
-            parts.iter().flat_map(|&p| layout.span(p)).collect()
-        }
-    };
     let bound = pred.map(|p| p.bind(t.schema()).unwrap());
-    let rows = rids
-        .into_iter()
-        .map(|rid| t.row(rid as Rid))
+    let rows = (0..t.num_rows() as Rid)
+        .map(|rid| t.row(rid))
         .filter(|row| bound.as_ref().is_none_or(|p| rqo_expr::eval_bool(p, row)))
         .collect();
     Batch::from_rows(t.schema().clone(), rows)
@@ -623,15 +613,32 @@ proptest! {
     /// The aggregation kernel reproduces the morsel-aware row oracle
     /// bit-for-bit (float sums accumulate in the same sequence) over
     /// NULL-heavy inputs at every thread count, for every key shape in
-    /// [`GROUP_KEYS`].
+    /// [`GROUP_KEYS`].  In half the draws (`dense`) the key is a NULL-free
+    /// `g` of four values over a column of non-integral floats: that takes
+    /// the dense-key path, where summation order shows in the bits.
     #[test]
     fn agg_kernel_matches_oracle(
         rows in prop::collection::vec((0u8..5, any::<u8>(), any::<u64>()), 0..200),
         key in 0usize..GROUP_KEYS.len(),
+        dense in any::<bool>(),
     ) {
-        let batch = typed_batch(&rows);
-        let aggs = agg_menu("g", "i");
-        let group_by: Vec<String> = GROUP_KEYS[key].iter().map(|c| c.to_string()).collect();
+        let (batch, aggs, group_by) = if dense {
+            let rows = rows
+                .iter()
+                .map(|&(g, nulls, x)| {
+                    let v = match nulls % 8 {
+                        0 => Value::Null,
+                        _ => Value::Float((x % 100_000) as f64 / 7.0 - 7000.0),
+                    };
+                    vec![Value::Int((g % 4).into()), v]
+                })
+                .collect();
+            let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);
+            (Batch::from_rows(schema, rows), agg_menu("g", "v"), vec!["g".to_string()])
+        } else {
+            let group_by = GROUP_KEYS[key].iter().map(|c| c.to_string()).collect();
+            (typed_batch(&rows), agg_menu("g", "i"), group_by)
+        };
         let ordinals: Vec<usize> = group_by.iter().map(|c| batch.schema.expect_index(c)).collect();
         let expect = oracle_aggregate(&batch, &ordinals, MORSEL);
         let mut base_cost: Option<CostTracker> = None;
@@ -645,32 +652,25 @@ proptest! {
     }
 
     /// Executor-level differential: a scan→join→filter→project→aggregate
-    /// plan — one flat `SeqScan` leaf, one pruned `PartitionedScan` leaf —
-    /// returns exactly the composition of the row oracles over
-    /// `Table::row`, with identical costs AND `OpMetrics` trees at every
-    /// thread count.
+    /// plan over two `SeqScan` leaves — one filtered, one not — returns
+    /// exactly the composition of the row oracles over `Table::row`, with
+    /// identical costs AND `OpMetrics` trees at every thread count.
     #[test]
     fn executor_matches_composed_oracles(
         rows in prop::collection::vec((-10i64..10, -50i64..50), 1..80),
         cut in -40i64..40,
     ) {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
-        let spec = PartitionSpec::Range {
-            column: "v".into(),
-            bounds: vec![Value::Int(-25), Value::Int(0), Value::Int(25)],
-        };
-        let mut tb = PartitionedTableBuilder::new("t", schema, spec);
+        let mut tb = TableBuilder::new("t", schema, rows.len());
         for &(k, v) in &rows {
             tb.push_row(&[Value::Int(k), Value::Int(v)]);
         }
-        let (table, layout) = tb.finish();
         let mut cat = Catalog::new();
-        cat.add_partitioned_table(table, layout).unwrap();
+        cat.add_table(tb.finish()).unwrap();
         let params = CostParams::default();
 
         let build_pred = Expr::col("v").ge(Expr::lit(cut));
         let filter_pred = Expr::col("r.v").lt(Expr::lit(cut + 40));
-        let survivors = vec![0usize, 2, 3];
         let plan = PhysicalPlan::HashAggregate {
             input: Box::new(PhysicalPlan::Project {
                 input: Box::new(PhysicalPlan::Filter {
@@ -679,11 +679,9 @@ proptest! {
                             table: "t".into(),
                             predicate: Some(build_pred.clone()),
                         }),
-                        probe: Box::new(PhysicalPlan::PartitionedScan {
+                        probe: Box::new(PhysicalPlan::SeqScan {
                             table: "t".into(),
                             predicate: None,
-                            partitions: survivors.clone(),
-                            total_partitions: 4,
                         }),
                         build_key: "k".into(),
                         probe_key: "k".into(),
@@ -696,8 +694,8 @@ proptest! {
             aggregates: agg_menu("l.k", "r.v"),
         };
 
-        let build = oracle_scan(&cat, "t", None, Some(&build_pred));
-        let probe = oracle_scan(&cat, "t", Some(&survivors), None);
+        let build = oracle_scan(&cat, "t", Some(&build_pred));
+        let probe = oracle_scan(&cat, "t", None);
         let joined = Batch::from_rows(
             build.schema.join(&probe.schema, "l", "r"),
             oracle_join(&build, &probe, 0, 0),

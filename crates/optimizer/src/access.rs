@@ -17,28 +17,15 @@ use rqo_exec::{IndexRange, PhysicalPlan};
 use rqo_expr::Expr;
 
 use crate::enumerate::{Candidate, PlanContext};
-use crate::prune::pruned_partitions;
 use crate::query::Query;
 
 /// Generates access-path candidates for one of `query`'s tables.
 pub fn access_paths(ctx: &PlanContext<'_>, query: &Query, table: &str) -> Vec<Candidate> {
     let predicate = query.predicate_for(table);
 
-    // A partitioned table's full-scan candidate is a partition-wise scan
-    // with statically pruned partitions; pruning is conservative, so the
-    // output rows are the full scan's and only the cost shrinks.  An
-    // unpartitioned table keeps the classic sequential scan.
-    let scan = match ctx.catalog.partitioning(table) {
-        Some(layout) => PhysicalPlan::PartitionedScan {
-            table: table.to_string(),
-            predicate: predicate.cloned(),
-            partitions: pruned_partitions(layout, predicate),
-            total_partitions: layout.partition_count(),
-        },
-        None => PhysicalPlan::SeqScan {
-            table: table.to_string(),
-            predicate: predicate.cloned(),
-        },
+    let scan = PhysicalPlan::SeqScan {
+        table: table.to_string(),
+        predicate: predicate.cloned(),
     };
     let mut plans = vec![scan];
 

@@ -192,8 +192,8 @@ struct CacheEntry {
     /// per key.
     priced_at: Vec<(String, f64)>,
     /// Every base table the plan reads (union of its annotations' table
-    /// lists, sorted), so a per-table statistics refresh can evict
-    /// exactly the plans whose pricing depended on the refreshed table.
+    /// lists, sorted), so an insert into one table can evict exactly the
+    /// plans whose pricing depended on that table.
     tables: Vec<String>,
     /// This entry's place in [`Inner::ring`].
     slot: usize,
@@ -403,11 +403,9 @@ impl PlanCache {
 
     /// Drops every cached plan that reads `table` (counted under
     /// `epoch_invalidations`), returning how many were dropped.  Plans
-    /// over other tables stay warm — this is the partial-refresh
-    /// counterpart of
-    /// [`invalidate_epochs_before`](Self::invalidate_epochs_before): a
-    /// per-table statistics refresh
-    /// makes only the refreshed table's plans stale, and the per-table
+    /// over other tables stay warm — this is the per-table counterpart
+    /// of [`invalidate_epochs_before`](Self::invalidate_epochs_before):
+    /// an insert makes only its table's plans stale, and the per-table
     /// epoch inside new fingerprints already keeps them from being hit
     /// again, so the eager drop here is pure housekeeping.
     pub fn invalidate_table(&self, table: &str) -> usize {

@@ -66,22 +66,6 @@ impl<'a> CostModel<'a> {
             + self.table_rows(table) * self.params.cpu_op_ms
     }
 
-    /// Partition-wise sequential scan over the surviving partitions only:
-    /// pages per merged run of adjacent survivors + per-surviving-row CPU.
-    /// Mirrors [`rqo_exec::surviving_spans`]'s charging exactly, so the
-    /// priced cost of a pruned scan equals its executed cost — and when
-    /// every partition survives it collapses to [`Self::seq_scan_ms`].
-    pub fn partitioned_scan_ms(&self, table: &str, partitions: &[usize]) -> f64 {
-        let t = self.catalog.table(table).expect("table exists");
-        let spans = rqo_exec::surviving_spans(self.catalog, table, partitions);
-        let rows: usize = spans.iter().map(|s| s.len()).sum();
-        let pages: f64 = spans
-            .iter()
-            .map(|s| self.params.data_pages(s.len(), t.row_width_bytes()) as f64)
-            .sum();
-        pages * self.params.seq_page_ms + rows as f64 * self.params.cpu_op_ms
-    }
-
     /// One index-range resolution: B-tree descend + leaf pages + per-entry
     /// CPU.
     pub fn index_range_ms(&self, entries: f64) -> f64 {

@@ -151,20 +151,6 @@ pub fn derive(
         PhysicalPlan::SeqScan { table, predicate } => {
             Derivation::access(ctx, table, predicate.as_ref(), model.seq_scan_ms(table))
         }
-        // Pruning is semantically transparent (pruned partitions hold no
-        // qualifying rows): the request is the full scan's, only the
-        // cost shrinks with the survivors.
-        PhysicalPlan::PartitionedScan {
-            table,
-            predicate,
-            partitions,
-            ..
-        } => Derivation::access(
-            ctx,
-            table,
-            predicate.as_ref(),
-            model.partitioned_scan_ms(table, partitions),
-        ),
         // A seek or intersection implements the table's whole query
         // predicate (range conjuncts via the index, the rest as the
         // residual); the index work is driven by the ranges' marginals.

@@ -38,7 +38,6 @@ pub mod cost;
 pub mod derive;
 pub mod enumerate;
 pub mod planner;
-pub mod prune;
 pub mod query;
 pub mod replan;
 pub mod selection;
@@ -48,7 +47,6 @@ pub use cache::{CacheStats, PlanCache, PlanFingerprint, DRIFT_BOUND};
 pub use cost::CostModel;
 pub use derive::{price_plan, PricedPlan};
 pub use planner::{Optimizer, PlannedQuery};
-pub use prune::pruned_partitions;
 pub use query::Query;
 pub use replan::MaterializedFragment;
 pub use selection::{CandidateScore, PenaltyReport, PENALTY_ANNOTATION_QUANTILE};

@@ -263,9 +263,6 @@ pub struct InsertSummary {
     pub rows_inserted: usize,
     /// The table's total row count after the append.
     pub table_rows: usize,
-    /// Distinct partitions the batch touched (sorted; `[0]` for
-    /// unpartitioned tables).
-    pub partitions_touched: Vec<usize>,
 }
 
 impl Engine {
@@ -343,29 +340,6 @@ impl Engine {
         self.publish(catalog, synopses, None);
     }
 
-    /// Incremental `UPDATE STATISTICS`: re-samples one table — and, for a
-    /// partitioned table with a non-empty `partitions` list, only the
-    /// named partitions — leaving every other table's statistics
-    /// byte-for-byte untouched.
-    ///
-    /// Invalidation is scoped to match: the refreshed table's *per-table*
-    /// feedback epoch advances (evicting exactly the observations that
-    /// reference it) and only the cached plans reading it are dropped.
-    /// Other tables' feedback, learned posteriors, and warm plans
-    /// survive — the whole point of refreshing incrementally.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `table` is not in the catalog's synopsis set or a
-    /// partition index is out of range, mirroring
-    /// [`SynopsisRepository::refresh_table`].
-    pub fn refresh_statistics_partial(&mut self, table: &str, partitions: &[usize], seed: u64) {
-        let current = self.snapshot();
-        let mut synopses = SynopsisRepository::clone(&current.synopses);
-        synopses.refresh_table(&current.catalog, table, partitions, seed);
-        self.publish(Arc::clone(&current.catalog), synopses, Some(table));
-    }
-
     /// Publishes a new data version and retires what was planned or
     /// observed against the old one — every plan and observation
     /// (`table: None`, a full statistics rebuild) or only those reading
@@ -402,18 +376,17 @@ impl Engine {
     /// point, callable from any thread (`&self`, like the query paths).
     ///
     /// The append is published with **snapshot semantics**: a new
-    /// catalog version (rows routed to their partitions, per-partition
-    /// min/max widened, the batch merged into cached indexes) and a new statistics
-    /// version (per-partition per-column HLL sketches and reservoir
-    /// samples updated incrementally — seeded from the stored rows on a
-    /// table's first streamed batch) are built off to the side and
-    /// swapped in as one snapshot; queries already running keep theirs,
-    /// and queries arriving meanwhile do not wait for the build.
+    /// catalog version (the batch appended at the table's tail and
+    /// merged into cached indexes) and a new statistics version (per-column
+    /// HLL sketches and a reservoir sample updated incrementally — seeded
+    /// from the stored rows on a table's first streamed batch) are built
+    /// off to the side and swapped in as one snapshot; queries already
+    /// running keep theirs, and queries arriving meanwhile do not wait for
+    /// the build.
     ///
-    /// Invalidation is scoped exactly like a partial statistics refresh:
-    /// the table's per-table feedback epoch advances and only cached
-    /// plans reading it are dropped, so warm plans for untouched tables
-    /// survive ingest.
+    /// Invalidation is scoped to the table: its per-table feedback epoch
+    /// advances and only cached plans reading it are dropped, so other
+    /// tables' observations and warm plans survive ingest.
     ///
     /// # Errors
     ///
@@ -433,13 +406,12 @@ impl Engine {
             return Ok(InsertSummary {
                 rows_inserted: 0,
                 table_rows,
-                partitions_touched: Vec::new(),
             });
         }
         // The successor (each column extended in place, a sorted run
         // pushed onto each index) is built outside the readers' lock.
         let mut catalog = Catalog::clone(&current.catalog);
-        let assignments = catalog.append_rows(table, rows)?;
+        catalog.append_rows(table, rows)?;
         let table_rows = catalog.table(table)?.num_rows();
 
         // Streaming statistics: seed from the pre-insert snapshot on
@@ -452,28 +424,23 @@ impl Engine {
                 let id = old_catalog.table_id(table).expect("table exists").0 as u64;
                 TableSketches::seeded_from_table(
                     t,
-                    old_catalog.partitioning(table).map(Arc::as_ref),
+                    None,
                     DEFAULT_PRECISION,
                     self.sample_size,
                     self.seed ^ ((id + 1) << 48),
                 )
             }
         };
-        for (row, &p) in rows.iter().zip(&assignments) {
-            sketches.observe(p, row);
+        for row in rows {
+            sketches.observe(0, row);
         }
         let mut synopses = SynopsisRepository::clone(&current.synopses);
         synopses.publish_sketches(Arc::new(sketches));
 
         self.publish(Arc::new(catalog), synopses, Some(table));
-
-        let mut partitions_touched = assignments;
-        partitions_touched.sort_unstable();
-        partitions_touched.dedup();
         Ok(InsertSummary {
             rows_inserted: rows.len(),
             table_rows,
-            partitions_touched,
         })
     }
 
@@ -484,9 +451,9 @@ impl Engine {
     }
 
     /// The current global statistics epoch: 0 at construction, bumped by
-    /// every full [`refresh_statistics`](Self::refresh_statistics).
-    /// Partial refreshes advance per-table epochs instead; fingerprints
-    /// combine both via [`FeedbackStore::epoch_for_tables`].
+    /// every [`refresh_statistics`](Self::refresh_statistics).  Inserts
+    /// advance per-table epochs instead; fingerprints combine both via
+    /// [`FeedbackStore::epoch_for_tables`].
     pub fn stats_epoch(&self) -> u64 {
         self.feedback.epoch()
     }
@@ -576,9 +543,9 @@ impl Engine {
 
     /// The fingerprint under which this engine would cache a query's
     /// plan right now.  The epoch component combines the global epoch
-    /// with the per-table epochs of the query's tables, so a partial
-    /// statistics refresh retires exactly the fingerprints that read the
-    /// refreshed table and leaves every other query's warm entry valid.
+    /// with the per-table epochs of the query's tables, so an insert
+    /// retires exactly the fingerprints that read its table and leaves
+    /// every other query's warm entry valid.
     pub fn fingerprint(&self, query: &Query) -> PlanFingerprint {
         PlanFingerprint::of_with(query, self.threshold, self.epoch_for(query), self.selection)
     }

@@ -10,24 +10,25 @@
 //! uniform without-replacement row sample under a stream of inserts.
 //! Sketches live in memory only; no wire frame or file carries them.
 //!
-//! Both structures are *mergeable per partition*: the ingest path keeps
-//! one sketch per (partition, column) and one reservoir per partition,
-//! and the estimator merges partition sketches on demand — union of
-//! register-wise maxima — so a table-level distinct estimate never
-//! requires re-scanning data.  Merging is commutative and associative
-//! and `insert`-then-merge equals merge-then-`insert`, which is what
-//! makes the per-partition decomposition sound (pinned by the property
-//! suite in `crates/stats/tests/sketch_props.rs`).
+//! Both structures are *mergeable*: [`TableSketches`] keeps one sketch
+//! per (partition, column) and one reservoir per partition, and merges
+//! partition sketches on demand — union of register-wise maxima — so a
+//! table-level distinct estimate never requires re-scanning data.  The
+//! ingest path uses one partition per table.  Merging is commutative and
+//! associative and `insert`-then-merge equals merge-then-`insert` (pinned
+//! by the property suite in `crates/stats/tests/sketch_props.rs`).
 //!
 //! Determinism: hashing is seed-free and platform-independent
-//! ([`value_hash`] is the storage layer's FNV-1a value hash finished
-//! with a splitmix64-style avalanche), and the reservoir draws from an
+//! ([`value_hash`] is a type-tagged FNV-1a value hash finished with a
+//! splitmix64-style avalanche), and the reservoir draws from an
 //! explicit-seed splitmix64 stream, so identical insert sequences
 //! produce bit-identical sketches and samples on every machine.
 
 use std::sync::Arc;
 
-use rqo_storage::{partition_hash, Value};
+use std::convert::Infallible;
+
+use rqo_storage::Value;
 
 /// Minimum supported HLL precision (16 registers).
 pub const MIN_PRECISION: u8 = 4;
@@ -48,15 +49,42 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Deterministic 64-bit hash of a [`Value`] for sketching.
 ///
-/// Reuses the storage layer's type-tagged FNV-1a
-/// ([`rqo_storage::partition_hash`]) so numeric values that compare
-/// equal under `Value::total_cmp`'s coercions (`Int`/`Date`/integral
-/// `Float`) hash identically — a column rewritten from `Int` to `Float`
-/// keeps the same distinct count.  FNV alone avalanches poorly in the
-/// high bits HLL uses for register selection, so the result is finished
-/// with a splitmix64 mix.
+/// A type-tagged FNV-1a under which numeric values that compare equal
+/// under `Value::total_cmp`'s coercions (`Int`/`Date`/integral `Float`)
+/// hash identically — a column rewritten from `Int` to `Float` keeps the
+/// same distinct count.  FNV alone avalanches poorly in
+/// the high bits HLL uses for register selection, so the result is
+/// finished with a splitmix64 mix.
 pub fn value_hash(value: &Value) -> u64 {
-    mix64(partition_hash(value))
+    mix64(fnv_hash(value))
+}
+
+/// FNV-1a over a type tag and the payload.  Numeric values that compare
+/// equal under [`Value::total_cmp`]'s coercions (`Int`/`Date`/integral
+/// `Float`) hash identically.
+fn fnv_hash(value: &Value) -> u64 {
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+    let h = 0xcbf2_9ce4_8422_2325u64;
+    match value {
+        Value::Null => fnv(h, &[0]),
+        Value::Int(v) => fnv(fnv(h, &[1]), &v.to_le_bytes()),
+        Value::Date(v) => fnv(fnv(h, &[1]), &(*v as i64).to_le_bytes()),
+        Value::Float(v) => {
+            // Integral floats hash like the integer they equal.
+            if v.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(v) {
+                fnv(fnv(h, &[1]), &(*v as i64).to_le_bytes())
+            } else {
+                fnv(fnv(h, &[2]), &v.to_bits().to_le_bytes())
+            }
+        }
+        Value::Str(s) => fnv(fnv(h, &[3]), s.as_bytes()),
+        Value::Bool(b) => fnv(fnv(h, &[4]), &[*b as u8]),
+    }
 }
 
 /// A mergeable HyperLogLog distinct-count sketch with dense `u8`
@@ -197,9 +225,7 @@ impl DistinctSketch {
 ///
 /// Maintains a uniform without-replacement sample of `capacity` rows
 /// over everything ever [`insert`](RowReservoir::insert)ed.  The ingest
-/// path keeps one reservoir per partition so partition-local synopses
-/// can be rebuilt from the sample without re-scanning the partition.
-/// Unlike the offline samplers in [`crate::sampler`] this one never
+/// path keeps one reservoir per table.  Unlike the offline samplers in [`crate::sampler`] this one never
 /// sees the table — it observes the insert stream itself, so it works
 /// on data that arrives incrementally.
 ///
@@ -319,8 +345,8 @@ impl PartitionSketch {
 }
 
 /// Streaming statistics for a whole table: one [`PartitionSketch`] per
-/// partition (a single partition for unpartitioned tables), merged on
-/// demand for table-level estimates.
+/// partition (ingest keeps a single one), merged on demand for
+/// table-level estimates.
 ///
 /// Shared immutably behind an `Arc`; the ingest path builds an updated
 /// copy and republishes, matching the engine's snapshot semantics.
@@ -335,9 +361,8 @@ impl TableSketches {
     /// Empty statistics for `partition_count` partitions of a table
     /// with the given columns (in schema order).
     ///
-    /// Per-partition reservoirs draw from sub-seeds derived the same
-    /// way the stratified synopsis builder derives its partition seeds
-    /// (`seed ^ ((p + 1) << 16)`), so streams never collide.
+    /// Per-partition reservoirs draw from sub-seeds
+    /// `seed ^ ((p + 1) << 16)`, so streams never collide.
     pub fn new(
         name: impl Into<String>,
         columns: Vec<String>,
@@ -380,11 +405,13 @@ impl TableSketches {
 
     /// Bulk-seeds statistics from an already-stored table so the
     /// sketches cover rows that predate streaming; subsequent inserts
-    /// maintain them incrementally.  Partitioned tables attribute each
-    /// stored row to its partition via the layout's RID spans.
+    /// maintain them incrementally.  Every stored row goes to partition
+    /// 0.  `_layout` can hold no value: it is kept only so that the
+    /// `benchmark/` crate builds unchanged until ROADMAP items 11(d) and
+    /// 19 retire this type.
     pub fn seeded_from_table(
         table: &rqo_storage::Table,
-        layout: Option<&rqo_storage::Partitioning>,
+        _layout: Option<&Infallible>,
         precision: u8,
         sample_capacity: usize,
         seed: u64,
@@ -395,28 +422,9 @@ impl TableSketches {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let partition_count = layout.map_or(1, |l| l.partition_count());
-        let mut out = Self::new(
-            table.name(),
-            columns,
-            partition_count,
-            precision,
-            sample_capacity,
-            seed,
-        );
-        match layout {
-            Some(l) => {
-                for (p, span) in l.spans().iter().enumerate() {
-                    for rid in span.clone() {
-                        out.observe(p, &table.row(rid as rqo_storage::Rid));
-                    }
-                }
-            }
-            None => {
-                for rid in 0..table.num_rows() {
-                    out.observe(0, &table.row(rid as rqo_storage::Rid));
-                }
-            }
+        let mut out = Self::new(table.name(), columns, 1, precision, sample_capacity, seed);
+        for rid in 0..table.num_rows() {
+            out.observe(0, &table.row(rid as rqo_storage::Rid));
         }
         out
     }
@@ -552,6 +560,15 @@ mod tests {
         merged_first.insert(&Value::Int(999));
         a.insert(&Value::Int(999));
         assert_eq!(a.merged(&b), merged_first);
+    }
+
+    #[test]
+    fn hash_agrees_across_numeric_coercions() {
+        assert_eq!(fnv_hash(&Value::Int(42)), 0xb960_a184_f070_32c6);
+        assert_eq!(fnv_hash(&Value::str("abc")), 0x3418_6a89_cedc_1e56);
+        assert_eq!(fnv_hash(&Value::Int(42)), fnv_hash(&Value::Float(42.0)));
+        assert_eq!(fnv_hash(&Value::Int(7)), fnv_hash(&Value::Date(7)));
+        assert_ne!(fnv_hash(&Value::Int(1)), fnv_hash(&Value::Int(2)));
     }
 
     #[test]

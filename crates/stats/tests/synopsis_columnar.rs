@@ -12,13 +12,10 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rqo_expr::{eval_bool, Expr};
 use rqo_stats::{sample_with_replacement, JoinSynopsis, SynopsisRepository};
-use rqo_storage::{
-    Catalog, DataType, PartitionSpec, PartitionedTableBuilder, Rid, Schema, Table, TableBuilder,
-    Value,
-};
+use rqo_storage::{Catalog, DataType, Rid, Schema, Table, TableBuilder, Value};
 
 const GRAND_ROWS: i64 = 7;
 const PARENT_ROWS: i64 = 40;
@@ -34,8 +31,8 @@ fn child_row(ck: i64, mut next: impl FnMut(u64) -> i64) -> Vec<Value> {
 }
 
 /// `child → parent → grand` along two FK hops, every column type but
-/// `Bool`, with `child` hash-partitioned three ways when `partitioned`.
-fn chain_catalog(child_rows: usize, data_seed: u64, partitioned: bool) -> Catalog {
+/// `Bool`.
+fn chain_catalog(child_rows: usize, data_seed: u64) -> Catalog {
     let mut state = data_seed | 1;
     let mut next = move |n: u64| {
         state = state
@@ -91,20 +88,9 @@ fn chain_catalog(child_rows: usize, data_seed: u64, partitioned: bool) -> Catalo
     let mut cat = Catalog::new();
     cat.add_table(grand.finish()).unwrap();
     cat.add_table(parent.finish()).unwrap();
-    if partitioned {
-        let spec = PartitionSpec::Hash {
-            column: "ck".into(),
-            partitions: 3,
-        };
-        let mut b = PartitionedTableBuilder::new("child", child_schema, spec);
-        rows.iter().for_each(|r| b.push_row(r));
-        let (table, layout) = b.finish();
-        cat.add_partitioned_table(table, layout).unwrap();
-    } else {
-        let mut b = TableBuilder::new("child", child_schema, rows.len());
-        rows.iter().for_each(|r| b.push_row(r));
-        cat.add_table(b.finish()).unwrap();
-    }
+    let mut b = TableBuilder::new("child", child_schema, rows.len());
+    rows.iter().for_each(|r| b.push_row(r));
+    cat.add_table(b.finish()).unwrap();
     cat.add_foreign_key("child", "c_fk", "parent", "pk")
         .unwrap();
     cat.add_foreign_key("parent", "p_gk", "grand", "gk")
@@ -141,116 +127,45 @@ fn assert_is_join_of(syn: &JoinSynopsis, cat: &Catalog, rids: &[Rid], what: &str
     assert_eq!(rows_of(syn.component("grand").unwrap()), want.2, "{what}");
 }
 
-/// The rids a partitioned root's table-level synopsis holds: each
-/// partition's offsets, rebased onto the catalog's current span.
-fn rids_of_pieces(cat: &Catalog, repo: &SynopsisRepository) -> Vec<Rid> {
-    let spans = cat.partitioning("child").unwrap().spans();
-    let pieces = repo.pieces_for("child").unwrap();
-    assert_eq!(pieces.len(), spans.len());
-    spans
-        .iter()
-        .zip(pieces)
-        .flat_map(|(span, offsets)| {
-            assert!(offsets.iter().all(|&o| (o as usize) < span.len()));
-            offsets.iter().map(|&o| span.start as Rid + o)
-        })
-        .collect()
-}
-
 #[test]
 fn every_build_path_gathers_the_rows_its_seed_draws() {
     const SEED: u64 = 0xC0FFEE;
-    let flat = chain_catalog(500, 5, false);
+    let mut cat = chain_catalog(500, 5);
+    let draw = |cat: &Catalog, n: usize, seed: u64| {
+        sample_with_replacement(
+            cat.table("child").unwrap(),
+            n,
+            &mut StdRng::seed_from_u64(seed),
+        )
+    };
 
     // `build`: one with-replacement draw over the whole root.
-    let syn = JoinSynopsis::build(&flat, "child", 120, SEED);
-    let rids = sample_with_replacement(
-        flat.table("child").unwrap(),
-        120,
-        &mut StdRng::seed_from_u64(SEED),
-    );
-    assert_is_join_of(&syn, &flat, &rids, "build");
+    let syn = JoinSynopsis::build(&cat, "child", 120, SEED);
+    assert_is_join_of(&syn, &cat, &draw(&cat, 120, SEED), "build");
     let tables: Vec<&str> = syn.tables().collect();
     assert_eq!(tables, ["child", "parent", "grand"]);
-
-    // `build_for_partition`: the same draw confined to one span.
-    let span = 100..260usize;
-    let syn = JoinSynopsis::build_for_partition(&flat, "child", span.clone(), 50, SEED);
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let rids: Vec<Rid> = (0..50)
-        .map(|_| rng.gen_range(span.start as Rid..span.end as Rid))
-        .collect();
-    assert_is_join_of(&syn, &flat, &rids, "build_for_partition");
     assert_eq!(
-        JoinSynopsis::build_for_partition(&flat, "child", 7..7, 50, SEED).sample_size(),
+        JoinSynopsis::build(&chain_catalog(0, 5), "child", 50, SEED).sample_size(),
         0,
-        "nothing to draw from an empty span"
+        "nothing to draw from an empty root"
     );
 
-    // The repository over a partitioned root: proportional quotas, one
-    // sub-seed per table and partition, pieces in partition order.
-    let mut cat = chain_catalog(500, 5, true);
-    let mut repo = SynopsisRepository::build_all(&cat, 90, SEED);
-    let spans = cat.partitioning("child").unwrap().spans().to_vec();
+    // The repository: one sub-seed per table.
+    let repo = SynopsisRepository::build_all(&cat, 90, SEED);
     let child_slot = cat.tables().position(|t| t.name() == "child").unwrap() as u64;
     let root_seed = SEED ^ ((child_slot + 1) << 32);
-    let mut want = Vec::new();
-    for (p, span) in spans.iter().enumerate() {
-        let quota = repo.pieces_for("child").unwrap()[p].len();
-        assert!(
-            (quota as f64 - 90.0 * span.len() as f64 / 500.0).abs() < 1.0,
-            "partition {p} quota {quota} is proportional"
-        );
-        let mut rng = StdRng::seed_from_u64(root_seed ^ ((p as u64 + 1) << 16));
-        want.extend((0..quota).map(|_| rng.gen_range(span.start as Rid..span.end as Rid)));
-    }
-    assert_eq!(want.len(), 90);
-    assert_eq!(rids_of_pieces(&cat, &repo), want);
-    assert_is_join_of(repo.for_root("child").unwrap(), &cat, &want, "merged");
+    let syn = repo.for_root("child").unwrap();
+    assert_is_join_of(syn, &cat, &draw(&cat, 90, root_seed), "build_all");
 
-    // Ingest moves every span after partition 0 — the rows a piece drew
-    // do not move with respect to their partition's start.
+    // After ingest a build draws over the grown root.
     let batch: Vec<Vec<Value>> = (500..560)
         .map(|ck| child_row(ck, |n| (ck as u64 * 31 % n) as i64))
         .collect();
-    let before_rows = rows_of(repo.for_root("child").unwrap().component("child").unwrap());
-    let before_pieces = repo.pieces_for("child").unwrap().to_vec();
     cat.append_rows("child", &batch).unwrap();
-    let new_spans = cat.partitioning("child").unwrap().spans().to_vec();
-    assert_ne!(
-        new_spans[1].start, spans[1].start,
-        "partition 1 was shifted"
-    );
-
-    // Re-draw partition 1 only, against the grown table.
-    repo.refresh_table(&cat, "child", &[1], 77);
-    let after_rows = rows_of(repo.for_root("child").unwrap().component("child").unwrap());
-    let after_pieces = repo.pieces_for("child").unwrap();
-    let (len0, len1) = (before_pieces[0].len(), before_pieces[1].len());
-    assert_eq!(after_pieces[0], before_pieces[0]);
-    assert_eq!(after_pieces[2], before_pieces[2]);
-    assert_eq!(after_rows[..len0], before_rows[..len0], "partition 0 kept");
-    assert_eq!(
-        after_rows[len0 + after_pieces[1].len()..],
-        before_rows[len0 + len1..],
-        "partition 2 kept its sample rows although its rids all moved"
-    );
-    let mut rng = StdRng::seed_from_u64(77 ^ (2 << 16));
-    let redrawn: Vec<Rid> = (0..after_pieces[1].len())
-        .map(|_| rng.gen_range(0..new_spans[1].len() as Rid))
-        .collect();
-    assert_eq!(
-        after_pieces[1], redrawn,
-        "partition 1 re-drawn over its new span"
-    );
-    let rids = rids_of_pieces(&cat, &repo);
-    assert_is_join_of(repo.for_root("child").unwrap(), &cat, &rids, "refreshed");
-
-    // An empty partition list re-draws every partition.
-    repo.refresh_table(&cat, "child", &[], 78);
-    let rids = rids_of_pieces(&cat, &repo);
-    assert_eq!(rids.len(), 90);
-    assert_is_join_of(repo.for_root("child").unwrap(), &cat, &rids, "re-drawn");
+    let syn = JoinSynopsis::build(&cat, "child", 90, 77);
+    let rids = draw(&cat, 90, 77);
+    assert!(rids.iter().any(|&r| r >= 500), "a draw lands in the batch");
+    assert_is_join_of(&syn, &cat, &rids, "after ingest");
 }
 
 /// One predicate of the menu, on the table it reads.  `a`, `b` vary the
@@ -326,14 +241,8 @@ proptest! {
         seed: u64,
         n in 1usize..160,
     ) {
-        let cat = chain_catalog(300, data_seed, data_seed % 2 == 0);
-        let syn = match cat.partitioning("child") {
-            Some(_) => SynopsisRepository::build_all(&cat, n, seed)
-                .for_root("child")
-                .unwrap()
-                .clone(),
-            None => JoinSynopsis::build(&cat, "child", n, seed),
-        };
+        let cat = chain_catalog(300, data_seed);
+        let syn = JoinSynopsis::build(&cat, "child", n, seed);
         let owned: Vec<(&str, Expr)> =
             shapes.iter().map(|&(s, a, b)| predicate(s, a, b)).collect();
         let predicates: Vec<(&str, &Expr)> = owned.iter().map(|(t, e)| (*t, e)).collect();
@@ -356,7 +265,7 @@ proptest! {
 
 #[test]
 fn no_predicates_qualify_every_tuple() {
-    let cat = chain_catalog(50, 1, false);
+    let cat = chain_catalog(50, 1);
     let syn = JoinSynopsis::build(&cat, "child", 30, 3);
     assert_eq!(syn.evaluate(&[]), (30, 30));
     assert_eq!(syn.qualifying(&[]), (0..30).collect::<Vec<u32>>());

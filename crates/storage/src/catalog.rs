@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use crate::error::StorageError;
 use crate::index::{SecondaryIndex, UniqueIndex};
-use crate::partition::Partitioning;
-use crate::table::{Splice, Table};
+use crate::table::Table;
 use crate::value::{DataType, Value};
 
 /// Opaque identifier of a registered table (its registration order).
@@ -43,7 +42,6 @@ pub struct Catalog {
     foreign_keys: Vec<ForeignKey>,
     secondary: HashMap<(String, String), Arc<SecondaryIndex>>,
     unique: HashMap<(String, String), Arc<UniqueIndex>>,
-    partitions: HashMap<String, Arc<Partitioning>>,
 }
 
 impl Catalog {
@@ -63,46 +61,12 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Registers a partitioned table: the canonical concatenated [`Table`]
-    /// (typically from
-    /// [`PartitionedTableBuilder::finish`](crate::partition::PartitionedTableBuilder::finish))
-    /// together with its partition layout.  The table behaves exactly like
-    /// an unpartitioned one through the read API; the layout is extra
-    /// metadata consumed by the executor, optimizer, and statistics
-    /// layers.
-    pub fn add_partitioned_table(
-        &mut self,
-        table: Table,
-        partitioning: Partitioning,
-    ) -> Result<TableId, StorageError> {
-        if table
-            .schema()
-            .index_of(partitioning.spec().column())
-            .is_none()
-        {
-            return Err(StorageError::UnknownColumn {
-                table: table.name().to_string(),
-                column: partitioning.spec().column().to_string(),
-            });
-        }
-        let covered = partitioning.spans().last().map_or(0, |s| s.end);
-        if covered != table.num_rows() {
-            return Err(StorageError::SchemaMismatch(format!(
-                "partition spans cover {covered} rows but table {:?} has {}",
-                table.name(),
-                table.num_rows()
-            )));
-        }
-        let name = table.name().to_string();
-        let id = self.add_table(table)?;
-        self.partitions.insert(name, Arc::new(partitioning));
-        Ok(id)
-    }
-
-    /// The partition layout of a table, or `None` for unpartitioned
-    /// tables.
-    pub fn partitioning(&self, name: &str) -> Option<&Arc<Partitioning>> {
-        self.partitions.get(name)
+    /// Always `None`: no table is partitioned.  Kept, with a return type
+    /// that cannot hold a value, only so that the `benchmark/` crate,
+    /// which passes it to `rqo_stats::TableSketches::seeded_from_table`,
+    /// builds unchanged until ROADMAP items 11(d) and 19 retire both.
+    pub fn partitioning(&self, _name: &str) -> Option<&Arc<std::convert::Infallible>> {
+        None
     }
 
     /// Looks up a table by name.
@@ -261,26 +225,22 @@ impl Catalog {
         self.unique.get(&(table.to_string(), column.to_string()))
     }
 
-    /// Appends a batch of rows to a registered table, returning each
-    /// row's partition (all `0` for unpartitioned tables) in input
-    /// order — the streaming-statistics layer feeds those assignments
-    /// to its per-partition sketches.
+    /// Appends a batch of rows to the end of a registered table.  The
+    /// returned vector holds one `0` per row: it is the shape the
+    /// `benchmark/` crate reads until ROADMAP items 11(d) and 19 land.
     ///
     /// Tables are immutable, so this replaces the table's `Arc` with an
     /// extended successor (other `Catalog` clones sharing the old `Arc`
-    /// keep seeing the pre-insert snapshot).  For partitioned tables
-    /// the batch is spliced into the canonical concatenation so
-    /// partitions stay contiguous RID spans, and per-partition min/max
-    /// widen to cover the new keys.  Cached secondary/unique indexes on
-    /// the table are carried over eagerly — dropping them instead would
-    /// silently change access-path selection relative to a one-shot-built
-    /// catalog — by adding the batch, never by rebuilding: each
-    /// successor index holds the entries of a build over the successor
-    /// table.
+    /// keep seeing the pre-insert snapshot).  Cached secondary/unique
+    /// indexes on the table are carried over eagerly — dropping them
+    /// instead would silently change access-path selection relative to a
+    /// one-shot-built catalog — by adding the batch, never by rebuilding:
+    /// each successor index holds the entries of a build over the
+    /// successor table.
     ///
-    /// The batch is atomic: the successor table, layout and every
-    /// successor index are built first, and only when all of them exist
-    /// is anything published.  A rejected batch may already have written
+    /// The batch is atomic: the successor table and every successor
+    /// index are built first, and only when all of them exist is
+    /// anything published.  A rejected batch may already have written
     /// its rows past the end of the published columns, in place; no
     /// published table covers those slots, and the next append, finding
     /// them claimed, copies instead.
@@ -298,42 +258,29 @@ impl Catalog {
         rows: &[Vec<Value>],
     ) -> Result<Vec<usize>, StorageError> {
         let id = self.table_id(name)?;
-        let table = &self.tables[id.0];
-        let (new_table, new_layout, assignments, splice) = match self.partitions.get(name) {
-            Some(layout) => {
-                let (t, new_layout, assignments) = layout.append(table, rows)?;
-                let splice = Splice::new(layout.spans(), new_layout.spans());
-                (t, Some(new_layout), assignments, splice)
-            }
-            None => {
-                let splice = Splice::tail(table.num_rows(), rows.len());
-                (table.appended(rows)?, None, vec![0; rows.len()], splice)
-            }
-        };
+        let old_rows = self.tables[id.0].num_rows();
+        let new_table = self.tables[id.0].appended(rows)?;
         let unique = self
             .unique
             .iter()
             .filter(|(key, _)| key.0 == name)
-            .map(|(key, idx)| Ok((key.clone(), idx.appended(&new_table, &splice)?)))
+            .map(|(key, idx)| Ok((key.clone(), idx.appended(&new_table, old_rows)?)))
             .collect::<Result<Vec<_>, StorageError>>()?;
         let secondary: Vec<_> = self
             .secondary
             .iter()
             .filter(|(key, _)| key.0 == name)
-            .map(|(key, idx)| (key.clone(), idx.appended(&new_table, &splice)))
+            .map(|(key, idx)| (key.clone(), idx.appended(&new_table, old_rows)))
             .collect();
 
         self.tables[id.0] = Arc::new(new_table);
-        if let Some(layout) = new_layout {
-            self.partitions.insert(name.to_string(), Arc::new(layout));
-        }
         for (key, idx) in unique {
             self.unique.insert(key, Arc::new(idx));
         }
         for (key, idx) in secondary {
             self.secondary.insert(key, Arc::new(idx));
         }
-        Ok(assignments)
+        Ok(vec![0; rows.len()])
     }
 }
 
@@ -489,47 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_table_registration() {
-        use crate::partition::{PartitionSpec, PartitionedTableBuilder};
-        let mut cat = Catalog::new();
-        let mut b = PartitionedTableBuilder::new(
-            "pt",
-            Schema::from_pairs(&[("pk", DataType::Int)]),
-            PartitionSpec::Range {
-                column: "pk".into(),
-                bounds: vec![Value::Int(2)],
-            },
-        );
-        for k in [0i64, 1, 2, 3] {
-            b.push_row(&[Value::Int(k)]);
-        }
-        let (t, p) = b.finish();
-        cat.add_partitioned_table(t, p).unwrap();
-        // Reads work through the plain table API...
-        assert_eq!(cat.table("pt").unwrap().num_rows(), 4);
-        // ...and the layout is visible as metadata.
-        let layout = cat.partitioning("pt").expect("layout registered");
-        assert_eq!(layout.spans(), &[0..2, 2..4]);
-        assert!(cat.partitioning("parent").is_none());
-    }
-
-    #[test]
-    // A one-span layout is the point of the test, not a `vec![start..end]` typo.
-    #[allow(clippy::single_range_in_vec_init)]
-    fn partitioned_registration_rejects_bad_spans() {
-        use crate::partition::{PartitionSpec, Partitioning};
-        let mut cat = Catalog::new();
-        let spec = PartitionSpec::Hash {
-            column: "pk".into(),
-            partitions: 1,
-        };
-        // Span covers 2 rows, table has 3.
-        let layout = Partitioning::new(spec, vec![0..2], vec![None]);
-        let err = cat.add_partitioned_table(make_table("t", &[1, 2, 3], None), layout);
-        assert!(matches!(err, Err(StorageError::SchemaMismatch(_))));
-    }
-
-    #[test]
     fn append_rows_replaces_table_and_rebuilds_indexes() {
         let mut cat = catalog_with_fk();
         let before = Arc::clone(cat.table("child").unwrap());
@@ -616,38 +522,6 @@ mod tests {
         ));
         assert!(cat.foreign_keys().is_empty(), "the edge was not recorded");
     }
-
-    #[test]
-    fn append_rows_routes_through_partitioning() {
-        use crate::partition::{PartitionSpec, PartitionedTableBuilder};
-        let mut cat = Catalog::new();
-        let mut b = PartitionedTableBuilder::new(
-            "pt",
-            Schema::from_pairs(&[("pk", DataType::Int)]),
-            PartitionSpec::Range {
-                column: "pk".into(),
-                bounds: vec![Value::Int(2)],
-            },
-        );
-        for k in [0i64, 1, 2, 3] {
-            b.push_row(&[Value::Int(k)]);
-        }
-        let (t, p) = b.finish();
-        cat.add_partitioned_table(t, p).unwrap();
-        let assignments = cat
-            .append_rows("pt", &[vec![Value::Int(1)], vec![Value::Int(9)]])
-            .unwrap();
-        assert_eq!(assignments, vec![0, 1]);
-        assert_eq!(cat.table("pt").unwrap().num_rows(), 6);
-        let layout = cat.partitioning("pt").unwrap();
-        assert_eq!(layout.spans(), &[0..3, 3..6]);
-        assert_eq!(
-            layout.min_max(1),
-            Some(&(Value::Int(2), Value::Int(9))),
-            "max widened by the appended key"
-        );
-    }
-
     #[test]
     fn secondary_index_caching() {
         let mut cat = catalog_with_fk();

@@ -15,7 +15,6 @@
 //! ([`ColumnVec::value`]).
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::buffer::AppendVec;
@@ -252,51 +251,44 @@ impl ColumnVec {
         }
     }
 
-    /// Interleaves this column with `tail`, a NULL-free column of the same
-    /// type (stored columns and index keys are both NULL-free): for
-    /// each `(mine, theirs)` run in order, rows `mine` of `self` then rows
-    /// `theirs` of `tail`.  The runs must cover both columns.  This is how
-    /// an append lays out its successor (one run per partition) and how an
-    /// index merges two sorted runs.  When every row of `self` comes
-    /// first — an unpartitioned append, or any splice that puts no old
-    /// row after a new one — the result is `self` extended by `tail`, in
-    /// place when `self` is its buffer's tip (see [`AppendVec`]); any
-    /// other splice is one copy into an exactly-sized vector.  A `Str`
-    /// result takes `tail`'s dictionary, which must continue this one's
-    /// (as [`crate::Table`]'s batches do).
+    /// This column followed by `tail`, a NULL-free column of the same
+    /// type (stored columns and index keys are both NULL-free): extended
+    /// in place when `self` is its buffer's tip (see [`AppendVec`]),
+    /// otherwise copied once.  A `Str` result takes `tail`'s dictionary,
+    /// which must continue this one's (as [`crate::Table`]'s batches do).
     ///
     /// # Panics
     ///
-    /// Panics when the two columns differ in type, either has a null
-    /// bitmap, or a run is out of range.
-    pub(crate) fn splice(&self, tail: &ColumnVec, runs: &[Run]) -> ColumnVec {
+    /// Panics when the two columns differ in type or either has a null
+    /// bitmap.
+    pub(crate) fn extended(&self, tail: &ColumnVec) -> ColumnVec {
         assert!(
             self.null_mask().is_none() && tail.null_mask().is_none(),
-            "only NULL-free (stored) columns are spliced"
+            "only NULL-free (stored) columns are extended"
         );
         let nulls = None;
         match (self, tail) {
             (ColumnVec::Int { values: a, .. }, ColumnVec::Int { values: b, .. }) => {
                 ColumnVec::Int {
-                    values: spliced(a, b, runs),
+                    values: a.extended(b),
                     nulls,
                 }
             }
             (ColumnVec::Float { values: a, .. }, ColumnVec::Float { values: b, .. }) => {
                 ColumnVec::Float {
-                    values: spliced(a, b, runs),
+                    values: a.extended(b),
                     nulls,
                 }
             }
             (ColumnVec::Date { values: a, .. }, ColumnVec::Date { values: b, .. }) => {
                 ColumnVec::Date {
-                    values: spliced(a, b, runs),
+                    values: a.extended(b),
                     nulls,
                 }
             }
             (ColumnVec::Bool { values: a, .. }, ColumnVec::Bool { values: b, .. }) => {
                 ColumnVec::Bool {
-                    values: spliced(a, b, runs),
+                    values: a.extended(b),
                     nulls,
                 }
             }
@@ -311,12 +303,12 @@ impl ColumnVec {
                     "the tail's dictionary must continue this column's"
                 );
                 ColumnVec::Str {
-                    codes: spliced(a, b, runs),
+                    codes: a.extended(b),
                     dict: Arc::clone(db),
                     nulls,
                 }
             }
-            _ => panic!("cannot splice columns of two different types"),
+            _ => panic!("cannot extend a column by one of another type"),
         }
     }
 
@@ -330,32 +322,6 @@ impl ColumnVec {
             | ColumnVec::Bool { nulls, .. } => nulls.as_ref(),
         }
     }
-}
-
-/// One run of a splice: a range of the first source, then a range of
-/// the second.
-pub(crate) type Run = (Range<usize>, Range<usize>);
-
-/// The typed core of [`ColumnVec::splice`]: `a` extended by `b` when no
-/// row of `a` follows a row of `b`, otherwise run by run `a[mine]` then
-/// `b[theirs]`, each a `memcpy`, into one exactly-sized vector.
-pub(crate) fn spliced<T: Copy>(a: &AppendVec<T>, b: &[T], runs: &[Run]) -> AppendVec<T> {
-    debug_assert_eq!(runs.iter().map(|(m, _)| m.len()).sum::<usize>(), a.len());
-    debug_assert_eq!(runs.iter().map(|(_, t)| t.len()).sum::<usize>(), b.len());
-    let tail = runs
-        .iter()
-        .skip_while(|(_, theirs)| theirs.is_empty())
-        .skip(1)
-        .all(|(mine, _)| mine.is_empty());
-    if tail {
-        return a.extended(b);
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    for (mine, theirs) in runs {
-        out.extend_from_slice(&a[mine.clone()]);
-        out.extend_from_slice(&b[theirs.clone()]);
-    }
-    out.into()
 }
 
 /// Appends `Value`s to a typed vector and freezes it into a
@@ -406,7 +372,7 @@ impl ColumnBuilder {
 
     /// This builder continuing `col`'s dictionary when both are `Str`, so
     /// a code means the same string in both — which is what lets
-    /// [`ColumnVec::splice`] copy codes from either side verbatim.
+    /// [`ColumnVec::extended`] copy codes from either side verbatim.
     pub(crate) fn continuing(mut self, col: &ColumnVec) -> Self {
         if let (Payload::Str(_), ColumnVec::Str { dict, .. }) = (&self.values, col) {
             self.codes = dict

@@ -25,13 +25,13 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use crate::buffer::AppendVec;
-use crate::column::{spliced, ColumnVec, Run};
+use crate::column::ColumnVec;
 use crate::error::StorageError;
-use crate::table::{Rid, Splice, Table};
+use crate::table::{Rid, Table};
 use crate::value::Value;
 
 /// The newest two runs merge while the older holds at most this many
@@ -75,24 +75,17 @@ impl SecondaryIndex {
         index
     }
 
-    /// The index over `successor`, which `splice` laid out from this
-    /// index's table and a batch: these runs — their rids renumbered by
-    /// the splice's monotone shift when old rows moved, which keeps each
-    /// run's order — plus the batch's rows sorted as a run of their own.
-    /// Holds the same entries as [`SecondaryIndex::build`] over
-    /// `successor`, without sorting it.
-    pub(crate) fn appended(&self, successor: &Table, splice: &Splice) -> Self {
+    /// The index over `successor`, this index's table with a batch
+    /// appended after its `old_rows` rows: these runs plus the batch's
+    /// rows sorted as a run of their own.  Holds the same entries as
+    /// [`SecondaryIndex::build`] over `successor`, without sorting it.
+    pub(crate) fn appended(&self, successor: &Table, old_rows: usize) -> Self {
         let col = &successor.columns()[successor.schema().expect_index(&self.column)];
         let mut next = self.clone();
-        if let Some(shift) = splice.renumbering() {
-            for run in &mut next.runs {
-                *run = Arc::new(SortedRun {
-                    keys: run.keys.clone(),
-                    rids: run.rids.iter().map(|&r| shift(r)).collect(),
-                });
-            }
-        }
-        next.push(col, argsort(col, splice.batch_rids()));
+        next.push(
+            col,
+            argsort(col, old_rows as Rid..successor.num_rows() as Rid),
+        );
         next
     }
 
@@ -183,9 +176,10 @@ impl SortedRun {
 
     /// This run merged with `newer`, a run built later (whose `Str`
     /// dictionary continues this one's): one linear pass over both lays
-    /// out the splice, and keys and rids are each spliced once.  When
-    /// every entry of `newer` sorts after every entry here — keys that
-    /// only grow — the splice is a tail and both arrays extend in place.
+    /// out the interleaving as runs (a range of this run's entries, then
+    /// a range of `newer`'s), and keys and rids are each copied once,
+    /// run by run.  When every entry of `newer` sorts after every entry
+    /// here — keys that only grow — both arrays extend in place instead.
     fn merged(&self, newer: &SortedRun) -> SortedRun {
         fn by<T: Copy, K: Ord>(
             (a, ra): (&[T], &[Rid]),
@@ -233,11 +227,73 @@ impl SortedRun {
             }
             _ => unreachable!("the runs of one index share its column's type"),
         };
+        let tail = runs
+            .iter()
+            .skip_while(|(_, theirs)| theirs.is_empty())
+            .skip(1)
+            .all(|(mine, _)| mine.is_empty());
+        if tail {
+            return SortedRun {
+                keys: self.keys.extended(&newer.keys),
+                rids: self.rids.extended(rb),
+            };
+        }
+        let keys = match (&self.keys, &newer.keys) {
+            (ColumnVec::Int { values: a, .. }, ColumnVec::Int { values: b, .. }) => {
+                ColumnVec::Int {
+                    values: interleaved(a, b, &runs),
+                    nulls: None,
+                }
+            }
+            (ColumnVec::Float { values: a, .. }, ColumnVec::Float { values: b, .. }) => {
+                ColumnVec::Float {
+                    values: interleaved(a, b, &runs),
+                    nulls: None,
+                }
+            }
+            (ColumnVec::Date { values: a, .. }, ColumnVec::Date { values: b, .. }) => {
+                ColumnVec::Date {
+                    values: interleaved(a, b, &runs),
+                    nulls: None,
+                }
+            }
+            (ColumnVec::Bool { values: a, .. }, ColumnVec::Bool { values: b, .. }) => {
+                ColumnVec::Bool {
+                    values: interleaved(a, b, &runs),
+                    nulls: None,
+                }
+            }
+            (ColumnVec::Str { codes: a, .. }, ColumnVec::Str { codes: b, dict, .. }) => {
+                ColumnVec::Str {
+                    codes: interleaved(a, b, &runs),
+                    dict: Arc::clone(dict),
+                    nulls: None,
+                }
+            }
+            _ => unreachable!("the runs of one index share its column's type"),
+        };
         SortedRun {
-            keys: self.keys.splice(&newer.keys, &runs),
-            rids: spliced(&self.rids, rb, &runs),
+            keys,
+            rids: interleaved(&self.rids, rb, &runs),
         }
     }
+}
+
+/// One run of a merge: a range of the older run's entries, then a range
+/// of the newer's.
+type Run = (Range<usize>, Range<usize>);
+
+/// Run by run `a[mine]` then `b[theirs]`, each a `memcpy`, into one
+/// exactly-sized vector.
+fn interleaved<T: Copy>(a: &[T], b: &[T], runs: &[Run]) -> AppendVec<T> {
+    debug_assert_eq!(runs.iter().map(|(m, _)| m.len()).sum::<usize>(), a.len());
+    debug_assert_eq!(runs.iter().map(|(_, t)| t.len()).sum::<usize>(), b.len());
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    for (mine, theirs) in runs {
+        out.extend_from_slice(&a[mine.clone()]);
+        out.extend_from_slice(&b[theirs.clone()]);
+    }
+    out.into()
 }
 
 /// A float's position in `f64::total_cmp` order, as a signed integer.
@@ -310,8 +366,7 @@ impl UniqueIndex {
     }
 
     /// The index over `successor` (see [`SecondaryIndex::appended`]):
-    /// this map with its rids renumbered by the splice, plus the batch's
-    /// keys.
+    /// this map plus the batch's keys.
     ///
     /// # Errors
     ///
@@ -321,16 +376,13 @@ impl UniqueIndex {
     pub(crate) fn appended(
         &self,
         successor: &Table,
-        splice: &Splice,
+        old_rows: usize,
     ) -> Result<Self, StorageError> {
         let keys = successor.int_column(successor.schema().expect_index(&self.column));
         let mut map = self.map.clone();
-        if let Some(shift) = splice.renumbering() {
-            map.values_mut().for_each(|r| *r = shift(*r));
-        }
         // (rid at which a build would trip, key); batch rids ascend.
         let mut first: Option<(Rid, i64)> = None;
-        for rid in splice.batch_rids() {
+        for rid in old_rows as Rid..successor.num_rows() as Rid {
             let key = keys[rid as usize];
             if let Some(prev) = map.insert(key, rid) {
                 let trip = prev.max(rid);
@@ -467,7 +519,7 @@ mod tests {
             .map(|&(pk, v)| vec![Value::Int(pk), Value::Int(v)])
             .collect();
         let next = t.appended(&rows).unwrap();
-        *idx = idx.appended(&next, &Splice::tail(t.num_rows(), rows.len()));
+        *idx = idx.appended(&next, t.num_rows());
         *t = next;
     }
 

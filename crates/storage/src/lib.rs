@@ -20,7 +20,6 @@ pub mod column;
 pub mod cost;
 pub mod error;
 pub mod index;
-pub mod partition;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -31,7 +30,6 @@ pub use column::{ColumnVec, NullMask};
 pub use cost::{CostParams, CostTracker};
 pub use error::StorageError;
 pub use index::{SecondaryIndex, UniqueIndex};
-pub use partition::{partition_hash, PartitionSpec, PartitionedTableBuilder, Partitioning};
 pub use schema::{ColumnMeta, Schema};
 pub use table::{Rid, Table, TableBuilder};
 pub use value::{civil_from_days, days_from_civil, parse_date, DataType, Value};

@@ -2,10 +2,9 @@
 //! rebuilds an index: it pushes the batch's sorted run onto each
 //! secondary index's stack of runs (merging the newest two while the
 //! older is at most twice the newer) and adds the batch's keys to each
-//! unique index, renumbering old rids when a partitioned append moves
-//! them.  After every batch — on flat, hash- and range-partitioned
-//! tables, with heavy key ties, NaN and ±0.0 floats, and strings that grow
-//! the dictionary — each secondary index's runs must merge into a build's
+//! unique index.  After every batch — with heavy key ties, NaN and ±0.0
+//! floats, and strings that grow the dictionary — each secondary index's
+//! runs must merge into a build's
 //! `(key, rid)` sequence, stay within the logarithmic run bound, and
 //! answer every range and equality lookup with a build's rids; a repeated
 //! primary key must be rejected with the error a build would report and
@@ -18,8 +17,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rqo_storage::{
-    Catalog, DataType, PartitionSpec, PartitionedTableBuilder, Rid, Schema, SecondaryIndex,
-    StorageError, Table, TableBuilder, UniqueIndex, Value,
+    Catalog, DataType, Rid, Schema, SecondaryIndex, StorageError, Table, TableBuilder, UniqueIndex,
+    Value,
 };
 
 const INDEXED: [&str; 5] = ["i", "f", "d", "s", "t"];
@@ -80,32 +79,11 @@ impl Rows {
     }
 }
 
-fn catalog(layout: u8, rows: &[Vec<Value>]) -> Catalog {
+fn catalog(rows: &[Vec<Value>]) -> Catalog {
     let mut cat = Catalog::new();
-    let spec = match layout {
-        0 => None,
-        1 => Some(PartitionSpec::Hash {
-            column: "i".into(),
-            partitions: 3,
-        }),
-        _ => Some(PartitionSpec::Range {
-            column: "t".into(),
-            bounds: vec![Value::Int(3), Value::Int(10)],
-        }),
-    };
-    match spec {
-        None => {
-            let mut b = TableBuilder::new("t", schema(), rows.len());
-            rows.iter().for_each(|r| b.push_row(r));
-            cat.add_table(b.finish()).unwrap();
-        }
-        Some(spec) => {
-            let mut b = PartitionedTableBuilder::new("t", schema(), spec);
-            rows.iter().for_each(|r| b.push_row(r));
-            let (t, p) = b.finish();
-            cat.add_partitioned_table(t, p).unwrap();
-        }
-    }
+    let mut b = TableBuilder::new("t", schema(), rows.len());
+    rows.iter().for_each(|r| b.push_row(r));
+    cat.add_table(b.finish()).unwrap();
     for col in INDEXED {
         cat.ensure_secondary_index("t", col).unwrap();
     }
@@ -232,31 +210,22 @@ fn assert_matches_builds(cat: &Catalog) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The successor a batch would produce, computed without the catalog.
-fn successor(cat: &Catalog, rows: &[Vec<Value>]) -> Table {
-    let t = cat.table("t").unwrap();
-    match cat.partitioning("t") {
-        Some(layout) => layout.append(t, rows).unwrap().0,
-        None => t.appended(rows).unwrap(),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn appended_indexes_equal_one_shot_builds(
-        layout in 0u8..3,
         first in prop::collection::vec(cell(), 0..24),
         batches in prop::collection::vec(prop::collection::vec(cell(), 0..20), 1..7),
     ) {
         let mut gen = Rows { t: 0, next_pk: 0 };
         let first: Vec<Vec<Value>> = first.into_iter().map(|c| gen.row(c, false)).collect();
-        let mut cat = catalog(layout, &first);
+        let mut cat = catalog(&first);
         assert_matches_builds(&cat)?;
         for batch in batches {
             let rows: Vec<Vec<Value>> = batch.into_iter().map(|c| gen.row(c, true)).collect();
-            let expected = UniqueIndex::build(&successor(&cat, &rows), "pk").map(|_| ());
+            let successor = cat.table("t").unwrap().appended(&rows).unwrap();
+            let expected = UniqueIndex::build(&successor, "pk").map(|_| ());
             let table = Arc::clone(cat.table("t").unwrap());
             let indexes: Vec<_> = INDEXED
                 .iter()

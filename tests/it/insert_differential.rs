@@ -2,48 +2,42 @@
 //!
 //! A table grown by [`Engine::insert_rows`] is semantically the *same
 //! relation* as its one-shot twin built from the identical row stream:
-//! the storage layer reproduces the exact per-partition concatenation a
-//! one-shot build would emit, appends merge the batch into (not drop)
-//! cached indexes, and a statistics refresh over bit-identical catalogs draws
-//! bit-identical synopses.  So after ingest plus a same-seed refresh,
-//! query results **and** annotated `EXPLAIN ANALYZE` trees must be
-//! bit-identical between the two engines — at 1, 2, and 8 worker
-//! threads, including statically pruned partitioned scans.
+//! every append extends the table at its tail, appends merge the batch
+//! into (not drop) cached indexes, and a statistics refresh over
+//! bit-identical catalogs draws bit-identical synopses.  So after ingest
+//! plus a same-seed refresh, query results **and** annotated
+//! `EXPLAIN ANALYZE` trees must be bit-identical between the two engines
+//! — at 1, 2, and 8 worker threads.
 //!
-//! A second test pins the scoped-invalidation contract: ingest into one
-//! table advances only that table's feedback epoch and evicts only the
-//! cached plans reading it, warm plans for untouched tables keep
-//! hitting, and streaming sketches exist exactly for ingest-touched
-//! tables.
+//! The scoped-invalidation tests pin what an insert retires: only the
+//! ingested table's feedback epoch advances, only the cached plans and
+//! feedback observations reading it are evicted, warm plans for untouched
+//! tables keep hitting, and streaming sketches exist exactly for
+//! ingest-touched tables.  A full statistics refresh, by contrast,
+//! retires everything.
 //!
-//! A last test crosses partition pruning with *concurrent* ingest: while
-//! a writer widens a statically pruned partition, readers in-process and
-//! over TCP must only ever see counts of some prefix of the acknowledged
-//! batches — a partition list pruned against one version of the table
-//! must never run over another.
+//! A last test crosses ingest with *concurrent* readers: while a writer
+//! appends batches, readers in-process and over TCP must only ever see
+//! counts of some prefix of the acknowledged batches — a plan made
+//! against one version of the table must never run over another.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use rqo_datagen::workload::{exp1_lineitem_predicate, exp2_part_predicate};
 use rqo_exec::{AggExpr, ExecOptions};
 use rqo_expr::Expr;
 use rqo_optimizer::Query;
 use rqo_service::net::{NetClient, NetServerConfig};
 use rqo_service::Engine;
-use rqo_storage::{Catalog, DataType, PartitionSpec, PartitionedTableBuilder, Schema, Value};
+use rqo_service::RunPolicy;
+use rqo_storage::{Catalog, DataType, Value};
 
 use crate::support::{self, QueryRun};
 
-const PARTS: i64 = 4;
 const N: i64 = 4_000;
+/// The rows `x < WINDOW` the window query of [`workload`] reads.
+const WINDOW: i64 = N / 4;
 const SEED: u64 = 11;
-
-fn t_schema() -> Schema {
-    Schema::from_pairs(&[
-        ("x", DataType::Int),
-        ("k", DataType::Int),
-        ("f", DataType::Float),
-    ])
-}
 
 fn t_row(i: i64) -> Vec<Value> {
     vec![
@@ -53,26 +47,20 @@ fn t_row(i: i64) -> Vec<Value> {
     ]
 }
 
-/// Range partitioning over the *full* domain `[0, N)`, so the streamed
-/// engine (which starts with a prefix of the rows) routes late arrivals
-/// into the same partitions the one-shot build uses.
-fn t_spec() -> PartitionSpec {
-    PartitionSpec::Range {
-        column: "x".into(),
-        bounds: (1..PARTS).map(|q| Value::Int(q * N / PARTS)).collect(),
-    }
-}
-
 /// A catalog holding the first `upto` rows of `t` plus the full outer
 /// table `u(k, w)`.
 fn catalog_with(upto: i64) -> Catalog {
-    let mut part_b = PartitionedTableBuilder::new("t", t_schema(), t_spec());
-    for i in 0..upto {
-        part_b.push_row(&t_row(i));
-    }
-    let (table, layout) = part_b.finish();
+    let t = support::table(
+        "t",
+        &[
+            ("x", DataType::Int),
+            ("k", DataType::Int),
+            ("f", DataType::Float),
+        ],
+        (0..upto).map(t_row),
+    );
     let mut cat = Catalog::new();
-    cat.add_partitioned_table(table, layout).unwrap();
+    cat.add_table(t).unwrap();
 
     // A dimension table keyed by `k` (unique), so `t.k → u.k` is a
     // declarable FK edge and t ⋈ u enters the optimizer's join graph.
@@ -121,13 +109,13 @@ fn streamed() -> Engine {
     engine
 }
 
-/// The workload: a statically prunable window (one of four partitions
-/// survives), a full-scan GROUP BY, and a join with grouping — scans,
-/// pruning, aggregation, and joins all cross the differential.
+/// The workload: a window over a quarter of `t`, a full-scan GROUP BY,
+/// and a join with grouping — scans, aggregation, and joins all cross
+/// the differential.
 fn workload() -> Vec<Query> {
     vec![
         Query::over(&["t"])
-            .filter("t", Expr::col("x").lt(Expr::lit(N / PARTS)))
+            .filter("t", Expr::col("x").lt(Expr::lit(WINDOW)))
             .aggregate(AggExpr::sum("f", "total"))
             .aggregate(AggExpr::count_star("n")),
         Query::over(&["t"])
@@ -158,18 +146,6 @@ fn streamed_ingest_matches_one_shot_build_bit_for_bit() {
                 &format!("query {qi}, {threads} thread(s)"),
             );
         }
-
-        // The window query's scan was statically pruned to one of the
-        // four partitions — on both layouts, which only holds because
-        // appends keep per-partition min/max exact.
-        let pruned = two
-            .analyze_quiet(&workload()[0], &opts)
-            .expect("pruned run")
-            .render();
-        assert!(
-            pruned.contains("PartitionedScan t [1/4 parts]"),
-            "expected a pruned partitioned scan, got:\n{pruned}"
-        );
     }
 }
 
@@ -198,8 +174,6 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
     let summary = engine.insert_rows("t", &batch).expect("ingest");
     assert_eq!(summary.rows_inserted, 50);
     assert_eq!(summary.table_rows, (N + 50) as usize);
-    // Every new x lands past the last bound — exactly one partition.
-    assert_eq!(summary.partitions_touched, vec![PARTS as usize - 1]);
 
     // Sketch lifecycle: `t` now has streaming statistics, `u` still
     // does not (so its estimation path is byte-identical to pre-ingest).
@@ -221,7 +195,7 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
     let t_out = engine.run_opts(&q_t, &opts).expect("run t after ingest");
     assert_eq!(
         t_out.rows[0][1],
-        Value::Int(N / PARTS),
+        Value::Int(WINDOW),
         "window count unchanged (new rows land outside the window)"
     );
     let after = engine.cache_stats();
@@ -243,6 +217,109 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
         (2, 0),
         "no-op batches invalidate nothing: {still}"
     );
+}
+
+/// An engine over a small TPC-H-like catalog, and three queries: one
+/// over `lineitem`, one over `part`, and a join reading both.  Every
+/// query's estimate is within the plan cache's drift bound of the truth,
+/// so an analyzed run leaves its plan cached.
+fn tpch_engine_and_queries() -> (Engine, [Query; 3]) {
+    let engine = support::stock_engine(support::tpch(0.001, 7));
+    let lineitem = Query::over(&["lineitem"])
+        .filter("lineitem", exp1_lineitem_predicate(30))
+        .aggregate(AggExpr::count_star("n"));
+    let part = Query::over(&["part"])
+        .filter("part", exp2_part_predicate(160))
+        .aggregate(AggExpr::count_star("n"));
+    let join = Query::over(&["lineitem", "part"])
+        .filter("part", exp2_part_predicate(170))
+        .aggregate(AggExpr::count_star("n"));
+    (engine, [lineitem, part, join])
+}
+
+/// Inserting new keys into `part` retires exactly the state that read
+/// `part`: the feedback observations over other tables survive
+/// byte-for-byte, the global epoch stays 0, and the warm `lineitem` plan
+/// keeps hitting under its old fingerprint, while the `part` and join
+/// plans are dropped and their fingerprints move.
+#[test]
+fn ingest_preserves_other_tables_feedback_and_plans() {
+    let (e, [li, pq, jq]) = tpch_engine_and_queries();
+    let opts = e.query_exec_options(None, None);
+
+    // Warm everything: feedback observations and cached plans for a
+    // lineitem-only query, a part-only query, and a join reading both.
+    e.execute(&li, &opts, RunPolicy::Analyze).unwrap();
+    let lineitem_only = e.feedback().snapshot();
+    assert!(
+        !lineitem_only.is_empty(),
+        "the lineitem query must record feedback for the test to mean anything"
+    );
+    e.execute(&pq, &opts, RunPolicy::Analyze).unwrap();
+    e.execute(&jq, &opts, RunPolicy::Analyze).unwrap();
+    assert!(e.feedback().len() > lineitem_only.len());
+
+    let fp_li = e.fingerprint(&li);
+    let fp_part = e.fingerprint(&pq);
+    let fp_join = e.fingerprint(&jq);
+    assert!(e.plan_cache().contains(&fp_li));
+    assert!(e.plan_cache().contains(&fp_part));
+    assert!(e.plan_cache().contains(&fp_join));
+
+    // New parts: copies of the first row under fresh keys.
+    let catalog = e.catalog();
+    let part = catalog.table("part").unwrap();
+    let template = part.row(0);
+    let next_key = (0..part.num_rows() as u32)
+        .map(|rid| part.value(rid, 0).as_int())
+        .max()
+        .unwrap()
+        + 1;
+    let rows: Vec<Vec<Value>> = (next_key..next_key + 40)
+        .map(|key| {
+            let mut row = template.clone();
+            row[0] = Value::Int(key);
+            row
+        })
+        .collect();
+    e.insert_rows("part", &rows).expect("ingest");
+
+    // Feedback: exactly the part-referencing observations are gone — the
+    // survivor set is byte-identical to the post-lineitem snapshot.
+    assert_eq!(e.feedback().snapshot(), lineitem_only);
+    assert_eq!(e.stats_epoch(), 0, "ingest must not bump the global epoch");
+
+    // Plans: the lineitem entry is still warm under its old fingerprint;
+    // the part and join entries are dropped and their fingerprints moved.
+    assert!(e.plan_cache().contains(&fp_li));
+    assert!(!e.plan_cache().contains(&fp_part));
+    assert!(!e.plan_cache().contains(&fp_join));
+    assert_ne!(e.fingerprint(&pq), fp_part);
+    assert_ne!(e.fingerprint(&jq), fp_join);
+    assert_eq!(e.fingerprint(&li), fp_li);
+
+    // And the warm entry actually hits.
+    let hits_before = e.cache_stats().hits;
+    e.run_opts(&li, &opts).unwrap();
+    assert_eq!(e.cache_stats().hits, hits_before + 1);
+}
+
+/// A full statistics refresh, unlike an insert, retires every table's
+/// feedback and moves every fingerprint.
+#[test]
+fn full_refresh_still_invalidates_globally() {
+    let (mut e, [li, pq, _]) = tpch_engine_and_queries();
+    let opts = e.query_exec_options(None, None);
+    e.execute(&li, &opts, RunPolicy::Analyze).unwrap();
+    e.execute(&pq, &opts, RunPolicy::Analyze).unwrap();
+    let fp_li = e.fingerprint(&li);
+    let fp_part = e.fingerprint(&pq);
+
+    e.refresh_statistics(0xD1CE);
+    assert!(e.feedback().is_empty());
+    assert_eq!(e.stats_epoch(), 1);
+    assert_ne!(e.fingerprint(&li), fp_li);
+    assert_ne!(e.fingerprint(&pq), fp_part);
 }
 
 /// A batch repeating a primary key is rejected atomically, in-process as
@@ -336,20 +413,18 @@ fn duplicate_key_batch_is_rejected_atomically() {
     assert_eq!(out.rows[0][0], Value::Int(20));
 }
 
-/// Partition pruning × concurrent ingest.  `t` starts with rows
-/// `0..2100`, so partition 2 (`[2000, 3000)`) holds `2000..=2099`; ten
-/// batches of 100 consecutive rows then widen its maximum up to 3099.
-/// Window `m` counts `x BETWEEN 2100 + 100m AND 2999`: partition 2 is
-/// statically pruned for it (by the partition's max) until batch `m`
-/// lands, and after `j` batches it holds `100 · (min(j, 9) − m)` rows.
+/// Window counts × concurrent ingest.  `t` starts with rows `0..2100`;
+/// ten batches of 100 consecutive rows then grow it up to `x = 3099`.
+/// Window `m` counts `x BETWEEN 2100 + 100m AND 2999`, so after `j`
+/// batches it holds `100 · (min(j, 9) − m)` rows (none while `j ≤ m`).
 ///
 /// Each reader notes how many batches were acknowledged before it sent a
 /// query and how many had been started when the reply came back; the
 /// count must be the window's count after some number of batches in
-/// between.  A plan pruned against an older table version run over a
+/// between.  A plan made against an older table version run over a
 /// newer one (or the reverse) reads a count from outside that range.
 #[test]
-fn pruned_counts_under_concurrent_ingest_are_prefix_consistent() {
+fn window_counts_under_concurrent_ingest_are_prefix_consistent() {
     const BASE: i64 = 2100;
     const BATCHES: usize = 10;
     const WINDOWS: usize = 9;

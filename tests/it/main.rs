@@ -16,7 +16,6 @@ mod guard_alignment;
 mod insert_differential;
 mod net_differential;
 mod parallel_equivalence;
-mod partition_equivalence;
 mod penalty_regret;
 mod penalty_selection;
 mod plan_cache;

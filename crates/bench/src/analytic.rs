@@ -135,34 +135,6 @@ impl AnalyticModel {
         stats
     }
 
-    /// The index of the plan with least *expected* cost under a
-    /// selectivity posterior — the policy of the least-expected-cost
-    /// literature the paper contrasts with (§4; Chu, Halpern & Gehrke).
-    ///
-    /// For the linear costs of this model, `E[fᵢ + vᵢ·s·N] =
-    /// fᵢ + vᵢ·E[s]·N`, so LEC coincides with pricing at the posterior
-    /// mean; it has no knob for trading variance, which is the paper's
-    /// point of departure.
-    pub fn choose_least_expected_cost(&self, posterior: &SelectivityPosterior) -> usize {
-        let mean = posterior.mean();
-        self.choose(mean)
-    }
-
-    /// Exact mean and standard deviation of execution time at true
-    /// selectivity `p` under the least-expected-cost policy (ablation
-    /// against [`AnalyticModel::execution_stats`]).
-    pub fn execution_stats_lec(&self, p: f64, sample_size: u64, prior: Prior) -> WeightedStats {
-        let binom = Binomial::new(sample_size, p);
-        let mut stats = WeightedStats::new();
-        for (k, w) in binom.support_iter(1e-12) {
-            let posterior =
-                SelectivityPosterior::from_observation(k as usize, sample_size as usize, prior);
-            let plan = self.choose_least_expected_cost(&posterior);
-            stats.push(self.plans[plan].cost(p, self.n_rows), w);
-        }
-        stats
-    }
-
     /// Probability that each plan is chosen at true selectivity `p`
     /// (diagnostic used in tests and the §6.2.4 "self-adjusting" check).
     pub fn plan_probabilities(
@@ -341,16 +313,25 @@ mod tests {
 
     #[test]
     fn lec_matches_posterior_mean_for_linear_costs() {
-        // Linear costs make LEC == plan-at-posterior-mean; and unlike the
-        // percentile rule, LEC has no way to reach the variance the
-        // conservative threshold achieves.
+        // The least-expected-cost policy the paper contrasts with (§4;
+        // Chu, Halpern & Gehrke) picks the plan of least expected cost
+        // under the posterior.  Linear costs make that the plan at the
+        // posterior mean, since E[fᵢ + vᵢ·s·N] = fᵢ + vᵢ·E[s]·N; and
+        // unlike the percentile rule, LEC has no way to reach the
+        // variance the conservative threshold achieves.
         let m = AnalyticModel::paper_default();
         let grid = paper_selectivity_grid();
         let mut lec = WeightedStats::new();
         let mut t95 = WeightedStats::new();
         let w = 1.0 / grid.len() as f64;
         for &p in &grid {
-            let a = m.execution_stats_lec(p, 1000, Prior::Jeffreys);
+            let mut a = WeightedStats::new();
+            for (k, wk) in Binomial::new(1000, p).support_iter(1e-12) {
+                let posterior =
+                    SelectivityPosterior::from_observation(k as usize, 1000, Prior::Jeffreys);
+                let plan = m.choose(posterior.mean());
+                a.push(m.plans[plan].cost(p, m.n_rows), wk);
+            }
             let b = m.execution_stats(p, 1000, t(0.95), Prior::Jeffreys);
             lec.push(a.mean(), w);
             t95.push(b.mean(), w);

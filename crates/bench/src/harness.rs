@@ -1,6 +1,6 @@
 //! Sweep runner and reporting utilities shared by all `fig*` binaries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -297,17 +297,6 @@ pub fn summary_csv(result: &ScenarioResult) -> Vec<String> {
         .collect()
 }
 
-/// Convenience: the deduplicated estimator labels of a scenario result.
-pub fn estimator_labels(result: &ScenarioResult) -> Vec<String> {
-    let mut seen = HashSet::new();
-    result
-        .points
-        .iter()
-        .filter(|p| seen.insert(p.estimator.clone()))
-        .map(|p| p.estimator.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +360,6 @@ mod tests {
         // 2 thresholds + histogram = 3 estimators × 2 points.
         assert_eq!(result.points.len(), 6);
         assert_eq!(result.summary.len(), 3);
-        assert_eq!(estimator_labels(&result).len(), 3);
         for p in &result.points {
             assert!(p.mean_s > 0.0);
             assert!(!p.dominant_shape.is_empty());

@@ -52,8 +52,9 @@ impl RowGuard {
 }
 
 /// The q-error between an estimate and an actual cardinality, both
-/// floored at one row (the [`OpMetrics::q_error`] convention): 1.0 is a
-/// perfect estimate, 10.0 is an order of magnitude off either way.
+/// floored at one row so empty results do not divide by zero: 1.0 is a
+/// perfect estimate, 10.0 is an order of magnitude off either way.  The
+/// one row q-error: guards and [`OpMetrics::q_error`] both use it.
 pub fn q_error(est_rows: f64, actual_rows: f64) -> f64 {
     let est = est_rows.max(1.0);
     let actual = actual_rows.max(1.0);

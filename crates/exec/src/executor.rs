@@ -9,7 +9,7 @@ use crate::adaptive::{GuardTrip, RowGuard};
 use crate::agg::hash_aggregate;
 use crate::batch::Batch;
 use crate::join::{hash_join, indexed_nl_join, merge_join, star_semijoin};
-use crate::kernels::{filter_batch, project_batch};
+use crate::kernels::filter_batch;
 use crate::metrics::OpMetrics;
 use crate::morsel::ExecOptions;
 use crate::plan::PhysicalPlan;
@@ -252,19 +252,6 @@ fn run(
             let bound = predicate.bind(&batch.schema).expect("filter binds");
             tracker.charge_cpu_ops(n as u64);
             let out = filter_batch(batch, &bound, opts).ok_or_else(stopped)?;
-            (out, n as u64, opts.morsel_count(n), 0, vec![child])
-        }
-        PhysicalPlan::Project { input, columns } => {
-            let reads = exactly(columns.iter().map(String::as_str).collect());
-            let (batch, child) = run(input, env, tracker, counter, reads.as_deref())?;
-            let n = batch.len();
-            let ordinals: Vec<usize> = columns
-                .iter()
-                .map(|c| batch.schema.expect_index(c))
-                .collect();
-            tracker.charge_cpu_ops(n as u64);
-            let schema = batch.schema.project(&ordinals);
-            let out = project_batch(batch, &ordinals, schema, opts).ok_or_else(stopped)?;
             (out, n as u64, opts.morsel_count(n), 0, vec![child])
         }
         PhysicalPlan::HashJoin {
@@ -717,25 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_project_nodes() {
-        let cat = catalog();
-        let params = CostParams::default();
-        let plan = PhysicalPlan::Project {
-            input: Box::new(PhysicalPlan::Filter {
-                input: Box::new(PhysicalPlan::SeqScan {
-                    table: "items".into(),
-                    predicate: None,
-                }),
-                predicate: Expr::col("i_price").ge(Expr::lit(90.0)),
-            }),
-            columns: vec!["i_price".into()],
-        };
-        let (batch, _) = execute(&plan, &cat, &params);
-        assert_eq!(batch.len(), 10);
-        assert_eq!(batch.schema.names(), vec!["i_price"]);
-    }
-
-    #[test]
     fn equivalent_plans_same_rows_different_costs() {
         let cat = catalog();
         let params = CostParams::default();
@@ -781,26 +749,23 @@ mod tests {
     fn execute_with_parallel_is_bit_identical_to_serial() {
         let cat = catalog();
         let params = CostParams::default();
-        // A plan exercising scan, filter, project, hash join, and
-        // aggregate in one tree.
+        // A plan exercising scan, filter, hash join, and aggregate in
+        // one tree.
         let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::HashJoin {
-                        build: Box::new(PhysicalPlan::SeqScan {
-                            table: "orders".into(),
-                            predicate: None,
-                        }),
-                        probe: Box::new(PhysicalPlan::SeqScan {
-                            table: "items".into(),
-                            predicate: None,
-                        }),
-                        build_key: "o_id".into(),
-                        probe_key: "i_order".into(),
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::HashJoin {
+                    build: Box::new(PhysicalPlan::SeqScan {
+                        table: "orders".into(),
+                        predicate: None,
                     }),
-                    predicate: Expr::col("i_price").lt(Expr::lit(80.0)),
+                    probe: Box::new(PhysicalPlan::SeqScan {
+                        table: "items".into(),
+                        predicate: None,
+                    }),
+                    build_key: "o_id".into(),
+                    probe_key: "i_order".into(),
                 }),
-                columns: vec!["o_cust".into(), "i_price".into()],
+                predicate: Expr::col("i_price").lt(Expr::lit(80.0)),
             }),
             group_by: vec!["o_cust".into()],
             aggregates: vec![AggExpr::sum("i_price", "total"), AggExpr::count_star("n")],
@@ -818,25 +783,22 @@ mod tests {
     fn metrics_rows_and_cost_identical_across_thread_counts() {
         let cat = catalog();
         let params = CostParams::default();
-        // Scan+filter+project+join+aggregate, all five kernels.
+        // Scan+filter+join+aggregate, all four kernels.
         let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::HashJoin {
-                        build: Box::new(PhysicalPlan::SeqScan {
-                            table: "orders".into(),
-                            predicate: Some(Expr::col("o_id").lt(Expr::lit(40i64))),
-                        }),
-                        probe: Box::new(PhysicalPlan::SeqScan {
-                            table: "items".into(),
-                            predicate: None,
-                        }),
-                        build_key: "o_id".into(),
-                        probe_key: "i_order".into(),
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::HashJoin {
+                    build: Box::new(PhysicalPlan::SeqScan {
+                        table: "orders".into(),
+                        predicate: Some(Expr::col("o_id").lt(Expr::lit(40i64))),
                     }),
-                    predicate: Expr::col("i_price").lt(Expr::lit(70.0)),
+                    probe: Box::new(PhysicalPlan::SeqScan {
+                        table: "items".into(),
+                        predicate: None,
+                    }),
+                    build_key: "o_id".into(),
+                    probe_key: "i_order".into(),
                 }),
-                columns: vec!["o_cust".into(), "i_price".into()],
+                predicate: Expr::col("i_price").lt(Expr::lit(70.0)),
             }),
             group_by: vec!["o_cust".into()],
             aggregates: vec![AggExpr::sum("i_price", "total"), AggExpr::count_star("n")],
@@ -925,8 +887,7 @@ mod tests {
         assert_eq!(metrics.cost, cost);
         // Children's inclusive costs never exceed the parent's.
         let child_sum: CostTracker = join.children.iter().map(|c| c.cost).sum();
-        assert_eq!(join.cost.diff(&child_sum), join.self_cost());
-        assert!(join.self_cost().hash_builds > 0);
+        assert!(join.cost.diff(&child_sum).hash_builds > 0);
     }
 
     #[test]

@@ -1,13 +1,10 @@
-//! Mid-pipeline kernels: batch filter and projection.
+//! Mid-pipeline kernel: batch filter.
 //!
-//! These back the executor's `Filter` and `Project` nodes.  CPU charges
-//! stay in the executor (they are input-size-based).
-
-use std::sync::Arc;
+//! This backs the executor's `Filter` node.  CPU charges stay in the
+//! executor (they are input-size-based).
 
 use rqo_expr::columnar::{select, Candidates};
 use rqo_expr::Expr;
-use rqo_storage::Schema;
 
 use crate::batch::Batch;
 use crate::columnar::SelVec;
@@ -24,30 +21,10 @@ pub fn filter_batch(batch: Batch, bound: &Expr, opts: &ExecOptions) -> Option<Ba
     Some(batch.take(SelVec::new(parts.concat(), n).ids()))
 }
 
-/// Projection: the output shares the selected input columns (an `Arc`
-/// clone each; nothing is copied).  `schema` is the projected output
-/// schema (`batch.schema.project(..)`), computed by the caller alongside
-/// the ordinals.  Returns `None` when the query's token has fired.
-pub fn project_batch(
-    batch: Batch,
-    ordinals: &[usize],
-    schema: Schema,
-    opts: &ExecOptions,
-) -> Option<Batch> {
-    if opts.check_stop().is_some() {
-        return None;
-    }
-    let columns = ordinals
-        .iter()
-        .map(|&i| Arc::clone(&batch.columns()[i]))
-        .collect();
-    Some(Batch::new(schema, columns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rqo_storage::{DataType, Value};
+    use rqo_storage::{DataType, Schema, Value};
 
     /// Mixed-type batch with NULLs sprinkled in.
     fn batch() -> Batch {
@@ -109,23 +86,5 @@ mod tests {
         let bound = Expr::col("a").ge(Expr::lit(0i64)).bind(&b.schema).unwrap();
         let out = filter_batch(b, &bound, &ExecOptions::default()).unwrap();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn project_matches_row_path() {
-        let b = batch();
-        let ordinals = [2usize, 0];
-        let schema = b.schema.project(&ordinals);
-        let expect: Vec<Vec<Value>> = b
-            .to_rows()
-            .iter()
-            .map(|row| ordinals.iter().map(|&i| row[i].clone()).collect())
-            .collect();
-        let out = project_batch(b.clone(), &ordinals, schema, &ExecOptions::default()).unwrap();
-        assert_eq!(out.to_rows(), expect);
-        assert_eq!(out.schema.names(), vec!["c", "a"]);
-        // Zero-copy: each output column *is* its input column.
-        assert!(Arc::ptr_eq(&out.columns()[0], &b.columns()[2]));
-        assert!(Arc::ptr_eq(&out.columns()[1], &b.columns()[0]));
     }
 }

@@ -67,23 +67,11 @@ impl PartialEq for OpMetrics {
 }
 
 impl OpMetrics {
-    /// The q-error between the estimated and actual output cardinality:
-    /// `max(est, actual) / min(est, actual)` with both clamped to ≥ 1 (the
-    /// standard convention, so empty results do not divide by zero).
-    /// `None` until an estimate has been attached.
+    /// The [`q_error`](crate::q_error) between the estimated and actual
+    /// output cardinality; `None` until an estimate has been attached.
     pub fn q_error(&self) -> Option<f64> {
-        self.est_rows.map(|est| {
-            let est = est.max(1.0);
-            let actual = (self.rows_out as f64).max(1.0);
-            est.max(actual) / est.min(actual)
-        })
-    }
-
-    /// The cost charged by this operator alone: the subtree delta minus
-    /// the children's subtree deltas.
-    pub fn self_cost(&self) -> CostTracker {
-        let children: CostTracker = self.children.iter().map(|c| c.cost).sum();
-        self.cost.diff(&children)
+        self.est_rows
+            .map(|est| crate::q_error(est, self.rows_out as f64))
     }
 
     /// Number of operator nodes in this metrics tree.
@@ -234,17 +222,6 @@ mod tests {
         m.rows_out = 0;
         m.est_rows = Some(0.0);
         assert!((m.q_error().unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn self_cost_subtracts_children() {
-        let mut m = sample_tree();
-        let mut child_cost = CostTracker::new();
-        child_cost.charge_cpu_ops(3);
-        m.children[0].cost = child_cost;
-        let own = m.self_cost();
-        assert_eq!(own.cpu_ops, 7);
-        assert_eq!(own.hash_builds, 4);
     }
 
     #[test]

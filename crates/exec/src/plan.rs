@@ -189,13 +189,6 @@ pub enum PhysicalPlan {
         /// Predicate.
         predicate: Expr,
     },
-    /// Column projection (by name).
-    Project {
-        /// Input.
-        input: Box<PhysicalPlan>,
-        /// Columns to keep, in order.
-        columns: Vec<String>,
-    },
     /// Hash join: build a table on `build`, probe with `probe`.
     HashJoin {
         /// Build side (should be the smaller input).
@@ -302,7 +295,6 @@ impl PhysicalPlan {
                 format!("IndexIntersection {table} [{}]", cols.join(", "))
             }
             PhysicalPlan::Filter { predicate, .. } => format!("Filter {predicate}"),
-            PhysicalPlan::Project { columns, .. } => format!("Project [{}]", columns.join(", ")),
             PhysicalPlan::HashJoin {
                 build_key,
                 probe_key,
@@ -352,9 +344,9 @@ impl PhysicalPlan {
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }
             | PhysicalPlan::Materialized { .. } => vec![],
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. } => vec![input],
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::HashAggregate { input, .. } => {
+                vec![input]
+            }
             PhysicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
             PhysicalPlan::MergeJoin { left, right, .. } => vec![left, right],
             PhysicalPlan::IndexedNlJoin { outer, .. } => vec![outer],
@@ -396,9 +388,9 @@ impl PhysicalPlan {
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }
             | PhysicalPlan::Materialized { .. } => vec![],
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. } => vec![input],
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::HashAggregate { input, .. } => {
+                vec![input]
+            }
             PhysicalPlan::HashJoin { build, probe, .. } => vec![build, probe],
             PhysicalPlan::MergeJoin { left, right, .. } => vec![left, right],
             PhysicalPlan::IndexedNlJoin { outer, .. } => vec![outer],
@@ -445,9 +437,7 @@ impl PhysicalPlan {
             PhysicalPlan::SeqScan { .. } => "seqscan".to_string(),
             PhysicalPlan::IndexSeek { .. } => "ixseek".to_string(),
             PhysicalPlan::IndexIntersection { .. } => "ixsect".to_string(),
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                input.shape_label()
-            }
+            PhysicalPlan::Filter { input, .. } => input.shape_label(),
             PhysicalPlan::HashJoin { build, probe, .. } => {
                 format!("hj({},{})", build.shape_label(), probe.shape_label())
             }
@@ -474,9 +464,9 @@ impl PhysicalPlan {
             | PhysicalPlan::IndexIntersection { .. }
             | PhysicalPlan::StarSemiJoin { .. }
             | PhysicalPlan::Materialized { .. } => 0,
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. } => input.node_count(),
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::HashAggregate { input, .. } => {
+                input.node_count()
+            }
             PhysicalPlan::HashJoin { build, probe, .. } => build.node_count() + probe.node_count(),
             PhysicalPlan::MergeJoin { left, right, .. } => left.node_count() + right.node_count(),
             PhysicalPlan::IndexedNlJoin { outer, .. } => outer.node_count(),

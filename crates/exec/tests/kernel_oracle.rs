@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rqo_exec::agg::hash_aggregate;
 use rqo_exec::join::{hash_join, merge_join};
-use rqo_exec::kernels::{filter_batch, project_batch};
+use rqo_exec::kernels::filter_batch;
 use rqo_exec::{
     execute_analyze, execute_guarded, AggExpr, AggFunc, Batch, ExecOptions, ExecStatus,
     PhysicalPlan,
@@ -489,30 +489,6 @@ proptest! {
         }
     }
 
-    /// The projection kernel reproduces the row oracle, including
-    /// duplicated and reordered output columns.
-    #[test]
-    fn project_kernel_matches_oracle(
-        rows in prop::collection::vec((-40i64..40, -40i64..40, 0u8..=255), 0..120),
-        perm in 0usize..6,
-    ) {
-        let batch = make_batch(&rows);
-        let ordinals: Vec<usize> = match perm {
-            0 => vec![0, 1, 2],
-            1 => vec![2, 0],
-            2 => vec![1],
-            3 => vec![1, 1, 0],
-            4 => vec![2, 2],
-            _ => vec![0, 2, 1, 0],
-        };
-        let schema = batch.schema.project(&ordinals);
-        let expect = oracle_project(&batch, &ordinals);
-        for opts in thread_opts() {
-            let out = project_batch(batch.clone(), &ordinals, schema.clone(), &opts).unwrap();
-            prop_assert_eq!(&out.to_rows(), &expect, "{:?}", opts);
-        }
-    }
-
     /// The typed-key hash-join kernel reproduces the nested-loops oracle
     /// (probe-major order, build order within a key, NULL keys matching
     /// NULL keys) with the same charges at every thread count.  The second
@@ -651,7 +627,7 @@ proptest! {
         }
     }
 
-    /// Executor-level differential: a scan→join→filter→project→aggregate
+    /// Executor-level differential: a scan→join→filter→aggregate
     /// plan over two `SeqScan` leaves — one filtered, one not — returns
     /// exactly the composition of the row oracles over `Table::row`, with
     /// identical costs AND `OpMetrics` trees at every thread count.
@@ -672,23 +648,20 @@ proptest! {
         let build_pred = Expr::col("v").ge(Expr::lit(cut));
         let filter_pred = Expr::col("r.v").lt(Expr::lit(cut + 40));
         let plan = PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::HashJoin {
-                        build: Box::new(PhysicalPlan::SeqScan {
-                            table: "t".into(),
-                            predicate: Some(build_pred.clone()),
-                        }),
-                        probe: Box::new(PhysicalPlan::SeqScan {
-                            table: "t".into(),
-                            predicate: None,
-                        }),
-                        build_key: "k".into(),
-                        probe_key: "k".into(),
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::HashJoin {
+                    build: Box::new(PhysicalPlan::SeqScan {
+                        table: "t".into(),
+                        predicate: Some(build_pred.clone()),
                     }),
-                    predicate: filter_pred.clone(),
+                    probe: Box::new(PhysicalPlan::SeqScan {
+                        table: "t".into(),
+                        predicate: None,
+                    }),
+                    build_key: "k".into(),
+                    probe_key: "k".into(),
                 }),
-                columns: vec!["l.k".into(), "r.v".into()],
+                predicate: filter_pred.clone(),
             }),
             group_by: vec!["l.k".into()],
             aggregates: agg_menu("l.k", "r.v"),
@@ -733,12 +706,6 @@ fn kernels_on_empty_batch() {
         .unwrap()
         .to_rows()
         .is_empty());
-
-    let ordinals = [2usize, 0];
-    let schema = empty.schema.project(&ordinals);
-    let projected = project_batch(empty.clone(), &ordinals, schema, &opts).unwrap();
-    assert!(projected.to_rows().is_empty());
-    assert_eq!(projected.schema.names(), vec!["c", "a"]);
 
     let mut t = CostTracker::new();
     let joined = hash_join(&mut t, empty.clone(), empty.clone(), "a", "a", None, &opts).unwrap();
@@ -1196,8 +1163,8 @@ fn filter_kernel_all_and_none_selected() {
 }
 
 /// Zero-copy is part of the contract, not an accident of the
-/// implementation: a projection, a served `Materialized` slot, and a
-/// predicate-free full scan hand on the very columns they were given.
+/// implementation: a served `Materialized` slot and a predicate-free
+/// full scan hand on the very columns they were given.
 #[test]
 fn columns_flow_between_operators_uncopied() {
     let mut b = TableBuilder::new(
@@ -1226,14 +1193,6 @@ fn columns_flow_between_operators_uncopied() {
     for (out, src) in scanned.columns().iter().zip(&stored) {
         assert!(Arc::ptr_eq(out, src), "scan output is the stored column");
     }
-
-    // ...a Project output column is its input column...
-    let project = PhysicalPlan::Project {
-        input: Box::new(scan),
-        columns: vec!["s".into()],
-    };
-    let (projected, _, _) = execute_analyze(&project, &cat, &params, &opts);
-    assert!(Arc::ptr_eq(&projected.columns()[0], &stored[1]));
 
     // ...and a Materialized leaf serves its slot's columns as they are.
     let slot = make_batch(&(0..40).map(|i| (i, i + 1, i as u8)).collect::<Vec<_>>());

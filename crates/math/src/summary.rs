@@ -63,15 +63,6 @@ impl RunningStats {
         }
     }
 
-    /// Unbiased sample variance (divides by `n − 1`).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -139,11 +130,6 @@ impl WeightedStats {
         let delta = x - self.mean;
         self.mean += delta * w / self.weight;
         self.m2 += w * delta * (x - self.mean);
-    }
-
-    /// Total accumulated weight.
-    pub fn total_weight(&self) -> f64 {
-        self.weight
     }
 
     /// Weighted mean.
@@ -226,7 +212,6 @@ mod tests {
         assert!(close(s.std_dev(), 2.0, 1e-12));
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert!(close(s.sample_variance(), 32.0 / 7.0, 1e-12));
     }
 
     #[test]
@@ -276,7 +261,7 @@ mod tests {
     fn weighted_stats_zero_weight_is_noop() {
         let mut w = WeightedStats::new();
         w.push(123.0, 0.0);
-        assert_eq!(w.total_weight(), 0.0);
+        assert_eq!(w.weight, 0.0);
         assert_eq!(w.mean(), 0.0);
     }
 

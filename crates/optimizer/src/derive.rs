@@ -204,7 +204,6 @@ pub fn derive(
                 ..request
             }
         }
-        PhysicalPlan::Project { .. } => children[0].clone(),
         PhysicalPlan::HashJoin { .. } => {
             let (build, probe) = (children[0], children[1]);
             let join = Derivation::join(ctx, build, probe);

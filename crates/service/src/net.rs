@@ -5,11 +5,10 @@
 //! # Connection lifecycle
 //!
 //! ```text
-//!             accept            TAG_HELLO?          TAG_RUN ...
+//!             accept            TAG_RUN ...
 //! client ───► acceptor ───► [reader thread] ──mpsc──► [executor thread]
-//!   │           │ (over limit: Error frame,             │ tenant quota
-//!   │           │  close)                               │ validate vs catalog
-//!   │           │                                       │ QueryService::execute
+//!   │           │ (over limit: Error frame,             │ validate vs catalog
+//!   │           │  close)                               │ QueryService::execute
 //!   │    EOF / io error                                 ▼
 //!   └──────► reader cancels the in-flight     Batch* · Done | Error
 //!            QueryToken and signals EOF       (one write per reply)
@@ -44,9 +43,8 @@
 //! Malformed bytes never panic the server and never leak an execution
 //! slot: frames are decoded defensively ([`ProtoError`]), the peer gets
 //! one typed [`ErrorCode::Protocol`] reply, and the connection closes.
-//! Per-tenant admission quotas ([`NetServerConfig::tenant_quota`])
-//! bound each tenant's in-flight queries *before* the service's global
-//! slot/queue machinery, so one bad tenant cannot occupy every slot.
+//! The server adds no admission gate of its own: the service's slots,
+//! queue and timeout are the one bound on in-flight work.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -76,9 +74,6 @@ pub struct NetServerConfig {
     /// Maximum simultaneously open connections; excess connections get
     /// an [`ErrorCode::ConnectionLimit`] frame and are closed.
     pub max_connections: usize,
-    /// Per-tenant in-flight query cap (`None` = unlimited).  Applied
-    /// before global admission so one tenant cannot monopolize slots.
-    pub tenant_quota: Option<usize>,
     /// Rows per [`Response::Batch`] frame when streaming results.
     pub batch_rows: usize,
 }
@@ -87,7 +82,6 @@ impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
             max_connections: 512,
-            tenant_quota: None,
             batch_rows: DEFAULT_BATCH_ROWS,
         }
     }
@@ -97,12 +91,6 @@ impl NetServerConfig {
     /// Sets the connection cap.
     pub fn with_max_connections(mut self, n: usize) -> Self {
         self.max_connections = n;
-        self
-    }
-
-    /// Sets the per-tenant in-flight query quota.
-    pub fn with_tenant_quota(mut self, n: usize) -> Self {
-        self.tenant_quota = Some(n);
         self
     }
 
@@ -142,8 +130,6 @@ pub struct NetStats {
     pub queries_ok: u64,
     /// Queries answered with a typed [`Response::Error`].
     pub queries_err: u64,
-    /// Runs refused by the per-tenant quota.
-    pub tenant_rejections: u64,
     /// In-flight queries cancelled because their client disconnected.
     pub disconnect_cancels: u64,
     /// Insert batches answered with [`Response::InsertOk`].
@@ -157,7 +143,7 @@ impl fmt::Display for NetStats {
         write!(
             f,
             "accepted={} rejected_conn_limit={} active={} protocol_errors={} \
-             queries_ok={} queries_err={} tenant_rejections={} disconnect_cancels={} \
+             queries_ok={} queries_err={} disconnect_cancels={} \
              inserts_ok={} inserts_err={}",
             self.accepted,
             self.rejected_conn_limit,
@@ -165,7 +151,6 @@ impl fmt::Display for NetStats {
             self.protocol_errors,
             self.queries_ok,
             self.queries_err,
-            self.tenant_rejections,
             self.disconnect_cancels,
             self.inserts_ok,
             self.inserts_err,
@@ -181,7 +166,6 @@ struct NetStatsCells {
     protocol_errors: AtomicU64,
     queries_ok: AtomicU64,
     queries_err: AtomicU64,
-    tenant_rejections: AtomicU64,
     disconnect_cancels: AtomicU64,
     inserts_ok: AtomicU64,
     inserts_err: AtomicU64,
@@ -196,7 +180,6 @@ impl NetStatsCells {
             protocol_errors: self.protocol_errors.load(Ordering::SeqCst),
             queries_ok: self.queries_ok.load(Ordering::SeqCst),
             queries_err: self.queries_err.load(Ordering::SeqCst),
-            tenant_rejections: self.tenant_rejections.load(Ordering::SeqCst),
             disconnect_cancels: self.disconnect_cancels.load(Ordering::SeqCst),
             inserts_ok: self.inserts_ok.load(Ordering::SeqCst),
             inserts_err: self.inserts_err.load(Ordering::SeqCst),
@@ -208,55 +191,14 @@ struct NetInner {
     service: QueryService,
     config: NetServerConfig,
     stats: NetStatsCells,
-    /// In-flight query count per tenant (quota accounting).
-    tenants: Mutex<HashMap<String, usize>>,
     /// Stream clones of open connections, for shutdown.
     conns: Mutex<HashMap<u64, TcpStream>>,
     shutting_down: AtomicBool,
 }
 
 impl NetInner {
-    fn tenants_lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, usize>> {
-        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
-    }
     fn conns_lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
         self.conns.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Holds one unit of a tenant's quota; released on drop (even if the
-/// query panics).
-struct TenantSlot {
-    inner: Arc<NetInner>,
-    tenant: String,
-}
-
-impl TenantSlot {
-    fn acquire(inner: &Arc<NetInner>, tenant: &str) -> Option<TenantSlot> {
-        let mut map = inner.tenants_lock();
-        let count = map.entry(tenant.to_string()).or_insert(0);
-        if let Some(quota) = inner.config.tenant_quota {
-            if *count >= quota {
-                return None;
-            }
-        }
-        *count += 1;
-        Some(TenantSlot {
-            inner: Arc::clone(inner),
-            tenant: tenant.to_string(),
-        })
-    }
-}
-
-impl Drop for TenantSlot {
-    fn drop(&mut self) {
-        let mut map = self.inner.tenants_lock();
-        if let Some(count) = map.get_mut(&self.tenant) {
-            *count -= 1;
-            if *count == 0 {
-                map.remove(&self.tenant);
-            }
-        }
     }
 }
 
@@ -293,7 +235,6 @@ impl NetServer {
             service,
             config,
             stats: NetStatsCells::default(),
-            tenants: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
             shutting_down: AtomicBool::new(false),
         });
@@ -520,16 +461,14 @@ fn read_loop(
 
 /// Processes requests serially and writes responses.
 fn executor_loop(
-    inner: &Arc<NetInner>,
+    inner: &NetInner,
     stream: TcpStream,
     rx: Receiver<ConnEvent>,
     in_flight: &Arc<Mutex<Option<QueryToken>>>,
 ) {
     let mut out = ReplyWriter::with_capacity(FLUSH_BYTES, stream);
-    let mut tenant = String::new();
     while let Ok(event) = rx.recv() {
         match event {
-            ConnEvent::Req(Request::Hello { tenant: t }) => tenant = t,
             ConnEvent::Req(Request::Ping { nonce }) => {
                 if send(&mut out, &Response::Pong { nonce }).is_err() {
                     break;
@@ -541,22 +480,12 @@ fn executor_loop(
                 deadline_ms,
                 query,
             }) => {
-                let ok = handle_run(
-                    inner,
-                    &mut out,
-                    in_flight,
-                    &tenant,
-                    id,
-                    mode,
-                    deadline_ms,
-                    query,
-                );
-                if !ok {
+                if !handle_run(inner, &mut out, in_flight, id, mode, deadline_ms, query) {
                     break;
                 }
             }
             ConnEvent::Req(Request::Insert { id, table, rows }) => {
-                if !handle_insert(inner, &mut out, &tenant, id, &table, rows) {
+                if !handle_insert(inner, &mut out, id, &table, rows) {
                     break;
                 }
             }
@@ -580,12 +509,10 @@ fn executor_loop(
 
 /// Runs one query end to end; returns `false` if the connection is
 /// unwritable and should close.
-#[allow(clippy::too_many_arguments)]
 fn handle_run(
-    inner: &Arc<NetInner>,
+    inner: &NetInner,
     out: &mut ReplyWriter,
     in_flight: &Arc<Mutex<Option<QueryToken>>>,
-    tenant: &str,
     id: u64,
     mode: RunMode,
     deadline_ms: u64,
@@ -604,19 +531,6 @@ fn handle_run(
     if let Err(msg) = query.validate(&inner.service.engine().catalog()) {
         return fail(out, ErrorCode::BadQuery, msg);
     }
-
-    // Per-tenant quota, ahead of global admission.
-    let _tenant_slot = match TenantSlot::acquire(inner, tenant) {
-        Some(slot) => slot,
-        None => {
-            inner.stats.tenant_rejections.fetch_add(1, Ordering::SeqCst);
-            return fail(
-                out,
-                ErrorCode::TenantQuota,
-                format!("tenant {tenant:?} is at its in-flight quota"),
-            );
-        }
-    };
 
     let token = if deadline_ms > 0 {
         QueryToken::with_deadline(Duration::from_millis(deadline_ms))
@@ -686,15 +600,13 @@ fn handle_run(
 /// Ingests one insert batch; returns `false` if the connection is
 /// unwritable and should close.
 ///
-/// Inserts run on the connection's executor thread under the same
-/// per-tenant quota as queries (an insert occupies one unit of the
-/// tenant's in-flight budget while it holds the catalog write lock),
-/// and a panic inside the storage layer ends the batch with a typed
+/// Inserts run on the connection's executor thread, straight into
+/// [`Engine::insert_rows`](crate::Engine::insert_rows), and a panic
+/// inside the storage layer ends the batch with a typed
 /// [`ErrorCode::Internal`] — never the server.
 fn handle_insert(
-    inner: &Arc<NetInner>,
+    inner: &NetInner,
     out: &mut ReplyWriter,
-    tenant: &str,
     id: u64,
     table: &str,
     rows: Vec<Vec<Value>>,
@@ -702,18 +614,6 @@ fn handle_insert(
     let fail = |out: &mut ReplyWriter, code: ErrorCode, message: String| {
         inner.stats.inserts_err.fetch_add(1, Ordering::SeqCst);
         send(out, &Response::Error { id, code, message }).is_ok()
-    };
-
-    let _tenant_slot = match TenantSlot::acquire(inner, tenant) {
-        Some(slot) => slot,
-        None => {
-            inner.stats.tenant_rejections.fetch_add(1, Ordering::SeqCst);
-            return fail(
-                out,
-                ErrorCode::TenantQuota,
-                format!("tenant {tenant:?} is at its in-flight quota"),
-            );
-        }
     };
 
     let engine = inner.service.engine();
@@ -860,14 +760,6 @@ impl NetClient {
             stream: BufReader::new(stream),
             next_id: 1,
         })
-    }
-
-    /// Declares this connection's tenant (no reply expected).
-    pub fn hello(&mut self, tenant: &str) -> io::Result<()> {
-        let req = Request::Hello {
-            tenant: tenant.to_string(),
-        };
-        write_frame(self.stream.get_mut(), &req.encode())
     }
 
     /// Round-trips a ping.
@@ -1024,16 +916,15 @@ mod tests {
             seed: 7,
         });
         let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
-        let config = NetServerConfig::default().with_tenant_quota(1);
-        let server = NetServer::bind(service, "127.0.0.1:0", config).expect("bind loopback");
+        let server = NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default())
+            .expect("bind loopback");
         let service = server.service().clone();
         let engine = service.engine().clone();
         hold::next(&service);
 
         // Fire the query without waiting for its reply, then watch it get
-        // admitted.  It holds tenant "acme"'s only quota unit.
+        // admitted.
         let mut client = NetClient::connect(server.local_addr()).expect("connect");
-        client.hello("acme").expect("hello");
         let req = Request::Run {
             id: 1,
             mode: RunMode::Run,
@@ -1071,14 +962,10 @@ mod tests {
             "cancelled query recorded feedback"
         );
 
-        // And the engine is unharmed: the cancelled query gave its
-        // tenant's quota unit back, so "acme" runs a query over a fresh
-        // connection.
+        // And the engine is unharmed: a fresh connection runs a query.
         let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
-        retry.hello("acme").expect("hello");
         let short = Query::over(&["part"]).aggregate(AggExpr::count_star("n"));
         let reply = retry.run(&short).expect("server still serves");
         assert_eq!(reply.rows.len(), 1);
-        assert_eq!(server.stats().tenant_rejections, 0, "{}", server.stats());
     }
 }

@@ -63,8 +63,9 @@ pub const MAX_EXPR_DEPTH: usize = 64;
 /// Rows per [`Response::Batch`] frame when a server streams a result.
 pub const DEFAULT_BATCH_ROWS: usize = 256;
 
-// Client → server frame tags.
-const TAG_HELLO: u8 = 0x01;
+// Client → server frame tags.  `0x01` is retired (it carried a
+// per-tenant hello) and is not reused: a peer that sends it gets
+// `UnknownTag(1)`.
 const TAG_RUN: u8 = 0x02;
 const TAG_PING: u8 = 0x03;
 const TAG_INSERT: u8 = 0x04;
@@ -139,8 +140,6 @@ pub enum ErrorCode {
     Cancelled,
     /// The query's deadline passed while queued or running.
     DeadlineExceeded,
-    /// The tenant exceeded its per-tenant in-flight quota.
-    TenantQuota,
     /// The peer sent a malformed frame; the connection will close.
     Protocol,
     /// The query referenced unknown tables/columns or was otherwise
@@ -153,13 +152,14 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Code `5` is retired (it was a per-tenant quota refusal) and is
+    /// not reused: an `Error` frame carrying it fails to decode.
     fn to_wire(self) -> u8 {
         match self {
             ErrorCode::QueueFull => 1,
             ErrorCode::QueueTimeout => 2,
             ErrorCode::Cancelled => 3,
             ErrorCode::DeadlineExceeded => 4,
-            ErrorCode::TenantQuota => 5,
             ErrorCode::Protocol => 6,
             ErrorCode::BadQuery => 7,
             ErrorCode::ConnectionLimit => 8,
@@ -173,7 +173,6 @@ impl ErrorCode {
             2 => ErrorCode::QueueTimeout,
             3 => ErrorCode::Cancelled,
             4 => ErrorCode::DeadlineExceeded,
-            5 => ErrorCode::TenantQuota,
             6 => ErrorCode::Protocol,
             7 => ErrorCode::BadQuery,
             8 => ErrorCode::ConnectionLimit,
@@ -195,7 +194,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::QueueTimeout => "queue-timeout",
             ErrorCode::Cancelled => "cancelled",
             ErrorCode::DeadlineExceeded => "deadline-exceeded",
-            ErrorCode::TenantQuota => "tenant-quota",
             ErrorCode::Protocol => "protocol",
             ErrorCode::BadQuery => "bad-query",
             ErrorCode::ConnectionLimit => "connection-limit",
@@ -229,13 +227,6 @@ impl From<RunMode> for RunPolicy {
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Declares the connection's tenant (for per-tenant admission
-    /// quotas).  Optional; connections that never say hello run under
-    /// the anonymous tenant `""`.
-    Hello {
-        /// Tenant identifier.
-        tenant: String,
-    },
     /// Submits one query.
     Run {
         /// Client-chosen request id, echoed on every response frame.
@@ -878,11 +869,6 @@ impl Request {
     /// prefix — pair with [`write_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Request::Hello { tenant } => {
-                let mut e = Enc::new(TAG_HELLO);
-                e.str(tenant);
-                e.buf
-            }
             Request::Run {
                 id,
                 mode,
@@ -925,7 +911,6 @@ impl Request {
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
         let mut d = Dec::new(body);
         let req = match d.u8()? {
-            TAG_HELLO => Request::Hello { tenant: d.str()? },
             TAG_RUN => {
                 let id = d.u64()?;
                 let mode = match d.u8()? {
@@ -1129,9 +1114,6 @@ mod tests {
 
     #[test]
     fn request_frames_roundtrip() {
-        roundtrip_request(&Request::Hello {
-            tenant: "acme".into(),
-        });
         roundtrip_request(&Request::Ping { nonce: 0xDEAD });
         roundtrip_request(&Request::Run {
             id: 7,
@@ -1356,16 +1338,24 @@ mod tests {
     fn unknown_tags_and_discriminants_are_typed() {
         assert_eq!(Request::decode(&[0x7F]), Err(ProtoError::UnknownTag(0x7F)));
         assert_eq!(Response::decode(&[0x02]), Err(ProtoError::UnknownTag(0x02)));
-        let mut e = Enc::new(TAG_ERROR);
-        e.u64(0);
-        e.u8(200); // bad error code
-        e.str("x");
+        // The retired hello tag stays unknown, not silently reassigned.
         assert_eq!(
-            Response::decode(&e.buf),
-            Err(ProtoError::BadDiscriminant {
-                what: "error code",
-                value: 200
-            })
+            Request::decode(&[0x01, 0, 0, 0, 0]),
+            Err(ProtoError::UnknownTag(1))
         );
+        // 200 was never a code; 5 is the retired tenant-quota code.
+        for value in [200, 5] {
+            let mut e = Enc::new(TAG_ERROR);
+            e.u64(0);
+            e.u8(value);
+            e.str("x");
+            assert_eq!(
+                Response::decode(&e.buf),
+                Err(ProtoError::BadDiscriminant {
+                    what: "error code",
+                    value
+                })
+            );
+        }
     }
 }

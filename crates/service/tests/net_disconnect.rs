@@ -1,10 +1,8 @@
 //! Client-disconnect propagation over a real socket: a client that hangs
 //! up while its reply is being written ends the connection and leaves
-//! nothing behind, and a reply the client never reads pins the
-//! per-tenant admission quota, which needs a query held in flight to be
-//! observable.  A client that hangs up while its query executes is tested
-//! beside the server (`net.rs`), where the service can hold the query
-//! until the disconnect lands.
+//! nothing behind.  A client that hangs up while its query executes is
+//! tested beside the server (`net.rs`), where the service can hold the
+//! query until the disconnect lands.
 
 use std::net::Shutdown;
 use std::time::{Duration, Instant};
@@ -12,25 +10,21 @@ use std::time::{Duration, Instant};
 use rqo_datagen::{TpchConfig, TpchData};
 use rqo_exec::AggExpr;
 use rqo_optimizer::Query;
-use rqo_service::net::{ClientError, NetClient, NetServer, NetServerConfig};
-use rqo_service::proto::{write_frame, ErrorCode, Request, Response, RunMode};
-use rqo_service::{Engine, ServiceConfig, ServiceStats};
+use rqo_service::net::{NetClient, NetServer, NetServerConfig};
+use rqo_service::proto::{write_frame, Request, Response, RunMode};
+use rqo_service::{Engine, ServiceConfig};
 
 /// Big enough that a `lineitem ⋈ part` reply (≈ 14 MB) outgrows what
 /// loopback socket buffers absorb.
 const SCALE: f64 = 0.02;
 
-fn server_with(config: NetServerConfig) -> NetServer {
+fn server() -> NetServer {
     let data = TpchData::generate(&TpchConfig {
         scale_factor: SCALE,
         seed: 7,
     });
     let service = Engine::new(data.into_catalog()).into_service(ServiceConfig::default());
-    NetServer::bind(service, "127.0.0.1:0", config).expect("bind loopback")
-}
-
-fn short_query() -> Query {
-    Query::over(&["part"]).aggregate(AggExpr::count_star("n"))
+    NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback")
 }
 
 fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -39,11 +33,6 @@ fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
-}
-
-fn assert_quiescent_and_balanced(stats: ServiceStats) {
-    assert!(stats.slots_balanced(), "execution slot leaked: {stats}");
-    assert_eq!(stats.panicked, 0, "query panicked: {stats}");
 }
 
 /// The other place a client can vanish: not while its query runs but
@@ -55,11 +44,10 @@ fn assert_quiescent_and_balanced(stats: ServiceStats) {
 /// read — and leave nothing behind.
 #[test]
 fn disconnect_mid_reply_ends_the_connection_and_leaves_nothing() {
-    let server = server_with(NetServerConfig::default().with_tenant_quota(1));
+    let server = server();
     let service = server.service().clone();
 
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
-    client.hello("acme").expect("hello");
     let req = Request::Run {
         id: 1,
         mode: RunMode::Run,
@@ -81,71 +69,13 @@ fn disconnect_mid_reply_ends_the_connection_and_leaves_nothing() {
     // The query itself had finished before its reply began.
     let stats = service.stats();
     assert_eq!((stats.completed, stats.cancelled), (1, 0), "{stats}");
-    assert_quiescent_and_balanced(stats);
+    assert!(stats.slots_balanced(), "execution slot leaked: {stats}");
+    assert_eq!(stats.panicked, 0, "query panicked: {stats}");
     assert_eq!(server.stats().protocol_errors, 0, "{}", server.stats());
 
-    // The tenant's only quota unit came back with the connection.
+    // The server still serves a fresh connection.
     let mut retry = NetClient::connect(server.local_addr()).expect("reconnect");
-    retry.hello("acme").expect("hello");
-    let reply = retry.run(&short_query()).expect("server still serves");
+    let short = Query::over(&["part"]).aggregate(AggExpr::count_star("n"));
+    let reply = retry.run(&short).expect("server still serves");
     assert_eq!(reply.rows.len(), 1);
-    assert_eq!(server.stats().tenant_rejections, 0);
-}
-
-#[test]
-fn tenant_quota_bounds_in_flight_queries_per_tenant() {
-    let config = NetServerConfig::default().with_tenant_quota(1);
-    let server = server_with(config);
-    let service = server.service().clone();
-    let addr = server.local_addr();
-
-    // Tenant "acme" occupies its whole quota with one query whose
-    // ≈ 14 MB reply it never reads: the connection's handler blocks on
-    // the write and holds the slot however fast the query itself ran...
-    let mut first = NetClient::connect(addr).expect("connect first");
-    first.hello("acme").expect("hello");
-    let req = Request::Run {
-        id: 1,
-        mode: RunMode::Run,
-        deadline_ms: 0,
-        query: Query::over(&["lineitem", "part"]),
-    };
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &req.encode()).unwrap();
-    first.send_raw(&frame).expect("send run");
-    poll_until("first query admitted", || service.stats().admitted == 1);
-
-    // ... so a second "acme" connection is refused before admission ...
-    let mut second = NetClient::connect(addr).expect("connect second");
-    second.hello("acme").expect("hello");
-    match second.run(&short_query()) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::TenantQuota),
-        other => panic!("expected TenantQuota, got {other:?}"),
-    }
-    assert_eq!(server.stats().tenant_rejections, 1);
-
-    // ... while a different tenant sails through on the same service.
-    let mut other = NetClient::connect(addr).expect("connect other");
-    other.hello("globex").expect("hello");
-    let reply = other.run(&short_query()).expect("other tenant unaffected");
-    assert_eq!(reply.rows.len(), 1);
-
-    // Hanging up ends the first connection's handler, which releases the
-    // tenant's slot; retry until it has.
-    first.stream().shutdown(Shutdown::Both).expect("shutdown");
-    drop(first);
-    let mut reply = None;
-    poll_until("quota slot released", || match second.run(&short_query()) {
-        Err(ClientError::Server {
-            code: ErrorCode::TenantQuota,
-            ..
-        }) => false,
-        other => {
-            reply = Some(other.expect("the second acme query runs"));
-            true
-        }
-    });
-    assert_eq!(reply.expect("polled until it ran").rows.len(), 1);
-
-    assert_quiescent_and_balanced(service.stats());
 }

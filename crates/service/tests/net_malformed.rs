@@ -50,6 +50,13 @@ fn poison_frames() -> Vec<Vec<u8>> {
     let mut f = Vec::new();
     write_frame(&mut f, &[0x7F, 1, 2, 3]).unwrap();
     frames.push(f);
+    // The retired tag 0x01, as an old client's per-tenant hello sent it.
+    let mut body = vec![0x01u8];
+    body.extend_from_slice(&4u32.to_le_bytes()); // name length
+    body.extend_from_slice(b"acme");
+    let mut f = Vec::new();
+    write_frame(&mut f, &body).unwrap();
+    frames.push(f);
     // Zero-length frame.
     frames.push(0u32.to_le_bytes().to_vec());
     // Oversized length claim (4 GiB) with no body.
@@ -111,6 +118,9 @@ fn poison_frames_get_typed_errors_and_leak_nothing() {
 
     for (i, frame) in poison_frames().iter().enumerate() {
         let mut client = NetClient::connect(addr).expect("connect");
+        // A frame the server wrongly accepts gets no reply: fail, not hang.
+        let timeout = Some(Duration::from_secs(10));
+        client.stream().set_read_timeout(timeout).unwrap();
         client.send_raw(frame).expect("send poison");
         match client.recv() {
             Ok(Response::Error { id, code, .. }) => {
@@ -669,7 +679,6 @@ fn poison_and_disconnects_beside_clean_traffic_leak_nothing() {
             let (menu, expected, poison, join) = (&menu, &expected, &poison, &join);
             scope.spawn(move || {
                 let mut client = NetClient::connect(addr).expect("connect");
-                client.hello(&format!("tenant-{}", client_id % 4)).unwrap();
                 for round in 0..ROUNDS {
                     for k in 0..menu.len() {
                         let qi = (client_id + round + k) % menu.len();
@@ -679,6 +688,8 @@ fn poison_and_disconnects_beside_clean_traffic_leak_nothing() {
                     if round == 0 {
                         let frame = &poison[client_id % poison.len()];
                         let mut attacker = NetClient::connect(addr).expect("connect attacker");
+                        let timeout = Some(Duration::from_secs(30));
+                        attacker.stream().set_read_timeout(timeout).unwrap();
                         attacker.send_raw(frame).expect("send poison");
                         match attacker.recv() {
                             Ok(Response::Error { id, code, .. }) => {

@@ -180,12 +180,11 @@ fn query_from(s: &mut Script) -> Query {
 }
 
 fn request_from(s: &mut Script) -> Request {
-    match s.small(4) {
-        0 => Request::Hello { tenant: s.string() },
-        1 => Request::Ping {
+    match s.small(3) {
+        0 => Request::Ping {
             nonce: s.i64() as u64,
         },
-        2 => Request::Insert {
+        1 => Request::Insert {
             id: s.i64() as u64,
             // Decode rejects empty table names, so force a prefix.
             table: format!("t{}", s.string()),

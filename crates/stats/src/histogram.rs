@@ -58,66 +58,6 @@ impl EquiDepthHistogram {
             other => panic!("cannot build range histogram over {other} column {column:?}"),
         };
         values.sort_unstable_by(f64::total_cmp);
-        Self::from_sorted_values(table, column, dt, num_buckets, &values)
-    }
-
-    /// Builds a histogram from a without-replacement row sample instead of
-    /// the full column — the incremental-statistics path, where rescanning
-    /// a large table per refresh would defeat the point.
-    ///
-    /// The sample rids come from
-    /// [`crate::sampler::sample_without_replacement_sorted`]: the *sorted*
-    /// variant matters here because the per-bucket row counts are scaled
-    /// by `rows/sample` and bucket boundaries come from sample order —
-    /// a reservoir-ordered sample would build the same buckets only by
-    /// luck of eviction order once any consumer keys off positions.  With
-    /// sorted rids the result is a pure function of (seed, table, column):
-    /// same seed → identical histogram, and a full-coverage sample
-    /// (`sample_size ≥ rows`) is identical to [`Self::build`] for *any*
-    /// seed.
-    pub fn build_sampled<R: rand::Rng + ?Sized>(
-        table: &Table,
-        column: &str,
-        num_buckets: usize,
-        sample_size: usize,
-        rng: &mut R,
-    ) -> Self {
-        assert!(num_buckets > 0, "histogram needs at least one bucket");
-        let col = table.schema().expect_index(column);
-        let dt = table.schema().column(col).data_type;
-        let rids = crate::sampler::sample_without_replacement_sorted(table, sample_size, rng);
-        let mut values: Vec<f64> = rids
-            .iter()
-            .map(|&rid| match dt {
-                DataType::Int => table.int_column(col)[rid as usize] as f64,
-                DataType::Float => table.float_column(col)[rid as usize],
-                DataType::Date => table.date_column(col)[rid as usize] as f64,
-                other => panic!("cannot build range histogram over {other} column {column:?}"),
-            })
-            .collect();
-        values.sort_unstable_by(f64::total_cmp);
-        let mut h = Self::from_sorted_values(table, column, dt, num_buckets, &values);
-        // Scale bucket row counts from the sample up to the population so
-        // range_selectivity keeps its rows/total semantics.
-        let rows = table.num_rows() as u64;
-        if !values.is_empty() && rows > values.len() as u64 {
-            let scale = rows as f64 / values.len() as f64;
-            for b in &mut h.buckets {
-                b.rows = ((b.rows as f64) * scale).round().max(1.0) as u64;
-            }
-            h.total_rows = h.buckets.iter().map(|b| b.rows).sum();
-        }
-        h
-    }
-
-    /// Shared bucket construction over an already-sorted value vector.
-    fn from_sorted_values(
-        table: &Table,
-        column: &str,
-        dt: DataType,
-        num_buckets: usize,
-        values: &[f64],
-    ) -> Self {
         let total_rows = values.len() as u64;
         let mut buckets = Vec::with_capacity(num_buckets.min(values.len().max(1)));
         if !values.is_empty() {
@@ -158,11 +98,6 @@ impl EquiDepthHistogram {
     /// The histogrammed column.
     pub fn column(&self) -> &str {
         &self.column
-    }
-
-    /// Number of buckets actually built.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Total rows summarized.
@@ -222,11 +157,6 @@ impl EquiDepthHistogram {
         (rows / self.total_rows as f64).clamp(0.0, 1.0)
     }
 
-    /// Estimated number of distinct values over the whole column.
-    pub fn distinct_estimate(&self) -> u64 {
-        self.buckets.iter().map(|b| b.distinct).sum()
-    }
-
     fn discrete_step(&self) -> f64 {
         match self.data_type {
             DataType::Int | DataType::Date => 1.0,
@@ -273,10 +203,9 @@ mod tests {
     fn bucket_structure() {
         let t = uniform_0_to_999();
         let h = EquiDepthHistogram::build(&t, "x", 10);
-        assert_eq!(h.num_buckets(), 10);
+        assert_eq!(h.buckets.len(), 10);
         assert_eq!(h.total_rows(), 1000);
         assert_eq!(h.stored_bytes(), 160);
-        assert_eq!(h.distinct_estimate(), 1000);
         assert_eq!(h.table(), "t");
         assert_eq!(h.column(), "x");
     }
@@ -353,7 +282,7 @@ mod tests {
     fn empty_table() {
         let t = int_table(&[]);
         let h = EquiDepthHistogram::build(&t, "x", 10);
-        assert_eq!(h.num_buckets(), 0);
+        assert!(h.buckets.is_empty());
         assert_eq!(h.range_selectivity(Bound::Unbounded, Bound::Unbounded), 0.0);
         assert_eq!(h.eq_selectivity(&Value::Int(1)), 0.0);
     }
@@ -381,39 +310,6 @@ mod tests {
             Bound::Included(&Value::Date(99)),
         );
         assert!((sel - 0.5).abs() < 0.05, "date sel {sel}");
-    }
-
-    #[test]
-    fn sampled_build_is_seed_stable_and_matches_full_at_coverage() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let t = uniform_0_to_999();
-        // Full coverage: identical to the exact build for ANY seed — this
-        // is the determinism property the sorted sampler guarantees.
-        let full = EquiDepthHistogram::build(&t, "x", 10);
-        for seed in [1u64, 42, 99] {
-            let h = EquiDepthHistogram::build_sampled(
-                &t,
-                "x",
-                10,
-                2000,
-                &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(h.num_buckets(), full.num_buckets(), "seed {seed}");
-            assert_eq!(h.total_rows(), full.total_rows(), "seed {seed}");
-            assert_eq!(h.buckets, full.buckets, "seed {seed}");
-        }
-        // Partial sample: same seed → identical histogram (reproducible),
-        // and selectivities stay close to the exact ones.
-        let a = EquiDepthHistogram::build_sampled(&t, "x", 10, 200, &mut StdRng::seed_from_u64(7));
-        let b = EquiDepthHistogram::build_sampled(&t, "x", 10, 200, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a.buckets, b.buckets);
-        assert_eq!(a.total_rows(), b.total_rows());
-        let sel = a.range_selectivity(
-            Bound::Included(&Value::Int(100)),
-            Bound::Included(&Value::Int(299)),
-        );
-        assert!((sel - 0.2).abs() < 0.08, "sampled sel = {sel}");
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub mod sketch;
 pub mod synopsis;
 
 pub use histogram::EquiDepthHistogram;
-pub use sampler::{
-    sample_with_replacement, sample_without_replacement, sample_without_replacement_sorted,
-};
+pub use sampler::{sample_with_replacement, sample_without_replacement};
 pub use sketch::{DistinctSketch, RowReservoir, SketchRepository, TableSketches};
 pub use synopsis::{JoinSynopsis, SynopsisRepository};

@@ -45,26 +45,6 @@ pub fn sample_without_replacement<R: Rng + ?Sized>(
     reservoir
 }
 
-/// [`sample_without_replacement`] with the result sorted ascending by row
-/// id.
-///
-/// Reservoir order leaks the internal replacement sequence: two samples
-/// containing the *same rows* can arrive in different orders depending on
-/// which rid evicted which slot, so any consumer whose output depends on
-/// element order (e.g. a streaming histogram build) would silently become
-/// seed-and-history dependent.  The sort makes the sample a canonical set:
-/// same rows in, same vector out, regardless of how the reservoir
-/// happened to fill.  Statistics builders should use this entry point.
-pub fn sample_without_replacement_sorted<R: Rng + ?Sized>(
-    table: &Table,
-    n: usize,
-    rng: &mut R,
-) -> Vec<Rid> {
-    let mut s = sample_without_replacement(table, n, rng);
-    s.sort_unstable();
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,19 +116,21 @@ mod tests {
     #[test]
     fn sorted_sample_is_canonical_and_reproducible() {
         let t = table(200);
+        let sorted = |n: usize, seed: u64| {
+            let mut s = sample_without_replacement(&t, n, &mut StdRng::seed_from_u64(seed));
+            s.sort_unstable();
+            s
+        };
         // Same seed → identical vector.
-        let a = sample_without_replacement_sorted(&t, 50, &mut StdRng::seed_from_u64(7));
-        let b = sample_without_replacement_sorted(&t, 50, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a, b);
+        let a = sorted(50, 7);
+        assert_eq!(a, sorted(50, 7));
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
         // Full coverage (n ≥ rows) is exactly 0..rows for any seed.
-        let full1 = sample_without_replacement_sorted(&t, 200, &mut StdRng::seed_from_u64(1));
-        let full2 = sample_without_replacement_sorted(&t, 200, &mut StdRng::seed_from_u64(99));
-        assert_eq!(full1, full2);
-        assert_eq!(full1, (0..200).collect::<Vec<Rid>>());
+        assert_eq!(sorted(200, 1), sorted(200, 99));
+        assert_eq!(sorted(200, 1), (0..200).collect::<Vec<Rid>>());
         // The raw reservoir is NOT in rid order for partial samples —
-        // evictions overwrite arbitrary slots — which is the
-        // position-dependence the sorted variant exists to remove.
+        // evictions overwrite arbitrary slots — so a consumer whose output
+        // depends on element order must sort first.
         let raw = sample_without_replacement(&t, 50, &mut StdRng::seed_from_u64(7));
         assert!(
             raw.windows(2).any(|w| w[0] > w[1]),

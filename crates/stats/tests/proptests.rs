@@ -64,7 +64,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&eq));
         let full = h.range_selectivity(Bound::Unbounded, Bound::Unbounded);
         prop_assert!((full - 1.0).abs() < 1e-9);
-        prop_assert!(h.distinct_estimate() as usize <= values.len());
     }
 
     #[test]

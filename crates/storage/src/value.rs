@@ -154,18 +154,6 @@ impl Value {
         }
     }
 
-    /// Boolean payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a `Bool`.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(v) => *v,
-            other => panic!("expected Bool, found {other:?}"),
-        }
-    }
-
     /// Total-order comparison used by indexes and sorting.
     ///
     /// NULL sorts first; `Int`/`Float`/`Date` inter-compare numerically.
@@ -459,7 +447,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_f64(), 3.0);
         assert_eq!(Value::Date(7).as_date(), 7);
         assert_eq!(Value::str("s").as_str(), "s");
-        assert!(Value::Bool(true).as_bool());
         assert_eq!(Value::Int(1).data_type(), Some(DataType::Int));
         assert_eq!(Value::Null.data_type(), None);
         assert!(Value::Null.is_null());

@@ -21,9 +21,8 @@
 //! latency.
 //!
 //! ```sh
-//! rqo_serve --listen 127.0.0.1:4410 [--scale F] [--max-connections N] \
-//!           [--tenant-quota N] ...
-//! rqo_serve --connect 127.0.0.1:4410 [--rounds N] [--tenant NAME]
+//! rqo_serve --listen 127.0.0.1:4410 [--scale F] [--max-connections N] ...
+//! rqo_serve --connect 127.0.0.1:4410 [--rounds N]
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +41,6 @@ struct Args {
     listen: Option<String>,
     connect: Option<String>,
     max_connections: usize,
-    tenant_quota: usize,
-    tenant: String,
 }
 
 impl Args {
@@ -59,8 +56,6 @@ impl Args {
             listen: None,
             connect: None,
             max_connections: 512,
-            tenant_quota: 0,
-            tenant: "default".to_string(),
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
@@ -93,10 +88,6 @@ impl Args {
                         "--max-connections" => {
                             args.max_connections = value.parse().expect("--max-connections")
                         }
-                        "--tenant-quota" => {
-                            args.tenant_quota = value.parse().expect("--tenant-quota")
-                        }
-                        "--tenant" => args.tenant = value.clone(),
                         other => panic!("unknown flag {other:?}"),
                     }
                     i += 2;
@@ -142,10 +133,7 @@ fn listen_mode(args: &Args, addr: &str) -> ! {
             .with_queue_capacity(args.queue_capacity)
             .with_queue_timeout(Duration::from_secs(30)),
     );
-    let mut config = NetServerConfig::default().with_max_connections(args.max_connections);
-    if args.tenant_quota > 0 {
-        config = config.with_tenant_quota(args.tenant_quota);
-    }
+    let config = NetServerConfig::default().with_max_connections(args.max_connections);
     let server = NetServer::bind(service, addr, config).expect("bind listen address");
     println!(
         "listening on {}  (scale={}, workers={}, max_concurrent={}, max_connections={})",
@@ -169,7 +157,6 @@ fn listen_mode(args: &Args, addr: &str) -> ! {
 /// `--connect` mode: replay the workload over the wire.
 fn connect_mode(args: &Args, addr: &str) {
     let mut client = NetClient::connect(addr).expect("connect to server");
-    client.hello(&args.tenant).expect("hello");
     let queries = workload();
     let start = Instant::now();
     let mut ran = 0usize;

@@ -67,7 +67,6 @@ fn concurrent_wire_results_match_in_process_sessions() {
                 let mismatches = &mismatches;
                 scope.spawn(move || {
                     let mut client = NetClient::connect(addr).expect("connect");
-                    client.hello(&format!("client-{client_id}")).expect("hello");
                     // Each client walks the workload from its own
                     // offset so different queries overlap on the server.
                     let queries = workload();

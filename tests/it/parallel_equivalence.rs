@@ -192,17 +192,14 @@ proptest! {
         };
         sweep(&cat, &agg, morsel, &serial(&agg))?;
 
-        // Filter → project → aggregate pipeline over the scan.
+        // Filter → aggregate pipeline over the scan.
         let pipeline = PhysicalPlan::HashAggregate {
-            input: Box::new(PhysicalPlan::Project {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::SeqScan {
-                        table: "t".into(),
-                        predicate: None,
-                    }),
-                    predicate: Expr::col("v").lt(Expr::lit(cut)),
+            input: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::SeqScan {
+                    table: "t".into(),
+                    predicate: None,
                 }),
-                columns: vec!["k".into(), "f".into()],
+                predicate: Expr::col("v").lt(Expr::lit(cut)),
             }),
             group_by,
             aggregates: vec![AggExpr::sum("f", "s"), AggExpr::count_star("n")],

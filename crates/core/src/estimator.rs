@@ -17,6 +17,7 @@
 //! * [`OracleEstimator`] — exact selectivities by brute-force evaluation;
 //!   used in tests and ablations as ground truth.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -27,31 +28,37 @@ use rqo_stats::{EquiDepthHistogram, SynopsisRepository};
 use rqo_storage::{Catalog, DataType};
 
 use crate::config::{EstimationStrategy, EstimatorConfig};
+use crate::key::RequestKey;
 use crate::posterior::SelectivityPosterior;
 
 /// An estimation request: an SPJ expression described as the set of tables
-/// it joins (along FK edges) plus the local predicate on each table.
+/// it joins (along FK edges) plus the local predicate on each table, held
+/// as its [`RequestKey`] — borrowed from a caller that already built it,
+/// or built here.
 #[derive(Debug, Clone)]
-pub struct EstimationRequest<'a> {
-    /// Tables in the expression (order irrelevant).
-    pub tables: Vec<&'a str>,
-    /// Per-table local predicates; tables without predicates may be
-    /// omitted.
-    pub predicates: Vec<(&'a str, &'a Expr)>,
-}
+pub struct EstimationRequest<'a>(Cow<'a, RequestKey>);
 
 impl<'a> EstimationRequest<'a> {
-    /// A request over several tables.
+    /// A request over several tables (order irrelevant); tables without
+    /// predicates may be omitted from `predicates`.
     pub fn new(tables: Vec<&'a str>, predicates: Vec<(&'a str, &'a Expr)>) -> Self {
-        Self { tables, predicates }
+        Self(Cow::Owned(RequestKey::new(tables, predicates)))
     }
 
     /// A single-table request.
     pub fn single(table: &'a str, predicate: &'a Expr) -> Self {
-        Self {
-            tables: vec![table],
-            predicates: vec![(table, predicate)],
-        }
+        Self::new(vec![table], vec![(table, predicate)])
+    }
+
+    /// The request's identity, which also lists its tables and predicates.
+    pub fn key(&self) -> &RequestKey {
+        &self.0
+    }
+}
+
+impl<'a> From<&'a RequestKey> for EstimationRequest<'a> {
+    fn from(key: &'a RequestKey) -> Self {
+        Self(Cow::Borrowed(key))
     }
 }
 
@@ -139,11 +146,6 @@ impl RobustEstimator {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
-    }
-
     /// This estimator with a different configuration (e.g. a per-query
     /// threshold hint) sharing the same synopses and feedback store.
     fn with_config(&self, config: EstimatorConfig) -> Self {
@@ -177,7 +179,7 @@ impl RobustEstimator {
     fn estimate_independent(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
         let mut selectivity = 1.0;
         let mut any_magic = false;
-        for (table, expr) in &request.predicates {
+        for (table, expr) in request.key().predicates() {
             match self.repo.for_root(table) {
                 Some(syn) if syn.sample_size() > 0 => {
                     let (k, n) = syn.evaluate(&[(table, expr)]);
@@ -193,7 +195,7 @@ impl RobustEstimator {
         SelectivityEstimate {
             selectivity,
             posterior: None,
-            source: if any_magic && request.predicates.len() == 1 {
+            source: if any_magic && request.key().predicates().len() == 1 {
                 EstimateSource::Magic
             } else {
                 EstimateSource::IndependentSamples
@@ -215,8 +217,9 @@ impl CardinalityEstimator for RobustEstimator {
     }
 
     fn estimate(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
+        let key = request.key();
         if let Some(store) = &self.feedback {
-            if let Some(selectivity) = store.lookup(&request.tables, &request.predicates) {
+            if let Some(selectivity) = store.lookup(key) {
                 return SelectivityEstimate {
                     selectivity,
                     posterior: None,
@@ -224,9 +227,10 @@ impl CardinalityEstimator for RobustEstimator {
                 };
             }
         }
-        match self.repo.for_expression(request.tables.iter().copied()) {
+        match self.repo.for_expression(key.tables()) {
             Some(syn) if syn.sample_size() > 0 => {
-                let (k, n) = syn.evaluate(&request.predicates);
+                let predicates: Vec<(&str, &Expr)> = key.predicates().collect();
+                let (k, n) = syn.evaluate(&predicates);
                 let posterior = SelectivityPosterior::from_observation(k, n, self.config.prior);
                 SelectivityEstimate {
                     selectivity: self.collapse(&posterior),
@@ -298,7 +302,7 @@ impl HistogramEstimator {
     }
 
     /// The histogram for one column, if built.
-    pub fn histogram(&self, table: &str, column: &str) -> Option<&EquiDepthHistogram> {
+    fn histogram(&self, table: &str, column: &str) -> Option<&EquiDepthHistogram> {
         self.histograms
             .get(&(table.to_string(), column.to_string()))
             .map(|h| h.as_ref())
@@ -345,7 +349,7 @@ impl CardinalityEstimator for HistogramEstimator {
         // AVI across all conjuncts of all per-table predicates; FK joins
         // are lossless so they contribute factor 1.
         let mut selectivity = 1.0;
-        for (table, expr) in &request.predicates {
+        for (table, expr) in request.key().predicates() {
             for conjunct in expr.conjuncts() {
                 selectivity *= self.conjunct_selectivity(table, conjunct);
             }
@@ -405,10 +409,10 @@ impl OracleEstimator {
     /// Compiles the FK closure rooted at `table` into a walkable tree:
     /// predicate binding, column-ordinal resolution, and index lookup all
     /// happen once here instead of once per row.
-    fn compile(&self, table: &str, predicates: &[(&str, &Expr)]) -> OracleNode {
+    fn compile(&self, table: &str, request: &RequestKey) -> OracleNode {
         let t = Arc::clone(self.catalog.table(table).expect("table exists"));
-        let bound: Vec<Expr> = predicates
-            .iter()
+        let bound: Vec<Expr> = request
+            .predicates()
             .filter(|(pt, _)| *pt == table)
             .map(|(_, e)| e.bind(t.schema()).expect("predicate binds"))
             .collect();
@@ -425,7 +429,7 @@ impl OracleEstimator {
                         .unique_index(&fk.to_table, &fk.to_column)
                         .expect("unique index built with FK"),
                 );
-                (key_col, index, self.compile(&fk.to_table, predicates))
+                (key_col, index, self.compile(&fk.to_table, request))
             })
             .collect();
         OracleNode {
@@ -442,9 +446,11 @@ impl CardinalityEstimator for OracleEstimator {
     }
 
     fn estimate(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
-        let root = find_root(&self.catalog, &request.tables)
-            .expect("expression tables must share an FK root");
-        let walk = self.compile(root, &request.predicates);
+        let key = request.key();
+        let tables: Vec<&str> = key.tables().collect();
+        let root =
+            find_root(&self.catalog, &tables).expect("expression tables must share an FK root");
+        let walk = self.compile(root, key);
         let total = walk.table.num_rows();
         if total == 0 {
             return SelectivityEstimate {
@@ -513,7 +519,7 @@ mod tests {
         let before = est.estimate(&req);
         assert!(matches!(before.source, EstimateSource::JoinSynopsis { .. }));
 
-        store.record(&["part"], &[("part", &pred)], 0.123);
+        store.record(req.key(), 0.123);
         let after = est.estimate(&req);
         assert_eq!(after.source, EstimateSource::Feedback);
         assert_eq!(after.selectivity, 0.123);

@@ -2,19 +2,18 @@
 //!
 //! `EXPLAIN ANALYZE` observes the *actual* selectivity of every annotated
 //! operator — the ground truth the estimator was trying to predict.  The
-//! [`FeedbackStore`] records those observations keyed by the canonical
-//! `(tables, predicates)` form of the estimation request, so that the next
-//! optimization of the same (or an overlapping) query replaces its
-//! sampling-based estimate with the observed value.  This is the classic
-//! execution-feedback loop (LEO-style) layered on top of the paper's
-//! robust estimator: the posterior quantifies uncertainty *before* the
-//! first run, and feedback collapses it to the truth *after*.
+//! [`FeedbackStore`] records those observations under the request's
+//! [`RequestKey`], so that the next optimization of the same (or an
+//! overlapping) query replaces its sampling-based estimate with the
+//! observed value.  This is the classic execution-feedback loop
+//! (LEO-style) layered on top of the paper's robust estimator: the
+//! posterior quantifies uncertainty *before* the first run, and feedback
+//! collapses it to the truth *after*.
 //!
-//! The key format is deliberately identical to the canonical form used by
-//! the optimizer's per-query memo: tables sorted, predicates rendered as
-//! sorted `"table:expr"` strings.  An observation recorded for a plan
-//! node therefore hits exactly when the optimizer asks the estimator the
-//! same question again, regardless of enumeration order.
+//! The key is the one the optimizer's per-query memo, its plan-node
+//! annotations and the plan cache use too: an observation recorded for a
+//! plan node therefore hits exactly when the optimizer asks the estimator
+//! the same question again, regardless of enumeration order.
 //!
 //! # Statistics epochs
 //!
@@ -30,8 +29,8 @@
 //!
 //! The global epoch is the right hammer for a full statistics rebuild,
 //! but an insert into one table (`Engine::insert_rows`) must not throw
-//! away every other table's hard-won observations.  Each observation
-//! therefore remembers which tables it references, and
+//! away every other table's hard-won observations.  Each observation's key
+//! lists the tables it references, and
 //! [`FeedbackStore::advance_table_epoch`] evicts only the observations
 //! touching the changed table while bumping that table's own counter.
 //! Consumers that embed an epoch in a fingerprint use
@@ -45,7 +44,7 @@
 //! reader threads (concurrent optimizers).  A recorder that panics for an
 //! unrelated reason must not cascade panics into every optimizer, so all
 //! lock acquisitions recover from poisoning via
-//! [`PoisonError::into_inner`]: the map's invariant (canonical key →
+//! [`PoisonError::into_inner`]: the map's invariant (request key →
 //! clamped selectivity) holds after every individual insert, making the
 //! data safe to read even when a holder died mid-flight.
 
@@ -53,9 +52,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use rqo_expr::Expr;
+use crate::RequestKey;
 
-/// Thread-safe map from canonical estimation-request keys to observed
+/// Thread-safe map from estimation-request keys to observed
 /// selectivities in `[0, 1]`, tagged with a statistics epoch.
 ///
 /// Interior mutability (a [`Mutex`]) lets a single store be shared via
@@ -67,22 +66,13 @@ pub struct FeedbackStore {
     epoch: AtomicU64,
 }
 
-/// One recorded observation: the measured selectivity plus the tables the
-/// request referenced (sorted), so a per-table epoch advance can evict
-/// exactly the observations that depended on the changed table.
-#[derive(Debug, Clone)]
-struct Observation {
-    selectivity: f64,
-    tables: Vec<String>,
-}
-
 /// Map state behind one lock: the observations and the per-table epoch
 /// counters.  A single mutex (rather than two) makes
 /// [`FeedbackStore::advance_table_epoch`] atomic — no recorder can slip a
 /// stale observation in between the eviction and the epoch bump.
 #[derive(Debug, Default, Clone)]
 struct Inner {
-    observations: HashMap<String, Observation>,
+    observations: HashMap<RequestKey, f64>,
     table_epochs: HashMap<String, u64>,
 }
 
@@ -97,18 +87,6 @@ impl FeedbackStore {
     /// written before a holder panicked are still valid.
     fn guard(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Canonical key for an estimation request: tables sorted, predicates
-    /// rendered as sorted `"table:expr"` strings.  Matches the optimizer's
-    /// selectivity-memo key so observations align with planner questions.
-    pub fn canonical_key(tables: &[&str], predicates: &[(&str, &Expr)]) -> String {
-        let mut key_tables: Vec<&str> = tables.to_vec();
-        key_tables.sort_unstable();
-        let mut key_preds: Vec<String> =
-            predicates.iter().map(|(t, e)| format!("{t}:{e}")).collect();
-        key_preds.sort_unstable();
-        format!("{key_tables:?}|{key_preds:?}")
     }
 
     /// The current statistics epoch.  Starts at 0; bumped by
@@ -139,7 +117,7 @@ impl FeedbackStore {
         let mut inner = self.guard();
         inner
             .observations
-            .retain(|_, o| !o.tables.iter().any(|t| t == table));
+            .retain(|key, _| !key.tables().any(|t| t == table));
         let e = inner.table_epochs.entry(table.to_string()).or_insert(0);
         *e += 1;
         *e
@@ -150,7 +128,7 @@ impl FeedbackStore {
     /// Strictly increases when any of those tables changes or the
     /// statistics are refreshed, and is stable otherwise.  Distinct
     /// table sets may alias to the same number — harmless for fingerprint
-    /// use, where the canonical query text already distinguishes them.
+    /// use, where the request key already distinguishes them.
     pub fn epoch_for_tables<'a>(&self, tables: impl IntoIterator<Item = &'a str>) -> u64 {
         let inner = self.guard();
         self.epoch()
@@ -173,17 +151,18 @@ impl FeedbackStore {
         }
     }
 
-    /// Every recorded observation as sorted `(key, selectivity)` pairs —
-    /// a deterministic, comparable snapshot (the cancellation proptests
-    /// assert a cancelled query leaves this byte-identical).
+    /// Every recorded observation as `(key text, selectivity)` pairs
+    /// sorted by text — a deterministic, comparable snapshot (the
+    /// cancellation proptests assert a cancelled query leaves this
+    /// byte-identical).
     pub fn snapshot(&self) -> Vec<(String, f64)> {
         let mut out: Vec<(String, f64)> = self
             .guard()
             .observations
             .iter()
-            .map(|(k, o)| (k.clone(), o.selectivity))
+            .map(|(k, &s)| (k.to_string(), s))
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         out
     }
 
@@ -192,64 +171,15 @@ impl FeedbackStore {
     /// previous observation, if any — the drift hook callers use to
     /// detect when reality moved away from what a cached plan was priced
     /// at.
-    pub fn record(
-        &self,
-        tables: &[&str],
-        predicates: &[(&str, &Expr)],
-        selectivity: f64,
-    ) -> Option<f64> {
-        self.record_keyed(
-            &Self::canonical_key(tables, predicates),
-            tables,
-            selectivity,
-        )
-    }
-
-    /// [`record`](Self::record) for a caller that already holds the
-    /// request's [`canonical_key`](Self::canonical_key) (the optimizer
-    /// computes it once per plan node) and the tables it references.
-    pub fn record_keyed<T: AsRef<str>>(
-        &self,
-        key: &str,
-        tables: &[T],
-        selectivity: f64,
-    ) -> Option<f64> {
-        let mut obs_tables: Vec<String> = tables.iter().map(|t| t.as_ref().to_string()).collect();
-        obs_tables.sort_unstable();
-        obs_tables.dedup();
+    pub fn record(&self, key: &RequestKey, selectivity: f64) -> Option<f64> {
         self.guard()
             .observations
-            .insert(
-                key.to_string(),
-                Observation {
-                    selectivity: selectivity.clamp(0.0, 1.0),
-                    tables: obs_tables,
-                },
-            )
-            .map(|o| o.selectivity)
-    }
-
-    /// Seeds an observation that was **not** measured by this system —
-    /// a test fixture, a simulation of stale statistics, or an import
-    /// from an external monitor.  Behaviourally identical to
-    /// [`record`](Self::record) (clamped, overwriting); the separate
-    /// name exists so production call sites greppably contain only
-    /// `record` and injected values are easy to audit.  Tests use it to
-    /// plant a wildly wrong selectivity and prove the adaptive guards
-    /// catch it.
-    pub fn inject_observation(
-        &self,
-        tables: &[&str],
-        predicates: &[(&str, &Expr)],
-        selectivity: f64,
-    ) -> Option<f64> {
-        self.record(tables, predicates, selectivity)
+            .insert(key.clone(), selectivity.clamp(0.0, 1.0))
     }
 
     /// Returns the observed selectivity for this request, if any.
-    pub fn lookup(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> Option<f64> {
-        let key = Self::canonical_key(tables, predicates);
-        self.guard().observations.get(&key).map(|o| o.selectivity)
+    pub fn lookup(&self, key: &RequestKey) -> Option<f64> {
+        self.guard().observations.get(key).copied()
     }
 
     /// Number of recorded observations.
@@ -266,44 +196,15 @@ impl FeedbackStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rqo_expr::Expr;
     use std::sync::Arc;
 
     fn pred(column: &str, value: i64) -> Expr {
         Expr::col(column).lt(Expr::lit(value))
     }
 
-    #[test]
-    fn key_is_invariant_to_request_order() {
-        let a = pred("a", 10);
-        let b = pred("b", 20);
-        let fwd = FeedbackStore::canonical_key(&["t", "u"], &[("t", &a), ("u", &b)]);
-        let rev = FeedbackStore::canonical_key(&["u", "t"], &[("u", &b), ("t", &a)]);
-        assert_eq!(fwd, rev);
-
-        let other = FeedbackStore::canonical_key(&["t", "u"], &[("t", &b), ("u", &a)]);
-        assert_ne!(
-            fwd, other,
-            "swapping which table a predicate applies to changes the key"
-        );
-    }
-
-    /// Regression: string literals used to render unquoted, so these
-    /// pairs of different predicates shared one key — and one feedback
-    /// observation, and one cached plan.
-    #[test]
-    fn literals_that_render_alike_get_distinct_keys() {
-        use rqo_storage::Value;
-        let key = |e: &Expr| FeedbackStore::canonical_key(&["part"], &[("part", e)]);
-        let brand = || Expr::col("p_brand");
-        let one_string = brand().in_list(vec![Value::str("a, b")]);
-        let two_strings = brand().in_list(vec![Value::str("a"), Value::str("b")]);
-        assert_ne!(key(&one_string), key(&two_strings));
-        let null = brand().eq(Expr::lit(Value::Null));
-        let word = brand().eq(Expr::lit("NULL"));
-        assert_ne!(key(&null), key(&word));
-        let quote = brand().eq(Expr::lit("it's"));
-        let doubled = brand().eq(Expr::lit("it''s"));
-        assert_ne!(key(&quote), key(&doubled));
+    fn key(tables: &[&str], predicates: &[(&str, &Expr)]) -> RequestKey {
+        RequestKey::new(tables.iter().copied(), predicates.iter().copied())
     }
 
     #[test]
@@ -311,16 +212,16 @@ mod tests {
         let store = FeedbackStore::new();
         let p = pred("k", 5);
         assert!(store.is_empty());
-        assert_eq!(store.lookup(&["t"], &[("t", &p)]), None);
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p)])), None);
 
-        assert_eq!(store.record(&["t"], &[("t", &p)], 0.25), None);
+        assert_eq!(store.record(&key(&["t"], &[("t", &p)]), 0.25), None);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.lookup(&["t"], &[("t", &p)]), Some(0.25));
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p)])), Some(0.25));
 
         // Re-recording overwrites (returning the displaced observation);
         // out-of-range observations are clamped.
-        assert_eq!(store.record(&["t"], &[("t", &p)], 1.5), Some(0.25));
-        assert_eq!(store.lookup(&["t"], &[("t", &p)]), Some(1.0));
+        assert_eq!(store.record(&key(&["t"], &[("t", &p)]), 1.5), Some(0.25));
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p)])), Some(1.0));
         assert_eq!(store.len(), 1);
     }
 
@@ -329,10 +230,10 @@ mod tests {
         let store = FeedbackStore::new();
         let p5 = pred("k", 5);
         let p9 = pred("k", 9);
-        store.record(&["t"], &[("t", &p5)], 0.1);
-        store.record(&["t"], &[("t", &p9)], 0.9);
-        assert_eq!(store.lookup(&["t"], &[("t", &p5)]), Some(0.1));
-        assert_eq!(store.lookup(&["t"], &[("t", &p9)]), Some(0.9));
+        store.record(&key(&["t"], &[("t", &p5)]), 0.1);
+        store.record(&key(&["t"], &[("t", &p9)]), 0.9);
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p5)])), Some(0.1));
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p9)])), Some(0.9));
     }
 
     #[test]
@@ -340,7 +241,7 @@ mod tests {
         let store = FeedbackStore::new();
         let p = pred("k", 5);
         assert_eq!(store.epoch(), 0);
-        store.record(&["t"], &[("t", &p)], 0.25);
+        store.record(&key(&["t"], &[("t", &p)]), 0.25);
         assert_eq!(store.advance_epoch(), 1);
         assert_eq!(store.epoch(), 1);
         assert!(
@@ -354,18 +255,18 @@ mod tests {
     fn table_epoch_evicts_only_referencing_observations() {
         let store = FeedbackStore::new();
         let p = pred("k", 5);
-        store.record(&["t"], &[("t", &p)], 0.1);
-        store.record(&["u"], &[("u", &p)], 0.2);
-        store.record(&["t", "u"], &[("t", &p)], 0.3);
-        store.record(&["v"], &[("v", &p)], 0.4);
+        store.record(&key(&["t"], &[("t", &p)]), 0.1);
+        store.record(&key(&["u"], &[("u", &p)]), 0.2);
+        store.record(&key(&["t", "u"], &[("t", &p)]), 0.3);
+        store.record(&key(&["v"], &[("v", &p)]), 0.4);
 
         assert_eq!(store.advance_table_epoch("t"), 1);
         // Both the t-only and the joint t,u observations are gone...
-        assert_eq!(store.lookup(&["t"], &[("t", &p)]), None);
-        assert_eq!(store.lookup(&["t", "u"], &[("t", &p)]), None);
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p)])), None);
+        assert_eq!(store.lookup(&key(&["t", "u"], &[("t", &p)])), None);
         // ...while u's and v's survive, and the global epoch is untouched.
-        assert_eq!(store.lookup(&["u"], &[("u", &p)]), Some(0.2));
-        assert_eq!(store.lookup(&["v"], &[("v", &p)]), Some(0.4));
+        assert_eq!(store.lookup(&key(&["u"], &[("u", &p)])), Some(0.2));
+        assert_eq!(store.lookup(&key(&["v"], &[("v", &p)])), Some(0.4));
         assert_eq!(store.epoch(), 0);
         assert_eq!(store.advance_table_epoch("t"), 2);
     }
@@ -406,18 +307,18 @@ mod tests {
         let store = FeedbackStore::new();
         let p5 = pred("k", 5);
         let p9 = pred("k", 9);
-        store.record(&["t"], &[("t", &p9)], 0.9);
-        store.record(&["t"], &[("t", &p5)], 0.1);
+        store.record(&key(&["t"], &[("t", &p9)]), 0.9);
+        store.record(&key(&["t"], &[("t", &p5)]), 0.1);
 
         let fork = store.fork();
         assert_eq!(fork.epoch(), store.epoch());
         assert_eq!(fork.snapshot(), store.snapshot());
 
         // Writes to the fork never reach the parent (and vice versa).
-        fork.record(&["t"], &[("t", &p5)], 0.7);
-        assert_eq!(store.lookup(&["t"], &[("t", &p5)]), Some(0.1));
-        store.record(&["u"], &[("u", &p9)], 0.2);
-        assert_eq!(fork.lookup(&["u"], &[("u", &p9)]), None);
+        fork.record(&key(&["t"], &[("t", &p5)]), 0.7);
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p5)])), Some(0.1));
+        store.record(&key(&["u"], &[("u", &p9)]), 0.2);
+        assert_eq!(fork.lookup(&key(&["u"], &[("u", &p9)])), None);
 
         let snap = store.snapshot();
         assert_eq!(snap.len(), 3);
@@ -428,7 +329,7 @@ mod tests {
     fn poisoned_store_still_serves_lookups() {
         let store = Arc::new(FeedbackStore::new());
         let p = pred("k", 5);
-        store.record(&["t"], &[("t", &p)], 0.25);
+        store.record(&key(&["t"], &[("t", &p)]), 0.25);
 
         // Poison the mutex: panic on a thread that holds the lock.
         let poisoner = Arc::clone(&store);
@@ -440,8 +341,8 @@ mod tests {
         assert!(store.inner.lock().is_err(), "mutex is poisoned");
 
         // Every access path recovers instead of cascading the panic.
-        assert_eq!(store.lookup(&["t"], &[("t", &p)]), Some(0.25));
-        assert_eq!(store.record(&["t"], &[("t", &p)], 0.5), Some(0.25));
+        assert_eq!(store.lookup(&key(&["t"], &[("t", &p)])), Some(0.25));
+        assert_eq!(store.record(&key(&["t"], &[("t", &p)]), 0.5), Some(0.25));
         assert_eq!(store.len(), 1);
         assert_eq!(store.advance_epoch(), 1);
         assert!(store.is_empty());

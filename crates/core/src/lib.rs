@@ -43,6 +43,7 @@ pub mod config;
 pub mod estimator;
 pub mod feedback;
 pub mod groupby;
+mod key;
 pub mod magic;
 pub mod penalty;
 pub mod posterior;
@@ -56,6 +57,7 @@ pub use estimator::{
     RobustEstimator, SelectivityEstimate,
 };
 pub use feedback::FeedbackStore;
+pub use key::RequestKey;
 pub use penalty::{
     expected_penalties, penalty_grid, select_min_penalty, PenaltyScore, PlanSelection,
 };

@@ -176,6 +176,7 @@ pub fn execute_guarded(
 mod tests {
     use super::*;
     use crate::plan::IndexRange;
+    use rqo_core::RequestKey;
     use rqo_expr::Expr;
     use rqo_storage::Value;
 
@@ -233,7 +234,7 @@ mod tests {
             input: Box::new(PhysicalPlan::Materialized {
                 slot: 0,
                 tables: vec!["a".into()],
-                predicates: vec![("a".to_string(), Expr::col("x").lt(Expr::lit(1i64)))],
+                request: RequestKey::new(["a"], [("a", &Expr::col("x").lt(Expr::lit(1i64)))]),
             }),
             group_by: vec![],
             aggregates: vec![],

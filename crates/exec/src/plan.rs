@@ -9,6 +9,7 @@
 use std::fmt;
 use std::ops::Bound;
 
+use rqo_core::RequestKey;
 use rqo_expr::Expr;
 use rqo_storage::Value;
 
@@ -58,7 +59,7 @@ pub struct SemiJoinLeg {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `SUM(col)`, accumulated in `f64`: the output is `Float` whatever
     /// the input, so a `SUM` over `Int` is exact only up to 2^53.
@@ -74,7 +75,7 @@ pub enum AggFunc {
 }
 
 /// One aggregate expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggExpr {
     /// Function.
     pub func: AggFunc,
@@ -247,17 +248,16 @@ pub enum PhysicalPlan {
     /// An already-materialized intermediate, bound at execution time to a
     /// batch produced *before* an adaptive re-plan paused the pipeline.
     /// The executor serves the batch from its slot table without
-    /// re-charging the work that produced it; `tables`/`predicates`
-    /// record what the replaced subtree covered so the optimizer can
-    /// still annotate the node and its ancestors.
+    /// re-charging the work that produced it; `request` records what the
+    /// replaced subtree covered so the optimizer can still annotate the
+    /// node and its ancestors.
     Materialized {
         /// Index into the executor's bound-intermediates table.
         slot: usize,
-        /// Tables the materialized subtree covered.
+        /// Tables the materialized subtree covered, in its plan order.
         tables: Vec<String>,
-        /// Query predicates the materialized subtree applied, as
-        /// `(table, expr)` pairs.
-        predicates: Vec<(String, Expr)>,
+        /// The replaced subtree's estimation request.
+        request: RequestKey,
     },
 }
 

@@ -1199,7 +1199,7 @@ fn columns_flow_between_operators_uncopied() {
     let leaf = PhysicalPlan::Materialized {
         slot: 0,
         tables: vec!["t".into()],
-        predicates: vec![],
+        request: rqo_core::RequestKey::new(["t"], []),
     };
     let mut tracker = CostTracker::new();
     let status = execute_guarded(

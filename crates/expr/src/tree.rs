@@ -11,7 +11,7 @@ use std::ops::Bound;
 use rqo_storage::{DataType, Schema, Value};
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// `=`
     Eq,
@@ -87,7 +87,7 @@ impl fmt::Display for BinaryOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Logical NOT (Kleene).
     Not,
@@ -120,8 +120,9 @@ impl fmt::Display for ExprError {
 
 impl std::error::Error for ExprError {}
 
-/// A scalar expression.
-#[derive(Debug, Clone, PartialEq)]
+/// A scalar expression.  `==` compares literals by value (`1 == 1.0`);
+/// `Hash` is structural, feeding each literal's variant and bits.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// A named column reference (unbound).
     Col(String),

@@ -11,14 +11,14 @@
 //! the executor's actuals and the optimizer's estimates zip together
 //! node for node.
 //!
-//! Because each annotation records the exact `(tables, predicates)`
-//! request and its canonical key, observed actual selectivities can be
-//! fed back into a [`rqo_core::FeedbackStore`] under keys the estimator
-//! will hit when the same query is optimized again — closing the
-//! estimate → execute → observe → re-estimate loop.
+//! Because each annotation records the exact request as its
+//! [`RequestKey`], observed actual selectivities can be fed back into a
+//! [`rqo_core::FeedbackStore`] under keys the estimator will hit when the
+//! same query is optimized again — closing the estimate → execute →
+//! observe → re-estimate loop.
 
+use rqo_core::RequestKey;
 use rqo_exec::PhysicalPlan;
-use rqo_expr::Expr;
 
 use crate::derive::{derive_plan, group_count, Derivation};
 use crate::enumerate::PlanContext;
@@ -34,23 +34,18 @@ pub struct NodeAnnotation {
     /// the selectivity multiplies; `rows_out / root_rows` is the node's
     /// observed selectivity.
     pub root_rows: f64,
-    /// Tables covered by the subtree.
-    pub tables: Vec<String>,
-    /// Query predicates applied within the subtree, as `(table, expr)`
-    /// pairs — exactly the estimator request whose observed selectivity
-    /// is worth recording as feedback.
-    pub predicates: Vec<(String, Expr)>,
-    /// Canonical key of that request: what feedback is recorded under,
-    /// what the plan cache checks drift against, and what a re-plan
-    /// matches a finished fragment by.
-    pub key: String,
+    /// The subtree's estimation request (tables covered, query predicates
+    /// applied): what feedback is recorded under, what the plan cache
+    /// checks drift against, and what a re-plan matches a finished
+    /// fragment by.  `None` on an aggregate's value-only annotation.
+    pub request: Option<RequestKey>,
 }
 
 /// A `NodeAnnotation` wrapped in `Option`: `None` marks nodes whose
 /// request could not be reconstructed (hand-built plans whose filters do
 /// not correspond to query predicates, and everything above them).
 /// Aggregates estimate group counts heuristically and get a value-only
-/// annotation (no tables, no key).
+/// annotation (no request).
 pub type NodeAnnotations = Vec<Option<NodeAnnotation>>;
 
 /// Annotates every node of `plan` with its derivation under `ctx`, in
@@ -79,23 +74,19 @@ pub(crate) fn annotations(plan: &PhysicalPlan, derived: &[Derivation]) -> NodeAn
             est_rows.map(|rows| NodeAnnotation {
                 est_rows: group_count(group_by, rows),
                 root_rows: 0.0,
-                tables: vec![],
-                predicates: vec![],
-                key: String::new(),
+                request: None,
             })
         } else {
             d.known.then(|| NodeAnnotation {
                 // No predicates ⇒ the FK-join cardinality is the root's
                 // rows exactly, whatever the estimator's quantile says.
-                est_rows: if d.predicates.is_empty() {
+                est_rows: if d.request.predicates().len() == 0 {
                     d.root_rows
                 } else {
                     d.est_rows
                 },
                 root_rows: d.root_rows,
-                tables: d.tables.clone(),
-                predicates: d.predicates.clone(),
-                key: d.key.clone(),
+                request: Some(d.request.clone()),
             })
         };
     }
@@ -160,7 +151,7 @@ mod tests {
             let Some(ann) = ann else { continue };
             // The aggregate's group-count heuristic is not exact; every
             // real cardinality node must be.
-            if ann.tables.is_empty() {
+            if ann.request.is_none() {
                 continue;
             }
             assert!(
@@ -185,7 +176,7 @@ mod tests {
         let annotations = annotate_plan(&opt.context(oracle.as_ref()), &query, &planned.plan);
         let root = annotations[0].as_ref().expect("aggregate annotated");
         assert_eq!(root.est_rows, 1.0);
-        assert!(root.tables.is_empty(), "no feedback key for aggregates");
+        assert!(root.request.is_none(), "no feedback key for aggregates");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Under heavy repeated traffic, re-running DP join enumeration and
 //! posterior inversion for every arriving query is wasted work: the same
-//! canonical query against the same statistics always produces the same
-//! plan.  This module memoizes finished [`PlannedQuery`]s under a
-//! [`PlanFingerprint`] — the canonical form of the query plus the
-//! confidence threshold it was priced at plus the **statistics epoch** —
+//! query against the same statistics always produces the same plan.  This module memoizes finished [`PlannedQuery`]s under a
+//! [`PlanFingerprint`] — the query's [`RequestKey`], grouping and
+//! aggregates, plus the confidence threshold and selection mode it was
+//! priced under, plus the **statistics epoch**, hashed once when built —
 //! and serves them lock-cheaply (one `RwLock` read acquisition and an
 //! `Arc` clone) to any number of concurrent callers.
 //!
@@ -21,8 +21,8 @@
 //! * **Feedback drift** — an `EXPLAIN ANALYZE` run observes the true
 //!   selectivity of a predicate set.  [`PlanCache::observe`] compares the
 //!   observation against the selectivity each cached plan was *priced*
-//!   at (recorded per estimation-request key at insert time, and found
-//!   by a scan of the bounded cache); when the q-error
+//!   at (read off its per-node annotations, each carrying its request's
+//!   [`RequestKey`], by a scan of the bounded cache); when the q-error
 //!   `max(est, obs) / min(est, obs)` exceeds [`DRIFT_BOUND`], every
 //!   fingerprint priced with that key is evicted, and the next
 //!   optimization re-plans with the feedback in effect.  Entries whose
@@ -37,12 +37,14 @@
 //! Every event is counted and exposed as a [`CacheStats`] snapshot so the
 //! cache's behaviour is observable rather than inferred.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use rqo_core::{ConfidenceThreshold, FeedbackStore, PlanSelection};
-use rqo_expr::Expr;
+use rqo_core::{ConfidenceThreshold, PlanSelection, RequestKey};
+use rqo_exec::AggExpr;
 
 use crate::planner::PlannedQuery;
 use crate::query::Query;
@@ -63,19 +65,28 @@ const CAPACITY: usize = 4096;
 /// positive observation.
 const SELECTIVITY_FLOOR: f64 = 1e-12;
 
-/// The canonical identity of a cached plan: *what was asked* (the query's
-/// canonical form), *how it was priced* (the effective confidence
-/// threshold and selection mode, hints included), and *against which
-/// statistics* (the epoch).
+/// The identity of a cached plan: *what was asked* (the query's
+/// [`RequestKey`], grouping and aggregates), *how it was priced* (the
+/// effective confidence threshold and selection mode, hints included),
+/// and *against which statistics* (the epoch), hashed once when built.
 ///
 /// Two `Query` values that differ only in construction order — table
 /// listing order, predicate attachment order — map to the same
 /// fingerprint; anything that can change the chosen plan (predicates,
 /// grouping, aggregates, threshold, selection mode, statistics epoch) is
-/// part of it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanFingerprint {
-    canonical: String,
+/// part of it.  A clone is a reference-count increment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanFingerprint(Arc<Identity>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct Identity {
+    /// Of every field below; first, so unequal fingerprints differ fast.
+    hash: u64,
+    request: RequestKey,
+    /// Grouping and aggregate order affect the output schema, so they
+    /// enter in declaration order.
+    group_by: Vec<String>,
+    aggregates: Vec<AggExpr>,
     /// Exact bits of the effective threshold — fingerprints must not
     /// merge thresholds that merely round alike.
     threshold_bits: u64,
@@ -87,18 +98,17 @@ pub struct PlanFingerprint {
     epoch: u64,
 }
 
-impl PlanFingerprint {
-    /// Fingerprints a query priced at `threshold` (overridden by the
-    /// query's own hint, mirroring [`crate::Optimizer::optimize`])
-    /// against statistics epoch `epoch`, under the default (quantile)
-    /// selection mode unless the query overrides it.
-    pub fn of(query: &Query, threshold: ConfidenceThreshold, epoch: u64) -> Self {
-        Self::of_with(query, threshold, epoch, PlanSelection::default())
+impl Hash for PlanFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
     }
+}
 
-    /// [`of`](Self::of) with a caller-supplied default selection mode
-    /// (the engine's session-wide mode); the query's own
-    /// [`Query::selection`] override still wins, mirroring
+impl PlanFingerprint {
+    /// Fingerprints a query priced at `threshold` against statistics
+    /// epoch `epoch` under the caller's default selection mode (the
+    /// engine's session-wide mode); the query's own hint and
+    /// [`Query::selection`] override still win, mirroring
     /// [`crate::Optimizer::optimize_with`].
     pub fn of_with(
         query: &Query,
@@ -106,33 +116,29 @@ impl PlanFingerprint {
         epoch: u64,
         default_selection: PlanSelection,
     ) -> Self {
-        let effective = query.hint.unwrap_or(threshold);
-        let selection = query.selection.unwrap_or(default_selection);
-        let tables: Vec<&str> = query.tables.iter().map(String::as_str).collect();
-        let preds: Vec<(&str, &Expr)> = query
-            .predicates
-            .iter()
-            .map(|(t, e)| (t.as_str(), e))
-            .collect();
-        // Grouping and aggregate order affect the output schema, so they
-        // enter the fingerprint in declaration order.
-        let canonical = format!(
-            "{}|group={:?}|aggs={:?}",
-            FeedbackStore::canonical_key(&tables, &preds),
-            query.group_by,
-            query.aggregates
+        let request = RequestKey::new(
+            query.tables.iter().map(String::as_str),
+            query.predicates.iter().map(|(t, e)| (t.as_str(), e)),
         );
-        Self {
-            canonical,
-            threshold_bits: effective.value().to_bits(),
+        let threshold_bits = query.hint.unwrap_or(threshold).value().to_bits();
+        let selection = query.selection.unwrap_or(default_selection);
+        let mut h = DefaultHasher::new();
+        (&request, &query.group_by, &query.aggregates).hash(&mut h);
+        (threshold_bits, selection, epoch).hash(&mut h);
+        Self(Arc::new(Identity {
+            hash: h.finish(),
+            request,
+            group_by: query.group_by.clone(),
+            aggregates: query.aggregates.clone(),
+            threshold_bits,
             selection,
             epoch,
-        }
+        }))
     }
 
     /// The statistics epoch this fingerprint was formed against.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.0.epoch
     }
 }
 
@@ -183,22 +189,27 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// One cached plan plus the per-request selectivities it was priced at —
-/// the reference point drift is measured against.
+/// One cached plan.  Its annotations hold the selectivity each request
+/// was priced at — the reference point drift is measured against.
 struct CacheEntry {
     planned: Arc<PlannedQuery>,
-    /// Feedback canonical key and estimated selectivity (`est_rows /
-    /// root_rows`) for every annotated node with predicates, one pair
-    /// per key.
-    priced_at: Vec<(String, f64)>,
-    /// Every base table the plan reads (union of its annotations' table
-    /// lists, sorted), so an insert into one table can evict exactly the
-    /// plans whose pricing depended on that table.
-    tables: Vec<String>,
     /// This entry's place in [`Inner::ring`].
     slot: usize,
     /// Set by every hit, cleared by the CLOCK hand as it passes.
     referenced: AtomicBool,
+}
+
+impl CacheEntry {
+    /// True when a node was priced with `key` at a selectivity (`est_rows
+    /// / root_rows`) that q-errs against `observed` beyond [`DRIFT_BOUND`].
+    fn drifted(&self, key: &RequestKey, observed: f64) -> bool {
+        self.planned.node_annotations.iter().flatten().any(|a| {
+            a.request.as_ref() == Some(key)
+                && key.predicates().len() > 0
+                && a.root_rows > 0.0
+                && q_error((a.est_rows / a.root_rows).clamp(0.0, 1.0), observed) > DRIFT_BOUND
+        })
+    }
 }
 
 #[derive(Default)]
@@ -290,10 +301,11 @@ impl PlanCache {
         found
     }
 
-    /// Inserts (or replaces) a plan, recording the selectivity each
-    /// annotated estimation request was priced at so later observations
-    /// can be checked for drift.  A new fingerprint in a full cache first
-    /// evicts one entry (see the module docs).  Returns the shared handle.
+    /// Inserts (or replaces) a plan; its annotations record the
+    /// selectivity each estimation request was priced at, so later
+    /// observations can be checked for drift.  A new fingerprint in a
+    /// full cache first evicts one entry (see the module docs).  Returns
+    /// the shared handle.
     ///
     /// Two threads that race on the same cold fingerprint both plan and
     /// both insert; planning is deterministic, so the second insert
@@ -311,26 +323,6 @@ impl PlanCache {
         fingerprint: PlanFingerprint,
         planned: Arc<PlannedQuery>,
     ) -> Arc<PlannedQuery> {
-        let mut priced_at: Vec<(String, f64)> = Vec::new();
-        let mut entry_tables: Vec<String> = Vec::new();
-        for ann in planned.node_annotations.iter().flatten() {
-            for t in &ann.tables {
-                if !entry_tables.contains(t) {
-                    entry_tables.push(t.clone());
-                }
-            }
-            if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
-                continue;
-            }
-            let selectivity = (ann.est_rows / ann.root_rows).clamp(0.0, 1.0);
-            // A key priced twice keeps its last selectivity.
-            match priced_at.iter_mut().find(|(key, _)| *key == ann.key) {
-                Some(pair) => pair.1 = selectivity,
-                None => priced_at.push((ann.key.clone(), selectivity)),
-            }
-        }
-        entry_tables.sort_unstable();
-
         let mut inner = self.write();
         // A replaced entry gives up its ring slot, so the fingerprint is
         // seated once.
@@ -343,8 +335,6 @@ impl PlanCache {
             fingerprint,
             CacheEntry {
                 planned: Arc::clone(&planned),
-                priced_at,
-                tables: entry_tables,
                 slot,
                 referenced: AtomicBool::new(false),
             },
@@ -355,22 +345,17 @@ impl PlanCache {
         planned
     }
 
-    /// Reacts to an observed selectivity for one estimation-request key
-    /// (canonical [`rqo_core::FeedbackStore`] form): evicts every cached
-    /// plan whose priced-at selectivity for that key q-errs beyond
-    /// [`DRIFT_BOUND`], and returns the evicted fingerprints in ring
+    /// Reacts to an observed selectivity for one estimation request's
+    /// key: evicts every cached plan whose priced-at selectivity for that
+    /// key q-errs beyond [`DRIFT_BOUND`], and returns the evicted fingerprints in ring
     /// order.  The cache is bounded, so a scan of every entry stands in
     /// for an index by key.
-    pub fn observe(&self, key: &str, observed: f64) -> Vec<PlanFingerprint> {
+    pub fn observe(&self, key: &RequestKey, observed: f64) -> Vec<PlanFingerprint> {
         let mut inner = self.write();
         let mut drifted: Vec<(usize, PlanFingerprint)> = inner
             .plans
             .iter()
-            .filter(|(_, e)| {
-                e.priced_at
-                    .iter()
-                    .any(|(k, est)| k == key && q_error(*est, observed) > DRIFT_BOUND)
-            })
+            .filter(|(_, e)| e.drifted(key, observed))
             .map(|(fp, e)| (e.slot, fp.clone()))
             .collect();
         drifted.sort_unstable_by_key(|(slot, _)| *slot);
@@ -390,7 +375,7 @@ impl PlanCache {
         let stale: Vec<PlanFingerprint> = inner
             .plans
             .keys()
-            .filter(|fp| fp.epoch < epoch)
+            .filter(|fp| fp.epoch() < epoch)
             .cloned()
             .collect();
         for fp in &stale {
@@ -412,9 +397,9 @@ impl PlanCache {
         let mut inner = self.write();
         let stale: Vec<PlanFingerprint> = inner
             .plans
-            .iter()
-            .filter(|(_, e)| e.tables.iter().any(|t| t == table))
-            .map(|(fp, _)| fp.clone())
+            .keys()
+            .filter(|fp| fp.0.request.tables().any(|t| t == table))
+            .cloned()
             .collect();
         for fp in &stale {
             inner.remove(fp);
@@ -476,6 +461,14 @@ mod tests {
     use rqo_exec::PhysicalPlan;
     use rqo_expr::Expr;
 
+    impl PlanFingerprint {
+        /// [`PlanFingerprint::of_with`] under the default (quantile)
+        /// selection mode.
+        fn of(query: &Query, threshold: ConfidenceThreshold, epoch: u64) -> Self {
+            Self::of_with(query, threshold, epoch, PlanSelection::default())
+        }
+    }
+
     fn threshold() -> ConfidenceThreshold {
         ConfidenceThreshold::new(0.5)
     }
@@ -499,18 +492,16 @@ mod tests {
             node_annotations: vec![Some(NodeAnnotation {
                 est_rows,
                 root_rows,
-                tables: vec![table.clone()],
-                predicates: vec![(table.clone(), expr.clone())],
-                key: key_of(q),
+                request: Some(key_of(q)),
             })],
             selection: PlanSelection::Quantile,
             penalty: None,
         }
     }
 
-    fn key_of(q: &Query) -> String {
+    fn key_of(q: &Query) -> RequestKey {
         let (table, expr) = &q.predicates[0];
-        rqo_core::FeedbackStore::canonical_key(&[table], &[(table.as_str(), expr)])
+        RequestKey::new([table.as_str()], [(table.as_str(), expr)])
     }
 
     #[test]
@@ -614,7 +605,7 @@ mod tests {
         assert_eq!(cache.stats().drift_evictions, 1);
 
         // A key no cached plan was priced with is a no-op.
-        assert!(cache.observe("unknown-key", 0.5).is_empty());
+        assert!(cache.observe(&key_of(&query("v", 10)), 0.5).is_empty());
     }
 
     #[test]
@@ -774,7 +765,10 @@ mod tests {
         let key = key_of(&query("t", 3));
         let expected: Vec<PlanFingerprint> = {
             let inner = cache.read();
-            let holds = |fp: &&PlanFingerprint| inner.plans[*fp].priced_at[0].0 == key;
+            let holds = |fp: &&PlanFingerprint| {
+                let ann = inner.plans[*fp].planned.node_annotations[0].as_ref();
+                ann.and_then(|a| a.request.as_ref()) == Some(&key)
+            };
             inner.ring.iter().filter(holds).cloned().collect()
         };
         // Nothing was hit, so the hand evicted the first 500 inserts.

@@ -2,7 +2,7 @@
 //!
 //! [`derive()`] turns a plan node plus its children's derivations into the
 //! node's own [`Derivation`]: the estimation request its subtree stands
-//! for (tables covered, query predicates applied, canonical key), the
+//! for (its [`RequestKey`]: tables covered, query predicates applied), the
 //! rows that request yields, the cumulative cost of producing them and
 //! the order they arrive in.  Every cardinality goes through
 //! [`PlanContext::ask`]'s memo, so the estimator is consulted once per
@@ -13,6 +13,9 @@
 //! folds `derive` over a finished plan, [`price_plan`] is that fold's
 //! root, and [`crate::annotate_plan`] is its per-node projection.
 
+use std::iter::once;
+
+use rqo_core::RequestKey;
 use rqo_exec::{IndexRange, PhysicalPlan};
 use rqo_expr::Expr;
 use rqo_stats::synopsis::find_root;
@@ -23,13 +26,10 @@ use crate::query::Query;
 /// One plan node's estimation request, rows, cost and output order.
 #[derive(Debug, Clone)]
 pub struct Derivation {
-    /// Tables covered by the node's subtree.
-    pub tables: Vec<String>,
-    /// Query predicates applied within the subtree, as `(table, expr)`.
-    pub predicates: Vec<(String, Expr)>,
-    /// Canonical key of the `(tables, predicates)` request — the
-    /// identity the memo, the feedback store and the plan cache share.
-    pub key: String,
+    /// The request the subtree stands for: the tables it covers and the
+    /// query predicates applied within it — the identity the memo, the
+    /// feedback store and the plan cache share.
+    pub request: RequestKey,
     /// Rows of the FK-root relation of `tables`, the base the request's
     /// selectivity multiplies.
     pub root_rows: f64,
@@ -47,22 +47,16 @@ pub struct Derivation {
 }
 
 impl Derivation {
-    /// The bare request: `rows(FK root) × selectivity(tables, predicates)`,
-    /// costing nothing yet and arriving in no particular order.
-    fn request(
-        ctx: &PlanContext<'_>,
-        tables: Vec<String>,
-        predicates: Vec<(String, Expr)>,
-    ) -> Self {
-        let t: Vec<&str> = tables.iter().map(String::as_str).collect();
-        let p: Vec<(&str, &Expr)> = predicates.iter().map(|(t, e)| (t.as_str(), e)).collect();
-        let root = find_root(ctx.catalog, &t).expect("a plan subtree covers a connected FK subset");
+    /// The bare request: `rows(FK root) × selectivity(request)`, costing
+    /// nothing yet and arriving in no particular order.
+    fn request(ctx: &PlanContext<'_>, request: RequestKey) -> Self {
+        let tables: Vec<&str> = request.tables().collect();
+        let root =
+            find_root(ctx.catalog, &tables).expect("a plan subtree covers a connected FK subset");
         let root_rows = ctx.model.table_rows(root);
-        let (key, selectivity) = ctx.ask(&t, &p);
+        let selectivity = ctx.ask(&request);
         Self {
-            tables,
-            predicates,
-            key,
+            request,
             root_rows,
             est_rows: root_rows * selectivity,
             cost_ms: 0.0,
@@ -73,26 +67,22 @@ impl Derivation {
 
     /// A base-table access applying `predicate`, in clustering order.
     fn access(ctx: &PlanContext<'_>, table: &str, predicate: Option<&Expr>, cost_ms: f64) -> Self {
-        let predicates = predicate
-            .map(|p| (table.to_string(), p.clone()))
-            .into_iter()
-            .collect();
+        let request = RequestKey::new([table], predicate.map(|p| (table, p)));
         Self {
             cost_ms,
             sorted_by: ctx.clustered_column(table),
-            ..Self::request(ctx, vec![table.to_string()], predicates)
+            ..Self::request(ctx, request)
         }
     }
 
     /// The join of two subtrees: both sides' tables and predicates.
     fn join(ctx: &PlanContext<'_>, a: &Self, b: &Self) -> Self {
+        let (ka, kb) = (&a.request, &b.request);
+        let tables = ka.tables().chain(kb.tables());
+        let request = RequestKey::new(tables, ka.predicates().chain(kb.predicates()));
         Self {
             known: a.known && b.known,
-            ..Self::request(
-                ctx,
-                a.tables.iter().chain(&b.tables).cloned().collect(),
-                a.predicates.iter().chain(&b.predicates).cloned().collect(),
-            )
+            ..Self::request(ctx, request)
         }
     }
 }
@@ -112,7 +102,7 @@ pub(crate) fn group_count(group_by: &[String], input_rows: f64) -> f64 {
 /// Rows of `table` satisfying `predicate` on its own (a marginal: the
 /// entries an index range touches, the keys a semijoin leg selects).
 fn filtered_rows(ctx: &PlanContext<'_>, table: &str, predicate: &Expr) -> f64 {
-    ctx.model.table_rows(table) * ctx.selectivity(&[table], &[(table, predicate)])
+    ctx.model.table_rows(table) * ctx.ask(&RequestKey::new([table], [(table, predicate)]))
 }
 
 /// The predicate conjunct an index range was derived from.
@@ -180,20 +170,20 @@ pub fn derive(
             // predicate (INL inner residual, star fact predicate):
             // attribute it to the covered table it belongs to.
             let owner = child
-                .tables
-                .iter()
+                .request
+                .tables()
                 .find(|t| query.predicate_for(t) == Some(predicate));
-            let applied = |t: &String| {
+            let applied = |t: &str| {
                 child
-                    .predicates
-                    .iter()
+                    .request
+                    .predicates()
                     .any(|(pt, pe)| pt == t && pe == predicate)
             };
             let request = match owner {
                 Some(t) if !applied(t) => {
-                    let mut predicates = child.predicates.clone();
-                    predicates.push((t.clone(), predicate.clone()));
-                    Derivation::request(ctx, child.tables.clone(), predicates)
+                    let key = &child.request;
+                    let predicates = key.predicates().chain(once((t, predicate)));
+                    Derivation::request(ctx, RequestKey::new(key.tables(), predicates))
                 }
                 _ => child.clone(),
             };
@@ -241,9 +231,9 @@ pub fn derive(
         // enumerator wraps on top.
         PhysicalPlan::IndexedNlJoin { inner_table, .. } => {
             let outer = children[0];
-            let mut tables = outer.tables.clone();
-            tables.push(inner_table.clone());
-            let fetched = Derivation::request(ctx, tables, outer.predicates.clone());
+            let key = &outer.request;
+            let tables = key.tables().chain(once(inner_table.as_str()));
+            let fetched = Derivation::request(ctx, RequestKey::new(tables, key.predicates()));
             Derivation {
                 cost_ms: outer.cost_ms + model.indexed_nl_join_ms(outer.est_rows, fetched.est_rows),
                 sorted_by: outer.sorted_by.clone(),
@@ -261,20 +251,18 @@ pub fn derive(
             for leg in legs {
                 let dim = leg.dim_table.as_str();
                 let keys = filtered_rows(ctx, dim, &leg.dim_predicate);
-                let entries =
-                    fact_rows * ctx.selectivity(&[fact, dim], &[(dim, &leg.dim_predicate)]);
+                let leg_request = RequestKey::new([fact, dim], [(dim, &leg.dim_predicate)]);
+                let entries = fact_rows * ctx.ask(&leg_request);
                 total_entries += entries;
                 cost_ms += model.semijoin_leg_ms(dim, keys, entries);
             }
             let matched = Derivation::request(
                 ctx,
-                std::iter::once(fact_table)
-                    .chain(legs.iter().map(|l| &l.dim_table))
-                    .cloned()
-                    .collect(),
-                legs.iter()
-                    .map(|l| (l.dim_table.clone(), l.dim_predicate.clone()))
-                    .collect(),
+                RequestKey::new(
+                    once(fact).chain(legs.iter().map(|l| l.dim_table.as_str())),
+                    legs.iter()
+                        .map(|l| (l.dim_table.as_str(), &l.dim_predicate)),
+                ),
             );
             Derivation {
                 cost_ms: cost_ms + model.semijoin_finish_ms(fact, total_entries, matched.est_rows),
@@ -295,9 +283,7 @@ pub fn derive(
         // A materialized intermediate carries the request of the subtree
         // it replaced, so the estimator — primed with the observed
         // feedback for that key — answers with the truth, at no cost.
-        PhysicalPlan::Materialized {
-            tables, predicates, ..
-        } => Derivation::request(ctx, tables.clone(), predicates.clone()),
+        PhysicalPlan::Materialized { request, .. } => Derivation::request(ctx, request.clone()),
     }
 }
 

@@ -6,7 +6,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use rqo_core::{CardinalityEstimator, EstimationRequest, FeedbackStore};
+use rqo_core::{CardinalityEstimator, EstimationRequest, RequestKey};
 use rqo_exec::{PhysicalPlan, SemiJoinLeg};
 use rqo_expr::Expr;
 use rqo_storage::Catalog;
@@ -58,7 +58,7 @@ pub struct PlanContext<'a> {
     pub model: CostModel<'a>,
     /// The pluggable cardinality-estimation module.
     pub estimator: &'a dyn CardinalityEstimator,
-    cache: RefCell<HashMap<String, f64>>,
+    cache: RefCell<HashMap<RequestKey, f64>>,
 }
 
 impl<'a> PlanContext<'a> {
@@ -76,38 +76,26 @@ impl<'a> PlanContext<'a> {
         }
     }
 
-    /// The canonical key of the request `(tables, predicates)` — the
-    /// feedback store's keying, so memo, feedback and plan cache agree
-    /// on what "the same subexpression" means — and its estimated
-    /// selectivity, memoized per key.  A bare base table needs no
-    /// estimate: its selectivity is 1 by definition.
-    pub fn ask(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> (String, f64) {
-        let key = FeedbackStore::canonical_key(tables, predicates);
-        if predicates.is_empty() && tables.len() == 1 {
-            return (key, 1.0);
+    /// The estimated selectivity of the request `key`, memoized per key:
+    /// the memo, the feedback store and the plan cache share the key, so
+    /// they agree on what "the same subexpression" means.  The estimator
+    /// sees the request in the key's own order, so the answer does not
+    /// depend on which caller happened to ask first.  A bare base table
+    /// needs no estimate: its selectivity is 1 by definition.
+    pub fn ask(&self, key: &RequestKey) -> f64 {
+        if key.predicates().len() == 0 && key.tables().len() == 1 {
+            return 1.0;
         }
-        if let Some(&v) = self.cache.borrow().get(&key) {
-            return (key, v);
+        if let Some(&v) = self.cache.borrow().get(key) {
+            return v;
         }
-        // The estimator sees the request in the key's own order, so the
-        // answer does not depend on which caller happened to ask first.
-        let mut tables = tables.to_vec();
-        tables.sort_unstable();
-        let mut predicates = predicates.to_vec();
-        predicates.sort_by_cached_key(|(t, e)| format!("{t}:{e}"));
         let sel = self
             .estimator
-            .estimate(&EstimationRequest::new(tables, predicates))
+            .estimate(&EstimationRequest::from(key))
             .selectivity
             .clamp(0.0, 1.0);
         self.cache.borrow_mut().insert(key.clone(), sel);
-        (key, sel)
-    }
-
-    /// Estimated selectivity of `predicates` over the FK-join expression
-    /// on `tables` (see [`ask`](Self::ask)).
-    pub fn selectivity(&self, tables: &[&str], predicates: &[(&str, &Expr)]) -> f64 {
-        self.ask(tables, predicates).1
+        sel
     }
 
     /// The column a table's storage is physically ordered by, if any (the

@@ -48,5 +48,4 @@ pub use cost::CostModel;
 pub use derive::{price_plan, PricedPlan};
 pub use planner::{Optimizer, PlannedQuery};
 pub use query::Query;
-pub use replan::MaterializedFragment;
 pub use selection::{CandidateScore, PenaltyReport, PENALTY_ANNOTATION_QUANTILE};

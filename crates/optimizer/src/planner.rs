@@ -27,8 +27,7 @@ pub struct PlannedQuery {
     pub estimator_calls: usize,
     /// Per-node estimation context in the plan's pre-order numbering
     /// (see [`crate::analyze`]): the estimated cardinality each operator
-    /// was planned at, plus the `(tables, predicates)` request behind it
-    /// and its canonical key.
+    /// was planned at, plus the key of the request behind it.
     pub node_annotations: NodeAnnotations,
     /// The plan-selection mode that chose this plan.
     pub selection: PlanSelection,

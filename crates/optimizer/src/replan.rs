@@ -3,18 +3,17 @@
 //!
 //! When a runtime cardinality guard trips at a pipeline breaker, the
 //! adaptive driver (the engine's run loop) has three things in hand:
-//! the materialized batch, the `(tables, predicates)` request of the
-//! subtree that produced it (from the tripped node's [`NodeAnnotation`]),
-//! and a feedback store that now records the *observed* selectivities
-//! for that request.  [`Optimizer::replan_with_materialized`] turns those
+//! the materialized batch, the tripped plan (whose node annotation holds
+//! the [`RequestKey`](rqo_core::RequestKey) of the subtree that produced the batch), and a
+//! feedback store that now records the *observed* selectivities for that
+//! request.  [`Optimizer::replan_with_materialized`] turns those
 //! into a resumable plan:
 //!
 //! 1. re-optimize the **full** query — the estimator, primed with the
 //!    fed-back truth, no longer repeats the misestimate, and the search
 //!    is free to restructure everything downstream of the breaker;
 //! 2. find the node of the fresh plan whose annotated estimation request
-//!    has the finished fragment's canonical key (the same keying the
-//!    feedback store uses);
+//!    has the finished subtree's key (the key the feedback store uses);
 //! 3. graft a [`PhysicalPlan::Materialized`] leaf over that subtree, so
 //!    the finished work is served from memory instead of recomputed.
 //!
@@ -27,70 +26,54 @@
 
 use rqo_core::PlanSelection;
 use rqo_exec::PhysicalPlan;
-use rqo_expr::Expr;
 
-use crate::analyze::{annotate_plan, NodeAnnotation};
+use crate::analyze::annotate_plan;
 use crate::planner::{Optimizer, PlannedQuery};
 use crate::query::Query;
 use crate::selection::median;
 
-/// A finished, materialized query fragment: the request of the subtree
-/// whose output is already in memory, and the slot its batch is bound to
-/// at execution time.
-#[derive(Debug, Clone)]
-pub struct MaterializedFragment {
-    /// Tables the fragment covers.
-    pub tables: Vec<String>,
-    /// Query predicates applied within the fragment.
-    pub predicates: Vec<(String, Expr)>,
-    /// The request's canonical key — the identity used to find the
-    /// matching subtree in a fresh plan.
-    pub key: String,
-    /// Executor slot the fragment's batch is bound to.
-    pub slot: usize,
-}
-
-impl MaterializedFragment {
-    /// Builds a fragment from the tripped node's annotation and the slot
-    /// its batch will occupy.
-    pub fn from_annotation(annotation: &NodeAnnotation, slot: usize) -> Self {
-        Self {
-            tables: annotation.tables.clone(),
-            predicates: annotation.predicates.clone(),
-            key: annotation.key.clone(),
-            slot,
-        }
-    }
-}
-
 impl Optimizer {
     /// Re-optimizes `query` and grafts a [`PhysicalPlan::Materialized`]
-    /// leaf over the subtree matching `fragment`, returning the planned
-    /// query and whether the graft happened.
+    /// leaf, bound to executor slot `slot`, over the subtree of the fresh
+    /// plan whose request is that of node `node` of the `tripped` plan —
+    /// a finished subtree whose output is already in memory.  Returns the
+    /// planned query and whether the graft happened.
     ///
-    /// The returned plan is always executable; when the flag is `false`
-    /// no subtree of the fresh plan matched the fragment's request and
-    /// the plan recomputes everything (correct, just not resumed).
+    /// The plan is always executable: unmatched, it recomputes everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` has no request: an aggregate's value-only
+    /// annotation, where guards are never armed.
     pub fn replan_with_materialized(
         &self,
         query: &Query,
-        fragment: &MaterializedFragment,
+        tripped: &PlannedQuery,
+        node: usize,
+        slot: usize,
     ) -> (PlannedQuery, bool) {
+        let finished = tripped.node_annotations[node]
+            .as_ref()
+            .and_then(|a| a.request.as_ref())
+            .expect("a finished subtree has a request");
         let mut planned = self.optimize(query);
         // First pre-order match = shallowest = the largest finished
         // subtree the fresh plan can reuse.  Value-only annotations
         // (aggregates) carry no request and never match.
         let target = planned.node_annotations.iter().position(|ann| {
             ann.as_ref()
-                .is_some_and(|a| !a.tables.is_empty() && a.key == fragment.key)
+                .is_some_and(|a| a.request.as_ref() == Some(finished))
         });
         let Some(idx) = target else {
             return (planned, false);
         };
+        // The leaf lists the finished subtree's tables in its own order.
+        let mut tables = Vec::new();
+        plan_tables(tripped.plan.preorder()[node].plan, &mut tables);
         let leaf = PhysicalPlan::Materialized {
-            slot: fragment.slot,
-            tables: fragment.tables.clone(),
-            predicates: fragment.predicates.clone(),
+            slot,
+            tables,
+            request: finished.clone(),
         };
         let Some(plan) = planned.plan.replace_subtree(idx, leaf) else {
             return (planned, false);
@@ -108,6 +91,29 @@ impl Optimizer {
             self.with_hinted_context(annotation_hint, |ctx| annotate_plan(ctx, query, &plan));
         planned.plan = plan;
         (planned, true)
+    }
+}
+
+/// Appends the tables `plan` reads in the order its derivation lists
+/// them: an indexed nested-loops join's inner after its outer, a star
+/// semijoin's fact before its dimensions.
+fn plan_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
+    match plan {
+        PhysicalPlan::SeqScan { table, .. }
+        | PhysicalPlan::IndexSeek { table, .. }
+        | PhysicalPlan::IndexIntersection { table, .. } => out.push(table.clone()),
+        PhysicalPlan::StarSemiJoin { fact_table, legs } => {
+            out.push(fact_table.clone());
+            out.extend(legs.iter().map(|l| l.dim_table.clone()));
+        }
+        PhysicalPlan::Materialized { tables, .. } => out.extend(tables.iter().cloned()),
+        other => other
+            .children()
+            .into_iter()
+            .for_each(|c| plan_tables(c, out)),
+    }
+    if let PhysicalPlan::IndexedNlJoin { inner_table, .. } = plan {
+        out.push(inner_table.clone());
     }
 }
 
@@ -140,12 +146,14 @@ mod tests {
             .filter("lineitem", pred.clone())
             .aggregate(AggExpr::count_star("n"));
         // The scan under the aggregate is the finished fragment.
-        let scan = opt.optimize(&query).node_annotations[1]
-            .clone()
-            .expect("scan annotated");
-        assert_eq!(scan.predicates, vec![("lineitem".to_string(), pred)]);
-        let fragment = MaterializedFragment::from_annotation(&scan, 0);
-        let (planned, substituted) = opt.replan_with_materialized(&query, &fragment);
+        let first = opt.optimize(&query);
+        let scan = first.node_annotations[1].clone().expect("scan annotated");
+        let request = scan.request.as_ref().expect("scan has a request");
+        assert_eq!(
+            request.predicates().collect::<Vec<_>>(),
+            [("lineitem", &pred)]
+        );
+        let (planned, substituted) = opt.replan_with_materialized(&query, &first, 1, 0);
         assert!(substituted);
         assert_eq!(planned.shape(), "agg(mat#0)");
         assert_eq!(
@@ -155,7 +163,8 @@ mod tests {
         );
         // The materialized leaf keeps its spec annotation.
         let leaf = planned.node_annotations[1].as_ref().expect("leaf spec");
-        assert_eq!(leaf.tables, vec!["lineitem".to_string()]);
+        let request = leaf.request.as_ref().expect("leaf has a request");
+        assert_eq!(request.tables().collect::<Vec<_>>(), ["lineitem"]);
     }
 
     #[test]
@@ -164,12 +173,9 @@ mod tests {
         let query = Query::over(&["lineitem"])
             .filter("lineitem", workload::exp1_lineitem_predicate(50))
             .aggregate(AggExpr::count_star("n"));
-        let orders = opt.optimize(&Query::over(&["orders"])).node_annotations[0]
-            .clone()
-            .expect("scan annotated");
-        let fragment = MaterializedFragment::from_annotation(&orders, 0);
+        let orders = opt.optimize(&Query::over(&["orders"]));
         let baseline = opt.optimize(&query);
-        let (planned, substituted) = opt.replan_with_materialized(&query, &fragment);
+        let (planned, substituted) = opt.replan_with_materialized(&query, &orders, 0, 0);
         assert!(!substituted);
         assert_eq!(planned.shape(), baseline.shape());
     }

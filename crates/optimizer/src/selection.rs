@@ -30,8 +30,6 @@
 //! estimate, so no quadrature is spent.
 //!
 
-use std::collections::HashSet;
-
 use rqo_core::{
     expected_penalties, penalty_grid, select_min_penalty, CardinalityEstimator,
     ConfidenceThreshold, EstimationRequest, PlanSelection, SelectivityEstimate,
@@ -109,13 +107,13 @@ struct PinnedEstimator<'a> {
     base: &'a dyn CardinalityEstimator,
     at_node: Option<Box<dyn CardinalityEstimator>>,
     at_median: Option<Box<dyn CardinalityEstimator>>,
-    sensitive: &'a HashSet<String>,
+    sensitive: &'a [(&'a str, &'a Expr)],
 }
 
 impl<'a> PinnedEstimator<'a> {
     fn new(
         base: &'a dyn CardinalityEstimator,
-        sensitive: &'a HashSet<String>,
+        sensitive: &'a [(&'a str, &'a Expr)],
         node: ConfidenceThreshold,
     ) -> Self {
         Self {
@@ -134,9 +132,9 @@ impl CardinalityEstimator for PinnedEstimator<'_> {
 
     fn estimate(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
         let touches_sensitive = request
-            .predicates
-            .iter()
-            .any(|(t, e)| self.sensitive.contains(&predicate_key(t, e)));
+            .key()
+            .predicates()
+            .any(|p| self.sensitive.contains(&p));
         let chosen = if touches_sensitive {
             self.at_node.as_deref()
         } else {
@@ -144,11 +142,6 @@ impl CardinalityEstimator for PinnedEstimator<'_> {
         };
         chosen.unwrap_or(self.base).estimate(request)
     }
-}
-
-/// Canonical `table:expr` identity of one query predicate.
-fn predicate_key(table: &str, expr: &Expr) -> String {
-    format!("{table}:{expr}")
 }
 
 /// True when every predicate's posterior is missing or point-like — the
@@ -174,15 +167,14 @@ fn generate_candidates(opt: &Optimizer, query: &Query, calls: &mut usize) -> Vec
         Some(_) => &GENERATION_THRESHOLDS[..],
         None => &GENERATION_THRESHOLDS[..1],
     };
-    let mut seen = HashSet::new();
-    let mut out = Vec::new();
+    let mut out: Vec<PhysicalPlan> = Vec::new();
     for &t in thresholds {
         let plan = opt.with_hinted_context(Some(ConfidenceThreshold::new(t)), |ctx| {
             let best = best_join_plan(ctx, query);
             *calls += ctx.estimator_calls();
             wrap_aggregate(query, best.plan)
         });
-        if seen.insert(format!("{plan:?}")) {
+        if !out.contains(&plan) {
             out.push(plan);
         }
     }
@@ -206,21 +198,20 @@ fn argmin_cost(ctx: &PlanContext<'_>, query: &Query, candidates: &[PhysicalPlan]
 /// The sensitivity pass: for each predicate alone, collapse it at both
 /// probe extremes (all others at the median) and keep it only if the
 /// cheapest candidate differs between the extremes.
-fn sensitive_predicates(
+fn sensitive_predicates<'q>(
     opt: &Optimizer,
-    query: &Query,
+    query: &'q Query,
     candidates: &[PhysicalPlan],
     calls: &mut usize,
-) -> HashSet<String> {
-    let mut sensitive = HashSet::new();
+) -> Vec<(&'q str, &'q Expr)> {
+    let mut sensitive = Vec::new();
     for (t, e) in &query.predicates {
-        let key = predicate_key(t, e);
-        let probe_set: HashSet<String> = std::iter::once(key.clone()).collect();
+        let probed = [(t.as_str(), e)];
         let mut argmins = [0usize; 2];
         for (slot, probe) in SENSITIVITY_PROBES.into_iter().enumerate() {
             let pinned = PinnedEstimator::new(
                 opt.estimator().as_ref(),
-                &probe_set,
+                &probed,
                 ConfidenceThreshold::new(probe),
             );
             let ctx = opt.context(&pinned);
@@ -228,7 +219,7 @@ fn sensitive_predicates(
             *calls += ctx.estimator_calls();
         }
         if argmins[0] != argmins[1] {
-            sensitive.insert(key);
+            sensitive.push(probed[0]);
         }
     }
     sensitive
@@ -241,17 +232,19 @@ pub(crate) fn optimize_expected_penalty(opt: &Optimizer, query: &Query) -> Plann
     let degenerate = degenerate_posterior(opt.estimator().as_ref(), query);
 
     let sensitive = if degenerate || candidates.len() < 2 {
-        HashSet::new()
+        Vec::new()
     } else {
         sensitive_predicates(opt, query, &candidates, &mut calls)
     };
-    let mut sensitive_keys: Vec<String> = sensitive.iter().cloned().collect();
+    // The report lists predicates by their `table:expr` text.
+    let mut sensitive_keys: Vec<String> =
+        sensitive.iter().map(|(t, e)| format!("{t}:{e}")).collect();
     sensitive_keys.sort_unstable();
     let mut pruned_keys: Vec<String> = query
         .predicates
         .iter()
-        .map(|(t, e)| predicate_key(t, e))
-        .filter(|k| !sensitive.contains(k))
+        .filter(|(t, e)| !sensitive.contains(&(t.as_str(), e)))
+        .map(|(t, e)| format!("{t}:{e}"))
         .collect();
     pruned_keys.sort_unstable();
 

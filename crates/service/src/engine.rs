@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use rqo_core::adaptive::{self, GUARD_BOUND, MAX_REPLANS};
 use rqo_core::{
-    ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken,
+    ConfidenceThreshold, EstimatorConfig, FeedbackStore, PlanSelection, QueryToken, RequestKey,
     RobustEstimator, RobustnessLevel, ServiceConfig, StopReason,
 };
 use rqo_exec::{
@@ -51,8 +51,7 @@ use rqo_exec::{
     RowGuard,
 };
 use rqo_optimizer::{
-    CacheStats, MaterializedFragment, NodeAnnotation, Optimizer, PlanCache, PlanFingerprint,
-    PlannedQuery, Query,
+    CacheStats, NodeAnnotation, Optimizer, PlanCache, PlanFingerprint, PlannedQuery, Query,
 };
 use rqo_stats::sketch::DEFAULT_PRECISION;
 use rqo_stats::{SynopsisRepository, TableSketches};
@@ -595,15 +594,16 @@ impl Engine {
     fn observations<'a>(
         metrics: &OpMetrics,
         annotations: &'a [Option<NodeAnnotation>],
-    ) -> Vec<(&'a NodeAnnotation, f64)> {
+    ) -> Vec<(&'a RequestKey, f64)> {
         let nodes = metrics.preorder();
         let observed = nodes.iter().zip(annotations).filter_map(|(node, ann)| {
             let ann = ann.as_ref()?;
-            if ann.predicates.is_empty() || ann.root_rows <= 0.0 {
+            let request = ann.request.as_ref()?;
+            if request.predicates().len() == 0 || ann.root_rows <= 0.0 {
                 return None;
             }
             let selectivity = (node.rows_out as f64).max(0.5) / ann.root_rows;
-            Some((ann, selectivity.clamp(0.0, 1.0)))
+            Some((request, selectivity.clamp(0.0, 1.0)))
         });
         observed.collect()
     }
@@ -651,7 +651,7 @@ impl Engine {
         // mid-query re-plans; `pending` is replayed onto the shared store
         // only on completion.
         let mut fork: Option<Arc<FeedbackStore>> = None;
-        let mut pending: Vec<(NodeAnnotation, f64)> = Vec::new();
+        let mut pending: Vec<(RequestKey, f64)> = Vec::new();
 
         loop {
             // Guards stay armed while the re-plan budget lasts; the final
@@ -661,7 +661,7 @@ impl Engine {
                     .into_iter()
                     .filter_map(|idx| {
                         let ann = planned.node_annotations.get(idx)?.as_ref()?;
-                        (!ann.tables.is_empty()).then_some(RowGuard {
+                        ann.request.is_some().then_some(RowGuard {
                             node: idx,
                             est_rows: ann.est_rows,
                             bound: GUARD_BOUND,
@@ -703,11 +703,11 @@ impl Engine {
                             RunPolicy::Analyze => {
                                 Self::observations(&metrics, &planned.node_annotations)
                             }
-                            _ => pending.iter().map(|(ann, o)| (ann, *o)).collect(),
+                            _ => pending.iter().map(|(key, o)| (key, *o)).collect(),
                         };
-                        for (ann, observed) in published {
-                            self.feedback.record_keyed(&ann.key, &ann.tables, observed);
-                            self.plan_cache.observe(&ann.key, observed);
+                        for (key, observed) in published {
+                            self.feedback.record(key, observed);
+                            self.plan_cache.observe(key, observed);
                         }
                     }
                     drop(version);
@@ -733,19 +733,15 @@ impl Engine {
                     let fork = fork.get_or_insert_with(|| Arc::new(self.feedback.fork()));
                     let observed =
                         Self::observations(&trip.metrics, &planned.node_annotations[trip.node..]);
-                    for (ann, observed) in &observed {
-                        fork.record_keyed(&ann.key, &ann.tables, *observed);
-                        pending.push(((*ann).clone(), *observed));
+                    for &(key, observed) in &observed {
+                        fork.record(key, observed);
+                        pending.push((key.clone(), observed));
                     }
                     let observations = observed.len();
                     let before = threshold;
                     let selection_before = selection;
                     threshold = adaptive::escalate(threshold, events.len());
                     selection = adaptive::escalate_selection(selection, events.len());
-                    let ann = planned.node_annotations[trip.node]
-                        .as_ref()
-                        .expect("guards are only armed on annotated nodes");
-                    let fragment = MaterializedFragment::from_annotation(ann, slots.len());
                     // Re-plan directly — NOT through `optimize` — so the
                     // grafted plan never enters the plan cache; and
                     // against the fork, so a later cancellation leaves
@@ -755,7 +751,7 @@ impl Engine {
                     let replan_query = query.clone().with_hint(threshold).with_selection(selection);
                     let (new_planned, resumed) = self
                         .optimizer_over(&snapshot, Arc::clone(fork))
-                        .replan_with_materialized(&replan_query, &fragment);
+                        .replan_with_materialized(&replan_query, &planned, trip.node, slots.len());
                     events.push(ReplanEvent {
                         node: trip.node,
                         label: trip.metrics.label.clone(),

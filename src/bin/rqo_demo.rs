@@ -185,18 +185,18 @@ fn main() {
             "exp1" => {
                 let pred = exp1_lineitem_predicate(args.offset);
                 db.feedback()
-                    .inject_observation(&["lineitem"], &[("lineitem", &pred)], 0.9);
+                    .record(&RequestKey::new(["lineitem"], [("lineitem", &pred)]), 0.9);
             }
             "exp2" => {
                 let pred = exp2_part_predicate(args.window);
                 db.feedback()
-                    .inject_observation(&["part"], &[("part", &pred)], 0.5);
+                    .record(&RequestKey::new(["part"], [("part", &pred)]), 0.5);
             }
             _ => {
                 let pred = exp3_dim_predicate(args.level);
                 for dim in ["dim1", "dim2", "dim3"] {
                     db.feedback()
-                        .inject_observation(&[dim], &[(dim, &pred)], 1e-6);
+                        .record(&RequestKey::new([dim], [(dim, &pred)]), 1e-6);
                 }
             }
         }

@@ -123,7 +123,8 @@ pub mod prelude {
     pub use rqo_core::{
         CardinalityEstimator, ConfidenceThreshold, EstimateSource, EstimationRequest,
         EstimatorConfig, FeedbackStore, HistogramEstimator, PlanSelection, Prior, QueryToken,
-        RobustEstimator, RobustnessLevel, SelectivityPosterior, ServiceConfig, StopReason,
+        RequestKey, RobustEstimator, RobustnessLevel, SelectivityPosterior, ServiceConfig,
+        StopReason,
     };
     pub use rqo_datagen::workload::{
         exp1_lineitem_predicate, exp2_part_predicate, exp3_dim_predicate, true_selectivity,

@@ -54,13 +54,13 @@ fn inject_misestimate(handle: &Engine, family: usize, offset: i64, window: i64, 
             let pred = exp1_lineitem_predicate(offset % 200);
             handle
                 .feedback()
-                .inject_observation(&["lineitem"], &[("lineitem", &pred)], sel);
+                .record(&RequestKey::new(["lineitem"], [("lineitem", &pred)]), sel);
         }
         _ => {
             let pred = exp2_part_predicate(window % 300);
             handle
                 .feedback()
-                .inject_observation(&["part"], &[("part", &pred)], sel);
+                .record(&RequestKey::new(["part"], [("part", &pred)]), sel);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the re-plan event log and the final plan's annotated metrics tree.
 //!
 //! Each scenario plants a wildly wrong selectivity through the test-only
-//! `FeedbackStore::inject_observation`, so the first plan is provably bad
+//! `FeedbackStore::record`, so the first plan is provably bad
 //! and at least one runtime cardinality guard must fire.  The rendered
 //! [`AnalyzedOutcome`] — trip points, q-errors, threshold escalation,
 //! graft decisions, and the completed plan's estimate-vs-actual tree —
@@ -56,7 +56,7 @@ fn adaptive_exp1_golden() {
     let make_db = || {
         let db = tpch_db();
         db.feedback()
-            .inject_observation(&["lineitem"], &[("lineitem", &pred)], 0.9);
+            .record(&RequestKey::new(["lineitem"], [("lineitem", &pred)]), 0.9);
         db
     };
     check("adaptive_exp1", make_db, &query);
@@ -73,7 +73,7 @@ fn adaptive_exp2_golden() {
     let make_db = || {
         let db = tpch_db();
         db.feedback()
-            .inject_observation(&["part"], &[("part", &pred)], 0.5);
+            .record(&RequestKey::new(["part"], [("part", &pred)]), 0.5);
         db
     };
     check("adaptive_exp2", make_db, &query);
@@ -91,7 +91,7 @@ fn adaptive_exp3_golden() {
         let db = star_db();
         for dim in ["dim1", "dim2", "dim3"] {
             db.feedback()
-                .inject_observation(&[dim], &[(dim, &dpred)], 1e-6);
+                .record(&RequestKey::new([dim], [(dim, &dpred)]), 1e-6);
         }
         db
     };

@@ -1,6 +1,6 @@
 //! Regression tests for the forced-misestimate adaptive path.
 //!
-//! The scenario: `FeedbackStore::inject_observation` plants a wildly
+//! The scenario: `FeedbackStore::record` plants a wildly
 //! wrong selectivity for the part predicate (50% when the truth is a
 //! handful of rows), so the first plan is provably bad — a scan-based
 //! hash join sized for half the part table.  The runtime cardinality
@@ -40,7 +40,7 @@ fn planted() -> Engine {
     let pred = exp2_part_predicate(250);
     handle
         .feedback()
-        .inject_observation(&["part"], &[("part", &pred)], 0.5);
+        .record(&RequestKey::new(["part"], [("part", &pred)]), 0.5);
     handle
 }
 
@@ -194,7 +194,7 @@ fn second_guard_trip_escalates_to_penalty_selection() {
     let query = support::exp2(212);
     handle
         .feedback()
-        .inject_observation(&["part"], &[("part", &pred)], 0.5);
+        .record(&RequestKey::new(["part"], [("part", &pred)]), 0.5);
 
     let adaptive = handle
         .execute(&query, &ExecOptions::default(), RunPolicy::Adaptive)
@@ -309,7 +309,7 @@ fn adaptive_total_never_exceeds_static_over_three_misestimates() {
     let planted_db = |(table, pred, selectivity): &(&str, Expr, f64)| {
         let db = support::engine(support::tpch(support::SCALE, 1234), SAMPLE, 9);
         db.feedback()
-            .inject_observation(&[table], &[(table, pred)], *selectivity);
+            .record(&RequestKey::new([*table], [(*table, pred)]), *selectivity);
         db
     };
 

@@ -126,7 +126,7 @@ fn synthetic_plans_with_materialized_grafts_align() {
     let mat = |slot: usize| PhysicalPlan::Materialized {
         slot,
         tables: vec!["lineitem".into()],
-        predicates: Vec::new(),
+        request: RequestKey::new(["lineitem"], []),
     };
 
     let plans = [

@@ -64,8 +64,7 @@ impl CardinalityEstimator for RecordingOracle {
 
     fn estimate(&self, request: &EstimationRequest<'_>) -> SelectivityEstimate {
         let estimate = self.inner.estimate(request);
-        self.store
-            .record(&request.tables, &request.predicates, estimate.selectivity);
+        self.store.record(request.key(), estimate.selectivity);
         estimate
     }
 }

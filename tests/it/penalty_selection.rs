@@ -145,7 +145,7 @@ fn degenerate_posteriors_short_circuit_quadrature() {
     let db = tpch_db();
     let pred = exp1_lineitem_predicate(50);
     db.feedback()
-        .inject_observation(&["lineitem"], &[("lineitem", &pred)], 0.02);
+        .record(&RequestKey::new(["lineitem"], [("lineitem", &pred)]), 0.02);
     let planned = db
         .optimizer()
         .optimize(&scan_query().with_selection(PlanSelection::ExpectedPenalty));

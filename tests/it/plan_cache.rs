@@ -206,7 +206,7 @@ fn zero_row_observation_does_not_pin_selectivity() {
 
     let observed = db
         .feedback()
-        .lookup(&["lineitem"], &[("lineitem", &empty_pred)])
+        .lookup(&RequestKey::new(["lineitem"], [("lineitem", &empty_pred)]))
         .expect("observation recorded");
     assert!(
         observed > 0.0,

@@ -49,10 +49,11 @@
 //! data safe to read even when a holder died mid-flight.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::RequestKey;
+use crate::{PreHashed, RequestKey};
 
 /// Thread-safe map from estimation-request keys to observed
 /// selectivities in `[0, 1]`, tagged with a statistics epoch.
@@ -72,7 +73,8 @@ pub struct FeedbackStore {
 /// stale observation in between the eviction and the epoch bump.
 #[derive(Debug, Default, Clone)]
 struct Inner {
-    observations: HashMap<RequestKey, f64>,
+    /// Keyed by the hash each key carries (no second hash per probe).
+    observations: HashMap<RequestKey, f64, BuildHasherDefault<PreHashed>>,
     table_epochs: HashMap<String, u64>,
 }
 

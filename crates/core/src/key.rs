@@ -2,6 +2,9 @@
 //! requests are "the same" that the optimizer's selectivity memo, the
 //! [`FeedbackStore`](crate::FeedbackStore), the plan-node annotations and
 //! the plan cache share.  Its text form exists only for display.
+//!
+//! A key hashes itself once, when built; [`PreHashed`] lets the maps
+//! that hold keys use that hash instead of hashing it again per probe.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -30,6 +33,28 @@ struct Parts {
     /// so equal bytes mean an equal predicate.  `exprs` in the same order.
     ids: Vec<(String, Vec<u8>)>,
     exprs: Vec<Expr>,
+}
+
+/// The hasher of every map whose keys carry a hash computed once
+/// ([`RequestKey`], the plan cache's keys): such a key writes that one
+/// `u64`, and the hasher passes it through.  Use it as
+/// `BuildHasherDefault<PreHashed>`.  Bytes written by any other key are
+/// folded in (FNV-1a), so a map stays correct if handed one.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A `Hasher` that keeps the bytes it is fed.

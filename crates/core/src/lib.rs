@@ -57,7 +57,7 @@ pub use estimator::{
     RobustEstimator, SelectivityEstimate,
 };
 pub use feedback::FeedbackStore;
-pub use key::RequestKey;
+pub use key::{PreHashed, RequestKey};
 pub use penalty::{
     expected_penalties, penalty_grid, select_min_penalty, PenaltyScore, PlanSelection,
 };

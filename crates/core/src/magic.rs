@@ -22,7 +22,7 @@ const BETA: f64 = 9.0;
 /// The fallback selectivity at a confidence threshold: the magic
 /// distribution's quantile at `t`.
 pub fn selectivity(t: ConfidenceThreshold) -> f64 {
-    BetaDistribution::new(ALPHA, BETA).quantile(t.value())
+    posterior().at_threshold(t)
 }
 
 /// The fallback as a posterior, for consumers that propagate

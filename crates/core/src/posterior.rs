@@ -10,11 +10,49 @@
 //! ```
 //!
 //! Under the Jeffreys prior this is the paper's `Beta(k + ½, n − k + ½)`.
+//!
+//! An estimate at threshold `T` is therefore a function of `(k, n, prior,
+//! T)` alone, and a synopsis of `n` tuples yields at most `n + 1` values
+//! of `k`: [`SelectivityPosterior::at_threshold`] inverts each
+//! `(α, β, T)` once per process and reads it back from a bounded table
+//! afterwards, for every estimator that asks.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{LazyLock, PoisonError, RwLock};
 
 use rqo_math::BetaDistribution;
 
 use crate::confidence::ConfidenceThreshold;
+use crate::key::PreHashed;
 use crate::prior::Prior;
+
+/// Most quantiles [`QUANTILES`] holds; a full table is emptied and
+/// refilled.  One synopsis size and one threshold need at most `n + 1`.
+const QUANTILE_CAPACITY: usize = 4096;
+
+/// A quantile's identity: the exact bits of `α = k + a₀`, `β = n − k + b₀`
+/// and `T` (which carry `k`, `n` and the prior), hashed once.
+#[derive(PartialEq, Eq)]
+struct QuantileKey([u64; 3]);
+
+impl Hash for QuantileKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // One multiply-xorshift round per word: the map's hasher passes
+        // this through, so it must already be mixed.
+        let mixed = self.0.iter().fold(0u64, |h, &w| {
+            let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^ (x >> 29)
+        });
+        state.write_u64(mixed);
+    }
+}
+
+/// Quantiles already inverted, shared by every estimator in the process.
+/// The inversion is a pure function of its key, so a read-back is the
+/// bit-identical value.
+static QUANTILES: LazyLock<RwLock<HashMap<QuantileKey, f64, BuildHasherDefault<PreHashed>>>> =
+    LazyLock::new(Default::default);
 
 /// The posterior distribution over a predicate's selectivity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,9 +79,9 @@ impl SelectivityPosterior {
         }
     }
 
-    /// A posterior that is exactly a given Beta distribution (used for
-    /// "magic distributions" and for tests).
-    pub fn from_distribution(dist: BetaDistribution) -> Self {
+    /// A posterior that is exactly a given Beta distribution (the
+    /// "magic distribution").
+    pub(crate) fn from_distribution(dist: BetaDistribution) -> Self {
         Self {
             dist,
             observed_k: 0,
@@ -100,8 +138,29 @@ impl SelectivityPosterior {
 
     /// The selectivity at a confidence threshold: the smallest `s` with
     /// `Pr[selectivity ≤ s] ≥ T` — the paper's `cdf⁻¹(T)` (§3.4, step 3).
+    /// Each distinct `(α, β, T)` is inverted once (see the module docs).
     pub fn at_threshold(&self, t: ConfidenceThreshold) -> f64 {
-        self.dist.quantile(t.value())
+        let key = QuantileKey([
+            self.dist.alpha().to_bits(),
+            self.dist.beta().to_bits(),
+            t.value().to_bits(),
+        ]);
+        // Every write leaves the table valid, so poisoning is survivable.
+        let known = QUANTILES
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+            .copied();
+        if let Some(q) = known {
+            return q;
+        }
+        let q = self.dist.quantile(t.value());
+        let mut table = QUANTILES.write().unwrap_or_else(PoisonError::into_inner);
+        if table.len() >= QUANTILE_CAPACITY {
+            table.clear();
+        }
+        table.insert(key, q);
+        q
     }
 
     /// An equal-tailed credible interval covering `mass` of the posterior.

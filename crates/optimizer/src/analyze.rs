@@ -95,7 +95,7 @@ pub(crate) fn annotations(plan: &PhysicalPlan, derived: &[Derivation]) -> NodeAn
 
 /// Estimated output rows per node in pre-order (`None` where no estimate
 /// could be derived) — the shape [`rqo_exec::OpMetrics::annotate`] takes.
-pub fn estimates_only(annotations: &NodeAnnotations) -> Vec<Option<f64>> {
+pub(crate) fn estimates_only(annotations: &NodeAnnotations) -> Vec<Option<f64>> {
     annotations
         .iter()
         .map(|a| a.as_ref().map(|a| a.est_rows))

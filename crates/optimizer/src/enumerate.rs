@@ -5,8 +5,9 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use rqo_core::{CardinalityEstimator, EstimationRequest, RequestKey};
+use rqo_core::{CardinalityEstimator, EstimationRequest, PreHashed, RequestKey};
 use rqo_exec::{PhysicalPlan, SemiJoinLeg};
 use rqo_expr::Expr;
 use rqo_storage::Catalog;
@@ -58,7 +59,9 @@ pub struct PlanContext<'a> {
     pub model: CostModel<'a>,
     /// The pluggable cardinality-estimation module.
     pub estimator: &'a dyn CardinalityEstimator,
-    cache: RefCell<HashMap<RequestKey, f64>>,
+    cache: RefCell<HashMap<RequestKey, f64, BuildHasherDefault<PreHashed>>>,
+    /// The memo's keys in the order they were first asked.
+    asked: RefCell<Vec<RequestKey>>,
 }
 
 impl<'a> PlanContext<'a> {
@@ -72,7 +75,8 @@ impl<'a> PlanContext<'a> {
             catalog,
             model,
             estimator,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::default(),
+            asked: RefCell::default(),
         }
     }
 
@@ -95,7 +99,14 @@ impl<'a> PlanContext<'a> {
             .selectivity
             .clamp(0.0, 1.0);
         self.cache.borrow_mut().insert(key.clone(), sel);
+        self.asked.borrow_mut().push(key.clone());
         sel
+    }
+
+    /// Every request the estimator was consulted for, in the order first
+    /// asked.
+    pub(crate) fn asked(&self) -> Vec<RequestKey> {
+        self.asked.borrow().clone()
     }
 
     /// The column a table's storage is physically ordered by, if any (the
@@ -448,7 +459,7 @@ fn prune(cands: Vec<Candidate>) -> Vec<Candidate> {
 ///
 /// Panics on an empty slice (enumeration always yields at least the
 /// all-scans plan).
-pub fn best_of(cands: &[Candidate]) -> &Candidate {
+pub(crate) fn best_of(cands: &[Candidate]) -> &Candidate {
     cands
         .iter()
         .min_by(|a, b| a.derived.cost_ms.total_cmp(&b.derived.cost_ms))

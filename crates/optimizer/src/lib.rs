@@ -37,6 +37,7 @@ pub mod cache;
 pub mod cost;
 pub mod derive;
 pub mod enumerate;
+mod evidence;
 pub mod planner;
 pub mod query;
 pub mod replan;

@@ -10,6 +10,7 @@ use crate::analyze::{annotations, estimates_only, NodeAnnotations};
 use crate::cost::CostModel;
 use crate::derive::{derive_plan, PricedPlan};
 use crate::enumerate::{best_join_plan, PlanContext};
+use crate::evidence::Filing;
 use crate::query::Query;
 use crate::selection::{optimize_expected_penalty, PenaltyReport};
 
@@ -34,6 +35,9 @@ pub struct PlannedQuery {
     /// The expected-penalty decision record, present iff `selection` is
     /// [`PlanSelection::ExpectedPenalty`].
     pub penalty: Option<PenaltyReport>,
+    /// Where the plan cache's evidence level files this plan: set on a
+    /// plan planned fresh by [`crate::PlanCache::plan`].
+    pub(crate) evidence: Option<Arc<Filing>>,
 }
 
 impl PlannedQuery {
@@ -61,7 +65,15 @@ impl PlannedQuery {
             plan,
             selection: PlanSelection::Quantile,
             penalty: None,
+            evidence: None,
         }
+    }
+
+    /// The paper's scheme under `ctx`: one enumeration at the point
+    /// selectivities its estimator collapses each posterior to.
+    pub(crate) fn quantile(ctx: &PlanContext<'_>, query: &Query) -> Self {
+        let best = best_join_plan(ctx, query);
+        Self::derived(ctx, query, wrap_aggregate(query, best.plan))
     }
 }
 
@@ -164,10 +176,7 @@ impl Optimizer {
     /// The paper's scheme: collapse each posterior at the confidence
     /// threshold, then run one enumeration at those point selectivities.
     fn optimize_quantile(&self, query: &Query) -> PlannedQuery {
-        self.with_hinted_context(query.hint, |ctx| {
-            let best = best_join_plan(ctx, query);
-            PlannedQuery::derived(ctx, query, wrap_aggregate(query, best.plan))
-        })
+        self.with_hinted_context(query.hint, |ctx| PlannedQuery::quantile(ctx, query))
     }
 }
 

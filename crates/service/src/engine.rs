@@ -555,16 +555,61 @@ impl Engine {
             .epoch_for_tables(query.tables.iter().map(String::as_str))
     }
 
+    /// Plans a query the plan cache's exact level missed: through its
+    /// evidence level, or fresh against `snapshot` and the shared feedback.
+    fn plan_miss(
+        &self,
+        snapshot: &Snapshot,
+        fingerprint: &PlanFingerprint,
+        query: &Query,
+    ) -> PlannedQuery {
+        let optimizer = self.optimizer_over(snapshot, Arc::clone(&self.feedback));
+        self.plan_cache.plan(fingerprint, &optimizer, query)
+    }
+
+    /// Runs `publish` only while `fingerprint` is still the one `query`
+    /// would get: a data version published since it was taken retired
+    /// its epoch, and whatever was planned or observed against it.  The
+    /// read lock keeps a [`publish`](Self::publish) from slipping between
+    /// the check and the writes.
+    fn publish_if_current(
+        &self,
+        fingerprint: &PlanFingerprint,
+        query: &Query,
+        publish: impl FnOnce(),
+    ) {
+        let _version = self.snapshot.read().unwrap_or_else(PoisonError::into_inner);
+        if fingerprint.epoch() == self.epoch_for(query) {
+            publish();
+        }
+    }
+
     /// Optimizes a query through the shared plan cache: a hit returns
-    /// the memoized plan; a miss plans fresh and caches **immediately**
-    /// (no execution is involved, so there is no cancellation window).
+    /// the memoized plan; a miss plans through the evidence level or
+    /// fresh and caches **immediately** (no execution is involved, so
+    /// there is no cancellation window) — unless a data version was
+    /// published meanwhile, as for a run.
     pub fn optimize(&self, query: &Query) -> Arc<PlannedQuery> {
         let (snapshot, fingerprint) = self.view(query);
+        self.optimize_over(&snapshot, fingerprint, query)
+    }
+
+    /// [`optimize`](Self::optimize) against a view taken earlier.
+    fn optimize_over(
+        &self,
+        snapshot: &Snapshot,
+        fingerprint: PlanFingerprint,
+        query: &Query,
+    ) -> Arc<PlannedQuery> {
         if let Some(planned) = self.plan_cache.get(&fingerprint) {
             return planned;
         }
-        self.plan_cache
-            .insert(fingerprint, self.plan(&snapshot, query))
+        let planned = Arc::new(self.plan_miss(snapshot, &fingerprint, query));
+        self.publish_if_current(&fingerprint, query, || {
+            self.plan_cache
+                .insert_shared(fingerprint.clone(), Arc::clone(&planned));
+        });
+        planned
     }
 
     /// Per-query executor options: the defaults with the query's token
@@ -636,9 +681,12 @@ impl Engine {
             }
             _ => None,
         };
-        let initial = match &cached {
-            Some(planned) => Arc::clone(planned),
-            None => Arc::new(self.plan(&snapshot, query)),
+        let initial = match (&cached, policy, &fingerprint) {
+            (Some(planned), ..) => Arc::clone(planned),
+            (None, RunPolicy::Run | RunPolicy::Adaptive, Some(fingerprint)) => {
+                Arc::new(self.plan_miss(&snapshot, fingerprint, query))
+            }
+            _ => Arc::new(self.plan(&snapshot, query)),
         };
         let guarded = policy == RunPolicy::Adaptive;
         let mut planned = Arc::clone(&initial);
@@ -689,28 +737,25 @@ impl Engine {
                     // if they had been recorded live.  Only into the data
                     // version the run read: a version published meanwhile
                     // already retired this plan's epoch and these
-                    // observations.  The read lock keeps a `publish` from
-                    // slipping between the check and the writes.
-                    let version = self.snapshot.read().unwrap_or_else(PoisonError::into_inner);
-                    if let Some(fingerprint) =
-                        fingerprint.filter(|f| f.epoch() == self.epoch_for(query))
-                    {
-                        if cached.is_none() {
-                            self.plan_cache
-                                .insert_shared(fingerprint, Arc::clone(&initial));
-                        }
-                        let published = match policy {
-                            RunPolicy::Analyze => {
-                                Self::observations(&metrics, &planned.node_annotations)
+                    // observations.
+                    if let Some(fingerprint) = &fingerprint {
+                        self.publish_if_current(fingerprint, query, || {
+                            if cached.is_none() {
+                                self.plan_cache
+                                    .insert_shared(fingerprint.clone(), Arc::clone(&initial));
                             }
-                            _ => pending.iter().map(|(key, o)| (key, *o)).collect(),
-                        };
-                        for (key, observed) in published {
-                            self.feedback.record(key, observed);
-                            self.plan_cache.observe(key, observed);
-                        }
+                            let published = match policy {
+                                RunPolicy::Analyze => {
+                                    Self::observations(&metrics, &planned.node_annotations)
+                                }
+                                _ => pending.iter().map(|(key, o)| (key, *o)).collect(),
+                            };
+                            for (key, observed) in published {
+                                self.feedback.record(key, observed);
+                                self.plan_cache.observe(key, observed);
+                            }
+                        });
                     }
-                    drop(version);
                     let outcome = QueryOutcome {
                         columns: batch.schema.names().iter().map(|s| s.to_string()).collect(),
                         rows: batch.to_rows(),
@@ -797,5 +842,42 @@ impl Engine {
         opts: &ExecOptions,
     ) -> Result<AnalyzedOutcome, StopReason> {
         self.execute(query, opts, RunPolicy::AnalyzeQuiet)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rqo_datagen::{workload::exp2_part_predicate, TpchConfig, TpchData};
+    use rqo_exec::AggExpr;
+
+    use super::*;
+
+    /// Regression: `optimize` cached its plan without the run's epoch
+    /// check, so a plan formed against a data version an insert replaced
+    /// meanwhile took a slot under an epoch nothing can hit again.  It
+    /// must still return the plan and cache nothing; over the current
+    /// version it caches as usual.
+    #[test]
+    fn an_optimize_over_a_replaced_data_version_publishes_nothing() {
+        let catalog = TpchData::generate(&TpchConfig {
+            scale_factor: 0.001,
+            seed: 7,
+        })
+        .into_catalog();
+        let engine = Engine::new(catalog);
+        let query = Query::over(&["lineitem", "part"])
+            .filter("part", exp2_part_predicate(170))
+            .aggregate(AggExpr::count_star("n"));
+
+        let (snapshot, fingerprint) = engine.view(&query);
+        let row = snapshot.catalog.table("lineitem").unwrap().row(0);
+        engine.insert_rows("lineitem", &[row]).unwrap();
+        let planned = engine.optimize_over(&snapshot, fingerprint.clone(), &query);
+        assert_eq!(planned.plan, engine.plan(&snapshot, &query).plan);
+        assert!(engine.plan_cache.is_empty(), "a stale plan holds a slot");
+
+        engine.optimize(&query);
+        assert!(engine.plan_cache.contains(&engine.fingerprint(&query)));
+        assert!(!engine.plan_cache.contains(&fingerprint));
     }
 }

@@ -241,7 +241,9 @@ fn tpch_engine_and_queries() -> (Engine, [Query; 3]) {
 /// `part`: the feedback observations over other tables survive
 /// byte-for-byte, the global epoch stays 0, and the warm `lineitem` plan
 /// keeps hitting under its old fingerprint, while the `part` and join
-/// plans are dropped and their fingerprints move.
+/// plans are dropped and their fingerprints move.  Likewise an insert
+/// into `lineitem` retires the evidence-level plans of templates that
+/// read `lineitem` and keeps the others.
 #[test]
 fn ingest_preserves_other_tables_feedback_and_plans() {
     let (e, [li, pq, jq]) = tpch_engine_and_queries();
@@ -302,6 +304,41 @@ fn ingest_preserves_other_tables_feedback_and_plans() {
     let hits_before = e.cache_stats().hits;
     e.run_opts(&li, &opts).unwrap();
     assert_eq!(e.cache_stats().hits, hits_before + 1);
+
+    // The evidence level: a part-only template and one that reads
+    // lineitem, each filed by one `p_y` window and served to another.  No
+    // part has a `p_y` in any of these windows, so their evidence is
+    // equal while their constants differ.
+    let part_window = |tables: &[&str], lo: i64| {
+        let window = Expr::col("p_x")
+            .lt(Expr::lit(30i64))
+            .and(Expr::col("p_y").between(Expr::lit(lo), Expr::lit(lo + 29)));
+        Query::over(tables)
+            .filter("part", window)
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let evidence_hits = || e.cache_stats().evidence_hits;
+    for lo in [5_000, 6_000] {
+        e.run_opts(&part_window(&["part"], lo), &opts).unwrap();
+        e.run_opts(&part_window(&["lineitem", "part"], lo), &opts)
+            .unwrap();
+    }
+    let warm = evidence_hits();
+    assert_eq!(warm, 2, "both templates are warm");
+
+    // An insert into lineitem retires the lineitem template's evidence
+    // and keeps the part template's.
+    let lineitem_row = catalog.table("lineitem").unwrap().row(0);
+    e.insert_rows("lineitem", &[lineitem_row]).expect("ingest");
+    e.run_opts(&part_window(&["part"], 7_000), &opts).unwrap();
+    assert_eq!(evidence_hits(), warm + 1, "the part template still hits");
+    e.run_opts(&part_window(&["lineitem", "part"], 7_000), &opts)
+        .unwrap();
+    assert_eq!(
+        evidence_hits(),
+        warm + 1,
+        "the lineitem template is retired"
+    );
 }
 
 /// A full statistics refresh, unlike an insert, retires every table's

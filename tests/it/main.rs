@@ -11,6 +11,7 @@ mod adaptive_equivalence;
 mod adaptive_golden;
 mod adaptive_replan;
 mod end_to_end;
+mod evidence_gate;
 mod explain_analyze;
 mod guard_alignment;
 mod insert_differential;

@@ -1,6 +1,6 @@
 //! Plan-cache correctness and statistics-lifecycle regression tests.
 //!
-//! Three properties are pinned:
+//! Four properties are pinned:
 //!
 //! 1. **Bit-identity** — a cache hit returns exactly the plan fresh
 //!    planning would produce (same plan tree, same cost bits), at any
@@ -12,10 +12,14 @@
 //!    clears feedback (stale observations must not override fresh
 //!    samples), and invalidates cached plans; a zero-row observation is
 //!    floored at half a tuple instead of pinning the selectivity to 0.0.
+//! 4. **Evidence level** — a recorded observation moves its query off
+//!    the evidence level and leaves siblings of equal evidence on it;
+//!    expected-penalty selection and equal constants bypass it.
 
 use std::sync::Arc;
 
 use robust_qo::prelude::*;
+use robust_qo::storage::days_from_civil;
 
 use crate::support::{self, exp1 as exp1_query, tpch_db, SCALE};
 
@@ -321,4 +325,111 @@ fn a_run_over_a_replaced_data_version_publishes_nothing() {
         .execute(&query, &ExecOptions::default(), RunPolicy::Analyze)
         .unwrap();
     assert!(!engine.feedback().snapshot().is_empty());
+}
+
+/// A two-range `lineitem` window starting on January 1st of `year`, long
+/// after the data ends: no sample tuple satisfies any of its requests,
+/// so windows of different years are different constants at equal
+/// synopsis evidence.
+fn empty_window(year: i32) -> Query {
+    let start = days_from_civil(year, 1, 1);
+    let date = |d: i32| Expr::lit(Value::Date(d));
+    let ship = Expr::col("l_shipdate").between(date(start), date(start + 60));
+    let receipt = Expr::col("l_receiptdate").between(date(start + 100), date(start + 160));
+    Query::over(&["lineitem"])
+        .filter("lineitem", ship.and(receipt))
+        .aggregate(AggExpr::count_star("n"))
+}
+
+#[test]
+fn feedback_moves_a_query_off_the_evidence_level_and_not_its_sibling() {
+    // At T = 95 % an empty window is priced far above the half tuple its
+    // `EXPLAIN ANALYZE` observes, so the observation also drift-evicts
+    // its exact-level plan.
+    let db = tpch_db().with_threshold(ConfidenceThreshold::new(0.95));
+    let (observed, sibling) = (empty_window(2031), empty_window(2033));
+    db.run(&observed);
+    db.execute(&observed, &ExecOptions::default(), RunPolicy::Analyze)
+        .unwrap();
+    assert!(!db.plan_cache().contains(&db.fingerprint(&observed)));
+
+    let hits = db.cache_stats().evidence_hits;
+    let served = db.run(&observed).planned;
+    assert_eq!(
+        db.cache_stats().evidence_hits,
+        hits,
+        "an observed estimate forms a new evidence key"
+    );
+    let whole = EstimationRequest::single("lineitem", &observed.predicates[0].1);
+    assert!(matches!(
+        db.optimizer().estimator().estimate(&whole).source,
+        EstimateSource::Feedback
+    ));
+    support::assert_same(
+        support::same_plan(&db.optimizer().optimize(&observed), &served),
+        "the observed window plans fresh, from feedback",
+    );
+
+    let served = db.run(&sibling).planned;
+    assert_eq!(
+        db.cache_stats().evidence_hits,
+        hits + 1,
+        "the sibling still hits"
+    );
+    support::assert_same(
+        support::same_plan(&db.optimizer().optimize(&sibling), &served),
+        "the sibling's rebound plan",
+    );
+}
+
+#[test]
+fn expected_penalty_selection_never_takes_an_evidence_hit() {
+    let years = [2031, 2033, 2035];
+    let per_query = tpch_db();
+    let engine_wide = tpch_db().with_selection(PlanSelection::ExpectedPenalty);
+    for year in years {
+        per_query.run(&empty_window(year).with_selection(PlanSelection::ExpectedPenalty));
+        engine_wide.run(&empty_window(year));
+    }
+    assert_eq!(per_query.cache_stats().evidence_hits, 0);
+    assert_eq!(engine_wide.cache_stats().evidence_hits, 0);
+    // The same windows under quantile selection do hit.
+    for year in years {
+        per_query.run(&empty_window(year));
+    }
+    assert_eq!(per_query.cache_stats().evidence_hits, 2);
+}
+
+#[test]
+fn equal_constants_are_never_rebound_to_unequal_ones() {
+    let db = tpch_db();
+    let window = |lo: i32, hi: i32| {
+        let date = |d: i32| Expr::lit(Value::Date(d));
+        Query::over(&["lineitem"])
+            .filter(
+                "lineitem",
+                Expr::col("l_shipdate").between(date(lo), date(hi)),
+            )
+            .aggregate(AggExpr::count_star("n"))
+    };
+    let day = days_from_civil(2031, 1, 1);
+    let (equal, unequal) = (window(day, day), window(day + 10, day + 11));
+    let estimate = |q: &Query| {
+        let request = EstimationRequest::single("lineitem", &q.predicates[0].1);
+        db.optimizer()
+            .estimator()
+            .estimate(&request)
+            .selectivity
+            .to_bits()
+    };
+    assert_eq!(estimate(&equal), estimate(&unequal), "equal evidence");
+
+    db.run(&equal);
+    let served = db.run(&unequal).planned;
+    assert_eq!(db.cache_stats().evidence_hits, 0);
+    support::assert_same(
+        support::same_plan(&db.optimizer().optimize(&unequal), &served),
+        "the unequal window plans fresh",
+    );
+    assert!(format!("{:?}", served.plan).contains(&format!("Date({})", day + 11)));
 }

@@ -21,6 +21,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use robust_qo::exec::{execute_analyze, execute_with};
+use robust_qo::optimizer::NodeAnnotation;
 use robust_qo::prelude::*;
 use robust_qo::storage::CostTracker;
 
@@ -239,8 +240,10 @@ pub fn assert_same(diff: Result<(), String>, context: &str) {
     }
 }
 
-/// Two plannings of one query agree: the same plan tree and the same
-/// estimated cost and cardinality, bit for bit.
+/// Two plannings of one query agree: the same plan tree, the same
+/// estimated cost and cardinality bit for bit, the same estimator calls
+/// and selection mode, and per node the same annotation — estimated and
+/// root rows bit for bit and the same request key.
 pub fn same_plan(expected: &PlannedQuery, got: &PlannedQuery) -> Result<(), String> {
     same("plan trees", &expected.plan, &got.plan)?;
     same(
@@ -252,7 +255,37 @@ pub fn same_plan(expected: &PlannedQuery, got: &PlannedQuery) -> Result<(), Stri
         "estimated row bits",
         &expected.estimated_rows.to_bits(),
         &got.estimated_rows.to_bits(),
-    )
+    )?;
+    same(
+        "estimator calls",
+        &expected.estimator_calls,
+        &got.estimator_calls,
+    )?;
+    same("selection modes", &expected.selection, &got.selection)?;
+    same(
+        "annotated node counts",
+        &expected.node_annotations.len(),
+        &got.node_annotations.len(),
+    )?;
+    let nodes = expected.node_annotations.iter().zip(&got.node_annotations);
+    for (i, (e, g)) in nodes.enumerate() {
+        let bits = |a: &Option<NodeAnnotation>| {
+            a.as_ref()
+                .map(|a| (a.est_rows.to_bits(), a.root_rows.to_bits()))
+        };
+        same(
+            &format!("node {i}'s (est_rows, root_rows) bits"),
+            &bits(e),
+            &bits(g),
+        )?;
+        let key = |a: &Option<NodeAnnotation>| a.as_ref().and_then(|a| a.request.clone());
+        if key(e) != key(g) {
+            let text = |a: &Option<NodeAnnotation>| key(a).map(|k| k.to_string());
+            same(&format!("node {i}'s request keys"), &text(e), &text(g))?;
+            return Err(format!("node {i}'s request keys differ but render alike"));
+        }
+    }
+    Ok(())
 }
 
 /// One execution of a physical plan: its rows, its simulated cost

@@ -89,16 +89,6 @@ impl SelectivityPosterior {
         }
     }
 
-    /// The number of satisfying sample tuples.
-    pub fn observed_k(&self) -> usize {
-        self.observed_k
-    }
-
-    /// The sample size.
-    pub fn observed_n(&self) -> usize {
-        self.observed_n
-    }
-
     /// The underlying Beta distribution.
     pub fn distribution(&self) -> &BetaDistribution {
         &self.dist
@@ -191,8 +181,7 @@ mod tests {
         let p = SelectivityPosterior::from_observation(10, 100, Prior::Jeffreys);
         assert!((p.distribution().alpha() - 10.5).abs() < 1e-12);
         assert!((p.distribution().beta() - 90.5).abs() < 1e-12);
-        assert_eq!(p.observed_k(), 10);
-        assert_eq!(p.observed_n(), 100);
+        assert_eq!(p.mle(), 0.1);
     }
 
     #[test]

@@ -40,12 +40,12 @@ impl Default for TpchConfig {
 
 impl TpchConfig {
     /// Number of orders at this scale.
-    pub fn num_orders(&self) -> usize {
+    fn num_orders(&self) -> usize {
         ((1_500_000.0 * self.scale_factor) as usize).max(1)
     }
 
     /// Number of parts at this scale.
-    pub fn num_parts(&self) -> usize {
+    fn num_parts(&self) -> usize {
         ((200_000.0 * self.scale_factor) as usize).max(1)
     }
 }

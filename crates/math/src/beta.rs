@@ -94,7 +94,7 @@ impl BetaDistribution {
     /// Natural logarithm of the pdf at `x`.
     ///
     /// Returns `-inf` outside the support or at zero-density endpoints.
-    pub fn ln_pdf(&self, x: f64) -> f64 {
+    fn ln_pdf(&self, x: f64) -> f64 {
         if !(0.0..=1.0).contains(&x) {
             return f64::NEG_INFINITY;
         }

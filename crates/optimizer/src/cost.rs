@@ -19,7 +19,7 @@ use rqo_storage::{Catalog, CostParams};
 ///
 /// At low selectivity this is ≈ `k` (one random I/O per row — the paper's
 /// model); at high selectivity it saturates at `pages`.
-pub fn cardenas_pages(pages: f64, k: f64) -> f64 {
+fn cardenas_pages(pages: f64, k: f64) -> f64 {
     if pages <= 0.0 || k <= 0.0 {
         return 0.0;
     }
@@ -54,7 +54,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// Number of data pages of a table.
-    pub fn table_pages(&self, table: &str) -> f64 {
+    fn table_pages(&self, table: &str) -> f64 {
         let t = self.catalog.table(table).expect("table exists");
         self.params.data_pages(t.num_rows(), t.row_width_bytes()) as f64
     }
@@ -68,7 +68,7 @@ impl<'a> CostModel<'a> {
 
     /// One index-range resolution: B-tree descend + leaf pages + per-entry
     /// CPU.
-    pub fn index_range_ms(&self, entries: f64) -> f64 {
+    fn index_range_ms(&self, entries: f64) -> f64 {
         let leaf_pages = (entries * self.params.index_entry_bytes as f64
             / self.params.page_bytes as f64)
             .ceil()
@@ -80,7 +80,7 @@ impl<'a> CostModel<'a> {
 
     /// Fetching `k` scattered rows from a table by RID: random I/Os on the
     /// expected distinct pages + per-row CPU.
-    pub fn fetch_ms(&self, table: &str, k: f64) -> f64 {
+    fn fetch_ms(&self, table: &str, k: f64) -> f64 {
         cardenas_pages(self.table_pages(table), k) * self.params.random_io_ms
             + k * self.params.cpu_op_ms
     }

@@ -336,7 +336,7 @@ impl Engine {
         self.seed = seed;
         let catalog = self.catalog();
         let synopses = SynopsisRepository::build_all(&catalog, self.sample_size, seed);
-        self.publish(catalog, synopses, None);
+        self.publish(catalog, Arc::new(synopses), None);
     }
 
     /// Publishes a new data version and retires what was planned or
@@ -345,11 +345,13 @@ impl Engine {
     /// `table`.  The snapshot is swapped and the feedback epoch advanced
     /// under one write acquisition, so a query's [`view`](Self::view)
     /// never pairs one version's data with another's epoch.
-    fn publish(&self, catalog: Arc<Catalog>, synopses: SynopsisRepository, table: Option<&str>) {
-        let successor = Arc::new(Snapshot {
-            catalog,
-            synopses: Arc::new(synopses),
-        });
+    fn publish(
+        &self,
+        catalog: Arc<Catalog>,
+        synopses: Arc<SynopsisRepository>,
+        table: Option<&str>,
+    ) {
+        let successor = Arc::new(Snapshot { catalog, synopses });
         {
             let mut slot = self
                 .snapshot
@@ -376,12 +378,13 @@ impl Engine {
     ///
     /// The append is published with **snapshot semantics**: a new
     /// catalog version (the batch appended at the table's tail and
-    /// merged into cached indexes) and a new statistics version (per-column
-    /// HLL sketches and a reservoir sample updated incrementally — seeded
-    /// from the stored rows on a table's first streamed batch) are built
-    /// off to the side and swapped in as one snapshot; queries already
-    /// running keep theirs, and queries arriving meanwhile do not wait for
-    /// the build.
+    /// merged into cached indexes) is built off to the side and swapped
+    /// in beside the *same* statistics, so queries already running keep
+    /// their version and queries arriving meanwhile do not wait for the
+    /// build.  Ingest builds no statistics: plans keep reading the join
+    /// synopses drawn at build or at the last
+    /// [`refresh_statistics`](Self::refresh_statistics), which is what
+    /// brings appended rows into the estimates.
     ///
     /// Invalidation is scoped to the table: its per-table feedback epoch
     /// advances and only cached plans reading it are dropped, so other
@@ -412,41 +415,33 @@ impl Engine {
         let mut catalog = Catalog::clone(&current.catalog);
         catalog.append_rows(table, rows)?;
         let table_rows = catalog.table(table)?.num_rows();
-
-        // Streaming statistics: seed from the pre-insert snapshot on
-        // first contact, then fold in the batch row by row.
-        let old_catalog = &current.catalog;
-        let mut sketches = match current.synopses.sketches_for(table) {
-            Some(ts) => TableSketches::clone(ts),
-            None => {
-                let t = old_catalog.table(table).expect("append validated the name");
-                let id = old_catalog.table_id(table).expect("table exists").0 as u64;
-                TableSketches::seeded_from_table(
-                    t,
-                    None,
-                    DEFAULT_PRECISION,
-                    self.sample_size,
-                    self.seed ^ ((id + 1) << 48),
-                )
-            }
-        };
-        for row in rows {
-            sketches.observe(0, row);
-        }
-        let mut synopses = SynopsisRepository::clone(&current.synopses);
-        synopses.publish_sketches(Arc::new(sketches));
-
-        self.publish(Arc::new(catalog), synopses, Some(table));
+        self.publish(
+            Arc::new(catalog),
+            Arc::clone(&current.synopses),
+            Some(table),
+        );
         Ok(InsertSummary {
             rows_inserted: rows.len(),
             table_rows,
         })
     }
 
-    /// The streaming sketch statistics for a table, if ingest has
-    /// touched it (testing/inspection).
+    /// A shim kept only for the `benchmark/` crate's sketch metrics
+    /// (ROADMAP items 11(d) and 19): sketches of `table` as the current
+    /// snapshot stores it, seeded by a full scan on every call, with the
+    /// engine's synopsis sample size as reservoir capacity.  The engine
+    /// keeps no sketches and nothing that plans reads them.  `None` for
+    /// an unknown table.
     pub fn sketches_for(&self, table: &str) -> Option<Arc<TableSketches>> {
-        self.synopses().sketches_for(table).cloned()
+        let catalog = self.catalog();
+        let id = catalog.table_id(table).ok()?.0 as u64;
+        Some(Arc::new(TableSketches::seeded_from_table(
+            catalog.table(table).ok()?,
+            None,
+            DEFAULT_PRECISION,
+            self.sample_size,
+            self.seed ^ ((id + 1) << 48),
+        )))
     }
 
     /// The current global statistics epoch: 0 at construction, bumped by
@@ -511,17 +506,10 @@ impl Engine {
         self.plan_cache.stats()
     }
 
-    /// An optimizer bound to this engine's statistics, threshold, and
-    /// shared feedback store.
+    /// An optimizer bound to this engine's current statistics, threshold,
+    /// and shared feedback store.
     pub fn optimizer(&self) -> Optimizer {
-        self.optimizer_with_feedback(Arc::clone(&self.feedback))
-    }
-
-    /// An optimizer reading `feedback` instead of the shared store —
-    /// adaptive re-plans pass a private fork here so their tentative
-    /// observations steer the re-plan without touching shared state.
-    pub fn optimizer_with_feedback(&self, feedback: Arc<FeedbackStore>) -> Optimizer {
-        self.optimizer_over(&self.snapshot(), feedback)
+        self.optimizer_over(&self.snapshot(), Arc::clone(&self.feedback))
     }
 
     /// An optimizer over one data version.

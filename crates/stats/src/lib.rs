@@ -17,7 +17,9 @@
 //!
 //! [`distinct`] implements sample-based distinct-value estimation (the
 //! GROUP BY extension sketched in §3.5), and [`sampler`] the underlying
-//! uniform row samplers.
+//! uniform row samplers.  [`sketch`] holds streaming HyperLogLog and
+//! reservoir sketches that nothing plans from; they are kept only for
+//! the `benchmark/` crate's sketch metrics.
 
 #![warn(missing_docs)]
 
@@ -29,5 +31,5 @@ pub mod synopsis;
 
 pub use histogram::EquiDepthHistogram;
 pub use sampler::{sample_with_replacement, sample_without_replacement};
-pub use sketch::{DistinctSketch, RowReservoir, SketchRepository, TableSketches};
+pub use sketch::{DistinctSketch, RowReservoir, TableSketches};
 pub use synopsis::{JoinSynopsis, SynopsisRepository};

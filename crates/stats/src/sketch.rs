@@ -1,30 +1,21 @@
-//! Mergeable streaming sketches: HyperLogLog distinct counts and
-//! deterministic reservoir row samples.
+//! Streaming sketches: HyperLogLog distinct counts and deterministic
+//! reservoir row samples.
 //!
-//! Everything else in this crate is batch-only — distinct counts come
-//! from GEE over an offline sample, and absorbing new rows means a full
-//! `refresh_statistics` rebuild.  This module is the streaming half of
-//! the statistics subsystem: a dense-register HyperLogLog sketch
-//! ([`DistinctSketch`]) that supports `insert`/`merge`/`estimate`, and a
-//! deterministic reservoir sampler ([`RowReservoir`]) that maintains a
-//! uniform without-replacement row sample under a stream of inserts.
-//! Sketches live in memory only; no wire frame or file carries them.
-//!
-//! Both structures are *mergeable*: [`TableSketches`] keeps one sketch
-//! per (partition, column) and one reservoir per partition, and merges
-//! partition sketches on demand — union of register-wise maxima — so a
-//! table-level distinct estimate never requires re-scanning data.  The
-//! ingest path uses one partition per table.  Merging is commutative and
-//! associative and `insert`-then-merge equals merge-then-`insert` (pinned
-//! by the property suite in `crates/stats/tests/sketch_props.rs`).
+//! Nothing that plans reads them.  The estimator reads the join synopses
+//! drawn at build or refresh (PAPER.md §1), and `Engine::insert_rows`
+//! builds no statistics: an appended batch is read by the next refresh.
+//! This module holds a dense-register HyperLogLog sketch
+//! ([`DistinctSketch`]), a deterministic reservoir sampler
+//! ([`RowReservoir`]) and their per-table bundle ([`TableSketches`]),
+//! kept only for the `benchmark/` crate's sketch metrics (ROADMAP items
+//! 11(d) and 19).  Sketches live in memory only; no wire frame or file
+//! carries them.
 //!
 //! Determinism: hashing is seed-free and platform-independent
 //! ([`value_hash`] is a type-tagged FNV-1a value hash finished with a
 //! splitmix64-style avalanche), and the reservoir draws from an
 //! explicit-seed splitmix64 stream, so identical insert sequences
 //! produce bit-identical sketches and samples on every machine.
-
-use std::sync::Arc;
 
 use std::convert::Infallible;
 
@@ -87,8 +78,7 @@ fn fnv_hash(value: &Value) -> u64 {
     }
 }
 
-/// A mergeable HyperLogLog distinct-count sketch with dense `u8`
-/// registers.
+/// A HyperLogLog distinct-count sketch with dense `u8` registers.
 ///
 /// `precision` bits of the value hash select a register; the register
 /// keeps the maximum rank (position of the first set bit, 1-based) seen
@@ -96,9 +86,6 @@ fn fnv_hash(value: &Value) -> u64 {
 /// HLL with the small-range linear-counting correction — with 64-bit
 /// hashes no large-range correction is needed at the cardinalities this
 /// system stores.
-///
-/// Two sketches over the same precision merge by register-wise `max`,
-/// which computes the sketch of the *union* of the two insert streams.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistinctSketch {
     precision: u8,
@@ -134,16 +121,6 @@ impl DistinctSketch {
         }
     }
 
-    /// The precision (register-index bits).
-    pub fn precision(&self) -> u8 {
-        self.precision
-    }
-
-    /// True when no value has ever been inserted (all registers zero).
-    pub fn is_empty(&self) -> bool {
-        self.registers.iter().all(|&r| r == 0)
-    }
-
     /// Observes one value.
     pub fn insert(&mut self, value: &Value) {
         self.insert_hash(value_hash(value));
@@ -164,32 +141,6 @@ impl DistinctSketch {
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
         }
-    }
-
-    /// Merges another sketch into this one (register-wise max), giving
-    /// the sketch of the union of both insert streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the precisions differ — per-partition sketches for
-    /// one column are always built at one precision.
-    pub fn merge(&mut self, other: &DistinctSketch) {
-        assert_eq!(
-            self.precision, other.precision,
-            "cannot merge sketches of different precision"
-        );
-        for (r, &o) in self.registers.iter_mut().zip(&other.registers) {
-            if o > *r {
-                *r = o;
-            }
-        }
-    }
-
-    /// Returns the merge of `self` and `other` without mutating either.
-    pub fn merged(&self, other: &DistinctSketch) -> DistinctSketch {
-        let mut out = self.clone();
-        out.merge(other);
-        out
     }
 
     /// Estimated number of distinct values inserted.
@@ -224,10 +175,9 @@ impl DistinctSketch {
 /// Algorithm R over an explicit-seed splitmix64 stream).
 ///
 /// Maintains a uniform without-replacement sample of `capacity` rows
-/// over everything ever [`insert`](RowReservoir::insert)ed.  The ingest
-/// path keeps one reservoir per table.  Unlike the offline samplers in [`crate::sampler`] this one never
-/// sees the table — it observes the insert stream itself, so it works
-/// on data that arrives incrementally.
+/// over everything ever [`insert`](RowReservoir::insert)ed.  Unlike the
+/// offline samplers in [`crate::sampler`] this one never sees the table —
+/// it observes the insert stream itself.
 ///
 /// Determinism: the replacement decisions depend only on `(seed, number
 /// of rows seen)`, so the same insert sequence yields the same sample
@@ -235,7 +185,6 @@ impl DistinctSketch {
 #[derive(Debug, Clone)]
 pub struct RowReservoir {
     capacity: usize,
-    seed: u64,
     state: u64,
     seen: u64,
     rows: Vec<Vec<Value>>,
@@ -246,7 +195,6 @@ impl RowReservoir {
     pub fn new(capacity: usize, seed: u64) -> Self {
         Self {
             capacity,
-            seed,
             // splitmix64 recommends seeding the stream with a mixed
             // seed so nearby seeds give unrelated streams.
             state: mix64(seed ^ 0x9e37_79b9_7f4a_7c15),
@@ -297,118 +245,27 @@ impl RowReservoir {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Maximum sample size.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The seed this reservoir draws from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
-/// Streaming statistics for one partition of a table: one
-/// [`DistinctSketch`] per column plus a [`RowReservoir`] row sample.
-#[derive(Debug, Clone)]
-pub struct PartitionSketch {
-    /// Per-column distinct sketches, in schema order.
-    pub columns: Vec<DistinctSketch>,
-    /// Uniform row sample of this partition's insert stream.
-    pub reservoir: RowReservoir,
-    /// Rows ever routed to this partition.
-    pub rows: u64,
-}
-
-impl PartitionSketch {
-    /// Empty statistics for a partition of a `columns`-wide table.
-    pub fn new(columns: usize, precision: u8, sample_capacity: usize, seed: u64) -> Self {
-        Self {
-            columns: (0..columns)
-                .map(|_| DistinctSketch::with_precision(precision))
-                .collect(),
-            reservoir: RowReservoir::new(sample_capacity, seed),
-            rows: 0,
-        }
-    }
-
-    /// Observes one row: every column sketch and the reservoir see it.
-    pub fn observe(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.columns.len(), "row arity vs sketch arity");
-        for (sketch, v) in self.columns.iter_mut().zip(row) {
-            sketch.insert(v);
-        }
-        self.reservoir.insert(row);
-        self.rows += 1;
-    }
-}
-
-/// Streaming statistics for a whole table: one [`PartitionSketch`] per
-/// partition (ingest keeps a single one), merged on demand for
-/// table-level estimates.
+/// Per-column [`DistinctSketch`]es plus a [`RowReservoir`] row sample of
+/// one table, built from a full scan by
+/// [`seeded_from_table`](Self::seeded_from_table) and extended row by row
+/// by [`observe`](Self::observe).
 ///
-/// Shared immutably behind an `Arc`; the ingest path builds an updated
-/// copy and republishes, matching the engine's snapshot semantics.
+/// No planning path reads these statistics and the engine keeps none: the
+/// estimator reads the join synopses drawn at build or refresh.  The type
+/// lives on only for the `benchmark/` crate's sketch metrics, and goes
+/// with them (ROADMAP items 11(d) and 19).
 #[derive(Debug, Clone)]
 pub struct TableSketches {
-    name: String,
-    columns: Vec<String>,
-    partitions: Vec<PartitionSketch>,
+    columns: Vec<DistinctSketch>,
+    reservoir: RowReservoir,
 }
 
 impl TableSketches {
-    /// Empty statistics for `partition_count` partitions of a table
-    /// with the given columns (in schema order).
-    ///
-    /// Per-partition reservoirs draw from sub-seeds
-    /// `seed ^ ((p + 1) << 16)`, so streams never collide.
-    pub fn new(
-        name: impl Into<String>,
-        columns: Vec<String>,
-        partition_count: usize,
-        precision: u8,
-        sample_capacity: usize,
-        seed: u64,
-    ) -> Self {
-        let width = columns.len();
-        Self {
-            name: name.into(),
-            columns,
-            partitions: (0..partition_count)
-                .map(|p| {
-                    PartitionSketch::new(
-                        width,
-                        precision,
-                        sample_capacity,
-                        seed ^ ((p as u64 + 1) << 16),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    /// The table these statistics describe.
-    pub fn table(&self) -> &str {
-        &self.name
-    }
-
-    /// Column names in schema order.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Ordinal of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// Bulk-seeds statistics from an already-stored table so the
-    /// sketches cover rows that predate streaming; subsequent inserts
-    /// maintain them incrementally.  Every stored row goes to partition
-    /// 0.  `_layout` can hold no value: it is kept only so that the
-    /// `benchmark/` crate builds unchanged until ROADMAP items 11(d) and
-    /// 19 retire this type.
+    /// Statistics over every stored row of `table`.  `_layout` can hold
+    /// no value: it is kept only so that the `benchmark/` crate builds
+    /// unchanged until ROADMAP items 11(d) and 19 retire this type.
     pub fn seeded_from_table(
         table: &rqo_storage::Table,
         _layout: Option<&Infallible>,
@@ -416,89 +273,27 @@ impl TableSketches {
         sample_capacity: usize,
         seed: u64,
     ) -> Self {
-        let columns = table
-            .schema()
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut out = Self::new(table.name(), columns, 1, precision, sample_capacity, seed);
+        let mut out = Self {
+            columns: (0..table.schema().len())
+                .map(|_| DistinctSketch::with_precision(precision))
+                .collect(),
+            reservoir: RowReservoir::new(sample_capacity, seed),
+        };
         for rid in 0..table.num_rows() {
             out.observe(0, &table.row(rid as rqo_storage::Rid));
         }
         out
     }
 
-    /// Number of partitions tracked.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Per-partition statistics.
-    pub fn partition(&self, p: usize) -> &PartitionSketch {
-        &self.partitions[p]
-    }
-
-    /// Routes one row's statistics update to partition `p`.
-    pub fn observe(&mut self, p: usize, row: &[Value]) {
-        self.partitions[p].observe(row);
-    }
-
-    /// Total rows observed across all partitions.
-    pub fn rows(&self) -> u64 {
-        self.partitions.iter().map(|p| p.rows).sum()
-    }
-
-    /// The table-level distinct sketch for a column: the merge of every
-    /// partition's sketch, computed on demand.
-    pub fn merged_column(&self, col: usize) -> DistinctSketch {
-        let mut merged = self.partitions[0].columns[col].clone();
-        for p in &self.partitions[1..] {
-            merged.merge(&p.columns[col]);
+    /// Observes one row: every column sketch and the reservoir see it.
+    /// `partition` must be 0, the only partition a table has.
+    pub fn observe(&mut self, partition: usize, row: &[Value]) {
+        debug_assert_eq!(partition, 0, "a table has one partition");
+        debug_assert_eq!(row.len(), self.columns.len(), "row arity vs sketch arity");
+        for (sketch, v) in self.columns.iter_mut().zip(row) {
+            sketch.insert(v);
         }
-        merged
-    }
-
-    /// Table-level distinct estimate for a column.
-    pub fn column_distinct(&self, col: usize) -> f64 {
-        self.merged_column(col).estimate()
-    }
-}
-
-/// A shared, immutable set of [`TableSketches`] keyed by table name —
-/// the streaming counterpart of `SynopsisRepository`, published by the
-/// engine alongside the catalog snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct SketchRepository {
-    tables: Vec<Arc<TableSketches>>,
-}
-
-impl SketchRepository {
-    /// An empty repository.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Statistics for a table, if ingest has touched it.
-    pub fn for_table(&self, name: &str) -> Option<&Arc<TableSketches>> {
-        self.tables.iter().find(|t| t.table() == name)
-    }
-
-    /// Installs (or replaces) a table's statistics.
-    pub fn publish(&mut self, sketches: Arc<TableSketches>) {
-        match self
-            .tables
-            .iter_mut()
-            .find(|t| t.table() == sketches.table())
-        {
-            Some(slot) => *slot = sketches,
-            None => self.tables.push(sketches),
-        }
-    }
-
-    /// All tracked tables.
-    pub fn tables(&self) -> impl Iterator<Item = &Arc<TableSketches>> {
-        self.tables.iter()
+        self.reservoir.insert(row);
     }
 }
 
@@ -542,27 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_union() {
-        let a = sketch_of(0..10_000);
-        let b = sketch_of(5_000..15_000);
-        let m = a.merged(&b);
-        let est = m.estimate();
-        assert!((est - 15_000.0).abs() / 15_000.0 < 0.05, "union {est}");
-        // Commutative.
-        assert_eq!(m, b.merged(&a));
-    }
-
-    #[test]
-    fn insert_then_merge_equals_merge_then_insert() {
-        let mut a = sketch_of(0..100);
-        let b = sketch_of(100..200);
-        let mut merged_first = a.merged(&b);
-        merged_first.insert(&Value::Int(999));
-        a.insert(&Value::Int(999));
-        assert_eq!(a.merged(&b), merged_first);
-    }
-
-    #[test]
     fn hash_agrees_across_numeric_coercions() {
         assert_eq!(fnv_hash(&Value::Int(42)), 0xb960_a184_f070_32c6);
         assert_eq!(fnv_hash(&Value::str("abc")), 0x3418_6a89_cedc_1e56);
@@ -583,13 +357,6 @@ mod tests {
             t
         };
         assert_eq!(s, one, "coercion-equal values must hash identically");
-    }
-
-    #[test]
-    #[should_panic(expected = "different precision")]
-    fn merge_rejects_mixed_precision() {
-        let mut a = DistinctSketch::with_precision(10);
-        a.merge(&DistinctSketch::with_precision(12));
     }
 
     #[test]
@@ -640,52 +407,5 @@ mod tests {
             r.insert(&[Value::Int(i)]);
         }
         assert_eq!(r.len(), 5, "under capacity keeps everything");
-    }
-
-    #[test]
-    fn table_sketches_merge_partitions() {
-        let mut ts = TableSketches::new(
-            "t",
-            vec!["a".into(), "b".into()],
-            4,
-            DEFAULT_PRECISION,
-            32,
-            42,
-        );
-        assert_eq!(ts.column_index("b"), Some(1));
-        assert_eq!(ts.column_index("z"), None);
-        for i in 0..40_000i64 {
-            let p = (i % 4) as usize;
-            ts.observe(p, &[Value::Int(i), Value::Int(i % 100)]);
-        }
-        assert_eq!(ts.rows(), 40_000);
-        let d0 = ts.column_distinct(0);
-        assert!((d0 - 40_000.0).abs() / 40_000.0 < 0.05, "col 0 {d0}");
-        let d1 = ts.column_distinct(1);
-        assert!((d1 - 100.0).abs() / 100.0 < 0.05, "col 1 {d1}");
-        // Each partition saw a quarter of the keyspace.
-        let p0 = ts.partition(0).columns[0].estimate();
-        assert!((p0 - 10_000.0).abs() / 10_000.0 < 0.05, "partition 0 {p0}");
-        assert_eq!(ts.partition(0).reservoir.len(), 32);
-    }
-
-    #[test]
-    fn repository_publish_and_lookup() {
-        let mut repo = SketchRepository::new();
-        assert!(repo.for_table("t").is_none());
-        repo.publish(Arc::new(TableSketches::new(
-            "t",
-            vec!["x".into()],
-            1,
-            10,
-            8,
-            1,
-        )));
-        assert!(repo.for_table("t").is_some());
-        let mut ts = TableSketches::new("t", vec!["x".into()], 1, 10, 8, 1);
-        ts.observe(0, &[Value::Int(5)]);
-        repo.publish(Arc::new(ts));
-        assert_eq!(repo.for_table("t").unwrap().rows(), 1);
-        assert_eq!(repo.tables().count(), 1);
     }
 }

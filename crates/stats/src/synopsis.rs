@@ -194,9 +194,6 @@ impl JoinSynopsis {
 #[derive(Debug, Clone)]
 pub struct SynopsisRepository {
     synopses: Vec<JoinSynopsis>,
-    /// Streaming sketch statistics for tables touched by ingest.  Empty
-    /// until the first insert.
-    sketches: crate::sketch::SketchRepository,
 }
 
 impl SynopsisRepository {
@@ -211,10 +208,7 @@ impl SynopsisRepository {
                 JoinSynopsis::build(catalog, t.name(), sample_size, root_seed)
             })
             .collect();
-        Self {
-            synopses,
-            sketches: crate::sketch::SketchRepository::new(),
-        }
+        Self { synopses }
     }
 
     /// The synopsis rooted at a table.
@@ -246,22 +240,6 @@ impl SynopsisRepository {
     /// Total stored bytes across all synopses.
     pub fn stored_bytes(&self) -> usize {
         self.synopses.iter().map(JoinSynopsis::stored_bytes).sum()
-    }
-
-    /// Installs (or replaces) streaming sketch statistics for one
-    /// table.  Called by the ingest path each time a batch lands; the
-    /// repository itself is immutable-shared, so the engine clones,
-    /// publishes, and swaps.
-    pub fn publish_sketches(&mut self, sketches: std::sync::Arc<crate::sketch::TableSketches>) {
-        self.sketches.publish(sketches);
-    }
-
-    /// Streaming statistics for a table, if ingest has touched it.
-    pub fn sketches_for(
-        &self,
-        table: &str,
-    ) -> Option<&std::sync::Arc<crate::sketch::TableSketches>> {
-        self.sketches.for_table(table)
     }
 }
 

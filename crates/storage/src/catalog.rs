@@ -61,10 +61,12 @@ impl Catalog {
         Ok(id)
     }
 
-    /// Always `None`: no table is partitioned.  Kept, with a return type
-    /// that cannot hold a value, only so that the `benchmark/` crate,
-    /// which passes it to `rqo_stats::TableSketches::seeded_from_table`,
-    /// builds unchanged until ROADMAP items 11(d) and 19 retire both.
+    /// Always `None`: no table is partitioned.  A benchmark-only shim,
+    /// kept with a return type that cannot hold a value so that the
+    /// `benchmark/` crate, whose sketch-seed probe passes it to
+    /// `rqo_stats::TableSketches::seeded_from_table`, builds unchanged.
+    /// Nothing in the workspace calls it; ROADMAP items 11(d) and 19
+    /// retire it with the benchmark's sketch metrics.
     pub fn partitioning(&self, _name: &str) -> Option<&Arc<std::convert::Infallible>> {
         None
     }

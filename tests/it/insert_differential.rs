@@ -11,10 +11,10 @@
 //!
 //! The scoped-invalidation tests pin what an insert retires: only the
 //! ingested table's feedback epoch advances, only the cached plans and
-//! feedback observations reading it are evicted, warm plans for untouched
-//! tables keep hitting, and streaming sketches exist exactly for
-//! ingest-touched tables.  A full statistics refresh, by contrast,
-//! retires everything.
+//! feedback observations reading it are evicted, and warm plans for
+//! untouched tables keep hitting.  Ingest builds no statistics: it
+//! republishes the join synopses it did not change.  A full statistics
+//! refresh, by contrast, retires everything.
 //!
 //! A last test crosses ingest with *concurrent* readers: while a writer
 //! appends batches, readers in-process and over TCP must only ever see
@@ -150,7 +150,7 @@ fn streamed_ingest_matches_one_shot_build_bit_for_bit() {
 }
 
 #[test]
-fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
+fn ingest_invalidation_is_scoped() {
     let engine = one_shot();
     let opts = ExecOptions::with_threads(1);
     let q_t = workload().remove(0);
@@ -164,28 +164,11 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
     let warm = engine.cache_stats();
     assert_eq!((warm.hits, warm.misses), (2, 2), "{warm}");
 
-    // Sketches are lazy: no table has streaming statistics before
-    // ingest touches it.
-    assert!(engine.sketches_for("t").is_none());
-    assert!(engine.sketches_for("u").is_none());
-
     // Ingest into `t` only.
     let batch: Vec<Vec<Value>> = (N..N + 50).map(t_row).collect();
     let summary = engine.insert_rows("t", &batch).expect("ingest");
     assert_eq!(summary.rows_inserted, 50);
     assert_eq!(summary.table_rows, (N + 50) as usize);
-
-    // Sketch lifecycle: `t` now has streaming statistics, `u` still
-    // does not (so its estimation path is byte-identical to pre-ingest).
-    let sketches = engine.sketches_for("t").expect("ingest seeded sketches");
-    assert!(engine.sketches_for("u").is_none());
-    let x = sketches.column_index("x").unwrap();
-    let distinct_x = sketches.column_distinct(x);
-    let exact = (N + 50) as f64;
-    assert!(
-        (distinct_x - exact).abs() / exact < 0.05,
-        "merged sketch tracks ingest: {distinct_x} vs {exact}"
-    );
 
     // Scoped invalidation: the warm plan over `u` survives (hit), the
     // plan over `t` was evicted and re-planned (miss) — and now sees
@@ -216,6 +199,31 @@ fn ingest_invalidation_is_scoped_and_sketches_are_lazy() {
         (still.hits - after.hits, still.misses - after.misses),
         (2, 0),
         "no-op batches invalidate nothing: {still}"
+    );
+}
+
+/// Ingest builds no statistics: a non-empty batch publishes a new
+/// catalog beside the very same join synopses, and only a refresh draws
+/// new ones.
+#[test]
+fn ingest_republishes_the_statistics_it_did_not_change() {
+    let mut engine = one_shot();
+    let synopses = engine.synopses();
+    let catalog = engine.catalog();
+    let batch: Vec<Vec<Value>> = (N..N + 50).map(t_row).collect();
+    engine.insert_rows("t", &batch).expect("ingest");
+    assert!(
+        !std::sync::Arc::ptr_eq(&engine.catalog(), &catalog),
+        "the batch published a new catalog"
+    );
+    assert!(
+        std::sync::Arc::ptr_eq(&engine.synopses(), &synopses),
+        "ingest republished the synopses it did not change"
+    );
+    engine.refresh_statistics(SEED);
+    assert!(
+        !std::sync::Arc::ptr_eq(&engine.synopses(), &synopses),
+        "a refresh draws new synopses"
     );
 }
 
@@ -395,7 +403,6 @@ fn duplicate_key_batch_is_rejected_atomically() {
         std::sync::Arc::ptr_eq(&engine.catalog(), &catalog_before),
         "no catalog version was published"
     );
-    assert!(engine.sketches_for("u").is_none(), "no statistics either");
     let out = engine.run_opts(&q_u, &opts).expect("run u after reject");
     assert_eq!(out.rows[0][0], Value::Int(17));
     let after = engine.cache_stats();
